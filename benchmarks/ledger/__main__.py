@@ -1,0 +1,6 @@
+"""``python -m benchmarks.ledger`` (run from the repository root)."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())
