@@ -3,9 +3,14 @@
 PR 7's leak fix: long sweeps with per-(src,dst) routing state grew memos
 without bound.  The repo convention is a cap constant checked with a
 wholesale-clear guard (``if len(self._plan_memo) >= _MEMO_CAP:
-self._plan_memo.clear()``) or a BoundedLRU.  This rule makes the convention
-machine-checked: any dict-valued memo/cache binding in a hot module must be
-capped, bounded, or explicitly suppressed with a written reason.
+self._plan_memo.clear()``) or a BoundedLRU.  A wholesale clear is only
+invisible where rebuilding an entry is pure *and cheap*: after a clear every
+live key misses once more, so the guard belongs on memos whose miss path is
+a few lookups (the routing plan memo's is two route-column reads and two
+small dict hits), not on ones that redo an evaluation per entry.  This rule
+makes the convention machine-checked: any dict-valued memo/cache binding in
+a hot module must be capped, bounded, or explicitly suppressed with a
+written reason.
 """
 
 from __future__ import annotations

@@ -654,7 +654,7 @@ class FaultController:
     def _invalidate_plans(self) -> None:
         """Flush every cached forwarding decision after a re-table.
 
-        Clears the routing layer's plan/candidate memos, every port's cached
+        Clears the routing layer's first-level plan memo, every port's cached
         head plan and blocked-allocation verdict, and wakes every router so
         the next pump re-evaluates against the rebuilt columns.  Cleared
         non-None head plans count as rerouted packets (their forwarding

@@ -26,11 +26,11 @@ from __future__ import annotations
 import random
 from abc import ABC
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from ..config import RoutingConfig
 from ..core.arrangement import VcArrangement
-from ..core.link_types import HopSequence, LinkType, MessageClass
+from ..core.link_types import LinkType, MessageClass
 from ..core.vc_policy import HopContext, HopKind, VcPolicy, VcRange
 from ..core.vc_selection import VcSelection
 from ..packet import Packet, RouteKind
@@ -40,15 +40,18 @@ from .route_table import make_route_table
 if TYPE_CHECKING:  # pragma: no cover
     from ..router.router import Router
 
-#: bound on the plan/candidate memo dictionaries: the key population grows
-#: with the distinct (here, dst, phase-state) situations actually traversed
-#: — effectively O(n²) under uniform traffic at 10^5-endpoint scale — so
-#: each memo is cleared wholesale when it reaches this many entries.  The
-#: constructions are pure (no RNG; randomness lives in the per-packet
-#: injection decisions), so a rebuilt entry is identical and the clear is
-#: invisible in results.  ~262k entries keep worst-case memo memory around
-#: 70 MB; canonical paper-scale runs stay far below the cap, and at system
-#: scale rebuilding after a clear costs well under a cycle's worth of work.
+#: bound on the plan and hop memo dictionaries.  The first-level plan memo is
+#: keyed by the (here, dst, phase-state) situations actually traversed —
+#: effectively O(n²) under uniform traffic at 10^5-endpoint scale — and the
+#: hop memo by (router, port, verdict), so each is cleared wholesale when it
+#: reaches this many entries.  The constructions are pure (no RNG; randomness
+#: lives in the per-packet injection decisions), so a rebuilt entry is
+#: identical and the clear is invisible in results.  ~262k entries keep
+#: worst-case memo memory around 70 MB; canonical paper-scale runs stay far
+#: below the cap.  At system scale the plan memo does hit it and every entry
+#: is then re-missed once — which is why a plan miss must stay cheap: two
+#: route-column reads plus two small dict hits (see ``_candidate_towards``),
+#: never a policy evaluation.
 _MEMO_CAP = 1 << 18
 
 
@@ -72,11 +75,12 @@ class CandidateHop:
     #: packed router-resolved evaluation record — ``(out_port, vc_lo, vc_hi,
     #: out_state_base, credit_free_base, out_buffer_capacity,
     #: pending_releases, credit_fail_mask)``.  Candidates are memoized per
-    #: router (the cache key includes the router id), so the router-local
-    #: slab indices and references can be burned in at construction; the
-    #: allocator then evaluates a candidate with a single attribute load
-    #: plus flat reads.  Filled by RoutingAlgorithm._build_candidate;
-    #: hand-built candidates (tests) keep the 3-field prefix form.
+    #: router (the hop-memo key starts with the router id), so the
+    #: router-local slab indices and references can be burned in at
+    #: construction; the allocator then evaluates a candidate with a single
+    #: attribute load plus flat reads.  Filled by
+    #: RoutingAlgorithm._candidate_towards; hand-built candidates (tests)
+    #: keep the 3-field prefix form.
     hot: tuple = ()
     #: grant-time fast-path flags: a *simple* hop updates only the packet's
     #: hop/phase counters, so the router inlines it; detour-affecting hops
@@ -145,22 +149,32 @@ class RoutingAlgorithm(ABC):
             self.phase_ref = (max(2, topology.diameter), 0)
         #: routers eligible as Valiant intermediates (None = all routers).
         self._valiant_pool = topology.valiant_routers()
-        #: memoized candidate hops — the construction is a pure function of
-        #: (location, target, destination, class, input, phase state), and
-        #: :class:`CandidateHop` objects are immutable in practice, so the
-        #: same instance is shared by every packet in the same situation.
-        #: Both memos are *bounded*: keys scale with (here, dst) pairs
-        #: actually traversed, which approaches O(n²) under uniform traffic
-        #: at system scale — an unbounded memo would quietly reintroduce
-        #: the dense table's quadratic memory.  At :data:`_MEMO_CAP`
-        #: entries the memo is cleared wholesale (purity makes the rebuild
+        #: Candidate construction is split by what it depends on.  The VC
+        #: *verdict* is a function of the hop's path shapes, input buffer
+        #: and phase state only (paper §III, Definitions 1–2) — never of
+        #: which router asks — so it is memoized under every
+        #: :class:`HopContext` field and its population is set by the
+        #: topology's distinct path shapes × VC/phase states (tens to a few
+        #: hundred entries), independent of network size.  The
+        #: :class:`CandidateHop` itself (immutable in practice, shared by
+        #: every packet in the same situation) is memoized per ``(router,
+        #: out port, verdict, flags)``: at most routers × ports × verdict
+        #: variety.  Neither embeds a route-table answer, so both survive a
+        #: fault re-table.
+        self._verdict_memo: dict = {}
+        self._hop_memo: dict = {}
+        #: first-level hit path: whole plans of the minimal branch keyed by
+        #: ``(here, dst, state)`` (plan lists are shared and never mutated).
+        #: Keys approach O(n²) under uniform traffic at system scale, hence
+        #: the :data:`_MEMO_CAP` wholesale clear (purity makes the rebuild
         #: answer-identical, and plan lists held by callers stay valid);
-        #: canonical paper-scale runs never reach the cap, so goldens see
-        #: zero behaviour change.
-        self._candidate_cache: dict = {}
-        #: memoized whole plans for the minimal branch (same purity argument;
-        #: plan lists are shared and never mutated), and ejection requests.
+        #: canonical paper-scale runs never reach the cap.
         self._plan_memo: dict = {}
+        #: miss-path work counters (RunRecord provenance; the hit paths
+        #: carry no counter).
+        self.plan_misses = 0
+        self.verdict_builds = 0
+        self.hop_builds = 0
         # devtools: unbounded-ok(keyed by (dst router, msg class): at most 2n entries)
         self._ejection_memo: dict = {}
         #: packed-int plan-memo keys: every component is a small bounded
@@ -185,15 +199,26 @@ class RoutingAlgorithm(ABC):
     # Fault support
     # ------------------------------------------------------------------
     def invalidate_route_caches(self) -> None:
-        """Flush every memo that bakes in route-table answers.
+        """Flush the memo that bakes in route-table answers.
 
-        Called by the fault controller after re-table-ing: plans and
-        candidates (including their burned-in ``hot`` tuples) embed next
-        ports read from the mutated columns.  The ejection memo survives —
-        ejection requests depend only on the (static) node attachment.
+        Called by the fault controller after re-table-ing: first-level plans
+        embed next ports read from the mutated columns.  Verdicts (pure
+        functions of path shape) and router-local hops (pure functions of
+        the static ``(router, port)`` wiring) survive, as does the ejection
+        memo — ejection requests depend only on the node attachment.
         """
         self._plan_memo.clear()
-        self._candidate_cache.clear()
+
+    def memo_stats(self) -> Dict[str, int]:
+        """Miss-path work counters and memo sizes (RunRecord provenance)."""
+        return {
+            "plan_misses": self.plan_misses,
+            "verdict_builds": self.verdict_builds,
+            "hop_builds": self.hop_builds,
+            "plan_memo_size": len(self._plan_memo),
+            "verdict_memo_size": len(self._verdict_memo),
+            "hop_memo_size": len(self._hop_memo),
+        }
 
     # ------------------------------------------------------------------
     # Decision hooks
@@ -283,6 +308,7 @@ class RoutingAlgorithm(ABC):
             )
         cached = self._plan_memo.get(key)
         if cached is None:
+            self.plan_misses += 1
             direct = self._candidate_towards(
                 router, packet, dst_router, input_type, input_vc, is_detour=False
             )
@@ -305,121 +331,74 @@ class RoutingAlgorithm(ABC):
         is_detour: bool,
         abandons_detour: bool = False,
     ) -> Optional[CandidateHop]:
-        """Candidate for the next minimal hop towards ``target_router`` (memoized).
+        """Candidate for the next minimal hop towards ``target_router``.
 
-        ``plan`` only requests detours towards ``packet.intermediate_router``,
-        so the cache key below captures every packet attribute the
-        construction reads.
+        Only the first half depends on network position: two route-column
+        reads (one lookup per destination keeps every per-source query a
+        single flat index, so the lazy front-end touches each needed column
+        once) yield the out port and the path *shapes*.  The VC verdict is
+        then a memo hit on those shapes, and the shared
+        :class:`CandidateHop` a memo hit on ``(router, port, verdict)``.
         """
         here = router.router_id
-        dst_router = packet.dst_router  # resolved by plan() before this point
-        phase_local = packet.phase_local
-        phase_global = packet.phase_global
-        phase_position = packet.phase_position
-        phase_global_taken = packet.phase_global_taken
-        if (0 <= phase_local < 16 and 0 <= phase_global < 16
-                and 0 <= phase_position < 32
-                and 0 <= phase_global_taken < 16 and -1 <= input_vc < 15):
-            n = self._key_routers
-            key = (here * n + target_router) * n + dst_router
-            key = key * 2 + packet.msg_class
-            key = key * 3 + (0 if input_type is None else input_type + 1)
-            key = (key * 16 + input_vc + 1) * 16 + phase_local
-            key = ((key * 16 + phase_global) * 32 + phase_position) * 16 \
-                + phase_global_taken
-            key = (key * 2 + is_detour) * 2 + abandons_detour
-        else:  # pragma: no cover - beyond any canonical reference shape
-            key = (
-                here, target_router, dst_router, packet.msg_class,
-                input_type, input_vc, phase_local, phase_global,
-                phase_position, phase_global_taken, is_detour, abandons_detour,
-            )
-        try:
-            return self._candidate_cache[key]
-        except KeyError:
-            candidate = self._build_candidate(
-                here, dst_router, packet, target_router, input_type, input_vc,
-                is_detour, abandons_detour,
-            )
-            if candidate is not None:
-                candidate.hot = router.resolve_candidate(candidate)
-            if len(self._candidate_cache) >= _MEMO_CAP:
-                self._candidate_cache.clear()
-            self._candidate_cache[key] = candidate
-            return candidate
-
-    def _build_candidate(
-        self,
-        here: int,
-        dst_router: int,
-        packet: Packet,
-        target_router: int,
-        input_type: Optional[LinkType],
-        input_vc: int,
-        is_detour: bool,
-        abandons_detour: bool,
-    ) -> Optional[CandidateHop]:
-        # Column views: one route-table column lookup per destination keeps
-        # every per-source query below a single flat index, which is what
-        # lets the lazy front-end touch (and possibly fill) each needed
-        # column exactly once per candidate construction.
-        target_col = self.route.column(target_router)
+        route = self.route
+        target_col = route.column(target_router)
         out_port = target_col.next_port(here)
         if out_port is None:
             return None
-        next_router = self.route.neighbor(here, out_port)
-        out_type = self.route.link_type(here, out_port)
+        next_router = route.neighbor(here, out_port)
+        out_type = route.link_type(here, out_port)
+        dst_router = packet.dst_router  # resolved by plan() before this point
         dst_col = (
             target_col if target_router == dst_router
-            else self.route.column(dst_router)
+            else route.column(dst_router)
         )
-        intended = self._intended_remaining(here, packet, target_router,
-                                            target_col, dst_col, abandons_detour)
+        # The intended route is the minimal path from here, except on the
+        # detour (plan() requests one only for a Valiant packet short of its
+        # intermediate): first leg to the intermediate, then on to dst.
+        if is_detour:
+            intended = (target_col.hop_sequence(here)
+                        + dst_col.hop_sequence(target_router))
+        else:
+            intended = dst_col.hop_sequence(here)
         escape = dst_col.hop_sequence(next_router)
-        ctx = HopContext(
-            msg_class=packet.msg_class,
-            out_type=out_type,
-            intended_remaining=intended,
-            escape_from_next=escape,
-            input_type=input_type,
-            input_vc=input_vc,
-            phase_offsets=packet.phase_offsets,
-            phase_position=packet.phase_position,
-            phase_global_taken=packet.phase_global_taken,
-        )
-        vc_range, kind = self.policy.evaluate(ctx)
+        # Every HopContext field, so a hit is exactly what evaluate() returns.
+        key = (packet.msg_class, out_type, intended, escape, input_type,
+               input_vc, packet.phase_offsets, packet.phase_position,
+               packet.phase_global_taken)
+        verdict = self._verdict_memo.get(key)
+        if verdict is None:
+            self.verdict_builds += 1
+            verdict = self.policy.evaluate(HopContext(*key))
+            if len(self._verdict_memo) >= _MEMO_CAP:
+                self._verdict_memo.clear()
+            self._verdict_memo[key] = verdict
+        vc_range, kind = verdict
         if vc_range is None:
             return None
         opportunistic = kind == HopKind.OPPORTUNISTIC
         reaches_intermediate = (
             is_detour and next_router == packet.intermediate_router
         )
-        return CandidateHop(
-            out_port=out_port,
-            next_router=next_router,
-            out_type=out_type,
-            vc_range=vc_range,
-            opportunistic=opportunistic,
-            reaches_intermediate=reaches_intermediate,
-            abandons_detour=abandons_detour,
-        )
-
-    def _intended_remaining(
-        self,
-        here: int,
-        packet: Packet,
-        target_router: int,
-        target_col,
-        dst_col,
-        abandons_detour: bool,
-    ) -> HopSequence:
-        """Hop-type sequence of the packet's intended route from ``here``."""
-        if abandons_detour or packet.route_kind == RouteKind.MINIMAL \
-                or packet.intermediate_reached:
-            return dst_col.hop_sequence(here)
-        first_leg = target_col.hop_sequence(here)
-        second_leg = dst_col.hop_sequence(target_router)
-        return first_leg + second_leg
+        hop_key = (here, out_port, vc_range.lo, vc_range.hi, opportunistic,
+                   reaches_intermediate, abandons_detour)
+        candidate = self._hop_memo.get(hop_key)
+        if candidate is None:
+            self.hop_builds += 1
+            candidate = CandidateHop(
+                out_port=out_port,
+                next_router=next_router,
+                out_type=out_type,
+                vc_range=vc_range,
+                opportunistic=opportunistic,
+                reaches_intermediate=reaches_intermediate,
+                abandons_detour=abandons_detour,
+            )
+            candidate.hot = router.resolve_candidate(candidate)
+            if len(self._hop_memo) >= _MEMO_CAP:
+                self._hop_memo.clear()
+            self._hop_memo[hop_key] = candidate
+        return candidate
 
     # ------------------------------------------------------------------
     # State updates on grant

@@ -70,6 +70,7 @@ class MinimalRouting(RoutingAlgorithm):
             )
         cached = self._plan_memo.get(key)
         if cached is None:
+            self.plan_misses += 1
             direct = self._candidate_towards(
                 router, packet, dst_router, input_type, input_vc, is_detour=False
             )

@@ -77,6 +77,10 @@ _COLUMN_OVERHEAD_BYTES = 512
 #: accepted ``route_table_mode`` values across the stack.
 ROUTE_TABLE_MODES = ("auto", "dense", "lazy")
 
+#: :class:`LinkType` members indexed by their stored byte value (the enum
+#: constructor is a Python-level ``__new__`` call; a tuple index is not).
+_LINK_TYPES = (LinkType.LOCAL, LinkType.GLOBAL)
+
 
 class PhaseVcTable:
     """Precomputed ``(phase_offsets, phase_position, link class) -> VC slot``.
@@ -239,11 +243,17 @@ class _DenseColumnView:
         self._table = table
         self.dst = dst
 
+    # The two queries of every candidate construction index the table's
+    # flat arrays directly (read through ``_table`` at call time, so a fault
+    # re-table that swaps the arrays is seen).
     def next_port(self, src: int) -> Optional[int]:
-        return self._table.next_port(src, self.dst)
+        table = self._table
+        port = table._next_port[src * table._n + self.dst]
+        return None if port < 0 else port
 
     def hop_sequence(self, src: int) -> HopSequence:
-        return self._table.hop_sequence(src, self.dst)
+        table = self._table
+        return table._sequences[table._seq_ids[src * table._n + self.dst]]
 
     def distance(self, src: int) -> int:
         return self._table.distance(src, self.dst)
@@ -275,7 +285,6 @@ class _RouteTableCore:
         #: interning the full tuples would, without building a tuple or
         #: hashing it on the (hot) already-seen path.
         self._seq_step: Dict[int, int] = {}
-        self._lt_members = {member.value: member for member in LinkType}
 
         # Dense adjacency view: neighbor router and link type per
         # (router, port), so column fills and candidate construction never
@@ -440,7 +449,7 @@ class _RouteTableCore:
         once per distinct ``(link type, tail sequence)`` pair per table.
         """
         sequences = self._sequence_list
-        tail_seq = (self._lt_members[link_type],) + sequences[tail_id]
+        tail_seq = (_LINK_TYPES[link_type],) + sequences[tail_id]
         seq_id = self._seq_index.get(tail_seq)
         if seq_id is None:
             seq_id = len(sequences)
@@ -630,7 +639,7 @@ class _RouteTableCore:
 
     def link_type(self, router: int, port: int) -> LinkType:
         """Link type of ``port`` (dense adjacency lookup)."""
-        return LinkType(self._link_types[router * self._ports_per_router + port])
+        return _LINK_TYPES[self._link_types[router * self._ports_per_router + port]]
 
     def _adjacency_bytes(self) -> int:
         return (self._neighbor.itemsize * len(self._neighbor)
@@ -659,6 +668,7 @@ class RouteTable(_RouteTableCore):
         self._seq_ids = bytes(seq_ids)
         self._sequences: Tuple[HopSequence, ...] = tuple(self._sequence_list)
         self._first_global = first_global
+        self._views = [_DenseColumnView(self, dst) for dst in range(n)]
 
     # -- queries -------------------------------------------------------------
     @property
@@ -668,7 +678,7 @@ class RouteTable(_RouteTableCore):
 
     def column(self, dst: int) -> _DenseColumnView:
         """Column view for destination ``dst`` (shared dense storage)."""
-        return _DenseColumnView(self, dst)
+        return self._views[dst]
 
     # -- fault re-table-ing --------------------------------------------------
     def invalidate(self, dst: int) -> None:

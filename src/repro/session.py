@@ -525,6 +525,9 @@ class Session:
             # execution strategy, not part of any cache key, but recorded so
             # system-scale runs can be audited for column churn.
             provenance["route_table"] = table_stats()
+        # Plan-construction work done on memo misses, and what the memos
+        # hold: says whether a slow point spent its time rebuilding plans.
+        provenance["routing"] = sim.routing.memo_stats()
         provenance.update(self.provenance_extra)
         summary = self.windows[0][1]
         windows = [
