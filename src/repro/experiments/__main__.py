@@ -263,6 +263,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
                     if info.get("torn_salvages") else ""
                 )
             )
+            parts.append(f"resident-bytes={info.get('resident_bytes')}")
+            parts.append(f"frames-fallback={info.get('frames_fallback')}")
+            parts.append(f"decoded={info.get('decoded')}")
         if info.get("migrated_v1"):
             parts.append(f"migrated-v1={info.get('migrated_v1')}")
         print(f"[store {' '.join(parts)}]")

@@ -21,7 +21,8 @@ window's packets from polluting the next window's statistics.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import copy
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from .packet import Packet
@@ -184,7 +185,21 @@ class SimulationResult:
     # -- persistence (orchestrator result store) --------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """Plain-JSON representation used by the experiment result store."""
-        return asdict(self)
+        return {
+            "offered_load": self.offered_load,
+            "accepted_load": self.accepted_load,
+            "average_latency": self.average_latency,
+            "latency_p99": self.latency_p99,
+            "packets_delivered": self.packets_delivered,
+            "packets_generated": self.packets_generated,
+            "phits_delivered": self.phits_delivered,
+            "measured_cycles": self.measured_cycles,
+            "num_nodes": self.num_nodes,
+            "misrouted_fraction": self.misrouted_fraction,
+            "deadlock_suspected": self.deadlock_suspected,
+            # the only mutable field: callers may edit what they get back
+            "extra": copy.deepcopy(self.extra),
+        }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SimulationResult":

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import atexit
 import weakref
-from typing import Any, ClassVar, Dict, Iterator, Optional, Tuple
+from typing import Any, ClassVar, Dict, Iterator, MutableMapping, Optional, Tuple
 
 from ..record import JobFailure, RunRecord
 from ..metrics import SimulationResult
@@ -150,7 +150,7 @@ class ResultStore:
         self.writes = 0
         #: config hash -> {"record": <RunRecord dict>, "meta": {...}}
         #: (or {"failure": ..., "meta": ...} for typed terminal failures).
-        self._results: Dict[str, Dict[str, Any]] = {}
+        self._results: MutableMapping[str, Dict[str, Any]] = {}
         self._dirty = False
         #: number of v1 entries migrated at open time (diagnostics).
         self.migrated = 0
@@ -166,6 +166,12 @@ class ResultStore:
 
     def __exit__(self, *_exc: object) -> None:
         self.close()
+
+    def _kind(self, key: str) -> Optional[str]:
+        """``"record"`` / ``"failure"`` for what ``key`` holds, None if absent
+        (the journal backend answers without materialising the entry)."""
+        entry = self._results.get(key, {})
+        return "record" if "record" in entry else "failure" if "failure" in entry else None
 
     def get(self, key: str) -> Optional[SimulationResult]:
         """Stored summary for ``key`` (None on miss) — compatibility view."""
@@ -188,10 +194,9 @@ class ResultStore:
         if self.refresh:
             return None
         for key in keys:
-            entry = self._results.get(key)
-            if entry is not None and "record" in entry:
+            if self._kind(key) == "record":
                 self.hits += 1
-                return RunRecord.from_dict(entry["record"])
+                return RunRecord.from_dict(self._results[key]["record"])
         # Failure entries (no "record" payload) count as misses on purpose:
         # a later sweep re-attempts the job instead of serving the failure.
         self.misses += 1
@@ -203,15 +208,16 @@ class ResultStore:
         Failure entries are skipped — consumers of ``entries()`` expect
         result records; use :meth:`failures` for the failure ledger.
         """
-        for key, entry in self._results.items():
-            if "record" not in entry:
-                continue
-            yield key, RunRecord.from_dict(entry["record"]), entry.get("meta", {})
+        for key in self._results:
+            if self._kind(key) == "record":
+                entry = self._results[key]
+                yield key, RunRecord.from_dict(entry["record"]), entry.get("meta", {})
 
     def failures(self) -> Iterator[Tuple[str, JobFailure, Dict[str, object]]]:
         """Iterate stored ``(key, failure, meta)`` entries."""
-        for key, entry in self._results.items():
-            if "failure" in entry and "record" not in entry:
+        for key in self._results:
+            if self._kind(key) == "failure":
+                entry = self._results[key]
                 yield key, JobFailure.from_dict(entry["failure"]), entry.get("meta", {})
 
     def put(
@@ -292,15 +298,6 @@ class ResultStore:
                     pass
 
         atexit.register(_flush_at_exit)
-
-    # -- v1 migration (shared by both backends) --------------------------------
-
-    def _adopt_loaded(self, entries: Dict[str, Dict[str, Any]], migrated: int) -> None:
-        """Install entries parsed from disk (see :func:`migrate_v1_entries`)."""
-        self._results = entries
-        self.migrated = migrated
-        if migrated:
-            self._dirty = True  # persist the upgraded format on next flush
 
 
 def migrate_v1_entries(

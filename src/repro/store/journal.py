@@ -4,12 +4,29 @@ The journal is a single file of checksummed, length-framed JSONL entries::
 
     J1 <length> <crc32:08x> <payload-json>\\n
 
-``length`` is the byte length of the payload, the CRC covers exactly those
-bytes, and payloads are compact sorted-key JSON (which can never contain a
-raw newline, so the file stays line-scannable).  The first frame is a
-header (``{"op": "header", ...}``) carrying the journal/store versions and
-the lifetime compaction count; every other frame is one ``record`` or
-``failure`` op keyed by config hash, with last-write-wins replay semantics.
+``length`` is the byte length of the payload and the CRC covers exactly those
+bytes.  Payloads are compact ASCII JSON (never a raw newline, so the file
+stays line-scannable).  The first frame is a header (``{"op": "header", ...}``)
+carrying the journal/store versions and the lifetime compaction count; every
+other frame is one ``record`` or ``failure`` op keyed by config hash, with
+last-write-wins replay semantics, written ``key`` and ``op`` first
+(``{"key":"<hash>","op":"record","meta":{...},"record":{...}}``; every other
+member, at any depth, sorted).
+
+Replay reads key and op off an *anchored prefix* of the payload and never
+parses the record.  That is exact, not a heuristic: the bytes between
+``{"key":"`` at offset zero and the next ``"`` are, by the JSON grammar, the
+first member's whole value when they hold no backslash, so they equal the key
+a full ``json.loads`` yields (no writer emits a top-level member twice), and a
+``"key"`` nested in ``meta`` is never at offset zero.  Whatever does not match
+— journals written before this layout (all members sorted), keys JSON had to
+escape, unknown ops, the header — takes one full ``json.loads`` whose tree is
+dropped once key and op are read.  ``json.loads`` ignores member order, so
+older code reads these frames and :data:`JOURNAL_VERSION` stays 1.  In memory
+an entry *is* its frame (:class:`_FrameMap`): opening costs a scan, a lookup
+decodes the one frame it returns, and ``put_record`` encodes at the write site
+(an unserialisable ``meta`` raises there, not at ``flush``).  On the ledger's
+37 MB journal: reopen 1.10 -> 0.11 s, peak RSS 259 -> 77 MB (DESIGN §12).
 
 Durability and concurrency contract:
 
@@ -48,8 +65,9 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import zlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, MutableMapping, Optional, Set, Tuple
 
 from .base import (
     FLUSH_INTERVAL_SECONDS,
@@ -88,37 +106,60 @@ _CRASH_SEAM_ENV = "REPRO_TEST_STORE_CRASH"
 # Framing
 # ---------------------------------------------------------------------------
 
+#: the key/op-first payload prefix (module docstring): a plain-ASCII key with
+#: nothing JSON had to escape, then a known op.  Only ever ``match``ed at 0.
+_KEY_OP_FIRST = re.compile(
+    rb'\{"key":"([^"\\\x00-\x1f\x80-\xff]*)","op":"(record|failure)",'
+)
+
+
+def _dumps(payload: Dict[str, Any]) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def frame_entry(payload: Dict[str, Any]) -> bytes:
-    """Serialize one journal entry as a checksummed, length-framed line."""
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """Serialize one journal entry as a checksummed, length-framed line
+    (``key`` and ``op`` lead when it has both; everything else is sorted)."""
+    rest = dict(payload)
+    if "key" in rest and "op" in rest:
+        lead = _dumps({"key": rest.pop("key"), "op": rest.pop("op")})
+        text = lead[:-1] + "," + _dumps(rest)[1:] if rest else lead
+    else:
+        text = _dumps(rest)
+    body = text.encode("ascii")
     head = f"{len(body)} {zlib.crc32(body):08x} ".encode("ascii")
     return JOURNAL_MAGIC + head + body + b"\n"
 
 
-def parse_frame_line(line: bytes) -> Optional[Dict[str, Any]]:
-    """Parse one frame line (without its newline); None if invalid/torn."""
+def _frame_body(line: bytes) -> Optional[bytes]:
+    """Payload bytes of one frame line (without its newline), length- and
+    CRC-checked; None if invalid/torn.  The one parser of the frame head."""
     if not line.startswith(JOURNAL_MAGIC):
         return None
-    rest = line[len(JOURNAL_MAGIC):]
-    space1 = rest.find(b" ")
-    space2 = rest.find(b" ", space1 + 1)
-    if space1 <= 0 or space2 <= space1:
+    fields = line.split(b" ", 3)
+    if len(fields) != 4 or len(fields[2]) != 8:  # crc: exactly 8 hex digits
         return None
+    body = fields[3]
     try:
-        length = int(rest[:space1])
-        crc = int(rest[space1 + 1:space2], 16)
+        if len(body) != int(fields[1]) or zlib.crc32(body) != int(fields[2], 16):
+            return None
     except ValueError:
         return None
-    if space2 - space1 != 9:  # crc field is exactly 8 hex digits
-        return None
-    body = rest[space2 + 1:]
-    if len(body) != length or zlib.crc32(body) != crc:
-        return None
+    return body
+
+
+def _parse_body(body: bytes) -> Optional[Dict[str, Any]]:
     try:
         payload = json.loads(body)
     except ValueError:
         return None
     return payload if isinstance(payload, dict) else None
+
+
+def parse_frame_line(line: bytes) -> Optional[Dict[str, Any]]:
+    """Parse one frame line (without its newline); None if invalid/torn."""
+    body = _frame_body(line)
+    return None if body is None else _parse_body(body)
 
 
 def scan_frames(data: bytes, start: int = 0) -> Tuple[List[Dict[str, Any]], int]:
@@ -153,10 +194,58 @@ def _crash_seam(point: str) -> None:
 # The store
 # ---------------------------------------------------------------------------
 
+class _FrameMap(MutableMapping[str, Dict[str, Any]]):
+    """``key -> entry`` for the shared :class:`ResultStore` code, held as each
+    entry's encoded frame: ``__setitem__`` encodes, ``__getitem__`` decodes,
+    membership and length touch no payload."""
+
+    def __init__(self) -> None:
+        #: live key -> its frame line, exactly what is or will be on disk
+        #: (flush joins these, compaction writes them straight through).
+        self.frames: Dict[str, bytes] = {}
+        #: live keys whose frame is a ``failure`` op (every other is a record).
+        self.failed: Set[str] = set()
+        self.decoded = 0  # payload decodes served
+
+    def file(self, key: str, frame: bytes, failure: bool) -> None:
+        self.frames[key] = frame
+        if failure:
+            self.failed.add(key)
+        else:
+            self.failed.discard(key)
+
+    def __setitem__(self, key: str, entry: Dict[str, Any]) -> None:
+        kind = "record" if "record" in entry else "failure"
+        payload = {"key": key, "op": kind, kind: entry.get(kind, {}), "meta": entry.get("meta", {})}
+        self.file(key, frame_entry(payload), kind == "failure")
+
+    def __getitem__(self, key: str) -> Dict[str, Any]:
+        payload = parse_frame_line(self.frames[key][:-1])
+        if payload is None:  # checksummed at replay, so not a torn write
+            raise ValueError(f"journal entry {key!r}: payload is not a JSON object")
+        self.decoded += 1
+        kind = "failure" if key in self.failed else "record"
+        return {kind: payload[kind], "meta": payload.get("meta", {})}
+
+    def __delitem__(self, key: str) -> None:
+        del self.frames[key]
+        self.failed.discard(key)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self.frames
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.frames)
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+
 class JournalStore(ResultStore):
     """Journaled result store (see module docstring for the full contract)."""
 
     FORMAT = "journal"
+    _results: _FrameMap
 
     def __init__(
         self,
@@ -175,6 +264,7 @@ class JournalStore(ResultStore):
             path, refresh=refresh, flush_interval=flush_interval, strict=strict
         )
         self._lock = StoreLock(self.path, timeout=lock_timeout)
+        self._results = _FrameMap()
         #: keys written since the last flush, in write order (append queue).
         self._pending: Dict[str, None] = {}
         #: keys known to have at least one frame on file (supersede stats).
@@ -196,6 +286,8 @@ class JournalStore(ResultStore):
         self.compactions = 0
         #: records/failures absorbed from other writers of this journal.
         self.absorbed_records = 0
+        #: frames the last replay/absorb had to parse in full to place.
+        self.frames_fallback = 0
         self._open_journal(strict)
 
     # -- open / recovery -----------------------------------------------------
@@ -219,15 +311,7 @@ class JournalStore(ResultStore):
                 )
             return  # lenient: fresh in memory; first flush rewrites the file
         with self._lock:
-            self._recover_locked()
-
-    def _recover_locked(self) -> None:
-        with open(self.path, "rb") as handle:
-            data = handle.read()
-        end = self._apply_frames(data, absorb=False)
-        if end < len(data):
-            self._truncate_torn(end, len(data) - end)
-        self._read_offset = end
+            self._replay_locked(0, absorb=False)
 
     def _migrate_json(self, strict: bool) -> None:
         """Adopt an existing monolithic JSON store, rewriting it as a journal.
@@ -236,61 +320,78 @@ class JournalStore(ResultStore):
         the file, and a file we could not fully read must never be replaced
         by an empty journal.
         """
-        entries, migrated = read_json_store(self.path, strict=True)
-        self._adopt_loaded(entries, migrated)
+        entries, self.migrated = read_json_store(self.path, strict=True)
+        self._results.update(entries)
         with self._lock:
             self._rewrite_locked(bump_compaction=False)
-        self._pending.clear()
-        self._dirty = False
         logger.info(
             "migrated JSON store %s (%d entr%s%s) to journal format",
             self.path, len(entries), "y" if len(entries) == 1 else "ies",
-            f", {migrated} from v1" if migrated else "",
+            f", {self.migrated} from v1" if self.migrated else "",
         )
 
-    def _apply_frames(self, data: bytes, absorb: bool) -> int:
-        """Replay frames into memory; returns the end offset of valid data.
+    def _replay_locked(self, offset: int, absorb: bool) -> None:
+        """Replay the file's frames from ``offset`` on, filing each op's bytes;
+        stops at the first torn or corrupt frame and truncates what follows.
 
         ``absorb=True`` marks a mid-life merge of a *peer's* appends: our own
         un-flushed writes (``_pending``) win ties, and newly learned entries
         are counted in :attr:`absorbed_records`.
         """
-        payloads, end = scan_frames(data)
-        for payload in payloads:
-            op = payload.get("op")
-            if op == "header":
-                version = payload.get("journal_version", 0)
-                if not isinstance(version, int) or version > JOURNAL_VERSION:
-                    raise StoreError(
-                        f"store {self.path}: journal version {version!r} is "
-                        f"newer than this code supports (v{JOURNAL_VERSION})"
-                    )
-                self.compactions = int(payload.get("compactions", 0))
-                continue
-            key = payload.get("key")
-            if not isinstance(key, str):
-                continue  # malformed but checksummed op: skip, don't truncate
-            entry: Optional[Dict[str, Any]] = None
-            if op == "record" and "record" in payload:
-                entry = {
-                    "record": payload["record"], "meta": payload.get("meta", {})
-                }
-            elif op == "failure" and "failure" in payload:
-                entry = {
-                    "failure": payload["failure"], "meta": payload.get("meta", {})
-                }
-            if entry is None:
-                continue  # unknown op: forward-compatible skip
-            self.journal_ops += 1
-            if key in self._file_keys:
-                self.superseded += 1
-            self._file_keys[key] = None
-            if absorb and key in self._pending:
-                continue  # our pending write is newer than the peer's
-            if absorb and key not in self._results:
-                self.absorbed_records += 1
-            self._results[key] = entry
-        return end
+        results, file_keys, pending = self._results, self._file_keys, self._pending
+        self.frames_fallback = 0
+        end = offset
+        with open(self.path, "rb") as handle:
+            handle.seek(offset)
+            for line in handle:
+                body = _frame_body(line[:-1]) if line.endswith(b"\n") else None
+                if body is None:
+                    break  # torn append or corrupt frame: end of journal
+                match = _KEY_OP_FIRST.match(body)
+                if match is not None:
+                    placed = match.group(1).decode("ascii"), match.group(2) == b"failure"
+                else:
+                    payload = _parse_body(body)
+                    if payload is None:
+                        break  # checksummed, yet not a JSON object: same rule
+                    placed = self._place_parsed(payload)
+                end += len(line)
+                if placed is None:
+                    continue
+                key, failure = placed
+                self.journal_ops += 1
+                if key in file_keys:
+                    self.superseded += 1
+                file_keys[key] = None
+                if absorb and key in pending:
+                    continue  # our pending write is newer than the peer's
+                if absorb and key not in results:
+                    self.absorbed_records += 1
+                results.file(key, line, failure)
+            size = os.fstat(handle.fileno()).st_size
+        if end < size:
+            self._truncate_torn(end, size - end)
+        self._read_offset = end
+
+    def _place_parsed(self, payload: Dict[str, Any]) -> Optional[Tuple[str, bool]]:
+        """``(key, is_failure)`` of a fully parsed op; None if it files nothing."""
+        op = payload.get("op")
+        if op == "header":
+            version = payload.get("journal_version", 0)
+            if not isinstance(version, int) or version > JOURNAL_VERSION:
+                raise StoreError(
+                    f"store {self.path}: journal version {version!r} is "
+                    f"newer than this code supports (v{JOURNAL_VERSION})"
+                )
+            self.compactions = int(payload.get("compactions", 0))
+            return None
+        self.frames_fallback += 1
+        key = payload.get("key")
+        if not isinstance(key, str):
+            return None  # malformed but checksummed op: skip, don't truncate
+        if op not in ("record", "failure") or op not in payload:
+            return None  # unknown op: forward-compatible skip
+        return key, op == "failure"
 
     def _truncate_torn(self, end: int, torn_bytes: int) -> None:
         fd = os.open(self.path, os.O_RDWR)
@@ -306,7 +407,12 @@ class JournalStore(ResultStore):
             "entries salvaged)", self.path, torn_bytes, self.journal_ops,
         )
 
-    # -- writes --------------------------------------------------------------
+    # -- reads / writes ------------------------------------------------------
+
+    def _kind(self, key: str) -> Optional[str]:
+        if key not in self._results:
+            return None
+        return "failure" if key in self._results.failed else "record"
 
     def _note_write(self, key: str) -> None:
         super()._note_write(key)
@@ -334,9 +440,7 @@ class JournalStore(ResultStore):
     def _append_pending_locked(self) -> None:
         if not self._pending:
             return
-        frames = b"".join(
-            frame_entry(self._entry_payload(key)) for key in self._pending
-        )
+        frames = b"".join(map(self._results.frames.__getitem__, self._pending))
         fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
         try:
             if os.environ.get(_CRASH_SEAM_ENV) == "append-partial":
@@ -354,18 +458,6 @@ class JournalStore(ResultStore):
                 self.superseded += 1
             self._file_keys[key] = None
         self._read_offset += len(frames)
-
-    def _entry_payload(self, key: str) -> Dict[str, Any]:
-        entry = self._results[key]
-        if "record" in entry:
-            return {
-                "op": "record", "key": key,
-                "record": entry["record"], "meta": entry.get("meta", {}),
-            }
-        return {
-            "op": "failure", "key": key,
-            "failure": entry.get("failure", {}), "meta": entry.get("meta", {}),
-        }
 
     def _header_payload(self, compactions: int) -> Dict[str, Any]:
         return {
@@ -400,47 +492,34 @@ class JournalStore(ResultStore):
             # offset refers to the previous file generation.  Resync fully.
             self._resync_locked()
             return
-        if size == self._read_offset:
-            return
-        with open(self.path, "rb") as handle:
-            handle.seek(self._read_offset)
-            data = handle.read()
-        end = self._apply_frames(data, absorb=True)
-        if end < len(data):
+        if size > self._read_offset:
             # Appends are fsynced under the lock, so a torn tail here can
             # only belong to a writer that died mid-append: safe to drop.
-            self._truncate_torn(self._read_offset + end, len(data) - end)
-        self._read_offset += end
+            self._replay_locked(self._read_offset, absorb=True)
 
     def _resync_locked(self) -> None:
-        stash = self._results
-        known_before = len(stash)
-        self._results = {}
+        results = self._results
+        stash, stash_failed = results.frames, results.failed
+        results.frames, results.failed = {}, set()
         self._file_keys = {}
         self.journal_ops = 0
-        with open(self.path, "rb") as handle:
-            data = handle.read()
-        end = self._apply_frames(data, absorb=False)
-        if end < len(data):
-            self._truncate_torn(end, len(data) - end)
-        self._read_offset = end
-        foreign = sum(1 for key in self._results if key not in stash)
+        self._replay_locked(0, absorb=False)
+        foreign = sum(1 for key in results if key not in stash)
         self.absorbed_records += foreign
-        for key, entry in stash.items():
-            if key in self._pending:
-                self._results[key] = entry  # ours, newer than anything replayed
-            elif key not in self._results:
-                # We knew this entry but the new file generation lost it
-                # (a peer rewrote from partial knowledge): re-own it so the
-                # next append restores durability — no record goes missing.
-                self._results[key] = entry
+        for key, frame in stash.items():
+            if key in self._pending or key not in results:
+                # Ours and newer than anything replayed — or an entry we knew
+                # that the new file generation lost (a peer rewrote from
+                # partial knowledge): (re-)own it so the next append restores
+                # durability — no record goes missing.
+                results.file(key, frame, key in stash_failed)
                 self._pending[key] = None
                 self._dirty = True
-        if known_before:
+        if stash:
             logger.info(
                 "journal %s: resynchronized after peer compaction "
                 "(%d entries on file, %d newly absorbed)",
-                self.path, len(self._results), foreign,
+                self.path, len(results), foreign,
             )
 
     def _read_header(self) -> Optional[Dict[str, Any]]:
@@ -495,8 +574,8 @@ class JournalStore(ResultStore):
         )
         with open(tmp_path, "wb") as handle:
             handle.write(frame_entry(self._header_payload(compactions)))
-            for key in sorted(self._results):
-                handle.write(frame_entry(self._entry_payload(key)))
+            frames = self._results.frames
+            handle.writelines(frames[key] for key in sorted(frames))
             handle.flush()
             os.fsync(handle.fileno())
         _crash_seam("compact-before-replace")
@@ -534,5 +613,8 @@ class JournalStore(ResultStore):
             compactions=self.compactions,
             absorbed=self.absorbed_records,
             migrated_v1=self.migrated,
+            resident_bytes=sum(map(len, self._results.frames.values())),
+            frames_fallback=self.frames_fallback,
+            decoded=self._results.decoded,
         )
         return info

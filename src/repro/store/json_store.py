@@ -126,8 +126,8 @@ class JsonStore(ResultStore):
         self._lock_held = False
         self._lock_probed = False
         if os.path.exists(self.path):
-            entries, migrated = read_json_store(self.path, strict=strict)
-            self._adopt_loaded(entries, migrated)
+            self._results, self.migrated = read_json_store(self.path, strict=strict)
+            self._dirty = self.migrated > 0  # persist the upgrade on next flush
         elif strict:
             raise StoreError(f"store not found: {self.path}")
 

@@ -140,7 +140,7 @@ class TestResultStore:
         store = ResultStore(path)
         results, hits, executed = run_jobs(jobs[:1], workers=1, store=store)
         assert executed == 1
-        store.flush()
+        store.close()  # the interrupted writer is gone: its lock with it
 
         executed_keys = []
         import repro.experiments.orchestrator as orch
@@ -164,7 +164,7 @@ class TestResultStore:
         spec = SweepSpec(series=[("s", build_config)], loads=[0.1], seeds=1)
         store = ResultStore(path)
         run_sweep(spec, workers=1, store=store)
-        store.flush()
+        store.close()
         forced = ResultStore(path, refresh=True)
         outcome = run_sweep(spec, workers=1, store=forced)
         assert outcome.cache_hits == 0 and outcome.executed == 1

@@ -19,12 +19,18 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
+import zlib
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import repro.store.journal as journal_module
 
 from repro.config import SimulationConfig
 from repro.experiments.orchestrator import (
@@ -230,6 +236,221 @@ class TestJournalStore:
         store = ResultStore(path, format="journal")
         store.flush()  # nothing written, nothing to create
         assert not os.path.exists(path)
+
+
+# ---------------------------------------------------------------------------
+# Entries held as frames: layouts, exact placement, laziness (ISSUE 15)
+# ---------------------------------------------------------------------------
+
+#: written by the last commit whose writer sorted every member (so ``"key"``
+#: never led the payload): header, three records, one overwrite, one failure.
+SORTED_LAYOUT_FIXTURE = os.path.join(
+    os.path.dirname(__file__), "data", "journal_sorted_layout.journal"
+)
+
+
+def sorted_layout_frame(payload: dict) -> bytes:
+    """The parent commit's writer: one sorted ``json.dumps`` of the whole payload."""
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    return b"J1 %d %08x " % (len(body), zlib.crc32(body)) + body + b"\n"
+
+
+def public_view(store: ResultStore) -> dict:
+    """Everything the read API serves, decoded: ``key -> (kind, payload, meta)``."""
+    view = {key: ("record", record.to_dict(), meta)
+            for key, record, meta in store.entries()}
+    view.update({key: ("failure", failure.to_dict(), meta)
+                 for key, failure, meta in store.failures()})
+    return view
+
+
+def reference_view(data: bytes) -> dict:
+    """Full parse of every frame + last-write-wins: what replay must equal."""
+    live = {}
+    for payload in scan_frames(data)[0]:
+        op, key = payload.get("op"), payload.get("key")
+        if op in ("record", "failure") and isinstance(key, str) and op in payload:
+            live[key] = (op, payload[op], payload.get("meta", {}))
+    return live
+
+
+class CountingJson:
+    """Stand-in for ``journal.json`` that counts the store's own calls
+    (the lock sidecar serialises its holder metadata through the real one)."""
+
+    def __init__(self):
+        self.loads_calls = self.dumps_calls = 0
+
+    def loads(self, *args, **kwargs):
+        self.loads_calls += 1
+        return json.loads(*args, **kwargs)
+
+    def dumps(self, *args, **kwargs):
+        self.dumps_calls += 1
+        return json.dumps(*args, **kwargs)
+
+
+_json_scalars = st.none() | st.booleans() | st.integers() | st.text() | st.floats(
+    allow_nan=False)
+_member_names = st.sampled_from(["op", "key", "record", "failure", "meta"]) | st.text()
+_metas = st.dictionaries(
+    _member_names,
+    st.recursive(
+        _json_scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(_member_names, inner, max_size=3),
+        max_leaves=6,
+    ),
+    max_size=4,
+)
+_keys = st.text(max_size=12) | st.sampled_from(
+    ["", 'quo"te', "back\\slash", "clé", "a" * 32, '","op":"failure",']
+)
+
+
+@st.composite
+def _ops(draw):
+    """One frame's payload: mostly record/failure ops, some that file nothing."""
+    key, meta = draw(_keys), draw(_metas)
+    shape = draw(st.sampled_from(["record", "record", "failure", "unknown", "keyless"]))
+    if shape == "failure":
+        detail = draw(st.text(max_size=8))
+        return {"op": "failure", "key": key, "meta": meta,
+                "failure": JobFailure(reason="timeout", detail=detail).to_dict()}
+    record = RunRecord(
+        summary=sample_summary(offered_load=draw(st.floats(0, 1))),
+        provenance=draw(_metas),
+    ).to_dict()
+    if shape == "unknown":
+        return {"op": "tombstone", "key": key, "record": record, "meta": meta}
+    if shape == "keyless":
+        return {"op": "record", "record": record, "meta": meta}
+    return {"op": "record", "key": key, "record": record, "meta": meta}
+
+
+class TestFramesAsEntries:
+    def test_sorted_layout_journal_stays_readable(self, tmp_path):
+        path = str(tmp_path / "old.journal")
+        shutil.copy(SORTED_LAYOUT_FIXTURE, path)
+        data = open(path, "rb").read()
+        assert b'{"key":' in data and b'{"key":"3f9a-alpha","op"' not in data
+        store = ResultStore(path)
+        assert isinstance(store, JournalStore)
+        info = store.describe()
+        assert (len(store), info["journal_ops"], info["superseded"]) == (4, 5, 1)
+        assert info["frames_fallback"] == 5 and info["torn_salvages"] == 0
+        before = public_view(store)
+        assert before == reference_view(data)
+        assert set(before) == {"3f9a-alpha", "3f9a-beta", 'quo"te\\é', "3f9a-delta"}
+        kind, record, meta = before["3f9a-alpha"]  # the overwrite won
+        assert kind == "record" and record["summary"]["offered_load"] == 0.9
+        assert meta["key"] == "decoy" and meta["op"] == "record"
+        assert before["3f9a-delta"] == (
+            "failure", {"reason": "timeout", "detail": "3s", "retries": 2},
+            {"load": 0.5, "seed": 4, "series": "Baseline"},
+        )
+        assert store.get_record("3f9a-delta") is None
+        # compaction writes the held frames straight through, old layout and all
+        store.compact()
+        assert store.journal_ops == 4
+        clone = ResultStore(path)
+        assert public_view(clone) == before
+        assert clone.describe()["journal_ops"] == 4 and clone.compactions == 1
+
+    def test_writer_leads_with_key_and_op(self, tmp_path):
+        path = str(tmp_path / "s.journal")
+        store = ResultStore(path, format="journal")
+        store.put("abc", sample_summary(), meta={"series": "S"})
+        store.put_failure("def", JobFailure(reason="timeout"))
+        store.put('needs"escape', sample_summary())
+        store.close()
+        lines = open(path, "rb").read().splitlines()
+        assert b' {"key":"abc","op":"record","meta":{"series":"S"},"record":{' in lines[1]
+        assert b' {"key":"def","op":"failure","failure":{' in lines[2]
+        clone = ResultStore(path)
+        assert set(public_view(clone)) == {"abc", "def", 'needs"escape'}
+        # only the key that JSON had to escape took the full parse
+        assert clone.describe()["frames_fallback"] == 1
+        # what the previous reader did with these bytes: a plain full parse
+        assert reference_view(open(path, "rb").read()) == public_view(clone)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(st.tuples(_ops(), st.booleans()), max_size=12))
+    @example(ops=[  # a sorted-layout body that *contains* the key-first prefix
+        ({"op": "failure", "key": "real",
+          "failure": {"reason": "timeout", "detail": "", "retries": 0},
+          "meta": {"a": {"key": "decoy", "op": "record", "z": 1}}}, False),
+    ])
+    def test_lazy_replay_equals_full_parse(self, ops):
+        frames = [frame_entry({"op": "header", "journal_version": 1, "compactions": 0})]
+        frames += [
+            frame_entry(payload) if key_first else sorted_layout_frame(payload)
+            for payload, key_first in ops
+        ]
+        data = b"".join(frames)
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "mixed.journal")
+            with open(path, "wb") as handle:
+                handle.write(data)
+            store = ResultStore(path)
+            expected = reference_view(data)
+            assert public_view(store) == expected
+            assert len(store) == len(expected) and store.torn_salvages == 0
+            filed = sum(
+                1 for payload, _ in ops
+                if payload["op"] in ("record", "failure") and "key" in payload
+            )
+            assert store.journal_ops == filed
+            assert store.superseded == filed - len(expected)
+
+    def test_open_and_lookup_decode_one_payload(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "s.journal")
+        store = ResultStore(path, format="journal")
+        keys = [f"{i:032x}" for i in range(200)]
+        fill(store, keys)
+        store.put_failure("failed-job", JobFailure(reason="worker-crash"))
+        store.close()
+        counting = CountingJson()
+        monkeypatch.setattr(journal_module, "json", counting)
+        clone = ResultStore(path)
+        assert len(clone) == 201
+        assert counting.loads_calls == 1  # the header; no op was parsed
+        assert clone.describe()["frames_fallback"] == 0
+        assert clone.get("0" * 31 + "7").offered_load == pytest.approx(0.17)
+        assert counting.loads_calls == 2
+        # a failure is a miss, an absent key is a miss: neither decodes
+        assert clone.get_record_any("failed-job", "no-such-key") is None
+        assert counting.loads_calls == 2
+        assert [key for key, _, _ in clone.failures()] == ["failed-job"]
+        assert counting.loads_calls == 3  # the failure itself, no record
+        info = clone.describe()
+        assert info["decoded"] == 2
+        assert info["resident_bytes"] == os.path.getsize(path) - len(
+            open(path, "rb").readline())
+
+    def test_flush_and_compaction_do_not_reencode(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "s.journal")
+        store = JournalStore(path)
+        fill(store, ["a", "b"])
+        store.flush()
+        fill(store, [f"k{i}" for i in range(50)] + ["a"])
+        counting = CountingJson()
+        monkeypatch.setattr(journal_module, "json", counting)
+        store.flush()
+        # the absorb before the append re-reads the header; nothing else parses
+        assert counting.dumps_calls == 0 and counting.loads_calls == 1
+        store.compact()
+        assert counting.dumps_calls == 1  # the new generation's header
+        assert counting.loads_calls == 2
+        assert len(ResultStore(path)) == 52
+
+    def test_unserialisable_meta_raises_at_put(self, tmp_path):
+        store = ResultStore(str(tmp_path / "s.journal"), format="journal")
+        with pytest.raises(TypeError):
+            store.put("k", sample_summary(), meta={"when": object()})
+        assert len(store) == 0 and store.writes == 0
+        store.flush()  # nothing half-written to persist
+        assert not os.path.exists(store.path)
 
 
 # ---------------------------------------------------------------------------
