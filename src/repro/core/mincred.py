@@ -8,105 +8,63 @@ taken or returned is tagged with the routing class of its packet, and the
 saturation/misrouting decisions then look only at the *minimal* share of the
 occupancy.
 
-:class:`SplitOccupancy` is the per-VC (or per-port) counter pair used by
+:class:`PortOccupancyLedger` is the per-port counter set behind
 :class:`repro.router.credits.CreditTracker`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass(slots=True)
-class SplitOccupancy:
-    """Phit occupancy split by routing class (minimal vs non-minimal).
-
-    Slotted: one instance exists per (port, VC) pair, which at
-    10^5-endpoint scale means millions of them."""
-
-    minimal: int = 0
-    nonminimal: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.minimal + self.nonminimal
-
-    def add(self, phits: int, minimal: bool) -> None:
-        if phits < 0:
-            raise ValueError("phits must be non-negative")
-        if minimal:
-            self.minimal += phits
-        else:
-            self.nonminimal += phits
-
-    def remove(self, phits: int, minimal: bool) -> None:
-        if phits < 0:
-            raise ValueError("phits must be non-negative")
-        if minimal:
-            if phits > self.minimal:
-                raise ValueError(
-                    f"removing {phits} minimal phits but only {self.minimal} accounted"
-                )
-            self.minimal -= phits
-        else:
-            if phits > self.nonminimal:
-                raise ValueError(
-                    f"removing {phits} non-minimal phits but only {self.nonminimal} accounted"
-                )
-            self.nonminimal -= phits
-
-    def occupancy(self, minimal_only: bool) -> int:
-        """Occupancy metric: MIN credits only (minCred) or all credits."""
-        return self.minimal if minimal_only else self.total
-
-
-@dataclass(slots=True)
 class PortOccupancyLedger:
-    """Per-VC split occupancy plus the port-level aggregate.
+    """Per-VC phit occupancy of one port, split by routing class.
 
     This is the data structure behind the four congestion-sensing variants of
-    Figure 8: {per-port, per-VC} x {all credits, MIN credits only}.
+    Figure 8: {per-port, per-VC} x {all credits, MIN credits only}.  The two
+    classes are two flat per-VC int lists rather than one counter object per
+    (port, VC) pair: the pairs number millions at 10^5-endpoint scale and
+    every debit and credit return touches one, which the fused
+    ``StaticOutputPort`` paths do by indexing the lists directly.
     """
 
-    num_vcs: int
-    per_vc: list[SplitOccupancy] = field(default_factory=list)
+    __slots__ = ("num_vcs", "minimal", "nonminimal")
 
-    def __post_init__(self) -> None:
-        if self.num_vcs < 1:
+    def __init__(self, num_vcs: int) -> None:
+        if num_vcs < 1:
             raise ValueError("num_vcs must be >= 1")
-        if not self.per_vc:
-            self.per_vc = [SplitOccupancy() for _ in range(self.num_vcs)]
-        elif len(self.per_vc) != self.num_vcs:
-            raise ValueError("per_vc length must equal num_vcs")
+        self.num_vcs = num_vcs
+        self.minimal = [0] * num_vcs
+        self.nonminimal = [0] * num_vcs
 
     def add(self, vc: int, phits: int, minimal: bool) -> None:
-        # Inlined SplitOccupancy.add: this runs on every credit debit, and
-        # the router hot path guarantees phits >= 0.
-        split = self.per_vc[vc]
+        # No sign check: this runs on every credit debit, and the router hot
+        # path guarantees phits >= 0.
         if minimal:
-            split.minimal += phits
+            self.minimal[vc] += phits
         else:
-            split.nonminimal += phits
+            self.nonminimal[vc] += phits
 
     def remove(self, vc: int, phits: int, minimal: bool) -> None:
-        # Inlined SplitOccupancy.remove, underflow checks preserved.
-        split = self.per_vc[vc]
         if minimal:
-            if phits > split.minimal:
+            if phits > self.minimal[vc]:
                 raise ValueError(
-                    f"removing {phits} minimal phits but only {split.minimal} accounted"
+                    f"removing {phits} minimal phits but only "
+                    f"{self.minimal[vc]} accounted"
                 )
-            split.minimal -= phits
+            self.minimal[vc] -= phits
         else:
-            if phits > split.nonminimal:
+            if phits > self.nonminimal[vc]:
                 raise ValueError(
                     f"removing {phits} non-minimal phits but only "
-                    f"{split.nonminimal} accounted"
+                    f"{self.nonminimal[vc]} accounted"
                 )
-            split.nonminimal -= phits
+            self.nonminimal[vc] -= phits
 
     def port_occupancy(self, minimal_only: bool = False) -> int:
-        return sum(vc.occupancy(minimal_only) for vc in self.per_vc)
+        """Occupancy metric: MIN credits only (minCred) or all credits."""
+        total = sum(self.minimal)
+        return total if minimal_only else total + sum(self.nonminimal)
 
     def vc_occupancy(self, vc: int, minimal_only: bool = False) -> int:
-        return self.per_vc[vc].occupancy(minimal_only)
+        if minimal_only:
+            return self.minimal[vc]
+        return self.minimal[vc] + self.nonminimal[vc]

@@ -380,7 +380,7 @@ class FaultController:
     """Replays a :class:`FaultSchedule` through one simulation.
 
     Constructed by ``Simulation.__init__`` when ``config.faults`` is
-    non-empty; wraps every link's delivery closure (in-flight policy),
+    non-empty; wraps every link's delivery callback (in-flight policy),
     schedules one calendar event per fault event, and owns the dead-element
     state plus the drop/reroute accounting that lands in per-window
     ``SimulationResult.extra`` and RunRecord provenance.
@@ -444,7 +444,7 @@ class FaultController:
                     self._wrap_link(router.router_id, port_id, link)
 
     def _wrap_link(self, src: int, port: int, link: "Link") -> None:
-        """Interpose the in-flight policy on ``link``'s delivery closure.
+        """Interpose the in-flight policy on ``link``'s delivery callback.
 
         The wrapper replaces ``link._deliver`` *at construction time*, so
         every scheduled delivery — including flits already on the wire when
@@ -727,7 +727,7 @@ class FaultController:
                     continue
                 for packet, _ready in queue:
                     size = packet.size_phits
-                    port._buf_release(vc, size)
+                    port.buffer.release(vc, size)
                     self.packets_dropped += 1
                     self.packets_dropped_buffer += 1
                     if port.is_injection:

@@ -317,11 +317,11 @@ class VectorizedKernel:
     def _make_receiver(self, meta: _RouterMeta, router, port_id: int):
         """Arrival callback: scalar receive semantics + slot-ready mirror.
 
-        Clone of the fused ``make_network_receiver`` fast path minus the
+        Clone of the fused ``StaticInputPort.deliver`` minus the
         sleep/wake bookkeeping (the kernel steps every cycle regardless,
         and verdicts are never recorded so there is nothing to clamp).
         """
-        input_port = router._input_by_port[port_id]
+        input_port = router.input_ports[port_id]
         pipeline_latency = router._pipeline_latency
         buffer = input_port.buffer
         occupancy = buffer._occupancy
@@ -366,7 +366,7 @@ class VectorizedKernel:
     def _make_credit_sink(self, meta: _RouterMeta, router, port_id: int):
         """Credit-return callback: scalar accounting + credit mirror.
 
-        Clone of the fused ``make_credit_sink`` static path minus verdict
+        Clone of the fused ``StaticOutputPort.credit_return`` minus verdict
         clearing and wake filtering (no verdicts and no sleep exist under
         the kernel).
         """
@@ -376,7 +376,7 @@ class VectorizedKernel:
         capacity = mirror._capacity
         credit_free = router._credit_free
         base = router._cfree_base[port_id]
-        ledger_vcs = tracker.ledger.per_vc
+        ledger = tracker.ledger
         gbase = meta.credit_base + base
         cfm = self.credit_free_m
 
@@ -388,21 +388,10 @@ class VectorizedKernel:
             free = capacity[vc] - occ
             credit_free[base + vc] = free
             cfm[gbase + vc] = free
-            split = ledger_vcs[vc]
-            if minimal:
-                if phits > split.minimal:
-                    raise ValueError(
-                        f"removing {phits} minimal phits but only "
-                        f"{split.minimal} accounted"
-                    )
-                split.minimal -= phits
-            else:
-                if phits > split.nonminimal:
-                    raise ValueError(
-                        f"removing {phits} non-minimal phits but only "
-                        f"{split.nonminimal} accounted"
-                    )
-                split.nonminimal -= phits
+            counts = ledger.minimal if minimal else ledger.nonminimal
+            if phits > counts[vc]:
+                ledger.remove(vc, phits, minimal)  # raises the underflow
+            counts[vc] -= phits
 
         return credit_return
 
@@ -799,7 +788,7 @@ class VectorizedKernel:
         queue = port.queues[input_vc]
         queue.pop(0)
         port.head_plans[input_vc] = None
-        port._buf_release(input_vc, size)
+        port.buffer.release(input_vc, size)
         hot = port._hot
         hb = port._hb
         resident = hot[hb] - 1
@@ -835,7 +824,7 @@ class VectorizedKernel:
         else:
             meta.on_hop_taken(packet, candidate)
         minimal_tag = packet.route_kind == _MINIMAL
-        op._debit(out_vc, size, minimal_tag)
+        op.debit(out_vc, size, minimal_tag)
         packet.credit_tag_minimal = minimal_tag
         meta.in_busy[local] = now + xbar_time
         out_state = meta.out_state

@@ -5,11 +5,14 @@ A :class:`Link` is unidirectional.  The forward direction carries packets
 the reverse direction of the paired link carries credit returns, modelled as
 latency-only messages (credits are tiny compared to packets).
 
-Both directions participate in the engine's activity tracking: a packet
-delivery lands in :meth:`Router.receive_network`, which re-activates the
-downstream router, and a :class:`CreditChannel` invokes its ``on_activity``
-hook after crediting the upstream tracker so the upstream router is stepped
-again even if it had gone idle while waiting for credits.
+Both directions participate in the engine's activity tracking, and both end
+in a *port method* rather than a per-link closure: a packet delivery lands in
+:meth:`InputPort.deliver <repro.router.ports.InputPort.deliver>`, which
+schedules the downstream router's wake for the cycle the new head clears its
+pipeline, and a :class:`CreditChannel` delivers into
+:meth:`OutputPort.credit_return <repro.router.ports.OutputPort.credit_return>`,
+which credits the upstream tracker and re-activates the upstream router only
+if its recorded allocation blockage depends on that credit.
 """
 
 from __future__ import annotations
@@ -96,40 +99,26 @@ class Link:
 class CreditChannel:
     """Reverse channel carrying credit returns to an upstream credit tracker."""
 
-    __slots__ = ("engine", "latency", "_sink", "_deliver")
+    __slots__ = ("engine", "latency", "_deliver")
 
     def __init__(self, engine: "Engine", latency: int) -> None:
         if latency < 1:
             raise ValueError("credit latency must be >= 1 cycle")
         self.engine = engine
         self.latency = latency
-        self._sink: Optional[Callable[[int, int, bool], None]] = None
         self._deliver: Optional[Callable[[int, int, bool], None]] = None
 
-    def connect(
-        self,
-        sink: Callable[[int, int, bool], None],
-        on_activity: Optional[Callable[[], None]] = None,
-    ) -> None:
+    def connect(self, sink: Callable[[int, int, bool], None]) -> None:
         """Attach the upstream callback ``sink(vc, phits, minimal)``.
 
-        ``on_activity`` (typically the upstream router's ``wake``) is invoked
-        after every credit return so the activity-tracked engine steps the
-        upstream router again.
+        Waking the upstream router is the sink's own business (it knows
+        which credits its blocked verdicts wait for).
         """
-        self._sink = sink
-        if on_activity is None:
-            self._deliver = sink
-        else:
-            def deliver(vc: int, phits: int, minimal: bool) -> None:
-                sink(vc, phits, minimal)
-                on_activity()
-
-            self._deliver = deliver
+        self._deliver = sink
 
     @property
     def connected(self) -> bool:
-        return self._sink is not None
+        return self._deliver is not None
 
     def send_credit(self, vc: int, phits: int, minimal: bool, now: int) -> None:
         """Return ``phits`` of credit for ``vc`` after the channel latency."""

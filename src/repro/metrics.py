@@ -31,8 +31,9 @@ from .packet import Packet
 class ResidentLedger:
     """Network-wide count of packets resident in router input buffers.
 
-    One ledger is shared by all routers of a simulation; ``receive_network``
-    increments it and popping a network input port decrements it, which makes
+    One ledger is shared by all routers of a simulation; a link delivery
+    (``InputPort.deliver``) increments it and popping a network input port
+    decrements it, which makes
     ``Simulation.total_resident_packets`` (and the deadlock heuristic) O(1)
     instead of a sum over every router.
     """

@@ -19,14 +19,13 @@ from ..core.mincred import PortOccupancyLedger
 class CreditTracker:
     """Upstream view of a downstream input port's free space.
 
-    Hot-path note: when the mirror is statically partitioned, the owning
-    router fuses :meth:`debit` (grant time) and :meth:`credit` (return time)
-    into closures that update the mirror, the ledger and the router's
-    ``_credit_free`` slab in one step (``Router._make_debit`` /
-    ``Router.make_credit_sink``).  The methods below remain the canonical
-    implementations — DAMQ mirrors, the full-rescan reference router and
-    standalone users go through them — and the fused paths must stay
-    check-for-check identical to them.
+    Hot-path note: when the mirror is statically partitioned, the output
+    port is a :class:`~repro.router.ports.StaticOutputPort`, whose ``debit``
+    (grant time) and ``credit_return`` (return time) update the mirror, the
+    ledger and the router's ``_credit_free`` slab in one frame.  The methods
+    below remain the canonical implementations — DAMQ mirrors and standalone
+    users go through them (``OutputPort.debit`` / ``credit_return``) — and
+    the fused paths must stay check-for-check identical to them.
     """
 
     __slots__ = ("mirror", "ledger")

@@ -19,6 +19,23 @@ each port object is *bound* to its slice at construction time via
 private mini-slab, so the methods below behave identically either way; the
 attribute names of the old object-per-field layout remain available as
 read-only properties.
+
+Per-link callbacks
+------------------
+The three calls a directed link makes into its two routers are *methods of
+the ports*, not closures: :meth:`InputPort.deliver` is the link's delivery
+callback, :meth:`OutputPort.credit_return` the reverse credit channel's sink
+and :meth:`OutputPort.debit` the grant executor's credit debit.  Everything
+they touch is already a slot of the port (queues, hot-state slice, buffer,
+credit tracker) or reachable through its ``router`` slot, so a link costs
+two bound methods (``debit`` is looked up per call and stored nowhere) where
+it used to cost three closures of 6-10 cells each (DESIGN.md §6/§9).  The
+base classes carry the generic bodies (any buffer organization, any pipeline
+latency, layered through ``BufferOrganization`` / ``CreditTracker``);
+:class:`StaticInputPort` / :class:`StaticOutputPort` fuse the same checks
+into one frame for statically partitioned buffers.  The router picks the
+class once, when it builds the port, and the fused bodies
+must stay check-for-check identical to the generic ones.
 """
 
 from __future__ import annotations
@@ -66,7 +83,7 @@ class InputPort:
     __slots__ = (
         "port_id", "link_type", "num_vcs", "buffer", "pipeline_latency",
         "is_injection", "queues", "credit_channel", "head_plans", "rr_orders",
-        "on_occupancy", "_hot", "_hb", "_buf_allocate", "_buf_release",
+        "on_occupancy", "_hot", "_hb", "router",
     )
 
     def __init__(
@@ -90,8 +107,8 @@ class InputPort:
         #: and get their queue on first arrival — at 10^5-endpoint scale
         #: most of the millions of VC queues never see a packet during
         #: short runs.  Consumers already treat an empty queue as falsy,
-        #: which None satisfies; only the arrival paths (here and the two
-        #: fused receive clones) create.  The queue is a plain list, not a
+        #: which None satisfies; only the arrival paths (``receive`` and the
+        #: fused ``deliver`` bodies) create.  The queue is a plain list, not a
         #: deque: its depth is bounded by the VC's buffer capacity in
         #: packets (small), ``pop(0)`` on a short list is cheap, and an
         #: empty deque costs ~11x the memory of an empty list — once
@@ -118,9 +135,8 @@ class InputPort:
         #: into its shared one.
         self._hot: list = [0, 0, -1]
         self._hb = 0
-        #: bound buffer mutators (one attribute chase less per phit move).
-        self._buf_allocate = buffer.allocate
-        self._buf_release = buffer.release
+        #: owning router (None for standalone ports), told of link arrivals.
+        self.router = None
 
     def bind_hot_state(self, slab: list, base: int) -> None:
         """Move this port's hot counters into ``slab[base:base+3]``."""
@@ -146,7 +162,7 @@ class InputPort:
     def receive(self, packet: Packet, vc: int, now: int) -> None:
         """Store an arriving packet into VC ``vc``; it becomes routable after
         the router pipeline latency."""
-        self._buf_allocate(vc, packet.size_phits)
+        self.buffer.allocate(vc, packet.size_phits)
         packet.current_vc = vc
         ready = now + self.pipeline_latency
         queue = self.queues[vc]
@@ -165,6 +181,36 @@ class InputPort:
         if self.on_occupancy is not None:
             self.on_occupancy(vc, packet.size_phits, self.buffer.occupancy(vc), now)
 
+    def deliver(self, packet: Packet, vc: int, now: int) -> None:
+        """Link delivery callback: store the packet and notify the router.
+
+        An arrival deliberately does *not* clear a recorded allocation
+        blockage: the new head cannot be granted before it clears the router
+        pipeline, so the verdict's expiry is merely clamped down to that
+        cycle and a timed wake re-evaluates exactly then.
+        """
+        self.receive(packet, vc, now)
+        router = self.router
+        router.resident_packets += 1
+        ledger = router.resident_ledger
+        if ledger is not None:
+            ledger.count += 1
+        ready = now + self.pipeline_latency
+        blocked = router._alloc_sleep_until
+        if 0 <= blocked and ready < blocked:
+            router._alloc_sleep_until = ready
+        if router.saturation_board is None and ready > now:
+            # Nothing this arrival enables can happen before the head clears
+            # the router pipeline, so wake exactly then instead of pumping a
+            # guaranteed no-op cycle now.  (An active router keeps stepping
+            # regardless; the extra wake is a cheap set-insert.)
+            router.engine.schedule_wake(ready, router.engine_index)
+        else:
+            # Piggyback board readers must be stepped every cycle while
+            # packets are pending (time-varying congestion state);
+            # zero-latency pipelines make the head routable this cycle.
+            router.engine_activate(router.engine_index)
+
     # -- head access -------------------------------------------------------------
     def head(self, vc: int, now: int) -> Optional[Packet]:
         """Head packet of VC ``vc`` if it has cleared the pipeline, else None."""
@@ -178,7 +224,7 @@ class InputPort:
         """Remove the head packet of ``vc``, free its space and return credits."""
         packet, _ = self.queues[vc].pop(0)
         self.head_plans[vc] = None
-        self._buf_release(vc, packet.size_phits)
+        self.buffer.release(vc, packet.size_phits)
         hot = self._hot
         base = self._hb
         resident = hot[base] - 1
@@ -205,13 +251,62 @@ class InputPort:
         return self.resident_packets == 0
 
 
+class StaticInputPort(InputPort):
+    """Network input port over a statically partitioned buffer behind a
+    pipeline of at least one cycle: :meth:`deliver` fused into one frame."""
+
+    __slots__ = ()
+
+    def deliver(self, packet: Packet, vc: int, now: int) -> None:
+        # InputPort.receive inlined (network input buffers are never
+        # slab-bound, so the occupancy write is the whole allocation) ...
+        buffer = self.buffer
+        occupancy = buffer._occupancy
+        size = packet.size_phits
+        occ = occupancy[vc] + size
+        if occ > buffer._capacity[vc]:
+            buffer.allocate(vc, size)  # raises the canonical overflow
+        occupancy[vc] = occ
+        packet.current_vc = vc
+        ready = now + self.pipeline_latency
+        queues = self.queues
+        queue = queues[vc]
+        if queue is None:
+            queue = queues[vc] = []
+        queue.append((packet, ready))
+        hot = self._hot
+        hb = self._hb
+        resident = hot[hb] + 1
+        hot[hb] = resident
+        if resident == 1 or ready < hot[hb + 1]:
+            hot[hb + 1] = ready
+        hot[hb + 2] = -1
+        hook = self.on_occupancy
+        if hook is not None:
+            hook(vc, size, occ, now)
+        # ... then InputPort.deliver's router notification, ``ready > now``
+        # being a given.
+        router = self.router
+        router.resident_packets += 1
+        ledger = router.resident_ledger
+        if ledger is not None:
+            ledger.count += 1
+        blocked = router._alloc_sleep_until
+        if 0 <= blocked and ready < blocked:
+            router._alloc_sleep_until = ready
+        if router.saturation_board is None:
+            router.engine.schedule_wake(ready, router.engine_index)
+        else:
+            router.engine_activate(router.engine_index)
+
+
 class OutputPort:
     """Network output port: credit tracker, output buffer and link access."""
 
     __slots__ = (
         "port_id", "link_type", "credits", "output_buffer_capacity",
         "_pending_releases", "link", "packets_forwarded", "_hot", "_hb",
-        "_debit",
+        "router",
     )
 
     def __init__(
@@ -240,9 +335,9 @@ class OutputPort:
         #: so the allocator never sweeps output ports at the top of a cycle.
         self._hot: list = [0, -1, 0, 0]
         self._hb = 0
-        #: grant-time credit debit entry point; the owning router replaces
-        #: this with a fused closure for statically partitioned mirrors.
-        self._debit = credit_tracker.debit
+        #: owning router (None for standalone ports): its blocked verdicts
+        #: are what a returning credit may clear.
+        self.router = None
 
     def bind_hot_state(self, slab: list, base: int) -> None:
         """Move this port's hot counters into ``slab[base:base+4]``."""
@@ -294,6 +389,94 @@ class OutputPort:
         the pending queue is naturally sorted by cycle.
         """
         self._pending_releases.append((cycle, phits))
+
+    # -- credit flow ------------------------------------------------------------------
+    def debit(self, vc: int, phits: int, minimal: bool) -> None:
+        """Consume downstream credits when a packet is granted towards ``vc``."""
+        self.credits.debit(vc, phits, minimal)
+
+    def credit_return(self, vc: int, phits: int, minimal: bool) -> None:
+        """Sink of the reverse credit channel.
+
+        A returning credit only re-activates the router when a recorded
+        allocation blockage actually depends on it (its bit in
+        ``_blocked_credit_mask``).  A router sleeping *without* a verdict has
+        no pipeline-ready head, and a credit cannot create one, so nothing
+        needs to happen then.
+        """
+        tracker = self.credits
+        tracker.credit(vc, phits, minimal)
+        router = self.router
+        # The mirror's free-slab binding is the router's ``_credit_free``
+        # slice of this port, which is also how the masks are indexed.
+        index = tracker.mirror._free_base + vc
+        bit = 1 << index
+        if router._pv_any_mask & bit:
+            # Clear the per-port blocked verdicts that depended on this
+            # credit so the next allocation pass re-evaluates them.
+            in_state = router._in_state
+            pv_masks = router._pv_masks
+            for port in range(router._n_in):
+                if pv_masks[port] & bit:
+                    in_state[3 * port + 2] = -1
+                    pv_masks[port] = 0
+        if (router._alloc_sleep_until >= 0
+                and (router._blocked_credit_mask >> index) & 1):
+            router._alloc_sleep_until = -1
+            router.engine_activate(router.engine_index)
+
+
+class StaticOutputPort(OutputPort):
+    """Output port whose credit mirror is statically partitioned and bound to
+    the router's ``_credit_free`` slab: a debit or return touches exactly one
+    VC and one slab entry, so mirror + ledger + slab fuse into one frame."""
+
+    __slots__ = ()
+
+    def debit(self, vc: int, phits: int, minimal: bool) -> None:
+        tracker = self.credits
+        mirror = tracker.mirror
+        occupancy = mirror._occupancy
+        occ = occupancy[vc] + phits
+        capacity = mirror._capacity[vc]
+        if occ > capacity:
+            mirror.allocate(vc, phits)  # raises the canonical overflow
+        occupancy[vc] = occ
+        mirror._free_slab[mirror._free_base + vc] = capacity - occ
+        ledger = tracker.ledger
+        if minimal:
+            ledger.minimal[vc] += phits
+        else:
+            ledger.nonminimal[vc] += phits
+
+    def credit_return(self, vc: int, phits: int, minimal: bool) -> None:
+        tracker = self.credits
+        mirror = tracker.mirror
+        occupancy = mirror._occupancy
+        occ = occupancy[vc] - phits
+        if occ < 0:
+            mirror.release(vc, phits)  # raises the canonical underflow
+        occupancy[vc] = occ
+        index = mirror._free_base + vc
+        mirror._free_slab[index] = mirror._capacity[vc] - occ
+        ledger = tracker.ledger
+        counts = ledger.minimal if minimal else ledger.nonminimal
+        if phits > counts[vc]:
+            ledger.remove(vc, phits, minimal)  # raises the canonical underflow
+        counts[vc] -= phits
+        router = self.router
+        bit = 1 << index
+        if router._pv_any_mask & bit:
+            in_state = router._in_state
+            pv_masks = router._pv_masks
+            for port in range(router._n_in):
+                if pv_masks[port] & bit:
+                    in_state[3 * port + 2] = -1
+                    pv_masks[port] = 0
+        if (router._alloc_sleep_until >= 0
+                and (router._blocked_credit_mask >> index) & 1):
+            router._alloc_sleep_until = -1
+            router.engine_activate(router.engine_index)
 
 
 class EjectionPort:

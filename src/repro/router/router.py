@@ -36,6 +36,14 @@ iteration: output resources are consumed monotonically within a cycle and
 non-proposing ports' heads are unchanged, so the skip is behaviour-identical
 to the full rescan (the property test in ``tests/test_alloc_equivalence.py``
 checks this against :class:`repro.router.reference.ReferenceRouter`).
+
+Three entry points are closures over the slabs, built once per *router*:
+the allocation pass, the grant executor and the pump.  The three per-*link*
+callbacks — packet delivery, credit return, grant-time credit debit — are
+not: they are methods of the ports (``InputPort.deliver``,
+``OutputPort.credit_return`` / ``debit`` and their ``Static*`` fusions in
+:mod:`repro.router.ports`), which reach this router's sleep/verdict state
+through their ``router`` slot.  ``__init__`` picks each port's class.
 """
 
 from __future__ import annotations
@@ -61,7 +69,13 @@ from ..routing.base import CandidateHop, EjectionRequest, RoutingAlgorithm
 from ..topology.base import Topology
 from .allocator import SeparableAllocator
 from .credits import CreditTracker
-from .ports import EjectionPort, InputPort, OutputPort
+from .ports import (
+    EjectionPort,
+    InputPort,
+    OutputPort,
+    StaticInputPort,
+    StaticOutputPort,
+)
 from .saturation import SaturationBoard
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -157,27 +171,35 @@ class Router:
         # -- network ports ------------------------------------------------------
         self.input_ports: Dict[int, InputPort] = {}
         self.output_ports: Dict[int, OutputPort] = {}
+        # The per-link callbacks are port methods (ports.py); the fused
+        # bodies apply to statically partitioned buffers — and, on the input
+        # side, to a pipeline that makes every arrival a *timed* wake.
+        pipeline_latency = router_config.pipeline_latency
         for info in topology.ports(router_id):
             num_vcs = arrangement.total(info.link_type)
-            in_buffer = make_port_buffer(
-                router_config, num_vcs, info.link_type == LinkType.GLOBAL
-            )
-            self.input_ports[info.port] = InputPort(
+            is_global = info.link_type == LinkType.GLOBAL
+            in_buffer = make_port_buffer(router_config, num_vcs, is_global)
+            fused = type(in_buffer) is StaticallyPartitionedBuffer
+            in_port = (
+                StaticInputPort if fused and pipeline_latency > 0 else InputPort
+            )(
                 port_id=info.port,
                 link_type=info.link_type,
                 num_vcs=num_vcs,
                 buffer=in_buffer,
-                pipeline_latency=router_config.pipeline_latency,
+                pipeline_latency=pipeline_latency,
             )
-            mirror = make_port_buffer(
-                router_config, num_vcs, info.link_type == LinkType.GLOBAL
-            )
-            self.output_ports[info.port] = OutputPort(
+            in_port.router = self
+            self.input_ports[info.port] = in_port
+            mirror = make_port_buffer(router_config, num_vcs, is_global)
+            out_port = (StaticOutputPort if fused else OutputPort)(
                 port_id=info.port,
                 link_type=info.link_type,
                 credit_tracker=CreditTracker(mirror),
                 output_buffer_phits=router_config.output_buffer_phits,
             )
+            out_port.router = self
+            self.output_ports[info.port] = out_port
 
         # -- injection / ejection -------------------------------------------------
         self.injection_ports: List[InputPort] = []
@@ -245,7 +267,6 @@ class Router:
         self._out_cap: List[int] = [0] * lookup
         self._out_pending: List[Optional[list]] = [None] * lookup
         self._out_by_port: List[Optional[OutputPort]] = [None] * lookup
-        self._input_by_port: List[Optional[InputPort]] = [None] * lookup
         self._credit_free: List[int] = [0] * sum(
             self.output_ports[port].credits.num_vcs for port in out_ids
         )
@@ -260,8 +281,6 @@ class Router:
             self._out_cap[port] = op.output_buffer_capacity
             self._out_pending[port] = op._pending_releases
             self._out_by_port[port] = op
-            self._input_by_port[port] = self.input_ports[port]
-            op._debit = self._make_debit(op)
 
         #: per-output-port bitmask over the ``_credit_free`` slab indices,
         #: used to record which credit returns can unblock a sleeping router.
@@ -370,62 +389,6 @@ class Router:
         if self.engine_activate is not None:
             self.engine_activate(self.engine_index)
 
-    def receive_network(self, packet: Packet, port: int, vc: int, now: int) -> None:
-        """Deliver a packet arriving from a link into input ``port`` / VC ``vc``.
-
-        An arrival deliberately does *not* clear a recorded allocation
-        blockage: the new head cannot be granted before it clears the router
-        pipeline, so the verdict's expiry is merely clamped down to that
-        cycle (below) and a timed wake re-evaluates exactly then.
-        """
-        self._input_by_port[port].receive(packet, vc, now)
-        self.resident_packets += 1
-        if self.resident_ledger is not None:
-            self.resident_ledger.count += 1
-        # A recorded router-level verdict cannot cover this arrival; pull its
-        # expiry forward to the cycle the new head clears the pipeline so the
-        # allocator re-evaluates exactly then.
-        ready = now + self._pipeline_latency
-        blocked = self._alloc_sleep_until
-        if 0 <= blocked and ready < blocked:
-            self._alloc_sleep_until = ready
-        if self.engine_activate is not None:
-            if self.saturation_board is None and ready > now:
-                self.engine.schedule_wake(ready, self.engine_index)
-            else:
-                self.engine_activate(self.engine_index)
-
-    def _make_debit(self, op: OutputPort) -> Callable[[int, int, bool], None]:
-        """Fused grant-time credit debit for ``op`` (mirror + ledger + slab).
-
-        Statically partitioned mirrors touch exactly one VC and one
-        free-slab entry, so the whole debit inlines into one closure; DAMQ
-        mirrors keep the generic ``CreditTracker.debit`` path.
-        """
-        tracker = op.credits
-        mirror = tracker.mirror
-        if type(mirror) is not StaticallyPartitionedBuffer:
-            return tracker.debit
-        occupancy = mirror._occupancy
-        capacity = mirror._capacity
-        credit_free = self._credit_free
-        base = self._cfree_base[op.port_id]
-        ledger_vcs = tracker.ledger.per_vc
-
-        def debit(vc: int, phits: int, minimal: bool) -> None:
-            occ = occupancy[vc] + phits
-            if occ > capacity[vc]:
-                mirror.allocate(vc, phits)  # raises the canonical overflow
-            occupancy[vc] = occ
-            credit_free[base + vc] = capacity[vc] - occ
-            split = ledger_vcs[vc]
-            if minimal:
-                split.minimal += phits
-            else:
-                split.nonminimal += phits
-
-        return debit
-
     def resolve_candidate(self, candidate: CandidateHop) -> tuple:
         """Burn this router's slab indices into a memoized candidate.
 
@@ -446,171 +409,6 @@ class Router:
             out_port, lo, hi, self._out_base[out_port], cb,
             self._out_cap[out_port], self._out_pending[out_port], fail_mask,
         )
-
-    def make_network_receiver(self, port: int) -> Callable[[Packet, int, int], None]:
-        """Flattened per-link delivery callback (``receive_network`` body with
-        the input port pre-bound — one Python frame per arrival instead of
-        two)."""
-        input_port = self._input_by_port[port]
-        pipeline_latency = self._pipeline_latency
-        schedule_wake = self.engine.schedule_wake
-        buffer = input_port.buffer
-        if (type(buffer) is StaticallyPartitionedBuffer
-                and pipeline_latency > 0):
-            # Fused fast path: the entire InputPort.receive body inlines
-            # here (buffer accounting, queue append, hot-slab update),
-            # saving two frames per arrival.  Occupancy-probe dispatch is
-            # read through the port so late probe wiring still works.
-            occupancy = buffer._occupancy
-            capacity = buffer._capacity
-            queues = input_port.queues
-            hot = input_port._hot
-            hb = input_port._hb
-
-            def deliver(packet: Packet, vc: int, now: int) -> None:
-                size = packet.size_phits
-                occ = occupancy[vc] + size
-                if occ > capacity[vc]:
-                    buffer.allocate(vc, size)  # raises the canonical overflow
-                occupancy[vc] = occ
-                packet.current_vc = vc
-                ready = now + pipeline_latency
-                queue = queues[vc]
-                if queue is None:
-                    queue = queues[vc] = []
-                queue.append((packet, ready))
-                resident = hot[hb] + 1
-                hot[hb] = resident
-                if resident == 1 or ready < hot[hb + 1]:
-                    hot[hb + 1] = ready
-                hot[hb + 2] = -1
-                hook = input_port.on_occupancy
-                if hook is not None:
-                    hook(vc, size, occ, now)
-                self.resident_packets += 1
-                ledger = self.resident_ledger
-                if ledger is not None:
-                    ledger.count += 1
-                blocked = self._alloc_sleep_until
-                if 0 <= blocked and ready < blocked:
-                    self._alloc_sleep_until = ready
-                if self.saturation_board is None:
-                    # Nothing this arrival enables can happen before the
-                    # head clears the router pipeline, so wake exactly then
-                    # instead of pumping a guaranteed no-op cycle now.
-                    schedule_wake(ready, self.engine_index)
-                else:
-                    # Piggyback board readers are stepped every cycle while
-                    # packets are pending (time-varying congestion state).
-                    self.engine_activate(self.engine_index)
-
-            return deliver
-
-        receive = input_port.receive
-
-        def deliver(packet: Packet, vc: int, now: int) -> None:
-            receive(packet, vc, now)
-            self.resident_packets += 1
-            ledger = self.resident_ledger
-            if ledger is not None:
-                ledger.count += 1
-            ready = now + pipeline_latency
-            blocked = self._alloc_sleep_until
-            if 0 <= blocked and ready < blocked:
-                self._alloc_sleep_until = ready
-            if self.saturation_board is None and ready > now:
-                # Nothing this arrival enables can happen before the head
-                # clears the router pipeline, so wake exactly then instead
-                # of pumping a guaranteed no-op cycle now.  (An active
-                # router keeps stepping regardless; the extra wake is a
-                # cheap set-insert.)
-                schedule_wake(ready, self.engine_index)
-            else:
-                # Piggyback board readers must be stepped every cycle while
-                # packets are pending (time-varying congestion state);
-                # zero-latency pipelines make the head routable this cycle.
-                self.engine_activate(self.engine_index)
-
-        return deliver
-
-    def make_credit_sink(self, port: int) -> Callable[[int, int, bool], None]:
-        """Credit-return callback for the reverse channel of output ``port``.
-
-        Replaces the generic ``wake`` activity hook: a returning credit only
-        re-activates the router when the recorded allocation blockage
-        actually depends on it (its bit in ``_blocked_credit_mask``).  A
-        router sleeping *without* a verdict has no pipeline-ready head, and a
-        credit cannot create one, so nothing needs to happen then.
-        """
-        tracker = self.output_ports[port].credits
-        mirror = tracker.mirror
-        base = self._cfree_base[port]
-        in_state = self._in_state
-        pv_masks = self._pv_masks
-        n_in = self._n_in
-        if type(mirror) is StaticallyPartitionedBuffer:
-            # Fused fast path: statically partitioned mirrors release into
-            # one VC and refresh one free-slab entry, so the whole return
-            # (mirror + ledger + slab + wake filtering) inlines here.
-            occupancy = mirror._occupancy
-            capacity = mirror._capacity
-            credit_free = self._credit_free
-            ledger_vcs = tracker.ledger.per_vc
-
-            def credit_return(vc: int, phits: int, minimal: bool) -> None:
-                occ = occupancy[vc] - phits
-                if occ < 0:
-                    mirror.release(vc, phits)  # raises the canonical underflow
-                occupancy[vc] = occ
-                credit_free[base + vc] = capacity[vc] - occ
-                split = ledger_vcs[vc]
-                if minimal:
-                    if phits > split.minimal:
-                        raise ValueError(
-                            f"removing {phits} minimal phits but only "
-                            f"{split.minimal} accounted"
-                        )
-                    split.minimal -= phits
-                else:
-                    if phits > split.nonminimal:
-                        raise ValueError(
-                            f"removing {phits} non-minimal phits but only "
-                            f"{split.nonminimal} accounted"
-                        )
-                    split.nonminimal -= phits
-                bit = 1 << (base + vc)
-                if self._pv_any_mask & bit:
-                    # Clear the per-port blocked verdicts that depended on
-                    # this credit so the next pass re-evaluates them.
-                    for index in range(n_in):
-                        if pv_masks[index] & bit:
-                            in_state[3 * index + 2] = -1
-                            pv_masks[index] = 0
-                if (self._alloc_sleep_until >= 0
-                        and (self._blocked_credit_mask >> (base + vc)) & 1):
-                    self._alloc_sleep_until = -1
-                    self.engine_activate(self.engine_index)
-
-            return credit_return
-
-        credit = tracker.credit
-
-        def credit_return(vc: int, phits: int, minimal: bool) -> None:
-            credit(vc, phits, minimal)
-            bit = 1 << (base + vc)
-            if self._pv_any_mask & bit:
-                # Clear the per-port blocked verdicts that depended on this
-                # credit so the next allocation pass re-evaluates them.
-                for index in range(n_in):
-                    if pv_masks[index] & bit:
-                        in_state[3 * index + 2] = -1
-                        pv_masks[index] = 0
-            if (self._alloc_sleep_until >= 0
-                    and (self._blocked_credit_mask >> (base + vc)) & 1):
-                self._alloc_sleep_until = -1
-                self.engine_activate(self.engine_index)
-
-        return credit_return
 
     def enqueue_source(self, packet: Packet, now: int) -> None:
         """Queue a newly generated packet at its source node."""
@@ -741,7 +539,7 @@ class Router:
             self._source_backlog -= 1
             # The packet finishes serializing from the node after size cycles.
             self.injection_ports[local].receive(packet, best_vc, now + size)
-            # Same verdict clamp as receive_network: the injected head
+            # Same verdict clamp as InputPort.deliver: the injected head
             # becomes routable after pipeline latency on top of its
             # serialization, which a recorded verdict cannot know about.
             ready = now + size + self._pipeline_latency
@@ -1075,7 +873,7 @@ class Router:
             # debited under, i.e. *before* on_hop_taken may retag it).
             port.queues[input_vc].pop(0)
             port.head_plans[input_vc] = None
-            port._buf_release(input_vc, size)
+            port.buffer.release(input_vc, size)
             hot = port._hot
             hb = port._hb
             resident = hot[hb] - 1
@@ -1116,7 +914,7 @@ class Router:
                 on_hop_taken(packet, candidate)
             # Debit downstream credits under the (possibly updated) class.
             minimal_tag = packet.route_kind == _MINIMAL
-            op._debit(out_vc, size, minimal_tag)
+            op.debit(out_vc, size, minimal_tag)
             packet.credit_tag_minimal = minimal_tag
             in_busy[index] = now + xbar_time
             out_state[ob] = now + xbar_time

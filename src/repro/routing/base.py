@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from ..config import RoutingConfig
@@ -87,8 +87,13 @@ class CandidateHop:
     #: go through RoutingAlgorithm.on_hop_taken.
     is_global_hop: bool = False
     simple_hop: bool = False
+    #: the one-element plan ``[self]``.  The first-level plan memo stores
+    #: this list (plans are shared and never mutated), so its many entries
+    #: that resolve to the same hop share one list instead of owning one each.
+    alone: list = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.alone = [self]
         self.vc_lo = self.vc_range.lo
         self.vc_hi = self.vc_range.hi
         self.hot = (self.out_port, self.vc_lo, self.vc_hi)
@@ -110,6 +115,9 @@ class EjectionRequest:
 
 
 Plan = Union[EjectionRequest, List[CandidateHop]]
+
+#: the shared plan of a head with no admissible hop (never mutated).
+_NO_PLAN: List[CandidateHop] = []
 
 
 class RoutingAlgorithm(ABC):
@@ -312,7 +320,7 @@ class RoutingAlgorithm(ABC):
             direct = self._candidate_towards(
                 router, packet, dst_router, input_type, input_vc, is_detour=False
             )
-            cached = [direct] if direct is not None else []
+            cached = direct.alone if direct is not None else _NO_PLAN
             if len(self._plan_memo) >= _MEMO_CAP:
                 self._plan_memo.clear()
             self._plan_memo[key] = cached

@@ -6,7 +6,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..core.link_types import LinkType
 from ..packet import Packet
-from .base import EjectionRequest, Plan, RoutingAlgorithm, _MEMO_CAP
+from .base import _MEMO_CAP, _NO_PLAN, EjectionRequest, Plan, RoutingAlgorithm
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..router.router import Router
@@ -74,7 +74,7 @@ class MinimalRouting(RoutingAlgorithm):
             direct = self._candidate_towards(
                 router, packet, dst_router, input_type, input_vc, is_detour=False
             )
-            cached = [direct] if direct is not None else []
+            cached = direct.alone if direct is not None else _NO_PLAN
             if len(self._plan_memo) >= _MEMO_CAP:
                 self._plan_memo.clear()
             self._plan_memo[key] = cached

@@ -268,15 +268,16 @@ class Simulation:
                     engine=self.engine,
                     latency=latency,
                     link_type=info.link_type,
-                    deliver=downstream.make_network_receiver(back_port),
+                    deliver=downstream.input_ports[back_port].deliver,
                     name=(router_id, info.port, info.neighbor, back_port),
                 )
-                upstream.output_ports[info.port].attach_link(link)
+                output = upstream.output_ports[info.port]
+                output.attach_link(link)
                 channel = CreditChannel(self.engine, latency)
                 # The sink credits the upstream tracker and re-activates the
                 # upstream router only when its recorded allocation blockage
                 # depends on the returned (port, vc) credit.
-                channel.connect(upstream.make_credit_sink(info.port))
+                channel.connect(output.credit_return)
                 downstream.input_ports[back_port].credit_channel = channel
 
     def _attach_saturation_boards(self) -> None:

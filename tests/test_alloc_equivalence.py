@@ -103,6 +103,40 @@ def test_incremental_allocator_matches_full_rescan(topology, algorithm, vc_polic
         assert fast_result == ref_result, f"summary drifted: {label}"
 
 
+@pytest.mark.parametrize("organization, pipeline_latency, input_body, output_body", [
+    ("static", 5, "StaticInputPort", "StaticOutputPort"),
+    ("static", 0, "InputPort", "StaticOutputPort"),
+    ("damq", 5, "InputPort", "OutputPort"),
+    ("damq", 0, "InputPort", "OutputPort"),
+])
+def test_link_callback_bodies_match_full_rescan(
+        organization, pipeline_latency, input_body, output_body):
+    """The per-link callbacks are port methods, fused or generic by buffer
+    organization and pipeline depth: each combination runs the body it should
+    and stays trace-identical to the reference router."""
+    from repro.config import RouterConfig
+
+    config = dataclasses.replace(
+        _random_config(random.Random(5), "dragonfly", "val", "flexvc"),
+        router=RouterConfig(buffer_organization=organization,
+                            pipeline_latency=pipeline_latency),
+    )
+    sim = Simulation(config)
+    links = [port.link for router in sim.routers
+             for port in router.output_ports.values()]
+    sinks = [port.credit_channel._deliver for router in sim.routers
+             for port in router.input_ports.values()]
+    assert {link._deliver.__func__.__qualname__ for link in links} == {
+        f"{input_body}.deliver"}
+    assert {sink.__func__.__qualname__ for sink in sinks} == {
+        f"{output_body}.credit_return"}
+    fast_trace = _delivery_trace(sim)
+    fast_result = dataclasses.asdict(sim.run())
+    ref_trace, ref_result = _run(config, reference=True)
+    assert fast_trace and fast_trace == ref_trace
+    assert fast_result == ref_result
+
+
 def _has_numpy() -> bool:
     from repro.kernel import numpy_or_none
 
