@@ -45,16 +45,6 @@ The ``probes`` section compares the same tiny run probes-off (plain
 ``Simulation.run()``, which is a Session shim) against probes-on
 (``Session`` with a TimeSeriesProbe and a LinkUtilizationProbe attached):
 ``probe_overhead_pct`` is what attaching live telemetry costs.
-
-The ``vectorized_*_cps`` entries (present when numpy is importable) measure
-the opt-in vectorized kernel (``Simulation(cfg, backend="vectorized")``,
-see :mod:`repro.kernel`) against the python backend on the same three
-regimes, **interleaved** — alternating backend rounds in one process — so
-the pairs are comparable on a shared machine; ``ratio_vectorized_*`` is
-vectorized/python from those interleaved pairs (values below 1.0 mean the
-kernel is slower than the python hot path at that scale).
-``vectorized_fingerprint_identical`` asserts the tiny-run summary is
-bit-identical across backends as part of every benchmark regeneration.
 """
 
 from __future__ import annotations
@@ -151,25 +141,6 @@ def _best_cps(config, cycles: int, repeats: int = 5) -> tuple[float, Simulation]
         sim.run()
         best = min(best, time.perf_counter() - start)
     return cycles / best, sim
-
-
-def _interleaved_backend_cps(
-    config, cycles: int, rounds: int = 4
-) -> tuple[float, float]:
-    """Best-of-N (python_cps, vectorized_cps), alternating backends per round.
-
-    Interleaving is the same A/B protocol the PR-over-PR baselines use: on a
-    shared machine only numbers taken alternately in one process are
-    comparable.
-    """
-    best = {"python": float("inf"), "vectorized": float("inf")}
-    for _ in range(rounds):
-        for backend in ("python", "vectorized"):
-            sim = Simulation(config, backend=backend)
-            start = time.perf_counter()
-            sim.run()
-            best[backend] = min(best[backend], time.perf_counter() - start)
-    return cycles / best["python"], cycles / best["vectorized"]
 
 
 def _peak_rss_bytes() -> int:
@@ -315,30 +286,6 @@ def run_benchmark() -> dict:
         "tiny_result_fingerprint": fingerprint,
     }
 
-    from repro.kernel import numpy_or_none
-
-    if numpy_or_none() is not None:
-        vec_fingerprint = dataclasses.asdict(
-            Simulation(tiny, backend="vectorized").run()
-        )
-        if vec_fingerprint != fingerprint:
-            raise AssertionError(
-                "vectorized backend fingerprint diverged from python on the "
-                "tiny run — backends must be bit-identical"
-            )
-        report["vectorized_fingerprint_identical"] = True
-        for name, config, cycles, rounds in (
-            ("uniform_load02", steady, 5000, 2),
-            ("tiny_load09", tiny09, tiny09.total_cycles(), 4),
-            ("small_adversarial", adversarial, adversarial.total_cycles(), 3),
-        ):
-            python_cps, vectorized_cps = _interleaved_backend_cps(
-                config, cycles, rounds=rounds
-            )
-            report[f"vectorized_{name}_cps"] = round(vectorized_cps)
-            report[f"ratio_vectorized_{name}"] = round(
-                vectorized_cps / python_cps, 2
-            )
     return report
 
 
@@ -374,14 +321,13 @@ def check_regression() -> int:
     return 1 if failed else 0
 
 
-def profile_congested(top: int = 20, backend: str = "python") -> None:
+def profile_congested(top: int = 20) -> None:
     """Print cProfile top-N cumulative of the congested tiny run."""
     import cProfile
     import pstats
 
     config = _tiny09_config()
-    sim = Simulation(config, backend=backend)
-    print(f"--- profile: backend={sim.backend_active} ---")
+    sim = Simulation(config)
     profiler = cProfile.Profile()
     profiler.enable()
     sim.run()
@@ -392,16 +338,7 @@ def profile_congested(top: int = 20, backend: str = "python") -> None:
 
 def main() -> None:
     if "--profile" in sys.argv:
-        profile_congested(backend="python")
-        from repro.kernel import numpy_or_none
-
-        if "--backend" in sys.argv:
-            index = sys.argv.index("--backend")
-            backend = sys.argv[index + 1] if index + 1 < len(sys.argv) else ""
-            if backend != "python":
-                profile_congested(backend=backend)
-        elif numpy_or_none() is not None:
-            profile_congested(backend="vectorized")
+        profile_congested()
         return
     if "--check-regression" in sys.argv:
         sys.exit(check_regression())
@@ -418,12 +355,6 @@ def main() -> None:
                 "ratio_uniform_load02_vs_pr3", "ratio_tiny_run_vs_pr3",
                 "ratio_tiny_load09_vs_pr3", "ratio_small_adversarial_vs_pr3"):
         print(f"{key}: {report[key]}")
-    for key in ("vectorized_uniform_load02_cps", "ratio_vectorized_uniform_load02",
-                "vectorized_tiny_load09_cps", "ratio_vectorized_tiny_load09",
-                "vectorized_small_adversarial_cps",
-                "ratio_vectorized_small_adversarial"):
-        if key in report:
-            print(f"{key}: {report[key]}")
     probes = report["probes"]
     print(f"probes_on_tiny_cps: {probes['probes_on_tiny_cps']} "
           f"(overhead {probes['probe_overhead_pct']}%)")

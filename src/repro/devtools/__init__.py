@@ -1,9 +1,9 @@
 """Project-specific static analysis: machine-checked simulator invariants.
 
 Seven PRs of correctness claims — bit-identical goldens, zero-cost probe
-guards, ``__slots__``/memo-cap memory discipline, dense/lazy and
-python/vectorized equivalence — were enforced only by tests and by reviewers
-remembering DESIGN.md §§5-9.  This package encodes them as lint rules over
+guards, ``__slots__``/memo-cap memory discipline, dense/lazy
+equivalence — were enforced only by tests and by reviewers remembering
+DESIGN.md §§5-9.  This package encodes them as lint rules over
 the AST, so a diff that silently iterates an unordered set in the simulation
 core, drops a probe guard, or adds an unbounded memo fails CI before it can
 reach a hot path.

@@ -332,8 +332,7 @@ class EnvReadRule(Rule):
     doc = (
         "Behavior switches must come from SimulationConfig so they are "
         "recorded in run provenance.  os.environ / os.getenv inside the core "
-        "makes results depend on invisible shell state.  Backend selection "
-        "reads its env var once at the session layer, outside this scope."
+        "makes results depend on invisible shell state."
     )
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:

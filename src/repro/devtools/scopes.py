@@ -29,7 +29,6 @@ _SIM_CORE = (
     "routing/",
     "traffic/",
     "buffers/",
-    "kernel/",
     "core/",
     "topology/",
 )
@@ -47,7 +46,6 @@ _HOT = (
     "routing/",
     "buffers/",
     "traffic/",
-    "kernel/",
     "core/",
 )
 

@@ -57,11 +57,6 @@ RING_SPAN = 256
 _RING_MASK = RING_SPAN - 1
 
 
-def _noop_pump(now: int) -> bool:
-    """Pump of a batch-managed router (stepped by the kernel, never here)."""
-    return False
-
-
 class Engine:
     """Ring + heap event calendar plus the activity-tracked cycle loop."""
 
@@ -89,10 +84,6 @@ class Engine:
         self.events_processed = 0
         #: cycles skipped by idle fast-forward (diagnostics / benchmarks).
         self.idle_cycles_skipped = 0
-        #: optional batch stepper (the vectorized kernel) advancing all of
-        #: its routers per cycle in one call; the routers it manages are
-        #: removed from the pump loop via :meth:`neutralize_stepper`.
-        self._batch: Optional[object] = None
 
     # -- registration -----------------------------------------------------------
     def register_router(self, router: object) -> None:
@@ -126,20 +117,6 @@ class Engine:
     def register_traffic(self, generator: object) -> None:
         """Register an object exposing ``tick(now)`` called once per cycle."""
         self._generators.append(generator)
-
-    def install_batch(self, batch: object) -> None:
-        """Install a batch stepper called once per cycle (``batch.step(now)``).
-
-        The batch runs after traffic generation and before the remaining
-        per-router pumps; while ``batch.busy()`` the engine never
-        fast-forwards across cycles.
-        """
-        self._batch = batch
-
-    def neutralize_stepper(self, index: int) -> None:
-        """Remove stepper ``index`` from the pump loop (batch-managed)."""
-        self._pumps[index] = _noop_pump
-        self._active.discard(index)
 
     def activate(self, router: object) -> None:
         """Mark a registered router as having (potential) work."""
@@ -239,9 +216,6 @@ class Engine:
         self._fire_events(cycle)
         for generator in self._generators:
             generator.tick(cycle)
-        batch = self._batch
-        if batch is not None:
-            batch.step(cycle)
         active = self._active
         if active:
             pumps = self._pumps
@@ -253,11 +227,6 @@ class Engine:
     def _quiescent(self) -> bool:
         """True when no router is active and no traffic source can emit."""
         if self._active:
-            return False
-        if self._batch is not None and self._batch.busy():
-            # Batch-managed routers never sit in the active set; any packet
-            # resident in one blocks fast-forward exactly like an active
-            # router would.
             return False
         for generator in self._generators:
             quiescent = getattr(generator, "quiescent", None)

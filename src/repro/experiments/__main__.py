@@ -201,7 +201,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         adaptive=adaptive,
         converge=converge,
         verbose=args.verbose,
-        backend=args.backend,
         route_table_mode=args.route_table,
         job_timeout=args.job_timeout,
         faults=faults,
@@ -296,9 +295,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         series = meta.get("series", "?")
         load = meta.get("load", "?")
         seed = meta.get("seed", "?")
-        backend = meta.get("backend") or record.provenance.get("backend")
-        suffix = f" backend={backend}" if backend else ""
-        print(f"{key}  series={series} load={load} seed={seed}{suffix}")
+        print(f"{key}  series={series} load={load} seed={seed}")
         print(f"  summary:    {record.summary}")
         provenance = record.provenance
         if provenance:
@@ -311,10 +308,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
                 parts.append(f"{cycles} cycles")
             if wall is not None:
                 parts.append(f"{wall}s wall")
-            if provenance.get("backend_fallback_reason"):
-                parts.append(
-                    f"backend fallback: {provenance['backend_fallback_reason']}"
-                )
             if provenance.get("extrapolated"):
                 parts.append(
                     "EXTRAPOLATED from load "
@@ -472,13 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default=FLUSH_INTERVAL_SECONDS, metavar="SECONDS",
                      help="seconds between mid-sweep result-store flushes "
                           f"(default: {FLUSH_INTERVAL_SECONDS})")
-    run.add_argument("--backend", default="python",
-                     choices=("python", "vectorized", "auto"),
-                     help="simulation stepping backend: python (default), "
-                          "vectorized (numpy kernel, requires the [fast] "
-                          "extra; bit-identical results), or auto "
-                          "(vectorized when available); non-python backends "
-                          "get their own result-store keys")
     run.add_argument("--route-table", default="auto", dest="route_table",
                      choices=("auto", "dense", "lazy"),
                      help="route-table construction mode: auto (dense below "

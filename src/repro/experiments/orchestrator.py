@@ -47,8 +47,6 @@ reuse are execution-strategy changes only, enforced by
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import os
 import sys
@@ -65,6 +63,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 from ..cache import BoundedLRU
 from ..config import SimulationConfig
 from ..faults import FaultSpec
+from ..keys import _hash_payload, _network_payload, config_key, network_key
 from ..metrics import SimulationResult
 from ..record import JobFailure, RunRecord
 from ..router.saturation import DEFAULT_SATURATION_MARGIN, is_saturated_point
@@ -101,63 +100,6 @@ EXTRAPOLATED_KEY_SUFFIX = ":extrapolated"
 #: upper bound of the automatic chunk size (resumability granularity: an
 #: interrupted sweep loses at most this many in-flight jobs per worker).
 DEFAULT_MAX_CHUNK_JOBS = 8
-
-
-# ---------------------------------------------------------------------------
-# Config hashing
-# ---------------------------------------------------------------------------
-
-def _hash_payload(payload: Dict[str, object]) -> str:
-    """Stable content hash of a JSON-serializable payload."""
-    text = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:24]
-
-
-def config_key(config: SimulationConfig, backend: str = "python") -> str:
-    """Stable content hash of a complete simulation configuration.
-
-    Dataclass-derived JSON with sorted keys, so two structurally equal
-    configurations (even if built through different code paths) share a key.
-
-    A non-default simulation ``backend`` is hashed into the key so a result
-    store never silently mixes backends; the python default adds nothing,
-    keeping every pre-existing stored key valid.  (The coarser
-    :func:`network_key` deliberately ignores the backend — construction
-    artifacts are backend-independent.)
-    """
-    payload = asdict(config)
-    if not config.faults:
-        # Mirror the backend rule: the empty default adds nothing, keeping
-        # every pre-existing (no-fault) stored key and golden valid.
-        payload.pop("faults", None)
-    if backend != "python":
-        payload["backend"] = backend
-    return _hash_payload(payload)
-
-
-def _network_payload(config_payload: Dict[str, object]) -> Dict[str, object]:
-    """The sub-sections of an ``asdict(config)`` payload a network key hashes.
-
-    Single source of truth for what identifies a job's reusable construction
-    artifacts — :func:`network_key` and ``SweepSpec.expand`` both hash this.
-    """
-    return {
-        "network": config_payload["network"],
-        "routing": config_payload["routing"],
-    }
-
-
-def network_key(config: SimulationConfig) -> str:
-    """Content hash of the configuration's network+routing sub-sections.
-
-    Coarser than :func:`config_key`: jobs differing only in traffic, load,
-    seed or cycle counts share a network key, which is exactly the
-    granularity at which construction artifacts (topology graph, route
-    tables, dense adjacency) are reusable.  A 4-series x 10-load x 5-seed
-    sweep carries ~4 distinct network keys for its 200 jobs, so each worker
-    builds artifacts ~4 times instead of 200.
-    """
-    return _hash_payload(_network_payload(asdict(config)))
 
 
 @lru_cache(maxsize=None)
@@ -211,10 +153,6 @@ class Job:
     probes: Tuple[str, ...] = ()
     network_key: str = ""
     converge: Optional[ConvergenceSettings] = None
-    #: simulation stepping backend ("python"/"vectorized"/"auto"); part of
-    #: the cache key (a non-python backend hashes into ``key``) but not of
-    #: ``network_key`` — construction artifacts are backend-independent.
-    backend: str = "python"
     #: route-table front-end ("auto"/"dense"/"lazy"); an execution strategy
     #: with identical answers, so it is part of *neither* cache key —
     #: stored results and construction artifacts are shared across modes.
@@ -242,8 +180,6 @@ class SweepSpec:
     name: str = "sweep"
     #: probe registry names attached to every expanded job.
     probes: Tuple[str, ...] = ()
-    #: simulation backend of every expanded job (see :mod:`repro.kernel`).
-    backend: str = "python"
 
     def __post_init__(self) -> None:
         labels = [label for label, _ in self.series]
@@ -251,12 +187,6 @@ class SweepSpec:
             raise ValueError(f"duplicate series labels in sweep {self.name!r}: {labels}")
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
-        from ..kernel import VALID_BACKENDS
-
-        if self.backend not in VALID_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {VALID_BACKENDS}, got {self.backend!r}"
-            )
 
     def expand(self) -> List[Job]:
         """Expand into independent jobs (deterministic order).
@@ -271,7 +201,6 @@ class SweepSpec:
         """
         jobs: List[Job] = []
         probes = tuple(self.probes)
-        backend = self.backend
         for label, builder in self.series:
             base = builder()
             payload = asdict(base)
@@ -279,10 +208,6 @@ class SweepSpec:
             if not base.faults:
                 # Mirror config_key()'s empty-faults omission.
                 payload.pop("faults", None)
-            if backend != "python":
-                # Mirror config_key()'s backend entry so expanded keys stay
-                # identical to config_key(job.config, backend=job.backend).
-                payload["backend"] = backend
             traffic_payload = payload["traffic"]
             for load in self.loads:
                 loaded = base.with_load(load)
@@ -299,7 +224,6 @@ class SweepSpec:
                             config=config,
                             probes=probes,
                             network_key=net_key,
-                            backend=backend,
                         )
                     )
         return jobs
@@ -407,7 +331,7 @@ def _execute_job(job: Job) -> Tuple[str, RunRecord]:
     :meth:`~repro.session.Session.measure_converged` instead of one fixed
     window.
     """
-    from ..probes import Probe, make_probes
+    from ..probes import make_probes
     from ..session import Session
     from ..simulation import Simulation
 
@@ -416,19 +340,8 @@ def _execute_job(job: Job) -> Tuple[str, RunRecord]:
         job.network_key or network_key(job.config), job.config,
         route_table_mode=job.route_table_mode,
     )
-    probes = make_probes(job.probes)
-    backend = job.backend
-    if backend != "python" and any(
-        getattr(type(probe), "on_alloc_stall", None) is not Probe.on_alloc_stall
-        for probe in probes
-    ):
-        # Stall probes observe the scalar allocator's verdict machinery,
-        # which the vectorized kernel never engages; resolve the degrade
-        # here (instead of letting Session warn per job) — results are
-        # identical either way and provenance records the active backend.
-        backend = "python"
-    simulation = Simulation(job.config, artifacts=artifacts, backend=backend)
-    session = Session(simulation=simulation, probes=probes)
+    simulation = Simulation(job.config, artifacts=artifacts)
+    session = Session(simulation=simulation, probes=make_probes(job.probes))
     session.warmup()
     if job.converge is not None:
         session.measure_converged(job.converge)
@@ -971,9 +884,6 @@ class OrchestrationContext:
     converge: Optional[ConvergenceSettings] = None
     #: stream progress/cache-hit lines to stderr while sweeping.
     verbose: bool = False
-    #: simulation backend applied to jobs still carrying the python default
-    #: (job keys are recomputed so stores never mix backends).
-    backend: str = "python"
     #: route-table front-end applied to jobs still carrying the auto
     #: default (never part of cache keys — modes answer identically).
     route_table_mode: str = "auto"
@@ -1003,7 +913,6 @@ def orchestration(
     adaptive: Optional[AdaptiveSettings] = None,
     converge: Optional[ConvergenceSettings] = None,
     verbose: bool = False,
-    backend: str = "python",
     route_table_mode: str = "auto",
     job_timeout: Optional[float] = None,
     faults: Optional["FaultSpec"] = None,
@@ -1015,22 +924,15 @@ def orchestration(
     executed inside the block (cached points are still served from the store
     without telemetry — use ``refresh``/``--force`` to re-run them probed).
     ``chunk_size``, ``adaptive`` and ``converge`` select the sweep-scale
-    execution modes documented on :func:`run_jobs`.  ``backend`` selects the
-    simulation stepping backend (:mod:`repro.kernel`) for every job that
-    does not pin its own; non-python backends rewrite job cache keys.
-    ``route_table_mode`` selects the route-table front-end
-    (:func:`~repro.routing.route_table.make_route_table`) the same way;
-    being answer-identical, it never touches cache keys.
+    execution modes documented on :func:`run_jobs`.  ``route_table_mode``
+    selects the route-table front-end
+    (:func:`~repro.routing.route_table.make_route_table`) for every job that
+    does not pin its own; being answer-identical, it never touches cache keys.
     """
     if isinstance(store, str):
         store = ResultStore(store)
-    from ..kernel import VALID_BACKENDS
     from ..routing.route_table import ROUTE_TABLE_MODES
 
-    if backend not in VALID_BACKENDS:
-        raise ValueError(
-            f"backend must be one of {VALID_BACKENDS}, got {backend!r}"
-        )
     if route_table_mode not in ROUTE_TABLE_MODES:
         raise ValueError(
             f"route_table_mode must be one of {ROUTE_TABLE_MODES}, "
@@ -1044,7 +946,6 @@ def orchestration(
         adaptive=adaptive,
         converge=converge,
         verbose=verbose,
-        backend=backend,
         route_table_mode=route_table_mode,
         job_timeout=job_timeout,
         faults=faults,
@@ -1080,10 +981,6 @@ class JobRunStats:
     artifact_hits: int = 0
     artifact_misses: int = 0
     elapsed_s: float = 0.0
-    #: executed-job counts by *active* simulation backend (from each
-    #: record's provenance, so auto-mode and probe fallbacks count under
-    #: the backend that actually ran).
-    backend_executed: Dict[str, int] = field(default_factory=dict)
     #: chunk resubmissions after worker crashes / timeout re-splits.
     retries: int = 0
     #: jobs that resolved to a stored :class:`JobFailure` instead of a
@@ -1119,16 +1016,11 @@ class _ProgressReporter:
         done = stats.cache_hits + stats.executed + stats.extrapolated
         elapsed = max(now - self.start, 1e-9)
         simulated_rate = stats.executed / elapsed
-        backends = ", ".join(
-            f"{name} {count} ({count / elapsed:.2f}/s)"
-            for name, count in sorted(stats.backend_executed.items())
-        ) or "none yet"
         print(
             f"[sweep] {done}/{self.total} points | {stats.executed} simulated, "
             f"{stats.cache_hits} cached, {stats.extrapolated} extrapolated | "
             f"artifact cache {stats.artifact_hits} hits / "
-            f"{stats.artifact_misses} misses | {simulated_rate:.2f} jobs/s | "
-            f"backend {backends}",
+            f"{stats.artifact_misses} misses | {simulated_rate:.2f} jobs/s",
             file=sys.stderr,
         )
 
@@ -1143,11 +1035,7 @@ def _apply_fault_spec(job: Job, spec: FaultSpec) -> Job:
     if job.config.faults:
         return job
     fault_config = replace(job.config, faults=spec.resolve(job.config))
-    return replace(
-        job,
-        config=fault_config,
-        key=config_key(fault_config, backend=job.backend),
-    )
+    return replace(job, config=fault_config, key=config_key(fault_config))
 
 
 def run_jobs(
@@ -1211,14 +1099,6 @@ def run_jobs(
             job = _apply_fault_spec(job, context.faults)
         if converge is not None and job.converge is None:
             job = replace(job, converge=converge)
-        if job.backend == "python" and context.backend != "python":
-            # Unlike probes, the backend is part of the cache key: recompute
-            # it so stored results never silently mix backends.
-            job = replace(
-                job,
-                backend=context.backend,
-                key=config_key(job.config, backend=context.backend),
-            )
         if job.route_table_mode == "auto" and context.route_table_mode != "auto":
             # Answer-identical execution strategy: no key changes.
             job = replace(job, route_table_mode=context.route_table_mode)
@@ -1274,20 +1154,13 @@ def run_jobs(
                 reporter.update()
             return
         results[job.key] = record.summary
-        active_backend = record.provenance.get("backend", job.backend)
         if record.is_extrapolated:
             stats.extrapolated += 1
         else:
             stats.executed += 1
-            stats.backend_executed[active_backend] = (
-                stats.backend_executed.get(active_backend, 0) + 1
-            )
         if store is not None:
             key = store_key(job)
-            meta = {
-                "series": job.series, "load": job.load, "seed": job.seed,
-                "backend": active_backend,
-            }
+            meta = {"series": job.series, "load": job.load, "seed": job.seed}
             if record.is_extrapolated:
                 # Only the adaptive scheduler synthesizes records, so the
                 # settings-hashed suffix is always resolvable here.
@@ -1403,16 +1276,11 @@ def run_sweep(
     converge: Optional[ConvergenceSettings] = None,
 ) -> SweepOutcome:
     """Expand a sweep specification and execute all of its jobs."""
-    # Adopt the context backend *before* expansion so the outcome's job
-    # keys match the (backend-qualified) keys run_jobs executes under.
     context = current_context()
-    if spec.backend == "python" and context.backend != "python":
-        spec = replace(spec, backend=context.backend)
     jobs = spec.expand()
     if context.faults is not None:
-        # Same pre-adoption as the backend above: fault schedules rewrite
-        # job keys, and the outcome's job list must carry the keys the
-        # results are stored under.
+        # Fault schedules rewrite job keys, and the outcome's job list must
+        # carry the keys the results are stored under.
         jobs = [_apply_fault_spec(job, context.faults) for job in jobs]
     stats = run_jobs(
         jobs,

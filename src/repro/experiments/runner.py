@@ -245,8 +245,8 @@ def base_config(
 # These keep the seed API but delegate to repro.experiments.orchestrator:
 # points become independent jobs, run serially or on a process pool
 # (``workers``, or the active ``orchestration(...)`` context) and served
-# from the JSON result store when one is installed.  Results are
-# bit-identical across backends because every job owns its RNG.
+# from the result store when one is installed.  Results are bit-identical
+# serial or pooled because every job owns its RNG.
 
 def run_point(
     config: SimulationConfig,

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .config import SimulationConfig
+from .keys import config_key
 from .metrics import SimulationResult
 from .probes import Probe, ProbeHub
 from .record import RECORD_SCHEMA_VERSION, RunRecord
@@ -116,13 +117,6 @@ class Session:
     simulation:
         Adopt an already-constructed simulation instead of building one
         (used by the ``Simulation.run()`` compatibility shim).
-    backend:
-        Stepping backend passed through to :class:`Simulation` (``"python"``,
-        ``"vectorized"`` or ``"auto"``; see :mod:`repro.kernel`).  Only valid
-        together with ``config``.  A probe subscribing to ``on_alloc_stall``
-        degrades a vectorized session back to the python backend (the kernel
-        never engages the stall/verdict machinery the probe observes);
-        results are identical either way.
     """
 
     def __init__(
@@ -131,20 +125,10 @@ class Session:
         *,
         probes: Sequence[Probe] = (),
         simulation: Optional[Simulation] = None,
-        backend: Optional[str] = None,
     ) -> None:
         if (config is None) == (simulation is None):
             raise ValueError("pass exactly one of config or simulation")
-        if simulation is not None and backend is not None:
-            raise ValueError(
-                "backend is only valid with config (the adopted simulation "
-                "already chose its backend)"
-            )
-        self._adopted = simulation is not None
-        self.sim = (
-            simulation if simulation is not None
-            else Simulation(config, backend=backend or "python")
-        )
+        self.sim = simulation if simulation is not None else Simulation(config)
         self.config = self.sim.config
         self.engine = self.sim.engine
         self.phase = "idle"
@@ -180,36 +164,7 @@ class Session:
                 "probes must be attached before the first session phase"
             )
         self._probes.append(probe)
-        self._check_probe_backend(probe)
         return self
-
-    def _check_probe_backend(self, probe: Probe) -> None:
-        """Degrade a vectorized session to python for stall-observing probes.
-
-        The vectorized kernel never engages the scalar allocator's
-        blocked-verdict machinery, so ``on_alloc_stall`` would stay silent
-        under it; the python backend produces identical results and fires
-        the hook, so sessions that own their simulation simply rebuild it.
-        """
-        if getattr(self.sim, "backend_active", "python") != "vectorized":
-            return
-        if getattr(type(probe), "on_alloc_stall", None) is Probe.on_alloc_stall:
-            return
-        message = (
-            f"probe {type(probe).__name__} subscribes to on_alloc_stall, "
-            "which the vectorized kernel never fires; running the python "
-            "backend instead (results are identical)"
-        )
-        if self._adopted:
-            raise RuntimeError(
-                message + " — rebuild the adopted Simulation with "
-                "backend='python'"
-            )
-        import warnings
-
-        warnings.warn(message, RuntimeWarning, stacklevel=3)
-        self.sim = Simulation(self.config, backend="python")
-        self.engine = self.sim.engine
 
     def _wire(self) -> None:
         if self._wired:
@@ -495,26 +450,17 @@ class Session:
                 if name in channels:
                     raise ValueError(f"duplicate telemetry channel {name!r}")
                 channels[name] = payload
-        from .experiments.orchestrator import config_key  # local: avoid cycle
-
         engine = self.engine
         sim = self.sim
         provenance = {
             "schema_version": RECORD_SCHEMA_VERSION,
-            "config_key": config_key(
-                self.config, backend=getattr(sim, "backend_active", "python")
-            ),
-            "backend": getattr(sim, "backend_active", "python"),
-            "backend_requested": getattr(sim, "backend_requested", "python"),
+            "config_key": config_key(self.config),
             "engine_cycles": engine.now,
             "events_processed": engine.events_processed,
             "idle_cycles_skipped": engine.idle_cycles_skipped,
             "wall_time_s": round(self._wall_elapsed, 6),
             "probes": [type(probe).__name__ for probe in self._probes],
         }
-        fallback = getattr(sim, "backend_fallback_reason", None)
-        if fallback is not None:
-            provenance["backend_fallback_reason"] = fallback
         controller = getattr(sim, "fault_controller", None)
         if controller is not None:
             provenance["faults"] = controller.provenance()

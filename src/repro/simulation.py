@@ -135,14 +135,6 @@ class Simulation:
     :func:`~repro.routing.route_table.make_route_table`); answers are
     identical across modes, only construction memory/time differ.  Ignored
     when ``artifacts`` already carry a table.
-
-    ``backend`` selects the stepping backend: ``"python"`` (default, the
-    source of truth), ``"vectorized"`` (the numpy batch kernel of
-    :mod:`repro.kernel`; requires the ``[fast]`` extra) or ``"auto"``
-    (vectorized when available and supported, python otherwise).  Results
-    are bit-identical across backends; ``backend_active`` records what
-    actually runs and ``backend_fallback_reason`` why it differs from the
-    request (None when it doesn't).
     """
 
     def __init__(
@@ -151,7 +143,6 @@ class Simulation:
         *,
         use_reference_allocator: bool = False,
         artifacts: Optional[SimulationArtifacts] = None,
-        backend: str = "python",
         route_table_mode: str = "auto",
     ) -> None:
         config.validate()
@@ -208,17 +199,6 @@ class Simulation:
             from .faults import FaultController
 
             self.fault_controller = FaultController(self)
-        #: installed VectorizedKernel instance, or None on the python path.
-        self.kernel = None
-        self.backend_requested = backend
-        # Late import: the default ("python") path never touches the kernel
-        # package beyond this tiny resolver, and numpy only loads when a
-        # vectorized backend is actually requested.
-        from .kernel import resolve_backend
-
-        self.backend_active, self.backend_fallback_reason = resolve_backend(
-            self, backend
-        )
 
     # ------------------------------------------------------------------
     # Construction

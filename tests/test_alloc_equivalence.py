@@ -137,53 +137,6 @@ def test_link_callback_bodies_match_full_rescan(
     assert fast_result == ref_result
 
 
-def _has_numpy() -> bool:
-    from repro.kernel import numpy_or_none
-
-    return numpy_or_none() is not None
-
-
-@pytest.mark.skipif(not _has_numpy(), reason="vectorized backend needs numpy")
-@pytest.mark.parametrize("topology", TOPOLOGIES)
-@pytest.mark.parametrize("algorithm", ("min", "val"))
-@pytest.mark.parametrize("vc_policy", POLICIES)
-def test_vectorized_backend_matches_python(topology, algorithm, vc_policy):
-    """Python vs vectorized delivery-trace identity over the random matrix.
-
-    Reuses the allocator-equivalence matrix restricted to the kernel's
-    support envelope: min/val routing with statically partitioned buffers
-    (the adaptive routings and DAMQ run the python path by design — their
-    fallback behavior is covered in test_kernel_backend.py).  The same RNG
-    stream as the allocator test keeps the configurations identical, so a
-    trace drift here isolates the kernel rather than config generation.
-    """
-    rng = random.Random(hash((topology, algorithm, vc_policy)) & 0xFFFF)
-    for _ in range(VARIANTS):
-        config = _random_config(rng, topology, algorithm, vc_policy)
-        config = dataclasses.replace(
-            config,
-            router=dataclasses.replace(
-                config.router, buffer_organization="static"
-            ),
-        )
-        python_sim = Simulation(config)
-        python_trace = _delivery_trace(python_sim)
-        python_result = dataclasses.asdict(python_sim.run())
-        vector_sim = Simulation(config, backend="vectorized")
-        assert vector_sim.backend_active == "vectorized", \
-            vector_sim.backend_fallback_reason
-        vector_trace = _delivery_trace(vector_sim)
-        vector_result = dataclasses.asdict(vector_sim.run())
-        label = (f"{topology}/{algorithm}/{vc_policy} "
-                 f"{config.traffic.pattern}@{config.traffic.load} "
-                 f"{config.routing.vc_selection} seed={config.seed}")
-        assert python_trace, f"no deliveries in {label} (degenerate config)"
-        assert python_trace == vector_trace, \
-            f"vectorized delivery trace drifted: {label}"
-        assert python_result == vector_result, \
-            f"vectorized summary drifted: {label}"
-
-
 class TestInProcessReproducibility:
     """Per-simulation packet ids: sequential runs are exactly identical."""
 

@@ -101,32 +101,3 @@ def test_golden_result_bit_identical(name):
     assert not result["deadlock_suspected"]
     for key, value in expected.items():
         assert result[key] == value, f"{name}: {key} drifted"
-
-
-def _has_numpy() -> bool:
-    from repro.kernel import numpy_or_none
-
-    return numpy_or_none() is not None
-
-
-#: golden entries inside the vectorized kernel's support envelope (min/val
-#: routing on statically partitioned buffers, non-reactive traffic).
-_VECTORIZED_GOLDEN = (
-    "dragonfly min baseline uniform",
-    "dragonfly val flexvc adversarial",
-    "fb min baseline uniform",
-)
-
-
-@pytest.mark.skipif(not _has_numpy(), reason="vectorized backend needs numpy")
-@pytest.mark.parametrize("name", _VECTORIZED_GOLDEN)
-def test_golden_result_identical_under_vectorized_backend(name):
-    from repro.simulation import Simulation
-
-    kwargs, expected = GOLDEN[name]
-    sim = Simulation(build_config(**kwargs), backend="vectorized")
-    assert sim.backend_active == "vectorized", sim.backend_fallback_reason
-    result = asdict(sim.run())
-    assert not result["deadlock_suspected"]
-    for key, value in expected.items():
-        assert result[key] == value, f"{name}: {key} drifted under vectorized"

@@ -901,11 +901,36 @@ class TestSharedSweepResume:
         first = ResultStore(path, format="journal")
         stats = run_jobs(jobs, workers=1, store=first)
         assert stats.executed == 4
-        first.flush()
+        # Stores written while a stepping-backend option existed carry
+        # provenance/meta fields nothing reads any more: re-put two records
+        # in that shape — they must load, print and serve as cache hits.
+        dropped = {"backend": "vectorized", "backend_requested": "auto",
+                   "backend_fallback_reason": "numpy not installed"}
+        for job in jobs[:2]:
+            payload = first.get_record(job.key).to_dict()
+            payload["provenance"].update(dropped)
+            first.put_record(
+                job.key, RunRecord.from_dict(payload),
+                meta={"series": job.series, "load": job.load,
+                      "seed": job.seed, "backend": "vectorized"},
+            )
+        first.close()
         # a second sweep process (modeled by a fresh store object) resumes
         resumed = ResultStore(path)
         stats = run_jobs(jobs, workers=1, store=resumed)
         assert stats.cache_hits == 4 and stats.executed == 0
+        # ignored, not migrated: the old fields are plain dict entries
+        old = {key: (record, meta) for key, record, meta in resumed.entries()}
+        record, meta = old[jobs[0].key]
+        assert dropped.items() <= record.provenance.items()
+        assert meta["backend"] == "vectorized"
+        resumed.close()
+        inspect = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", "inspect", path],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert inspect.returncode == 0, inspect.stderr
+        assert inspect.stdout.count("series=shared") == 4
 
     def test_sweep_absorbs_peer_results_before_dispatch(self, tmp_path):
         path = str(tmp_path / "s.journal")

@@ -91,6 +91,19 @@ class TestKeys:
             assert job.key == config_key(job.config)
             assert job.network_key == network_key(job.config)
 
+    def test_keys_pinned_to_literals(self):
+        """Stores are addressed by these digests (taken at 8f5e6d3): a drift
+        passes every self-consistency check and only shows as a cold cache."""
+        from repro.experiments.runner import TINY, base_config
+
+        assert config_key(SimulationConfig()) == "6498ae9e3d6299285dbdc254"
+        assert network_key(SimulationConfig()) == "b3e6c5cf8b410f755003a927"
+        assert config_key(base_config(TINY)) == "fe8a19e68ef09c90bc6ab78c"
+        loaded = base_config(TINY).with_load(0.7)
+        assert config_key(loaded) == "87d45d214bdb85725d4d20cb"
+        spec = SweepSpec(series=[("tiny", lambda: base_config(TINY))], loads=[0.7])
+        assert [job.key for job in spec.expand()] == [config_key(loaded)]
+
     def test_network_key_ignores_load_seed_traffic(self):
         a = make_config().with_load(0.1)
         b = make_config().with_load(0.9).with_seed(7)
