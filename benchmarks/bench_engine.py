@@ -5,8 +5,8 @@ Run directly to (re)generate ``BENCH_engine.json`` at the repository root::
     PYTHONPATH=src python benchmarks/bench_engine.py            # full report
     PYTHONPATH=src python benchmarks/bench_engine.py --profile  # + cProfile
     PYTHONPATH=src python benchmarks/bench_engine.py --mem      # construction
-                                                # memory (peak RSS + tracemalloc
-                                                # deltas, dense vs lazy tables)
+                                                # memory (peak RSS +
+                                                # tracemalloc deltas)
 
 Measurements establishing the perf trajectory of the execution core:
 
@@ -151,7 +151,7 @@ def _peak_rss_bytes() -> int:
     return peak if sys.platform == "darwin" else peak * 1024
 
 
-def measure_construction_memory(config, route_table_mode: str = "auto") -> dict:
+def measure_construction_memory(config) -> dict:
     """Peak RSS and tracemalloc deltas for network + route-table construction.
 
     Used by ``--mem`` here and by ``benchmarks/bench_scale.py`` (which records
@@ -170,20 +170,18 @@ def measure_construction_memory(config, route_table_mode: str = "auto") -> dict:
     network_s = time.perf_counter() - start
     after_network, _ = tracemalloc.get_traced_memory()
 
-    from repro.routing.route_table import make_route_table
+    from repro.routing.route_table import RouteTable
 
     start = time.perf_counter()
-    table = make_route_table(topology, route_table_mode)
+    table = RouteTable(topology)
     table_s = time.perf_counter() - start
     after_table, _ = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
-    stats = table.table_stats()
     return {
         "topology": config.network.topology,
         "routers": topology.num_routers,
         "nodes": topology.num_nodes,
-        "route_table_mode": stats["mode"],
         "network_build_s": round(network_s, 3),
         "network_tracemalloc_bytes": after_network - base,
         "route_table_build_s": round(table_s, 3),
@@ -201,15 +199,14 @@ def report_memory() -> None:
     tiny = base_config(TINY, pattern="uniform", seed=7).with_load(0.2)
     small = base_config(SMALL, pattern="uniform", seed=7).with_load(0.2)
     for label, config in (("tiny", tiny), ("small", small)):
-        for mode in ("dense", "lazy"):
-            mem = measure_construction_memory(config, mode)
-            print(f"[{label}/{mode}] routers={mem['routers']} "
-                  f"network={mem['network_tracemalloc_bytes']}B "
-                  f"route_table={mem['route_table_tracemalloc_bytes']}B "
-                  f"route_state={mem['route_state_bytes']}B "
-                  f"({mem['route_state_bytes_per_router']}B/router) "
-                  f"build={mem['route_table_build_s']}s "
-                  f"peak_rss={mem['peak_rss_bytes'] / 1e6:.1f}MB")
+        mem = measure_construction_memory(config)
+        print(f"[{label}] routers={mem['routers']} "
+              f"network={mem['network_tracemalloc_bytes']}B "
+              f"route_table={mem['route_table_tracemalloc_bytes']}B "
+              f"route_state={mem['route_state_bytes']}B "
+              f"({mem['route_state_bytes_per_router']}B/router) "
+              f"build={mem['route_table_build_s']}s "
+              f"peak_rss={mem['peak_rss_bytes'] / 1e6:.1f}MB")
 
 
 def run_benchmark() -> dict:

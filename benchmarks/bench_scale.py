@@ -5,15 +5,16 @@ Run directly to (re)generate ``BENCH_scale.json`` at the repository root::
     PYTHONPATH=src python benchmarks/bench_scale.py           # full sweep
     PYTHONPATH=src python benchmarks/bench_scale.py --quick   # skip system scale
 
-Each entry measures, for one (scale, topology, route-table mode) triple:
+Each entry measures, for one (scale, topology) pair:
 
 * ``network_build_s`` / ``route_table_build_s`` — construction wall time,
-  with tracemalloc deltas attributing allocated bytes to each stage;
-* ``route_state_bytes`` / ``route_state_bytes_per_router`` — resident
-  route-table state.  Dense tables are Theta(n^2) total (linear per router,
-  growing with n); lazy tables are bounded by the LRU capacity, so
-  bytes/router *falls* with n once capacity < n — the sub-quadratic claim
-  this file exists to document;
+  with tracemalloc deltas attributing allocated bytes to each stage (a new
+  table holds the adjacency view only: columns are built on first touch,
+  during the session below);
+* ``route_state_bytes`` / ``route_state_bytes_per_router`` — route-table
+  state right after construction; ``table_stats`` has it after the session
+  (~2 bytes per source per resident column, bounded by the column
+  capacity, so bytes/router *falls* with n once capacity < n);
 * ``warm_cps`` — cycles/sec of a short warmup+measure session (offered
   load 0.2, or 0.1 at system scale, matching the ``system`` experiment
   registry; cold route-column faults included, so this is the honest
@@ -22,9 +23,7 @@ Each entry measures, for one (scale, topology, route-table mode) triple:
   subprocess so peaks are per-configuration, not cumulative.
 
 The ``system`` scale is the 10^5-endpoint target of ROADMAP item 4(c): an
-h=13 Dragonfly (339 groups, 8,814 routers, 114,582 nodes).  Dense mode is
-deliberately not measured there — a dense table alone would be ~1 GB and
-take minutes to fill; that infeasibility is the point of the lazy mode.
+h=13 Dragonfly (339 groups, 8,814 routers, 114,582 nodes).
 """
 
 from __future__ import annotations
@@ -42,21 +41,20 @@ except ImportError:  # pragma: no cover
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
 
-#: (label, topology, params, modes, warmup, measure, load) per benchmarked
-#: point.  Scales mirror the experiment registry (tiny/large/system Dragonfly)
-#: plus a 10^5-endpoint Megafly to show the lazy path is not
-#: Dragonfly-specific.
+#: (label, topology, params, warmup, measure, load) per benchmarked point.
+#: Scales mirror the experiment registry (tiny/large/system Dragonfly) plus a
+#: 10^5-endpoint Megafly to show the column path is not Dragonfly-specific.
 POINTS = [
-    ("tiny", "dragonfly", {"h": 2}, ("dense", "lazy"), 300, 600, 0.2),
-    ("large", "dragonfly", {"h": 6}, ("dense", "lazy"), 200, 400, 0.2),
-    ("system", "dragonfly", {"h": 13}, ("lazy",), 50, 100, 0.1),
+    ("tiny", "dragonfly", {"h": 2}, 300, 600, 0.2),
+    ("large", "dragonfly", {"h": 6}, 200, 400, 0.2),
+    ("system", "dragonfly", {"h": 13}, 50, 100, 0.1),
     ("system_megafly", "megafly",
      {"spines": 18, "leaves": 18, "h": 18, "nodes_per_router": 18},
-     ("lazy",), 50, 100, 0.1),
+     50, 100, 0.1),
 ]
 
 
-def measure_point(topology: str, params: dict, mode: str,
+def measure_point(topology: str, params: dict,
                   warmup: int, measure: int, load: float) -> dict:
     """Worker-side measurement (runs in a fresh subprocess for clean RSS)."""
     import dataclasses
@@ -72,9 +70,9 @@ def measure_point(topology: str, params: dict, mode: str,
         warmup_cycles=warmup, measure_cycles=measure,
     ).with_load(load)
 
-    entry = measure_construction_memory(config, mode)
+    entry = measure_construction_memory(config)
 
-    sim = Simulation(config, route_table_mode=mode)
+    sim = Simulation(config)
     session = Session(simulation=sim)
     start = time.perf_counter()
     session.warmup()
@@ -93,33 +91,30 @@ def measure_point(topology: str, params: dict, mode: str,
 
 def run_sweep(quick: bool = False) -> dict:
     report: dict = {}
-    for label, topology, params, modes, warmup, measure, load in POINTS:
+    for label, topology, params, warmup, measure, load in POINTS:
         if quick and label.startswith("system"):
             continue
-        for mode in modes:
-            key = f"{label}_{mode}"
-            print(f"measuring {key} ...", flush=True)
-            spec = json.dumps({"topology": topology, "params": params,
-                               "mode": mode, "warmup": warmup,
-                               "measure": measure, "load": load})
-            proc = subprocess.run(
-                [sys.executable, __file__, "--worker", spec],
-                capture_output=True, text=True, check=True,
-            )
-            report[key] = json.loads(proc.stdout)
-            entry = report[key]
-            print(f"  routers={entry['routers']} nodes={entry['nodes']} "
-                  f"table_build={entry['route_table_build_s']}s "
-                  f"route_state={entry['route_state_bytes_per_router']}B/router "
-                  f"warm_cps={entry['warm_cps']} "
-                  f"peak_rss={entry['peak_rss_bytes'] / 1e6:.0f}MB")
+        print(f"measuring {label} ...", flush=True)
+        spec = json.dumps({"topology": topology, "params": params,
+                           "warmup": warmup, "measure": measure,
+                           "load": load})
+        proc = subprocess.run(
+            [sys.executable, __file__, "--worker", spec],
+            capture_output=True, text=True, check=True,
+        )
+        entry = report[label] = json.loads(proc.stdout)
+        print(f"  routers={entry['routers']} nodes={entry['nodes']} "
+              f"table_build={entry['route_table_build_s']}s "
+              f"route_state={entry['table_stats']['route_state_bytes']}B "
+              f"warm_cps={entry['warm_cps']} "
+              f"peak_rss={entry['peak_rss_bytes'] / 1e6:.0f}MB")
     return report
 
 
 def main() -> None:
     if "--worker" in sys.argv:
         spec = json.loads(sys.argv[sys.argv.index("--worker") + 1])
-        entry = measure_point(spec["topology"], spec["params"], spec["mode"],
+        entry = measure_point(spec["topology"], spec["params"],
                               spec["warmup"], spec["measure"], spec["load"])
         print(json.dumps(entry))
         return

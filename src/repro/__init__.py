@@ -74,7 +74,7 @@ from .probes import (
     make_probes,
 )
 from .record import RunRecord
-from .routing import LazyRouteTable, RouteTable, make_route_table
+from .routing import RouteTable
 from .session import ConvergenceSettings, Session
 from .simulation import (
     Simulation,
@@ -155,6 +155,4 @@ __all__ = [
     "TOPOLOGIES",
     "register_topology",
     "RouteTable",
-    "LazyRouteTable",
-    "make_route_table",
 ]

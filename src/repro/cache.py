@@ -41,10 +41,6 @@ class BoundedLRU:
             self._entries[key] = value
         return value
 
-    def pop(self, key: Any) -> Optional[Any]:
-        """Remove and return ``key``'s value (None when absent)."""
-        return self._entries.pop(key, None)
-
     def put(self, key: Any, value: Any) -> None:
         self._entries.pop(key, None)
         while len(self._entries) >= self.max_entries:

@@ -29,11 +29,77 @@ as in Cray Cascade).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Dict, List, Optional
 
 from .arrangement import VcArrangement
 from .link_types import LinkType, MessageClass
 from .vc_policy import HopContext, HopKind, VcPolicy, VcRange
+
+
+class PhaseVcTable:
+    """Precomputed ``(phase_offsets, phase_position, link class) -> VC slot``.
+
+    The distance-based baseline aligns every hop onto a reference-path slot
+    through small integer arithmetic over the packet's phase state
+    (:meth:`DistanceBasedPolicy.slot_for`).  All inputs are tiny bounded
+    integers, so the whole function is enumerated once into a dense flat
+    table and each per-hop evaluation becomes a single indexed lookup
+    (inlined in ``slot_for``, which falls back to the closed form for inputs
+    outside the enumerated bounds).
+
+    Index layout (row-major):
+    ``(((((g?*L + lo)*G + go)*T + gt)*P + pos)*2 + has_global_remaining)``
+    with ``g?`` the output link class.
+    """
+
+    #: enumeration bounds: local/global offsets, globals-taken, position.
+    MAX_OFFSET = 8
+    MAX_TAKEN = 8
+    MAX_POSITION = 16
+
+    #: process-wide memo of ``slot_fn -> PhaseVcTable`` (see :meth:`shared`).
+    _SHARED: Dict[object, "PhaseVcTable"] = {}
+
+    @classmethod
+    def shared(cls, slot_fn: Callable[..., int]) -> "PhaseVcTable":
+        """Memoized table for ``slot_fn`` (one enumeration per process).
+
+        The table is a pure function of ``slot_fn``; every
+        :class:`DistanceBasedPolicy` instance uses the same static closed
+        form, so enumerating the ~65k-entry table once per *simulation*
+        (the pre-cache behaviour) wasted several milliseconds of every sweep
+        job.  Keyed by the underlying function (bound methods are unwrapped
+        via ``__func__``), so a different closed form — e.g. a subclass
+        override, whether static or a plain method — gets exactly one table
+        per class, never one per policy instance.
+
+        Contract: the closed form must be *pure in its arguments* — the
+        whole premise of enumerating it into a table.  An override that
+        reads per-instance state would be shared per class here and must
+        build its table with ``PhaseVcTable(fn)`` directly instead.
+        """
+        key = getattr(slot_fn, "__func__", slot_fn)
+        table = cls._SHARED.get(key)
+        if table is None:
+            table = cls._SHARED[key] = cls(slot_fn)
+        return table
+
+    def __init__(self, slot_fn: Callable[..., int]) -> None:
+        L = G = self.MAX_OFFSET
+        T = self.MAX_TAKEN
+        P = self.MAX_POSITION
+        table: List[int] = []
+        for out_is_global in (0, 1):
+            for lo in range(L):
+                for go in range(G):
+                    for gt in range(T):
+                        for pos in range(P):
+                            for has_global in (0, 1):
+                                table.append(
+                                    slot_fn(out_is_global, lo, go, gt, pos,
+                                            has_global)
+                                )
+        self._table = table
 
 
 class DistanceBasedPolicy(VcPolicy):
@@ -44,10 +110,7 @@ class DistanceBasedPolicy(VcPolicy):
         # Dense precomputed slot table (see PhaseVcTable): slot_for becomes
         # a single indexed lookup for in-bounds phase state.  The table is a
         # pure function of the (static) closed form, so it is built once per
-        # process and shared by every policy instance.  Function-level
-        # import: ``repro.routing`` imports ``repro.core`` at module load.
-        from ..routing.route_table import PhaseVcTable
-
+        # process and shared by every policy instance.
         self._slot_table = PhaseVcTable.shared(self._slot_closed_form)
         #: interned VcRange singletons per slot VC (ranges here are always
         #: single-VC; construction of the frozen dataclass is not free).

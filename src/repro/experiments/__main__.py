@@ -201,7 +201,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         adaptive=adaptive,
         converge=converge,
         verbose=args.verbose,
-        route_table_mode=args.route_table,
         job_timeout=args.job_timeout,
         faults=faults,
     ):
@@ -314,17 +313,12 @@ def cmd_inspect(args: argparse.Namespace) -> int:
                     f"{provenance.get('extrapolated_from_load')}"
                 )
             route_table = provenance.get("route_table")
-            if route_table:
-                mode = route_table.get("mode", "?")
-                if mode == "lazy":
-                    parts.append(
-                        f"route-table={mode} "
-                        f"(built {route_table.get('columns_built')}, "
-                        f"hits {route_table.get('hits')}, "
-                        f"evictions {route_table.get('evictions')})"
-                    )
-                else:
-                    parts.append(f"route-table={mode}")
+            if route_table and "columns_built" in route_table:
+                parts.append(
+                    f"route-table (built {route_table['columns_built']}, "
+                    f"hits {route_table.get('hits')}, "
+                    f"evictions {route_table.get('evictions')})"
+                )
             convergence = provenance.get("convergence")
             if convergence:
                 state = "converged" if convergence.get("converged") else "unconverged"
@@ -465,13 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default=FLUSH_INTERVAL_SECONDS, metavar="SECONDS",
                      help="seconds between mid-sweep result-store flushes "
                           f"(default: {FLUSH_INTERVAL_SECONDS})")
-    run.add_argument("--route-table", default="auto", dest="route_table",
-                     choices=("auto", "dense", "lazy"),
-                     help="route-table construction mode: auto (dense below "
-                          "the size threshold, lazy above; default), dense "
-                          "(full precomputed table), or lazy (per-destination "
-                          "columns in a bounded LRU); answers are identical, "
-                          "so cache keys are unaffected")
     run.add_argument("--probes", default=None, metavar="P1,P2",
                      help="attach registry probes to every executed point and "
                           "persist their telemetry channels alongside the "

@@ -153,10 +153,6 @@ class Job:
     probes: Tuple[str, ...] = ()
     network_key: str = ""
     converge: Optional[ConvergenceSettings] = None
-    #: route-table front-end ("auto"/"dense"/"lazy"); an execution strategy
-    #: with identical answers, so it is part of *neither* cache key —
-    #: stored results and construction artifacts are shared across modes.
-    route_table_mode: str = "auto"
 
 
 def store_key(job: Job) -> str:
@@ -251,9 +247,10 @@ class ArtifactCache:
 
     Worker processes live for a whole sweep, so jobs of the same series (and
     of every series sharing a network/routing substrate) reuse one topology
-    graph and one dense route table per worker instead of rebuilding them
-    per job.  Everything cached is immutable after construction, which keeps
-    reuse bit-identical to fresh builds (asserted by the sweep-scale tests).
+    graph and one route table per worker instead of rebuilding them per
+    job.  Pristine runs only add columns to a cached table (fault runs take
+    a private one), which keeps reuse bit-identical to fresh builds
+    (asserted by the sweep-scale tests).
     """
 
     def __init__(self, max_entries: int = 8) -> None:
@@ -261,24 +258,14 @@ class ArtifactCache:
         self.hits = 0
         self.misses = 0
 
-    def get(
-        self,
-        key: str,
-        config: SimulationConfig,
-        route_table_mode: str = "auto",
-    ) -> SimulationArtifacts:
-        """Artifacts for ``key``, built under ``route_table_mode`` on a miss.
-
-        The cache key stays mode-free on purpose: every route-table mode
-        answers identically, so artifacts built under one mode are valid
-        (and cheaper than a rebuild) for jobs requesting another.
-        """
+    def get(self, key: str, config: SimulationConfig) -> SimulationArtifacts:
+        """Artifacts for ``key``, built from ``config`` on a miss."""
         artifacts = self._entries.get(key)
         if artifacts is not None:
             self.hits += 1
             return artifacts
         self.misses += 1
-        artifacts = build_artifacts(config, key, route_table_mode=route_table_mode)
+        artifacts = build_artifacts(config, key)
         self._entries.put(key, artifacts)
         return artifacts
 
@@ -337,8 +324,7 @@ def _execute_job(job: Job) -> Tuple[str, RunRecord]:
 
     _apply_test_seams(job.key)
     artifacts = _WORKER_ARTIFACTS.get(
-        job.network_key or network_key(job.config), job.config,
-        route_table_mode=job.route_table_mode,
+        job.network_key or network_key(job.config), job.config
     )
     simulation = Simulation(job.config, artifacts=artifacts)
     session = Session(simulation=simulation, probes=make_probes(job.probes))
@@ -884,9 +870,6 @@ class OrchestrationContext:
     converge: Optional[ConvergenceSettings] = None
     #: stream progress/cache-hit lines to stderr while sweeping.
     verbose: bool = False
-    #: route-table front-end applied to jobs still carrying the auto
-    #: default (never part of cache keys — modes answer identically).
-    route_table_mode: str = "auto"
     #: per-job wall-clock budget in seconds (None = unlimited).  Enforced by
     #: the pool executor only; a hung job resolves to a stored
     #: :class:`JobFailure` instead of wedging the sweep.
@@ -913,7 +896,6 @@ def orchestration(
     adaptive: Optional[AdaptiveSettings] = None,
     converge: Optional[ConvergenceSettings] = None,
     verbose: bool = False,
-    route_table_mode: str = "auto",
     job_timeout: Optional[float] = None,
     faults: Optional["FaultSpec"] = None,
 ) -> Iterator[OrchestrationContext]:
@@ -924,20 +906,10 @@ def orchestration(
     executed inside the block (cached points are still served from the store
     without telemetry — use ``refresh``/``--force`` to re-run them probed).
     ``chunk_size``, ``adaptive`` and ``converge`` select the sweep-scale
-    execution modes documented on :func:`run_jobs`.  ``route_table_mode``
-    selects the route-table front-end
-    (:func:`~repro.routing.route_table.make_route_table`) for every job that
-    does not pin its own; being answer-identical, it never touches cache keys.
+    execution modes documented on :func:`run_jobs`.
     """
     if isinstance(store, str):
         store = ResultStore(store)
-    from ..routing.route_table import ROUTE_TABLE_MODES
-
-    if route_table_mode not in ROUTE_TABLE_MODES:
-        raise ValueError(
-            f"route_table_mode must be one of {ROUTE_TABLE_MODES}, "
-            f"got {route_table_mode!r}"
-        )
     context = OrchestrationContext(
         workers=max(1, int(workers)),
         store=store,
@@ -946,7 +918,6 @@ def orchestration(
         adaptive=adaptive,
         converge=converge,
         verbose=verbose,
-        route_table_mode=route_table_mode,
         job_timeout=job_timeout,
         faults=faults,
     )
@@ -1099,9 +1070,6 @@ def run_jobs(
             job = _apply_fault_spec(job, context.faults)
         if converge is not None and job.converge is None:
             job = replace(job, converge=converge)
-        if job.route_table_mode == "auto" and context.route_table_mode != "auto":
-            # Answer-identical execution strategy: no key changes.
-            job = replace(job, route_table_mode=context.route_table_mode)
         unique.append(job)
 
     stats = JobRunStats(results={})

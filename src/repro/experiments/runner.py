@@ -111,7 +111,7 @@ PAPER = ExperimentScale(
 )
 
 #: Mid-size scale: an h=6 Dragonfly (876 routers, 5,256 nodes).  Large enough
-#: that route-table layout matters, small enough for interactive sweeps.
+#: that route-table cost matters, small enough for interactive sweeps.
 LARGE = ExperimentScale(
     name="large",
     h=6,
@@ -122,9 +122,9 @@ LARGE = ExperimentScale(
 )
 
 #: System scale: an h=13 Dragonfly (339 groups, 8,814 routers, 114,582
-#: nodes — a 10^5-endpoint machine).  Dense route tables at this size cost
-#: ~1 GB; the "auto" route-table mode switches to lazy per-destination
-#: columns so construction stays fast and memory bounded.  Cycle counts are
+#: nodes — a 10^5-endpoint machine).  Route columns are built per
+#: destination on first touch (~2 bytes per source each), so construction
+#: stays fast and memory bounded.  Cycle counts are
 #: deliberately short: this scale exists for construction/warmup smoke runs
 #: (see ``benchmarks/bench_scale.py`` and the CI ``scale-smoke`` job), not
 #: for full sweeps under pure CPython.

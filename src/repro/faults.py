@@ -409,8 +409,6 @@ class FaultController:
         #: flat membership set the link wrappers test per delivery.
         self._dead_links: Set[_LinkKey] = set()
         self._dead_routers: Set[int] = set()
-        #: columns rebuilt with detours (re-invalidated on recovery).
-        self._fault_columns: Set[int] = set()
         self._validate_against(sim.topology)
         self._install()
 
@@ -504,11 +502,10 @@ class FaultController:
                 self._drop_reason(key, ("router", router))
             self._update_traffic_filter()
         self.faults_applied += 1
-        went_down = self._dead_links - before
-        went_up = before - self._dead_links
-        if went_down:
+        if self._dead_links - before:
             self._check_partition(event)
-        self._retable(went_down, went_up)
+        if self._dead_links != before:
+            self._retable()
         hook = self.on_fault_applied
         if hook is not None:
             hook(event, now)
@@ -617,39 +614,21 @@ class FaultController:
             )
 
     # -- re-table-ing --------------------------------------------------------
-    def _retable(self, went_down: Set[_LinkKey], went_up: Set[_LinkKey]) -> None:
-        """Incrementally rebuild only the route columns a transition touched.
+    def _retable(self) -> None:
+        """Hand the new dead sets to the route table and flush stale plans.
 
-        Down transitions invalidate every column currently routed through a
-        newly-dead directed link; up transitions re-invalidate every column
-        that was rebuilt with detours (restoring the pristine, byte-identical
-        fill once all faults have cleared).  Columns whose *destination* is a
-        dead router are deliberately left stale (sink-hole rule: packets flow
-        to the dead boundary and drop there with accounting).
+        The table drops exactly the resident columns the transition can
+        alter (:meth:`~repro.routing.route_table.RouteTable.set_fault_state`)
+        and rebuilds them on their next touch: the detour fill where the
+        pristine route crosses a dead link, the pristine, byte-identical
+        fill everywhere else — including every column once all faults have
+        cleared, and the column *to* a dead router (sink-hole rule: packets
+        flow to the dead boundary and drop there with accounting).
         """
-        if not went_down and not went_up:
-            return
-        table = self.sim.route_table
-        affected: Set[int] = set()
-        for router, port in sorted(went_down):
-            affected.update(table.columns_via(router, port))
-        if went_up:
-            affected.update(self._fault_columns)
-            affected.update(table._fault_dirty)
-        dead_routers = self._dead_routers
-        affected = {dst for dst in sorted(affected) if dst not in dead_routers}
-        table.set_fault_state(
-            frozenset(self._dead_links), frozenset(dead_routers)
+        self.columns_invalidated += self.sim.route_table.set_fault_state(
+            frozenset(self._dead_links), frozenset(self._dead_routers)
         )
-        for dst in sorted(affected):
-            table.invalidate(dst)
-            self.columns_invalidated += 1
-        if self._dead_links or dead_routers:
-            self._fault_columns |= affected
-        else:
-            self._fault_columns.clear()
-        if affected or went_down or went_up:
-            self._invalidate_plans()
+        self._invalidate_plans()
 
     def _invalidate_plans(self) -> None:
         """Flush every cached forwarding decision after a re-table.
@@ -800,7 +779,6 @@ class FaultController:
             "packets_dropped": self.packets_dropped,
             "packets_rerouted": self.packets_rerouted,
             "packets_suppressed": self.packets_suppressed,
-            "columns_invalidated": self.columns_invalidated,
         }
 
     def provenance(self) -> Dict[str, Any]:

@@ -13,7 +13,7 @@ from .base import CandidateHop, EjectionRequest, Plan, RoutingAlgorithm
 from .minimal import MinimalRouting
 from .par import ProgressiveAdaptiveRouting
 from .piggyback import PiggybackRouting
-from .route_table import LazyRouteTable, RouteTable, make_route_table
+from .route_table import RouteTable
 from .valiant import ValiantRouting
 
 _ALGORITHMS = {
@@ -35,9 +35,8 @@ def make_routing(
 ) -> RoutingAlgorithm:
     """Instantiate the routing algorithm named in ``config.algorithm``.
 
-    ``route_table`` shares one precomputed route table (:class:`RouteTable`
-    or :class:`LazyRouteTable`) across consumers; when omitted the algorithm
-    builds its own via :func:`make_route_table`.
+    ``route_table`` shares one :class:`RouteTable` across consumers; when
+    omitted the algorithm builds its own.
     """
     try:
         cls = _ALGORITHMS[config.algorithm]
@@ -56,7 +55,5 @@ __all__ = [
     "ProgressiveAdaptiveRouting",
     "PiggybackRouting",
     "RouteTable",
-    "LazyRouteTable",
-    "make_route_table",
     "make_routing",
 ]

@@ -35,7 +35,7 @@ from ..core.vc_policy import HopContext, HopKind, VcPolicy, VcRange
 from ..core.vc_selection import VcSelection
 from ..packet import Packet, RouteKind
 from ..topology.base import Topology
-from .route_table import make_route_table
+from .route_table import RouteTable
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..router.router import Router
@@ -142,12 +142,11 @@ class RoutingAlgorithm(ABC):
         self.config = config
         self.arrangement = arrangement
         self.rng = rng
-        #: precomputed minimal-route tables (dense or lazy column shards —
-        #: identical answers); every minimal next-port / hop-sequence query
-        #: on the hot path reads these instead of the topology's per-pair
-        #: computations.
+        #: minimal-route table; every minimal next-port / hop-sequence query
+        #: on the hot path reads its columns instead of the topology's
+        #: per-pair computations.
         self.route = (
-            route_table if route_table is not None else make_route_table(topology)
+            route_table if route_table is not None else RouteTable(topology)
         )
         #: reference-slot contribution of one minimal segment (phase), used to
         #: advance the baseline's slot offsets between phases.

@@ -26,7 +26,7 @@ from .packet import Packet
 from .router.router import Router
 from .router.saturation import SaturationBoard
 from .routing import make_routing
-from .routing.route_table import make_route_table, resolve_route_table_mode
+from .routing.route_table import RouteTable
 from .topology.base import Topology
 from .traffic import TrafficManager, make_generator
 
@@ -46,27 +46,24 @@ def build_topology(config: SimulationConfig) -> Topology:
 
 @dataclass
 class SimulationArtifacts:
-    """Immutable, reusable construction artifacts of one network description.
+    """Reusable construction artifacts of one network description.
 
     Everything here is a pure function of ``config.network`` (graph and
-    latencies): the built topology and the precomputed route table —
-    :class:`~repro.routing.route_table.RouteTable` (dense) or
-    :class:`~repro.routing.route_table.LazyRouteTable` (column shards), with
-    identical query answers (minimal next ports, hop sequences, first global
-    links, adjacency).  All of it is read-only after construction, so one
+    latencies): the built topology and its
+    :class:`~repro.routing.route_table.RouteTable` (minimal next ports, hop
+    sequences, first global links, adjacency; columns fill in on first
+    touch).  A pristine run only ever adds columns to the table, so one
     instance can back any number of simulations — the sweep orchestrator
     memoizes artifacts per worker keyed by ``network_key(config)`` and
     injects them via ``Simulation(cfg, artifacts=...)``, turning a 200-job
-    sweep's 200 rebuilds into a handful.  The network key deliberately stays
-    route-table-mode-free: modes answer identically, so cached artifacts are
-    shared across mode requests.
+    sweep's 200 rebuilds into a handful.
 
     ``network_key`` is informational (provenance/diagnostics); the caller is
     responsible for matching artifacts to configurations.
     """
 
     topology: Topology
-    route_table: object
+    route_table: RouteTable
     network_key: str = ""
 
 
@@ -75,7 +72,6 @@ def build_artifacts(
     network_key: str = "",
     *,
     cached: bool = True,
-    route_table_mode: str = "auto",
 ) -> SimulationArtifacts:
     """Build (or reuse) the shareable construction artifacts for ``config``.
 
@@ -86,28 +82,16 @@ def build_artifacts(
     per process, and evicting a topology from the registry cache releases
     its table with it (their lifetimes are one).  ``cached=False`` builds
     private instances (same contents).
-
-    ``route_table_mode`` selects the table front-end (``auto``/``dense``/
-    ``lazy``; see :func:`~repro.routing.route_table.make_route_table`).
-    Modes answer identically, so the memo is keyed by the *resolved* mode —
-    a dense and a lazy table may coexist on one topology, but re-requesting
-    a mode reuses its table.
     """
     if not cached:
         topology = config.network.build()
-        return SimulationArtifacts(
-            topology=topology,
-            route_table=make_route_table(topology, route_table_mode),
-            network_key=network_key,
-        )
-    topology = config.network.build_cached()
-    resolved = resolve_route_table_mode(route_table_mode, topology.num_routers)
-    memo_key = "_cached_route_table" if resolved == "dense" \
-        else "_cached_route_table_lazy"
-    route_table = topology.__dict__.get(memo_key)
-    if route_table is None:
-        route_table = make_route_table(topology, resolved)
-        topology.__dict__[memo_key] = route_table
+        route_table = RouteTable(topology)
+    else:
+        topology = config.network.build_cached()
+        route_table = topology.__dict__.get("_cached_route_table")
+        if route_table is None:
+            route_table = RouteTable(topology)
+            topology.__dict__["_cached_route_table"] = route_table
     return SimulationArtifacts(
         topology=topology, route_table=route_table, network_key=network_key
     )
@@ -127,14 +111,11 @@ class Simulation:
     (:class:`SimulationArtifacts`: topology + route table) instead of
     building them here.  The artifacts must describe ``config.network``; the
     sweep orchestrator guarantees this by keying its per-worker cache on
-    ``network_key(config)``.  Artifacts are read-only, so sharing them across
-    simulations is bit-identical to private builds.
-
-    ``route_table_mode`` selects the route-table front-end (``"auto"``,
-    ``"dense"``, ``"lazy"`` — see
-    :func:`~repro.routing.route_table.make_route_table`); answers are
-    identical across modes, only construction memory/time differ.  Ignored
-    when ``artifacts`` already carry a table.
+    ``network_key(config)``.  A pristine run only adds columns to the table,
+    so sharing artifacts across simulations is bit-identical to private
+    builds.  A run with
+    ``config.faults`` re-tables in place, so it takes a private table of the
+    injected table's capacity instead of the injected table itself.
     """
 
     def __init__(
@@ -143,7 +124,6 @@ class Simulation:
         *,
         use_reference_allocator: bool = False,
         artifacts: Optional[SimulationArtifacts] = None,
-        route_table_mode: str = "auto",
     ) -> None:
         config.validate()
         self.config = config
@@ -153,16 +133,16 @@ class Simulation:
         self.topology = (
             artifacts.topology if artifacts is not None else build_topology(config)
         )
-        #: precomputed minimal-route tables (dense, or lazy column shards on
-        #: large networks), shared by every routing consumer (plans, PAR/PB
-        #: sensing, saturation lookups).  Fault runs always build a private
-        #: table: re-table-ing mutates columns in place, and shared artifact
-        #: tables must stay read-only.
-        self.route_table = (
-            artifacts.route_table
-            if artifacts is not None and not config.faults
-            else make_route_table(self.topology, route_table_mode)
-        )
+        #: minimal-route table shared by every routing consumer (plans,
+        #: PAR/PB sensing, saturation lookups).
+        if artifacts is None:
+            self.route_table = RouteTable(self.topology)
+        elif config.faults:
+            self.route_table = RouteTable(
+                self.topology, capacity=artifacts.route_table.capacity
+            )
+        else:
+            self.route_table = artifacts.route_table
         self.metrics = MetricsCollector(
             num_nodes=self.topology.num_nodes,
             packet_size=config.traffic.packet_size,

@@ -5,9 +5,10 @@ The load-bearing guarantees:
 * **determinism** — a faulted run is bit-identical across in-process reruns
   for the same (seed, schedule), and a *no-fault* config hashes to the same
   ``config_key`` as before the subsystem existed (goldens untouched);
-* **re-table-ing equality** — after ``invalidate()`` under fault state, the
-  dense and lazy front-ends answer identically on every registered topology,
-  and recovery rebuilds columns byte-identical to the pristine fill;
+* **re-table-ing** — under fault state the route table detours around the
+  dead links on every registered topology, and recovery rebuilds columns
+  byte-identical to the pristine fill (``tests/test_route_tables.py`` holds
+  the generated columns-are-a-pure-function-of-the-dead-set test);
 * **partition detection** — a schedule that disconnects the live graph
   raises a typed :class:`~repro.faults.NetworkPartitionedError`;
 * **conservation** — with the drop policy, every packet that entered the
@@ -33,8 +34,9 @@ from repro.faults import (
     RouterUp,
     parse_faults,
 )
-from repro.routing.route_table import LazyRouteTable, RouteTable
+from repro.routing.route_table import RouteTable
 from repro.session import Session
+from repro.simulation import Simulation, SimulationArtifacts
 from repro.topology import TOPOLOGIES
 from repro.topology.base import LinkType
 
@@ -164,6 +166,39 @@ class TestFaultedRunDeterminism:
         dict_b["provenance"].pop("wall_time_s")
         assert dict_a == dict_b
 
+    @pytest.mark.parametrize("down_cycle, delivered", [(1, 2745), (400, 2711)])
+    def test_result_independent_of_route_table_capacity(self, down_cycle, delivered):
+        # A column first built while a fault is active must equal one that
+        # was resident when the fault fired: the link goes down before
+        # (cycle 1) or after (cycle 400) the columns are first touched, and
+        # a capacity-2 table rebuilds them all the time.
+        config = flap_config("drop")
+        port = config.faults.events[0].port
+        schedule = FaultSchedule(
+            events=(LinkDown(down_cycle, 0, port), LinkUp(900, 0, port)),
+            policy="drop",
+        )
+        config = dataclasses.replace(config, faults=schedule)
+        topology = config.network.build()
+        runs = []
+        for capacity in (None, 2):
+            table = RouteTable(topology, capacity=capacity)
+            sim = Simulation(
+                config, artifacts=SimulationArtifacts(topology, table)
+            )
+            # A faulted run re-tables a private table of the same capacity.
+            assert sim.route_table is not table
+            assert sim.route_table.capacity == table.capacity
+            session = Session(simulation=sim)
+            session.warmup()
+            runs.append(
+                [dataclasses.asdict(session.measure()) for _ in range(3)]
+            )
+            assert (sim.route_table.evictions > 0) == (capacity == 2)
+        default, evicting = runs
+        assert evicting == default
+        assert default[0]["packets_delivered"] == delivered
+
     def test_transient_visible_in_window_summaries(self):
         session, results, record = run_session(flap_config("drop"))
         controller = session.sim.fault_controller
@@ -176,6 +211,7 @@ class TestFaultedRunDeterminism:
         # recovery at 900 lands on the boundary and shows from window 1 on —
         # the cumulative counters make the transient *visible per window*.
         assert results[0].extra["faults_applied"] >= 1
+        assert "columns_invalidated" not in results[0].extra  # cache state
         assert results[-1].extra["faults_applied"] == 2
         assert results[0].extra["packets_dropped"] > 0
         assert results[-1].extra["packets_dropped"] == controller.packets_dropped
@@ -184,6 +220,7 @@ class TestFaultedRunDeterminism:
         assert provenance["policy"] == "drop"
         assert provenance["schedule_digest"] == flap_config().faults.digest()
         assert provenance["packets_dropped"] == controller.packets_dropped
+        assert provenance["columns_invalidated"] == controller.columns_invalidated
 
     def test_stall_policy_drops_nothing(self):
         session, _, _ = run_session(flap_config("stall"))
@@ -289,7 +326,7 @@ class TestPartitionDetection:
 
 
 # ---------------------------------------------------------------------------
-# Route-table invalidation: dense/lazy equality and recovery byte-identity
+# Route-table invalidation: detours and recovery byte-identity
 # ---------------------------------------------------------------------------
 
 def _dead_pair(table, router=0, port=0):
@@ -299,30 +336,20 @@ def _dead_pair(table, router=0, port=0):
     return frozenset({(router, port), (other, back)})
 
 
-class TestFaultRetabling:
-    def test_lazy_matches_dense_under_fault_state(self, topo):
-        n = topo.num_routers
-        dense = RouteTable(topo)
-        lazy = LazyRouteTable(topo)
-        dead = _dead_pair(dense)
-        for table in (dense, lazy):
-            table.set_fault_state(dead, frozenset())
-            for dst in range(n):
-                table.invalidate(dst)
-        for dst in range(n):
-            for src in range(n):
-                assert lazy.next_port(src, dst) == dense.next_port(src, dst)
-                assert lazy.hop_sequence(src, dst) == dense.hop_sequence(src, dst)
-                assert lazy.distance(src, dst) == dense.distance(src, dst)
-                assert (lazy.first_global_link(src, dst)
-                        == dense.first_global_link(src, dst))
+def _column_bytes(table):
+    """Every column's stored arrays, touching (building) each one."""
+    return [
+        (bytes(col.ports), bytes(col.seq_ids))
+        for col in map(table.column, range(table.num_routers))
+    ]
 
+
+class TestFaultRetabling:
     def test_detours_avoid_the_dead_link(self, topo):
         table = RouteTable(topo)
+        _column_bytes(table)  # every pristine column resident
         dead = _dead_pair(table)
-        table.set_fault_state(dead, frozenset())
-        for dst in range(topo.num_routers):
-            table.invalidate(dst)
+        assert table.set_fault_state(dead, frozenset()) > 0
         for dst in range(topo.num_routers):
             for src in range(topo.num_routers):
                 if src == dst:
@@ -334,22 +361,20 @@ class TestFaultRetabling:
     def test_recovery_restores_pristine_bytes(self, topo):
         pristine = RouteTable(topo)
         table = RouteTable(topo)
-        dead = _dead_pair(table)
-        table.set_fault_state(dead, frozenset())
-        for dst in range(topo.num_routers):
-            table.invalidate(dst)
-        # Recovery: clear the fault state, re-invalidate what was filled
-        # under faults, and the pristine fill must come back byte-identical
+        expected = _column_bytes(pristine)
+        assert _column_bytes(table) == expected
+        table.set_fault_state(_dead_pair(table), frozenset())
+        assert _column_bytes(table) != expected
+        # Recovery: clearing the fault state drops what was filled under
+        # faults, and the pristine fill must come back byte-identical
         # (persistent sequence interning keeps ids stable across rebuilds).
         table.set_fault_state(frozenset(), frozenset())
-        for dst in sorted(table._fault_dirty):
-            table.invalidate(dst)
-        assert bytes(table._seq_ids) == bytes(pristine._seq_ids)
-        assert bytes(table._next_port) == bytes(pristine._next_port)
+        assert _column_bytes(table) == expected
+        assert not table._fault_dirty
         # Persistent interning: the pristine ids are a stable prefix (detour
         # sequences interned during the fault stay allocated but unreferenced).
-        prefix = len(pristine._sequences)
-        assert table._sequences[:prefix] == pristine._sequences
+        prefix = len(pristine.sequences)
+        assert table.sequences[:prefix] == pristine.sequences
 
     def test_unreachable_destination_raises(self, topo):
         table = RouteTable(topo)
@@ -360,23 +385,26 @@ class TestFaultRetabling:
                 dead |= _dead_pair(table, 0, port)
         table.set_fault_state(frozenset(dead), frozenset())
         with pytest.raises(NetworkPartitionedError):
-            table.invalidate(0)
+            table.column(0)
 
     def test_dead_destination_keeps_stale_column(self, topo):
-        # Sink-hole rule: columns *to* a dead router are never recomputed.
+        # Sink-hole rule: the column *to* a dead router keeps its pristine
+        # fill, whether it was resident when the router died or not.
         pristine = RouteTable(topo)
-        table = RouteTable(topo)
         dead_router = pristine._neighbor[0]
         dead = set()
-        for port in range(table._ports_per_router):
-            if table._neighbor[dead_router * table._ports_per_router + port] >= 0:
-                dead |= _dead_pair(table, dead_router, port)
-        table.set_fault_state(frozenset(dead), frozenset({dead_router}))
-        table.invalidate(dead_router)
-        for src in range(topo.num_routers):
-            assert table.next_port(src, dead_router) == pristine.next_port(
-                src, dead_router
-            )
+        for port in range(pristine._ports_per_router):
+            if pristine._neighbor[dead_router * pristine._ports_per_router + port] >= 0:
+                dead |= _dead_pair(pristine, dead_router, port)
+        for resident in (True, False):
+            table = RouteTable(topo)
+            if resident:
+                table.column(dead_router)
+            table.set_fault_state(frozenset(dead), frozenset({dead_router}))
+            for src in range(topo.num_routers):
+                assert table.next_port(src, dead_router) == pristine.next_port(
+                    src, dead_router
+                )
 
 
 # ---------------------------------------------------------------------------

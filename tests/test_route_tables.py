@@ -1,29 +1,33 @@
-"""Route-table construction modes: dense precompute vs lazy column cache.
+"""The route table: per-destination columns checked against the topology walk.
 
-The dense table and the lazy per-destination column cache are two front-ends
-over the same suffix-merge column fill, so every query — ``next_port``,
-``hop_sequence``, ``distance``, ``first_global_link`` — must answer
-identically for every (src, dst) pair on every registered topology, under
-any LRU capacity (evicted columns must rebuild byte-identically).  Simulation
-results and fingerprints must not depend on the mode at all.
+``RouteTable`` builds a destination's column on first touch and answers
+``next_port``, ``hop_sequence``, ``distance`` and ``first_global_link`` from
+it.  The oracle is the topology itself (``min_next_port`` /
+``min_hop_sequence``), on every registered topology and under any capacity:
+an evicted column must rebuild byte-identically, a simulation's results must
+not depend on the capacity, and — under faults — every column must be a pure
+function of the current dead set, whatever was resident when it changed.
+
+(The class names predate the single table — they used to compare a dense
+and a lazy front-end — and are kept so the test ids stay stable.)
 """
 
 import dataclasses
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Session, Simulation, SimulationConfig
-from repro.config import NetworkConfig
+from repro.core.link_types import LinkType
+from repro.faults import NetworkPartitionedError
 from repro.routing.route_table import (
     DEFAULT_LAZY_STATE_BUDGET,
-    DENSE_ROUTER_THRESHOLD,
-    LazyRouteTable,
     RouteTable,
     make_route_table,
-    resolve_route_table_mode,
 )
-from repro.simulation import build_artifacts
+from repro.simulation import SimulationArtifacts
 from repro.topology import TOPOLOGIES
 
 # One representative instance per registered topology (kept in sync with the
@@ -45,39 +49,70 @@ def topo_fixture(request):
     return TOPOLOGIES.build(request.param, REGISTRY_INSTANCES[request.param])
 
 
-def assert_tables_agree(dense, lazy, n):
+def walked_first_global(topo, src, dst):
+    """(owner, global-port index) of the first GLOBAL hop of the walked
+    minimal path, or None when it stays on LOCAL links."""
+    current = src
+    while current != dst:
+        port = topo.min_next_port(current, dst)
+        if topo.link_type(current, port) == LinkType.GLOBAL:
+            return current, topo.global_port_index(current, port)
+        current = topo.neighbor(current, port)
+    return None
+
+
+def assert_matches_topology(query, topo):
+    """``query(src, dst)`` yields the four answers; compare with the walk."""
+    n = topo.num_routers
     for dst in range(n):
         for src in range(n):
-            assert lazy.next_port(src, dst) == dense.next_port(src, dst)
-            assert lazy.hop_sequence(src, dst) == dense.hop_sequence(src, dst)
-            assert lazy.distance(src, dst) == dense.distance(src, dst)
-            assert (lazy.first_global_link(src, dst)
-                    == dense.first_global_link(src, dst))
+            next_port, hop_sequence, distance, first_global_link = query(src, dst)
+            sequence = topo.min_hop_sequence(src, dst)
+            assert next_port == topo.min_next_port(src, dst)
+            assert hop_sequence == sequence
+            assert distance == len(sequence)
+            assert first_global_link == walked_first_global(topo, src, dst)
+
+
+def pair_api(table):
+    return lambda src, dst: (
+        table.next_port(src, dst), table.hop_sequence(src, dst),
+        table.distance(src, dst), table.first_global_link(src, dst),
+    )
+
+
+def column_bytes(col):
+    return bytes(col.ports), bytes(col.seq_ids), col.first_global.tobytes()
+
+
+def column_answers(col):
+    """Like :func:`column_bytes`, with the sequence ids decoded: two tables
+    intern sequences in the order they meet them, so ids are comparable only
+    between tables touched in the same order."""
+    return (bytes(col.ports), [col.sequences[i] for i in col.seq_ids],
+            col.first_global.tobytes())
 
 
 class TestLazyDenseEquality:
     def test_full_table_equality(self, topo):
-        dense = RouteTable(topo)
-        lazy = LazyRouteTable(topo)
-        assert_tables_agree(dense, lazy, topo.num_routers)
+        assert_matches_topology(pair_api(RouteTable(topo)), topo)
 
     def test_equality_under_heavy_eviction(self, topo):
         # capacity 2 forces near-constant eviction; answers must not change.
-        dense = RouteTable(topo)
-        lazy = LazyRouteTable(topo, capacity=2)
-        assert_tables_agree(dense, lazy, topo.num_routers)
-        assert lazy.evictions > 0
+        table = RouteTable(topo, capacity=2)
+        assert_matches_topology(pair_api(table), topo)
+        assert table.evictions > 0
 
     def test_column_views_agree(self, topo):
-        dense = RouteTable(topo)
-        lazy = LazyRouteTable(topo)
-        for dst in range(topo.num_routers):
-            dcol, lcol = dense.column(dst), lazy.column(dst)
-            for src in range(topo.num_routers):
-                assert lcol.next_port(src) == dcol.next_port(src)
-                assert lcol.hop_sequence(src) == dcol.hop_sequence(src)
-                assert lcol.distance(src) == dcol.distance(src)
-                assert lcol.first_global_link(src) == dcol.first_global_link(src)
+        table = RouteTable(topo)
+
+        def column_api(src, dst):
+            col = table.column(dst)
+            assert col is table.column(dst)  # resident: the same view
+            return (col.next_port(src), col.hop_sequence(src),
+                    col.distance(src), col.first_global_link(src))
+
+        assert_matches_topology(column_api, topo)
 
     def test_min_next_ports_to_matches_pairwise(self, topo):
         # The batch column fill (closed-form where overridden) must agree
@@ -92,104 +127,167 @@ class TestLazyDenseEquality:
 
 class TestLruEviction:
     def test_evicted_columns_rebuild_identically(self, topo):
-        lazy = LazyRouteTable(topo, capacity=2)
         n = topo.num_routers
-        first = {}
-        for dst in range(n):
-            col = lazy.column(dst)
-            first[dst] = (bytes(col.seq_ids), bytes(col.ports),
-                          col.first_global.tobytes())
-        # All but the last 2 columns have been evicted; touch them again and
-        # byte-compare the rebuilt arrays.
-        built_before = lazy.columns_built
-        for dst in range(n):
-            col = lazy.column(dst)
-            assert (bytes(col.seq_ids), bytes(col.ports),
-                    col.first_global.tobytes()) == first[dst]
-        assert lazy.columns_built > built_before  # recomputation happened
+        default = RouteTable(topo)
+        table = RouteTable(topo, capacity=2)
+        first = [column_bytes(default.column(dst)) for dst in range(n)]
+        assert default.evictions == 0 and default.columns_built == n
+        # Two passes: by the second, all but the last 2 columns have been
+        # evicted once; the rebuilt arrays must equal the default table's.
+        for _ in range(2):
+            for dst in range(n):
+                assert column_bytes(table.column(dst)) == first[dst]
+        assert table.columns_built == 2 * n  # recomputation happened
+
+    def test_oldest_built_column_is_evicted(self, topo):
+        table = RouteTable(topo, capacity=2)
+        a, b = table.column(0), table.column(1)
+        assert table.column(0) is a  # a hit does not refresh build order
+        table.column(2)
+        assert table.column(1) is b  # 0 was the oldest build, not 1
+        assert table.column(0) is not a
+        assert table.table_stats()["evictions"] == 2
 
     def test_stats_accounting(self, topo):
-        lazy = LazyRouteTable(topo, capacity=4)
+        table = RouteTable(topo, capacity=4)
         n = topo.num_routers
         for dst in range(n):
-            lazy.column(dst)
-        lazy.column(n - 1)  # hit
-        stats = lazy.table_stats()
-        assert stats["mode"] == "lazy"
+            table.column(dst)
+        table.column(n - 1)  # hit
+        stats = table.table_stats()
+        assert "mode" not in stats
         assert stats["routers"] == n
         assert stats["capacity"] == 4
         assert stats["columns_built"] == n
         assert stats["columns_resident"] == min(4, n)
-        assert stats["hits"] >= 1
+        assert stats["hits"] == 1
         assert stats["misses"] == n
         assert stats["evictions"] == stats["columns_built"] - stats["columns_resident"]
-        assert stats["route_state_bytes"] > 0
+        assert stats["route_state_bytes"] == table.route_state_bytes() > 0
 
     def test_capacity_clamped_to_table_size(self, topo):
-        lazy = LazyRouteTable(topo, capacity=10**9)
-        assert lazy.capacity == topo.num_routers
-        lazy = LazyRouteTable(topo, capacity=0)
-        assert lazy.capacity == 1
+        assert RouteTable(topo, capacity=10**9).capacity == topo.num_routers
+        assert RouteTable(topo, capacity=0).capacity == 1
 
 
 class TestModeResolution:
-    def test_auto_picks_dense_below_threshold(self):
-        assert resolve_route_table_mode("auto", DENSE_ROUTER_THRESHOLD) == "dense"
-        assert resolve_route_table_mode("auto", DENSE_ROUTER_THRESHOLD + 1) == "lazy"
-
-    def test_explicit_modes_pass_through(self):
-        assert resolve_route_table_mode("dense", 10**6) == "dense"
-        assert resolve_route_table_mode("lazy", 4) == "lazy"
+    """``make_route_table`` — the seam the frozen ledger still calls."""
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_route_table_mode("sparse", 10)
+        topo = TOPOLOGIES.build("dragonfly", REGISTRY_INSTANCES["dragonfly"])
+        for mode in ("sparse", "dense", ""):
+            with pytest.raises(ValueError):
+                make_route_table(topo, mode)
 
     def test_factory_returns_matching_class(self, topo):
-        assert isinstance(make_route_table(topo, "dense"), RouteTable)
-        assert isinstance(make_route_table(topo, "lazy"), LazyRouteTable)
-        # tiny topologies resolve auto -> dense
-        assert isinstance(make_route_table(topo, "auto"), RouteTable)
+        for table in (make_route_table(topo), make_route_table(topo, "auto"),
+                      make_route_table(topo, "lazy")):
+            assert type(table) is RouteTable
+            assert table.capacity == topo.num_routers
 
     def test_default_capacity_is_bounded(self, topo):
-        lazy = LazyRouteTable(topo)
+        table = RouteTable(topo)
         # The byte budget always exceeds 2n bytes for registry-sized
         # topologies, so the default clamps to one column per destination;
         # resident state can never exceed the budget either way.
-        assert lazy.capacity == topo.num_routers
-        assert lazy.capacity * 2 * topo.num_routers <= DEFAULT_LAZY_STATE_BUDGET
+        assert table.capacity == topo.num_routers
+        assert table.capacity * 2 * topo.num_routers <= DEFAULT_LAZY_STATE_BUDGET
 
 
 class TestSimulationEquivalence:
     def test_result_fingerprint_identical_under_lazy(self):
+        # A table that evicts all the time runs the same simulation.
         config = SimulationConfig()
-        dense = dataclasses.asdict(
-            Simulation(config, route_table_mode="dense").run())
-        lazy = dataclasses.asdict(
-            Simulation(config, route_table_mode="lazy").run())
-        assert lazy == dense
-
-    def test_build_artifacts_honors_mode(self):
-        config = SimulationConfig()
-        artifacts = build_artifacts(config, cached=False,
-                                    route_table_mode="lazy")
-        assert isinstance(artifacts.route_table, LazyRouteTable)
+        topology = config.network.build()
+        default, evicting = (
+            dataclasses.asdict(Simulation(config, artifacts=SimulationArtifacts(
+                topology, RouteTable(topology, capacity=capacity))).run())
+            for capacity in (None, 2)
+        )
+        assert evicting == default
 
     def test_provenance_surfaces_table_stats(self):
-        sim = Simulation(SimulationConfig(), route_table_mode="lazy")
-        session = Session(simulation=sim)
+        session = Session(SimulationConfig())
         session.warmup(50)
         session.measure(100)
-        record = session.record()
-        stats = record.provenance["route_table"]
-        assert stats["mode"] == "lazy"
+        stats = session.record().provenance["route_table"]
+        assert "mode" not in stats
         assert stats["columns_built"] >= 1
         assert stats["hits"] + stats["misses"] > 0
 
 
+# -- columns are a pure function of (topology, dst, current dead set) --------
+
+def _physical_links(table):
+    """Both directed keys of every physical link, in a canonical order."""
+    per = table._ports_per_router
+    back = table._back_ports()
+    links = []
+    for index, other in enumerate(table._neighbor):
+        router, port = divmod(index, per)
+        if other >= 0 and (router, port) < (other, back[index]):
+            links.append(frozenset({(router, port), (other, back[index])}))
+    return links
+
+
+_LINKS = {
+    name: _physical_links(RouteTable(TOPOLOGIES.build(name, params)))
+    for name, params in REGISTRY_INSTANCES.items()
+}
+
+
+def _fresh_columns(topo, dead):
+    """What a new table builds for every destination under ``dead``."""
+    table = RouteTable(topo)
+    table.set_fault_state(dead, frozenset())
+    return [column_answers(table.column(dst)) for dst in range(topo.num_routers)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_columns_are_a_pure_function_of_the_dead_set(data):
+    name = data.draw(st.sampled_from(sorted(REGISTRY_INSTANCES)), label="topology")
+    topo = TOPOLOGIES.build(name, REGISTRY_INSTANCES[name])
+    n = topo.num_routers
+    links = _LINKS[name]
+    capacity = data.draw(st.sampled_from([1, 2, n // 2, None]), label="capacity")
+    dead_sets = data.draw(
+        st.lists(st.sets(st.sampled_from(range(len(links))),
+                         min_size=1, max_size=3), min_size=1, max_size=3),
+        label="successive dead sets",
+    )
+    touches = st.lists(st.integers(0, n - 1), max_size=2 * n)
+    pristine = _fresh_columns(topo, frozenset())
+    table = RouteTable(topo, capacity=capacity)
+    for dst in data.draw(touches, label="touched while pristine"):
+        assert column_answers(table.column(dst)) == pristine[dst]
+    # Each step swaps the whole dead set (links fail and recover at once) and
+    # then touches columns, so later steps start from every mix of resident
+    # pristine, resident detour, evicted and never-built columns.  The last
+    # step is full recovery.
+    for chosen in dead_sets + [set()]:
+        dead = frozenset().union(*(links[i] for i in chosen))
+        try:
+            expected = _fresh_columns(topo, dead)
+        except NetworkPartitionedError:
+            continue  # a partitioning dead set is refused, not routed
+        table.set_fault_state(dead, frozenset())
+        for dst in data.draw(touches, label="touched under this dead set"):
+            assert column_answers(table.column(dst)) == expected[dst]
+        resident = [dst for dst in range(n) if table._columns[dst] is not None]
+        assert sorted(table._build_order) == resident
+        assert len(resident) <= table.capacity
+        for dst in resident:
+            assert column_answers(table._columns[dst]) == expected[dst]
+        # A detour fill is taken iff the pristine route crosses a dead link.
+        assert table._fault_dirty == {
+            dst for dst in resident if expected[dst] != pristine[dst]
+        }
+    assert not table._fault_dirty
+
+
 class TestGlobalPortIndexCache:
     def test_cached_index_matches_scan(self, topo):
-        from repro.core.link_types import LinkType
         for router in range(topo.num_routers):
             expected = {}
             for info in topo.ports(router):
@@ -200,7 +298,6 @@ class TestGlobalPortIndexCache:
                 assert topo.global_port_index(router, port) == index
 
     def test_non_global_port_still_raises(self, topo):
-        from repro.core.link_types import LinkType
         for info in topo.ports(0):
             if info.link_type != LinkType.GLOBAL:
                 with pytest.raises(ValueError):
@@ -214,8 +311,8 @@ class TestGlobalPortIndexCache:
                            "construction smoke test (several minutes, ~GB RSS)")
 def test_system_scale_constructs_within_budget():
     """A 10^5-endpoint Dragonfly constructs and runs a short warmup+measure
-    session in lazy mode within the CI scale-smoke budget (wall clock is
-    enforced by the job timeout; RSS is asserted here)."""
+    session within the CI scale-smoke budget (wall clock is enforced by the
+    job timeout; RSS is asserted here)."""
     import resource
     import sys
 
@@ -223,14 +320,13 @@ def test_system_scale_constructs_within_budget():
 
     network = SYSTEM.network_for("dragonfly")
     config = SimulationConfig(network=network).with_load(SYSTEM.loads[0])
-    sim = Simulation(config, route_table_mode="auto")
-    assert isinstance(sim.route_table, LazyRouteTable)
+    sim = Simulation(config)
     assert sim.topology.num_nodes >= 100_000
     session = Session(simulation=sim)
     session.warmup(SYSTEM.warmup_cycles)
     session.measure(SYSTEM.measure_cycles)
-    record = session.record()
-    assert record.provenance["route_table"]["mode"] == "lazy"
+    stats = session.record().provenance["route_table"]
+    assert stats["evictions"] == 0
 
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     peak_bytes = peak_kb * (1 if sys.platform == "darwin" else 1024)
