@@ -13,12 +13,11 @@ at any scale, with parallel workers and a persistent result cache::
 Results are persisted to a store keyed by a content hash of each point's
 complete :class:`~repro.config.SimulationConfig` (default
 ``results/store.json``), so re-running a figure serves every already-computed
-point from cache — interrupted sweeps resume instead of recomputing.  New
-stores default to the crash-safe *journal* format (append-only, checksummed,
-safe for concurrent sweep processes sharing one path; see
-:mod:`repro.store`); ``--store-format json`` keeps the legacy monolithic
-JSON file, and existing stores of either format are auto-detected.  Stored
-entries are versioned :class:`~repro.record.RunRecord` payloads; ``--probes``
+point from cache — interrupted sweeps resume instead of recomputing.  The
+store is a crash-safe journal (append-only, checksummed, safe for concurrent
+sweep processes sharing one path; see :mod:`repro.store`); a monolithic JSON
+store written by earlier code is imported on open and replaced by a journal
+the first time the sweep writes to it.  Stored entries are versioned :class:`~repro.record.RunRecord` payloads; ``--probes``
 attaches registry probes to every executed point so telemetry channels are
 persisted alongside the summaries, and ``inspect`` pretty-prints them
 (``--verbose`` adds store durability statistics).
@@ -35,7 +34,6 @@ from typing import Callable, Dict, Sequence
 from ..faults import parse_faults
 from ..probes import PROBES, make_probes
 from ..session import ConvergenceSettings
-from ..store import STORE_FORMATS
 from . import figures, tables, topologies
 from .formatting import render_bar_table, render_series_table
 from .orchestrator import (
@@ -184,8 +182,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise SystemExit(f"--faults: {exc}") from None
     try:
         store = ResultStore(
-            args.store, refresh=args.force, flush_interval=args.flush_interval,
-            format=args.store_format,
+            args.store, refresh=args.force, flush_interval=args.flush_interval
         )
     except StoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -249,23 +246,22 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         return 2
     if args.verbose:
         info = store.describe()
-        parts = [f"format={info.get('format')}", f"entries={info.get('entries')}"]
-        if info.get("format") == "journal":
-            parts.append(f"journal-ops={info.get('journal_ops')}")
-            parts.append(f"superseded={info.get('superseded')}")
-            parts.append(f"compactions={info.get('compactions')}")
-            parts.append(
-                f"torn-salvages={info.get('torn_salvages')}"
-                + (
-                    f" ({info.get('torn_bytes_dropped')} bytes dropped)"
-                    if info.get("torn_salvages") else ""
-                )
-            )
-            parts.append(f"resident-bytes={info.get('resident_bytes')}")
-            parts.append(f"frames-fallback={info.get('frames_fallback')}")
-            parts.append(f"decoded={info.get('decoded')}")
-        if info.get("migrated_v1"):
-            parts.append(f"migrated-v1={info.get('migrated_v1')}")
+        parts = [
+            f"entries={info['entries']}",
+            f"journal-ops={info['journal_ops']}",
+            f"superseded={info['superseded']}",
+            f"compactions={info['compactions']}",
+            f"torn-salvages={info['torn_salvages']}"
+            + (
+                f" ({info['torn_bytes_dropped']} bytes dropped)"
+                if info["torn_salvages"] else ""
+            ),
+            f"resident-bytes={info['resident_bytes']}",
+            f"frames-fallback={info['frames_fallback']}",
+            f"decoded={info['decoded']}",
+        ]
+        if info["migrated_v1"]:
+            parts.append(f"migrated-v1={info['migrated_v1']}")
         print(f"[store {' '.join(parts)}]")
     if len(store) == 0:
         print(f"no records in {args.store} (empty store)", file=sys.stderr)
@@ -429,14 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="restrict traffic patterns (e.g. uniform bursty)")
     run.add_argument("--store", default=DEFAULT_STORE,
                      help=f"result store path (default: {DEFAULT_STORE})")
-    run.add_argument("--store-format", default="journal", dest="store_format",
-                     choices=STORE_FORMATS,
-                     help="store on-disk format: journal (default; crash-safe "
-                          "append-only log, safe for concurrent sweep "
-                          "processes sharing one path — existing JSON stores "
-                          "are migrated on first open), json (legacy "
-                          "monolithic file, single writer), or auto (keep "
-                          "whatever the file already is)")
     run.add_argument("--force", action="store_true",
                      help="ignore cached results (still persists fresh ones)")
     run.add_argument("--chunk-size", type=int, default=None, metavar="N",

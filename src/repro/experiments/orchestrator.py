@@ -16,11 +16,10 @@ run.  This module turns that decomposition into infrastructure:
   :class:`ArtifactCache` hot: topology graphs and route tables are built once
   per ``network_key`` per worker instead of once per job;
 * :class:`~repro.store.ResultStore` (re-exported here) persists results
-  keyed by config hash — as a crash-safe append-only journal or the legacy
-  monolithic JSON file, see :mod:`repro.store` — so an interrupted sweep
-  resumes from what it already computed instead of recomputing, repeated
-  invocations are served entirely from cache, and concurrent sweep
-  processes can share one journal store;
+  keyed by config hash in a crash-safe append-only journal, see
+  :mod:`repro.store` — so an interrupted sweep resumes from what it already
+  computed instead of recomputing, repeated invocations are served entirely
+  from cache, and concurrent sweep processes can share one store;
 * opt-in **adaptive scheduling** (:class:`AdaptiveSettings`): each series
   climbs its load ladder low to high, and once
   :func:`~repro.router.saturation.is_saturated_point` flags ``cutoff_after``
@@ -69,26 +68,14 @@ from ..record import JobFailure, RunRecord
 from ..router.saturation import DEFAULT_SATURATION_MARGIN, is_saturated_point
 from ..session import ConvergenceSettings
 from ..simulation import SimulationArtifacts, build_artifacts
-from ..store import (  # noqa: F401 - historical import surface, see below
+from ..store import (  # noqa: F401 - re-exported: callers import the store from here
     FLUSH_INTERVAL_SECONDS,
     STORE_VERSION,
-    JournalStore,
-    JsonStore,
     ResultStore,
     StoreError,
 )
 
 ConfigBuilder = Callable[[], SimulationConfig]
-
-#: store format version; bump when the result schema changes.
-#: v1 stored flat ``SimulationResult`` dicts; v2 stores versioned
-#: :class:`~repro.record.RunRecord` payloads (summary + telemetry channels +
-#: provenance).  v1 files are migrated in memory on open — no re-simulation.
-STORE_VERSION = 2
-
-#: default minimum seconds between mid-sweep store flushes (resumability vs
-#: I/O); per-store override via ``ResultStore(flush_interval=...)``.
-FLUSH_INTERVAL_SECONDS = 5.0
 
 #: store-key marker of adaptive-mode extrapolated records (the full suffix
 #: also hashes the :class:`AdaptiveSettings`, see :func:`_adaptive_key_suffix`).
@@ -223,19 +210,6 @@ class SweepSpec:
                         )
                     )
         return jobs
-
-
-# ---------------------------------------------------------------------------
-# Result store (moved to the repro.store package in PR 10)
-# ---------------------------------------------------------------------------
-#
-# The store lived in this module through PR 9; it is now :mod:`repro.store`
-# (journaled backend with advisory locking, torn-write recovery and
-# compaction, plus the legacy JSON backend with fsynced rename and
-# concurrent-writer detection).  The names are re-imported above because
-# every test, example and downstream script spells
-# ``from repro.experiments.orchestrator import ResultStore`` — the facade
-# still auto-detects the on-disk format, so none of those callers change.
 
 
 # ---------------------------------------------------------------------------
@@ -959,13 +933,10 @@ class JobRunStats:
     failed: int = 0
     #: job key -> terminal failure, for callers that want the reasons.
     failures: Dict[str, JobFailure] = field(default_factory=dict)
-    #: records absorbed from other writer processes sharing the store
-    #: (journal format only — a peer sweep's flushed results picked up
-    #: before dispatch turn into cache hits instead of re-simulations).
+    #: records absorbed from other writer processes sharing the store (a
+    #: peer sweep's flushed results picked up before dispatch turn into
+    #: cache hits instead of re-simulations).
     store_absorbed: int = 0
-
-    def __iter__(self) -> Iterator[object]:
-        return iter((self.results, self.cache_hits, self.executed))
 
 
 class _ProgressReporter:
@@ -1078,7 +1049,7 @@ def run_jobs(
         # Re-read the shared journal before deciding what to dispatch: a
         # concurrent sweep process may have flushed results since we opened
         # the store, and every absorbed record below becomes a cache hit
-        # instead of a re-simulation.  No-op (returns 0) for JSON stores.
+        # instead of a re-simulation.
         stats.store_absorbed = store.refresh_from_disk()
     pending: List[Job] = []
     for job in unique:

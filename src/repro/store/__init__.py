@@ -2,52 +2,46 @@
 
 Public surface:
 
-* :class:`ResultStore` — the facade every caller constructs; dispatches to
-  a concrete backend by sniffing the file (or an explicit ``format=``);
-* :class:`JsonStore` — legacy monolithic JSON (fsynced tmp+rename,
-  concurrent writers *detected*);
-* :class:`JournalStore` — append-only checksummed journal with advisory
-  locking, torn-write recovery and compaction (concurrent writers
-  *supported*; the sweep CLI's default for new stores);
-* :class:`StoreLock` — the advisory inter-process lock both backends use;
-* the typed errors/warnings, format constants and detection helpers.
+* :class:`ResultStore` — the store every caller constructs: an append-only
+  checksummed journal with advisory locking, torn-write recovery and
+  compaction, safe for concurrent writer processes sharing one path
+  (:mod:`.journal`);
+* :func:`read_json_store` — the read-only importer for monolithic JSON
+  stores written by earlier code, which :class:`ResultStore` applies on open;
+* :class:`StoreLock` — the advisory inter-process lock the store uses;
+* the typed errors, format constants and frame helpers.
 """
 
 from __future__ import annotations
 
-from .base import (
+from .errors import StoreError, StoreLockTimeout
+from .journal import (
     FLUSH_INTERVAL_SECONDS,
     JOURNAL_MAGIC,
-    STORE_FORMATS,
+    JOURNAL_VERSION,
     STORE_VERSION,
     ResultStore,
     detect_format,
-    migrate_v1_entries,
+    frame_entry,
+    parse_frame_line,
+    scan_frames,
 )
-from .errors import ConcurrentWriterWarning, StoreError, StoreLockTimeout
-from .json_store import JsonStore, fsync_directory, read_json_store
-from .journal import JOURNAL_VERSION, JournalStore, frame_entry, parse_frame_line, scan_frames
+from .legacy_json import read_json_store
 from .locking import DEFAULT_LOCK_TIMEOUT, DEFAULT_STALE_AFTER, StoreLock
 
 __all__ = [
-    "ConcurrentWriterWarning",
     "DEFAULT_LOCK_TIMEOUT",
     "DEFAULT_STALE_AFTER",
     "FLUSH_INTERVAL_SECONDS",
     "JOURNAL_MAGIC",
     "JOURNAL_VERSION",
-    "JournalStore",
-    "JsonStore",
     "ResultStore",
-    "STORE_FORMATS",
     "STORE_VERSION",
     "StoreError",
     "StoreLock",
     "StoreLockTimeout",
     "detect_format",
     "frame_entry",
-    "fsync_directory",
-    "migrate_v1_entries",
     "parse_frame_line",
     "read_json_store",
     "scan_frames",

@@ -1,21 +1,20 @@
-"""Typed errors and warnings of the result-store layer."""
+"""Typed errors of the result-store layer."""
 
 from __future__ import annotations
 
-__all__ = ["StoreError", "StoreLockTimeout", "ConcurrentWriterWarning"]
+__all__ = ["StoreError", "StoreLockTimeout"]
 
 
 class StoreError(RuntimeError):
     """A result store could not be opened or safely operated on.
 
     Raised by strict opens (``ResultStore(..., strict=True)`` — the
-    ``inspect`` path) on missing/corrupt/wrong-format files, by any open
-    when the requested format contradicts the on-disk one (asking for the
-    legacy JSON format on a journal file would corrupt it), and by journal
-    operations that cannot acquire the store lock within their timeout.
-    The lenient sweep path keeps treating a damaged *cache* as no cache —
-    results are recomputable by definition — but never silently crosses
-    formats.
+    ``inspect`` path) on missing or unrecognized files, by *any* open of a
+    monolithic JSON store that cannot be read in full (the first flush would
+    replace it, and a file we could not read must keep its bytes) or of a
+    journal newer than this code, and by operations that cannot acquire the
+    store lock within their timeout.  A lenient open of a missing or
+    unrecognized file starts empty — results are recomputable by definition.
     """
 
 
@@ -29,13 +28,3 @@ class StoreLockTimeout(StoreError):
     metadata when available.
     """
 
-
-class ConcurrentWriterWarning(UserWarning):
-    """Another live process holds the writer lock of a legacy JSON store.
-
-    Monolithic JSON stores are rewritten whole on flush with last-writer-
-    wins semantics: two concurrent writers silently drop each other's
-    results.  This warning (a :class:`StoreError` under ``strict=True``)
-    replaces that silence; the journal format (``--store-format journal``)
-    supports concurrent writers safely.
-    """

@@ -1,6 +1,7 @@
-"""Append-only journaled store backend (write-ahead log + compaction).
+"""The result store: an append-only, checksummed journal with compaction.
 
-The journal is a single file of checksummed, length-framed JSONL entries::
+:class:`ResultStore` keeps run records keyed by config hash.  On disk it is a
+single file of checksummed, length-framed JSONL entries::
 
     J1 <length> <crc32:08x> <payload-json>\\n
 
@@ -23,10 +24,11 @@ a full ``json.loads`` yields (no writer emits a top-level member twice), and a
 escape, unknown ops, the header — takes one full ``json.loads`` whose tree is
 dropped once key and op are read.  ``json.loads`` ignores member order, so
 older code reads these frames and :data:`JOURNAL_VERSION` stays 1.  In memory
-an entry *is* its frame (:class:`_FrameMap`): opening costs a scan, a lookup
-decodes the one frame it returns, and ``put_record`` encodes at the write site
-(an unserialisable ``meta`` raises there, not at ``flush``).  On the ledger's
-37 MB journal: reopen 1.10 -> 0.11 s, peak RSS 259 -> 77 MB (DESIGN §12).
+an entry *is* its frame (``key -> encoded line``): opening costs a scan, a
+lookup decodes the one frame it returns, and ``put_record`` encodes at the
+write site (an unserialisable ``meta`` raises there, not at ``flush``).  On the
+ledger's 37 MB journal: reopen 1.10 -> 0.11 s, peak RSS 259 -> 77 MB (DESIGN
+§12).
 
 Durability and concurrency contract:
 
@@ -58,31 +60,59 @@ Durability and concurrency contract:
   journal or the complete new one — never a mix.  Peers detect the swap via
   the header's compaction counter (or a shrunken file) and resynchronize
   from offset zero.
+
+Monolithic JSON stores written by earlier code (:mod:`.legacy_json`) are
+*imported*: an open reads the file into memory without touching it, and the
+first flush that has something to write replaces it with a journal through the
+same rewrite, under the lock.  Read-only opens therefore never rewrite
+anything, two processes importing one file lose nothing (the second flusher
+finds a journal and absorbs it), and a JSON file that cannot be read in full
+raises :class:`StoreError` on every open — it is never replaced.
 """
 
 from __future__ import annotations
 
+import atexit
 import json
 import logging
 import os
 import re
+import weakref
 import zlib
-from typing import Any, Dict, Iterator, List, MutableMapping, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
-from .base import (
-    FLUSH_INTERVAL_SECONDS,
-    JOURNAL_MAGIC,
-    STORE_VERSION,
-    ResultStore,
-    detect_format,
-)
+from ..metrics import SimulationResult
+from ..record import JobFailure, RunRecord
 from .errors import StoreError
-from .json_store import fsync_directory, read_json_store
+from .legacy_json import read_json_store
 from .locking import DEFAULT_LOCK_TIMEOUT, StoreLock
 
-__all__ = ["JournalStore", "frame_entry", "parse_frame_line", "scan_frames"]
+__all__ = [
+    "FLUSH_INTERVAL_SECONDS",
+    "JOURNAL_MAGIC",
+    "JOURNAL_VERSION",
+    "STORE_VERSION",
+    "ResultStore",
+    "detect_format",
+    "frame_entry",
+    "parse_frame_line",
+    "scan_frames",
+]
 
 logger = logging.getLogger("repro.store")
+
+#: result schema version, carried in the journal header; bump when the result
+#: schema changes.  v1 stored flat ``SimulationResult`` dicts; v2 stores
+#: versioned :class:`~repro.record.RunRecord` payloads (summary + telemetry
+#: channels + provenance).
+STORE_VERSION = 2
+
+#: default minimum seconds between mid-sweep store flushes (resumability vs
+#: I/O); per-store override via ``ResultStore(flush_interval=...)``.
+FLUSH_INTERVAL_SECONDS = 5.0
+
+#: every journal frame (and therefore every journal file) starts with this.
+JOURNAL_MAGIC = b"J1 "
 
 #: on-disk journal framing version (independent of the record schema).
 JOURNAL_VERSION = 1
@@ -100,6 +130,46 @@ DEFAULT_COMPACT_MIN_BYTES = 64 << 20
 #: ``compact-before-replace`` / ``compact-after-replace`` to hard-exit the
 #: process at that point (mirrors the orchestrator's REPRO_TEST_CRASH_KEY).
 _CRASH_SEAM_ENV = "REPRO_TEST_STORE_CRASH"
+
+
+def detect_format(path: str) -> Optional[str]:
+    """Sniff the on-disk format of ``path``.
+
+    Returns ``"journal"`` / ``"json"`` for recognized content, ``"empty"``
+    for an existing zero-byte file, ``"unknown"`` for unrecognized bytes,
+    and ``None`` when the file does not exist (or cannot be read).
+    """
+    try:
+        with open(path, "rb") as handle:
+            head = handle.read(len(JOURNAL_MAGIC))
+    except OSError:
+        return None
+    if head.startswith(JOURNAL_MAGIC):
+        return "journal"
+    if head[:1] in (b"{", b"["):
+        return "json"
+    if head == b"":
+        return "empty"
+    return "unknown"
+
+
+def fsync_directory(directory: str) -> None:
+    """Force a directory's entry table to disk (after create/rename in it).
+
+    Some filesystems/platforms reject ``fsync`` on directory descriptors;
+    that is a durability downgrade, not an error — the rename itself is
+    still atomic.
+    """
+    try:
+        dir_fd = os.open(directory, os.O_RDONLY)
+    except OSError:  # pragma: no cover - platform-dependent
+        return
+    try:
+        os.fsync(dir_fd)
+    except OSError:  # pragma: no cover - platform-dependent
+        pass
+    finally:
+        os.close(dir_fd)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +199,11 @@ def frame_entry(payload: Dict[str, Any]) -> bytes:
     body = text.encode("ascii")
     head = f"{len(body)} {zlib.crc32(body):08x} ".encode("ascii")
     return JOURNAL_MAGIC + head + body + b"\n"
+
+
+def _op_frame(key: str, op: str, body: Any, meta: Optional[Dict[str, Any]]) -> bytes:
+    """The frame of one ``record``/``failure`` op, as the store holds and writes it."""
+    return frame_entry({"key": key, "op": op, op: body, "meta": meta or {}})
 
 
 def _frame_body(line: bytes) -> Optional[bytes]:
@@ -194,58 +269,19 @@ def _crash_seam(point: str) -> None:
 # The store
 # ---------------------------------------------------------------------------
 
-class _FrameMap(MutableMapping[str, Dict[str, Any]]):
-    """``key -> entry`` for the shared :class:`ResultStore` code, held as each
-    entry's encoded frame: ``__setitem__`` encodes, ``__getitem__`` decodes,
-    membership and length touch no payload."""
+class ResultStore:
+    """Store of run records keyed by config hash (module docstring: contract).
 
-    def __init__(self) -> None:
-        #: live key -> its frame line, exactly what is or will be on disk
-        #: (flush joins these, compaction writes them straight through).
-        self.frames: Dict[str, bytes] = {}
-        #: live keys whose frame is a ``failure`` op (every other is a record).
-        self.failed: Set[str] = set()
-        self.decoded = 0  # payload decodes served
-
-    def file(self, key: str, frame: bytes, failure: bool) -> None:
-        self.frames[key] = frame
-        if failure:
-            self.failed.add(key)
-        else:
-            self.failed.discard(key)
-
-    def __setitem__(self, key: str, entry: Dict[str, Any]) -> None:
-        kind = "record" if "record" in entry else "failure"
-        payload = {"key": key, "op": kind, kind: entry.get(kind, {}), "meta": entry.get("meta", {})}
-        self.file(key, frame_entry(payload), kind == "failure")
-
-    def __getitem__(self, key: str) -> Dict[str, Any]:
-        payload = parse_frame_line(self.frames[key][:-1])
-        if payload is None:  # checksummed at replay, so not a torn write
-            raise ValueError(f"journal entry {key!r}: payload is not a JSON object")
-        self.decoded += 1
-        kind = "failure" if key in self.failed else "record"
-        return {kind: payload[kind], "meta": payload.get("meta", {})}
-
-    def __delitem__(self, key: str) -> None:
-        del self.frames[key]
-        self.failed.discard(key)
-
-    def __contains__(self, key: object) -> bool:
-        return key in self.frames
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.frames)
-
-    def __len__(self) -> int:
-        return len(self.frames)
-
-
-class JournalStore(ResultStore):
-    """Journaled result store (see module docstring for the full contract)."""
-
-    FORMAT = "journal"
-    _results: _FrameMap
+    ``refresh=True`` turns reads into misses while still persisting new
+    results — the CLI's ``--force``.  ``flush_interval`` tunes how often a
+    running sweep checkpoints mid-flight; the first write also arms a flush at
+    interpreter exit, so killed sweeps keep their latest completed points
+    while read-only opens (e.g. ``inspect``) never rewrite the file.
+    ``strict`` makes a missing or unrecognized file a :class:`StoreError`
+    (the ``inspect`` path); a lenient open starts empty and creates the file
+    on first flush.  ``format`` is vestigial: ``"auto"`` and ``"journal"``
+    both mean the one format there is.
+    """
 
     def __init__(
         self,
@@ -253,18 +289,32 @@ class JournalStore(ResultStore):
         refresh: bool = False,
         flush_interval: float = FLUSH_INTERVAL_SECONDS,
         strict: bool = False,
-        format: str = "auto",  # noqa: A002 - accepted for facade dispatch
+        format: str = "auto",  # noqa: A002 - kept for callers that pass "journal"
         lock_timeout: float = DEFAULT_LOCK_TIMEOUT,
         compact_min_ops: int = DEFAULT_COMPACT_MIN_OPS,
         compact_min_dead_fraction: float = DEFAULT_COMPACT_MIN_DEAD_FRACTION,
         compact_min_bytes: int = DEFAULT_COMPACT_MIN_BYTES,
         auto_compact: bool = True,
     ) -> None:
-        super().__init__(
-            path, refresh=refresh, flush_interval=flush_interval, strict=strict
-        )
+        if format not in ("auto", "journal"):
+            raise ValueError(
+                f"store format must be 'journal' (or 'auto'), got {format!r}"
+            )
+        self.path = str(path)
+        self.refresh = refresh
+        self.flush_interval = float(flush_interval)
+        self.hits = 0
+        self.misses = 0
+        self.writes = 0
+        #: v1 entries migrated while importing a JSON store (diagnostics).
+        self.migrated = 0
+        self._atexit_registered = False
         self._lock = StoreLock(self.path, timeout=lock_timeout)
-        self._results = _FrameMap()
+        #: live key -> its frame line, exactly what is or will be on disk
+        #: (flush joins these, compaction writes them straight through).
+        self._frames: Dict[str, bytes] = {}
+        #: live keys whose frame is a ``failure`` op (every other is a record).
+        self._failed: Set[str] = set()
         #: keys written since the last flush, in write order (append queue).
         self._pending: Dict[str, None] = {}
         #: keys known to have at least one frame on file (supersede stats).
@@ -288,44 +338,56 @@ class JournalStore(ResultStore):
         self.absorbed_records = 0
         #: frames the last replay/absorb had to parse in full to place.
         self.frames_fallback = 0
-        self._open_journal(strict)
+        #: payload decodes served (lookups, ``entries()``, ``failures()``).
+        self.decoded = 0
+        self._open(strict)
+
+    def __len__(self) -> int:
+        return len(self._frames)
+
+    def __enter__(self) -> "ResultStore":
+        return self
+
+    def __exit__(self, *_exc: object) -> None:
+        self.close()
 
     # -- open / recovery -----------------------------------------------------
 
-    def _open_journal(self, strict: bool) -> None:
+    def _open(self, strict: bool) -> None:
         existing = detect_format(self.path)
-        if existing is None:
-            if strict:
-                raise StoreError(f"store not found: {self.path}")
-            return  # created on first flush
-        if existing == "empty":
-            return
-        if existing == "json":
-            self._migrate_json(strict)
-            return
-        if existing == "unknown":
-            if strict:
-                raise StoreError(
-                    f"store {self.path}: unrecognized format "
-                    "(neither JSON nor journal)"
-                )
-            return  # lenient: fresh in memory; first flush rewrites the file
-        with self._lock:
-            self._replay_locked(0, absorb=False)
+        if existing in ("journal", "json"):
+            with self._lock:
+                # Sniffed again under the lock: a peer that imported the same
+                # JSON file may just have replaced it with a journal.
+                if detect_format(self.path) == "journal":
+                    self._replay_locked(0, absorb=False)
+                else:
+                    self._import_json()
+        elif strict and existing is None:
+            raise StoreError(f"store not found: {self.path}")
+        elif strict and existing == "unknown":
+            raise StoreError(
+                f"store {self.path}: unrecognized format "
+                "(neither JSON nor journal)"
+            )
+        # Otherwise nothing to read: the first flush (re)creates the file.
 
-    def _migrate_json(self, strict: bool) -> None:
-        """Adopt an existing monolithic JSON store, rewriting it as a journal.
+    def _import_json(self) -> None:
+        """Load a monolithic JSON store into memory; the file is not touched.
 
-        Strict parsing on purpose even for lenient opens: migration replaces
-        the file, and a file we could not fully read must never be replaced
-        by an empty journal.
+        The imported entries are not pending: the first flush that has
+        something to write finds a non-journal file and rewrites the whole
+        store over it (:meth:`_flush_locked`).
         """
-        entries, self.migrated = read_json_store(self.path, strict=True)
-        self._results.update(entries)
-        with self._lock:
-            self._rewrite_locked(bump_compaction=False)
+        entries, self.migrated = read_json_store(self.path)
+        for key, entry in entries.items():
+            op = "record" if "record" in entry else "failure"
+            self._file(
+                key, _op_frame(key, op, entry[op], entry.get("meta")), op == "failure"
+            )
         logger.info(
-            "migrated JSON store %s (%d entr%s%s) to journal format",
+            "imported JSON store %s (%d entr%s%s); the first flush replaces "
+            "it with a journal",
             self.path, len(entries), "y" if len(entries) == 1 else "ies",
             f", {self.migrated} from v1" if self.migrated else "",
         )
@@ -338,7 +400,8 @@ class JournalStore(ResultStore):
         un-flushed writes (``_pending``) win ties, and newly learned entries
         are counted in :attr:`absorbed_records`.
         """
-        results, file_keys, pending = self._results, self._file_keys, self._pending
+        frames, file_keys, pending = self._frames, self._file_keys, self._pending
+        failed = self._failed
         self.frames_fallback = 0
         end = offset
         with open(self.path, "rb") as handle:
@@ -365,9 +428,13 @@ class JournalStore(ResultStore):
                 file_keys[key] = None
                 if absorb and key in pending:
                     continue  # our pending write is newer than the peer's
-                if absorb and key not in results:
+                if absorb and key not in frames:
                     self.absorbed_records += 1
-                results.file(key, line, failure)
+                frames[key] = line  # _file(), inline: once per frame on file
+                if failure:
+                    failed.add(key)
+                elif failed:
+                    failed.discard(key)
             size = os.fstat(handle.fileno()).st_size
         if end < size:
             self._truncate_torn(end, size - end)
@@ -409,38 +476,152 @@ class JournalStore(ResultStore):
 
     # -- reads / writes ------------------------------------------------------
 
-    def _kind(self, key: str) -> Optional[str]:
-        if key not in self._results:
-            return None
-        return "failure" if key in self._results.failed else "record"
+    def _file(self, key: str, frame: bytes, failure: bool) -> None:
+        self._frames[key] = frame
+        if failure:
+            self._failed.add(key)
+        else:
+            self._failed.discard(key)
 
-    def _note_write(self, key: str) -> None:
-        super()._note_write(key)
+    def _decode(self, key: str) -> Dict[str, Any]:
+        payload = parse_frame_line(self._frames[key][:-1])
+        if payload is None:  # checksummed at replay, so not a torn write
+            raise ValueError(f"journal entry {key!r}: payload is not a JSON object")
+        self.decoded += 1
+        return payload
+
+    def get(self, key: str) -> Optional[SimulationResult]:
+        """Stored summary for ``key`` (None on miss) — compatibility view."""
+        record = self.get_record(key)
+        return None if record is None else record.summary
+
+    def get_record(self, key: str) -> Optional[RunRecord]:
+        """Full stored record (summary + telemetry channels + provenance)."""
+        return self.get_record_any(key)
+
+    def get_record_any(self, *keys: str) -> Optional[RunRecord]:
+        """First stored record among ``keys``.
+
+        One *logical* lookup: exactly one hit or one miss is counted no
+        matter how many alternative keys are probed (the adaptive scheduler
+        checks a point's plain config key and its extrapolated alias).
+        ``refresh`` mode returns None without touching the counters, as the
+        single-key read always did.
+        """
+        if self.refresh:
+            return None
+        for key in keys:
+            if key in self._frames and key not in self._failed:
+                self.hits += 1
+                return RunRecord.from_dict(self._decode(key)["record"])
+        # Failure entries count as misses on purpose: a later sweep
+        # re-attempts the job instead of serving the failure.
+        self.misses += 1
+        return None
+
+    def entries(self) -> Iterator[Tuple[str, RunRecord, Dict[str, object]]]:
+        """Iterate ``(key, record, meta)`` without touching hit/miss counters.
+
+        Failure entries are skipped — consumers of ``entries()`` expect
+        result records; use :meth:`failures` for the failure ledger.
+        """
+        for key in self._frames:
+            if key not in self._failed:
+                payload = self._decode(key)
+                yield key, RunRecord.from_dict(payload["record"]), payload.get("meta", {})
+
+    def failures(self) -> Iterator[Tuple[str, JobFailure, Dict[str, object]]]:
+        """Iterate stored ``(key, failure, meta)`` entries."""
+        for key in self._frames:
+            if key in self._failed:
+                payload = self._decode(key)
+                yield key, JobFailure.from_dict(payload["failure"]), payload.get("meta", {})
+
+    def put(
+        self,
+        key: str,
+        result: SimulationResult,
+        meta: Optional[Dict[str, object]] = None,
+    ) -> None:
+        """Store a bare summary (wrapped into a channel-less record)."""
+        self.put_record(key, RunRecord.from_summary(result), meta=meta)
+
+    def put_record(
+        self, key: str, record: RunRecord, meta: Optional[Dict[str, object]] = None
+    ) -> None:
+        self._write(key, "record", record.to_dict(), meta)
+
+    def put_failure(
+        self, key: str, failure: JobFailure, meta: Optional[Dict[str, object]] = None
+    ) -> None:
+        """Record a terminal job failure under ``key`` (replaced by a real
+        record if a later sweep succeeds on the same job)."""
+        self._write(key, "failure", failure.to_dict(), meta)
+
+    def _write(
+        self, key: str, op: str, body: Dict[str, Any], meta: Optional[Dict[str, object]]
+    ) -> None:
+        self._file(key, _op_frame(key, op, body, meta), op == "failure")
+        self.writes += 1
         self._pending[key] = None
+        self._register_atexit_flush()
+
+    def _register_atexit_flush(self) -> None:
+        """Arm a last-resort checkpoint on first write.
+
+        Flushes pending results when the interpreter exits (including an
+        unhandled KeyboardInterrupt), via a weakref so the registration
+        never keeps the store alive.  Armed only once the store has actually
+        been *written to* — read-only opens (``inspect``, including ones
+        that import a JSON store) must never rewrite a file that another
+        process may be appending to.
+        """
+        if self._atexit_registered:
+            return
+        self._atexit_registered = True
+        self_ref = weakref.ref(self)
+
+        def _flush_at_exit() -> None:  # pragma: no cover - exit path
+            store = self_ref()
+            if store is not None:
+                try:
+                    store.flush()
+                except (OSError, StoreError):
+                    pass
+
+        atexit.register(_flush_at_exit)
+
+    # -- lifecycle -----------------------------------------------------------
 
     def flush(self) -> None:
-        if not self._dirty and not self._pending:
+        if not self._pending:
             return
         with self._lock:
             self._flush_locked()
 
+    def close(self) -> None:
+        """Flush pending writes."""
+        self.flush()
+
     def _flush_locked(self) -> None:
         if detect_format(self.path) != "journal":
-            # First flush of a fresh store (or the path was emptied/replaced
-            # by foreign bytes): materialize the whole store as a journal.
+            # First flush of a fresh store or over an imported JSON file (or
+            # the path was emptied/replaced by foreign bytes): materialize
+            # the whole store as a journal.
             self._rewrite_locked(bump_compaction=False)
         else:
+            # Also where a second importer of one JSON file lands: the peer
+            # that flushed first left a journal, absorbed from offset zero.
             self._absorb_locked()
             self._append_pending_locked()
         self._pending.clear()
-        self._dirty = False
         if self._auto_compact and self._should_compact():
             self._rewrite_locked(bump_compaction=True)
 
     def _append_pending_locked(self) -> None:
         if not self._pending:
             return
-        frames = b"".join(map(self._results.frames.__getitem__, self._pending))
+        frames = b"".join(map(self._frames.__getitem__, self._pending))
         fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
         try:
             if os.environ.get(_CRASH_SEAM_ENV) == "append-partial":
@@ -498,28 +679,26 @@ class JournalStore(ResultStore):
             self._replay_locked(self._read_offset, absorb=True)
 
     def _resync_locked(self) -> None:
-        results = self._results
-        stash, stash_failed = results.frames, results.failed
-        results.frames, results.failed = {}, set()
+        stash, stash_failed = self._frames, self._failed
+        self._frames, self._failed = {}, set()
         self._file_keys = {}
         self.journal_ops = 0
         self._replay_locked(0, absorb=False)
-        foreign = sum(1 for key in results if key not in stash)
+        foreign = sum(1 for key in self._frames if key not in stash)
         self.absorbed_records += foreign
         for key, frame in stash.items():
-            if key in self._pending or key not in results:
+            if key in self._pending or key not in self._frames:
                 # Ours and newer than anything replayed — or an entry we knew
                 # that the new file generation lost (a peer rewrote from
                 # partial knowledge): (re-)own it so the next append restores
                 # durability — no record goes missing.
-                results.file(key, frame, key in stash_failed)
+                self._file(key, frame, key in stash_failed)
                 self._pending[key] = None
-                self._dirty = True
         if stash:
             logger.info(
                 "journal %s: resynchronized after peer compaction "
                 "(%d entries on file, %d newly absorbed)",
-                self.path, len(results), foreign,
+                self.path, len(self._frames), foreign,
             )
 
     def _read_header(self) -> Optional[Dict[str, Any]]:
@@ -544,11 +723,10 @@ class JournalStore(ResultStore):
                 self._absorb_locked()
                 self._append_pending_locked()
                 self._pending.clear()
-                self._dirty = False
             self._rewrite_locked(bump_compaction=True)
 
     def _should_compact(self) -> bool:
-        live = len(self._results)
+        live = len(self._frames)
         ops = self.journal_ops
         dead = max(0, ops - live)
         if ops >= self._compact_min_ops and ops > 0:
@@ -560,10 +738,11 @@ class JournalStore(ResultStore):
         """Write the whole store as a fresh sorted journal (tmp + rename).
 
         Used by compaction (``bump_compaction=True`` — peers detect the new
-        generation via the header counter), by first-flush materialization,
-        and by JSON migration.  Crash-safe: the snapshot is complete and
-        fsynced before the rename, and the directory is fsynced after, so a
-        crash leaves either the old file or the whole new one.
+        generation via the header counter) and by first-flush
+        materialization, over an imported JSON file included.  Crash-safe:
+        the snapshot is complete and fsynced before the rename, and the
+        directory is fsynced after, so a crash leaves either the old file or
+        the whole new one.
         """
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
@@ -574,7 +753,7 @@ class JournalStore(ResultStore):
         )
         with open(tmp_path, "wb") as handle:
             handle.write(frame_entry(self._header_payload(compactions)))
-            frames = self._results.frames
+            frames = self._frames
             handle.writelines(frames[key] for key in sorted(frames))
             handle.flush()
             os.fsync(handle.fileno())
@@ -583,8 +762,8 @@ class JournalStore(ResultStore):
         _crash_seam("compact-after-replace")
         fsync_directory(directory)
         self.compactions = compactions
-        self.journal_ops = len(self._results)
-        self._file_keys = {key: None for key in self._results}
+        self.journal_ops = len(self._frames)
+        self._file_keys = dict.fromkeys(self._frames)
         self._read_offset = os.path.getsize(self.path)
 
     def _clean_stale_tmps(self, directory: str) -> None:
@@ -604,8 +783,9 @@ class JournalStore(ResultStore):
     # -- stats -----------------------------------------------------------------
 
     def describe(self) -> Dict[str, object]:
-        info = super().describe()
-        info.update(
+        """Durability statistics for ``inspect --verbose``."""
+        return dict(
+            entries=len(self),
             journal_ops=self.journal_ops,
             superseded=self.superseded,
             torn_salvages=self.torn_salvages,
@@ -613,8 +793,7 @@ class JournalStore(ResultStore):
             compactions=self.compactions,
             absorbed=self.absorbed_records,
             migrated_v1=self.migrated,
-            resident_bytes=sum(map(len, self._results.frames.values())),
+            resident_bytes=sum(map(len, self._frames.values())),
             frames_fallback=self.frames_fallback,
-            decoded=self._results.decoded,
+            decoded=self.decoded,
         )
-        return info

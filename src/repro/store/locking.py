@@ -12,16 +12,9 @@ protocol where lock-file existence is the lock, and stale locks — holder
 PID dead, or heartbeat older than ``stale_after`` — are taken over instead
 of blocking forever.
 
-Two usage patterns in this package:
-
-* :class:`~repro.store.journal.JournalStore` acquires transiently around
-  each critical section (open/recovery, append+fsync, compaction), so
-  multiple writer processes interleave on one journal;
-* :class:`~repro.store.json_store.JsonStore` acquires the lock on its
-  first write and holds it for the store's lifetime as a *writer-presence
-  marker* — the legacy monolithic format cannot support concurrent
-  writers, so a contended probe is reported instead of silently losing
-  data (read-only opens never touch the lock).
+The store acquires the lock transiently around each critical section (open/
+recovery, append+fsync, compaction), so multiple writer processes interleave
+on one journal.
 """
 
 from __future__ import annotations
@@ -222,11 +215,6 @@ class StoreLock:
             os.write(self._fd, data)
         except OSError:  # pragma: no cover - metadata is best-effort
             pass
-
-    def heartbeat(self) -> None:
-        """Refresh holder metadata (keeps fallback-mode locks non-stale)."""
-        if self._fd is not None:
-            self._write_metadata()
 
     # -- release -------------------------------------------------------------
 

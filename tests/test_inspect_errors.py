@@ -18,14 +18,18 @@ from repro.experiments.orchestrator import ResultStore, StoreError
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_inspect(store_path: Path):
+def run_cli(*argv: str):
     return subprocess.run(
-        [sys.executable, "-m", "repro.experiments", "inspect", str(store_path)],
+        [sys.executable, "-m", "repro.experiments", *argv],
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,
         env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
     )
+
+
+def run_inspect(store_path: Path, *flags: str):
+    return run_cli("inspect", str(store_path), *flags)
 
 
 def test_inspect_missing_store(tmp_path):
@@ -74,11 +78,36 @@ def test_inspect_malformed_entries(tmp_path):
 
 
 def test_strict_open_raises_lenient_does_not(tmp_path):
-    corrupt = tmp_path / "corrupt.json"
-    corrupt.write_text("{oops", encoding="utf-8")
-    # Sweep path: damaged cache is treated as empty (results recomputable).
-    assert len(ResultStore(str(corrupt))) == 0
-    with pytest.raises(StoreError):
-        ResultStore(str(corrupt), strict=True)
+    # Sweep path: a missing store is an empty one (created on first flush).
+    assert len(ResultStore(str(tmp_path / "missing.json"))) == 0
     with pytest.raises(StoreError):
         ResultStore(str(tmp_path / "missing.json"), strict=True)
+    # A damaged JSON store raises either way: the sweep's first flush would
+    # replace a file it could not read.
+    corrupt = tmp_path / "corrupt.json"
+    corrupt.write_text("{oops", encoding="utf-8")
+    for strict in (False, True):
+        with pytest.raises(StoreError):
+            ResultStore(str(corrupt), strict=strict)
+    assert corrupt.read_text(encoding="utf-8") == "{oops"
+
+
+def test_inspect_legacy_json_store_leaves_it_untouched(tmp_path):
+    fixture = REPO_ROOT / "tests" / "data" / "json_store_v2.json"
+    store = tmp_path / "legacy.json"
+    store.write_bytes(fixture.read_bytes())
+    result = run_inspect(store, "--verbose")
+    assert result.returncode == 0, result.stderr
+    assert "[store entries=4 journal-ops=0 " in result.stdout.splitlines()[0]
+    for key in ("7c1e-alpha", "7c1e-beta", "7c1e-gamma"):
+        assert f"{key}  series=" in result.stdout
+    assert "FAILED: timeout" in result.stdout
+    assert store.read_bytes() == fixture.read_bytes()
+
+
+def test_run_rejects_store_format_flag(tmp_path):
+    result = run_cli("run", "tables", "--store", str(tmp_path / "s.journal"),
+                     "--store-format", "json")
+    assert result.returncode == 2
+    assert "unrecognized arguments: --store-format" in result.stderr
+    assert not (tmp_path / "s.journal").exists()

@@ -11,6 +11,7 @@ from repro.experiments.orchestrator import (
     ProcessPoolBackend,
     ResultStore,
     SerialBackend,
+    StoreError,
     SweepSpec,
     config_key,
     orchestration,
@@ -138,8 +139,8 @@ class TestResultStore:
 
         # Simulate an interruption: only the first point was completed.
         store = ResultStore(path)
-        results, hits, executed = run_jobs(jobs[:1], workers=1, store=store)
-        assert executed == 1
+        stats = run_jobs(jobs[:1], workers=1, store=store)
+        assert (len(stats.results), stats.cache_hits, stats.executed) == (1, 0, 1)
         store.close()  # the interrupted writer is gone: its lock with it
 
         executed_keys = []
@@ -171,9 +172,12 @@ class TestResultStore:
 
     def test_store_survives_unknown_version(self, tmp_path):
         path = tmp_path / "store.json"
-        path.write_text('{"version": 999, "results": {"x": {}}}')
-        store = ResultStore(str(path))
-        assert len(store) == 0
+        text = '{"version": 999, "results": {"x": {}}}'
+        path.write_text(text)
+        # refused, not treated as empty: the first flush would replace it
+        with pytest.raises(StoreError):
+            ResultStore(str(path))
+        assert path.read_text() == text
 
 
 class TestContextWiring:

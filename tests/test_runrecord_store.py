@@ -24,6 +24,7 @@ from repro.experiments.orchestrator import (
 from repro.metrics import SimulationResult
 from repro.record import RECORD_SCHEMA_VERSION, RunRecord
 from repro.session import Session
+from repro.store import StoreError, scan_frames
 
 
 def make_config(**overrides) -> SimulationConfig:
@@ -88,9 +89,9 @@ class TestStoreV2:
         store = ResultStore(path)
         run_sweep(spec, workers=1, store=store)
         store.flush()
-        payload = json.load(open(path))
-        assert payload["version"] == STORE_VERSION == 2
-        entry = next(iter(payload["results"].values()))
+        with open(path, "rb") as handle:
+            (header, entry), _ = scan_frames(handle.read())
+        assert header["store_version"] == STORE_VERSION == 2
         assert entry["record"]["schema_version"] == RECORD_SCHEMA_VERSION
 
     def test_get_record_and_entries(self, tmp_path):
@@ -158,17 +159,25 @@ class TestV1StoreMigration:
         spec = SweepSpec(series=[("s", build_config)], loads=[0.1], seeds=1)
         self._write_v1_store(path, spec)
         store = ResultStore(str(path))
-        store.flush()  # migration marks the store dirty
-        payload = json.load(open(path))
-        assert payload["version"] == 2
-        entry = next(iter(payload["results"].values()))
+        store.flush()  # an import alone writes nothing
+        assert json.load(open(path))["version"] == 1
+        store.put("fresh", sample_summary())
+        store.flush()  # the first write replaces the file, v1 entries upgraded
+        with open(path, "rb") as handle:
+            payloads, _ = scan_frames(handle.read())
+        assert payloads[0]["store_version"] == 2
+        (entry,) = [p for p in payloads[1:] if p["key"] != "fresh"]
         assert entry["record"]["provenance"]["migrated_from"] == 1
         assert entry["meta"]["series"] == "s"
 
     def test_unknown_version_still_ignored(self, tmp_path):
         path = tmp_path / "store.json"
-        path.write_text('{"version": 999, "results": {"x": {}}}')
-        assert len(ResultStore(str(path))) == 0
+        text = '{"version": 999, "results": {"x": {}}}'
+        path.write_text(text)
+        # not read as an empty store any more: refused, bytes kept
+        with pytest.raises(StoreError):
+            ResultStore(str(path))
+        assert path.read_text() == text
 
 
 class TestProbedJobs:

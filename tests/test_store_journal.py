@@ -11,8 +11,10 @@ The properties under test are the tentpole's acceptance criteria:
   union of their records — zero lost;
 * a second sweep over a shared store resumes from a peer's partial results
   (cache hits, not re-simulation);
-* existing JSON stores (v1 and v2) keep loading, and migrate to journal
-  format losslessly when asked.
+* monolithic JSON stores written by earlier code (v1 and v2, pinned under
+  ``tests/data``) are imported on open without being touched and replaced
+  by a journal on the first flush, losslessly — also when two processes
+  import the same file; one that cannot be read in full is never replaced.
 """
 
 from __future__ import annotations
@@ -43,9 +45,6 @@ from repro.experiments.orchestrator import (
 from repro.metrics import SimulationResult
 from repro.record import JobFailure, RunRecord
 from repro.store import (
-    ConcurrentWriterWarning,
-    JournalStore,
-    JsonStore,
     StoreLock,
     detect_format,
     frame_entry,
@@ -56,6 +55,9 @@ from repro.store import (
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
+
+#: pinned store files (copied to ``tmp_path`` before being opened).
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 def sample_summary(**overrides) -> SimulationResult:
     base = dict(
@@ -111,6 +113,34 @@ class TestFraming:
         assert line.startswith(b"J1 ") and line.endswith(b"\n")
         assert parse_frame_line(line[:-1]) == payload
 
+    def test_frame_bytes_are_pinned(self):
+        # one frame as the previous commit's writer produced it, byte for byte
+        record = RunRecord.from_summary(SimulationResult(
+            offered_load=0.1, accepted_load=0.09, average_latency=11.0,
+            latency_p99=21.0, packets_delivered=100, packets_generated=110,
+            phits_delivered=400, measured_cycles=300, num_nodes=8,
+            misrouted_fraction=0.0, deadlock_suspected=False, extra={},
+        ))
+        meta = {"series": "Baseline", "load": 0.1, "seed": 1}
+        pinned = (
+            b'J1 419 a5308972 {"key":"7c1e-alpha","op":"record","meta":{"load":0.1,'
+            b'"seed":1,"series":"Baseline"},"record":{"channels":{},"provenance":{},'
+            b'"schema_version":2,"summary":{"accepted_load":0.09,"average_latency":11.0,'
+            b'"deadlock_suspected":false,"extra":{},"latency_p99":21.0,'
+            b'"measured_cycles":300,"misrouted_fraction":0.0,"num_nodes":8,'
+            b'"offered_load":0.1,"packets_delivered":100,"packets_generated":110,'
+            b'"phits_delivered":400},"windows":[]}}\n'
+        )
+        assert frame_entry({"key": "7c1e-alpha", "op": "record",
+                            "record": record.to_dict(), "meta": meta}) == pinned
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "s.journal")
+            store = ResultStore(path)
+            store.put_record("7c1e-alpha", record, meta=meta)
+            store.close()
+            with open(path, "rb") as handle:
+                assert handle.read().splitlines(keepends=True)[1] == pinned
+
     def test_corruption_is_rejected(self):
         line = frame_entry({"op": "record", "key": "k"})[:-1]
         assert parse_frame_line(line) is not None
@@ -146,20 +176,17 @@ class TestJournalStore:
     def test_roundtrip_and_autodetect(self, tmp_path):
         path = str(tmp_path / "store.journal")
         store = ResultStore(path, format="journal")
-        assert isinstance(store, JournalStore)
         fill(store, ["k1", "k2", "k3"])
         store.put_failure("k4", JobFailure(reason="timeout", detail="3s"))
         store.flush()
         assert detect_format(path) == "journal"
 
-        # plain ResultStore(path) dispatches by sniffing the file
         clone = ResultStore(path)
-        assert isinstance(clone, JournalStore)
         assert len(clone) == 4
         assert clone.get("k2") is not None
         failures = list(clone.failures())
         assert len(failures) == 1 and failures[0][1].reason == "timeout"
-        # failure entries read as cache misses, like the JSON store
+        # failure entries read as cache misses
         assert clone.get_record("k4") is None
 
     def test_appends_supersede_and_count(self, tmp_path):
@@ -208,7 +235,7 @@ class TestJournalStore:
 
     def test_compaction_drops_dead_ops(self, tmp_path):
         path = str(tmp_path / "s.journal")
-        store = JournalStore(path)
+        store = ResultStore(path)
         for _ in range(4):
             fill(store, ["a", "b", "c"])
             store.flush()
@@ -223,7 +250,7 @@ class TestJournalStore:
 
     def test_auto_compaction_trigger(self, tmp_path):
         path = str(tmp_path / "s.journal")
-        store = JournalStore(path, compact_min_ops=8)
+        store = ResultStore(path, compact_min_ops=8)
         for _ in range(6):
             fill(store, ["a", "b"])
             store.flush()
@@ -244,9 +271,7 @@ class TestJournalStore:
 
 #: written by the last commit whose writer sorted every member (so ``"key"``
 #: never led the payload): header, three records, one overwrite, one failure.
-SORTED_LAYOUT_FIXTURE = os.path.join(
-    os.path.dirname(__file__), "data", "journal_sorted_layout.journal"
-)
+SORTED_LAYOUT_FIXTURE = os.path.join(DATA_DIR, "journal_sorted_layout.journal")
 
 
 def sorted_layout_frame(payload: dict) -> bytes:
@@ -335,7 +360,6 @@ class TestFramesAsEntries:
         data = open(path, "rb").read()
         assert b'{"key":' in data and b'{"key":"3f9a-alpha","op"' not in data
         store = ResultStore(path)
-        assert isinstance(store, JournalStore)
         info = store.describe()
         assert (len(store), info["journal_ops"], info["superseded"]) == (4, 5, 1)
         assert info["frames_fallback"] == 5 and info["torn_salvages"] == 0
@@ -430,7 +454,7 @@ class TestFramesAsEntries:
 
     def test_flush_and_compaction_do_not_reencode(self, tmp_path, monkeypatch):
         path = str(tmp_path / "s.journal")
-        store = JournalStore(path)
+        store = ResultStore(path)
         fill(store, ["a", "b"])
         store.flush()
         fill(store, [f"k{i}" for i in range(50)] + ["a"])
@@ -483,8 +507,8 @@ class TestTornTailRecovery:
             pos = nl + 1
         target = str(tmp_path / "torn.journal")
         # below len(magic) bytes the file no longer sniffs as a journal at
-        # all (auto-dispatch falls back to a fresh JSON store, also lossless
-        # in the sense that there was nothing complete to salvage)
+        # all (a lenient open starts empty, also lossless in the sense that
+        # there was nothing complete to salvage)
         for cut in range(len(b"J1 "), len(data) + 1):
             with open(target, "wb") as handle:
                 handle.write(data[:cut])
@@ -595,13 +619,12 @@ class TestCrashSafety:
 
     def test_crash_before_compaction_replace(self, tmp_path):
         path = str(tmp_path / "s.journal")
-        store = JournalStore(path)
+        store = ResultStore(path)
         for _ in range(3):
             fill(store, ["a", "b"])
             store.flush()
         script = """
-        from repro.store import JournalStore
-        store = JournalStore(sys.argv[1])
+        store = ResultStore(sys.argv[1])
         store.compact()
         """
         result = run_child(
@@ -609,7 +632,7 @@ class TestCrashSafety:
         )
         assert result.returncode == 17, result.stderr
         # old journal untouched (all ops still there), tmp snapshot cleaned
-        clone = JournalStore(path)
+        clone = ResultStore(path)
         assert len(clone) == 2
         assert clone.journal_ops == 6 and clone.compactions == 0
         clone.compact()  # open cleaned the stale tmp; compaction completes
@@ -619,13 +642,12 @@ class TestCrashSafety:
 
     def test_crash_after_compaction_replace(self, tmp_path):
         path = str(tmp_path / "s.journal")
-        store = JournalStore(path)
+        store = ResultStore(path)
         for _ in range(3):
             fill(store, ["a", "b"])
             store.flush()
         script = """
-        from repro.store import JournalStore
-        store = JournalStore(sys.argv[1])
+        store = ResultStore(sys.argv[1])
         store.compact()
         """
         result = run_child(
@@ -633,7 +655,7 @@ class TestCrashSafety:
         )
         assert result.returncode == 17, result.stderr
         # the complete new generation was published before the crash
-        clone = JournalStore(path)
+        clone = ResultStore(path)
         assert len(clone) == 2
         assert clone.journal_ops == 2 and clone.compactions == 1
 
@@ -735,64 +757,126 @@ class TestConcurrentWriters:
 
 
 # ---------------------------------------------------------------------------
-# Formats and migration
+# Importing monolithic JSON stores (pinned files: nothing writes them now)
 # ---------------------------------------------------------------------------
 
-class TestFormatsAndMigration:
-    def test_json_store_migrates_to_journal_on_open(self, tmp_path):
-        path = str(tmp_path / "old.json")
-        legacy = ResultStore(path, format="json")
-        assert isinstance(legacy, JsonStore)
-        fill(legacy, ["k1", "k2"])
-        legacy.close()
-        assert detect_format(path) == "json"
+#: fixture file -> (record keys, failure keys, v1 entries migrated); the v2
+#: file was written by the last commit that had a JSON writer, the v1 file by
+#: hand in the flat shape the PR 1/2 orchestrator stored.
+JSON_FIXTURES = {
+    "json_store_v2.json": (["7c1e-alpha", "7c1e-beta", "7c1e-gamma"], ["7c1e-delta"], 0),
+    "json_store_v1.json": (["5b2d-one", "5b2d-two"], [], 2),
+}
 
-        migrated = ResultStore(path, format="journal")
-        assert isinstance(migrated, JournalStore)
+#: files that start like JSON but cannot be read in full as a store.
+UNREADABLE_JSON = {
+    "damaged": "{oops",
+    "top-level-list": "[1, 2, 3]",
+    "results-not-an-object": '{"version": 2, "results": 5}',
+    "future-version": '{"version": 999, "results": {"x": {}}}',
+    "entry-not-an-object": '{"version": 2, "results": {"x": 5}}',
+}
+
+
+def copy_fixture(tmp_path, name: str) -> str:
+    path = str(tmp_path / name)
+    shutil.copy(os.path.join(DATA_DIR, name), path)
+    return path
+
+
+def read_bytes(path: str) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+class TestFormatsAndMigration:
+    @pytest.mark.parametrize("name", sorted(JSON_FIXTURES))
+    def test_read_only_open_never_modifies_json(self, tmp_path, name):
+        records, failed, migrated = JSON_FIXTURES[name]
+        path = copy_fixture(tmp_path, name)
+        before = read_bytes(path)
+        store = ResultStore(path, strict=True)
+        assert len(store) == len(records) + len(failed)
+        assert store.migrated == migrated
+        assert [key for key, _, _ in store.entries()] == records
+        assert [key for key, _, _ in store.failures()] == failed
+        assert store.get_record(records[0]).summary.packets_delivered == 100
+        assert all(store.get_record(key) is None for key in failed)
+        info = store.describe()
+        assert info["journal_ops"] == 0 and info["migrated_v1"] == migrated
+        # flush and close have nothing to write: the file is still the JSON
+        store.flush()
+        store.close()
+        assert read_bytes(path) == before and detect_format(path) == "json"
+
+    def _first_flush_replaces(self, tmp_path, name: str) -> ResultStore:
+        records, failed, _ = JSON_FIXTURES[name]
+        path = copy_fixture(tmp_path, name)
+        store = ResultStore(path)
+        imported = public_view(store)
+        store.put("fresh", sample_summary(), meta={"series": "new"})
+        assert detect_format(path) == "json"  # not before the flush
+        store.flush()
         assert detect_format(path) == "journal"
-        assert len(migrated) == 2 and migrated.get("k1") is not None
+        payloads, end = scan_frames(read_bytes(path))
+        assert end == os.path.getsize(path)
+        assert payloads[0]["op"] == "header" and payloads[0]["store_version"] == 2
+        assert [p["key"] for p in payloads[1:]] == sorted(records + failed + ["fresh"])
+        clone = ResultStore(path)
+        view = public_view(clone)
+        assert view.pop("fresh")[2] == {"series": "new"}
+        assert view == imported
+        return clone
+
+    def test_json_store_migrates_to_journal_on_open(self, tmp_path):
+        # imported on open, replaced by the first flush that writes something
+        clone = self._first_flush_replaces(tmp_path, "json_store_v2.json")
+        assert clone.migrated == 0
+        _, failure, meta = next(clone.failures())
+        assert (failure.reason, failure.retries, meta["load"]) == ("timeout", 2, 0.5)
+        record = clone.get_record("7c1e-beta")
+        assert record.channels["timeseries"]["data"] == [1, 2, 3]
 
     def test_v1_json_migrates_through_to_journal(self, tmp_path):
-        path = str(tmp_path / "v1.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "version": 1,
-                    "results": {
-                        "oldkey": {
-                            "result": sample_summary().to_dict(),
-                            "meta": {"series": "S"},
-                        }
-                    },
-                },
-                handle,
-            )
-        store = ResultStore(path, format="journal")
-        assert store.migrated == 1
-        assert store.get("oldkey") is not None
-        clone = ResultStore(path)
-        assert isinstance(clone, JournalStore)
-        record = clone.get_record("oldkey")
-        assert record.provenance.get("migrated_from") == 1
+        clone = self._first_flush_replaces(tmp_path, "json_store_v1.json")
+        assert clone.migrated == 0  # the journal holds v2 records
+        record = clone.get_record("5b2d-two")
+        assert record.provenance["migrated_from"] == 1
+        assert record.provenance["v1_meta"]["load"] == 0.2
+        assert record.summary.offered_load == pytest.approx(0.2)
 
-    def test_auto_preserves_existing_json(self, tmp_path):
-        path = str(tmp_path / "s.json")
-        store = ResultStore(path)  # fresh + auto -> legacy-compatible json
-        assert isinstance(store, JsonStore)
-        fill(store, ["k"])
-        store.close()
-        assert detect_format(path) == "json"
-        payload = json.load(open(path, encoding="utf-8"))
-        assert payload["version"] == 2 and "k" in payload["results"]
-        assert isinstance(ResultStore(path), JsonStore)
+    @pytest.mark.parametrize("first", ["a", "b"])
+    def test_two_importers_of_one_json_file_lose_nothing(self, tmp_path, first):
+        records, failed, _ = JSON_FIXTURES["json_store_v2.json"]
+        path = copy_fixture(tmp_path, "json_store_v2.json")
+        stores = {"a": ResultStore(path), "b": ResultStore(path)}  # both import
+        stores["a"].put("from-a", sample_summary())
+        stores["b"].put("from-b", sample_summary())
+        second = "b" if first == "a" else "a"
+        stores[first].close()  # replaces the JSON file with a journal
+        stores[second].close()  # finds a journal under the lock: absorbs, appends
+        assert stores[first].describe()["absorbed"] == 0
+        assert stores[second].describe()["absorbed"] > 0
+        union = ResultStore(path)
+        assert set(public_view(union)) == {*records, *failed, "from-a", "from-b"}
+        assert union.torn_salvages == 0
 
-    def test_json_over_journal_is_refused(self, tmp_path):
+    def test_open_after_a_peer_replaced_the_json_file(self, tmp_path):
+        path = copy_fixture(tmp_path, "json_store_v1.json")
+        early = ResultStore(path)
+        early.put("k", sample_summary())
+        early.close()
+        late = ResultStore(path)  # sees the journal, not the JSON it replaced
+        assert len(late) == 3 and late.migrated == 0
+        assert late.get_record("5b2d-one").provenance["migrated_from"] == 1
+
+    def test_format_json_is_refused(self, tmp_path):
         path = str(tmp_path / "s.journal")
-        store = ResultStore(path, format="journal")
-        fill(store, ["k"])
-        store.flush()
-        with pytest.raises(StoreError):
-            ResultStore(path, format="json")
+        for fmt in ("json", "sqlite", ""):
+            with pytest.raises(ValueError, match="store format"):
+                ResultStore(path, format=fmt)
+        assert len(ResultStore(path, format="auto")) == 0
+        assert not os.path.exists(path)
 
     def test_strict_open_errors(self, tmp_path):
         with pytest.raises(StoreError):
@@ -804,75 +888,16 @@ class TestFormatsAndMigration:
             ResultStore(str(garbage), strict=True, format="journal")
 
     def test_migration_never_destroys_unreadable_json(self, tmp_path):
-        # journal-format open of a damaged JSON file must raise, not replace
-        # the file with an empty journal.
-        path = tmp_path / "broken.json"
-        path.write_text("{oops", encoding="utf-8")
-        with pytest.raises(StoreError):
-            ResultStore(str(path), format="journal")
-        assert path.read_text(encoding="utf-8") == "{oops"
-
-
-# ---------------------------------------------------------------------------
-# Legacy JSON store durability (satellites 1 + 2)
-# ---------------------------------------------------------------------------
-
-class TestJsonStoreDurability:
-    def test_concurrent_writer_warning(self, tmp_path):
-        path = str(tmp_path / "s.json")
-        first = ResultStore(path, format="json")
-        fill(first, ["k1"])  # first write acquires the writer lock
-        second = ResultStore(path, format="json")
-        with pytest.warns(ConcurrentWriterWarning):
-            second.put("k2", sample_summary())
-        first.close()
-
-    def test_concurrent_writer_strict_is_error(self, tmp_path):
-        path = str(tmp_path / "s.json")
-        first = ResultStore(path, format="json")
-        fill(first, ["k1"])
-        first.flush()
-        second = ResultStore(path, strict=True)
-        assert isinstance(second, JsonStore)
-        with pytest.raises(StoreError):
-            second.put("k2", sample_summary())
-        first.close()
-
-    def test_readonly_open_never_touches_the_lock(self, tmp_path):
-        path = str(tmp_path / "s.json")
-        writer = ResultStore(path, format="json")
-        fill(writer, ["k1"])
-        writer.flush()
-        # an inspect-style strict open while the writer is live: fine
-        reader = ResultStore(path, strict=True)
-        assert len(reader) == 1
-        assert reader.describe()["lock_held"] is False
-        writer.close()
-
-    def test_lock_frees_on_close_for_next_writer(self, tmp_path):
-        path = str(tmp_path / "s.json")
-        first = ResultStore(path, format="json")
-        fill(first, ["k1"])
-        first.close()
-        second = ResultStore(path, format="json")
-        import warnings as warnings_module
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error", ConcurrentWriterWarning)
-            second.put("k2", sample_summary())  # no warning: lock was freed
-        second.close()
-
-    def test_flush_byte_format_unchanged(self, tmp_path):
-        # the satellite adds fsyncs only: the written bytes stay the exact
-        # legacy {"version": 2, "results": {...}} json.dump shape.
-        path = str(tmp_path / "s.json")
-        store = ResultStore(path, format="json")
-        store.put("k", sample_summary(), meta={"series": "S"})
-        store.close()
-        payload = json.load(open(path, encoding="utf-8"))
-        assert set(payload) == {"version", "results"}
-        entry = payload["results"]["k"]
-        assert set(entry) == {"record", "meta"}
-        assert entry["record"]["schema_version"] == 2
+        # a JSON file that cannot be read in full raises on every open —
+        # lenient or strict — and keeps its bytes: the first flush would
+        # otherwise replace it with a journal of whatever was understood.
+        for label, text in UNREADABLE_JSON.items():
+            path = tmp_path / f"{label}.json"
+            path.write_text(text, encoding="utf-8")
+            for strict in (False, True):
+                with pytest.raises(StoreError):
+                    ResultStore(str(path), strict=strict)
+            assert path.read_text(encoding="utf-8") == text, label
 
 
 # ---------------------------------------------------------------------------

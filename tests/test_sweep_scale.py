@@ -14,7 +14,6 @@ The contract under test (ISSUE 5 acceptance criteria):
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import pytest
 
@@ -188,11 +187,9 @@ class TestChunkedEquivalence:
 
     def _store_payload(self, path) -> dict:
         """Store contents reduced to what must be invariant: key -> summary."""
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
         return {
-            key: entry["record"]["summary"]
-            for key, entry in payload["results"].items()
+            key: record.summary.to_dict()
+            for key, record, _meta in ResultStore(str(path)).entries()
         }
 
     def test_chunked_and_cached_matches_per_job_fresh_builds(self, tmp_path):
@@ -317,18 +314,19 @@ class TestAdaptiveScheduling:
             adaptive=AdaptiveSettings(cutoff_after=1, margin=0.05),
         )
         assert outcome.extrapolated >= 1
-        with open(path, "r", encoding="utf-8") as handle:
-            stored = json.load(handle)["results"]
+        stored = {
+            key: (record, meta) for key, record, meta in ResultStore(path).entries()
+        }
         extrapolated_keys = [
             key for key in stored if EXTRAPOLATED_KEY_SUFFIX in key
         ]
         assert len(extrapolated_keys) == outcome.extrapolated
         for key in extrapolated_keys:
-            entry = stored[key]
-            assert entry["meta"]["extrapolated"] is True
-            assert entry["record"]["provenance"]["extrapolated"] is True
+            record, meta = stored[key]
+            assert meta["extrapolated"] is True
+            assert record.provenance["extrapolated"] is True
             # Traceability: the record names the simulated run it copies.
-            assert entry["record"]["provenance"]["source_config_key"] in stored
+            assert record.provenance["source_config_key"] in stored
             # The plain config key must NOT exist for extrapolated points.
             assert key.split(EXTRAPOLATED_KEY_SUFFIX)[0] not in stored
 
@@ -465,8 +463,6 @@ class TestConvergence:
             spec, workers=1, store=ResultStore(path),
             converge=ConvergenceSettings(min_windows=2, max_windows=4),
         )
-        with open(path, "r", encoding="utf-8") as handle:
-            stored = json.load(handle)["results"]
-        (key,) = stored.keys()
+        ((key, record, _meta),) = ResultStore(path).entries()
         assert ":cw" in key
-        assert "convergence" in stored[key]["record"]["provenance"]
+        assert "convergence" in record.provenance
