@@ -54,12 +54,59 @@ POINTS = [
 ]
 
 
+def _peak_rss_bytes() -> int:
+    """Peak RSS of this process (ru_maxrss is KB on Linux, bytes on macOS)."""
+    import resource
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak if sys.platform == "darwin" else peak * 1024
+
+
+def measure_construction_memory(config) -> dict:
+    """Peak RSS and tracemalloc deltas for network + route-table construction.
+
+    tracemalloc attributes allocations to the two construction stages; peak
+    RSS is process-wide and cumulative, so compare it across *separate*
+    runs, not across stages in one run.
+    """
+    import tracemalloc
+
+    from repro.routing.route_table import RouteTable
+
+    tracemalloc.start()
+    base, _ = tracemalloc.get_traced_memory()
+    start = time.perf_counter()
+    topology = config.network.build()
+    network_s = time.perf_counter() - start
+    after_network, _ = tracemalloc.get_traced_memory()
+
+    start = time.perf_counter()
+    table = RouteTable(topology)
+    table_s = time.perf_counter() - start
+    after_table, _ = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+
+    return {
+        "topology": config.network.topology,
+        "routers": topology.num_routers,
+        "nodes": topology.num_nodes,
+        "network_build_s": round(network_s, 3),
+        "network_tracemalloc_bytes": after_network - base,
+        "route_table_build_s": round(table_s, 3),
+        "route_table_tracemalloc_bytes": after_table - after_network,
+        "route_state_bytes": table.route_state_bytes(),
+        "route_state_bytes_per_router": round(
+            table.route_state_bytes() / topology.num_routers
+        ),
+        "peak_rss_bytes": _peak_rss_bytes(),
+    }
+
+
 def measure_point(topology: str, params: dict,
                   warmup: int, measure: int, load: float) -> dict:
     """Worker-side measurement (runs in a fresh subprocess for clean RSS)."""
     import dataclasses
 
-    from bench_engine import _peak_rss_bytes, measure_construction_memory
     from repro.config import NetworkConfig, SimulationConfig
     from repro.session import Session
     from repro.simulation import Simulation

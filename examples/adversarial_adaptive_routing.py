@@ -25,10 +25,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import (  # noqa: E402
     RoutingConfig,
+    Session,
     SimulationConfig,
     TrafficConfig,
     VcArrangement,
-    run_simulation,
 )
 from dataclasses import replace  # noqa: E402
 
@@ -75,7 +75,7 @@ def main() -> None:
     print(f"ADV+1 request-reply traffic on a scaled Dragonfly, offered load {load:.2f}\n")
     print(f"{'scenario':46s} {'accepted':>9s} {'latency':>9s} {'misrouted':>10s}")
     for label, config in scenarios.items():
-        result = run_simulation(config)
+        result = Session(config).run().summary
         print(f"{label:46s} {result.accepted_load:9.3f} "
               f"{result.average_latency:9.1f} {result.misrouted_fraction:10.2f}")
 

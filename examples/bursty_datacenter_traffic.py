@@ -38,7 +38,6 @@ from repro import (  # noqa: E402
     TimeSeriesProbe,
     TrafficConfig,
     VcArrangement,
-    run_simulation,
 )
 
 
@@ -108,7 +107,7 @@ def main() -> None:
     for label, config in scenarios.items():
         cells = []
         for load in args.loads:
-            result = run_simulation(config.with_load(load))
+            result = Session(config.with_load(load)).run().summary
             cells.append(f"  {result.accepted_load:.3f} / {result.average_latency:6.1f}")
         print(f"{label:24s}" + "".join(f"{cell:>22s}" for cell in cells))
 

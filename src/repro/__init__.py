@@ -16,15 +16,15 @@ The package contains two layers:
 
 Quickstart::
 
-    from repro import SimulationConfig, VcArrangement, run_simulation
+    from repro import Session, SimulationConfig, VcArrangement
     from dataclasses import replace
 
     config = SimulationConfig()                        # scaled Dragonfly, MIN, baseline
     flex = replace(config,
                    routing=replace(config.routing, vc_policy="flexvc"),
                    arrangement=VcArrangement.single_class(4, 2))
-    print(run_simulation(config))
-    print(run_simulation(flex))
+    print(Session(config).run().summary)
+    print(Session(flex).run().summary)
 
 Phased execution with live telemetry (see ``DESIGN.md`` §5)::
 
@@ -81,9 +81,6 @@ from .simulation import (
     SimulationArtifacts,
     average_results,
     build_artifacts,
-    build_topology,
-    run_seeds,
-    run_simulation,
 )
 from .topology import (
     TOPOLOGIES,
@@ -94,7 +91,7 @@ from .topology import (
     register_topology,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "__version__",
@@ -126,10 +123,7 @@ __all__ = [
     "Simulation",
     "SimulationArtifacts",
     "build_artifacts",
-    "run_simulation",
-    "run_seeds",
     "average_results",
-    "build_topology",
     "SimulationResult",
     "MetricsCollector",
     "LatencyHistogram",

@@ -26,14 +26,6 @@ VALID_VC_SELECTIONS = ("jsq", "highest", "lowest", "random")
 VALID_TRAFFIC_PATTERNS = ("uniform", "adversarial", "bursty")
 VALID_PB_SENSING = ("port", "vc")
 
-#: flat pre-registry NetworkConfig field names, accepted for backward
-#: compatibility and translated through each topology's ``legacy_fields``.
-_LEGACY_NETWORK_FIELDS = ("h", "p", "a", "num_groups", "k1", "k2", "fb_nodes_per_router")
-
-#: default suspected-deadlock window (single source of truth; re-exported by
-#: :mod:`repro.simulation` as ``DEADLOCK_WINDOW_CYCLES``).
-DEFAULT_DEADLOCK_WINDOW_CYCLES = 2500
-
 
 def _freeze_param_value(value: Any) -> Any:
     """Make a parameter value hashable (lists arrive from JSON/callers)."""
@@ -55,11 +47,8 @@ class NetworkConfig:
 
         NetworkConfig(topology="hyperx", params={"s": (4, 3, 3)})
 
-    and, for backward compatibility, the flat legacy keywords of the
-    pre-registry configuration (``h``/``p``/``a``/``num_groups`` for the
-    Dragonfly, ``k1``/``k2``/``fb_nodes_per_router`` for the Flattened
-    Butterfly); legacy keywords that do not apply to the named topology are
-    ignored, exactly as the old flat dataclass ignored them.
+    Topology parameters go into ``params=`` only: any other keyword is a
+    ``TypeError``.
     """
 
     topology: str = "dragonfly"
@@ -76,47 +65,14 @@ class NetworkConfig:
         params: ParamsInput = None,
         local_latency: int = 10,
         global_latency: int = 100,
-        **legacy: Any,
     ) -> None:
         object.__setattr__(self, "topology", topology)
         object.__setattr__(self, "local_latency", local_latency)
         object.__setattr__(self, "global_latency", global_latency)
-        merged = dict(params or {})
-        unknown = [name for name in legacy if name not in _LEGACY_NETWORK_FIELDS]
-        if unknown:
-            raise TypeError(
-                f"unexpected NetworkConfig argument(s) {unknown}; topology "
-                "parameters go into params={...}"
-            )
-        provided = {name: value for name, value in legacy.items() if value is not None}
-        if provided:
-            if topology not in TOPOLOGIES:
-                raise TypeError(
-                    f"cannot translate legacy parameter(s) {sorted(provided)} "
-                    f"for unknown topology {topology!r}"
-                )
-            spec = TOPOLOGIES.get(topology)
-            param_names = {f.name for f in dataclass_fields(spec.params_cls)}
-            for name, value in provided.items():
-                target = spec.legacy_fields.get(name)
-                if target is not None:
-                    merged[target] = value
-                elif name in param_names:
-                    # Same-named parameter of a post-registry topology
-                    # (e.g. Megafly's h/num_groups): pass straight through.
-                    merged[name] = value
-                elif not spec.legacy_fields:
-                    # Post-registry topologies never existed under the flat
-                    # scheme, so an untranslatable keyword is a user error,
-                    # not backward compatibility.
-                    raise TypeError(
-                        f"topology {topology!r} does not take legacy "
-                        f"parameter {name!r}; use params={{...}}"
-                    )
-                # else: pre-registry topology (dragonfly / flattened
-                # butterfly) — the old flat dataclass carried every
-                # topology's fields at once, so foreign ones stay ignored.
-        merged = {name: _freeze_param_value(value) for name, value in merged.items()}
+        merged = {
+            name: _freeze_param_value(value)
+            for name, value in dict(params or {}).items()
+        }
         # Normalize against the parameter dataclass so structurally equal
         # configurations compare (and content-hash) equal regardless of which
         # defaults were spelled out; invalid parameters keep the raw form and
@@ -152,10 +108,6 @@ class NetworkConfig:
         them.  Use :meth:`build` when a private instance is required.
         """
         return TOPOLOGIES.build_cached(self.topology, dict(self.params))
-
-    def param(self, name: str, default: Any = None) -> Any:
-        """Read one topology parameter (post-translation name)."""
-        return dict(self.params).get(name, default)
 
     def validate(self) -> None:
         if self.topology not in TOPOLOGIES:
@@ -304,7 +256,7 @@ class SimulationConfig:
     seed: int = 1
     #: A run is flagged as suspected-deadlocked when no packet is delivered
     #: for this many cycles while traffic is resident in the network.
-    deadlock_window_cycles: int = DEFAULT_DEADLOCK_WINDOW_CYCLES
+    deadlock_window_cycles: int = 2500
     #: deterministic fault-injection schedule (empty = pristine network).
     #: Non-empty schedules hash into ``config_key``; the empty default is
     #: omitted from the key payload so every no-fault key is unchanged.

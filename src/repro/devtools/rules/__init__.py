@@ -2,6 +2,6 @@
 
 from __future__ import annotations
 
-from . import determinism, hotpath, memory  # noqa: F401
+from . import determinism, hotpath, layering, memory  # noqa: F401
 
-__all__ = ["determinism", "hotpath", "memory"]
+__all__ = ["determinism", "hotpath", "layering", "memory"]

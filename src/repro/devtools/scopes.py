@@ -13,7 +13,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Sequence
 
-__all__ = ["relative_to_repro", "rule_applies", "SCOPES"]
+__all__ = ["relative_to_repro", "rule_applies", "layer_rank", "LAYERS", "SCOPES"]
 
 
 # Determinism rules cover the simulation core: everything that executes
@@ -69,6 +69,18 @@ _SLOTS_SCOPE = (
 # seam reads the environment, both legitimately.
 _STORE = ("store/",)
 
+# Layering runs one way: core -> session -> store -> orchestration -> CLI.
+# Rank = index, and the highest matching rank wins (the CLI file sits inside
+# experiments/).  The two package facades (``__init__.py`` of repro and of
+# experiments) re-export every layer and are outside the table.
+LAYERS: Sequence[Sequence[str]] = (
+    _SIM_CORE + ("config.py", "metrics.py", "keys.py", "record.py", "probes.py"),
+    ("session.py",),
+    _STORE,
+    ("experiments/",),
+    ("experiments/__main__.py",),
+)
+
 SCOPES: dict[str, Sequence[str]] = {
     "det-set-iter": _SIM_CORE + _STORE,
     "det-set-pop": _SIM_CORE + _STORE,
@@ -80,6 +92,7 @@ SCOPES: dict[str, Sequence[str]] = {
     "hot-slots": _SLOTS_SCOPE,
     "hot-no-deque": _HOT,
     "mem-unbounded-memo": _HOT + _STORE,
+    "layer-upward-import": tuple(entry for layer in LAYERS for entry in layer),
     # meta-findings (bare suppressions) apply everywhere by construction
     "meta-bare-suppression": (),
 }
@@ -93,6 +106,19 @@ def relative_to_repro(path: Path) -> Optional[str]:
         if parts[i - 1] == "repro":
             return "/".join(parts[i:]) if parts[i:] else None
     return None
+
+
+def layer_rank(module: str) -> Optional[int]:
+    """Rank in :data:`LAYERS` of a package-relative module path without
+    suffix (``"session"``, ``"store/journal"``, or a package: ``"store"``);
+    ``None`` for the facades and anything unlisted."""
+    if module in ("__init__", "experiments/__init__"):
+        return None
+    best = None
+    for rank, layer in enumerate(LAYERS):
+        if any(module + ".py" == e or (module + "/").startswith(e) for e in layer):
+            best = rank
+    return best
 
 
 def rule_applies(rule_id: str, path: Path) -> bool:

@@ -34,15 +34,10 @@ from typing import Callable, Dict, Sequence
 from ..faults import parse_faults
 from ..probes import PROBES, make_probes
 from ..session import ConvergenceSettings
+from ..store import FLUSH_INTERVAL_SECONDS, ResultStore, StoreError
 from . import figures, tables, topologies
 from .formatting import render_bar_table, render_series_table
-from .orchestrator import (
-    FLUSH_INTERVAL_SECONDS,
-    AdaptiveSettings,
-    ResultStore,
-    StoreError,
-    orchestration,
-)
+from .orchestrator import AdaptiveSettings, orchestration
 from .runner import SCALES
 
 DEFAULT_STORE = "results/store.json"

@@ -1,4 +1,4 @@
-"""Parallel sweep orchestration: jobs, backends, result store, contexts.
+"""Parallel sweep orchestration: jobs, chunk executors, contexts.
 
 Every experiment of the paper decomposes into independent *jobs* — one
 ``(series, load, seed)`` point, each a full :class:`~repro.simulation.Simulation`
@@ -8,15 +8,15 @@ run.  This module turns that decomposition into infrastructure:
   and expands it into :class:`Job` objects keyed by a stable hash of the
   complete :class:`~repro.config.SimulationConfig` (plus a coarser
   :func:`network_key` identifying the job's network+routing substrate);
-* :func:`run_jobs` executes jobs on a backend — a ``ProcessPoolExecutor``
-  when ``workers > 1``, serial otherwise — with bit-identical results either
-  way because every job owns its RNG.  Jobs are dispatched in *series-affine
-  chunks* (one pool task runs several jobs of the same series back to back),
+* :func:`run_jobs` executes jobs on a ``ProcessPoolExecutor`` when
+  ``workers > 1``, in this process otherwise — with bit-identical results
+  either way because every job owns its RNG.  Jobs are dispatched in
+  *series-affine chunks* (one pool task runs several jobs of one series),
   which amortizes pickle/IPC overhead and keeps each worker's
   :class:`ArtifactCache` hot: topology graphs and route tables are built once
   per ``network_key`` per worker instead of once per job;
-* :class:`~repro.store.ResultStore` (re-exported here) persists results
-  keyed by config hash in a crash-safe append-only journal, see
+* :class:`~repro.store.ResultStore` persists results keyed by config hash
+  in a crash-safe append-only journal, see
   :mod:`repro.store` — so an interrupted sweep resumes from what it already
   computed instead of recomputing, repeated invocations are served entirely
   from cache, and concurrent sweep processes can share one store;
@@ -64,16 +64,17 @@ from ..config import SimulationConfig
 from ..faults import FaultSpec
 from ..keys import _hash_payload, _network_payload, config_key, network_key
 from ..metrics import SimulationResult
+from ..probes import make_probes
 from ..record import JobFailure, RunRecord
 from ..router.saturation import DEFAULT_SATURATION_MARGIN, is_saturated_point
-from ..session import ConvergenceSettings
-from ..simulation import SimulationArtifacts, build_artifacts
-from ..store import (  # noqa: F401 - re-exported: callers import the store from here
-    FLUSH_INTERVAL_SECONDS,
-    STORE_VERSION,
-    ResultStore,
-    StoreError,
+from ..session import ConvergenceSettings, Session
+from ..simulation import (
+    Simulation,
+    SimulationArtifacts,
+    average_results,
+    build_artifacts,
 )
+from ..store import FLUSH_INTERVAL_SECONDS, ResultStore
 
 ConfigBuilder = Callable[[], SimulationConfig]
 
@@ -253,7 +254,7 @@ _WORKER_ARTIFACTS = ArtifactCache()
 
 
 # ---------------------------------------------------------------------------
-# Execution backends
+# Job execution
 # ---------------------------------------------------------------------------
 
 def _apply_test_seams(job_key: str) -> None:
@@ -286,16 +287,12 @@ def _execute_job(job: Job) -> Tuple[str, RunRecord]:
 
     Runs the job through the phased Session API so probe names on the job
     yield telemetry channels in the returned :class:`RunRecord`; without
-    probes the session is wiring-free and bit-identical to the legacy
-    one-shot runner.  Construction artifacts come from the process-local
-    :class:`ArtifactCache`; jobs carrying convergence settings measure via
+    probes the session wires nothing into the simulation.  Construction
+    artifacts come from the process-local :class:`ArtifactCache`; jobs
+    carrying convergence settings measure via
     :meth:`~repro.session.Session.measure_converged` instead of one fixed
     window.
     """
-    from ..probes import make_probes
-    from ..session import Session
-    from ..simulation import Simulation
-
     _apply_test_seams(job.key)
     artifacts = _WORKER_ARTIFACTS.get(
         job.network_key or network_key(job.config), job.config
@@ -329,57 +326,11 @@ def _execute_chunk(jobs: Sequence[Job]) -> _ChunkResult:
     return records, (hits_after - hits_before, misses_after - misses_before)
 
 
-class SerialBackend:
-    """Run jobs one after another in this process.
-
-    Kept (with :class:`ProcessPoolBackend`) as the public per-job execution
-    API; :func:`run_jobs` itself dispatches through the chunk executors
-    below.  The backend-vs-chunked equivalence is part of the bit-identity
-    test surface.
-    """
-
-    def run(self, jobs: Sequence[Job], on_result: Callable[[Job, RunRecord], None]) -> None:
-        for job in jobs:
-            _, record = _execute_job(job)
-            on_result(job, record)
-
-
-class ProcessPoolBackend:
-    """Run jobs on a ``ProcessPoolExecutor`` (falls back to serial on failure).
-
-    Process pools can be unavailable (restricted sandboxes, missing
-    ``/dev/shm`` semaphores); in that case the sweep silently degrades to the
-    serial backend rather than failing — results are identical either way.
-    """
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
-
-    def run(self, jobs: Sequence[Job], on_result: Callable[[Job, RunRecord], None]) -> None:
-        try:
-            executor = ProcessPoolExecutor(max_workers=self.workers)
-        except OSError:  # pragma: no cover - environment-dependent
-            SerialBackend().run(jobs, on_result)
-            return
-        try:
-            pending = {executor.submit(_execute_job, job): job for job in jobs}
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    job = pending.pop(future)
-                    _, record = future.result()
-                    on_result(job, record)
-        finally:
-            executor.shutdown()
-
-
 # -- chunk executors ---------------------------------------------------------
 #
-# The chunk executors support *incremental* submission (the adaptive
+# The chunk executors support *incremental* submission: the adaptive
 # scheduler submits a series' next load step only after judging the previous
-# one), which the fire-and-forget backend API above cannot express.
+# one.
 
 class _SerialChunkExecutor:
     """Chunk execution in this process; lazily runs on ``next_completed``."""
@@ -721,8 +672,6 @@ def _run_adaptive(
     before the next is submitted, because the next submission *is* the
     scheduling decision.
     """
-    from ..simulation import average_results
-
     by_series: Dict[str, List[Job]] = {}
     for job in unique_jobs:
         by_series.setdefault(job.series, []).append(job)
@@ -910,12 +859,7 @@ def orchestration(
 
 @dataclass
 class JobRunStats:
-    """Everything :func:`run_jobs` produced and counted.
-
-    Iterates as the historical ``(results, cache_hits, executed)`` triple,
-    so existing ``results, hits, executed = run_jobs(...)`` call sites keep
-    working unchanged.
-    """
+    """Everything :func:`run_jobs` produced and counted."""
 
     results: Dict[str, SimulationResult]
     cache_hits: int = 0
@@ -993,9 +937,8 @@ def run_jobs(
 ) -> JobRunStats:
     """Execute jobs, serving duplicates and stored results from cache.
 
-    Returns a :class:`JobRunStats` (unpacks as the historical
-    ``(results_by_key, cache_hits, executed)`` triple).  All parameters
-    default to the active :func:`orchestration` context.
+    Returns a :class:`JobRunStats`.  All parameters default to the active
+    :func:`orchestration` context.
 
     Execution is chunked: pending jobs are grouped into series-affine chunks
     (``chunk_size`` jobs per pool task; automatic when None) so each worker
@@ -1191,8 +1134,6 @@ class SweepOutcome:
 
     def point(self, series: str, load: float) -> SimulationResult:
         """Seed-averaged result of one (series, load) point."""
-        from ..simulation import average_results
-
         return average_results(self.seed_results(series, load))
 
     def table(self) -> Dict[Tuple[str, float], SimulationResult]:
@@ -1242,18 +1183,17 @@ def run_sweep(
     )
 
 
-def run_seed_jobs(
-    config: SimulationConfig,
-    seeds: int,
-    workers: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-) -> List[SimulationResult]:
-    """Run one configuration under ``seeds`` consecutive seeds (in seed order)."""
+def run_seed_jobs(config: SimulationConfig, seeds: int) -> List[SimulationResult]:
+    """Run one configuration under ``seeds`` consecutive seeds (in seed order).
+
+    The paper averages 5.  Seeds are independent jobs: worker count and
+    result store come from the active :func:`orchestration` context.
+    """
     spec = SweepSpec(
         series=[("point", lambda: config)],
         loads=[config.traffic.load],
         seeds=max(1, seeds),
         name="seeds",
     )
-    outcome = run_sweep(spec, workers=workers, store=store)
+    outcome = run_sweep(spec)
     return outcome.seed_results("point", config.traffic.load)

@@ -16,7 +16,7 @@ endeavour, which is exactly the substitution documented in DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Sequence
 
 from ..config import (
     NetworkConfig,
@@ -28,7 +28,7 @@ from ..config import (
 from ..core.arrangement import VcArrangement
 from ..metrics import SimulationResult
 from ..simulation import average_results
-from .orchestrator import ResultStore, SweepSpec, run_seed_jobs, run_sweep
+from .orchestrator import SweepSpec, run_seed_jobs, run_sweep
 
 
 @dataclass(frozen=True)
@@ -242,37 +242,21 @@ def base_config(
 # Sweep drivers (thin wrappers over the orchestrator)
 # ---------------------------------------------------------------------------
 #
-# These keep the seed API but delegate to repro.experiments.orchestrator:
-# points become independent jobs, run serially or on a process pool
-# (``workers``, or the active ``orchestration(...)`` context) and served
-# from the result store when one is installed.  Results are bit-identical
-# serial or pooled because every job owns its RNG.
+# These take what a figure varies (series, loads, seeds) and delegate to
+# repro.experiments.orchestrator: points become independent jobs.  How they
+# execute — worker count, result store, chunking, adaptive/convergence
+# modes — comes from the active ``orchestration(...)`` context alone.
+# Results are bit-identical serial or pooled because every job owns its RNG.
 
-def run_point(
-    config: SimulationConfig,
-    seeds: int = 1,
-    workers: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-) -> SimulationResult:
+def run_point(config: SimulationConfig, seeds: int = 1) -> SimulationResult:
     """Run one configuration under ``seeds`` seeds and average."""
-    results = run_seed_jobs(config, max(1, seeds), workers=workers, store=store)
-    return average_results(results)
+    return average_results(run_seed_jobs(config, seeds))
 
 
 def load_sweep(
-    series: Sequence[Series],
-    loads: Iterable[float],
-    seeds: int = 1,
-    workers: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-    chunk_size: Optional[int] = None,
+    series: Sequence[Series], loads: Iterable[float], seeds: int = 1
 ) -> List[Series]:
-    """Run every series at every offered load (latency/throughput curves).
-
-    ``chunk_size`` (like ``workers``/``store``) defaults to the active
-    :func:`~repro.experiments.orchestrator.orchestration` context, as do the
-    opt-in adaptive/convergence sweep modes.
-    """
+    """Run every series at every offered load (latency/throughput curves)."""
     loads = list(loads)
     spec = SweepSpec(
         series=[(entry.label, entry.builder) for entry in series],
@@ -280,22 +264,12 @@ def load_sweep(
         seeds=max(1, seeds),
         name="load_sweep",
     )
-    outcome = run_sweep(spec, workers=workers, store=store, chunk_size=chunk_size)
+    outcome = run_sweep(spec)
     for entry in series:
         entry.results = [outcome.point(entry.label, load) for load in loads]
     return list(series)
 
 
-def max_throughput(
-    series: Sequence[Series],
-    seeds: int = 1,
-    saturation_load: float = 1.0,
-    workers: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-    chunk_size: Optional[int] = None,
-) -> List[Series]:
+def max_throughput(series: Sequence[Series], seeds: int = 1) -> List[Series]:
     """Accepted load at full offered load (the paper's "maximum throughput")."""
-    return load_sweep(
-        series, [saturation_load], seeds,
-        workers=workers, store=store, chunk_size=chunk_size,
-    )
+    return load_sweep(series, [1.0], seeds)

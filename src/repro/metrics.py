@@ -235,11 +235,6 @@ class MetricsCollector:
         #: compares equal to the legacy boolean ``measured=True`` stamp.
         self._epoch = 1
 
-    @property
-    def latencies(self) -> List[int]:
-        """Measured latencies in ascending order (compatibility accessor)."""
-        return self.latency_histogram.values()
-
     # -- window control ---------------------------------------------------------
     def open_window(self, start_cycle: int, end_cycle: int) -> None:
         """Define the steady-state measurement window ``[start, end)``."""

@@ -1,9 +1,7 @@
 """Phased execution sessions: warmup / measure / drain with pluggable probes.
 
-:class:`Session` is the public execution API of the simulator.  Where the
-legacy ``Simulation.run()`` was a one-shot (warm-up plus a single fixed
-measurement window, returning a flat summary), a session exposes the run's
-lifecycle as explicit, resumable phases::
+:class:`Session` is the public execution API of the simulator: it exposes a
+run's lifecycle as explicit, resumable phases::
 
     session = Session(config, probes=[TimeSeriesProbe(100)])
     session.warmup()                  # config.warmup_cycles, no statistics
@@ -14,16 +12,14 @@ lifecycle as explicit, resumable phases::
 
 Phases may be interleaved with raw ``run_until(cycle)`` stepping, and any
 number of measurement windows can be opened per run — transient scenarios
-(burst absorption, saturation onset, recovery) that the one-shot API could
-not express.
+(burst absorption, saturation onset, recovery) that one fixed window cannot
+express.  :meth:`Session.run` is the paper's protocol in one call: warm up,
+measure one steady-state window, return the record.
 
 Probes attach before the first phase; when none are attached the session
 wires **nothing** into the simulation, so the no-probe path is bit-identical
 to (and as fast as) the un-instrumented engine — see :mod:`repro.probes` for
 the zero-cost-when-unsubscribed invariant.
-
-``Simulation.run()`` and ``run_simulation()`` remain as thin compatibility
-shims over ``warmup(); measure()``.
 """
 
 from __future__ import annotations
@@ -115,8 +111,9 @@ class Session:
     probes:
         Probes to attach before the first phase (more via :meth:`attach`).
     simulation:
-        Adopt an already-constructed simulation instead of building one
-        (used by the ``Simulation.run()`` compatibility shim).
+        Adopt an already-constructed simulation instead of building one:
+        the artifact-injection path (``Simulation(config, artifacts=...)``)
+        used by the sweep orchestrator's workers and the performance ledger.
     """
 
     def __init__(
@@ -250,7 +247,7 @@ class Session:
         result = metrics.close_window(
             offered_load=self.config.traffic.load, deadlock_suspected=deadlock
         )
-        controller = getattr(self.sim, "fault_controller", None)
+        controller = self.sim.fault_controller
         if controller is not None:
             # Cumulative fault counters per window: differencing consecutive
             # windows localizes a transient to its window.
@@ -461,16 +458,12 @@ class Session:
             "wall_time_s": round(self._wall_elapsed, 6),
             "probes": [type(probe).__name__ for probe in self._probes],
         }
-        controller = getattr(sim, "fault_controller", None)
-        if controller is not None:
-            provenance["faults"] = controller.provenance()
-        route_table = getattr(sim, "route_table", None)
-        table_stats = getattr(route_table, "table_stats", None)
-        if table_stats is not None:
-            # Route-table mode + (for lazy tables) LRU behaviour: an
-            # execution strategy, not part of any cache key, but recorded so
-            # system-scale runs can be audited for column churn.
-            provenance["route_table"] = table_stats()
+        if sim.fault_controller is not None:
+            provenance["faults"] = sim.fault_controller.provenance()
+        # Column builds, hits and evictions: an execution strategy, not part
+        # of any cache key, but recorded so system-scale runs can be audited
+        # for column churn.
+        provenance["route_table"] = sim.route_table.table_stats()
         # Plan-construction work done on memo misses, and what the memos
         # hold: says whether a slow point spent its time rebuilding plans.
         provenance["routing"] = sim.routing.memo_stats()

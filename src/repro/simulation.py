@@ -3,9 +3,7 @@
 ``Simulation(config)`` wires everything together — topology, routers, links,
 credit channels, saturation boards, traffic and metrics.  Execution lives in
 the phased :class:`~repro.session.Session` API (warmup / measure / drain,
-probes, RunRecords); ``Simulation.run()`` and :func:`run_simulation` remain
-as one-shot compatibility shims returning the flat
-:class:`~repro.metrics.SimulationResult` summary.
+probes, RunRecords): ``Session(config).run()`` is the one way to run a point.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .config import DEFAULT_DEADLOCK_WINDOW_CYCLES, SimulationConfig
+from .config import SimulationConfig
 from .core.flexvc import make_policy
 from .core.link_types import LinkType
 from .core.vc_selection import make_selection
@@ -29,20 +27,6 @@ from .routing import make_routing
 from .routing.route_table import RouteTable
 from .topology.base import Topology
 from .traffic import TrafficManager, make_generator
-
-#: Default suspected-deadlock window, re-exported for backward compatibility
-#: (see :attr:`repro.config.SimulationConfig.deadlock_window_cycles`).
-DEADLOCK_WINDOW_CYCLES = DEFAULT_DEADLOCK_WINDOW_CYCLES
-
-
-def build_topology(config: SimulationConfig) -> Topology:
-    """Instantiate the topology described by ``config.network``.
-
-    Thin wrapper over the topology registry
-    (:data:`repro.topology.TOPOLOGIES`), kept for backward compatibility.
-    """
-    return config.network.build()
-
 
 @dataclass
 class SimulationArtifacts:
@@ -131,7 +115,7 @@ class Simulation:
         self.rng = random.Random(config.seed)
         self.engine = Engine()
         self.topology = (
-            artifacts.topology if artifacts is not None else build_topology(config)
+            artifacts.topology if artifacts is not None else config.network.build()
         )
         #: minimal-route table shared by every routing consumer (plans,
         #: PAR/PB sensing, saturation lookups).
@@ -290,24 +274,7 @@ class Simulation:
         assert self.traffic is not None
         self.traffic.on_delivery(packet, cycle)
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def run(self) -> SimulationResult:
-        """Run warm-up plus one measurement window (compatibility shim).
-
-        Thin wrapper over the phased :class:`~repro.session.Session` API —
-        ``warmup()`` followed by a single ``measure()`` — and bit-identical
-        to the pre-session one-shot runner.  Use a session directly for
-        probes, multiple measurement windows, drain phases or resumable
-        stepping.
-        """
-        from .session import Session
-
-        session = Session(simulation=self)
-        session.warmup()
-        return session.measure()
-
+    # -- diagnostics -----------------------------------------------------------------
     def _deadlock_suspected(self) -> bool:
         """No delivery for a long stretch while packets remain in flight (O(1))."""
         if self._resident_ledger.count == 0:
@@ -318,32 +285,9 @@ class Simulation:
             return self.engine.now > window
         return (self.engine.now - last) > window
 
-    # -- diagnostics -----------------------------------------------------------------
     def total_resident_packets(self) -> int:
         """Packets resident in network input buffers, maintained incrementally."""
         return self._resident_ledger.count
-
-
-def run_simulation(config: SimulationConfig) -> SimulationResult:
-    """Convenience one-shot runner."""
-    return Simulation(config).run()
-
-
-def run_seeds(
-    config: SimulationConfig,
-    seeds: int = 3,
-    workers: Optional[int] = None,
-) -> List[SimulationResult]:
-    """Run the same configuration under several seeds (the paper averages 5).
-
-    Thin wrapper over the experiment orchestrator: seeds become independent
-    jobs, so passing ``workers > 1`` (or running inside an
-    ``orchestration(workers=...)`` context) executes them in parallel with
-    bit-identical results.
-    """
-    from .experiments.orchestrator import run_seed_jobs
-
-    return run_seed_jobs(config, seeds, workers=workers)
 
 
 def _average_extras(results: List[SimulationResult]) -> Dict[str, float]:

@@ -490,11 +490,6 @@ class ResultStore:
         self.decoded += 1
         return payload
 
-    def get(self, key: str) -> Optional[SimulationResult]:
-        """Stored summary for ``key`` (None on miss) — compatibility view."""
-        record = self.get_record(key)
-        return None if record is None else record.summary
-
     def get_record(self, key: str) -> Optional[RunRecord]:
         """Full stored record (summary + telemetry channels + provenance)."""
         return self.get_record_any(key)

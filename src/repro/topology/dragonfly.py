@@ -377,7 +377,6 @@ class DragonflyParams:
     DragonflyParams,
     description="balanced Dragonfly (Kim et al.): groups of a routers, "
                 "all-to-all local and group-level global links",
-    legacy_fields={"h": "h", "p": "p", "a": "a", "num_groups": "num_groups"},
 )
 def _build_dragonfly(params: DragonflyParams) -> Dragonfly:
     return Dragonfly(h=params.h, p=params.p, a=params.a, num_groups=params.num_groups)

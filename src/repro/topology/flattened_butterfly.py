@@ -84,7 +84,6 @@ class FlattenedButterflyParams:
     description="2D Flattened Butterfly (HyperX L=2): fully-connected rows "
                 "and columns under dimension-order routing",
     aliases=("fb", "flattened-butterfly"),
-    legacy_fields={"k1": "k1", "k2": "k2", "fb_nodes_per_router": "nodes_per_router"},
 )
 def _build_flattened_butterfly(params: FlattenedButterflyParams) -> FlattenedButterfly2D:
     return FlattenedButterfly2D(k1=params.k1, k2=params.k2, p=params.nodes_per_router)

@@ -20,16 +20,12 @@ experiments, CLI — with a single ``@register_topology`` declaration::
     @register_topology("ring", RingParams, description="unidirectional ring")
     def _build_ring(params: RingParams) -> Topology:
         return Ring(params.routers, params.nodes_per_router)
-
-``legacy_fields`` maps the flat pre-registry :class:`NetworkConfig` keyword
-names (``h``, ``k1``, ``fb_nodes_per_router``, ...) onto parameter-dataclass
-fields so old construction code keeps working unchanged.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..cache import BoundedLRU
@@ -45,8 +41,6 @@ class TopologySpec:
     builder: Callable[[Any], Topology]
     description: str = ""
     aliases: Tuple[str, ...] = ()
-    #: legacy NetworkConfig field name -> params_cls field name.
-    legacy_fields: Mapping[str, str] = field(default_factory=dict)
 
     def make_params(self, params: Optional[Mapping[str, Any]] = None) -> Any:
         """Instantiate and validate the parameter dataclass."""
@@ -98,7 +92,6 @@ class TopologyRegistry:
         *,
         description: str = "",
         aliases: Tuple[str, ...] = (),
-        legacy_fields: Optional[Mapping[str, str]] = None,
     ) -> Callable[[Callable[[Any], Topology]], Callable[[Any], Topology]]:
         """Decorator registering ``builder`` under ``name`` (plus aliases)."""
 
@@ -116,7 +109,6 @@ class TopologyRegistry:
                 builder=builder,
                 description=description,
                 aliases=tuple(aliases),
-                legacy_fields=dict(legacy_fields or {}),
             )
             self._specs[name] = spec
             for alias in spec.aliases:

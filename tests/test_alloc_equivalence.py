@@ -81,7 +81,7 @@ def _delivery_trace(sim: Simulation) -> list:
 def _run(config: SimulationConfig, reference: bool):
     sim = Simulation(config, use_reference_allocator=reference)
     trace = _delivery_trace(sim)
-    result = dataclasses.asdict(sim.run())
+    result = dataclasses.asdict(Session(simulation=sim).run().summary)
     return trace, result
 
 
@@ -131,7 +131,7 @@ def test_link_callback_bodies_match_full_rescan(
     assert {sink.__func__.__qualname__ for sink in sinks} == {
         f"{output_body}.credit_return"}
     fast_trace = _delivery_trace(sim)
-    fast_result = dataclasses.asdict(sim.run())
+    fast_result = dataclasses.asdict(Session(simulation=sim).run().summary)
     ref_trace, ref_result = _run(config, reference=True)
     assert fast_trace and fast_trace == ref_trace
     assert fast_result == ref_result
@@ -150,7 +150,7 @@ class TestInProcessReproducibility:
         for _ in range(2):
             sim = Simulation(self.CONFIG)
             trace = _delivery_trace(sim)
-            sim.run()
+            Session(simulation=sim).run()
             traces.append(trace)
         assert traces[0] == traces[1]
         # pid sequences start from zero per simulation.
@@ -185,6 +185,6 @@ class TestInProcessReproducibility:
         for _ in range(2):
             sim = Simulation(config)
             trace = _delivery_trace(sim)
-            sim.run()
+            Session(simulation=sim).run()
             traces.append(trace)
         assert traces[0] == traces[1]

@@ -1,7 +1,11 @@
 """Configuration validation, metrics accounting and the engine event wheel."""
 
+import tomllib
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.config import (
     NetworkConfig,
     RouterConfig,
@@ -13,6 +17,13 @@ from repro.core.arrangement import VcArrangement
 from repro.engine import Engine
 from repro.metrics import MetricsCollector
 from repro.packet import Packet, RouteKind
+
+
+def test_version_matches_pyproject():
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as handle:
+        declared = tomllib.load(handle)["project"]["version"]
+    assert repro.__version__ == declared
 
 
 class TestConfigValidation:
@@ -84,41 +95,16 @@ class TestConfigValidation:
 
 
 class TestNetworkConfigRegistry:
-    def test_legacy_and_params_construction_equivalent(self):
-        legacy = NetworkConfig(topology="dragonfly", h=3, num_groups=5)
-        explicit = NetworkConfig(topology="dragonfly", params={"h": 3, "num_groups": 5})
-        assert legacy == explicit
-        assert legacy.param("h") == 3
-        fb_legacy = NetworkConfig(topology="flattened_butterfly", k1=5, k2=3,
-                                  fb_nodes_per_router=1)
-        fb_explicit = NetworkConfig(
-            topology="flattened_butterfly",
-            params={"k1": 5, "k2": 3, "nodes_per_router": 1},
-        )
-        assert fb_legacy == fb_explicit
-
-    def test_irrelevant_legacy_fields_ignored(self):
-        # The old flat dataclass carried every topology's fields at once;
-        # passing a Flattened Butterfly field to a Dragonfly stays a no-op.
-        assert NetworkConfig(topology="dragonfly", h=2, k1=8) == \
-            NetworkConfig(topology="dragonfly", h=2)
-
-    def test_same_named_legacy_kwargs_reach_new_topologies(self):
-        # Megafly never existed under the flat scheme, so h/num_groups must
-        # pass through to its params rather than being silently dropped.
-        config = NetworkConfig(topology="megafly", h=4, num_groups=9)
-        assert config.param("h") == 4
-        assert config.param("num_groups") == 9
-
-    def test_untranslatable_legacy_kwarg_on_new_topology_rejected(self):
-        with pytest.raises(TypeError):
-            NetworkConfig(topology="megafly", fb_nodes_per_router=2)
-        with pytest.raises(TypeError):
-            NetworkConfig(topology="hyperx", k1=8)
-
     def test_unknown_keyword_rejected(self):
-        with pytest.raises(TypeError):
-            NetworkConfig(topology="dragonfly", bogus=1)
+        # Topology parameters travel in params={...} only: the flat
+        # pre-registry keywords (own or another topology's) and anything
+        # else are the interpreter's plain TypeError, never silently dropped.
+        for topology, keyword in (
+            ("dragonfly", "h"), ("dragonfly", "k1"), ("dragonfly", "bogus"),
+            ("megafly", "fb_nodes_per_router"), ("hyperx", "k1"),
+        ):
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+                NetworkConfig(topology=topology, **{keyword: 2})
 
     def test_unknown_param_rejected_at_validation(self):
         config = NetworkConfig(topology="dragonfly", params={"bogus": 1})
@@ -127,9 +113,9 @@ class TestNetworkConfigRegistry:
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
-            NetworkConfig(topology="dragonfly", h=0).validate()
+            NetworkConfig(topology="dragonfly", params={"h": 0}).validate()
         with pytest.raises(ValueError):
-            NetworkConfig(topology="flattened_butterfly", k1=1).validate()
+            NetworkConfig(topology="flattened_butterfly", params={"k1": 1}).validate()
         with pytest.raises(ValueError):
             NetworkConfig(topology="hyperx", params={"s": (1, 4)}).validate()
         with pytest.raises(ValueError):
@@ -138,7 +124,9 @@ class TestNetworkConfigRegistry:
     def test_build_through_registry(self):
         from repro.topology import Dragonfly, HyperX, Megafly
 
-        assert isinstance(NetworkConfig(topology="dragonfly", h=2).build(), Dragonfly)
+        assert isinstance(
+            NetworkConfig(topology="dragonfly", params={"h": 2}).build(), Dragonfly
+        )
         assert isinstance(
             NetworkConfig(topology="hyperx", params={"s": (3, 3)}).build(), HyperX
         )
@@ -161,11 +149,12 @@ class TestNetworkConfigRegistry:
     def test_params_normalized_against_defaults(self):
         # Spelling out a default must not change equality or the content
         # hash the orchestrator's result store keys on.
-        from repro.experiments.orchestrator import config_key
+        from repro.keys import config_key
 
         implicit = NetworkConfig(topology="dragonfly")
-        explicit = NetworkConfig(topology="dragonfly", h=2)
+        explicit = NetworkConfig(topology="dragonfly", params={"h": 2})
         assert implicit == explicit
+        assert dict(explicit.params)["h"] == 2
         assert config_key(SimulationConfig(network=implicit)) == \
             config_key(SimulationConfig(network=explicit))
 
@@ -218,9 +207,7 @@ class TestUntypedBaselineRequirements:
 
 class TestDeadlockWindowConfig:
     def test_default_matches_legacy_constant(self):
-        from repro.simulation import DEADLOCK_WINDOW_CYCLES
-
-        assert SimulationConfig().deadlock_window_cycles == DEADLOCK_WINDOW_CYCLES
+        assert SimulationConfig().deadlock_window_cycles == 2500
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -267,7 +254,7 @@ class TestMetrics:
         collector.record_generation(warmup_packet, 50)
         warmup_packet.delivered_at = 130
         collector.record_delivery(warmup_packet, 130)
-        assert collector.latencies == []
+        assert collector.latency_histogram.values() == []
 
     def test_misrouted_fraction(self):
         collector = self._collector()

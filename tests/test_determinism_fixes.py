@@ -24,7 +24,7 @@ from repro.config import (
 )
 from repro.core.arrangement import VcArrangement
 from repro.core.vc_selection import RandomVc
-from repro.simulation import run_simulation
+from repro.session import Session
 
 
 def test_randomvc_requires_seeded_rng():
@@ -45,7 +45,7 @@ def test_randomvc_seeded_behaviour_unchanged():
 
 def _random_selection_config() -> SimulationConfig:
     return SimulationConfig(
-        network=NetworkConfig(topology="dragonfly", h=2),
+        network=NetworkConfig(topology="dragonfly", params={"h": 2}),
         router=RouterConfig(),
         routing=RoutingConfig(
             algorithm="min", vc_policy="flexvc", vc_selection="random"
@@ -59,6 +59,6 @@ def _random_selection_config() -> SimulationConfig:
 
 
 def test_random_selection_simulation_is_reproducible():
-    first = asdict(run_simulation(_random_selection_config()))
-    second = asdict(run_simulation(_random_selection_config()))
+    first = asdict(Session(_random_selection_config()).run().summary)
+    second = asdict(Session(_random_selection_config()).run().summary)
     assert first == second

@@ -443,6 +443,52 @@ def test_unbounded_memo_suppressed_with_reason(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# layer-upward-import
+# ---------------------------------------------------------------------------
+#
+# The rule ranks a file by its path inside a ``repro`` package, so these
+# fixtures are written under ``tmp_path/repro/``.
+
+
+def test_upward_import_flagged_at_module_level_and_in_functions(tmp_path):
+    (tmp_path / "repro").mkdir()
+    report = lint_snippet(
+        tmp_path,
+        """
+        from .metrics import SimulationResult
+        from .session import Session
+
+        def run_three_seeds(config):
+            from .experiments.orchestrator import run_seed_jobs
+            return run_seed_jobs(config, 3)
+        """,
+        name="repro/simulation.py",
+    )
+    hits = rule_hits(report, "layer-upward-import")
+    assert [hit.line for hit in hits] == [3, 6]
+    assert "session" in hits[0].message and "experiments.orchestrator" in hits[1].message
+
+
+def test_upward_import_under_type_checking_and_downward_imports_clean(tmp_path):
+    (tmp_path / "repro" / "experiments").mkdir(parents=True)
+    report = lint_snippet(
+        tmp_path,
+        """
+        from typing import TYPE_CHECKING
+
+        import repro.store
+        from ..session import Session
+        from . import figures
+
+        if TYPE_CHECKING:
+            from .__main__ import FigureCommand
+        """,
+        name="repro/experiments/orchestrator.py",
+    )
+    assert not rule_hits(report, "layer-upward-import")
+
+
+# ---------------------------------------------------------------------------
 # meta-bare-suppression
 # ---------------------------------------------------------------------------
 
@@ -481,6 +527,7 @@ def test_reasoned_suppression_not_flagged(tmp_path):
 def test_rules_registered_and_documented():
     rules = all_rules()
     assert len(rules) >= 8
+    assert "layer-upward-import" in {rule.id for rule in rules}
     for rule in rules:
         assert rule.id and rule.summary and rule.doc
 

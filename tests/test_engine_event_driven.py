@@ -9,6 +9,7 @@ import pytest
 from repro.config import SimulationConfig
 from repro.core.arrangement import VcArrangement
 from repro.engine import Engine
+from repro.session import Session
 from repro.simulation import Simulation
 
 
@@ -111,7 +112,7 @@ class TestFastForward:
 
     def test_zero_load_simulation_fast_forwards(self):
         sim = Simulation(make_config().with_load(0.0))
-        result = sim.run()
+        result = Session(simulation=sim).run().summary
         assert result.packets_generated == 0
         assert sim.engine.idle_cycles_skipped > 500
 
@@ -138,20 +139,20 @@ class TestDeterminism:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_repeated_runs_are_bit_identical(self, name):
         config = make_config(**self.CONFIGS[name]).with_load(0.4)
-        first = Simulation(config).run()
-        second = Simulation(config).run()
+        first = Session(config).run().summary
+        second = Session(config).run().summary
         assert dataclasses.asdict(first) == dataclasses.asdict(second)
 
     def test_different_seeds_differ(self):
         config = make_config().with_load(0.4)
-        a = Simulation(config).run()
-        b = Simulation(config.with_seed(99)).run()
+        a = Session(config).run().summary
+        b = Session(config.with_seed(99)).run().summary
         assert dataclasses.asdict(a) != dataclasses.asdict(b)
 
     def test_sleeping_routers_do_not_change_results(self):
         """Forcing every router to poll every cycle must not change results."""
         config = make_config().with_load(0.3)
-        reference = Simulation(config).run()
+        reference = Session(config).run().summary
 
         polled = Simulation(config)
         always_on = list(range(len(polled.routers)))
@@ -162,7 +163,7 @@ class TestDeterminism:
             original_tick()
 
         polled.engine.tick = tick_all
-        result = polled.run()
+        result = Session(simulation=polled).run().summary
         assert dataclasses.asdict(result) == dataclasses.asdict(reference)
 
 
@@ -180,5 +181,5 @@ class TestResidentLedger:
             )
 
         sim.engine.tick = tick
-        sim.run()
+        Session(simulation=sim).run()
         assert checks and all(checks)

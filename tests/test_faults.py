@@ -128,7 +128,7 @@ class TestFaultSchedule:
         assert spec.resolve(config) != other.resolve(config)
 
     def test_empty_schedule_leaves_config_key_unchanged(self):
-        from repro.experiments.orchestrator import config_key
+        from repro.keys import config_key
 
         config = SimulationConfig(warmup_cycles=150, measure_cycles=300)
         payload = dataclasses.asdict(config)
@@ -142,7 +142,7 @@ class TestFaultSchedule:
         assert key == legacy
 
     def test_non_empty_schedule_changes_config_key(self):
-        from repro.experiments.orchestrator import config_key
+        from repro.keys import config_key
 
         assert config_key(flap_config()) != config_key(
             dataclasses.replace(flap_config(), faults=FaultSchedule())
@@ -413,13 +413,9 @@ class TestFaultRetabling:
 
 class TestFaultOrchestration:
     def test_fault_spec_applies_to_jobs_and_rewrites_keys(self, tmp_path):
-        from repro.experiments.orchestrator import (
-            Job,
-            ResultStore,
-            config_key,
-            orchestration,
-            run_jobs,
-        )
+        from repro.experiments.orchestrator import Job, orchestration, run_jobs
+        from repro.keys import config_key
+        from repro.store import ResultStore
 
         config = SimulationConfig(
             warmup_cycles=150, measure_cycles=300, seed=5
@@ -445,7 +441,7 @@ class TestFaultOrchestration:
         import subprocess
         import sys
 
-        from repro.experiments.orchestrator import ResultStore
+        from repro.store import ResultStore
 
         config = SimulationConfig(
             warmup_cycles=10, measure_cycles=50, deadlock_window_cycles=5

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.orchestrator import ResultStore, StoreError
+from repro.store import ResultStore, StoreError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

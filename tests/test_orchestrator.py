@@ -1,4 +1,4 @@
-"""Orchestrator tests: job expansion, backends, determinism, result store."""
+"""Orchestrator tests: job expansion, determinism, result store, resilience."""
 
 from __future__ import annotations
 
@@ -7,21 +7,19 @@ import dataclasses
 import pytest
 
 from repro.config import SimulationConfig
+from repro.experiments import Series
 from repro.experiments.orchestrator import (
-    ProcessPoolBackend,
-    ResultStore,
-    SerialBackend,
-    StoreError,
     SweepSpec,
-    config_key,
     orchestration,
     run_jobs,
+    run_seed_jobs,
     run_sweep,
 )
 from repro.experiments.runner import load_sweep, run_point
-from repro.experiments import Series
+from repro.keys import config_key
 from repro.metrics import SimulationResult
-from repro.simulation import run_seeds
+from repro.session import Session
+from repro.store import ResultStore, StoreError
 
 
 def make_config(**overrides) -> SimulationConfig:
@@ -80,37 +78,32 @@ class TestDeterminism:
 
     def test_run_seeds_matches_serial_wrapper(self):
         config = make_config().with_load(0.2)
-        serial = run_seeds(config, seeds=2, workers=1)
-        parallel = run_seeds(config, seeds=2, workers=2)
+        with orchestration(workers=1):
+            serial = run_seed_jobs(config, 2)
+        with orchestration(workers=2):
+            parallel = run_seed_jobs(config, 2)
         assert [dataclasses.asdict(r) for r in serial] == [
             dataclasses.asdict(r) for r in parallel
         ]
         # seed order is preserved regardless of completion order
         assert serial[0].packets_generated != 0
 
-    def test_pool_backend_falls_back_cleanly(self):
-        # Direct backend smoke test (the pool may degrade to serial in
-        # restricted environments; results are identical either way).
-        # Backends deliver RunRecords; everything except the wall-clock
-        # provenance is deterministic across backends.
-        from repro.record import RunRecord
-
-        spec = SweepSpec(series=[("s", build_config)], loads=[0.1], seeds=1)
-        jobs = spec.expand()
-        got = {}
-        ProcessPoolBackend(2).run(jobs, lambda job, res: got.__setitem__(job.key, res))
-        ref = {}
-        SerialBackend().run(jobs, lambda job, res: ref.__setitem__(job.key, res))
-        assert got.keys() == ref.keys()
-        for key in ref:
-            assert isinstance(got[key], RunRecord)
-            assert dataclasses.asdict(got[key].summary) == dataclasses.asdict(
-                ref[key].summary
+    def test_pool_backend_falls_back_cleanly(self, tmp_path):
+        # The pool may degrade to serial in restricted environments; the
+        # stored RunRecords are identical either way — everything except the
+        # wall-clock provenance is deterministic across executors.
+        jobs = SweepSpec(series=[("s", build_config)], loads=[0.1], seeds=1).expand()
+        ref = ResultStore(str(tmp_path / "serial.journal"))
+        got = ResultStore(str(tmp_path / "pooled.journal"))
+        run_jobs(jobs, workers=1, store=ref)
+        run_jobs(jobs, workers=2, store=got)
+        for job in jobs:
+            serial, pooled = ref.get_record(job.key), got.get_record(job.key)
+            assert dataclasses.asdict(pooled.summary) == dataclasses.asdict(
+                serial.summary
             )
-            assert got[key].provenance["engine_cycles"] == \
-                ref[key].provenance["engine_cycles"]
-            assert got[key].provenance["events_processed"] == \
-                ref[key].provenance["events_processed"]
+            for counter in ("engine_cycles", "events_processed"):
+                assert pooled.provenance[counter] == serial.provenance[counter]
 
 
 class TestResultStore:
@@ -206,9 +199,7 @@ class TestContextWiring:
 
 class TestSerializationRoundtrip:
     def test_result_to_from_dict(self):
-        from repro.simulation import run_simulation
-
-        result = run_simulation(make_config().with_load(0.1))
+        result = Session(make_config().with_load(0.1)).run().summary
         clone = SimulationResult.from_dict(result.to_dict())
         assert dataclasses.asdict(clone) == dataclasses.asdict(result)
 
@@ -265,7 +256,7 @@ class TestCrashResilience:
     def test_persistent_crash_exhausts_retries_into_typed_failure(
         self, tmp_path, monkeypatch
     ):
-        from repro.experiments.orchestrator import JobFailure
+        from repro.record import JobFailure
 
         jobs = _resilience_jobs(4, seed_base=41)
         monkeypatch.setenv("REPRO_TEST_CRASH_KEY", jobs[1].key)  # every attempt

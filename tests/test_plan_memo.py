@@ -230,7 +230,7 @@ def test_fault_retable_keeps_hop_and_verdict_memos():
         sim.traffic.delivery_hook = lambda packet, cycle: trace.append(
             (packet.pid, packet.src_node, packet.dst_node, packet.hops, cycle)
         )
-        result = dataclasses.asdict(sim.run())
+        result = dataclasses.asdict(Session(simulation=sim).run().summary)
         return trace, result, survivors
 
     trace, result, survivors = run(drop_everything=False)
@@ -253,8 +253,9 @@ def test_miss_counters_live_in_provenance_not_in_results(tiny_config):
     assert stats == session.sim.routing.memo_stats()
     assert stats["plan_misses"] >= stats["plan_memo_size"] > 0
     assert stats["hop_builds"] == stats["hop_memo_size"] > 0
-    # tiny_result_fingerprint hashes dataclasses.asdict(SimulationResult) and
-    # the ledger's sim_fingerprint its to_dict(): neither may see a counter.
+    # The goldens (tests/test_golden_results.py, "tiny result fingerprint")
+    # compare dataclasses.asdict(SimulationResult) and the ledger's
+    # sim_fingerprint hashes its to_dict(): neither may see a counter.
     for payload in (dataclasses.asdict(record.summary), record.summary.to_dict()):
         flat = json.dumps(payload)
         assert not any(name in flat for name in stats)

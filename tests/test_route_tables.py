@@ -200,8 +200,11 @@ class TestSimulationEquivalence:
         config = SimulationConfig()
         topology = config.network.build()
         default, evicting = (
-            dataclasses.asdict(Simulation(config, artifacts=SimulationArtifacts(
-                topology, RouteTable(topology, capacity=capacity))).run())
+            dataclasses.asdict(Session(simulation=Simulation(
+                config,
+                artifacts=SimulationArtifacts(
+                    topology, RouteTable(topology, capacity=capacity)),
+            )).run().summary)
             for capacity in (None, 2)
         )
         assert evicting == default

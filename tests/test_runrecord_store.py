@@ -14,17 +14,11 @@ import json
 import pytest
 
 from repro.config import SimulationConfig
-from repro.experiments.orchestrator import (
-    STORE_VERSION,
-    ResultStore,
-    SweepSpec,
-    orchestration,
-    run_sweep,
-)
+from repro.experiments.orchestrator import SweepSpec, orchestration, run_sweep
 from repro.metrics import SimulationResult
 from repro.record import RECORD_SCHEMA_VERSION, RunRecord
 from repro.session import Session
-from repro.store import StoreError, scan_frames
+from repro.store import STORE_VERSION, ResultStore, StoreError, scan_frames
 
 
 def make_config(**overrides) -> SimulationConfig:

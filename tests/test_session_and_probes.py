@@ -3,8 +3,9 @@ consistency, multi-window measurement, drain, and the latency histogram.
 
 The two load-bearing guarantees:
 
-* a **no-probe** session is bit-identical to the legacy one-shot runner
-  (which itself is pinned to the PR 2 goldens by test_golden_results.py);
+* a **no-probe** session stepped phase by phase is bit-identical to the
+  one-call ``Session.run()`` (which itself is pinned to the PR 2 goldens by
+  test_golden_results.py);
 * a **probe-attached** session produces the *same* summary (probes observe,
   never perturb) plus telemetry channels that are consistent with it — the
   time-series accepted-load integral over the measurement window reproduces
@@ -31,7 +32,7 @@ from repro.probes import (
     make_probes,
 )
 from repro.session import Session
-from repro.simulation import average_results, run_simulation
+from repro.simulation import average_results
 from repro.metrics import SimulationResult
 
 
@@ -43,11 +44,11 @@ def tiny_config(**overrides) -> SimulationConfig:
 class TestNoProbeEquivalence:
     def test_session_matches_one_shot_runner(self):
         config = tiny_config()
-        legacy = run_simulation(config)
+        one_shot = Session(config).run().summary
         session = Session(config)
         session.warmup()
         result = session.measure()
-        assert dataclasses.asdict(result) == dataclasses.asdict(legacy)
+        assert dataclasses.asdict(result) == dataclasses.asdict(one_shot)
 
     def test_no_probe_session_installs_no_hooks(self):
         session = Session(tiny_config())
@@ -73,7 +74,7 @@ class TestNoProbeEquivalence:
             arrangement=VcArrangement.single_class(3, 2),
             traffic=TrafficConfig(pattern="adversarial", load=0.6),
         )
-        plain = run_simulation(config)
+        plain = Session(config).run().summary
         session = Session(config, probes=make_probes(sorted(
             ("timeseries", "linkutil", "vcocc", "lathist", "stalls"))))
         session.warmup()
@@ -156,7 +157,7 @@ class TestProbeTelemetry:
 
     def test_provenance(self, recorded):
         config, _, session, record = recorded
-        from repro.experiments.orchestrator import config_key
+        from repro.keys import config_key
 
         prov = record.provenance
         assert prov["config_key"] == config_key(config)

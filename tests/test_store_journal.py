@@ -35,16 +35,13 @@ from hypothesis import example, given, settings, strategies as st
 import repro.store.journal as journal_module
 
 from repro.config import SimulationConfig
-from repro.experiments.orchestrator import (
-    Job,
-    ResultStore,
-    StoreError,
-    config_key,
-    run_jobs,
-)
+from repro.experiments.orchestrator import Job, run_jobs
+from repro.keys import config_key
 from repro.metrics import SimulationResult
 from repro.record import JobFailure, RunRecord
 from repro.store import (
+    ResultStore,
+    StoreError,
     StoreLock,
     detect_format,
     frame_entry,
@@ -183,7 +180,7 @@ class TestJournalStore:
 
         clone = ResultStore(path)
         assert len(clone) == 4
-        assert clone.get("k2") is not None
+        assert clone.get_record("k2") is not None
         failures = list(clone.failures())
         assert len(failures) == 1 and failures[0][1].reason == "timeout"
         # failure entries read as cache misses
@@ -202,7 +199,7 @@ class TestJournalStore:
 
         clone = ResultStore(path)
         assert len(clone) == 2  # last write wins
-        assert clone.get("a").offered_load == pytest.approx(0.9)
+        assert clone.get_record("a").summary.offered_load == pytest.approx(0.9)
         info = clone.describe()
         assert info["journal_ops"] == 3 and info["superseded"] == 1
 
@@ -440,7 +437,7 @@ class TestFramesAsEntries:
         assert len(clone) == 201
         assert counting.loads_calls == 1  # the header; no op was parsed
         assert clone.describe()["frames_fallback"] == 0
-        assert clone.get("0" * 31 + "7").offered_load == pytest.approx(0.17)
+        assert clone.get_record("0" * 31 + "7").summary.offered_load == pytest.approx(0.17)
         assert counting.loads_calls == 2
         # a failure is a miss, an absent key is a miss: neither decodes
         assert clone.get_record_any("failed-job", "no-such-key") is None
@@ -588,7 +585,7 @@ class TestCrashSafety:
         # every record the child reported as flushed survived the SIGKILL
         assert len(store) >= flushed
         for i in range(1, flushed + 1):
-            assert store.get(f"key{i}") is not None
+            assert store.get_record(f"key{i}") is not None
         # the dead writer's lock is not stuck: we can write immediately
         store.put("after", sample_summary())
         store.flush()

@@ -23,18 +23,17 @@ from repro.experiments.orchestrator import (
     AdaptiveSettings,
     ArtifactCache,
     Job,
-    ResultStore,
-    SweepSpec,
-    config_key,
-    network_key,
     run_jobs,
     run_sweep,
     store_key,
+    SweepSpec,
 )
+from repro.keys import config_key, network_key
 from repro.metrics import SimulationResult
 from repro.router.saturation import is_saturated_point
 from repro.session import ConvergenceSettings, Session, _relative_half_width
 from repro.simulation import Simulation, build_artifacts
+from repro.store import ResultStore
 
 
 def make_config(**overrides) -> SimulationConfig:
@@ -134,11 +133,11 @@ class TestKeys:
 class TestArtifactCache:
     def test_artifact_backed_runs_are_bit_identical(self):
         config = make_config().with_load(0.25)
-        fresh = dataclasses.asdict(Simulation(config).run())
+        fresh = dataclasses.asdict(Session(config).run().summary)
         artifacts = build_artifacts(config, network_key(config))
         for _ in range(2):  # reuse the same artifacts twice
             shared = dataclasses.asdict(
-                Simulation(config, artifacts=artifacts).run()
+                Session(simulation=Simulation(config, artifacts=artifacts)).run().summary
             )
             assert shared == fresh
 
@@ -197,7 +196,7 @@ class TestChunkedEquivalence:
         # Reference: per-job dispatch, fresh artifacts per simulation (the
         # pre-artifact-cache PR 4 behaviour).
         reference = {
-            job.key: dataclasses.asdict(Simulation(job.config).run())
+            job.key: dataclasses.asdict(Session(job.config).run().summary)
             for job in self._spec().expand()
         }
         payloads = {}

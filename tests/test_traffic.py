@@ -202,4 +202,4 @@ class TestTrafficManager:
         packet.delivered_at = 60
         manager.on_delivery(packet, 60)
         assert metrics.packets_delivered_window == 1
-        assert metrics.latencies == [50]
+        assert metrics.latency_histogram.values() == [50]
