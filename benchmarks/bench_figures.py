@@ -1,0 +1,113 @@
+"""Every registered figure regenerated at the ``tiny`` scale, one panel per test.
+
+A 9-group / 72-node Dragonfly, short warm-up and measurement windows and a
+single seed keep the whole file to minutes.  The printed rows are the series
+the paper plots; absolute numbers differ from its 16,512-node testbed (see
+EXPERIMENTS.md), so each figure is checked only against the loose shape the
+paper reports — the tolerances below are wide because ``tiny`` is noisy.
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_figures.py -q
+    PYTHONPATH=src python -m pytest benchmarks/bench_figures.py -k fig5 -q
+"""
+
+import dataclasses
+
+import pytest
+
+from repro.experiments import FIGURES, TINY, render_figure, run_figure
+
+#: two of the four buffer capacities (fig6/fig11) keep the suite fast.
+SCALE = dataclasses.replace(TINY, buffer_capacities=((128, 512), (256, 1024)))
+#: reduced load grids for the curve figures; bar figures keep their own load.
+LOADS = {name: (0.5, 1.0) for name, figure in FIGURES.items() if figure.loads is None}
+LOADS["fig8"] = (0.4, 0.8)
+
+
+def peaks(series, group=""):
+    """Peak accepted load per series label (of one bar group, reference bars included)."""
+    return {e.label: max(e.accepted()) for e in series if e.group in ("", group)}
+
+
+def best_flexvc(values):
+    return max(value for label, value in values.items() if label.startswith("FlexVC"))
+
+
+def check_fig5(pattern, series):
+    # FlexVC >= baseline at equal VCs, larger FlexVC VC sets raise saturation
+    # throughput further.  Under UN/BURSTY the advantage is clear; deep-
+    # saturation ADV at the tiny scale is noisy, so only rough parity there.
+    largest_flexvc = [e.label for e in series if e.label.startswith("FlexVC")][-1]
+    peak = peaks(series)
+    assert peak[largest_flexvc] >= peak["Baseline"] - 0.05
+    threshold = 0.95 if pattern != "adversarial" else 0.88
+    assert peak[largest_flexvc] / peak["Baseline"] > threshold
+
+
+def check_capacity(pattern, series):
+    # FlexVC with the enlarged VC set matches or beats the baseline at the
+    # largest capacity (the paper: up to 23% with speedup, 37.8% without).
+    assert all(0.0 <= r.accepted_load <= 1.0 for e in series for r in e.results)
+    largest = peaks(series, group="256/1024")
+    assert {"Baseline", "DAMQ 75%"} <= set(largest)
+    assert best_flexvc(largest) >= largest["Baseline"] - 0.03
+
+
+def check_fig7(pattern, series):
+    # FlexVC mitigates the post-saturation congestion of the baseline and DAMQ.
+    peak = peaks(series)
+    assert best_flexvc(peak) >= peak["Baseline"] - 0.03
+    assert not any(r.deadlock_suspected for e in series for r in e.results)
+
+
+def check_fig8(pattern, series):
+    assert any("minCred" in e.label for e in series)
+    assert not any(r.deadlock_suspected for e in series for r in e.results)
+    if pattern == "adversarial":  # adaptive routing must actually misroute
+        for entry in series:
+            if entry.label.startswith("PB"):
+                assert max(r.misrouted_fraction for r in entry.results) > 0.3
+
+
+def check_fig9(pattern, series):
+    # The selection function has a second-order effect: within every
+    # arrangement the spread between policies stays well below that of VC counts.
+    for group in dict.fromkeys(e.group for e in series if e.group):
+        row = peaks(series, group)
+        assert {"Baseline", "DAMQ", "FlexVC jsq", "FlexVC lowest"} <= set(row)
+        assert all(0.0 < value <= 1.0 for value in row.values())
+        selections = [v for label, v in row.items() if label.startswith("FlexVC")]
+        assert max(selections) - min(selections) < 0.25
+
+
+def check_fig10(pattern, series):
+    # Large private reservations must not lose to the fully shared pool at
+    # saturation (the paper's 75% optimum; 0% deadlocks outright at scale).
+    peak = peaks(series)
+    assert peak["reserved 75%"] >= peak["reserved 0%"] - 0.05
+    assert peak["reserved 100%"] > 0.3
+
+
+CHECKS = {
+    "fig5": check_fig5, "fig6": check_capacity, "fig7": check_fig7,
+    "fig8": check_fig8, "fig9": check_fig9, "fig10": check_fig10,
+    "fig11": check_capacity,
+}
+
+
+@pytest.mark.parametrize("name,pattern", [
+    (name, pattern)
+    for name, figure in FIGURES.items()
+    for pattern in figure.patterns
+])
+def test_figure(benchmark, capsys, name, pattern):
+    panels = benchmark.pedantic(
+        lambda: run_figure(name, scale=SCALE, patterns=(pattern,), loads=LOADS.get(name)),
+        rounds=1, iterations=1,
+    )
+    with capsys.disabled():
+        print("\n" + render_figure(name, panels))
+    series = panels[pattern]
+    points = len(LOADS.get(name) or FIGURES[name].loads)
+    assert all(len(e.results) == points and not e.missing for e in series)
+    if name in CHECKS:
+        CHECKS[name](pattern, series)

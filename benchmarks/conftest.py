@@ -1,13 +1,9 @@
-"""Benchmark harness configuration.
+"""Make ``src/`` importable for everything collected under ``benchmarks/``.
 
-Each benchmark module regenerates the data behind one table or figure of the
-paper at the ``tiny`` experiment scale (a 9-group / 72-node Dragonfly, short
-warm-up and measurement windows, single seed) so the whole suite completes in
-minutes.  The printed rows are the same series the paper plots; absolute
-numbers differ from the paper's 16,512-node testbed (see EXPERIMENTS.md) but
-the comparative shapes are the reproduction target.
-
-Scale and load grids live in ``bench_common.py``.
+``benchmarks/ledger/test_ledger.py`` is collected by tier-1 before
+``tests/`` (whose conftest has the same fallback), and it imports ``repro``
+at module level; in an un-installed checkout without ``PYTHONPATH=src`` this
+is what lets it — and ``bench_figures.py`` — import the package.
 """
 
 from __future__ import annotations

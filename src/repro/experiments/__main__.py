@@ -8,7 +8,7 @@ at any scale, with parallel workers and a persistent result cache::
     python -m repro.experiments run fig6 fig9 --scale small --workers 8
     python -m repro.experiments run fig5 --force          # recompute, ignore cache
     python -m repro.experiments run fig5 --probes timeseries,linkutil
-    python -m repro.experiments inspect results/store.json --series MIN --load 0.5
+    python -m repro.experiments inspect results/store.json --series "uniform|MIN" --load 0.5
 
 Results are persisted to a store keyed by a content hash of each point's
 complete :class:`~repro.config.SimulationConfig` (default
@@ -28,110 +28,30 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, Sequence
+from typing import Sequence
 
 from ..faults import parse_faults
 from ..probes import PROBES, make_probes
 from ..session import ConvergenceSettings
 from ..store import FLUSH_INTERVAL_SECONDS, ResultStore, StoreError
-from . import figures, tables, topologies
-from .formatting import render_bar_table, render_series_table
-from .orchestrator import AdaptiveSettings, orchestration
+from . import tables
+from .figures import FIGURES, run_figure
+from .formatting import render_figure
+from .orchestrator import NOT_RUN, AdaptiveSettings, orchestration
 from .runner import SCALES
 
 DEFAULT_STORE = "results/store.json"
 
-
-# ---------------------------------------------------------------------------
-# Figure registry (the ProjectScylla idiom: one generator per figure name)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FigureEntry:
-    """One runnable experiment: a generator plus how to render its output."""
-
-    name: str
-    description: str
-    run: Callable[..., object]
-    render: Callable[[str, object], str]
-    #: accepts the standard scale/patterns/seeds keyword arguments.
-    takes_scale: bool = True
-    #: scale used when ``--scale`` is not given.
-    default_scale: str = "tiny"
+#: the one runnable name that is not a sweep.
+TABLES = "tables"
 
 
-def _render_pattern_series(name: str, results) -> str:
-    return "\n\n".join(
-        render_series_table(f"{name} [{pattern}]", series)
-        for pattern, series in results.items()
-    )
-
-
-def _render_pattern_bars(name: str, results) -> str:
-    return "\n\n".join(
-        render_bar_table(f"{name} [{pattern}] (accepted load at 100% offered)", rows)
-        for pattern, rows in results.items()
-    )
-
-
-def _render_series(name: str, results) -> str:
-    return render_series_table(name, results)
-
-
-def _render_bars(name: str, results) -> str:
-    return render_bar_table(f"{name} (accepted load at 100% offered)", results)
-
-
-def _render_tables(name: str, results) -> str:
-    return tables.render_all_tables()
-
-
-REGISTRY: Dict[str, FigureEntry] = {
-    entry.name: entry
-    for entry in (
-        FigureEntry(
-            "fig5", "Latency/throughput vs offered load, oblivious routing",
-            figures.figure5, _render_pattern_series,
-        ),
-        FigureEntry(
-            "fig6", "Max throughput vs buffer capacity (speedup 2)",
-            figures.figure6, _render_pattern_bars,
-        ),
-        FigureEntry(
-            "fig7", "Request-reply traffic with oblivious routing",
-            figures.figure7, _render_pattern_series,
-        ),
-        FigureEntry(
-            "fig8", "Piggyback adaptive routing, sensing variants",
-            figures.figure8, _render_pattern_series,
-        ),
-        FigureEntry(
-            "fig9", "Throughput vs VC selection function and VC count",
-            figures.figure9, _render_bars,
-        ),
-        FigureEntry(
-            "fig10", "DAMQ throughput vs per-VC private reservation",
-            figures.figure10, _render_series,
-        ),
-        FigureEntry(
-            "fig11", "Max throughput without router speedup (speedup 1)",
-            figures.figure11, _render_pattern_bars,
-        ),
-        FigureEntry(
-            "hyperx", "FlexVC vs baseline on HyperX(3D): all routings x policies",
-            topologies.hyperx_sweep, _render_pattern_series,
-        ),
-        FigureEntry(
-            "megafly", "FlexVC vs baseline on Megafly/Dragonfly+: all routings x policies",
-            topologies.megafly_sweep, _render_pattern_series,
-        ),
-        FigureEntry(
-            "tables", "VC feasibility tables I-IV (analytic, no simulation)",
-            lambda **_: tables.all_tables(), _render_tables, takes_scale=False,
-        ),
-    )
-}
+def _experiments() -> dict:
+    """Runnable name -> description: every registered figure, then the tables."""
+    return {
+        **{name: figure.description for name, figure in FIGURES.items()},
+        TABLES: "VC feasibility tables I-IV (analytic, no simulation)",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +59,12 @@ REGISTRY: Dict[str, FigureEntry] = {
 # ---------------------------------------------------------------------------
 
 def cmd_list(_args: argparse.Namespace) -> int:
-    width = max(len(name) for name in REGISTRY)
+    experiments = _experiments()
+    width = max(len(name) for name in experiments)
     print("available experiments:")
-    for name, entry in REGISTRY.items():
-        scale = f"[default scale: {entry.default_scale}]" if entry.takes_scale \
-            else "[no scale: analytic]"
-        print(f"  {name:<{width}s}  {entry.description}  {scale}")
-    print(f"\nscales: {', '.join(SCALES)}")
+    for name, description in experiments.items():
+        print(f"  {name:<{width}s}  {description}")
+    print(f"\nscales: {', '.join(SCALES)} (default: tiny)")
     print("run with: python -m repro.experiments run <figure> "
           "[--scale S] [--workers N] [--patterns P ...]")
     return 0
@@ -163,10 +82,11 @@ def _parse_probes(spec: str | None) -> tuple:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    unknown = [name for name in args.figures if name not in REGISTRY]
+    experiments = _experiments()
+    unknown = [name for name in args.figures if name not in experiments]
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}; "
-              f"expected one of {', '.join(REGISTRY)}", file=sys.stderr)
+              f"expected one of {', '.join(experiments)}", file=sys.stderr)
         return 2
     probes = _parse_probes(args.probes)
     faults = None
@@ -197,26 +117,32 @@ def cmd_run(args: argparse.Namespace) -> int:
         faults=faults,
     ):
         for name in args.figures:
-            entry = REGISTRY[name]
-            scale = args.scale if args.scale is not None else entry.default_scale
-            kwargs: dict = {}
-            if entry.takes_scale:
-                kwargs["scale"] = scale
-                if args.seeds is not None:
-                    kwargs["seeds"] = args.seeds
-                if args.patterns and "patterns" in entry.run.__code__.co_varnames:
-                    kwargs["patterns"] = tuple(args.patterns)
+            if name == TABLES:
+                print(tables.render_all_tables() + "\n")
+                continue
             hits_before, writes_before = store.hits, store.writes
             start = time.perf_counter()
-            results = entry.run(**kwargs)
+            panels = run_figure(
+                name, scale=args.scale, patterns=args.patterns or None,
+                seeds=args.seeds,
+            )
             elapsed = time.perf_counter() - start
-            print(entry.render(f"{name} @ {scale}", results))
-            executed = store.writes - writes_before
+            print(render_figure(f"{name} @ {args.scale}", panels))
+            missing = [
+                reason for series in panels.values() for entry in series
+                for _load, _seed, reason in entry.missing
+            ]
+            if missing:
+                status = 1
+            # Every failed job wrote a failure entry; one never run wrote nothing.
+            failed = sum(reason != NOT_RUN for reason in missing)
+            executed = store.writes - writes_before - failed
             cached = store.hits - hits_before
             print(
                 f"\n[{name}] {elapsed:.1f}s with {args.workers} worker(s): "
-                f"{executed} point(s) simulated, {cached} served from cache "
-                f"({args.store})\n"
+                f"{executed} point(s) simulated, {cached} served from cache"
+                + (f", {len(missing)} missing" if missing else "")
+                + f" ({args.store})\n"
             )
     store.close()
     return status
@@ -408,16 +334,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one or more experiments by name")
     run.add_argument("figures", nargs="+", metavar="figure",
-                     help=f"experiment name(s): {', '.join(REGISTRY)}")
-    run.add_argument("--scale", default=None, choices=sorted(SCALES),
-                     help="experiment scale (default: each figure's default, "
-                          "normally tiny)")
+                     help=f"experiment name(s): {', '.join(_experiments())}")
+    run.add_argument("--scale", default="tiny", choices=sorted(SCALES),
+                     help="experiment scale (default: tiny)")
     run.add_argument("--workers", type=int, default=1,
                      help="parallel worker processes (default: 1 = serial)")
     run.add_argument("--seeds", type=int, default=None,
                      help="override the scale's seed count")
     run.add_argument("--patterns", nargs="*", default=None,
-                     help="restrict traffic patterns (e.g. uniform bursty)")
+                     help="traffic patterns to run, one panel each (e.g. "
+                          "uniform bursty; default: the figure's own)")
     run.add_argument("--store", default=DEFAULT_STORE,
                      help=f"result store path (default: {DEFAULT_STORE})")
     run.add_argument("--force", action="store_true",

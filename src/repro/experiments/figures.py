@@ -1,31 +1,38 @@
-"""Per-figure experiment generators (Figures 5-11 of the paper).
+"""The paper's evaluation (Figures 5-11) as one registry of sweeps.
 
-Every function regenerates the data behind one figure of the evaluation
-section and returns it as plain Python structures (lists of
-:class:`~repro.experiments.runner.Series` or nested dictionaries) that the
-benchmark harness prints and EXPERIMENTS.md records.  Absolute values differ
-from the paper because the substrate is a scaled pure-Python simulator (see
-DESIGN.md), but the comparative shapes — who wins, by roughly what factor,
-where crossovers appear — are the reproduction target.
+Every figure is the same kind of experiment — panels (traffic pattern) x
+series (a VC arrangement / policy / buffer organisation) x offered loads — so
+each is one :class:`Figure` in :data:`FIGURES`: a *series function*
+``(scale, pattern) -> [Series]`` plus its default patterns and loads.
+:func:`run_figure` expands a whole figure into one
+:class:`~repro.experiments.orchestrator.SweepSpec`, runs it under the active
+``orchestration(...)`` context and returns ``{pattern: [Series]}``, which
+:func:`~repro.experiments.formatting.render_figure` prints.  Absolute values
+differ from the paper because the substrate is a scaled pure-Python simulator
+(see DESIGN.md), but the comparative shapes — who wins, by roughly what
+factor, where crossovers appear — are the reproduction target.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+import sys
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.arrangement import VcArrangement
-from .runner import (
-    ExperimentScale,
-    Series,
-    base_config,
-    get_scale,
-    load_sweep,
-    max_throughput,
-)
+from .orchestrator import SweepSpec, run_sweep
+from .runner import ExperimentScale, Series, base_config, collect, get_scale
+from .topologies import topology_series
 
 # ---------------------------------------------------------------------------
-# Shared series definitions
+# Series functions: (scale, pattern) -> the curves / bars of one panel
 # ---------------------------------------------------------------------------
+
+def _series(label: str, scale: ExperimentScale, group: str = "", **point) -> Series:
+    """One series whose points are ``base_config(scale, **point)`` at each load."""
+    return Series(label, partial(base_config, scale, **point), group=group)
+
 
 def _oblivious_algorithm(pattern: str) -> str:
     """MIN for uniform patterns, Valiant for adversarial traffic (Section V-A)."""
@@ -42,20 +49,9 @@ def oblivious_series(
 ) -> List[Series]:
     """The five comparison points of Figures 5, 6 and 11."""
     algorithm = _oblivious_algorithm(pattern)
-    if algorithm == "min":
-        min_arrangement = VcArrangement.single_class(2, 1)
-        flexvc_arrangements = [
-            ("FlexVC 2/1VCs", VcArrangement.single_class(2, 1)),
-            ("FlexVC 4/2VCs", VcArrangement.single_class(4, 2)),
-            ("FlexVC 8/4VCs", VcArrangement.single_class(8, 4)),
-        ]
-    else:  # Valiant under ADV needs at least 4/2 for the baseline.
-        min_arrangement = VcArrangement.single_class(4, 2)
-        flexvc_arrangements = [
-            ("FlexVC 4/2VCs", VcArrangement.single_class(4, 2)),
-            ("FlexVC 8/4VCs", VcArrangement.single_class(8, 4)),
-        ]
-
+    # The baseline runs FlexVC's smallest arrangement: 2/1 suffices for MIN,
+    # Valiant under ADV needs at least 4/2.
+    flexvc = ((2, 1), (4, 2), (8, 4)) if algorithm == "min" else ((4, 2), (8, 4))
     common = dict(
         pattern=pattern,
         algorithm=algorithm,
@@ -63,334 +59,266 @@ def oblivious_series(
         local_port_phits=local_port_phits,
         global_port_phits=global_port_phits,
     )
-
-    series = [
-        Series(
-            "Baseline",
-            lambda a=min_arrangement: base_config(
-                scale, vc_policy="baseline", arrangement=a, **common
-            ),
-        ),
-        Series(
-            "DAMQ 75%",
-            lambda a=min_arrangement: base_config(
-                scale, vc_policy="baseline", arrangement=a,
-                buffer_organization="damq", **common
-            ),
+    baseline = dict(
+        vc_policy="baseline", arrangement=VcArrangement.single_class(*flexvc[0]), **common
+    )
+    return [
+        _series("Baseline", scale, **baseline),
+        _series("DAMQ 75%", scale, buffer_organization="damq", **baseline),
+        *(
+            _series(
+                f"FlexVC {local}/{global_}VCs", scale, vc_policy="flexvc",
+                arrangement=VcArrangement.single_class(local, global_), **common
+            )
+            for local, global_ in flexvc
         ),
     ]
-    for label, arrangement in flexvc_arrangements:
-        series.append(
-            Series(
-                label,
-                lambda a=arrangement: base_config(
-                    scale, vc_policy="flexvc", arrangement=a, **common
-                ),
-            )
-        )
-    return series
 
 
 def request_reply_series(scale: ExperimentScale, pattern: str) -> List[Series]:
     """The request-reply comparison points of Figure 7."""
     algorithm = _oblivious_algorithm(pattern)
     if algorithm == "min":
-        baseline_arr = VcArrangement.request_reply((2, 1), (2, 1))
-        flexvc_arrangements = [
-            ("FlexVC 4/2VCs(2/1+2/1)", VcArrangement.request_reply((2, 1), (2, 1))),
-            ("FlexVC 5/3VCs(2/1+3/2)", VcArrangement.request_reply((2, 1), (3, 2))),
-            ("FlexVC 5/3VCs(3/2+2/1)", VcArrangement.request_reply((3, 2), (2, 1))),
-            ("FlexVC 6/4VCs(2/1+4/3)", VcArrangement.request_reply((2, 1), (4, 3))),
-            ("FlexVC 6/4VCs(3/2+3/2)", VcArrangement.request_reply((3, 2), (3, 2))),
-            ("FlexVC 6/4VCs(4/3+2/1)", VcArrangement.request_reply((4, 3), (2, 1))),
-        ]
-    else:
-        baseline_arr = VcArrangement.request_reply((4, 2), (4, 2))
-        flexvc_arrangements = [
-            ("FlexVC 8/4VCs(4/2+4/2)", VcArrangement.request_reply((4, 2), (4, 2))),
-            ("FlexVC 10/6VCs(5/3+5/3)", VcArrangement.request_reply((5, 3), (5, 3))),
-            ("FlexVC 10/6VCs(6/4+4/2)", VcArrangement.request_reply((6, 4), (4, 2))),
-        ]
-    common = dict(pattern=pattern, algorithm=algorithm, reactive=True)
-    series = [
-        Series(
-            "Baseline",
-            lambda a=baseline_arr: base_config(
-                scale, vc_policy="baseline", arrangement=a, **common
-            ),
-        ),
-        Series(
-            "DAMQ",
-            lambda a=baseline_arr: base_config(
-                scale, vc_policy="baseline", arrangement=a,
-                buffer_organization="damq", **common
-            ),
-        ),
-    ]
-    for label, arrangement in flexvc_arrangements:
-        series.append(
-            Series(
-                label,
-                lambda a=arrangement: base_config(
-                    scale, vc_policy="flexvc", arrangement=a, **common
-                ),
-            )
+        splits = (
+            ((2, 1), (2, 1)), ((2, 1), (3, 2)), ((3, 2), (2, 1)),
+            ((2, 1), (4, 3)), ((3, 2), (3, 2)), ((4, 3), (2, 1)),
         )
+    else:
+        splits = (((4, 2), (4, 2)), ((5, 3), (5, 3)), ((6, 4), (4, 2)))
+    common = dict(pattern=pattern, algorithm=algorithm, reactive=True)
+    # The baseline runs the smallest split, which is also FlexVC's first.
+    baseline = dict(
+        vc_policy="baseline", arrangement=VcArrangement.request_reply(*splits[0]), **common
+    )
+    series = [
+        _series("Baseline", scale, **baseline),
+        _series("DAMQ", scale, buffer_organization="damq", **baseline),
+    ]
+    for request, reply in splits:
+        arrangement = VcArrangement.request_reply(request, reply)
+        label = (
+            f"FlexVC {arrangement.total_local}/{arrangement.total_global}VCs"
+            f"({request[0]}/{request[1]}+{reply[0]}/{reply[1]})"
+        )
+        series.append(_series(
+            label, scale, vc_policy="flexvc", arrangement=arrangement, **common
+        ))
     return series
 
 
 def adaptive_series(scale: ExperimentScale, pattern: str) -> List[Series]:
     """The Piggyback comparison points of Figure 8 (request-reply traffic)."""
     reference_algorithm = _oblivious_algorithm(pattern)
-    reference_arr = (
-        VcArrangement.request_reply((2, 1), (2, 1))
-        if reference_algorithm == "min"
-        else VcArrangement.request_reply((4, 2), (4, 2))
-    )
-    pb_baseline_arr = VcArrangement.request_reply((4, 2), (4, 2))
-    pb_flexvc_arr = VcArrangement.request_reply((4, 2), (2, 1))
-
+    full = VcArrangement.request_reply((4, 2), (4, 2))
+    common = dict(pattern=pattern, reactive=True)
     series = [
-        Series(
-            "MIN/VAL" if reference_algorithm == "val" else "MIN",
-            lambda: base_config(
-                scale, pattern=pattern, algorithm=reference_algorithm,
-                vc_policy="baseline", arrangement=reference_arr, reactive=True,
+        _series(
+            "MIN/VAL" if reference_algorithm == "val" else "MIN", scale,
+            algorithm=reference_algorithm, vc_policy="baseline",
+            arrangement=(
+                full if reference_algorithm == "val"
+                else VcArrangement.request_reply((2, 1), (2, 1))
             ),
+            **common
         ),
     ]
-    for sensing in ("vc", "port"):
-        series.append(
-            Series(
-                f"PB - per {sensing.upper()}",
-                lambda s=sensing: base_config(
-                    scale, pattern=pattern, algorithm="pb", vc_policy="baseline",
-                    arrangement=pb_baseline_arr, reactive=True, pb_sensing=s,
-                ),
-            )
-        )
-    for sensing in ("vc", "port"):
-        series.append(
-            Series(
-                f"PB FlexVC - per {sensing.upper()}",
-                lambda s=sensing: base_config(
-                    scale, pattern=pattern, algorithm="pb", vc_policy="flexvc",
-                    arrangement=pb_flexvc_arr, reactive=True, pb_sensing=s,
-                ),
-            )
-        )
-    for sensing in ("vc", "port"):
-        series.append(
-            Series(
-                f"PB FlexVC - per {sensing.upper()} minCred",
-                lambda s=sensing: base_config(
-                    scale, pattern=pattern, algorithm="pb", vc_policy="flexvc",
-                    arrangement=pb_flexvc_arr, reactive=True, pb_sensing=s,
-                    pb_min_credits_only=True,
-                ),
-            )
-        )
+    # PB needs the full 4/2+4/2 under the baseline; FlexVC runs it on 4/2+2/1.
+    flexvc = dict(
+        vc_policy="flexvc", arrangement=VcArrangement.request_reply((4, 2), (2, 1))
+    )
+    for label, variant in (
+        ("PB - per {}", dict(vc_policy="baseline", arrangement=full)),
+        ("PB FlexVC - per {}", flexvc),
+        ("PB FlexVC - per {} minCred", dict(flexvc, pb_min_credits_only=True)),
+    ):
+        for sensing in ("vc", "port"):
+            series.append(_series(
+                label.format(sensing.upper()), scale,
+                algorithm="pb", pb_sensing=sensing, **variant, **common
+            ))
     return series
 
 
-# ---------------------------------------------------------------------------
-# Figures
-# ---------------------------------------------------------------------------
-
-DEFAULT_PATTERNS = ("uniform", "bursty", "adversarial")
-
-
-def figure5(
-    scale: str | ExperimentScale = "tiny",
-    patterns: Sequence[str] = DEFAULT_PATTERNS,
-    loads: Optional[Iterable[float]] = None,
-    seeds: Optional[int] = None,
-) -> Dict[str, List[Series]]:
-    """Figure 5: latency/throughput vs offered load under oblivious routing."""
-    scale = get_scale(scale)
-    seeds = seeds if seeds is not None else scale.seeds
-    loads = list(loads) if loads is not None else list(scale.loads)
-    return {
-        pattern: load_sweep(oblivious_series(scale, pattern), loads, seeds)
-        for pattern in patterns
-    }
-
-
-def figure6(
-    scale: str | ExperimentScale = "tiny",
-    patterns: Sequence[str] = DEFAULT_PATTERNS,
-    capacities: Optional[Sequence[tuple[int, int]]] = None,
-    seeds: Optional[int] = None,
-    speedup: int = 2,
-) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Figure 6 (and 11 with ``speedup=1``): max throughput vs buffer capacity.
-
-    Returns ``{pattern: {capacity_label: {series_label: accepted_load}}}``.
-    """
-    scale = get_scale(scale)
-    seeds = seeds if seeds is not None else scale.seeds
-    capacities = list(capacities) if capacities is not None else list(scale.buffer_capacities)
-    # The paper omits the smallest capacity for ADV (4/2 VCs do not fit
-    # usefully in 64/256 phits); keep all capacities but note that the
-    # smallest point is the most distorted one.  Every (pattern, capacity,
-    # series) point is an independent job, so the whole figure runs as one
-    # flat sweep and parallelizes across all of them.
-    flat: List[Series] = []
-    for pattern in patterns:
-        for local_cap, global_cap in capacities:
-            for entry in oblivious_series(
-                scale, pattern, speedup=speedup,
-                local_port_phits=local_cap, global_port_phits=global_cap,
-            ):
-                flat.append(
-                    Series(f"{pattern}|{local_cap}/{global_cap}|{entry.label}", entry.builder)
-                )
-    max_throughput(flat, seeds)
-    results: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for entry in flat:
-        pattern, capacity_label, label = entry.label.split("|", 2)
-        results.setdefault(pattern, {}).setdefault(capacity_label, {})[label] = (
-            entry.results[0].accepted_load
-        )
-    return results
-
-
-def figure7(
-    scale: str | ExperimentScale = "tiny",
-    patterns: Sequence[str] = DEFAULT_PATTERNS,
-    loads: Optional[Iterable[float]] = None,
-    seeds: Optional[int] = None,
-) -> Dict[str, List[Series]]:
-    """Figure 7: request-reply traffic with oblivious routing."""
-    scale = get_scale(scale)
-    seeds = seeds if seeds is not None else scale.seeds
-    loads = list(loads) if loads is not None else list(scale.loads)
-    return {
-        pattern: load_sweep(request_reply_series(scale, pattern), loads, seeds)
-        for pattern in patterns
-    }
-
-
-def figure8(
-    scale: str | ExperimentScale = "tiny",
-    patterns: Sequence[str] = DEFAULT_PATTERNS,
-    loads: Optional[Iterable[float]] = None,
-    seeds: Optional[int] = None,
-) -> Dict[str, List[Series]]:
-    """Figure 8: Piggyback source-adaptive routing, sensing variants, minCred."""
-    scale = get_scale(scale)
-    seeds = seeds if seeds is not None else scale.seeds
-    loads = list(loads) if loads is not None else list(scale.loads)
-    return {
-        pattern: load_sweep(adaptive_series(scale, pattern), loads, seeds)
-        for pattern in patterns
-    }
-
-
-FIG9_ARRANGEMENTS: tuple[tuple[str, tuple[tuple[int, int], tuple[int, int]]], ...] = (
-    ("4/2 (2/1+2/1)", ((2, 1), (2, 1))),
-    ("5/3 (2/1+3/2)", ((2, 1), (3, 2))),
-    ("5/3 (3/2+2/1)", ((3, 2), (2, 1))),
-    ("6/4 (2/1+4/3)", ((2, 1), (4, 3))),
-    ("6/4 (3/2+3/2)", ((3, 2), (3, 2))),
-    ("6/4 (4/3+2/1)", ((4, 3), (2, 1))),
-)
-
-FIG9_SELECTIONS = ("jsq", "highest", "lowest", "random")
-
-
-def figure9(
-    scale: str | ExperimentScale = "tiny",
-    seeds: Optional[int] = None,
-    arrangements=FIG9_ARRANGEMENTS,
-    selections: Sequence[str] = FIG9_SELECTIONS,
-) -> Dict[str, Dict[str, float]]:
-    """Figure 9: throughput at 100% load vs VC selection function and VC count.
-
-    Returns ``{arrangement_label: {"Baseline": x, "DAMQ": x, "FlexVC <sel>": x}}``.
-    """
-    scale = get_scale(scale)
-    seeds = seeds if seeds is not None else scale.seeds
-    baseline_arr = VcArrangement.request_reply((2, 1), (2, 1))
-    # One flat sweep: the two reference points plus every (arrangement,
-    # selection) pair run as independent jobs.
-    flat: List[Series] = [
-        Series(
-            "ref|Baseline",
-            lambda: base_config(scale, pattern="uniform", algorithm="min", reactive=True,
-                                vc_policy="baseline", arrangement=baseline_arr),
-        ),
-        Series(
-            "ref|DAMQ",
-            lambda: base_config(scale, pattern="uniform", algorithm="min", reactive=True,
-                                vc_policy="baseline", arrangement=baseline_arr,
-                                buffer_organization="damq"),
-        ),
-    ]
-    for label, (request, reply) in arrangements:
-        arrangement = VcArrangement.request_reply(request, reply)
-        for selection in selections:
-            flat.append(
-                Series(
-                    f"{label}|FlexVC {selection}",
-                    lambda a=arrangement, s=selection: base_config(
-                        scale, pattern="uniform", algorithm="min", reactive=True,
-                        vc_policy="flexvc", arrangement=a, vc_selection=s,
-                    ),
-                )
-            )
-    max_throughput(flat, seeds)
-    accepted = {entry.label: entry.results[0].accepted_load for entry in flat}
-    results: Dict[str, Dict[str, float]] = {}
-    for label, _ in arrangements:
-        row: Dict[str, float] = {
-            "Baseline": accepted["ref|Baseline"],
-            "DAMQ": accepted["ref|DAMQ"],
-        }
-        for selection in selections:
-            row[f"FlexVC {selection}"] = accepted[f"{label}|FlexVC {selection}"]
-        results[label] = row
-    return results
-
-
-DEFAULT_FIG10_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-
-def figure10(
-    scale: str | ExperimentScale = "tiny",
-    fractions: Sequence[float] = DEFAULT_FIG10_FRACTIONS,
-    loads: Optional[Iterable[float]] = None,
-    seeds: Optional[int] = None,
+def capacity_series(
+    scale: ExperimentScale, pattern: str, *, speedup: int = 2
 ) -> List[Series]:
-    """Figure 10: DAMQ throughput vs per-VC private reservation (UN, MIN).
+    """Figures 6 and 11: the oblivious comparison points at every per-port
+    buffer capacity of the scale (one bar group per capacity).
 
-    The 0% point is the configuration the paper reports as deadlocking; the
-    returned results carry ``deadlock_suspected`` so callers can verify it.
+    The paper omits the smallest capacity for ADV (4/2 VCs do not fit
+    usefully in 64/256 phits); all capacities are kept here, the smallest
+    point being the most distorted one.
     """
-    scale = get_scale(scale)
-    seeds = seeds if seeds is not None else scale.seeds
-    loads = list(loads) if loads is not None else list(scale.loads)
-    arrangement = VcArrangement.single_class(2, 1)
-    series = [
-        Series(
-            f"reserved {int(fraction * 100)}%",
-            lambda f=fraction: base_config(
-                scale, pattern="uniform", algorithm="min", vc_policy="baseline",
-                arrangement=arrangement, buffer_organization="damq",
-                damq_private_fraction=f,
-                local_port_phits=128, global_port_phits=512,
-            ),
+    return [
+        replace(entry, group=f"{local_cap}/{global_cap}")
+        for local_cap, global_cap in scale.buffer_capacities
+        for entry in oblivious_series(
+            scale, pattern, speedup=speedup,
+            local_port_phits=local_cap, global_port_phits=global_cap,
         )
-        for fraction in fractions
     ]
-    return load_sweep(series, loads, seeds)
 
 
-def figure11(
+def selection_series(scale: ExperimentScale, pattern: str) -> List[Series]:
+    """Figure 9: every VC selection function on every request-reply VC split
+    (one bar group per arrangement), beside the Baseline and DAMQ reference
+    bars every group repeats (MIN routing)."""
+    common = dict(pattern=pattern, algorithm="min", reactive=True)
+    baseline = dict(
+        vc_policy="baseline", arrangement=VcArrangement.request_reply((2, 1), (2, 1)),
+        **common
+    )
+    series = [
+        _series("Baseline", scale, **baseline),
+        _series("DAMQ", scale, buffer_organization="damq", **baseline),
+    ]
+    for request, reply in (
+        ((2, 1), (2, 1)), ((2, 1), (3, 2)), ((3, 2), (2, 1)),
+        ((2, 1), (4, 3)), ((3, 2), (3, 2)), ((4, 3), (2, 1)),
+    ):
+        arrangement = VcArrangement.request_reply(request, reply)
+        for selection in ("jsq", "highest", "lowest", "random"):
+            series.append(_series(
+                f"FlexVC {selection}", scale, group=arrangement.label(),
+                vc_policy="flexvc", arrangement=arrangement, vc_selection=selection,
+                **common
+            ))
+    return series
+
+
+def reservation_series(scale: ExperimentScale, pattern: str) -> List[Series]:
+    """Figure 10: DAMQ with 0-100% of the port memory privately reserved per
+    VC (MIN routing, 128/512-phit ports).
+
+    The 0% point is the configuration the paper reports as deadlocking; its
+    results carry ``deadlock_suspected`` so callers can verify it.
+    """
+    return [
+        _series(
+            f"reserved {int(fraction * 100)}%", scale,
+            pattern=pattern, algorithm="min", vc_policy="baseline",
+            arrangement=VcArrangement.single_class(2, 1), buffer_organization="damq",
+            damq_private_fraction=fraction,
+            local_port_phits=128, global_port_phits=512,
+        )
+        for fraction in (0.0, 0.25, 0.5, 0.75, 1.0)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# The registry and its one driver
+# ---------------------------------------------------------------------------
+
+SeriesFunction = Callable[[ExperimentScale, str], List[Series]]
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One experiment: which series to run on which panels at which loads."""
+
+    description: str
+    series: SeriesFunction
+    #: one panel (table) per traffic pattern.
+    patterns: Tuple[str, ...] = ("uniform", "bursty", "adversarial")
+    #: None = the scale's load grid (curves); ``(1.0,)`` = the paper's
+    #: "maximum throughput" bar figures.
+    loads: Optional[Tuple[float, ...]] = None
+
+
+FIGURES: Dict[str, Figure] = {
+    "fig5": Figure(
+        "Latency/throughput vs offered load, oblivious routing", oblivious_series,
+    ),
+    "fig6": Figure(
+        "Max throughput vs buffer capacity (speedup 2)", capacity_series,
+        loads=(1.0,),
+    ),
+    "fig7": Figure(
+        "Request-reply traffic with oblivious routing", request_reply_series,
+    ),
+    "fig8": Figure(
+        "Piggyback adaptive routing, sensing variants", adaptive_series,
+    ),
+    "fig9": Figure(
+        "Throughput vs VC selection function and VC count", selection_series,
+        patterns=("uniform",), loads=(1.0,),
+    ),
+    "fig10": Figure(
+        "DAMQ throughput vs per-VC private reservation", reservation_series,
+        patterns=("uniform",),
+    ),
+    "fig11": Figure(
+        "Max throughput without router speedup (speedup 1)",
+        partial(capacity_series, speedup=1), loads=(1.0,),
+    ),
+    "hyperx": Figure(
+        "FlexVC vs baseline on HyperX(3D): all routings x policies",
+        partial(topology_series, topology="hyperx"), patterns=("uniform",),
+    ),
+    "megafly": Figure(
+        "FlexVC vs baseline on Megafly/Dragonfly+: all routings x policies",
+        partial(topology_series, topology="megafly"), patterns=("uniform",),
+    ),
+}
+
+
+def figure_sweep(
+    name: str,
     scale: str | ExperimentScale = "tiny",
-    patterns: Sequence[str] = DEFAULT_PATTERNS,
-    capacities: Optional[Sequence[tuple[int, int]]] = None,
+    patterns: Optional[Sequence[str]] = None,
+    loads: Optional[Iterable[float]] = None,
     seeds: Optional[int] = None,
-) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Figure 11: maximum throughput without router speedup (speedup = 1)."""
-    return figure6(scale, patterns, capacities, seeds, speedup=1)
+) -> Tuple[Dict[str, List[Series]], SweepSpec]:
+    """Expand figure ``name`` into its panels and the one sweep that runs them.
+
+    No simulation happens here.  The spec holds one entry per series of
+    every panel, in panel order, labelled ``pattern|group|series`` (the group
+    only on bar figures), which is also the ``series`` a stored record's
+    metadata carries.
+    """
+    figure = FIGURES[name]
+    scale = get_scale(scale)
+    if loads is None:
+        loads = scale.loads if figure.loads is None else figure.loads
+    panels = {
+        pattern: figure.series(scale, pattern)
+        for pattern in (figure.patterns if patterns is None else patterns)
+    }
+    spec = SweepSpec(
+        series=[
+            ("|".join(filter(None, (pattern, entry.group, entry.label))), entry.builder)
+            for pattern, series in panels.items()
+            for entry in series
+        ],
+        loads=list(loads),
+        seeds=scale.seeds if seeds is None else max(1, seeds),
+        name=name,
+    )
+    return panels, spec
+
+
+def run_figure(
+    name: str,
+    scale: str | ExperimentScale = "tiny",
+    patterns: Optional[Sequence[str]] = None,
+    loads: Optional[Iterable[float]] = None,
+    seeds: Optional[int] = None,
+) -> Dict[str, List[Series]]:
+    """Run figure ``name`` as one sweep and return ``{pattern: [Series]}``.
+
+    ``patterns``, ``loads`` and ``seeds`` default to the figure's panels, the
+    figure's (else the scale's) load grid and the scale's seed count.  A point
+    whose job failed is left out of its series' ``results`` and named on
+    stderr; ``Series.missing`` keeps the reasons.
+    """
+    panels, spec = figure_sweep(name, scale, patterns, loads, seeds)
+    outcome = run_sweep(spec)
+    entries = [entry for series in panels.values() for entry in series]
+    for (label, _), entry in zip(spec.series, entries):
+        collect(entry, outcome, label)
+        for load, seed, reason in entry.missing:
+            print(
+                f"[{name}] missing: {label} load={load} seed={seed}: {reason}",
+                file=sys.stderr,
+            )
+    return panels

@@ -33,10 +33,10 @@ run.  This module turns that decomposition into infrastructure:
   budget (results are keyed separately in the store — never mixed with
   fixed-budget runs);
 * :func:`orchestration` installs a process-wide context (worker count,
-  store, chunking/adaptive/convergence modes) that the thin wrappers in
-  :mod:`repro.experiments.runner` (``load_sweep``/``run_point``/
-  ``max_throughput``) consult, so every figure generator, benchmark and
-  example inherits parallelism and caching without signature changes.
+  store, chunking/adaptive/convergence modes) that :func:`run_sweep`
+  consults, so ``load_sweep``, :func:`~repro.experiments.figures.run_figure`,
+  benchmarks and examples inherit parallelism and caching without
+  signature changes.
 
 Default-mode sweeps (no adaptive, no convergence) are bit-identical to
 per-job dispatch at any worker count and chunk size — chunking and artifact
@@ -1107,6 +1107,10 @@ def run_jobs(
     return stats
 
 
+#: :meth:`SweepOutcome.missing` reason of a job that was never dispatched.
+NOT_RUN = "not run"
+
+
 @dataclass
 class SweepOutcome:
     """Everything a sweep produced, plus cache accounting."""
@@ -1123,18 +1127,48 @@ class SweepOutcome:
     #: construction-artifact cache accounting (summed over workers).
     artifact_hits: int = 0
     artifact_misses: int = 0
+    #: job key -> why the job produced no result (crash-retry exhaustion or
+    #: per-job timeout).
+    failures: Dict[str, JobFailure] = field(default_factory=dict)
 
     def seed_results(self, series: str, load: float) -> List[SimulationResult]:
-        """Per-seed results of one point, in seed order."""
+        """Per-seed results of one point, in seed order (failed seeds left out)."""
         return [
             self.raw[job.key]
             for job in self.jobs
-            if job.series == series and job.load == load
+            if job.series == series and job.load == load and job.key in self.raw
         ]
 
-    def point(self, series: str, load: float) -> SimulationResult:
-        """Seed-averaged result of one (series, load) point."""
-        return average_results(self.seed_results(series, load))
+    def point(self, series: str, load: float) -> Optional[SimulationResult]:
+        """Seed-averaged result of one (series, load) point.
+
+        None when any of its seeds has no result: an average over fewer
+        seeds is a different statistic from the one the sweep asked for.
+        """
+        results = self.seed_results(series, load)
+        if len(results) != self.spec.seeds:
+            return None
+        return average_results(results)
+
+    def missing(self, series: str) -> List[Tuple[float, int, str]]:
+        """``(load, seed, reason)`` of every job of ``series`` without a result.
+
+        The reason is the job's :class:`JobFailure`, or :data:`NOT_RUN` for a
+        job in neither ``raw`` nor ``failures`` (the adaptive scheduler
+        abandons a series' ladder once every seed of a load step has failed).
+        """
+        gaps = []
+        for job in self.jobs:
+            if job.series == series and job.key not in self.raw:
+                failure = self.failures.get(job.key)
+                if failure is None:
+                    reason = NOT_RUN
+                else:
+                    reason = failure.reason + (
+                        f" ({failure.detail})" if failure.detail else ""
+                    )
+                gaps.append((job.load, job.seed, reason))
+        return gaps
 
     def table(self) -> Dict[Tuple[str, float], SimulationResult]:
         """All seed-averaged points keyed by ``(series_label, load)``."""
@@ -1142,7 +1176,9 @@ class SweepOutcome:
         for job in self.jobs:
             key = (job.series, job.load)
             if key not in seen:
-                seen[key] = self.point(job.series, job.load)
+                point = self.point(job.series, job.load)
+                if point is not None:
+                    seen[key] = point
         return seen
 
 
@@ -1180,6 +1216,7 @@ def run_sweep(
         extrapolated=stats.extrapolated,
         artifact_hits=stats.artifact_hits,
         artifact_misses=stats.artifact_misses,
+        failures=stats.failures,
     )
 
 

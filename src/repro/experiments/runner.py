@@ -4,7 +4,8 @@ Every figure of the paper is regenerated from the same three ingredients:
 
 * an :class:`ExperimentScale` (network size, cycle counts, seeds, load grid),
 * a *configuration builder* describing one curve/bar of the figure, and
-* a sweep driver (:func:`load_sweep` or :func:`max_throughput`).
+* the sweep driver :func:`load_sweep` (:func:`repro.experiments.figures.run_figure`
+  runs a whole registered figure through the same machinery).
 
 Three scales are provided.  ``TINY`` keeps the benchmark suite runnable in
 minutes on a laptop; ``SMALL`` is the default for examples; ``PAPER`` matches
@@ -15,8 +16,8 @@ endeavour, which is exactly the substitution documented in DESIGN.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from ..config import (
     NetworkConfig,
@@ -27,8 +28,8 @@ from ..config import (
 )
 from ..core.arrangement import VcArrangement
 from ..metrics import SimulationResult
-from ..simulation import average_results
-from .orchestrator import SweepSpec, run_seed_jobs, run_sweep
+from ..topology import TOPOLOGIES
+from .orchestrator import SweepOutcome, SweepSpec, run_sweep
 
 
 @dataclass(frozen=True)
@@ -54,25 +55,25 @@ class ExperimentScale:
     def network_for(self, topology: str) -> NetworkConfig:
         """Comparable-size network of any registered topology at this scale.
 
-        Sizes are derived from the scale's ``h`` so curves across topologies
-        stay roughly comparable (tiny: 36-router Dragonfly, 36-router 3D
-        HyperX, 16-router Flattened Butterfly, 20-router Megafly).
+        ``topology`` may be a registry name or alias; the returned config
+        always carries the canonical name, so an alias and its canonical
+        name hash to the same ``config_key``.  Sizes are derived from the
+        scale's ``h`` so curves across topologies stay roughly comparable
+        (tiny: 36-router Dragonfly, 36-router 3D HyperX, 16-router Flattened
+        Butterfly, 20-router Megafly); a topology without a row here gets its
+        registered parameter dataclass's defaults.
         """
         h = self.h
-        params: dict
-        if topology == "dragonfly":
-            params = {"h": h}
-        elif topology in ("flattened_butterfly", "fb"):
-            params = {"k1": 2 * h, "k2": 2 * h, "nodes_per_router": h}
-        elif topology == "hyperx":
-            params = {"s": (2 * h, h + 1, h + 1), "nodes_per_router": h}
-        elif topology in ("megafly", "dragonfly+", "dragonflyplus"):
-            params = {"spines": h, "leaves": h, "h": h, "nodes_per_router": h}
-        else:
-            raise ValueError(f"no scale mapping for topology {topology!r}")
+        sized = {
+            "dragonfly": {"h": h},
+            "flattened_butterfly": {"k1": 2 * h, "k2": 2 * h, "nodes_per_router": h},
+            "hyperx": {"s": (2 * h, h + 1, h + 1), "nodes_per_router": h},
+            "megafly": {"spines": h, "leaves": h, "h": h, "nodes_per_router": h},
+        }
+        name = TOPOLOGIES.get(topology).name
         return NetworkConfig(
-            topology=topology,
-            params=params,
+            topology=name,
+            params=sized.get(name),
             local_latency=self.local_latency,
             global_latency=self.global_latency,
         )
@@ -172,16 +173,17 @@ class Series:
 
     label: str
     builder: ConfigBuilder
+    #: seed-averaged result of every point the sweep produced, in load order.
     results: List[SimulationResult] = field(default_factory=list)
-
-    def loads(self) -> List[float]:
-        return [r.offered_load for r in self.results]
+    #: row of a bar figure this series belongs to (fig6/11: the buffer
+    #: capacity, fig9: the VC arrangement); empty on curves and on reference
+    #: bars that every row repeats.
+    group: str = ""
+    #: ``(load, seed, reason)`` of every job that produced no result.
+    missing: List[Tuple[float, int, str]] = field(default_factory=list)
 
     def accepted(self) -> List[float]:
         return [r.accepted_load for r in self.results]
-
-    def latencies(self) -> List[float]:
-        return [r.average_latency for r in self.results]
 
 
 def base_config(
@@ -239,37 +241,37 @@ def base_config(
 
 
 # ---------------------------------------------------------------------------
-# Sweep drivers (thin wrappers over the orchestrator)
+# Sweep driver (a thin wrapper over the orchestrator)
 # ---------------------------------------------------------------------------
 #
-# These take what a figure varies (series, loads, seeds) and delegate to
+# Takes what a figure varies (series, loads, seeds) and delegates to
 # repro.experiments.orchestrator: points become independent jobs.  How they
 # execute — worker count, result store, chunking, adaptive/convergence
 # modes — comes from the active ``orchestration(...)`` context alone.
 # Results are bit-identical serial or pooled because every job owns its RNG.
 
-def run_point(config: SimulationConfig, seeds: int = 1) -> SimulationResult:
-    """Run one configuration under ``seeds`` seeds and average."""
-    return average_results(run_seed_jobs(config, seeds))
+def collect(entry: Series, outcome: SweepOutcome, label: str) -> None:
+    """Fill ``entry`` from the jobs a finished sweep ran under ``label``.
+
+    A point with a failed (or never run) seed is left out of ``results``
+    rather than averaged over fewer seeds; ``missing`` says which and why.
+    """
+    points = (outcome.point(label, load) for load in outcome.spec.loads)
+    entry.results = [point for point in points if point is not None]
+    entry.missing = outcome.missing(label)
 
 
 def load_sweep(
     series: Sequence[Series], loads: Iterable[float], seeds: int = 1
 ) -> List[Series]:
     """Run every series at every offered load (latency/throughput curves)."""
-    loads = list(loads)
     spec = SweepSpec(
         series=[(entry.label, entry.builder) for entry in series],
-        loads=loads,
+        loads=list(loads),
         seeds=max(1, seeds),
         name="load_sweep",
     )
     outcome = run_sweep(spec)
     for entry in series:
-        entry.results = [outcome.point(entry.label, load) for load in loads]
+        collect(entry, outcome, entry.label)
     return list(series)
-
-
-def max_throughput(series: Sequence[Series], seeds: int = 1) -> List[Series]:
-    """Accepted load at full offered load (the paper's "maximum throughput")."""
-    return load_sweep(series, [1.0], seeds)

@@ -3,8 +3,8 @@
 The paper pitches FlexVC as a mechanism for any low-diameter network but only
 evaluates Dragonfly and Flattened Butterfly.  This module runs the same
 baseline-vs-FlexVC comparison, under every routing algorithm, on any topology
-registered with :data:`repro.topology.TOPOLOGIES` — the CLI exposes ``hyperx``
-and ``megafly`` directly::
+registered with :data:`repro.topology.TOPOLOGIES` — ``FIGURES`` binds
+:func:`topology_series` to ``hyperx`` and ``megafly``::
 
     python -m repro.experiments run hyperx megafly --scale tiny --workers 4
 
@@ -18,11 +18,12 @@ newly registered topology gets a correct sweep for free.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from functools import partial
+from typing import List, Optional
 
 from ..config import NetworkConfig, RoutingConfig, SimulationConfig, TrafficConfig
 from ..core.arrangement import VcArrangement
-from .runner import ExperimentScale, Series, base_config, get_scale, load_sweep
+from .runner import ExperimentScale, Series, base_config
 
 #: (local, global) candidate ladder, ascending in total buffer cost.
 ARRANGEMENT_LADDER: tuple[tuple[int, int], ...] = (
@@ -40,11 +41,10 @@ def minimal_feasible_arrangement(
     vc_policy: str,
     *,
     reactive: bool = False,
-    ladder: Sequence[tuple[int, int]] = ARRANGEMENT_LADDER,
 ) -> VcArrangement:
-    """Smallest arrangement of ``ladder`` that validates for the configuration."""
+    """Smallest arrangement of the ladder that validates for the configuration."""
     last_error: Optional[Exception] = None
-    for local, global_ in ladder:
+    for local, global_ in ARRANGEMENT_LADDER:
         arrangement = (
             VcArrangement.request_reply((local, global_), (local, global_))
             if reactive
@@ -68,17 +68,13 @@ def minimal_feasible_arrangement(
 
 
 def topology_series(
-    scale: ExperimentScale,
-    topology: str,
-    pattern: str = "uniform",
-    routings: Sequence[str] = ROUTINGS,
-    policies: Sequence[str] = POLICIES,
+    scale: ExperimentScale, pattern: str, *, topology: str
 ) -> List[Series]:
     """One series per routing/policy pair on ``topology``."""
     network = scale.network_for(topology)
     series: List[Series] = []
-    for routing in routings:
-        for policy in policies:
+    for routing in ROUTINGS:
+        for policy in POLICIES:
             arrangement = minimal_feasible_arrangement(network, routing, policy)
             label = (
                 f"{routing.upper()} {'FlexVC' if policy == 'flexvc' else 'Baseline'} "
@@ -87,51 +83,10 @@ def topology_series(
             series.append(
                 Series(
                     label,
-                    lambda a=arrangement, r=routing, p=policy: base_config(
-                        scale, pattern=pattern, algorithm=r, vc_policy=p,
-                        arrangement=a, network=network,
+                    partial(
+                        base_config, scale, pattern=pattern, algorithm=routing,
+                        vc_policy=policy, arrangement=arrangement, network=network,
                     ),
                 )
             )
     return series
-
-
-def topology_sweep(
-    topology: str,
-    scale: str | ExperimentScale = "tiny",
-    patterns: Sequence[str] = ("uniform",),
-    loads: Optional[Iterable[float]] = None,
-    seeds: Optional[int] = None,
-) -> Dict[str, List[Series]]:
-    """Load sweep of every routing/policy pair on ``topology``.
-
-    Returns ``{pattern: [Series, ...]}`` like the figure generators, so the
-    CLI renders it with the standard series tables.
-    """
-    scale = get_scale(scale)
-    seeds = seeds if seeds is not None else scale.seeds
-    loads = list(loads) if loads is not None else list(scale.loads)
-    return {
-        pattern: load_sweep(topology_series(scale, topology, pattern), loads, seeds)
-        for pattern in patterns
-    }
-
-
-def hyperx_sweep(
-    scale: str | ExperimentScale = "tiny",
-    patterns: Sequence[str] = ("uniform",),
-    loads: Optional[Iterable[float]] = None,
-    seeds: Optional[int] = None,
-) -> Dict[str, List[Series]]:
-    """All routings x policies on the 3D HyperX substrate."""
-    return topology_sweep("hyperx", scale, patterns, loads, seeds)
-
-
-def megafly_sweep(
-    scale: str | ExperimentScale = "tiny",
-    patterns: Sequence[str] = ("uniform",),
-    loads: Optional[Iterable[float]] = None,
-    seeds: Optional[int] = None,
-) -> Dict[str, List[Series]]:
-    """All routings x policies on the Megafly / Dragonfly+ substrate."""
-    return topology_sweep("megafly", scale, patterns, loads, seeds)

@@ -23,6 +23,7 @@ from repro.experiments.tables import (
     EXPECTED_TABLE3,
     EXPECTED_TABLE4,
     matches_paper,
+    render_all_tables,
 )
 
 
@@ -41,6 +42,10 @@ class TestTablesMatchPaper:
 
     def test_matches_paper_helper(self):
         assert matches_paper()
+
+    def test_render_names_all_four_tables(self):
+        text = render_all_tables()
+        assert "Table I" in text and "Table IV" in text
 
 
 class TestClassification:

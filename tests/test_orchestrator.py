@@ -15,10 +15,11 @@ from repro.experiments.orchestrator import (
     run_seed_jobs,
     run_sweep,
 )
-from repro.experiments.runner import load_sweep, run_point
+from repro.experiments.runner import load_sweep
 from repro.keys import config_key
 from repro.metrics import SimulationResult
 from repro.session import Session
+from repro.simulation import average_results
 from repro.store import ResultStore, StoreError
 
 
@@ -192,7 +193,7 @@ class TestContextWiring:
         )
 
     def test_run_point_averages_seeds(self):
-        result = run_point(make_config().with_load(0.2), seeds=2)
+        result = average_results(run_seed_jobs(make_config().with_load(0.2), 2))
         assert isinstance(result, SimulationResult)
         assert result.packets_delivered > 0
 

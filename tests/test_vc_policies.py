@@ -265,3 +265,24 @@ class TestPolicyNeverExceedsImplementedVcs:
                 continue
             ceiling = local if remaining[0] == LinkType.LOCAL else global_
             assert 0 <= r.lo <= r.hi < ceiling
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: per-link-type safe range vs interleaved VC order",
+)
+def test_flexvc_4_2_valiant_keeps_delivering_under_adversarial_load():
+    """FlexVC 4/2 + Valiant under ADV at load 0.7 must not wedge (the paper's
+    headline case).  Today the eight windows deliver 1972, 1460, 109, 0, 0,
+    0, 0, 0 packets; the fix deletes the marker."""
+    from repro.experiments.runner import TINY, base_config
+    from repro.session import Session
+
+    config = base_config(
+        TINY, pattern="adversarial", algorithm="val", vc_policy="flexvc",
+        arrangement=VcArrangement.single_class(4, 2), seed=102,
+    ).with_load(0.7)
+    session = Session(config)
+    session.warmup(1000)
+    delivered = [session.measure(500).packets_delivered for _ in range(8)]
+    assert min(delivered) >= 1500, delivered
