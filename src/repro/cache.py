@@ -1,11 +1,8 @@
-"""Small bounded LRU mapping shared by the construction caches.
+"""Small bounded LRU mapping behind the topology registry's build cache.
 
-Both the topology registry's build cache and the sweep orchestrator's
-per-worker :class:`~repro.experiments.orchestrator.ArtifactCache` need the
-same thing: a tiny dict with recency-refreshing reads and oldest-first
-eviction.  Python dicts preserve insertion order, so recency is a
-pop-and-reinsert and the LRU entry is ``next(iter(...))`` — kept in one
-place instead of hand-rolled per cache.
+A tiny dict with recency-refreshing reads and oldest-first eviction.
+Python dicts preserve insertion order, so recency is a pop-and-reinsert
+and the LRU entry is ``next(iter(...))``.
 """
 
 from __future__ import annotations

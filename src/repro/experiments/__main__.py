@@ -35,9 +35,9 @@ from ..probes import PROBES, make_probes
 from ..session import ConvergenceSettings
 from ..store import FLUSH_INTERVAL_SECONDS, ResultStore, StoreError
 from . import tables
-from .figures import FIGURES, run_figure
+from .figures import FIGURES, run_figure_sweep
 from .formatting import render_figure
-from .orchestrator import NOT_RUN, AdaptiveSettings, orchestration
+from .orchestrator import AdaptiveSettings, orchestration
 from .runner import SCALES
 
 DEFAULT_STORE = "results/store.json"
@@ -120,29 +120,33 @@ def cmd_run(args: argparse.Namespace) -> int:
             if name == TABLES:
                 print(tables.render_all_tables() + "\n")
                 continue
-            hits_before, writes_before = store.hits, store.writes
             start = time.perf_counter()
-            panels = run_figure(
+            panels, outcome = run_figure_sweep(
                 name, scale=args.scale, patterns=args.patterns or None,
                 seeds=args.seeds,
             )
             elapsed = time.perf_counter() - start
             print(render_figure(f"{name} @ {args.scale}", panels))
-            missing = [
-                reason for series in panels.values() for entry in series
-                for _load, _seed, reason in entry.missing
-            ]
+            # The sweep's own accounting; zero counts other than the first two
+            # (which CI greps) are left out.
+            stats = outcome.stats
+            missing = sum(
+                len(entry.missing) for series in panels.values() for entry in series
+            )
             if missing:
                 status = 1
-            # Every failed job wrote a failure entry; one never run wrote nothing.
-            failed = sum(reason != NOT_RUN for reason in missing)
-            executed = store.writes - writes_before - failed
-            cached = store.hits - hits_before
+            counts = [
+                f"{stats.executed} point(s) simulated",
+                f"{stats.extrapolated} extrapolated" if stats.extrapolated else "",
+                f"{stats.cache_hits} served from cache",
+                f"{missing} missing" if missing else "",
+                f"{stats.retries} chunk retries" if stats.retries else "",
+                f"{stats.store_absorbed} absorbed from peer writers"
+                if stats.store_absorbed else "",
+            ]
             print(
                 f"\n[{name}] {elapsed:.1f}s with {args.workers} worker(s): "
-                f"{executed} point(s) simulated, {cached} served from cache"
-                + (f", {len(missing)} missing" if missing else "")
-                + f" ({args.store})\n"
+                + ", ".join(filter(None, counts)) + f" ({args.store})\n"
             )
     store.close()
     return status

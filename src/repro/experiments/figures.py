@@ -21,7 +21,7 @@ from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.arrangement import VcArrangement
-from .orchestrator import SweepSpec, run_sweep
+from .orchestrator import SweepOutcome, SweepSpec, run_sweep
 from .runner import ExperimentScale, Series, base_config, collect, get_scale
 from .topologies import topology_series
 
@@ -297,19 +297,20 @@ def figure_sweep(
     return panels, spec
 
 
-def run_figure(
+def run_figure_sweep(
     name: str,
     scale: str | ExperimentScale = "tiny",
     patterns: Optional[Sequence[str]] = None,
     loads: Optional[Iterable[float]] = None,
     seeds: Optional[int] = None,
-) -> Dict[str, List[Series]]:
-    """Run figure ``name`` as one sweep and return ``{pattern: [Series]}``.
+) -> Tuple[Dict[str, List[Series]], SweepOutcome]:
+    """Run figure ``name`` as one sweep: its filled panels and the outcome.
 
     ``patterns``, ``loads`` and ``seeds`` default to the figure's panels, the
     figure's (else the scale's) load grid and the scale's seed count.  A point
     whose job failed is left out of its series' ``results`` and named on
-    stderr; ``Series.missing`` keeps the reasons.
+    stderr; ``Series.missing`` keeps the reasons, and ``outcome.stats`` says
+    how many points were simulated, extrapolated or served from the store.
     """
     panels, spec = figure_sweep(name, scale, patterns, loads, seeds)
     outcome = run_sweep(spec)
@@ -321,4 +322,15 @@ def run_figure(
                 f"[{name}] missing: {label} load={load} seed={seed}: {reason}",
                 file=sys.stderr,
             )
-    return panels
+    return panels, outcome
+
+
+def run_figure(
+    name: str,
+    scale: str | ExperimentScale = "tiny",
+    patterns: Optional[Sequence[str]] = None,
+    loads: Optional[Iterable[float]] = None,
+    seeds: Optional[int] = None,
+) -> Dict[str, List[Series]]:
+    """:func:`run_figure_sweep`'s panels, ``{pattern: [Series]}``."""
+    return run_figure_sweep(name, scale, patterns, loads, seeds)[0]

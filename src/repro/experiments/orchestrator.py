@@ -6,15 +6,14 @@ run.  This module turns that decomposition into infrastructure:
 
 * :class:`SweepSpec` declaratively describes a sweep (series x loads x seeds)
   and expands it into :class:`Job` objects keyed by a stable hash of the
-  complete :class:`~repro.config.SimulationConfig` (plus a coarser
-  :func:`network_key` identifying the job's network+routing substrate);
+  complete :class:`~repro.config.SimulationConfig`;
 * :func:`run_jobs` executes jobs on a ``ProcessPoolExecutor`` when
   ``workers > 1``, in this process otherwise — with bit-identical results
   either way because every job owns its RNG.  Jobs are dispatched in
   *series-affine chunks* (one pool task runs several jobs of one series),
-  which amortizes pickle/IPC overhead and keeps each worker's
-  :class:`ArtifactCache` hot: topology graphs and route tables are built once
-  per ``network_key`` per worker instead of once per job;
+  which amortizes pickle/IPC overhead and keeps each worker's topology
+  registry cache hot: a topology graph and its route table are built once
+  per network per worker instead of once per job;
 * :class:`~repro.store.ResultStore` persists results keyed by config hash
   in a crash-safe append-only journal, see
   :mod:`repro.store` — so an interrupted sweep resumes from what it already
@@ -32,11 +31,13 @@ run.  This module turns that decomposition into infrastructure:
   batch windows until confidence intervals tighten, capped at the fixed
   budget (results are keyed separately in the store — never mixed with
   fixed-budget runs);
-* :func:`orchestration` installs a process-wide context (worker count,
-  store, chunking/adaptive/convergence modes) that :func:`run_sweep`
-  consults, so ``load_sweep``, :func:`~repro.experiments.figures.run_figure`,
-  benchmarks and examples inherit parallelism and caching without
-  signature changes.
+* :class:`OrchestrationContext` declares *how* a sweep executes (worker
+  count, store, chunking/adaptive/convergence modes, ...) exactly once;
+  :func:`orchestration` installs overrides of it for a block and
+  :func:`run_jobs` / :func:`run_sweep` take the same names as per-call
+  overrides, so ``load_sweep``,
+  :func:`~repro.experiments.figures.run_figure`, benchmarks and examples
+  inherit parallelism and caching without signature changes.
 
 Default-mode sweeps (no adaptive, no convergence) are bit-identical to
 per-job dispatch at any worker count and chunk size — chunking and artifact
@@ -59,10 +60,9 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..cache import BoundedLRU
 from ..config import SimulationConfig
 from ..faults import FaultSpec
-from ..keys import _hash_payload, _network_payload, config_key, network_key
+from ..keys import _hash_payload, config_key
 from ..metrics import SimulationResult
 from ..probes import make_probes
 from ..record import JobFailure, RunRecord
@@ -70,11 +70,11 @@ from ..router.saturation import DEFAULT_SATURATION_MARGIN, is_saturated_point
 from ..session import ConvergenceSettings, Session
 from ..simulation import (
     Simulation,
-    SimulationArtifacts,
     average_results,
     build_artifacts,
 )
-from ..store import FLUSH_INTERVAL_SECONDS, ResultStore
+from ..store import ResultStore
+from ..topology import TOPOLOGIES
 
 ConfigBuilder = Callable[[], SimulationConfig]
 
@@ -127,10 +127,9 @@ class Job:
     never change the summary (probed runs are summary-identical by the
     zero-cost dispatch design), so the cache key deliberately ignores them.
 
-    ``network_key`` identifies the job's reusable construction artifacts
-    (see :class:`ArtifactCache`); ``converge`` switches the job's
-    measurement to the convergence-window controller, which *does* change
-    the summary and therefore suffixes the store key (:func:`store_key`).
+    ``converge`` switches the job's measurement to the convergence-window
+    controller, which *does* change the summary and therefore suffixes the
+    store key (:func:`store_key`).
     """
 
     key: str
@@ -139,7 +138,6 @@ class Job:
     seed: int
     config: SimulationConfig
     probes: Tuple[str, ...] = ()
-    network_key: str = ""
     converge: Optional[ConvergenceSettings] = None
 
 
@@ -166,9 +164,12 @@ class SweepSpec:
     probes: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        # A (series, load) pair names one point: a repeat of either would
+        # make its jobs indistinguishable when the outcome is reassembled.
         labels = [label for label, _ in self.series]
-        if len(labels) != len(set(labels)):
-            raise ValueError(f"duplicate series labels in sweep {self.name!r}: {labels}")
+        for what, values in (("series labels", labels), ("loads", list(self.loads))):
+            if len(values) != len(set(values)):
+                raise ValueError(f"duplicate {what} in sweep {self.name!r}: {values}")
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
 
@@ -180,15 +181,13 @@ class SweepSpec:
         leaves are rewritten per job, instead of re-walking the whole
         dataclass tree for each of the series x loads x seeds points.  The
         resulting keys are identical to ``config_key(job.config)`` (asserted
-        by the orchestrator tests); the per-series network key falls out of
-        the same pass.
+        by the orchestrator tests).
         """
         jobs: List[Job] = []
         probes = tuple(self.probes)
         for label, builder in self.series:
             base = builder()
             payload = asdict(base)
-            net_key = _hash_payload(_network_payload(payload))
             if not base.faults:
                 # Mirror config_key()'s empty-faults omission.
                 payload.pop("faults", None)
@@ -207,50 +206,9 @@ class SweepSpec:
                             seed=config.seed,
                             config=config,
                             probes=probes,
-                            network_key=net_key,
                         )
                     )
         return jobs
-
-
-# ---------------------------------------------------------------------------
-# Per-worker artifact cache
-# ---------------------------------------------------------------------------
-
-class ArtifactCache:
-    """Bounded memo of ``network_key -> SimulationArtifacts`` (one per process).
-
-    Worker processes live for a whole sweep, so jobs of the same series (and
-    of every series sharing a network/routing substrate) reuse one topology
-    graph and one route table per worker instead of rebuilding them per
-    job.  Pristine runs only add columns to a cached table (fault runs take
-    a private one), which keeps reuse bit-identical to fresh builds
-    (asserted by the sweep-scale tests).
-    """
-
-    def __init__(self, max_entries: int = 8) -> None:
-        self._entries = BoundedLRU(max_entries)
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: str, config: SimulationConfig) -> SimulationArtifacts:
-        """Artifacts for ``key``, built from ``config`` on a miss."""
-        artifacts = self._entries.get(key)
-        if artifacts is not None:
-            self.hits += 1
-            return artifacts
-        self.misses += 1
-        artifacts = build_artifacts(config, key)
-        self._entries.put(key, artifacts)
-        return artifacts
-
-    def counters(self) -> Tuple[int, int]:
-        return self.hits, self.misses
-
-
-#: the process-local cache ``_execute_job`` consults (one per pool worker;
-#: the parent process uses it too for serial execution).
-_WORKER_ARTIFACTS = ArtifactCache()
 
 
 # ---------------------------------------------------------------------------
@@ -282,21 +240,23 @@ def _apply_test_seams(job_key: str) -> None:
         time.sleep(float(os.environ.get("REPRO_TEST_HANG_SECONDS", "60")))
 
 
-def _execute_job(job: Job) -> Tuple[str, RunRecord]:
+def _execute_job(job: Job) -> Tuple[str, RunRecord, bool]:
     """Top-level worker function (must be picklable for the process pool).
 
     Runs the job through the phased Session API so probe names on the job
     yield telemetry channels in the returned :class:`RunRecord`; without
     probes the session wires nothing into the simulation.  Construction
-    artifacts come from the process-local :class:`ArtifactCache`; jobs
-    carrying convergence settings measure via
+    artifacts come from :func:`~repro.simulation.build_artifacts` — the
+    topology registry's build cache is the one construction cache, and the
+    third element returned says whether this job's topology was served from
+    it; jobs carrying convergence settings measure via
     :meth:`~repro.session.Session.measure_converged` instead of one fixed
     window.
     """
     _apply_test_seams(job.key)
-    artifacts = _WORKER_ARTIFACTS.get(
-        job.network_key or network_key(job.config), job.config
-    )
+    hits_before = TOPOLOGIES.build_cache_hits
+    artifacts = build_artifacts(job.config)
+    artifact_hit = TOPOLOGIES.build_cache_hits > hits_before
     simulation = Simulation(job.config, artifacts=artifacts)
     session = Session(simulation=simulation, probes=make_probes(job.probes))
     session.warmup()
@@ -304,26 +264,26 @@ def _execute_job(job: Job) -> Tuple[str, RunRecord]:
         session.measure_converged(job.converge)
     else:
         session.measure()
-    return job.key, session.record()
+    return job.key, session.record(), artifact_hit
 
 
-#: Per-chunk result: ordered (config-hash, record-or-failure) pairs plus the
-#: chunk's artifact-cache (hits, misses) delta.  Failures only appear on the
-#: pool executor's resilience paths (crash-retry exhaustion, job timeout).
+#: Per-chunk result: ordered (config-hash, record-or-failure) pairs plus how
+#: many of the chunk's jobs (hit, missed) the topology build cache.  Failures
+#: only appear on the pool executor's resilience paths (crash-retry
+#: exhaustion, job timeout).
 _ChunkResult = Tuple[List[Tuple[str, "RunRecord | JobFailure"]], Tuple[int, int]]
 
 
 def _execute_chunk(jobs: Sequence[Job]) -> _ChunkResult:
     """Run a series-affine chunk of jobs in this process, one after another.
 
-    Returns the per-job records in order plus the chunk's artifact-cache
-    ``(hits, misses)`` delta, so the parent can report how much construction
-    work the cache absorbed.
+    Returns the per-job records in order plus the chunk's build-cache
+    ``(hits, misses)`` — one or the other per job — so the parent can report
+    how much construction work the cache absorbed.
     """
-    hits_before, misses_before = _WORKER_ARTIFACTS.counters()
-    records = [_execute_job(job) for job in jobs]
-    hits_after, misses_after = _WORKER_ARTIFACTS.counters()
-    return records, (hits_after - hits_before, misses_after - misses_before)
+    executed = [_execute_job(job) for job in jobs]
+    hits = sum(hit for _, _, hit in executed)
+    return [(key, record) for key, record, _ in executed], (hits, len(jobs) - hits)
 
 
 # -- chunk executors ---------------------------------------------------------
@@ -383,12 +343,11 @@ class _PoolChunkExecutor:
 
     def __init__(
         self,
-        executor: ProcessPoolExecutor,
         workers: int,
-        job_timeout: Optional[float] = None,
-        on_retry: Optional[Callable[[Tuple[Job, ...], str], None]] = None,
+        job_timeout: Optional[float],
+        on_retry: Callable[[Tuple[Job, ...], str], None],
     ) -> None:
-        self._executor = executor
+        self._executor = ProcessPoolExecutor(max_workers=workers)
         self._workers = workers
         self._job_timeout = job_timeout
         self._on_retry = on_retry
@@ -488,16 +447,14 @@ class _PoolChunkExecutor:
                 (chunk, ([(job.key, failure) for job in chunk], (0, 0)))
             )
             return
-        if self._on_retry is not None:
-            self._on_retry(chunk, "worker-crash")
+        self._on_retry(chunk, "worker-crash")
         time.sleep(self.RETRY_BACKOFF_S * attempts)
         self.submit(chunk)
 
     def _probe_solo(self, chunk: Tuple[Job, ...]) -> Optional[_ChunkResult]:
         """Run ``chunk`` alone on a fresh one-worker pool; None if it crashes
         (or times out) there too — which makes the chunk definitively guilty."""
-        if self._on_retry is not None:
-            self._on_retry(chunk, "worker-crash")
+        self._on_retry(chunk, "worker-crash")
         solo = ProcessPoolExecutor(max_workers=1)
         timeout = (
             self._job_timeout * len(chunk) if self._job_timeout is not None else None
@@ -537,8 +494,7 @@ class _PoolChunkExecutor:
             else:
                 # Can't tell which job wedged: re-split so each gets its own
                 # deadline and only the true offender fails.
-                if self._on_retry is not None:
-                    self._on_retry(chunk, "timeout")
+                self._on_retry(chunk, "timeout")
                 for job in chunk:
                     self.submit((job,))
 
@@ -551,17 +507,12 @@ class _PoolChunkExecutor:
 
 def _make_chunk_executor(
     workers: int,
-    job_timeout: Optional[float] = None,
-    on_retry: Optional[Callable[[Tuple[Job, ...], str], None]] = None,
+    job_timeout: Optional[float],
+    on_retry: Callable[[Tuple[Job, ...], str], None],
 ) -> "_SerialChunkExecutor | _PoolChunkExecutor":
     if workers > 1:
         try:
-            return _PoolChunkExecutor(
-                ProcessPoolExecutor(max_workers=workers),
-                workers=workers,
-                job_timeout=job_timeout,
-                on_retry=on_retry,
-            )
+            return _PoolChunkExecutor(workers, job_timeout, on_retry)
         except OSError:  # pragma: no cover - environment-dependent
             pass
     return _SerialChunkExecutor()
@@ -572,8 +523,8 @@ def _chunk_pending(
 ) -> List[List[Job]]:
     """Group pending jobs into series-affine chunks.
 
-    Jobs of one chunk always belong to one series (identical network key),
-    so a worker executing the chunk builds its artifacts at most once.  The
+    Jobs of one chunk always belong to one series (one network), so a
+    worker executing the chunk builds its artifacts at most once.  The
     automatic size balances IPC amortization against load balance and
     resumability: roughly four chunks per worker, capped at
     :data:`DEFAULT_MAX_CHUNK_JOBS` jobs.
@@ -634,8 +585,7 @@ class AdaptiveSettings:
 class _SeriesPlan:
     """Per-series load ladder the adaptive scheduler walks bottom-up."""
 
-    def __init__(self, series: str, jobs: Sequence[Job]) -> None:
-        self.series = series
+    def __init__(self, jobs: Sequence[Job]) -> None:
         by_load: Dict[float, List[Job]] = {}
         for job in jobs:
             by_load.setdefault(job.load, []).append(job)
@@ -657,30 +607,26 @@ class _SeriesPlan:
         return [job for _, jobs in self.steps[self.index:] for job in jobs]
 
 
-def _run_adaptive(
+def _start_adaptive(
     executor: "_SerialChunkExecutor | _PoolChunkExecutor",
     unique_jobs: Sequence[Job],
-    results: Dict[str, SimulationResult],
+    stats: JobRunStats,
     settings: AdaptiveSettings,
     on_result: Callable[[Job, RunRecord], None],
-    on_artifact_stats: Callable[[int, int], None],
-) -> None:
-    """Drive per-series load ladders with a saturation cutoff.
+) -> Callable[[Tuple[Job, ...]], None]:
+    """Start per-series load ladders with a saturation cutoff.
 
-    Series advance independently (parallelism across series); within one
-    series each load step — all of its seeds, one chunk — must complete
-    before the next is submitted, because the next submission *is* the
-    scheduling decision.
+    Submits every series' first unresolved step and returns the callback
+    :func:`run_jobs`' drain loop invokes after each completed chunk.  Series
+    advance independently (parallelism across series); within one series
+    each load step — all of its seeds — must complete before the next is
+    submitted, because the next submission *is* the scheduling decision.
     """
+    results = stats.results
     by_series: Dict[str, List[Job]] = {}
     for job in unique_jobs:
         by_series.setdefault(job.series, []).append(job)
-    plans = {
-        series: _SeriesPlan(series, jobs) for series, jobs in by_series.items()
-    }
-    #: keys of jobs that resolved to a JobFailure — never resubmitted.
-    failed_keys: set = set()
-
+    plans = {series: _SeriesPlan(jobs) for series, jobs in by_series.items()}
     def extrapolate_remaining(plan: _SeriesPlan) -> None:
         base_load = plan.last_load
         for job in plan.remaining_jobs():
@@ -723,7 +669,8 @@ def _run_adaptive(
             load, step_jobs = plan.steps[plan.index]
             missing = [
                 job for job in step_jobs
-                if job.key not in results and job.key not in failed_keys
+                # a job that resolved to a JobFailure is never resubmitted
+                if job.key not in results and job.key not in stats.failures
             ]
             if missing:
                 # One task per job: the seeds of a step are independent, so
@@ -758,30 +705,34 @@ def _run_adaptive(
             plan.last_load = load
             plan.index += 1
 
-    for plan in plans.values():
-        advance(plan)
-    while executor.pending():
-        chunk, (records, artifact_stats) = executor.next_completed()
-        on_artifact_stats(*artifact_stats)
-        for job, (_, record) in zip(chunk, records):
-            if isinstance(record, JobFailure):
-                failed_keys.add(job.key)
-            on_result(job, record)
+    def chunk_done(chunk: Tuple[Job, ...]) -> None:
         plan = plans[chunk[0].series]
         plan.outstanding -= 1
         if plan.outstanding == 0:
             advance(plan)
+
+    for plan in plans.values():
+        advance(plan)
+    return chunk_done
 
 
 # ---------------------------------------------------------------------------
 # Orchestration context
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class OrchestrationContext:
-    """Process-wide execution defaults consulted by the sweep wrappers."""
+    """How a sweep executes: the one declaration of every execution setting.
 
+    :func:`orchestration`, :func:`run_jobs` and :func:`run_sweep` all take
+    these field names as ``**overrides`` of the active context
+    (``dataclasses.replace``), so a misspelt name is a ``TypeError`` from
+    every entry point and an explicit ``None`` switches a setting off.
+    """
+
+    #: worker processes (1 = serial, in this process).
     workers: int = 1
+    #: where results persist and are served from (None = nowhere).
     store: Optional[ResultStore] = None
     #: probe registry names attached to every executed (non-cached) job.
     probes: Tuple[str, ...] = ()
@@ -802,6 +753,10 @@ class OrchestrationContext:
     #: non-empty schedules hash into ``config_key``).
     faults: Optional["FaultSpec"] = None
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "workers", max(1, int(self.workers)))
+        object.__setattr__(self, "probes", tuple(self.probes))
+
 
 _CONTEXT_STACK: List[OrchestrationContext] = [OrchestrationContext()]
 
@@ -811,39 +766,19 @@ def current_context() -> OrchestrationContext:
 
 
 @contextmanager
-def orchestration(
-    workers: int = 1,
-    store: Optional[ResultStore | str] = None,
-    probes: Sequence[str] = (),
-    chunk_size: Optional[int] = None,
-    adaptive: Optional[AdaptiveSettings] = None,
-    converge: Optional[ConvergenceSettings] = None,
-    verbose: bool = False,
-    job_timeout: Optional[float] = None,
-    faults: Optional["FaultSpec"] = None,
-) -> Iterator[OrchestrationContext]:
-    """Install parallel/caching defaults for every sweep run inside the block.
+def orchestration(**overrides: Any) -> Iterator[OrchestrationContext]:
+    """Override execution settings for every sweep run inside the block.
 
-    ``store`` may be a :class:`ResultStore` or a path (a store is opened and
-    flushed on exit).  ``probes`` names registry probes attached to every job
-    executed inside the block (cached points are still served from the store
-    without telemetry — use ``refresh``/``--force`` to re-run them probed).
-    ``chunk_size``, ``adaptive`` and ``converge`` select the sweep-scale
-    execution modes documented on :func:`run_jobs`.
+    ``overrides`` are :class:`OrchestrationContext` fields; whatever is not
+    named is inherited from the enclosing block (or the defaults).  ``store``
+    may also be a path: the store is opened here, and any store is flushed
+    on exit.  ``probes`` are attached to every job executed inside the block
+    (cached points are still served from the store without telemetry — use
+    ``refresh``/``--force`` to re-run them probed).
     """
-    if isinstance(store, str):
-        store = ResultStore(store)
-    context = OrchestrationContext(
-        workers=max(1, int(workers)),
-        store=store,
-        probes=tuple(probes),
-        chunk_size=chunk_size,
-        adaptive=adaptive,
-        converge=converge,
-        verbose=verbose,
-        job_timeout=job_timeout,
-        faults=faults,
-    )
+    if isinstance(overrides.get("store"), str):
+        overrides["store"] = ResultStore(overrides["store"])
+    context = replace(current_context(), **overrides)
     _CONTEXT_STACK.append(context)
     try:
         yield context
@@ -866,7 +801,8 @@ class JobRunStats:
     executed: int = 0
     #: adaptive-mode points recorded by extrapolation instead of simulation.
     extrapolated: int = 0
-    #: artifact-cache hits/misses accumulated across all workers.
+    #: executed jobs whose topology (and the route table memoised on it)
+    #: came from / missed the worker's topology-registry build cache.
     artifact_hits: int = 0
     artifact_misses: int = 0
     elapsed_s: float = 0.0
@@ -899,13 +835,14 @@ class _ProgressReporter:
             return
         self._last_print = now
         stats = self.stats
-        done = stats.cache_hits + stats.executed + stats.extrapolated
+        done = stats.cache_hits + stats.executed + stats.extrapolated + stats.failed
         elapsed = max(now - self.start, 1e-9)
         simulated_rate = stats.executed / elapsed
         print(
             f"[sweep] {done}/{self.total} points | {stats.executed} simulated, "
-            f"{stats.cache_hits} cached, {stats.extrapolated} extrapolated | "
-            f"artifact cache {stats.artifact_hits} hits / "
+            f"{stats.cache_hits} cached, {stats.extrapolated} extrapolated"
+            + (f", {stats.failed} failed" if stats.failed else "")
+            + f" | artifact cache {stats.artifact_hits} hits / "
             f"{stats.artifact_misses} misses | {simulated_rate:.2f} jobs/s",
             file=sys.stderr,
         )
@@ -926,23 +863,18 @@ def _apply_fault_spec(job: Job, spec: FaultSpec) -> Job:
 
 def run_jobs(
     jobs: Sequence[Job],
-    workers: Optional[int] = None,
-    store: Optional[ResultStore] = None,
     progress: Optional[Callable[[Job, SimulationResult], None]] = None,
-    chunk_size: Optional[int] = None,
-    adaptive: Optional[AdaptiveSettings] = None,
-    converge: Optional[ConvergenceSettings] = None,
-    verbose: Optional[bool] = None,
-    job_timeout: Optional[float] = None,
+    **overrides: Any,
 ) -> JobRunStats:
     """Execute jobs, serving duplicates and stored results from cache.
 
-    Returns a :class:`JobRunStats`.  All parameters default to the active
-    :func:`orchestration` context.
+    Returns a :class:`JobRunStats`.  How the jobs execute comes from the
+    active :func:`orchestration` context with ``overrides``
+    (:class:`OrchestrationContext` field names) applied on top.
 
     Execution is chunked: pending jobs are grouped into series-affine chunks
     (``chunk_size`` jobs per pool task; automatic when None) so each worker
-    builds construction artifacts once per network key and per-job IPC is
+    builds construction artifacts once per network and per-job IPC is
     amortized.  Results still stream to the result store per completed
     chunk, and the store is flushed on interrupt, so a killed sweep resumes
     from its latest completed points.
@@ -953,21 +885,8 @@ def run_jobs(
     are off by default, keeping default sweeps bit-identical to per-job
     dispatch at any worker count.
     """
-    context = current_context()
-    if workers is None:
-        workers = context.workers
-    if store is None:
-        store = context.store
-    if chunk_size is None:
-        chunk_size = context.chunk_size
-    if adaptive is None:
-        adaptive = context.adaptive
-    if converge is None:
-        converge = context.converge
-    if verbose is None:
-        verbose = context.verbose
-    if job_timeout is None:
-        job_timeout = context.job_timeout
+    settings = replace(current_context(), **overrides)
+    store, adaptive = settings.store, settings.adaptive
 
     # Dedup and normalize: context probes/convergence apply to every job
     # that does not carry its own (probes never change keys; convergence
@@ -978,12 +897,12 @@ def run_jobs(
         if job.key in seen_keys:
             continue
         seen_keys.add(job.key)
-        if not job.probes and context.probes:
-            job = replace(job, probes=context.probes)
-        if context.faults is not None:
-            job = _apply_fault_spec(job, context.faults)
-        if converge is not None and job.converge is None:
-            job = replace(job, converge=converge)
+        if not job.probes and settings.probes:
+            job = replace(job, probes=settings.probes)
+        if settings.faults is not None:
+            job = _apply_fault_spec(job, settings.faults)
+        if settings.converge is not None and job.converge is None:
+            job = replace(job, converge=settings.converge)
         unique.append(job)
 
     stats = JobRunStats(results={})
@@ -1011,11 +930,10 @@ def run_jobs(
         else:
             pending.append(job)
 
-    reporter = _ProgressReporter(total=len(unique), stats=stats) if verbose else None
-    start_time = time.monotonic()
-    flush_interval = (
-        store.flush_interval if store is not None else FLUSH_INTERVAL_SECONDS
+    reporter = (
+        _ProgressReporter(total=len(unique), stats=stats) if settings.verbose else None
     )
+    start_time = time.monotonic()
     last_flush = time.monotonic()
 
     def on_result(job: Job, record: "RunRecord | JobFailure") -> None:
@@ -1052,17 +970,13 @@ def run_jobs(
             # Periodic flush keeps interrupted sweeps resumable without
             # rewriting the whole store once per completed job.
             now = time.monotonic()
-            if now - last_flush >= flush_interval:
+            if now - last_flush >= store.flush_interval:
                 store.flush()
                 last_flush = now
         if progress is not None:
             progress(job, record.summary)
         if reporter is not None:
             reporter.update()
-
-    def on_artifact_stats(hits: int, misses: int) -> None:
-        stats.artifact_hits += hits
-        stats.artifact_misses += misses
 
     def on_retry(chunk: Tuple[Job, ...], reason: str) -> None:
         # Checkpoint before any resubmission: the completed points must
@@ -1072,28 +986,28 @@ def run_jobs(
         if store is not None:
             store.flush()
             last_flush = time.monotonic()
-        if verbose:
+        if settings.verbose:
             print(
                 f"[sweep] retrying {len(chunk)}-job chunk after {reason}",
                 file=sys.stderr,
             )
 
-    executor = _make_chunk_executor(
-        int(workers or 1), job_timeout=job_timeout, on_retry=on_retry
-    )
+    executor = _make_chunk_executor(settings.workers, settings.job_timeout, on_retry)
     try:
+        chunk_done: Optional[Callable[[Tuple[Job, ...]], None]] = None
         if adaptive is not None:
-            _run_adaptive(
-                executor, unique, results, adaptive, on_result, on_artifact_stats
-            )
+            chunk_done = _start_adaptive(executor, unique, stats, adaptive, on_result)
         else:
-            for chunk in _chunk_pending(pending, chunk_size, int(workers or 1)):
+            for chunk in _chunk_pending(pending, settings.chunk_size, settings.workers):
                 executor.submit(chunk)
-            while executor.pending():
-                chunk, (records, artifact_stats) = executor.next_completed()
-                on_artifact_stats(*artifact_stats)
-                for job, (_, record) in zip(chunk, records):
-                    on_result(job, record)
+        while executor.pending():
+            chunk, (records, (hits, misses)) = executor.next_completed()
+            stats.artifact_hits += hits
+            stats.artifact_misses += misses
+            for job, (_, record) in zip(chunk, records):
+                on_result(job, record)
+            if chunk_done is not None:
+                chunk_done(chunk)
     finally:
         # Interrupts (KeyboardInterrupt included) land here: persist every
         # completed point *first* — the flush must not depend on how long
@@ -1113,30 +1027,25 @@ NOT_RUN = "not run"
 
 @dataclass
 class SweepOutcome:
-    """Everything a sweep produced, plus cache accounting."""
+    """What a sweep asked for (``spec``, ``jobs``) and what running it produced.
+
+    Results, failures and every count (cache hits, executed, extrapolated,
+    retries, ...) are read from ``stats``, the :class:`JobRunStats` of the
+    sweep's one :func:`run_jobs` call.
+    """
 
     spec: SweepSpec
-    #: per-job results keyed by config hash.
-    raw: Dict[str, SimulationResult]
     #: jobs in expansion order (for reassembly).
     jobs: List[Job]
-    cache_hits: int = 0
-    executed: int = 0
-    #: adaptive-mode points extrapolated instead of simulated.
-    extrapolated: int = 0
-    #: construction-artifact cache accounting (summed over workers).
-    artifact_hits: int = 0
-    artifact_misses: int = 0
-    #: job key -> why the job produced no result (crash-retry exhaustion or
-    #: per-job timeout).
-    failures: Dict[str, JobFailure] = field(default_factory=dict)
+    stats: JobRunStats
 
     def seed_results(self, series: str, load: float) -> List[SimulationResult]:
         """Per-seed results of one point, in seed order (failed seeds left out)."""
+        results = self.stats.results
         return [
-            self.raw[job.key]
+            results[job.key]
             for job in self.jobs
-            if job.series == series and job.load == load and job.key in self.raw
+            if job.series == series and job.load == load and job.key in results
         ]
 
     def point(self, series: str, load: float) -> Optional[SimulationResult]:
@@ -1154,13 +1063,14 @@ class SweepOutcome:
         """``(load, seed, reason)`` of every job of ``series`` without a result.
 
         The reason is the job's :class:`JobFailure`, or :data:`NOT_RUN` for a
-        job in neither ``raw`` nor ``failures`` (the adaptive scheduler
-        abandons a series' ladder once every seed of a load step has failed).
+        job in neither ``stats.results`` nor ``stats.failures`` (the adaptive
+        scheduler abandons a series' ladder once every seed of a load step
+        has failed).
         """
         gaps = []
         for job in self.jobs:
-            if job.series == series and job.key not in self.raw:
-                failure = self.failures.get(job.key)
+            if job.series == series and job.key not in self.stats.results:
+                failure = self.stats.failures.get(job.key)
                 if failure is None:
                     reason = NOT_RUN
                 else:
@@ -1182,42 +1092,18 @@ class SweepOutcome:
         return seen
 
 
-def run_sweep(
-    spec: SweepSpec,
-    workers: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-    progress: Optional[Callable[[Job, SimulationResult], None]] = None,
-    chunk_size: Optional[int] = None,
-    adaptive: Optional[AdaptiveSettings] = None,
-    converge: Optional[ConvergenceSettings] = None,
-) -> SweepOutcome:
-    """Expand a sweep specification and execute all of its jobs."""
-    context = current_context()
+def run_sweep(spec: SweepSpec, **overrides: Any) -> SweepOutcome:
+    """Expand a sweep specification and execute all of its jobs.
+
+    ``overrides`` are forwarded to :func:`run_jobs`.
+    """
     jobs = spec.expand()
-    if context.faults is not None:
+    faults = replace(current_context(), **overrides).faults
+    if faults is not None:
         # Fault schedules rewrite job keys, and the outcome's job list must
         # carry the keys the results are stored under.
-        jobs = [_apply_fault_spec(job, context.faults) for job in jobs]
-    stats = run_jobs(
-        jobs,
-        workers=workers,
-        store=store,
-        progress=progress,
-        chunk_size=chunk_size,
-        adaptive=adaptive,
-        converge=converge,
-    )
-    return SweepOutcome(
-        spec=spec,
-        raw=stats.results,
-        jobs=jobs,
-        cache_hits=stats.cache_hits,
-        executed=stats.executed,
-        extrapolated=stats.extrapolated,
-        artifact_hits=stats.artifact_hits,
-        artifact_misses=stats.artifact_misses,
-        failures=stats.failures,
-    )
+        jobs = [_apply_fault_spec(job, faults) for job in jobs]
+    return SweepOutcome(spec=spec, jobs=jobs, stats=run_jobs(jobs, **overrides))
 
 
 def run_seed_jobs(config: SimulationConfig, seeds: int) -> List[SimulationResult]:

@@ -1,10 +1,9 @@
-"""Content hashes identifying a configuration and its network substrate.
+"""Content hash identifying a configuration.
 
-Pure functions of a :class:`~repro.config.SimulationConfig`: the session
-stamps :func:`config_key` into every RunRecord's provenance, the sweep
-orchestrator keys jobs and the result store by it, and :func:`network_key`
-keys reusable construction artifacts.  Stored results are addressed by
-these digests, so what they hash must not change.
+A pure function of a :class:`~repro.config.SimulationConfig`: the session
+stamps :func:`config_key` into every RunRecord's provenance and the sweep
+orchestrator keys jobs and the result store by it.  Stored results are
+addressed by this digest, so what it hashes must not change.
 """
 
 from __future__ import annotations
@@ -35,28 +34,3 @@ def config_key(config: SimulationConfig) -> str:
         # (no-fault) stored key and golden valid.
         payload.pop("faults", None)
     return _hash_payload(payload)
-
-
-def _network_payload(config_payload: Dict[str, object]) -> Dict[str, object]:
-    """The sub-sections of an ``asdict(config)`` payload a network key hashes.
-
-    Single source of truth for what identifies a job's reusable construction
-    artifacts — :func:`network_key` and ``SweepSpec.expand`` both hash this.
-    """
-    return {
-        "network": config_payload["network"],
-        "routing": config_payload["routing"],
-    }
-
-
-def network_key(config: SimulationConfig) -> str:
-    """Content hash of the configuration's network+routing sub-sections.
-
-    Coarser than :func:`config_key`: jobs differing only in traffic, load,
-    seed or cycle counts share a network key, which is exactly the
-    granularity at which construction artifacts (topology graph, route
-    tables, dense adjacency) are reusable.  A 4-series x 10-load x 5-seed
-    sweep carries ~4 distinct network keys for its 200 jobs, so each worker
-    builds artifacts ~4 times instead of 200.
-    """
-    return _hash_payload(_network_payload(asdict(config)))

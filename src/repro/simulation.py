@@ -37,48 +37,34 @@ class SimulationArtifacts:
     :class:`~repro.routing.route_table.RouteTable` (minimal next ports, hop
     sequences, first global links, adjacency; columns fill in on first
     touch).  A pristine run only ever adds columns to the table, so one
-    instance can back any number of simulations — the sweep orchestrator
-    memoizes artifacts per worker keyed by ``network_key(config)`` and
-    injects them via ``Simulation(cfg, artifacts=...)``, turning a 200-job
-    sweep's 200 rebuilds into a handful.
-
-    ``network_key`` is informational (provenance/diagnostics); the caller is
-    responsible for matching artifacts to configurations.
+    instance can back any number of simulations — a sweep worker takes them
+    from :func:`build_artifacts` and injects them via
+    ``Simulation(cfg, artifacts=...)``, turning a 200-job sweep's 200
+    rebuilds into a handful.  The caller is responsible for matching
+    artifacts to configurations.
     """
 
     topology: Topology
     route_table: RouteTable
-    network_key: str = ""
 
 
-def build_artifacts(
-    config: SimulationConfig,
-    network_key: str = "",
-    *,
-    cached: bool = True,
-) -> SimulationArtifacts:
-    """Build (or reuse) the shareable construction artifacts for ``config``.
+def build_artifacts(config: SimulationConfig) -> SimulationArtifacts:
+    """Build-or-reuse the shareable construction artifacts for ``config``.
 
-    With ``cached=True`` the topology comes from the registry's bounded build
-    cache and the route table from a memo *on the topology instance itself*,
-    so configurations describing the same network — sweep points differing
-    only in load, seed, routing or traffic — share one graph and one table
-    per process, and evicting a topology from the registry cache releases
-    its table with it (their lifetimes are one).  ``cached=False`` builds
-    private instances (same contents).
+    The topology comes from the registry's bounded build cache and the route
+    table from a memo *on the topology instance itself*, so configurations
+    describing the same network — sweep points differing only in load, seed,
+    routing or traffic — share one graph and one table per process, and
+    evicting a topology from the registry cache releases its table with it
+    (their lifetimes are one).  ``Simulation(config)`` without artifacts
+    builds private instances (same contents).
     """
-    if not cached:
-        topology = config.network.build()
+    topology = config.network.build_cached()
+    route_table = topology.__dict__.get("_cached_route_table")
+    if route_table is None:
         route_table = RouteTable(topology)
-    else:
-        topology = config.network.build_cached()
-        route_table = topology.__dict__.get("_cached_route_table")
-        if route_table is None:
-            route_table = RouteTable(topology)
-            topology.__dict__["_cached_route_table"] = route_table
-    return SimulationArtifacts(
-        topology=topology, route_table=route_table, network_key=network_key
-    )
+        topology.__dict__["_cached_route_table"] = route_table
+    return SimulationArtifacts(topology=topology, route_table=route_table)
 
 
 class Simulation:
@@ -93,11 +79,10 @@ class Simulation:
 
     ``artifacts`` injects pre-built construction artifacts
     (:class:`SimulationArtifacts`: topology + route table) instead of
-    building them here.  The artifacts must describe ``config.network``; the
-    sweep orchestrator guarantees this by keying its per-worker cache on
-    ``network_key(config)``.  A pristine run only adds columns to the table,
-    so sharing artifacts across simulations is bit-identical to private
-    builds.  A run with
+    building them here.  The artifacts must describe ``config.network``
+    (``build_artifacts(config)`` does by construction).  A pristine run only
+    adds columns to the table, so sharing artifacts across simulations is
+    bit-identical to private builds.  A run with
     ``config.faults`` re-tables in place, so it takes a private table of the
     injected table's capacity instead of the injected table itself.
     """

@@ -23,6 +23,7 @@ from repro.experiments import (
     run_figure,
     topology_series,
 )
+from repro.experiments.figures import run_figure_sweep
 from repro.experiments.__main__ import main
 from repro.experiments.runner import SCALES
 from repro.store import ResultStore
@@ -156,6 +157,61 @@ class TestCli:
         )
         assert row.split() == ["reserved", "0%", "-"]
         assert "4 point(s) simulated, 0 served from cache, 1 missing" in captured.out
+
+
+    def test_summary_reports_the_sweeps_own_counts(self, tmp_path, monkeypatch, capsys):
+        # Store writes cannot tell an extrapolated point from a simulated one:
+        # the summary has to print the sweep's own JobRunStats.
+        import re
+
+        import repro.experiments.__main__ as cli
+
+        ladder = dataclasses.replace(MICRO, loads=(0.2, 0.7, 0.8, 0.9, 1.0))
+        monkeypatch.setitem(SCALES, "tiny", ladder)
+        outcomes = []
+
+        def spying_sweep(*args, **kwargs):
+            panels, outcome = run_figure_sweep(*args, **kwargs)
+            outcomes.append(outcome)
+            return panels, outcome
+
+        monkeypatch.setattr(cli, "run_figure_sweep", spying_sweep)
+        argv = [
+            "run", "fig10", "--adaptive", "--verbose",
+            "--store", str(tmp_path / "store.journal"),
+        ]
+
+        def run_and_compare():
+            """Run once; the [fig10] and [sweep] lines must both read the stats."""
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            stats = outcomes.pop().stats
+            summary = next(
+                line for line in captured.out.splitlines() if line.startswith("[fig10]")
+            )
+            counts = {
+                name: int(number)
+                for number, name in re.findall(
+                    r"(\d+) (point\(s\) simulated|extrapolated|served from cache)",
+                    summary,
+                )
+            }
+            assert counts["point(s) simulated"] == stats.executed
+            assert counts["served from cache"] == stats.cache_hits
+            assert counts.get("extrapolated", 0) == stats.extrapolated
+            assert (
+                f"25/25 points | {stats.executed} simulated, {stats.cache_hits} "
+                f"cached, {stats.extrapolated} extrapolated |"
+                in captured.err.splitlines()[-1]
+            )
+            return stats, summary
+
+        cold, _ = run_and_compare()
+        assert cold.extrapolated >= 1 and cold.cache_hits == 0
+        assert cold.executed + cold.extrapolated == 25
+        rerun, summary = run_and_compare()
+        assert (rerun.executed, rerun.extrapolated, rerun.cache_hits) == (0, 0, 25)
+        assert "0 point(s) simulated, 25 served from cache" in summary
 
 
 class TestNetworkFor:

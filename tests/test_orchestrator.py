@@ -3,22 +3,27 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import pytest
 
 from repro.config import SimulationConfig
 from repro.experiments import Series
 from repro.experiments.orchestrator import (
+    AdaptiveSettings,
+    OrchestrationContext,
     SweepSpec,
+    current_context,
     orchestration,
     run_jobs,
     run_seed_jobs,
     run_sweep,
 )
 from repro.experiments.runner import load_sweep
+from repro.faults import parse_faults
 from repro.keys import config_key
 from repro.metrics import SimulationResult
-from repro.session import Session
+from repro.session import ConvergenceSettings, Session
 from repro.simulation import average_results
 from repro.store import ResultStore, StoreError
 
@@ -62,8 +67,12 @@ class TestSweepSpec:
         assert jobs[0].key == jobs[4].key
 
     def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duplicate series labels"):
             SweepSpec(series=[("a", build_config), ("a", build_config)], loads=[0.1])
+        # A repeated load gives a one-seed point two jobs, and the outcome
+        # could then only report the point as absent without a reason.
+        with pytest.raises(ValueError, match="duplicate loads"):
+            SweepSpec(series=[("a", build_config)], loads=[0.5, 0.5])
 
 
 class TestDeterminism:
@@ -73,9 +82,9 @@ class TestDeterminism:
         )
         serial = run_sweep(spec, workers=1)
         parallel = run_sweep(spec, workers=2)
-        assert serial.raw.keys() == parallel.raw.keys()
-        for key, result in serial.raw.items():
-            assert dataclasses.asdict(result) == dataclasses.asdict(parallel.raw[key])
+        assert serial.stats.results.keys() == parallel.stats.results.keys()
+        for key, result in serial.stats.results.items():
+            assert dataclasses.asdict(result) == dataclasses.asdict(parallel.stats.results[key])
 
     def test_run_seeds_matches_serial_wrapper(self):
         config = make_config().with_load(0.2)
@@ -114,16 +123,18 @@ class TestResultStore:
 
         store = ResultStore(path)
         first = run_sweep(spec, workers=1, store=store)
-        assert first.executed == 1 and first.cache_hits == 0
+        assert first.stats.executed == 1 and first.stats.cache_hits == 0
         store.flush()
 
         # A fresh store object backed by the same file serves from cache
         # without running a single simulation.
         reopened = ResultStore(path)
         second = run_sweep(spec, workers=1, store=reopened)
-        assert second.executed == 0 and second.cache_hits == 1
+        assert second.stats.executed == 0 and second.stats.cache_hits == 1
         key = spec.expand()[0].key
-        assert dataclasses.asdict(second.raw[key]) == dataclasses.asdict(first.raw[key])
+        assert dataclasses.asdict(second.stats.results[key]) == dataclasses.asdict(
+            first.stats.results[key]
+        )
 
     def test_resume_skips_completed_jobs(self, tmp_path):
         """Interrupted sweeps resume: stored points are not re-simulated."""
@@ -151,7 +162,7 @@ class TestResultStore:
             resumed = run_sweep(spec, workers=1, store=ResultStore(path))
         finally:
             orch._execute_job = saved
-        assert resumed.cache_hits == 1 and resumed.executed == 1
+        assert resumed.stats.cache_hits == 1 and resumed.stats.executed == 1
         assert executed_keys == [jobs[1].key]
 
     def test_refresh_bypasses_reads_but_persists(self, tmp_path):
@@ -162,7 +173,7 @@ class TestResultStore:
         store.close()
         forced = ResultStore(path, refresh=True)
         outcome = run_sweep(spec, workers=1, store=forced)
-        assert outcome.cache_hits == 0 and outcome.executed == 1
+        assert outcome.stats.cache_hits == 0 and outcome.stats.executed == 1
 
     def test_store_survives_unknown_version(self, tmp_path):
         path = tmp_path / "store.json"
@@ -192,10 +203,72 @@ class TestContextWiring:
             series[0].results[0]
         )
 
+    def test_nested_block_inherits_what_it_does_not_override(self, tmp_path):
+        store = ResultStore(str(tmp_path / "store.journal"))
+        with orchestration(store=store, workers=2):
+            with orchestration(chunk_size=1) as inner:
+                assert inner is current_context()
+                assert (inner.store, inner.workers, inner.chunk_size) == (store, 2, 1)
+            assert current_context().chunk_size is None
+        assert current_context() == OrchestrationContext()
+
     def test_run_point_averages_seeds(self):
         result = average_results(run_seed_jobs(make_config().with_load(0.2), 2))
         assert isinstance(result, SimulationResult)
         assert result.packets_delivered > 0
+
+
+#: one non-default value per execution setting.
+SETTING_VALUES = {
+    "workers": 2,
+    "store": ResultStore,  # opened on a temp path by the test
+    "probes": ("timeseries",),
+    "chunk_size": 3,
+    "adaptive": AdaptiveSettings(cutoff_after=1),
+    "converge": ConvergenceSettings(rel_tol=0.01),
+    "verbose": True,
+    "job_timeout": 5.0,
+    "faults": parse_faults("link:0:3@400-900"),
+}
+
+
+class TestSettingsDeclaredOnce:
+    """Every OrchestrationContext field is a keyword of all three entry
+    points — and of nothing else: their signatures name none of them."""
+
+    def test_every_field_has_a_sample_value(self):
+        names = [field.name for field in dataclasses.fields(OrchestrationContext)]
+        assert names == list(SETTING_VALUES)
+
+    @pytest.mark.parametrize("name", list(SETTING_VALUES))
+    def test_setting_reaches_every_entry_point(self, name, tmp_path):
+        value = SETTING_VALUES[name]
+        if name == "store":
+            value = ResultStore(str(tmp_path / "store.journal"))
+        other = "job_timeout" if name == "chunk_size" else "chunk_size"
+        with orchestration(**{name: value}) as context:
+            assert context is current_context()
+            assert getattr(context, name) == value
+            with orchestration(**{other: 7}):
+                assert getattr(current_context(), name) == value
+                assert getattr(current_context(), other) == 7
+        assert getattr(current_context(), name) != value
+        assert run_jobs([], **{name: value}).executed == 0
+        empty = SweepSpec(series=[], loads=[])
+        assert run_sweep(empty, **{name: value}).stats.executed == 0
+
+    def test_unknown_setting_is_a_type_error(self):
+        with pytest.raises(TypeError, match="bogus"):
+            run_jobs([], bogus=1)
+        with pytest.raises(TypeError, match="bogus"):
+            run_sweep(SweepSpec(series=[], loads=[]), bogus=1)
+        with pytest.raises(TypeError, match="bogus"):
+            with orchestration(bogus=1):
+                pass
+
+    def test_signatures_name_no_setting(self):
+        for function in (orchestration, run_jobs, run_sweep):
+            assert not set(inspect.signature(function).parameters) & set(SETTING_VALUES)
 
 
 class TestSerializationRoundtrip:
@@ -280,14 +353,21 @@ class TestCrashResilience:
         assert store.get_record(jobs[1].key) is None
         assert jobs[1].key not in {key for key, _, _ in store.entries()}
 
-    def test_hung_job_times_out_into_typed_failure(self, tmp_path, monkeypatch):
+    def test_hung_job_times_out_into_typed_failure(
+        self, tmp_path, monkeypatch, capsys
+    ):
         jobs = _resilience_jobs(4, seed_base=61)
         monkeypatch.setenv("REPRO_TEST_HANG_KEY", jobs[0].key)
         monkeypatch.setenv("REPRO_TEST_HANG_SECONDS", "60")
         store = ResultStore(str(tmp_path / "store.json"))
         stats = run_jobs(
-            jobs, workers=2, store=store, chunk_size=1, job_timeout=3.0
+            jobs, workers=2, store=store, chunk_size=1, job_timeout=3.0,
+            verbose=True,
         )
+        # The failed job counts towards the progress total, and is named.
+        final = capsys.readouterr().err.splitlines()[-1]
+        assert final.startswith("[sweep] 4/4 points | 3 simulated, ")
+        assert ", 1 failed | " in final
         assert stats.failed == 1
         assert sorted(stats.results) == sorted(job.key for job in jobs[1:])
         failure = stats.failures[jobs[0].key]

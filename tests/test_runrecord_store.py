@@ -97,7 +97,7 @@ class TestStoreV2:
         record = store.get_record(key)
         assert isinstance(record, RunRecord)
         assert dataclasses.asdict(record.summary) == dataclasses.asdict(
-            outcome.raw[key]
+            outcome.stats.results[key]
         )
         rows = list(store.entries())
         assert len(rows) == 1 and rows[0][0] == key
@@ -112,7 +112,7 @@ class TestV1StoreMigration:
             "version": 1,
             "results": {
                 job.key: {
-                    "result": outcome.raw[job.key].to_dict(),
+                    "result": outcome.stats.results[job.key].to_dict(),
                     "meta": {"series": job.series, "load": job.load,
                              "seed": job.seed},
                 }
@@ -144,9 +144,9 @@ class TestV1StoreMigration:
         finally:
             orch._execute_job = original
         assert executed == []  # migration means no re-simulation
-        assert outcome.cache_hits == 2 and outcome.executed == 0
-        for key, result in reference.raw.items():
-            assert dataclasses.asdict(outcome.raw[key]) == dataclasses.asdict(result)
+        assert outcome.stats.cache_hits == 2 and outcome.stats.executed == 0
+        for key, result in reference.stats.results.items():
+            assert dataclasses.asdict(outcome.stats.results[key]) == dataclasses.asdict(result)
 
     def test_migrated_store_flushes_as_v2(self, tmp_path):
         path = tmp_path / "store.json"
@@ -187,8 +187,8 @@ class TestProbedJobs:
         assert record.provenance["probes"] == ["TimeSeriesProbe"]
         # Probing never changes the summary (zero-cost dispatch design).
         plain = run_sweep(spec, workers=1)
-        assert dataclasses.asdict(outcome.raw[key]) == dataclasses.asdict(
-            plain.raw[key]
+        assert dataclasses.asdict(outcome.stats.results[key]) == dataclasses.asdict(
+            plain.stats.results[key]
         )
 
     def test_job_probes_roundtrip_spec(self):

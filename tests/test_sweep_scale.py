@@ -1,4 +1,4 @@
-"""Sweep-scale execution tests: artifact cache, chunking, adaptive, converge.
+"""Sweep-scale execution tests: shared artifacts, chunking, adaptive, converge.
 
 The contract under test (ISSUE 5 acceptance criteria):
 
@@ -14,6 +14,7 @@ The contract under test (ISSUE 5 acceptance criteria):
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -21,14 +22,13 @@ from repro.config import SimulationConfig
 from repro.experiments.orchestrator import (
     EXTRAPOLATED_KEY_SUFFIX,
     AdaptiveSettings,
-    ArtifactCache,
     Job,
     run_jobs,
     run_sweep,
     store_key,
     SweepSpec,
 )
-from repro.keys import config_key, network_key
+from repro.keys import config_key
 from repro.metrics import SimulationResult
 from repro.router.saturation import is_saturated_point
 from repro.session import ConvergenceSettings, Session, _relative_half_width
@@ -62,7 +62,7 @@ def make_result(offered: float, accepted: float, deadlock: bool = False) -> Simu
 
 
 # ---------------------------------------------------------------------------
-# Keys: single-pass expansion and network sub-hash
+# Keys: single-pass expansion
 # ---------------------------------------------------------------------------
 
 class TestKeys:
@@ -87,7 +87,7 @@ class TestKeys:
         )
         for job in spec.expand():
             assert job.key == config_key(job.config)
-            assert job.network_key == network_key(job.config)
+            assert pickle.loads(pickle.dumps(job)) == job
 
     def test_keys_pinned_to_literals(self):
         """Stores are addressed by these digests (taken at 8f5e6d3): a drift
@@ -95,25 +95,11 @@ class TestKeys:
         from repro.experiments.runner import TINY, base_config
 
         assert config_key(SimulationConfig()) == "6498ae9e3d6299285dbdc254"
-        assert network_key(SimulationConfig()) == "b3e6c5cf8b410f755003a927"
         assert config_key(base_config(TINY)) == "fe8a19e68ef09c90bc6ab78c"
         loaded = base_config(TINY).with_load(0.7)
         assert config_key(loaded) == "87d45d214bdb85725d4d20cb"
         spec = SweepSpec(series=[("tiny", lambda: base_config(TINY))], loads=[0.7])
         assert [job.key for job in spec.expand()] == [config_key(loaded)]
-
-    def test_network_key_ignores_load_seed_traffic(self):
-        a = make_config().with_load(0.1)
-        b = make_config().with_load(0.9).with_seed(7)
-        assert network_key(a) == network_key(b)
-        assert config_key(a) != config_key(b)
-
-    def test_network_key_tracks_network_and_routing(self):
-        base = make_config()
-        other_routing = dataclasses.replace(
-            base, routing=dataclasses.replace(base.routing, vc_selection="random")
-        )
-        assert network_key(base) != network_key(other_routing)
 
     def test_store_key_suffixes_convergence_mode(self):
         job = SweepSpec(series=[("s", build_config)], loads=[0.1]).expand()[0]
@@ -127,51 +113,66 @@ class TestKeys:
 
 
 # ---------------------------------------------------------------------------
-# Artifact cache correctness
+# Shared construction artifacts (the topology registry's build cache)
 # ---------------------------------------------------------------------------
 
 class TestArtifactCache:
     def test_artifact_backed_runs_are_bit_identical(self):
         config = make_config().with_load(0.25)
         fresh = dataclasses.asdict(Session(config).run().summary)
-        artifacts = build_artifacts(config, network_key(config))
+        artifacts = build_artifacts(config)
         for _ in range(2):  # reuse the same artifacts twice
             shared = dataclasses.asdict(
                 Session(simulation=Simulation(config, artifacts=artifacts)).run().summary
             )
             assert shared == fresh
 
-    def test_cache_reuses_and_evicts(self):
-        cache = ArtifactCache(max_entries=2)
-        configs = [
-            make_config(),
-            make_config(network=make_config().network.__class__(topology="fb")),
-        ]
-        keys = [network_key(c) for c in configs]
-        first = cache.get(keys[0], configs[0])
-        assert cache.get(keys[0], configs[0]) is first
-        assert cache.counters() == (1, 1)
-        cache.get(keys[1], configs[1])
-        # Touch keys[0] so keys[1] becomes least-recently-used, then insert
-        # a third key: keys[1] is evicted, keys[0] survives.
-        cache.get(keys[0], configs[0])
-        third = make_config(
-            network=make_config().network.__class__(topology="hyperx",
-                                                    params={"s": (4, 3)})
+    def test_sweep_builds_a_network_once_whatever_the_routing(self):
+        """Every executed job counts as a build-cache hit or miss, and series
+        differing only in routing share the one build."""
+        from repro.config import NetworkConfig
+
+        # A parameter set no other test builds: the registry is process-wide.
+        network = NetworkConfig(topology="dragonfly", params={"h": 2, "num_groups": 7})
+
+        def random_selection() -> SimulationConfig:
+            base = make_config(network=network)
+            return dataclasses.replace(
+                base, routing=dataclasses.replace(base.routing, vc_selection="random")
+            )
+
+        spec = SweepSpec(
+            series=[
+                ("lowest", lambda: make_config(network=network)),
+                ("random", random_selection),
+            ],
+            loads=[0.1, 0.2],
+            seeds=2,
         )
-        cache.get(network_key(third), third)
-        assert cache.get(keys[0], configs[0]) is first  # still cached
-        assert cache.counters() == (3, 3)
-        cache.get(keys[1], configs[1])  # evicted -> rebuilt
-        assert cache.counters() == (3, 4)
+        stats = run_sweep(spec, workers=1).stats
+        assert stats.executed == 8
+        assert stats.artifact_hits + stats.artifact_misses == 8
+        assert stats.artifact_misses == 1
+
+    def test_build_cache_lru_refreshes_on_read_and_evicts_oldest(self):
+        from repro.cache import BoundedLRU
+
+        lru = BoundedLRU(2)
+        lru.put("a", 1)
+        lru.put("b", 2)
+        assert lru.get("a") == 1  # touch: "b" is now least recently used
+        lru.put("c", 3)
+        assert (lru.get("a"), lru.get("b"), lru.get("c")) == (1, None, 3)
+        assert len(lru) == 2
 
     def test_shared_topology_and_route_table_instances(self):
-        a = build_artifacts(make_config(), "k")
-        b = build_artifacts(make_config().with_load(0.9), "k")
+        a = build_artifacts(make_config())
+        b = build_artifacts(make_config().with_load(0.9))
         assert a.topology is b.topology
         assert a.route_table is b.route_table
-        private = build_artifacts(make_config(), "k", cached=False)
+        private = Simulation(make_config())
         assert private.topology is not a.topology
+        assert private.route_table is not a.route_table
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +207,9 @@ class TestChunkedEquivalence:
                 self._spec(), workers=workers, chunk_size=chunk_size,
                 store=ResultStore(path),
             )
-            assert outcome.executed == len(reference)
+            assert outcome.stats.executed == len(reference)
             for key, expected in reference.items():
-                assert dataclasses.asdict(outcome.raw[key]) == expected
+                assert dataclasses.asdict(outcome.stats.results[key]) == expected
             payloads[(workers, chunk_size)] = self._store_payload(path)
         # Store contents (config keys + summaries) identical across modes.
         first = next(iter(payloads.values()))
@@ -236,7 +237,7 @@ class TestChunkedEquivalence:
 
         monkeypatch.setattr(orch, "_execute_job", spying_execute)
         outcome = run_sweep(spec, workers=1, store=ResultStore(path))
-        assert outcome.cache_hits == half
+        assert outcome.stats.cache_hits == half
         assert sorted(executed_keys) == sorted(j.key for j in jobs[half:])
 
     def test_flush_interval_zero_checkpoints_every_result(self, tmp_path):
@@ -291,8 +292,8 @@ class TestAdaptiveScheduling:
             self._spec(), workers=1, store=store,
             adaptive=AdaptiveSettings(cutoff_after=2, margin=0.05),
         )
-        assert outcome.executed + outcome.extrapolated == len(self.LOADS)
-        assert outcome.extrapolated >= 1
+        assert outcome.stats.executed + outcome.stats.extrapolated == len(self.LOADS)
+        assert outcome.stats.extrapolated >= 1
         table = outcome.table()
         flagged = [
             load for (_, load), result in table.items()
@@ -312,14 +313,14 @@ class TestAdaptiveScheduling:
             self._spec(), workers=1, store=store,
             adaptive=AdaptiveSettings(cutoff_after=1, margin=0.05),
         )
-        assert outcome.extrapolated >= 1
+        assert outcome.stats.extrapolated >= 1
         stored = {
             key: (record, meta) for key, record, meta in ResultStore(path).entries()
         }
         extrapolated_keys = [
             key for key in stored if EXTRAPOLATED_KEY_SUFFIX in key
         ]
-        assert len(extrapolated_keys) == outcome.extrapolated
+        assert len(extrapolated_keys) == outcome.stats.extrapolated
         for key in extrapolated_keys:
             record, meta = stored[key]
             assert meta["extrapolated"] is True
@@ -335,10 +336,10 @@ class TestAdaptiveScheduling:
             self._spec(), workers=1, store=ResultStore(path),
             adaptive=AdaptiveSettings(cutoff_after=1, margin=0.05),
         )
-        assert first.extrapolated >= 1
+        assert first.stats.extrapolated >= 1
         second = run_sweep(self._spec(), workers=1, store=ResultStore(path))
-        assert second.executed == first.extrapolated
-        assert second.cache_hits == first.executed
+        assert second.stats.executed == first.stats.extrapolated
+        assert second.stats.cache_hits == first.stats.executed
 
     def test_adaptive_resume_serves_extrapolated_records(self, tmp_path):
         path = str(tmp_path / "store.json")
@@ -349,10 +350,10 @@ class TestAdaptiveScheduling:
         resumed = run_sweep(
             self._spec(), workers=1, store=ResultStore(path), adaptive=settings
         )
-        assert resumed.executed == 0 and resumed.extrapolated == 0
-        assert resumed.cache_hits == len(self.LOADS)
-        for key, result in first.raw.items():
-            assert dataclasses.asdict(resumed.raw[key]) == dataclasses.asdict(result)
+        assert resumed.stats.executed == 0 and resumed.stats.extrapolated == 0
+        assert resumed.stats.cache_hits == len(self.LOADS)
+        for key, result in first.stats.results.items():
+            assert dataclasses.asdict(resumed.stats.results[key]) == dataclasses.asdict(result)
 
     def test_different_adaptive_settings_never_share_extrapolations(self, tmp_path):
         """An extrapolation is only valid under the settings that made it."""
@@ -361,24 +362,32 @@ class TestAdaptiveScheduling:
             self._spec(), workers=1, store=ResultStore(path),
             adaptive=AdaptiveSettings(cutoff_after=1, margin=0.05),
         )
-        assert first.extrapolated >= 1
+        assert first.stats.extrapolated >= 1
         # A margin so wide nothing saturates: the old extrapolations must
         # not be served, and with no cutoff every point is simulated.
         second = run_sweep(
             self._spec(), workers=1, store=ResultStore(path),
             adaptive=AdaptiveSettings(cutoff_after=1, margin=0.5),
         )
-        assert second.cache_hits == first.executed
-        assert second.executed == first.extrapolated
-        assert second.extrapolated == 0
+        assert second.stats.cache_hits == first.stats.executed
+        assert second.stats.executed == first.stats.extrapolated
+        assert second.stats.extrapolated == 0
 
     def test_adaptive_without_saturation_simulates_everything(self):
         spec = SweepSpec(series=[("low", build_config)], loads=[0.05, 0.1], seeds=1)
         outcome = run_sweep(
             spec, workers=1, adaptive=AdaptiveSettings(cutoff_after=2, margin=0.5)
         )
-        assert outcome.extrapolated == 0
-        assert outcome.executed == 2
+        assert outcome.stats.extrapolated == 0
+        assert outcome.stats.executed == 2
+
+    def test_explicit_none_switches_the_blocks_adaptive_off(self):
+        from repro.experiments.orchestrator import orchestration
+
+        with orchestration(adaptive=AdaptiveSettings(cutoff_after=1, margin=0.05)):
+            stats = run_sweep(self._spec(), workers=1, adaptive=None).stats
+        assert stats.extrapolated == 0
+        assert stats.executed == len(self.LOADS)
 
     def test_settings_validate(self):
         with pytest.raises(ValueError):
@@ -444,16 +453,16 @@ class TestConvergence:
             spec, workers=1, store=ResultStore(path),
             converge=ConvergenceSettings(min_windows=2, max_windows=4),
         )
-        assert converged.executed == 1
+        assert converged.stats.executed == 1
         # A default-mode sweep over the same store must not see it.
         plain = run_sweep(spec, workers=1, store=ResultStore(path))
-        assert plain.executed == 1 and plain.cache_hits == 0
+        assert plain.stats.executed == 1 and plain.stats.cache_hits == 0
         # ... and the converge-mode rerun is served from its own key.
         again = run_sweep(
             spec, workers=1, store=ResultStore(path),
             converge=ConvergenceSettings(min_windows=2, max_windows=4),
         )
-        assert again.executed == 0 and again.cache_hits == 1
+        assert again.stats.executed == 0 and again.stats.cache_hits == 1
 
     def test_converged_summary_flagged_in_store_record(self, tmp_path):
         path = str(tmp_path / "store.json")
