@@ -2,6 +2,6 @@
 
 from __future__ import annotations
 
-from . import determinism, hotpath, layering, memory  # noqa: F401
+from . import collector, determinism, hotpath, layering, memory  # noqa: F401
 
-__all__ = ["determinism", "hotpath", "layering", "memory"]
+__all__ = ["collector", "determinism", "hotpath", "layering", "memory"]

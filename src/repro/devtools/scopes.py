@@ -23,6 +23,7 @@ _SIM_CORE = (
     "packet.py",
     "link.py",
     "cache.py",
+    "collector.py",
     "faults.py",
     "simulation.py",
     "router/",
@@ -93,7 +94,9 @@ SCOPES: dict[str, Sequence[str]] = {
     "hot-no-deque": _HOT,
     "mem-unbounded-memo": _HOT + _STORE,
     "layer-upward-import": tuple(entry for layer in LAYERS for entry in layer),
-    # meta-findings (bare suppressions) apply everywhere by construction
+    # the collector has one policy wherever the code sits, and meta-findings
+    # (bare suppressions) apply everywhere by construction
+    "collector-one-place": (),
     "meta-bare-suppression": (),
 }
 
@@ -127,9 +130,11 @@ def rule_applies(rule_id: str, path: Path) -> bool:
         return True  # outside the package: fixture mode, all rules active
     if rel.startswith("devtools/"):
         return False  # the linter does not lint itself
-    if rule_id == "meta-bare-suppression":
-        return True
-    prefixes = SCOPES.get(rule_id, ())
+    prefixes = SCOPES.get(rule_id)
+    if prefixes is None:
+        return False
+    if not prefixes:
+        return True  # an empty scope is the whole package
     return any(
         rel == prefix or (prefix.endswith("/") and rel.startswith(prefix))
         for prefix in prefixes

@@ -47,6 +47,7 @@ reuse are execution-strategy changes only, enforced by
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import sys
@@ -280,8 +281,17 @@ def _execute_chunk(jobs: Sequence[Job]) -> _ChunkResult:
     Returns the per-job records in order plus the chunk's build-cache
     ``(hits, misses)`` — one or the other per job — so the parent can report
     how much construction work the cache absorbed.
+
+    A finished job's ``Simulation`` is the one reference cycle a run builds
+    (:mod:`repro.collector`), and with the phases paused the allocation
+    counters almost never trigger the full pass that would find it: reclaim
+    it here, when it dies, so a process holds one live simulation however
+    many jobs it runs.
     """
-    executed = [_execute_job(job) for job in jobs]
+    executed = []
+    for job in jobs:
+        executed.append(_execute_job(job))
+        gc.collect()
     hits = sum(hit for _, _, hit in executed)
     return [(key, record) for key, record, _ in executed], (hits, len(jobs) - hits)
 
@@ -334,6 +344,11 @@ class _PoolChunkExecutor:
     ``on_retry`` fires before any resubmission so the caller can checkpoint
     (``run_jobs`` flushes the result store: completed points must not depend
     on the retried chunk ever succeeding).
+
+    Every pool's workers start by freezing their heap (the ``initializer``):
+    what a worker starts with (modules, what the fork copied) never dies in
+    it, so freezing it keeps :func:`_execute_chunk`'s per-job full collection
+    to what the job itself left behind (13 ms -> 2 ms after a ``tiny`` job).
     """
 
     #: pool-crash retries per chunk before it resolves to failures.
@@ -347,7 +362,7 @@ class _PoolChunkExecutor:
         job_timeout: Optional[float],
         on_retry: Callable[[Tuple[Job, ...], str], None],
     ) -> None:
-        self._executor = ProcessPoolExecutor(max_workers=workers)
+        self._executor = ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze)
         self._workers = workers
         self._job_timeout = job_timeout
         self._on_retry = on_retry
@@ -421,7 +436,9 @@ class _PoolChunkExecutor:
             for process in list((processes or {}).values()):
                 process.terminate()
         self._executor.shutdown(wait=False, cancel_futures=True)
-        self._executor = ProcessPoolExecutor(max_workers=self._workers)
+        self._executor = ProcessPoolExecutor(
+            max_workers=self._workers, initializer=gc.freeze
+        )
 
     def _retry_crashed(self, chunk: Tuple[Job, ...]) -> None:
         attempts = self._retries.get(self._chunk_id(chunk), 0) + 1
@@ -455,7 +472,7 @@ class _PoolChunkExecutor:
         """Run ``chunk`` alone on a fresh one-worker pool; None if it crashes
         (or times out) there too — which makes the chunk definitively guilty."""
         self._on_retry(chunk, "worker-crash")
-        solo = ProcessPoolExecutor(max_workers=1)
+        solo = ProcessPoolExecutor(max_workers=1, initializer=gc.freeze)
         timeout = (
             self._job_timeout * len(chunk) if self._job_timeout is not None else None
         )

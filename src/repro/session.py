@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from .collector import paused_collector
 from .config import SimulationConfig
 from .keys import config_key
 from .metrics import SimulationResult
@@ -215,6 +216,7 @@ class Session:
             self._hub.dispatch_phase(phase, self.engine.now)
 
     # -- phases ---------------------------------------------------------------
+    @paused_collector()
     def warmup(self, cycles: Optional[int] = None) -> "Session":
         """Run the warm-up phase (default ``config.warmup_cycles``)."""
         self._enter_phase("warmup")
@@ -222,6 +224,7 @@ class Session:
         self.engine.run_until(self.engine.now + cycles)
         return self
 
+    @paused_collector()
     def measure(
         self, cycles: Optional[int] = None, label: Optional[str] = None
     ) -> SimulationResult:
@@ -380,6 +383,7 @@ class Session:
             deadlock_suspected=any(r.deadlock_suspected for r in batch),
         )
 
+    @paused_collector()
     def run_until(self, cycle: int) -> "Session":
         """Advance raw simulation time (no measurement bookkeeping).
 
@@ -391,6 +395,7 @@ class Session:
         self.engine.run_until(cycle)
         return self
 
+    @paused_collector()
     def drain(self, max_cycles: int = DEFAULT_DRAIN_LIMIT_CYCLES) -> int:
         """Stop injection and run until the network is empty (or the bound).
 

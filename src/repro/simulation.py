@@ -8,11 +8,11 @@ probes, RunRecords): ``Session(config).run()`` is the one way to run a point.
 
 from __future__ import annotations
 
-import gc
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from .collector import paused_collector
 from .config import SimulationConfig
 from .core.flexvc import make_policy
 from .core.link_types import LinkType
@@ -48,6 +48,7 @@ class SimulationArtifacts:
     route_table: RouteTable
 
 
+@paused_collector()
 def build_artifacts(config: SimulationConfig) -> SimulationArtifacts:
     """Build-or-reuse the shareable construction artifacts for ``config``.
 
@@ -87,6 +88,7 @@ class Simulation:
     injected table's capacity instead of the injected table itself.
     """
 
+    @paused_collector()
     def __init__(
         self,
         config: SimulationConfig,
@@ -127,20 +129,10 @@ class Simulation:
         self.traffic: Optional[TrafficManager] = None
         #: O(1) network-wide resident-packet counter shared by all routers.
         self._resident_ledger = ResidentLedger()
-        # Construction allocates routers x ports x buffers long-lived objects
-        # and frees almost none: every generational collection it triggers
-        # re-scans a growing live heap for nothing (half of construction
-        # time at 876 routers).  Pause the cyclic GC for this block only.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            self._build_routers()
-            self._wire_links()
-            self._attach_saturation_boards()
-            self._build_traffic()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        self._build_routers()
+        self._wire_links()
+        self._attach_saturation_boards()
+        self._build_traffic()
         #: fault-injection runtime (None on pristine networks): wraps link
         #: deliveries and replays ``config.faults`` through the calendar.
         self.fault_controller = None

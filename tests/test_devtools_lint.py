@@ -489,6 +489,51 @@ def test_upward_import_under_type_checking_and_downward_imports_clean(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# collector-one-place
+# ---------------------------------------------------------------------------
+#
+# Sites are (module, enclosing def) pairs, so these live under
+# ``tmp_path/repro/`` too.
+
+
+def test_collector_control_in_a_router_module_flagged(tmp_path):
+    (tmp_path / "repro" / "router").mkdir(parents=True)
+    report = lint_snippet(
+        tmp_path,
+        """
+        import gc
+        from concurrent.futures import ProcessPoolExecutor
+
+        def pump(now):
+            gc.disable()
+            if gc.isenabled():
+                return ProcessPoolExecutor(initializer=gc.freeze)
+        """,
+        name="repro/router/allocator.py",
+    )
+    hits = rule_hits(report, "collector-one-place")
+    assert [hit.line for hit in hits] == [6, 8]
+    assert "gc.disable" in hits[0].message and "gc.freeze" in hits[1].message
+
+
+def test_collector_helper_itself_clean(tmp_path):
+    (tmp_path / "repro").mkdir()
+    report = lint_snippet(
+        tmp_path,
+        (SRC / "repro" / "collector.py").read_text(encoding="utf-8"),
+        name="repro/collector.py",
+    )
+    assert not rule_hits(report, "collector-one-place")
+    # The same text anywhere else is a second policy.
+    report = lint_snippet(
+        tmp_path,
+        (SRC / "repro" / "collector.py").read_text(encoding="utf-8"),
+        name="repro/engine.py",
+    )
+    assert len(rule_hits(report, "collector-one-place")) == 3
+
+
+# ---------------------------------------------------------------------------
 # meta-bare-suppression
 # ---------------------------------------------------------------------------
 
@@ -527,7 +572,7 @@ def test_reasoned_suppression_not_flagged(tmp_path):
 def test_rules_registered_and_documented():
     rules = all_rules()
     assert len(rules) >= 8
-    assert "layer-upward-import" in {rule.id for rule in rules}
+    assert {"layer-upward-import", "collector-one-place"} <= {rule.id for rule in rules}
     for rule in rules:
         assert rule.id and rule.summary and rule.doc
 

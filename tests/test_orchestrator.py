@@ -101,19 +101,26 @@ class TestDeterminism:
     def test_pool_backend_falls_back_cleanly(self, tmp_path):
         # The pool may degrade to serial in restricted environments; the
         # stored RunRecords are identical either way — everything except the
-        # wall-clock provenance is deterministic across executors.
-        jobs = SweepSpec(series=[("s", build_config)], loads=[0.1], seeds=1).expand()
+        # wall-clock provenance is deterministic across executors.  Four jobs
+        # in chunks of two: each pool worker (its start-up heap frozen)
+        # reclaims a finished simulation before the next job, as the serial
+        # executor does.
+        jobs = SweepSpec(
+            series=[("s", build_config)], loads=[0.1, 0.4], seeds=2
+        ).expand()
         ref = ResultStore(str(tmp_path / "serial.journal"))
         got = ResultStore(str(tmp_path / "pooled.journal"))
-        run_jobs(jobs, workers=1, store=ref)
-        run_jobs(jobs, workers=2, store=got)
+        run_jobs(jobs, workers=1, store=ref, chunk_size=2)
+        run_jobs(jobs, workers=2, store=got, chunk_size=2)
         for job in jobs:
-            serial, pooled = ref.get_record(job.key), got.get_record(job.key)
-            assert dataclasses.asdict(pooled.summary) == dataclasses.asdict(
-                serial.summary
-            )
-            for counter in ("engine_cycles", "events_processed"):
-                assert pooled.provenance[counter] == serial.provenance[counter]
+            serial = ref.get_record(job.key).to_dict()
+            pooled = got.get_record(job.key).to_dict()
+            for record in (serial, pooled):
+                # The two things that depend on where a job ran: its wall
+                # time, and how warm its process's shared route table was.
+                assert record["provenance"].pop("wall_time_s") > 0
+                assert record["provenance"]["route_table"].pop("hits") > 0
+            assert pooled == serial
 
 
 class TestResultStore:
