@@ -26,6 +26,14 @@ Quickstart::
     print(Session(config).run().summary)
     print(Session(flex).run().summary)
 
+Feasibility without simulating (Tables I-IV; a network is named by its
+worst-case minimal path, ``topology.canonical_minimal_sequence`` for a built
+one)::
+
+    from repro import DRAGONFLY_MIN, VcArrangement, classify
+
+    classify(VcArrangement.single_class(3, 2), DRAGONFLY_MIN, "VAL")   # opport.
+
 Phased execution with live telemetry (see ``DESIGN.md`` §5)::
 
     from repro import Session, TimeSeriesProbe
@@ -43,6 +51,9 @@ from .config import (
     TrafficConfig,
 )
 from .core import (
+    DIAMETER2_MIN,
+    DRAGONFLY_MIN,
+    TABLES,
     DistanceBasedPolicy,
     FlexVcPolicy,
     HopContext,
@@ -54,12 +65,9 @@ from .core import (
     VcRange,
     classify,
     classify_request_reply,
-    flexvc,
+    generate_table,
     make_policy,
-    table1,
-    table2,
-    table3,
-    table4,
+    walk_reference_path,
 )
 from .metrics import LatencyHistogram, MetricsCollector, SimulationResult
 from .packet import Packet, RouteKind
@@ -113,12 +121,12 @@ __all__ = [
     "PathSupport",
     "classify",
     "classify_request_reply",
-    "flexvc",
+    "walk_reference_path",
+    "DRAGONFLY_MIN",
+    "DIAMETER2_MIN",
+    "TABLES",
+    "generate_table",
     "make_policy",
-    "table1",
-    "table2",
-    "table3",
-    "table4",
     # simulation
     "Simulation",
     "SimulationArtifacts",

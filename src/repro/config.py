@@ -282,62 +282,38 @@ class SimulationConfig:
     def _validate_arrangement_supports_routing(self) -> None:
         """Reject configurations whose routing cannot be deadlock-free.
 
-        The check is driven entirely by the topology's declared worst-case
-        minimal path and escape shape — no topology is special-cased by name.
+        The configured VC policy is walked along the routing's reference
+        path, derived entirely from the topology's declared worst-case
+        minimal path, escape shape and slot window — no topology is
+        special-cased by name.
         """
-        from .core.feasibility import PathSupport, classify_minimal
-        from .core.link_types import reference_vc_requirements_for
+        from .core.feasibility import walk_reference_path
+        from .core.flexvc import make_policy
+        from .core.link_types import MessageClass
 
         # The check only reads the topology's declared routing shape, so the
         # registry's shared instance is sufficient — validating every point
         # of a sweep must not rebuild the graph every time.
         topology = self.network.build_cached()
-        minimal = topology.canonical_minimal_sequence
-        algorithm = self.routing.algorithm
-        routing_for_check = {"min": "MIN", "val": "VAL", "par": "PAR", "pb": "VAL"}[algorithm]
-        if self.routing.vc_policy == "flexvc":
-            support = classify_minimal(
-                self.arrangement, routing_for_check, minimal,
+        routing = {"min": "MIN", "val": "VAL", "par": "PAR", "pb": "VAL"}[
+            self.routing.algorithm
+        ]
+        policy = make_policy(self.routing.vc_policy, self.arrangement)
+        classes = [MessageClass.REQUEST]
+        if self.traffic.reactive:
+            classes.append(MessageClass.REPLY)
+        for msg_class in classes:
+            walk = walk_reference_path(
+                policy, topology.canonical_minimal_sequence, routing, msg_class,
                 worst_escape=topology.worst_escape_sequence,
+                phase_ref=topology.phase_ref,
             )
-            if support == PathSupport.UNSUPPORTED:
+            if not walk.feasible:
                 raise ValueError(
-                    f"arrangement {self.arrangement.label()} cannot support "
-                    f"{routing_for_check} routing even opportunistically"
-                )
-        else:
-            if topology.has_link_type_restrictions:
-                needed_local, needed_global = reference_vc_requirements_for(
-                    minimal, routing_for_check
-                )
-            else:
-                # Untyped networks: the distance-based policy assigns local
-                # slots by position within a phase and advances phase offsets
-                # by max(2, diameter) (see RoutingAlgorithm.phase_ref), so the
-                # requirement follows that arithmetic — e.g. a complete graph
-                # (diameter 1) needs 1/3/4 local VCs for MIN/VAL/PAR, a
-                # diameter-2 network the paper's 2/4/5.
-                diameter = max(1, topology.diameter)
-                phase = max(2, diameter)
-                needed_global = 0
-                needed_local = {
-                    "MIN": diameter,
-                    "VAL": phase + diameter,
-                    "PAR": 1 + phase + diameter,
-                }[routing_for_check]
-            if (self.arrangement.request_local < needed_local
-                    or self.arrangement.request_global < needed_global):
-                raise ValueError(
-                    f"baseline (distance-based) {routing_for_check} routing needs at least "
-                    f"{needed_local}/{needed_global} request VCs, "
-                    f"got {self.arrangement.request_local}/{self.arrangement.request_global}"
-                )
-            if self.traffic.reactive and (
-                    self.arrangement.reply_local < needed_local
-                    or self.arrangement.reply_global < needed_global):
-                raise ValueError(
-                    f"baseline reactive {routing_for_check} routing needs at least "
-                    f"{needed_local}/{needed_global} reply VCs"
+                    f"arrangement {self.arrangement.label()} cannot carry "
+                    f"{msg_class.name.lower()} packets under {routing} routing "
+                    f"with the {self.routing.vc_policy} VC policy: hop "
+                    f"{walk.failed_hop} of the reference path has no admissible VC"
                 )
 
     # -- convenience -------------------------------------------------------------

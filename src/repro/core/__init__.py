@@ -1,37 +1,27 @@
 """Core FlexVC machinery: VC arrangements, policies, selection and feasibility."""
 
 from .arrangement import VcArrangement
-from .baseline import DistanceBasedPolicy, distance_based
+from .baseline import DistanceBasedPolicy
 from .feasibility import (
+    TABLES,
     PathSupport,
     classify,
-    classify_minimal,
     classify_request_reply,
     combined_support,
-    escape_sequences,
-    escape_sequences_for,
-    table1,
-    table2,
-    table3,
-    table4,
+    generate_table,
+    walk_reference_path,
 )
-from .flexvc import FlexVcPolicy, flexvc, make_policy
+from .flexvc import FlexVcPolicy, make_policy
 from .link_types import (
     DIAMETER2_MIN,
-    DIAMETER2_PAR,
-    DIAMETER2_VAL,
     DRAGONFLY_MIN,
-    DRAGONFLY_PAR,
-    DRAGONFLY_VAL,
     HopSequence,
     LinkType,
     MessageClass,
     count_hops,
     hop_counts,
-    reference_path,
     reference_path_for,
-    reference_vc_requirements,
-    reference_vc_requirements_for,
+    reference_phases,
     sequence_str,
 )
 from .mincred import PortOccupancyLedger
@@ -48,21 +38,15 @@ from .vc_selection import (
 __all__ = [
     "VcArrangement",
     "DistanceBasedPolicy",
-    "distance_based",
     "FlexVcPolicy",
-    "flexvc",
     "make_policy",
     "PathSupport",
     "classify",
-    "classify_minimal",
     "classify_request_reply",
     "combined_support",
-    "escape_sequences",
-    "escape_sequences_for",
-    "table1",
-    "table2",
-    "table3",
-    "table4",
+    "walk_reference_path",
+    "TABLES",
+    "generate_table",
     "HopContext",
     "HopKind",
     "VcPolicy",
@@ -72,17 +56,11 @@ __all__ = [
     "HopSequence",
     "count_hops",
     "hop_counts",
-    "reference_path",
     "reference_path_for",
-    "reference_vc_requirements",
-    "reference_vc_requirements_for",
+    "reference_phases",
     "sequence_str",
     "DRAGONFLY_MIN",
-    "DRAGONFLY_VAL",
-    "DRAGONFLY_PAR",
     "DIAMETER2_MIN",
-    "DIAMETER2_VAL",
-    "DIAMETER2_PAR",
     "PortOccupancyLedger",
     "VcSelection",
     "JoinShortestQueue",

@@ -1,23 +1,27 @@
 """Analytical path-feasibility classification (Tables I-IV of the paper).
 
-Given a routing protocol (MIN/VAL/PAR), a VC arrangement and a network kind
-(generic diameter-2 or Dragonfly), this module classifies the protocol's
-reference path as *safe*, *opportunistic* or *unsupported* under FlexVC —
-reproducing Tables I, II, III and IV without running the simulator.
+Given a routing protocol (MIN/VAL/PAR), a VC arrangement and a network's
+worst-case minimal path, this module walks the protocol's reference path
+under a VC policy.  Under FlexVC the walk classifies the path as *safe*,
+*opportunistic* or *unsupported* — reproducing Tables I, II, III and IV
+without running the simulator; under the distance-based baseline it yields
+the Section II slot assignment (``l0 g0 l1 | l2 g1 l3`` for Dragonfly VAL).
+Config validation asks the same walk whether an arrangement can carry a
+routing at all.
 
-The classification walks the canonical reference path hop by hop, applying
-the FlexVC rules (Definitions 1 and 2) with the escape path available at each
-position, greedily occupying the lowest admissible VC (which is optimal for
-feasibility since every constraint is monotone in the occupied index).
+The walk drives the policy hop by hop through the path's routing phases with
+the escape path available at each position, greedily occupying the lowest
+admissible VC (which is optimal for feasibility since every constraint is
+monotone in the occupied index).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Callable, Dict, NamedTuple, Optional
 
 from .arrangement import VcArrangement
+from .baseline import DistanceBasedPolicy
 from .flexvc import FlexVcPolicy
 from .link_types import (
     DIAMETER2_MIN,
@@ -25,11 +29,10 @@ from .link_types import (
     HopSequence,
     LinkType,
     MessageClass,
-    count_hops,
-    reference_path,
     reference_path_for,
+    reference_phases,
 )
-from .vc_policy import HopContext
+from .vc_policy import HopContext, VcPolicy
 
 
 class PathSupport(Enum):
@@ -43,261 +46,165 @@ class PathSupport(Enum):
         return self.value
 
 
-def _suffixes(minimal: HopSequence) -> tuple[HopSequence, ...]:
-    """Minimal continuations after each hop of ``minimal`` (ending empty)."""
-    return tuple(minimal[i + 1:] for i in range(len(minimal)))
-
-
-def escape_sequences_for(
-    minimal: HopSequence,
-    routing: str,
-    worst_escape: Optional[HopSequence] = None,
-) -> tuple[HopSequence, ...]:
-    """Per-hop worst-case escape paths for a reference path.
-
-    ``minimal`` is the network's worst-case minimal path; ``worst_escape`` is
-    the worst-case minimal continuation from an *arbitrary* router (it equals
-    ``minimal`` unless mid-path routers can be farther from every destination
-    than any source is, as in the Megafly whose spine routers may need an
-    extra local hop).  While a packet still heads for its Valiant
-    intermediate the escape is that worst case; once on a minimal segment the
-    escape is the actual remaining suffix.
-    """
-    if worst_escape is None:
-        worst_escape = minimal
-    key = routing.upper()
-    if key == "MIN":
-        return _suffixes(minimal)
-    if key == "VAL":
-        return (worst_escape,) * len(minimal) + _suffixes(minimal)
-    if key == "PAR":
-        return (minimal[1:],) + (worst_escape,) * len(minimal) + _suffixes(minimal)
-    raise ValueError(f"unknown routing {routing!r}")
-
-
-def escape_sequences(routing: str, dragonfly: bool) -> tuple[HopSequence, ...]:
-    """Per-hop worst-case escape paths for a canonical reference path."""
-    return escape_sequences_for(DRAGONFLY_MIN if dragonfly else DIAMETER2_MIN, routing)
-
-
-@dataclass(frozen=True)
-class WalkResult:
+class WalkResult(NamedTuple):
     """Outcome of a feasibility walk along a reference path."""
 
     feasible: bool
-    #: VC index chosen (greedy lowest) at each hop, empty if infeasible.
+    #: VC index chosen (greedy lowest) at each hop up to the first infeasible one.
     chosen_vcs: tuple[int, ...]
     #: index of the first infeasible hop (or -1).
     failed_hop: int = -1
 
 
-def walk_reference_path_for(
-    policy: FlexVcPolicy,
-    routing: str,
+def walk_reference_path(
+    policy: VcPolicy,
     minimal: HopSequence,
+    routing: str,
     msg_class: MessageClass = MessageClass.REQUEST,
     worst_escape: Optional[HopSequence] = None,
+    phase_ref: Optional[tuple[int, int]] = None,
 ) -> WalkResult:
-    """Walk the reference path of a network with minimal path ``minimal``."""
+    """Drive ``policy`` along the reference path of ``routing`` on a network
+    with worst-case minimal path ``minimal`` (see :func:`reference_phases`)."""
     ref = reference_path_for(minimal, routing)
-    escapes = escape_sequences_for(minimal, routing, worst_escape)
-    assert len(ref) == len(escapes)
     input_type: Optional[LinkType] = None
     input_vc = -1
     chosen: list[int] = []
-    for i, (hop_type, escape) in enumerate(zip(ref, escapes)):
-        ctx = HopContext(
-            msg_class=msg_class,
-            out_type=hop_type,
-            intended_remaining=ref[i:],
-            escape_from_next=escape,
-            input_type=input_type,
-            input_vc=input_vc,
-        )
-        admissible = policy.allowed_vcs(ctx)
-        if admissible is None:
-            return WalkResult(False, tuple(chosen), failed_hop=i)
-        vc = admissible.lo
-        chosen.append(vc)
-        input_type = hop_type
-        input_vc = vc
+    for phase in reference_phases(minimal, routing, worst_escape, phase_ref):
+        globals_taken = 0
+        for position, (hop_type, escape) in enumerate(zip(phase.hops, phase.escapes)):
+            admissible, _ = policy.evaluate(HopContext(
+                msg_class=msg_class,
+                out_type=hop_type,
+                intended_remaining=ref[len(chosen):],
+                escape_from_next=escape,
+                input_type=input_type,
+                input_vc=input_vc,
+                phase_offsets=phase.offsets,
+                phase_position=position,
+                phase_global_taken=globals_taken,
+            ))
+            if admissible is None:
+                return WalkResult(False, tuple(chosen), failed_hop=len(chosen))
+            chosen.append(admissible.lo)
+            input_type, input_vc = hop_type, admissible.lo
+            globals_taken += hop_type == LinkType.GLOBAL
     return WalkResult(True, tuple(chosen))
-
-
-def walk_reference_path(
-    policy: FlexVcPolicy,
-    routing: str,
-    dragonfly: bool,
-    msg_class: MessageClass = MessageClass.REQUEST,
-) -> WalkResult:
-    """Walk a canonical reference path under FlexVC (paper Tables I-IV)."""
-    minimal = DRAGONFLY_MIN if dragonfly else DIAMETER2_MIN
-    return walk_reference_path_for(policy, routing, minimal, msg_class)
-
-
-def _fits_own_subsequence(
-    arrangement: VcArrangement,
-    routing: str,
-    minimal: HopSequence,
-    msg_class: MessageClass,
-) -> bool:
-    """Does the reference path fit the class's *own* VC sub-sequence?
-
-    This is the paper's notion of a *safe* path: requests within the request
-    VCs, replies within the reply VCs.  Replies that need to borrow request
-    VCs are "opportunistic" even though they are trivially deadlock-free.
-    """
-    ref = reference_path_for(minimal, routing)
-    for link_type in (LinkType.LOCAL, LinkType.GLOBAL):
-        needed = count_hops(ref, link_type)
-        if msg_class == MessageClass.REPLY and arrangement.is_reactive:
-            available = arrangement.reply_count(link_type)
-        else:
-            available = arrangement.request_count(link_type)
-        if needed > available:
-            return False
-    return True
-
-
-def classify_minimal(
-    arrangement: VcArrangement,
-    routing: str,
-    minimal: HopSequence,
-    msg_class: MessageClass = MessageClass.REQUEST,
-    worst_escape: Optional[HopSequence] = None,
-) -> PathSupport:
-    """Classify a protocol on a network with minimal path ``minimal``."""
-    policy = FlexVcPolicy(arrangement)
-    result = walk_reference_path_for(policy, routing, minimal, msg_class, worst_escape)
-    if not result.feasible:
-        return PathSupport.UNSUPPORTED
-    if _fits_own_subsequence(arrangement, routing, minimal, msg_class):
-        return PathSupport.SAFE
-    return PathSupport.OPPORTUNISTIC
 
 
 def classify(
     arrangement: VcArrangement,
+    minimal: HopSequence,
     routing: str,
-    dragonfly: bool,
     msg_class: MessageClass = MessageClass.REQUEST,
 ) -> PathSupport:
-    """Classify one routing protocol / message class under FlexVC."""
-    minimal = DRAGONFLY_MIN if dragonfly else DIAMETER2_MIN
-    return classify_minimal(arrangement, routing, minimal, msg_class)
+    """Classify one routing protocol / message class under FlexVC on a
+    network with worst-case minimal path ``minimal``.
 
-
-_ORDER = {
-    PathSupport.SAFE: 2,
-    PathSupport.OPPORTUNISTIC: 1,
-    PathSupport.UNSUPPORTED: 0,
-}
+    A path is *safe*, in the paper's sense, when it fits the class's *own* VC
+    sub-sequence — requests within the request VCs, replies within the reply
+    VCs — which is exactly when the distance-based baseline can walk it.
+    Replies that need to borrow request VCs are "opportunistic" even though
+    they are trivially deadlock-free.
+    """
+    if walk_reference_path(
+        DistanceBasedPolicy(arrangement), minimal, routing, msg_class
+    ).feasible:
+        return PathSupport.SAFE
+    if walk_reference_path(FlexVcPolicy(arrangement), minimal, routing, msg_class).feasible:
+        return PathSupport.OPPORTUNISTIC
+    return PathSupport.UNSUPPORTED
 
 
 def classify_request_reply(
     arrangement: VcArrangement,
+    minimal: HopSequence,
     routing: str,
-    dragonfly: bool,
 ) -> tuple[PathSupport, PathSupport]:
     """(request, reply) classifications for a reactive arrangement."""
     return (
-        classify(arrangement, routing, dragonfly, MessageClass.REQUEST),
-        classify(arrangement, routing, dragonfly, MessageClass.REPLY),
+        classify(arrangement, minimal, routing, MessageClass.REQUEST),
+        classify(arrangement, minimal, routing, MessageClass.REPLY),
     )
+
+
+_WEAKEST_FIRST = (PathSupport.UNSUPPORTED, PathSupport.OPPORTUNISTIC, PathSupport.SAFE)
 
 
 def combined_support(request: PathSupport, reply: PathSupport) -> PathSupport:
     """Overall support of a request-reply exchange (the weaker of the two)."""
-    return request if _ORDER[request] <= _ORDER[reply] else reply
+    return min(request, reply, key=_WEAKEST_FIRST.index)
+
+
+def _classify_exchange(
+    arrangement: VcArrangement, minimal: HopSequence, routing: str
+) -> PathSupport:
+    return combined_support(*classify_request_reply(arrangement, minimal, routing))
 
 
 # ---------------------------------------------------------------------------
-# Table generators
+# Tables I-IV
 # ---------------------------------------------------------------------------
 
 ROUTINGS = ("MIN", "VAL", "PAR")
 
 
-def table1(vc_counts: Iterable[int] = (2, 3, 4, 5)) -> Dict[str, Dict[int, PathSupport]]:
-    """Table I: allowed paths in a generic diameter-2 network vs number of VCs."""
-    table: Dict[str, Dict[int, PathSupport]] = {}
-    for routing in ROUTINGS:
-        row: Dict[int, PathSupport] = {}
-        for vcs in vc_counts:
-            arrangement = VcArrangement.single_class(vcs, 0)
-            row[vcs] = classify(arrangement, routing, dragonfly=False)
-        table[routing] = row
-    return table
+class Table(NamedTuple):
+    """One feasibility table of the paper: a network, the VC arrangement of
+    each column (keyed as the paper prints it) and what a cell holds."""
+
+    minimal: HopSequence
+    columns: Dict[object, VcArrangement]
+    cell: Callable[[VcArrangement, HopSequence, str], object]
 
 
-DEFAULT_TABLE2_CONFIGS: tuple[tuple[int, int], ...] = ((2, 2), (3, 2), (3, 3), (4, 4), (5, 5))
+_single = VcArrangement.single_class
+_pair = VcArrangement.request_reply
+
+TABLES: Dict[str, Table] = {
+    # generic diameter-2 network vs number of VCs
+    "Table I": Table(
+        DIAMETER2_MIN, {vcs: _single(vcs, 0) for vcs in (2, 3, 4, 5)}, classify
+    ),
+    # the same with request+reply VCs, e.g. (3, 2) for the 3+2=5 configuration
+    "Table II": Table(
+        DIAMETER2_MIN,
+        {(req, rep): _pair((req, 0), (rep, 0))
+         for req, rep in ((2, 2), (3, 2), (3, 3), (4, 4), (5, 5))},
+        _classify_exchange,
+    ),
+    # Dragonfly, single-class traffic, (local, global) VC counts
+    "Table III": Table(
+        DRAGONFLY_MIN,
+        {lg: _single(*lg) for lg in ((2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (5, 2))},
+        classify,
+    ),
+    # Dragonfly with request+reply traffic: each cell is the (request, reply)
+    # pair, matching the paper's "X / opport." notation
+    "Table IV": Table(
+        DRAGONFLY_MIN,
+        {(req, rep): _pair(req, rep)
+         for req, rep in (((2, 1), (2, 1)), ((3, 2), (2, 1)),
+                          ((4, 2), (4, 2)), ((5, 2), (5, 2)))},
+        classify_request_reply,
+    ),
+}
 
 
-def table2(
-    configs: Sequence[tuple[int, int]] = DEFAULT_TABLE2_CONFIGS,
-) -> Dict[str, Dict[tuple[int, int], PathSupport]]:
-    """Table II: generic diameter-2 network with request+reply VCs.
-
-    ``configs`` are ``(request_vcs, reply_vcs)`` pairs, e.g. ``(3, 2)`` for the
-    3+2=5 configuration.
-    """
-    table: Dict[str, Dict[tuple[int, int], PathSupport]] = {}
-    for routing in ROUTINGS:
-        row: Dict[tuple[int, int], PathSupport] = {}
-        for req, rep in configs:
-            arrangement = VcArrangement.request_reply((req, 0), (rep, 0))
-            request, reply = classify_request_reply(arrangement, routing, dragonfly=False)
-            row[(req, rep)] = combined_support(request, reply)
-        table[routing] = row
-    return table
-
-
-DEFAULT_TABLE3_CONFIGS: tuple[tuple[int, int], ...] = ((2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (5, 2))
-
-
-def table3(
-    configs: Sequence[tuple[int, int]] = DEFAULT_TABLE3_CONFIGS,
-) -> Dict[str, Dict[tuple[int, int], PathSupport]]:
-    """Table III: Dragonfly, single-class traffic, (local, global) VC counts."""
-    table: Dict[str, Dict[tuple[int, int], PathSupport]] = {}
-    for routing in ROUTINGS:
-        row: Dict[tuple[int, int], PathSupport] = {}
-        for local, global_ in configs:
-            arrangement = VcArrangement.single_class(local, global_)
-            row[(local, global_)] = classify(arrangement, routing, dragonfly=True)
-        table[routing] = row
-    return table
-
-
-#: Table IV columns: ((request local/global), (reply local/global)).
-DEFAULT_TABLE4_CONFIGS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
-    ((2, 1), (2, 1)),
-    ((3, 2), (2, 1)),
-    ((4, 2), (4, 2)),
-    ((5, 2), (5, 2)),
-)
-
-
-def table4(
-    configs: Sequence[tuple[tuple[int, int], tuple[int, int]]] = DEFAULT_TABLE4_CONFIGS,
-) -> Dict[str, Dict[tuple[tuple[int, int], tuple[int, int]], tuple[PathSupport, PathSupport]]]:
-    """Table IV: Dragonfly with request+reply traffic.
-
-    Each cell holds the ``(request, reply)`` classification pair, matching the
-    paper's "X / opport." notation for the 4/2 column.
-    """
-    table: Dict[str, Dict] = {}
-    for routing in ROUTINGS:
-        row: Dict = {}
-        for req, rep in configs:
-            arrangement = VcArrangement.request_reply(req, rep)
-            row[(req, rep)] = classify_request_reply(arrangement, routing, dragonfly=True)
-        table[routing] = row
-    return table
+def generate_table(name: str) -> Dict[str, Dict]:
+    """``{routing: {column: cell}}`` of one :data:`TABLES` entry."""
+    table = TABLES[name]
+    return {
+        routing: {
+            key: table.cell(arrangement, table.minimal, routing)
+            for key, arrangement in table.columns.items()
+        }
+        for routing in ROUTINGS
+    }
 
 
 def render_table(table: Dict, title: str) -> str:
-    """Plain-text rendering of any of the table generators' outputs."""
+    """Plain-text rendering of a generated table."""
     lines = [title]
     for routing, row in table.items():
         cells = []

@@ -35,42 +35,63 @@ from __future__ import annotations
 from typing import Optional
 
 from .arrangement import VcArrangement
-from .link_types import LinkType, MessageClass, count_hops
+from .link_types import HopSequence, LinkType, MessageClass, count_hops
 from .vc_policy import HopContext, HopKind, VcPolicy, VcRange
 
 
 class FlexVcPolicy(VcPolicy):
     """FlexVC buffer-management policy."""
 
-    def __init__(self, arrangement: VcArrangement) -> None:
-        super().__init__(arrangement)
-
-    # -- classification ----------------------------------------------------------
-    def hop_kind(self, ctx: HopContext) -> HopKind:
-        if self._is_safe(ctx):
-            return HopKind.SAFE
-        if self._opportunistic_range(ctx) is not None:
-            return HopKind.OPPORTUNISTIC
-        return HopKind.FORBIDDEN
-
-    def _is_safe(self, ctx: HopContext) -> bool:
-        return self.remaining_fits(
+    def evaluate(self, ctx: HopContext) -> tuple[Optional[VcRange], Optional[HopKind]]:
+        if self.remaining_fits(
             ctx.intended_remaining, ctx.msg_class, ctx.input_type, ctx.input_vc
-        )
+        ):
+            return self._safe_range(ctx), HopKind.SAFE
+        vc_range = self._opportunistic_range(ctx)
+        if vc_range is None:
+            return None, None
+        return vc_range, HopKind.OPPORTUNISTIC
+
+    # -- fit tests ---------------------------------------------------------------
+    def class_ceiling(self, link_type: LinkType, msg_class: MessageClass) -> int:
+        return self.arrangement.class_ceiling(link_type, msg_class)
+
+    def remaining_fits(
+        self,
+        remaining: HopSequence,
+        msg_class: MessageClass,
+        input_type: Optional[LinkType],
+        input_vc: int,
+    ) -> bool:
+        """Does ``remaining`` admit a strictly-increasing per-type assignment?
+
+        The check counts hops per link type and compares against the class
+        ceiling, additionally reserving the indices at or below ``input_vc``
+        for the type of the buffer currently holding the packet (Definition 1:
+        the safe path must ascend *from the current channel*).
+        """
+        for link_type in (LinkType.LOCAL, LinkType.GLOBAL):
+            needed = count_hops(remaining, link_type)
+            ceiling = self.class_ceiling(link_type, msg_class)
+            if input_type == link_type and input_vc >= 0:
+                ceiling -= input_vc + 1
+            if needed > ceiling:
+                return False
+        return True
+
+    def escape_fits(self, escape: HopSequence, msg_class: MessageClass) -> bool:
+        """Does the escape path fit at all within the class ceilings?"""
+        for link_type in (LinkType.LOCAL, LinkType.GLOBAL):
+            if count_hops(escape, link_type) > self.class_ceiling(link_type, msg_class):
+                return False
+        return True
 
     # -- admissible VCs --------------------------------------------------------------
-    def allowed_vcs(self, ctx: HopContext) -> Optional[VcRange]:
-        if self._is_safe(ctx):
-            return self._safe_range(ctx)
-        return self._opportunistic_range(ctx)
-
-    def _safe_range(self, ctx: HopContext) -> Optional[VcRange]:
+    def _safe_range(self, ctx: HopContext) -> VcRange:
+        """VCs of a safe hop: any index leaving room, per type, for the rest
+        of the intended path (``remaining_fits`` guarantees ``hi >= 0``)."""
         ceiling = self.class_ceiling(ctx.out_type, ctx.msg_class)
-        remaining_of_type = count_hops(ctx.intended_remaining, ctx.out_type)
-        hi = ceiling - remaining_of_type
-        if hi < 0:  # pragma: no cover - excluded by _is_safe
-            return None
-        return VcRange(0, hi)
+        return VcRange(0, ceiling - count_hops(ctx.intended_remaining, ctx.out_type))
 
     def _opportunistic_range(self, ctx: HopContext) -> Optional[VcRange]:
         # The escape (minimal continuation from the next router) must fit in
@@ -94,11 +115,6 @@ class FlexVcPolicy(VcPolicy):
         return VcRange(lo, hi)
 
 
-def flexvc(arrangement: VcArrangement) -> FlexVcPolicy:
-    """Convenience constructor: ``flexvc(VcArrangement.single_class(4, 2))``."""
-    return FlexVcPolicy(arrangement)
-
-
 def make_policy(name: str, arrangement: VcArrangement) -> VcPolicy:
     """Factory used by the simulation configuration layer.
 
@@ -107,8 +123,8 @@ def make_policy(name: str, arrangement: VcArrangement) -> VcPolicy:
     from .baseline import DistanceBasedPolicy
 
     key = name.strip().lower()
-    if key in ("baseline", "distance", "distance-based", "fixed"):
+    if key == "baseline":
         return DistanceBasedPolicy(arrangement)
-    if key in ("flexvc", "flex", "flexible"):
+    if key == "flexvc":
         return FlexVcPolicy(arrangement)
     raise ValueError(f"unknown VC policy {name!r}; expected 'baseline' or 'flexvc'")

@@ -16,7 +16,7 @@ Dragonfly and for generic diameter-2 networks (Tables I-IV).
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class LinkType(IntEnum):
@@ -76,74 +76,69 @@ def sequence_str(seq: Sequence[LinkType]) -> str:
 # ---------------------------------------------------------------------------
 
 #: Dragonfly minimal reference path: l0 - g1 - l2 (2 local VCs / 1 global VC).
+#: VAL (l-g-l-l-g-l, 4/2) and PAR (l-l-g-l-l-g-l, 5/2) derive from it.
 DRAGONFLY_MIN: HopSequence = (L, G, L)
 
-#: Dragonfly Valiant ("Valiant-node") reference path: l0-g1-l2-l3-g4-l5 (4/2).
-DRAGONFLY_VAL: HopSequence = (L, G, L, L, G, L)
-
-#: Dragonfly Progressive Adaptive Routing reference path (5/2):
-#: l0-l1-g2-l3-l4-g5-l6 (an additional local hop before the possible
-#: in-transit diversion).
-DRAGONFLY_PAR: HopSequence = (L, L, G, L, L, G, L)
-
 #: Generic diameter-2 network (Slim Fly, adaptive Flattened Butterfly)
-#: minimal reference path: 2 hops of a single link class.
+#: minimal reference path: 2 hops of a single link class (VAL 4, PAR 5).
 DIAMETER2_MIN: HopSequence = (L, L)
 
-#: Generic diameter-2 Valiant reference path: 4 hops.
-DIAMETER2_VAL: HopSequence = (L, L, L, L)
 
-#: Generic diameter-2 PAR reference path: one extra hop before diverting.
-DIAMETER2_PAR: HopSequence = (L, L, L, L, L)
+class ReferencePhase(NamedTuple):
+    """One routing phase (minimal segment) of a reference path."""
+
+    #: ``(local, global)`` reference-slot offsets the phase starts at — what
+    #: the routing layer hands ``Packet.begin_phase``.
+    offsets: tuple[int, int]
+    hops: HopSequence
+    #: worst-case minimal continuation (Definition 2's escape) after each hop.
+    escapes: tuple[HopSequence, ...]
 
 
-def reference_path_for(minimal: HopSequence, routing: str) -> HopSequence:
-    """Reference path of ``routing`` on a network whose worst-case minimal
-    path is ``minimal``.
+def reference_phases(
+    minimal: HopSequence,
+    routing: str,
+    worst_escape: Optional[HopSequence] = None,
+    phase_ref: Optional[tuple[int, int]] = None,
+) -> tuple[ReferencePhase, ...]:
+    """Phases of ``routing``'s reference path on a network whose worst-case
+    minimal path is ``minimal`` (Section II: l-g-l for the Dragonfly, l-l for
+    a generic diameter-2 network).
 
-    ``MIN`` is the minimal path itself; ``VAL`` concatenates two minimal
-    segments (source to intermediate, intermediate to destination); ``PAR``
-    prepends one additional hop of the first link type (the pre-diversion
-    minimal hop).  Instantiated with the Dragonfly's l-g-l and the generic
-    diameter-2 network's l-l these reproduce the paper's Section II paths.
+    ``MIN`` is one minimal segment.  ``VAL`` adds a second (intermediate to
+    destination) whose slots start ``phase_ref`` later — one segment's slot
+    window, ``Topology.phase_ref``, by default the hop counts of ``minimal``.
+    ``PAR`` prepends the pre-diversion minimal hop and starts the detour at
+    slot ``(1, 0)``.  While a packet heads for its Valiant intermediate its
+    escape is ``worst_escape``, the worst minimal continuation from an
+    *arbitrary* router (``minimal`` unless transit routers can be farther
+    from a destination than any source is, as Megafly spines are); on the
+    last segment it is the actual remaining suffix.
     """
     if not minimal:
         raise ValueError("minimal reference sequence must not be empty")
+    detour = (minimal if worst_escape is None else worst_escape,) * len(minimal)
+    suffixes = tuple(minimal[i + 1:] for i in range(len(minimal)))
+    ref_local, ref_global = hop_counts(minimal) if phase_ref is None else phase_ref
     key = routing.upper()
     if key == "MIN":
-        return minimal
+        return (ReferencePhase((0, 0), minimal, suffixes),)
     if key == "VAL":
-        return minimal + minimal
+        return (
+            ReferencePhase((0, 0), minimal, detour),
+            ReferencePhase((ref_local, ref_global), minimal, suffixes),
+        )
     if key == "PAR":
-        return (minimal[0],) + minimal + minimal
+        return (
+            ReferencePhase((0, 0), minimal[:1], (minimal[1:],)),
+            ReferencePhase((1, 0), minimal, detour),
+            ReferencePhase((1 + ref_local, ref_global), minimal, suffixes),
+        )
     raise ValueError(f"unknown routing {routing!r}; expected MIN, VAL or PAR")
 
 
-def reference_path(routing: str, dragonfly: bool) -> HopSequence:
-    """Return the canonical reference path for ``routing``.
-
-    Parameters
-    ----------
-    routing:
-        One of ``"MIN"``, ``"VAL"`` or ``"PAR"`` (case-insensitive).
-    dragonfly:
-        ``True`` for the Dragonfly (typed local/global links), ``False`` for a
-        generic diameter-2 network with a single link class.
-    """
-    return reference_path_for(DRAGONFLY_MIN if dragonfly else DIAMETER2_MIN, routing)
-
-
-def reference_vc_requirements_for(minimal: HopSequence, routing: str) -> tuple[int, int]:
-    """VCs (local, global) distance-based deadlock avoidance needs for
-    ``routing`` on a network with worst-case minimal path ``minimal``."""
-    return hop_counts(reference_path_for(minimal, routing))
-
-
-def reference_vc_requirements(routing: str, dragonfly: bool) -> tuple[int, int]:
-    """VCs (local, global) required by distance-based deadlock avoidance.
-
-    These are the per-virtual-network requirements quoted in Section II:
-    2/1 for Dragonfly MIN, 4/2 for VAL, 5/2 for PAR; 2, 4 and 5 single-class
-    VCs for generic diameter-2 networks.
-    """
-    return hop_counts(reference_path(routing, dragonfly))
+def reference_path_for(minimal: HopSequence, routing: str) -> HopSequence:
+    """Hop types of ``routing``'s whole reference path (phases concatenated)."""
+    return tuple(
+        hop for phase in reference_phases(minimal, routing) for hop in phase.hops
+    )

@@ -16,12 +16,12 @@ configured routing algorithm never requests).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from .arrangement import VcArrangement
-from .link_types import HopSequence, LinkType, MessageClass, count_hops
+from .link_types import HopSequence, LinkType, MessageClass
 
 
 class HopKind(Enum):
@@ -109,63 +109,28 @@ class HopContext:
 
 
 class VcPolicy(ABC):
-    """Common interface of the distance-based baseline and FlexVC."""
+    """Common interface of the distance-based baseline and FlexVC.
+
+    A policy is one pure function of the hop, :meth:`evaluate`; the routing
+    layer memoizes its verdicts per :class:`HopContext`, and
+    :func:`repro.core.feasibility.walk_reference_path` drives it along a
+    reference path for config validation and Tables I-IV.
+    """
 
     def __init__(self, arrangement: VcArrangement) -> None:
         self.arrangement = arrangement
 
-    # -- main entry points ---------------------------------------------------
     @abstractmethod
+    def evaluate(self, ctx: HopContext) -> tuple[Optional[VcRange], Optional[HopKind]]:
+        """Admissible VC range and classification of one hop.
+
+        Returns ``(None, None)`` when the hop may enter no VC at all.
+        """
+
     def allowed_vcs(self, ctx: HopContext) -> Optional[VcRange]:
         """Admissible output VC indices for the hop, or ``None`` if forbidden."""
+        return self.evaluate(ctx)[0]
 
-    @abstractmethod
     def hop_kind(self, ctx: HopContext) -> HopKind:
         """Classify the hop as safe, opportunistic or forbidden."""
-
-    def evaluate(self, ctx: HopContext) -> tuple[Optional[VcRange], Optional[HopKind]]:
-        """Combined ``(allowed_vcs, hop_kind)`` evaluation of one hop.
-
-        Candidate construction needs both answers; policies whose two
-        methods share intermediate work (e.g. the baseline's slot
-        computation) override this to compute it once.  Returns
-        ``(None, None)`` for forbidden hops.
-        """
-        vc_range = self.allowed_vcs(ctx)
-        if vc_range is None:
-            return None, None
-        return vc_range, self.hop_kind(ctx)
-
-    # -- shared helpers -------------------------------------------------------
-    def class_ceiling(self, link_type: LinkType, msg_class: MessageClass) -> int:
-        return self.arrangement.class_ceiling(link_type, msg_class)
-
-    def remaining_fits(
-        self,
-        remaining: HopSequence,
-        msg_class: MessageClass,
-        input_type: Optional[LinkType],
-        input_vc: int,
-    ) -> bool:
-        """Does ``remaining`` admit a strictly-increasing per-type assignment?
-
-        The check counts hops per link type and compares against the class
-        ceiling, additionally reserving the indices at or below ``input_vc``
-        for the type of the buffer currently holding the packet (Definition 1:
-        the safe path must ascend *from the current channel*).
-        """
-        for link_type in (LinkType.LOCAL, LinkType.GLOBAL):
-            needed = count_hops(remaining, link_type)
-            ceiling = self.class_ceiling(link_type, msg_class)
-            if input_type == link_type and input_vc >= 0:
-                ceiling -= input_vc + 1
-            if needed > ceiling:
-                return False
-        return True
-
-    def escape_fits(self, escape: HopSequence, msg_class: MessageClass) -> bool:
-        """Does the escape path fit at all within the class ceilings?"""
-        for link_type in (LinkType.LOCAL, LinkType.GLOBAL):
-            if count_hops(escape, link_type) > self.class_ceiling(link_type, msg_class):
-                return False
-        return True
+        return self.evaluate(ctx)[1] or HopKind.FORBIDDEN

@@ -12,7 +12,6 @@ Usage::
 
     python -m repro.devtools lint src                   # text findings
     python -m repro.devtools lint src --format json     # machine-readable
-    python -m repro.devtools lint src --baseline devtools-baseline.json
     python -m repro.devtools rules                      # per-rule docs
 
 Inline suppressions (every suppression must carry a reason)::
@@ -25,7 +24,6 @@ See DESIGN.md §10 for the rule catalogue and rationale.
 
 from __future__ import annotations
 
-from .baseline import Baseline
 from .framework import Finding, ModuleInfo, Rule, all_rules, get_rule, register_rule
 from .runner import LintReport, lint_paths
 
@@ -33,7 +31,6 @@ from .runner import LintReport, lint_paths
 from . import rules as _rules  # noqa: F401  (import-for-side-effect)
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintReport",
     "ModuleInfo",

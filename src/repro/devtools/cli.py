@@ -8,10 +8,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import textwrap
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from .baseline import Baseline, BaselineError
 from .framework import all_rules
 from .runner import LintReport, lint_paths
 
@@ -38,16 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format (default: text)",
     )
-    lint.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="JSON baseline of grandfathered findings to subtract",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="snapshot current findings to FILE and exit 0",
-    )
 
     sub.add_parser("rules", help="print every rule with its rationale")
     return parser
@@ -61,11 +51,8 @@ def _render_text(report: LintReport, out: "object") -> None:
         write(f"parse error: {error}\n")
     summary = (
         f"{len(report.findings)} finding(s) in {report.files_checked} file(s)"
-        f" ({len(report.suppressed)} suppressed"
+        f" ({len(report.suppressed)} suppressed)"
     )
-    if report.baseline_matched:
-        summary += f", {report.baseline_matched} baseline-matched"
-    summary += ")"
     write(summary + "\n")
 
 
@@ -78,27 +65,12 @@ def cmd_lint(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    baseline: Optional[Baseline] = None
-    if args.baseline:
-        try:
-            baseline = Baseline.load(Path(args.baseline))
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    report = lint_paths(paths, baseline=baseline)
-    if args.write_baseline:
-        Baseline.from_findings(report.findings).dump(Path(args.write_baseline))
-        print(
-            f"wrote {len(report.findings)} finding(s) to {args.write_baseline}",
-            file=sys.stdout,
-        )
-        return 0
+    report = lint_paths(paths)
     if args.format == "json":
         payload = {
             "files_checked": report.files_checked,
             "findings": [f.to_dict() for f in report.findings],
             "suppressed": [f.to_dict() for f in report.suppressed],
-            "baseline_matched": report.baseline_matched,
             "parse_errors": report.parse_errors,
             "clean": report.clean,
         }
@@ -112,26 +84,11 @@ def cmd_rules() -> int:
     for rule in all_rules():
         print(f"{rule.id}")
         print(f"  {rule.summary}")
-        for line in _wrap(rule.doc, width=74):
+        doc = " ".join(rule.doc.split())
+        for line in textwrap.wrap(doc, width=74, break_on_hyphens=False):
             print(f"    {line}")
         print()
     return 0
-
-
-def _wrap(text: str, width: int) -> List[str]:
-    words = text.split()
-    lines: List[str] = []
-    current: List[str] = []
-    length = 0
-    for word in words:
-        if current and length + 1 + len(word) > width:
-            lines.append(" ".join(current))
-            current, length = [], 0
-        current.append(word)
-        length += (1 if length else 0) + len(word)
-    if current:
-        lines.append(" ".join(current))
-    return lines
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -33,20 +33,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation at a specific location.
-
-    ``fingerprint`` intentionally omits the line number so that a committed
-    baseline survives unrelated edits above the finding.
-    """
+    """One rule violation at a specific location."""
 
     rule: str
     path: str
     line: int
     message: str
     snippet: str = ""
-
-    def fingerprint(self) -> str:
-        return f"{self.path}::{self.rule}::{self.snippet.strip()}"
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
@@ -365,7 +358,7 @@ def _bound_names(scope: ast.AST) -> Set[str]:
 class Rule:
     """Base class for lint rules.
 
-    Subclasses set ``id`` (kebab-case, stable — baselines key on it),
+    Subclasses set ``id`` (kebab-case, stable — suppression comments name it),
     ``summary`` (one line), ``doc`` (rationale paragraph shown by
     ``python -m repro.devtools rules``) and implement :meth:`check`.
     """

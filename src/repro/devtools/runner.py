@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .baseline import Baseline
 from .framework import Finding, ModuleInfo, all_rules
 from .scopes import rule_applies
 
@@ -17,7 +16,6 @@ __all__ = ["LintReport", "lint_paths", "collect_files"]
 class LintReport:
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    baseline_matched: int = 0
     files_checked: int = 0
     parse_errors: List[str] = field(default_factory=list)
 
@@ -42,7 +40,6 @@ def collect_files(paths: Sequence[Path]) -> List[Path]:
 
 def lint_paths(
     paths: Sequence[Path],
-    baseline: Optional[Baseline] = None,
     root: Optional[Path] = None,
 ) -> LintReport:
     """Lint every ``.py`` file under ``paths`` with all registered rules.
@@ -74,6 +71,4 @@ def lint_paths(
                     report.findings.append(finding)
     report.findings.sort(key=lambda f: (f.path, f.line, f.rule))
     report.suppressed.sort(key=lambda f: (f.path, f.line, f.rule))
-    if baseline is not None:
-        report.findings, report.baseline_matched = baseline.filter(report.findings)
     return report

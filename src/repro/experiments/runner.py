@@ -87,7 +87,6 @@ TINY = ExperimentScale(
     measure_cycles=600,
     seeds=1,
     loads=(0.2, 0.5, 0.8, 1.0),
-    buffer_capacities=((64, 256), (128, 512), (192, 768), (256, 1024)),
 )
 
 #: Example/analysis scale: same network, longer runs, a few seeds, finer grid.

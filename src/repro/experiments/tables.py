@@ -9,14 +9,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..core.feasibility import (
-    PathSupport,
-    render_table,
-    table1,
-    table2,
-    table3,
-    table4,
-)
+from ..core.feasibility import TABLES, PathSupport, generate_table, render_table
 
 SAFE = PathSupport.SAFE
 OPP = PathSupport.OPPORTUNISTIC
@@ -66,14 +59,17 @@ EXPECTED_TABLE4: Dict[str, Dict[tuple, tuple[PathSupport, PathSupport]]] = {
 }
 
 
+EXPECTED_TABLES: Dict[str, dict] = {
+    "Table I": EXPECTED_TABLE1,
+    "Table II": EXPECTED_TABLE2,
+    "Table III": EXPECTED_TABLE3,
+    "Table IV": EXPECTED_TABLE4,
+}
+
+
 def all_tables() -> Dict[str, dict]:
     """Generate all four tables."""
-    return {
-        "Table I": table1(),
-        "Table II": table2(),
-        "Table III": table3(),
-        "Table IV": table4(),
-    }
+    return {name: generate_table(name) for name in TABLES}
 
 
 def render_all_tables() -> str:
@@ -82,9 +78,4 @@ def render_all_tables() -> str:
 
 def matches_paper() -> bool:
     """True when every generated table matches the values printed in the paper."""
-    return (
-        table1() == EXPECTED_TABLE1
-        and table2() == EXPECTED_TABLE2
-        and table3() == EXPECTED_TABLE3
-        and table4() == EXPECTED_TABLE4
-    )
+    return all_tables() == EXPECTED_TABLES

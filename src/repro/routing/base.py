@@ -150,10 +150,7 @@ class RoutingAlgorithm(ABC):
         )
         #: reference-slot contribution of one minimal segment (phase), used to
         #: advance the baseline's slot offsets between phases.
-        if topology.has_link_type_restrictions:
-            self.phase_ref = topology.max_min_hop_counts()
-        else:
-            self.phase_ref = (max(2, topology.diameter), 0)
+        self.phase_ref = topology.phase_ref
         #: routers eligible as Valiant intermediates (None = all routers).
         self._valiant_pool = topology.valiant_routers()
         #: Candidate construction is split by what it depends on.  The VC

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..core.link_types import LinkType
 from ..packet import Packet, RouteKind
 from .base import RoutingAlgorithm
 
@@ -36,21 +37,17 @@ class ProgressiveAdaptiveRouting(RoutingAlgorithm):
         # PAR normally waits for one minimal hop; if the source router already
         # owns the minimal global link there is no earlier decision point, so
         # it decides right away (equivalent to UGAL-L at injection).
-        dst_router = self.topology.router_of_node(packet.dst_node)
-        first_hop = self.route.column(dst_router).next_port(router.router_id)
+        first_hop = self.route.column(packet.dst_router).next_port(router.router_id)
         if first_hop is None:
             packet.par_decided = True
             return
-        from ..core.link_types import LinkType
-
         if self.topology.link_type(router.router_id, first_hop) == LinkType.GLOBAL:
             self._evaluate(router, packet)
 
     def maybe_divert_in_transit(self, router: "Router", packet: Packet) -> None:
         if packet.par_decided or packet.hops == 0:
             return
-        dst_router = self.topology.router_of_node(packet.dst_node)
-        if self.topology.router_of_node(packet.dst_node) == router.router_id:
+        if packet.dst_router == router.router_id:
             packet.par_decided = True
             return
         # Only divert while the packet is still routed minimally and has not
@@ -59,12 +56,11 @@ class ProgressiveAdaptiveRouting(RoutingAlgorithm):
             packet.par_decided = True
             return
         self._evaluate(router, packet)
-        _ = dst_router
 
     # -- decision -----------------------------------------------------------
     def _evaluate(self, router: "Router", packet: Packet) -> None:
         packet.par_decided = True
-        dst_router = self.topology.router_of_node(packet.dst_node)
+        dst_router = packet.dst_router
         intermediate = self._pick_intermediate(packet, router.router_id, dst_router)
         q_min = self._local_queue_metric(router, dst_router)
         q_nonmin = self._local_queue_metric(router, intermediate)

@@ -13,7 +13,6 @@ from .graph_utils import (
     degree_histogram,
     is_connected,
     measured_diameter,
-    to_networkx,
     verify_bidirectional,
 )
 from .hyperx import HyperX, HyperXParams
@@ -39,6 +38,5 @@ __all__ = [
     "degree_histogram",
     "is_connected",
     "measured_diameter",
-    "to_networkx",
     "verify_bidirectional",
 ]

@@ -40,6 +40,8 @@ class Topology(ABC):
     * :attr:`worst_escape_sequence` — the worst-case minimal continuation
       from an *arbitrary* router (longer than the canonical sequence only
       when transit-only routers exist, e.g. Megafly spines);
+    * :attr:`phase_ref` — the reference-slot window of one minimal segment,
+      read by the routing layer and by config validation's reference walk;
     * :meth:`router_groups` — the sets of routers connected through LOCAL
       links, used for adversarial traffic and Piggyback saturation boards;
     * :meth:`valiant_routers` — the routers eligible as Valiant
@@ -94,6 +96,20 @@ class Topology(ABC):
     def max_min_hop_counts(self) -> tuple[int, int]:
         """Worst-case ``(local, global)`` hops of a minimal path."""
         return hop_counts(self.canonical_minimal_sequence)
+
+    @property
+    def phase_ref(self) -> tuple[int, int]:
+        """``(local, global)`` reference slots one minimal segment occupies.
+
+        The distance-based baseline advances a packet's slot offsets by this
+        much between routing phases.  Untyped networks assign local slots by
+        position within a phase and reserve at least two per phase, so a
+        complete graph (diameter 1) needs 1/3/4 local VCs for MIN/VAL/PAR and
+        a diameter-2 network the paper's 2/4/5.
+        """
+        if self.has_link_type_restrictions:
+            return self.max_min_hop_counts()
+        return (max(2, self.diameter), 0)
 
     def valiant_routers(self) -> Optional[Sequence[int]]:
         """Routers eligible as Valiant intermediates (``None`` = all)."""

@@ -1,9 +1,7 @@
 """Graph-level utilities built on top of :class:`repro.topology.base.Topology`.
 
 These helpers are primarily used by tests and examples to validate topology
-constructions (connectivity, diameter, degree regularity) and to export the
-router graph for external analysis.  They use :mod:`networkx` when available
-but degrade to pure-Python BFS otherwise.
+constructions (connectivity, diameter, degree regularity) by pure-Python BFS.
 """
 
 from __future__ import annotations
@@ -12,27 +10,6 @@ from collections import deque
 from typing import Dict, Optional
 
 from .base import Topology
-
-try:  # pragma: no cover - exercised implicitly
-    import networkx as _nx
-except ImportError:  # pragma: no cover
-    _nx = None
-
-
-def to_networkx(topology: Topology):
-    """Export the router-to-router graph as a :class:`networkx.Graph`.
-
-    Edges carry a ``link_type`` attribute.  Raises :class:`ImportError` when
-    networkx is not installed.
-    """
-    if _nx is None:  # pragma: no cover
-        raise ImportError("networkx is required for to_networkx()")
-    graph = _nx.Graph()
-    graph.add_nodes_from(range(topology.num_routers))
-    for router in range(topology.num_routers):
-        for info in topology.ports(router):
-            graph.add_edge(router, info.neighbor, link_type=info.link_type)
-    return graph
 
 
 def bfs_distances(topology: Topology, source: int) -> Dict[int, int]:

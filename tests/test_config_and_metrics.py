@@ -198,11 +198,16 @@ class TestUntypedBaselineRequirements:
     def test_diameter2_matches_paper_requirements(self):
         # FB with k2=1 degenerates to diameter 1; a genuine untyped
         # diameter-2 network keeps the paper's 2/4/5 requirements — checked
-        # through the reference helpers the typed path shares.
-        from repro.core.link_types import DIAMETER2_MIN, reference_vc_requirements_for
+        # through the reference walk that validation shares.
+        from repro.core.baseline import DistanceBasedPolicy
+        from repro.core.feasibility import walk_reference_path
+        from repro.core.link_types import DIAMETER2_MIN
 
-        assert reference_vc_requirements_for(DIAMETER2_MIN, "VAL") == (4, 0)
-        assert reference_vc_requirements_for(DIAMETER2_MIN, "PAR") == (5, 0)
+        for routing, needed in (("MIN", 2), ("VAL", 4), ("PAR", 5)):
+            for vcs in (needed - 1, needed):
+                policy = DistanceBasedPolicy(VcArrangement.single_class(vcs, 0))
+                walk = walk_reference_path(policy, DIAMETER2_MIN, routing)
+                assert walk.feasible == (vcs == needed)
 
 
 class TestDeadlockWindowConfig:

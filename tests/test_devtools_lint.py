@@ -1,8 +1,8 @@
 """Tests for the repro.devtools static-analysis suite.
 
 One fixture triple per rule — a positive hit, the same hit suppressed with a
-reason, and clean code — plus a self-scan asserting the repo stays clean
-modulo the committed baseline.  Fixture files live in a temp directory, which
+reason, and clean code — plus a self-scan asserting the repo stays clean.
+Fixture files live in a temp directory, which
 is outside any ``repro`` package, so every rule applies to them (see
 ``repro.devtools.scopes``).
 """
@@ -15,14 +15,10 @@ import sys
 import textwrap
 from pathlib import Path
 
-import pytest
-
-from repro.devtools import Baseline, all_rules, lint_paths
-from repro.devtools.baseline import BaselineError
+from repro.devtools import all_rules, lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
-BASELINE = REPO_ROOT / "devtools-baseline.json"
 
 
 def lint_snippet(tmp_path: Path, source: str, name: str = "snippet.py"):
@@ -584,27 +580,6 @@ def test_parse_error_reported_not_raised(tmp_path):
     assert report.parse_errors and not report.clean
 
 
-def test_baseline_roundtrip_and_filter(tmp_path):
-    source = tmp_path / "old.py"
-    source.write_text("_ROUTE_MEMO = {}\n", encoding="utf-8")
-    report = lint_paths([source])
-    assert report.findings
-    baseline_path = tmp_path / "baseline.json"
-    Baseline.from_findings(report.findings).dump(baseline_path)
-    rebaselined = lint_paths([source], baseline=Baseline.load(baseline_path))
-    assert not rebaselined.findings
-    assert rebaselined.baseline_matched == len(report.findings)
-
-
-def test_baseline_errors_are_clear(tmp_path):
-    with pytest.raises(BaselineError, match="not found"):
-        Baseline.load(tmp_path / "missing.json")
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    with pytest.raises(BaselineError, match="not JSON"):
-        Baseline.load(bad)
-
-
 # ---------------------------------------------------------------------------
 # CLI + self-scan
 # ---------------------------------------------------------------------------
@@ -621,17 +596,10 @@ def _run_cli(*args, cwd=REPO_ROOT):
     )
 
 
-def test_self_scan_repo_clean_modulo_baseline():
-    """The committed tree must lint clean against the committed baseline."""
-    baseline = Baseline.load(BASELINE)
-    report = lint_paths([SRC], baseline=baseline, root=REPO_ROOT)
+def test_self_scan_repo_clean():
+    """The committed tree must lint clean: there is no list of exceptions."""
+    report = lint_paths([SRC], root=REPO_ROOT)
     assert report.clean, "\n".join(f.render() for f in report.findings)
-    # Acceptance bar: no baseline entries in hot modules at all.
-    for fingerprint in baseline.entries:
-        path = fingerprint.split("::", 1)[0]
-        assert not any(
-            seg in path for seg in ("engine", "/router/", "/routing/")
-        ), f"hot-module baseline entry not allowed: {fingerprint}"
 
 
 def test_cli_lint_exit_codes(tmp_path):
@@ -650,9 +618,10 @@ def test_cli_lint_exit_codes(tmp_path):
     result = _run_cli("lint", str(tmp_path / "nope"))
     assert result.returncode == 2
 
+    # The committed-baseline option is gone: argparse rejects it as usage.
     result = _run_cli("lint", str(dirty), "--baseline", str(tmp_path / "nope.json"))
     assert result.returncode == 2
-    assert "baseline" in result.stderr
+    assert "unrecognized arguments" in result.stderr
 
 
 def test_cli_json_format(tmp_path):

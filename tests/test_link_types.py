@@ -3,16 +3,15 @@
 import pytest
 
 from repro.core.link_types import (
+    DIAMETER2_MIN,
     DRAGONFLY_MIN,
-    DRAGONFLY_PAR,
-    DRAGONFLY_VAL,
     G,
     L,
     LinkType,
     count_hops,
     hop_counts,
-    reference_path,
-    reference_vc_requirements,
+    reference_path_for,
+    reference_phases,
     sequence_str,
 )
 
@@ -28,10 +27,10 @@ class TestHopCounting:
         assert count_hops((), LinkType.LOCAL) == 0
 
     def test_hop_counts_pair(self):
-        assert hop_counts(DRAGONFLY_VAL) == (4, 2)
+        assert hop_counts((L, G, L, L, G, L)) == (4, 2)
 
     def test_hop_counts_par(self):
-        assert hop_counts(DRAGONFLY_PAR) == (5, 2)
+        assert hop_counts((L, L, G, L, L, G, L)) == (5, 2)
 
 
 class TestSequenceStr:
@@ -42,7 +41,7 @@ class TestSequenceStr:
         assert sequence_str(()) == "(empty)"
 
     def test_valiant(self):
-        assert sequence_str(DRAGONFLY_VAL) == "l-g-l-l-g-l"
+        assert sequence_str((L, G, L, L, G, L)) == "l-g-l-l-g-l"
 
 
 class TestReferencePaths:
@@ -58,17 +57,30 @@ class TestReferencePaths:
         ],
     )
     def test_vc_requirements_match_paper(self, routing, dragonfly, expected):
-        assert reference_vc_requirements(routing, dragonfly) == expected
+        minimal = DRAGONFLY_MIN if dragonfly else DIAMETER2_MIN
+        assert hop_counts(reference_path_for(minimal, routing)) == expected
 
     def test_case_insensitive(self):
-        assert reference_path("min", True) == DRAGONFLY_MIN
+        assert reference_path_for(DRAGONFLY_MIN, "min") == DRAGONFLY_MIN
 
     def test_unknown_routing_raises(self):
         with pytest.raises(ValueError):
-            reference_path("UGAL", True)
+            reference_path_for(DRAGONFLY_MIN, "UGAL")
 
     def test_dragonfly_min_order(self):
         assert DRAGONFLY_MIN == (L, G, L)
 
     def test_dragonfly_val_is_two_min_segments(self):
-        assert DRAGONFLY_VAL == DRAGONFLY_MIN + DRAGONFLY_MIN
+        assert reference_path_for(DRAGONFLY_MIN, "VAL") == (L, G, L, L, G, L)
+        first, second = reference_phases(DRAGONFLY_MIN, "VAL")
+        assert first.hops == second.hops == DRAGONFLY_MIN
+        assert (first.offsets, second.offsets) == ((0, 0), (2, 1))
+
+    def test_par_prepends_the_pre_diversion_hop(self):
+        assert reference_path_for(DRAGONFLY_MIN, "PAR") == (L, L, G, L, L, G, L)
+        assert [phase.offsets for phase in reference_phases(DRAGONFLY_MIN, "PAR")] \
+            == [(0, 0), (1, 0), (3, 1)]
+        # an untyped complete graph reserves two slots per phase
+        assert [phase.offsets for phase in
+                reference_phases((L,), "PAR", phase_ref=(2, 0))] \
+            == [(0, 0), (1, 0), (3, 0)]
