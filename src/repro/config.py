@@ -91,10 +91,6 @@ class NetworkConfig:
         object.__setattr__(self, "params", tuple(sorted(merged.items())))
 
     # -- resolution -------------------------------------------------------------
-    def make_params(self) -> Any:
-        """Validated parameter-dataclass instance for the named topology."""
-        return TOPOLOGIES.get(self.topology).make_params(dict(self.params))
-
     def build(self) -> Topology:
         """Instantiate the described topology through the registry."""
         return TOPOLOGIES.get(self.topology).build(dict(self.params))
@@ -116,7 +112,9 @@ class NetworkConfig:
             )
         if self.local_latency < 1 or self.global_latency < 1:
             raise ValueError("link latencies must be >= 1 cycle")
-        self.make_params()  # raises ValueError on invalid parameters
+        # Construction is O(1) arithmetic (the wiring is built on first
+        # use), so the constructor's checks are the parameter checks.
+        self.build_cached()
 
 
 @dataclass(frozen=True)

@@ -409,14 +409,16 @@ class FaultController:
         #: flat membership set the link wrappers test per delivery.
         self._dead_links: Set[_LinkKey] = set()
         self._dead_routers: Set[int] = set()
+        #: the topology's links, read by every (router, port) lookup here.
+        self._wiring = sim.topology.wiring()
         self._validate_against(sim.topology)
         self._install()
 
     # -- construction --------------------------------------------------------
     def _validate_against(self, topology: "Topology") -> None:
-        core = self.sim.route_table
+        wiring = self._wiring
         n = topology.num_routers
-        per = core._ports_per_router
+        per = wiring.ports_per_router
         for event in self.schedule.events:
             if event.router >= n:
                 raise ValueError(
@@ -425,7 +427,7 @@ class FaultController:
                 )
             port = getattr(event, "port", None)
             if port is not None:
-                if port >= per or core._neighbor[event.router * per + port] < 0:
+                if port >= per or wiring.neighbor[event.router * per + port] < 0:
                     raise ValueError(
                         f"fault event references port {port} of router "
                         f"{event.router}, which has no link"
@@ -525,25 +527,21 @@ class FaultController:
 
     def _pair_id(self, event: "LinkDown | LinkUp") -> int:
         """Canonical id of the physical link a Link{Down,Up} names."""
-        core = self.sim.route_table
-        keys = sorted(self._link_pair(event.router, event.port))
-        router, port = keys[0]
-        return router * core._ports_per_router + port
+        router, port = min(self._link_pair(event.router, event.port))
+        return router * self._wiring.ports_per_router + port
 
     def _link_pair(self, router: int, port: int) -> Tuple[_LinkKey, _LinkKey]:
         """Both directed keys of the physical link at ``(router, port)``."""
-        core = self.sim.route_table
-        per = core._ports_per_router
-        neighbor = core._neighbor[router * per + port]
-        back = core._back_ports()[router * per + port]
-        return (router, port), (neighbor, back)
+        wiring = self._wiring
+        slot = router * wiring.ports_per_router + port
+        return (router, port), (wiring.neighbor[slot], wiring.back_port[slot])
 
     def _incident_links(self, router: int) -> List[_LinkKey]:
-        core = self.sim.route_table
-        per = core._ports_per_router
+        wiring = self._wiring
+        per = wiring.ports_per_router
         keys: List[_LinkKey] = []
         for port in range(per):
-            if core._neighbor[router * per + port] >= 0:
+            if wiring.neighbor[router * per + port] >= 0:
                 keys.extend(self._link_pair(router, port))
         return keys
 
@@ -580,36 +578,20 @@ class FaultController:
     # -- partition detection -------------------------------------------------
     def _check_partition(self, event: FaultEvent) -> None:
         """Raise :class:`NetworkPartitionedError` when the live routers are
-        no longer mutually connected through live links."""
-        core = self.sim.route_table
-        n = core._n
-        per = core._ports_per_router
-        neighbor = core._neighbor
-        back = core._back_ports()
-        dead_links = self._dead_links
+        no longer mutually connected through live links (both directions
+        of a dead link are always dead, so reaching one live router from
+        all the others is mutual connectivity)."""
         dead_routers = self._dead_routers
-        live = [r for r in range(n) if r not in dead_routers]
+        live = [r for r in range(self.sim.topology.num_routers)
+                if r not in dead_routers]
         if not live:
             return
-        seen = {live[0]}
-        frontier = [live[0]]
-        while frontier:
-            nxt: List[int] = []
-            for u in frontier:
-                base = u * per
-                for q in range(per):
-                    w = neighbor[base + q]
-                    if w < 0 or w in seen or w in dead_routers:
-                        continue
-                    if (u, q) in dead_links or (w, back[base + q]) in dead_links:
-                        continue
-                    seen.add(w)
-                    nxt.append(w)
-            frontier = nxt
-        if len(seen) < len(live):
+        dist, _ = self._wiring.bfs(live[0], self._dead_links, dead_routers)
+        reached = sum(1 for d in dist if d >= 0)
+        if reached < len(live):
             raise NetworkPartitionedError(
                 f"fault event {event} at cycle {self.sim.engine.now} "
-                f"partitions the network: {len(seen)} of {len(live)} live "
+                f"partitions the network: {reached} of {len(live)} live "
                 f"routers remain mutually reachable"
             )
 

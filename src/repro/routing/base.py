@@ -34,7 +34,7 @@ from ..core.link_types import LinkType, MessageClass
 from ..core.vc_policy import HopContext, HopKind, VcPolicy, VcRange
 from ..core.vc_selection import VcSelection
 from ..packet import Packet, RouteKind
-from ..topology.base import Topology
+from ..topology.base import LINK_TYPES, Topology
 from .route_table import RouteTable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -148,6 +148,8 @@ class RoutingAlgorithm(ABC):
         self.route = (
             route_table if route_table is not None else RouteTable(topology)
         )
+        #: the topology's links: neighbor and link type of a candidate's port.
+        self.wiring = topology.wiring()
         #: reference-slot contribution of one minimal segment (phase), used to
         #: advance the baseline's slot offsets between phases.
         self.phase_ref = topology.phase_ref
@@ -350,8 +352,10 @@ class RoutingAlgorithm(ABC):
         out_port = target_col.next_port(here)
         if out_port is None:
             return None
-        next_router = route.neighbor(here, out_port)
-        out_type = route.link_type(here, out_port)
+        wiring = self.wiring
+        slot = here * wiring.ports_per_router + out_port
+        next_router = wiring.neighbor[slot]
+        out_type = LINK_TYPES[wiring.link_type[slot]]
         dst_router = packet.dst_router  # resolved by plan() before this point
         dst_col = (
             target_col if target_router == dst_router

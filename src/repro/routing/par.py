@@ -37,11 +37,13 @@ class ProgressiveAdaptiveRouting(RoutingAlgorithm):
         # PAR normally waits for one minimal hop; if the source router already
         # owns the minimal global link there is no earlier decision point, so
         # it decides right away (equivalent to UGAL-L at injection).
-        first_hop = self.route.column(packet.dst_router).next_port(router.router_id)
+        here = router.router_id
+        first_hop = self.route.column(packet.dst_router).next_port(here)
         if first_hop is None:
             packet.par_decided = True
             return
-        if self.topology.link_type(router.router_id, first_hop) == LinkType.GLOBAL:
+        wiring = self.wiring
+        if wiring.link_type[here * wiring.ports_per_router + first_hop] == LinkType.GLOBAL:
             self._evaluate(router, packet)
 
     def maybe_divert_in_transit(self, router: "Router", packet: Packet) -> None:

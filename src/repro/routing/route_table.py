@@ -7,8 +7,10 @@ cross first*.  All three are pure functions of ``(src, dst)`` on a static
 topology.
 
 The construction is naturally *per destination column*: filling every
-``(src, dst)`` answer for one fixed ``dst`` is an O(n) suffix-merge walk over
-the topology's :meth:`min_next_port` relation.  :class:`RouteTable` builds a
+``(src, dst)`` answer for one fixed ``dst`` is an O(n) suffix-merge walk that
+follows the topology's
+:meth:`~repro.topology.base.Topology.min_next_ports_to` over its
+:class:`~repro.topology.base.Wiring`.  :class:`RouteTable` builds a
 column (:class:`RouteColumn`) the first time its destination is touched and
 keeps it in a plain ``dst``-indexed list, so a hit is one index and a
 ``None`` test.  Resident columns are lean (~2 bytes per source: one-byte
@@ -19,12 +21,6 @@ stays resident — uniform traffic touches all destinations, where a smaller
 working set would thrash.  Only beyond the budget is the oldest-built column
 evicted; it recomputes deterministically on its next touch, which is what
 makes 10^5-endpoint networks constructible (see DESIGN.md §9).
-
-Batch port computation goes through
-:meth:`~repro.topology.base.Topology.min_next_ports_to`, whose generic
-fallback calls ``min_next_port`` per source and which closed-form topologies
-(Dragonfly, Megafly, HyperX) override with one gateway/coordinate derivation
-per group instead of per pair.
 
 Hop sequences are interned: the ``seq_ids`` bytes index into the (small,
 ≤255-entry) table of distinct hop-type sequences, so lookups return shared
@@ -47,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.link_types import HopSequence, LinkType
 from ..faults import NetworkPartitionedError
-from ..topology.base import Topology
+from ..topology.base import LINK_TYPES, Topology
 
 #: sentinel sequence id marking a not-yet-computed pair during construction.
 _UNKNOWN = 0xFF
@@ -66,10 +62,6 @@ DEFAULT_LAZY_STATE_BUDGET = 256 * 1024 * 1024
 #: per-column constant overhead (column object, list slot, buffer headers)
 #: used when translating the byte budget into a column count.
 _COLUMN_OVERHEAD_BYTES = 512
-
-#: :class:`LinkType` members indexed by their stored byte value (the enum
-#: constructor is a Python-level ``__new__`` call; a tuple index is not).
-_LINK_TYPES = (LinkType.LOCAL, LinkType.GLOBAL)
 
 
 class RouteColumn:
@@ -171,28 +163,7 @@ class RouteTable:
         #: interning the full tuples would, without building a tuple or
         #: hashing it on the (hot) already-seen path.
         self._seq_step: Dict[int, int] = {}
-
-        # Dense adjacency view: neighbor router and link type per
-        # (router, port), so column fills and candidate construction never
-        # re-derive them from the topology's arithmetic.
-        max_port = 0
-        port_lists = []
-        for router in range(n):
-            infos = list(topology.ports(router))
-            port_lists.append(infos)
-            for info in infos:
-                if info.port >= max_port:
-                    max_port = info.port + 1
-        self._ports_per_router = max_port
-        neighbor = array("i", [-1]) * (n * max_port)
-        link_types = bytearray(n * max_port)
-        for router, infos in enumerate(port_lists):
-            base = router * max_port
-            for info in infos:
-                neighbor[base + info.port] = info.neighbor
-                link_types[base + info.port] = info.link_type
-        self._neighbor = neighbor
-        self._link_types = bytes(link_types)
+        self._wiring = topology.wiring()
 
         # -- resident columns ----------------------------------------------
         if capacity is None:
@@ -216,7 +187,6 @@ class RouteTable:
         #: resident columns holding a detour fill (dropped whenever the dead
         #: set changes, see :meth:`set_fault_state`).
         self._fault_dirty: set = set()
-        self._back_port_map: Optional[array] = None
 
     # -- column management ---------------------------------------------------
     def column(self, dst: int) -> RouteColumn:
@@ -267,7 +237,7 @@ class RouteTable:
             port_batch = self._detour_ports_to(dst, port_batch)
             self._fault_dirty.add(dst)
         seq_ids = self._fill_seq_ids(dst, port_batch)
-        if self._ports_per_router < 255:
+        if self._wiring.ports_per_router < 255:
             # Narrow to one byte per source: every port value fits in
             # [0, 254] and the -1 sentinel's low byte is 255.  Slicing the
             # raw buffer picks each item's least-significant byte at C
@@ -292,9 +262,10 @@ class RouteTable:
         backwards, interning one hop-type sequence per router on it.
         """
         n = self._n
-        neighbor = self._neighbor
-        link_types = self._link_types
-        per_router = self._ports_per_router
+        wiring = self._wiring
+        neighbor = wiring.neighbor
+        link_types = wiring.link_type
+        per_router = wiring.ports_per_router
         step_get = self._seq_step.get
         seq_ids = bytearray([_UNKNOWN]) * n
         seq_ids[dst] = 0
@@ -350,7 +321,7 @@ class RouteTable:
         most once per distinct ``(link type, tail sequence)`` pair per table.
         """
         sequences = self._sequence_list
-        tail_seq = (_LINK_TYPES[link_type],) + sequences[tail_id]
+        tail_seq = (LINK_TYPES[link_type],) + sequences[tail_id]
         seq_id = self._seq_index.get(tail_seq)
         if seq_id is None:
             seq_id = len(sequences)
@@ -375,10 +346,11 @@ class RouteTable:
         sources; the returned row uses -1 for "path crosses no GLOBAL link".
         """
         n = self._n
-        topology = self.topology
-        neighbor = self._neighbor
-        link_types = self._link_types
-        per_router = self._ports_per_router
+        wiring = self._wiring
+        neighbor = wiring.neighbor
+        link_types = wiring.link_type
+        global_index = wiring.global_index
+        per_router = wiring.ports_per_router
         global_value = int(LinkType.GLOBAL)
         fg = array("i", [-2]) * (2 * n)
         fg[2 * dst] = -1
@@ -393,7 +365,7 @@ class RouteTable:
                 fg[2 * src] = -1
                 fg[2 * src + 1] = -1
                 continue
-            path: List[Tuple[int, int, int]] = []
+            path: List[Tuple[int, int]] = []
             current = src
             while fg[2 * current] == -2:
                 port = ports[current]
@@ -402,14 +374,14 @@ class RouteTable:
                         f"minimal route {src}->{dst} does not converge"
                     )
                 base = current * per_router + port
-                path.append((current, port, link_types[base]))
+                path.append((current, base))
                 current = neighbor[base]
             tail_fg_router = fg[2 * current]
             tail_fg_port = fg[2 * current + 1]
-            for router, port, link_type in reversed(path):
-                if link_type == global_value:
+            for router, base in reversed(path):
+                if link_types[base] == global_value:
                     tail_fg_router = router
-                    tail_fg_port = topology.global_port_index(router, port)
+                    tail_fg_port = global_index[base]
                 fg[2 * router] = tail_fg_router
                 fg[2 * router + 1] = tail_fg_port
         return fg
@@ -436,40 +408,10 @@ class RouteTable:
             self.invalidate(dst)
         return resident - len(self._build_order)
 
-    def _back_ports(self) -> array:
-        """``(router, port) -> port on the neighbor facing back`` map.
-
-        Built once on first use from the dense adjacency: ports between
-        each ordered router pair are matched index-by-index in ascending
-        port order, which pairs parallel links deterministically and
-        mirrors the symmetric wiring the simulation itself asserts.
-        """
-        back = self._back_port_map
-        if back is not None:
-            return back
-        n = self._n
-        per = self._ports_per_router
-        neighbor = self._neighbor
-        pairs: Dict[Tuple[int, int], List[int]] = {}
-        for router in range(n):
-            base = router * per
-            for port in range(per):
-                other = neighbor[base + port]
-                if other >= 0:
-                    pairs.setdefault((router, other), []).append(port)
-        back = array("i", [-1]) * (n * per)
-        for (router, other), ports in pairs.items():
-            other_ports = pairs[(other, router)]
-            base = router * per
-            for i, port in enumerate(ports):
-                back[base + port] = other_ports[i]
-        self._back_port_map = back
-        return back
-
     def _detour_ports_to(self, dst: int, pristine: Sequence[int]) -> array:
         """Next-port batch for ``dst`` around the dead elements.
 
-        Runs a deterministic BFS from ``dst`` over the live graph,
+        Takes :meth:`Wiring.bfs` towards ``dst`` over the live graph,
         preferring the ``pristine`` minimal port wherever it is still live
         and distance-tied (unaffected pairs keep their canonical routes),
         and raises :class:`~repro.faults.NetworkPartitionedError` when any
@@ -478,30 +420,8 @@ class RouteTable:
         dead_links = self._dead_links
         dead_routers = self._dead_routers
         n = self._n
-        per = self._ports_per_router
-        neighbor = self._neighbor
-        back = self._back_ports()
-        dist = array("i", [-1]) * n
-        ports = array("i", [-1]) * n
-        dist[dst] = 0
-        frontier = [dst]
-        while frontier:
-            nxt: List[int] = []
-            for u in frontier:
-                base = u * per
-                for q in range(per):
-                    w = neighbor[base + q]
-                    if w < 0 or dist[w] >= 0 or w in dead_routers:
-                        continue
-                    qw = back[base + q]
-                    # The detour forwards from w over its port qw onto the
-                    # (bidirectionally-failed) link w<->u.
-                    if (w, qw) in dead_links:
-                        continue
-                    dist[w] = dist[u] + 1
-                    ports[w] = qw
-                    nxt.append(w)
-            frontier = nxt
+        wiring = self._wiring
+        dist, ports = wiring.bfs(dst, dead_links, dead_routers)
         unreachable = [
             src for src in range(n)
             if dist[src] < 0 and src not in dead_routers
@@ -518,7 +438,7 @@ class RouteTable:
             port = pristine[src]
             if port < 0 or (src, port) in dead_links:
                 continue
-            w = neighbor[src * per + port]
+            w = wiring.neighbor[src * wiring.ports_per_router + port]
             if w >= 0 and w not in dead_routers and dist[w] == dist[src] - 1:
                 ports[src] = port
         return ports
@@ -527,14 +447,6 @@ class RouteTable:
     @property
     def num_routers(self) -> int:
         return self._n
-
-    def neighbor(self, router: int, port: int) -> int:
-        """Neighbor router across ``port`` (dense adjacency lookup)."""
-        return self._neighbor[router * self._ports_per_router + port]
-
-    def link_type(self, router: int, port: int) -> LinkType:
-        """Link type of ``port`` (dense adjacency lookup)."""
-        return _LINK_TYPES[self._link_types[router * self._ports_per_router + port]]
 
     @property
     def sequences(self) -> Tuple[HopSequence, ...]:
@@ -561,11 +473,13 @@ class RouteTable:
 
     # -- accounting ----------------------------------------------------------
     def route_state_bytes(self) -> int:
-        """Approximate bytes held by resident columns + adjacency."""
+        """Approximate bytes held by resident columns + the neighbor and
+        link-type rows of the wiring the walks read."""
         columns = self._columns
         resident = sum(columns[dst].nbytes() for dst in self._build_order)
-        return (resident + self._neighbor.itemsize * len(self._neighbor)
-                + len(self._link_types))
+        neighbor = self._wiring.neighbor
+        return (resident + neighbor.itemsize * len(neighbor)
+                + len(self._wiring.link_type))
 
     def table_stats(self) -> Dict[str, int]:
         """Provenance-ready summary of this table's footprint and churn."""

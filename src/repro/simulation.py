@@ -25,7 +25,7 @@ from .router.router import Router
 from .router.saturation import SaturationBoard
 from .routing import make_routing
 from .routing.route_table import RouteTable
-from .topology.base import Topology
+from .topology.base import LINK_TYPES, Topology
 from .traffic import TrafficManager, make_generator
 
 @dataclass
@@ -173,33 +173,30 @@ class Simulation:
 
     def _wire_links(self) -> None:
         """Create one unidirectional link + credit channel per directed edge."""
-        topology = self.topology
-        for router_id in range(topology.num_routers):
-            upstream = self.routers[router_id]
-            for info in topology.ports(router_id):
-                downstream = self.routers[info.neighbor]
-                back_port = topology.port_to(info.neighbor, router_id)
-                if back_port is None:
-                    raise RuntimeError(
-                        f"asymmetric topology: no return port from {info.neighbor} "
-                        f"to {router_id}"
-                    )
-                latency = self._link_latency(info.link_type)
-                link = Link(
-                    engine=self.engine,
-                    latency=latency,
-                    link_type=info.link_type,
-                    deliver=downstream.input_ports[back_port].deliver,
-                    name=(router_id, info.port, info.neighbor, back_port),
-                )
-                output = upstream.output_ports[info.port]
-                output.attach_link(link)
-                channel = CreditChannel(self.engine, latency)
-                # The sink credits the upstream tracker and re-activates the
-                # upstream router only when its recorded allocation blockage
-                # depends on the returned (port, vc) credit.
-                channel.connect(output.credit_return)
-                downstream.input_ports[back_port].credit_channel = channel
+        wiring = self.topology.wiring()
+        for slot, neighbor in enumerate(wiring.neighbor):
+            if neighbor < 0:
+                continue
+            router_id, port = divmod(slot, wiring.ports_per_router)
+            back_port = wiring.back_port[slot]
+            downstream = self.routers[neighbor]
+            link_type = LINK_TYPES[wiring.link_type[slot]]
+            latency = self._link_latency(link_type)
+            link = Link(
+                engine=self.engine,
+                latency=latency,
+                link_type=link_type,
+                deliver=downstream.input_ports[back_port].deliver,
+                name=(router_id, port, neighbor, back_port),
+            )
+            output = self.routers[router_id].output_ports[port]
+            output.attach_link(link)
+            channel = CreditChannel(self.engine, latency)
+            # The sink credits the upstream tracker and re-activates the
+            # upstream router only when its recorded allocation blockage
+            # depends on the returned (port, vc) credit.
+            channel.connect(output.credit_return)
+            downstream.input_ports[back_port].credit_channel = channel
 
     def _attach_saturation_boards(self) -> None:
         """Give every router group a shared saturation board (Piggyback only).

@@ -5,7 +5,7 @@ Flattened Butterfly, HyperX, Megafly) with :data:`TOPOLOGIES`; third-party
 code adds its own with :func:`register_topology`.
 """
 
-from .base import PortInfo, Topology
+from .base import PortInfo, Topology, Wiring
 from .dragonfly import Dragonfly, DragonflyParams
 from .flattened_butterfly import FlattenedButterfly2D, FlattenedButterflyParams
 from .graph_utils import (
@@ -22,6 +22,7 @@ from .registry import TOPOLOGIES, TopologyRegistry, TopologySpec, register_topol
 __all__ = [
     "Topology",
     "PortInfo",
+    "Wiring",
     "Dragonfly",
     "DragonflyParams",
     "FlattenedButterfly2D",

@@ -5,9 +5,13 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from ..core.link_types import HopSequence, LinkType, hop_counts
+
+#: :class:`LinkType` members indexed by their stored byte value (the enum
+#: constructor is a Python-level ``__new__`` call; a tuple index is not).
+LINK_TYPES = (LinkType.LOCAL, LinkType.GLOBAL)
 
 
 @dataclass(frozen=True)
@@ -19,20 +23,136 @@ class PortInfo:
     link_type: LinkType
 
 
+@dataclass(frozen=True)
+class Wiring:
+    """Every link of a topology as flat per-``(router, port)`` arrays.
+
+    Entry ``router * ports_per_router + port`` describes the directed link
+    leaving ``router`` through ``port``: the router at its far end (-1 = no
+    link), its :class:`LinkType` value, the neighbor's port facing back, and
+    its index among the router's GLOBAL ports (-1 = not a GLOBAL port).
+    :meth:`Topology.wiring` builds it once per instance from
+    :meth:`Topology.ports`.
+    """
+
+    num_routers: int
+    ports_per_router: int
+    neighbor: array
+    link_type: bytes
+    back_port: array
+    global_index: array
+
+    @classmethod
+    def of(cls, topology: "Topology") -> "Wiring":
+        """Read ``topology.ports()`` once per router; raise ``ValueError``
+        unless every link has a return link of the same type."""
+        n = topology.num_routers
+        rows = [
+            [(info.port, info.neighbor, info.link_type) for info in topology.ports(router)]
+            for router in range(n)
+        ]
+        per = max((port + 1 for row in rows for port, _, _ in row), default=0)
+        neighbor = array("i", [-1]) * (n * per)
+        link_type = bytearray(n * per)
+        global_index = array("i", [-1]) * (n * per)
+        for router, row in enumerate(rows):
+            base = router * per
+            count = 0
+            for port, other, kind in row:
+                neighbor[base + port] = other
+                link_type[base + port] = kind
+                if kind == LinkType.GLOBAL:
+                    global_index[base + port] = count
+                    count += 1
+        # The ports between an ordered router pair are matched index by
+        # index in ascending port order, which pairs parallel links
+        # deterministically.
+        back_port = array("i", [-1]) * (n * per)
+        for router in range(n):
+            base = router * per
+            matched: Dict[int, int] = {}
+            for port in range(per):
+                other = neighbor[base + port]
+                if other < 0:
+                    continue
+                other_base = other * per
+                try:
+                    back = neighbor.index(
+                        router, other_base + matched.get(other, -1) + 1,
+                        other_base + per,
+                    ) - other_base
+                except ValueError:
+                    raise ValueError(
+                        f"asymmetric topology: no return port from {other} "
+                        f"to {router}"
+                    ) from None
+                if link_type[other_base + back] != link_type[base + port]:
+                    raise ValueError(
+                        f"asymmetric topology: link {router}:{port} and its "
+                        f"return link {other}:{back} differ in type"
+                    )
+                matched[other] = back
+                back_port[base + port] = back
+        return cls(n, per, neighbor, bytes(link_type), back_port, global_index)
+
+    def bfs(
+        self,
+        root: int,
+        dead_links: AbstractSet[Tuple[int, int]] = frozenset(),
+        dead_routers: AbstractSet[int] = frozenset(),
+    ) -> Tuple[array, array]:
+        """Breadth-first search towards ``root`` over the live links.
+
+        Returns ``(dist, toward)``: every router's hop distance to ``root``
+        (-1 = unreachable) and the port it leaves on along a shortest path
+        there (-1 at ``root`` and at unreachable routers).  Routers in
+        ``dead_routers`` are never entered, nor is a directed ``(router,
+        port)`` link in ``dead_links`` taken.  Levels are expanded in order
+        and each router's ports in ascending order, so ties always break
+        the same way.
+        """
+        per = self.ports_per_router
+        neighbor = self.neighbor
+        back_port = self.back_port
+        dist = array("i", [-1]) * self.num_routers
+        toward = array("i", [-1]) * self.num_routers
+        dist[root] = 0
+        frontier = [root]
+        while frontier:
+            nxt: List[int] = []
+            for u in frontier:
+                base = u * per
+                for q in range(per):
+                    w = neighbor[base + q]
+                    if w < 0 or dist[w] >= 0 or w in dead_routers:
+                        continue
+                    qw = back_port[base + q]
+                    # w reaches u over its port qw.
+                    if (w, qw) in dead_links:
+                        continue
+                    dist[w] = dist[u] + 1
+                    toward[w] = qw
+                    nxt.append(w)
+            frontier = nxt
+        return dist, toward
+
+
 class Topology(ABC):
     """Abstract direct-network topology.
 
-    A topology knows its routers, the nodes attached to each router, the
-    router-to-router links (with their :class:`LinkType`), and how to compute
-    minimal next hops and minimal hop-type sequences — everything routing
-    algorithms and VC policies need.
+    A topology states what only it knows: its sizes, the network ports of
+    each router (:meth:`ports`), its one minimal-routing rule
+    (:meth:`min_next_ports_to`) and the routing shape below.  Everything
+    else — neighbors, link types, back ports, global-port indices, groups —
+    is derived from those by the base class (see :class:`Wiring`), and
+    per-pair route questions are answered by
+    :class:`~repro.routing.route_table.RouteTable`.
 
     Router network ports are numbered ``0 .. radix-1`` per router; injection
     and ejection are handled by the router model, not by the topology.
 
-    Beyond connectivity, a topology *declares* the routing-relevant shape the
-    rest of the stack consumes generically (no implementation may special-case
-    a topology by name or type):
+    The declared routing shape the rest of the stack consumes generically
+    (no implementation may special-case a topology by name or type):
 
     * :attr:`canonical_minimal_sequence` — the worst-case minimal hop-type
       sequence between node-attached routers, from which reference paths and
@@ -73,11 +193,6 @@ class Topology(ABC):
     def diameter(self) -> int:
         """Maximum minimal path length, in router-to-router hops."""
 
-    @property
-    @abstractmethod
-    def has_link_type_restrictions(self) -> bool:
-        """True when links are typed and traversed in a fixed order (Dragonfly)."""
-
     # -- declared routing shape -------------------------------------------------
     @property
     @abstractmethod
@@ -87,6 +202,11 @@ class Topology(ABC):
         E.g. ``(L, G, L)`` for a Dragonfly, ``(L, G)`` for a 2D Flattened
         Butterfly, ``(L,) * diameter`` for untyped networks.
         """
+
+    @property
+    def has_link_type_restrictions(self) -> bool:
+        """True when minimal paths cross typed links in a fixed order."""
+        return LinkType.GLOBAL in self.canonical_minimal_sequence
 
     @property
     def worst_escape_sequence(self) -> HopSequence:
@@ -130,26 +250,64 @@ class Topology(ABC):
         """True when every router carries ``nodes_per_router`` contiguous nodes."""
         return True
 
-    # -- connectivity -----------------------------------------------------------
+    # -- what a topology implements ------------------------------------------------
     @abstractmethod
     def ports(self, router: int) -> Sequence[PortInfo]:
         """All network ports of ``router``."""
 
     @abstractmethod
-    def port_to(self, router: int, neighbor: int) -> Optional[int]:
-        """Port of ``router`` directly connected to ``neighbor`` (None if not adjacent)."""
+    def min_next_ports_to(self, dst_router: int) -> Sequence[int]:
+        """First minimal-hop port towards ``dst_router`` for *every* source.
 
-    @abstractmethod
-    def link_type(self, router: int, port: int) -> LinkType:
-        """Link type of network port ``port`` of ``router``."""
+        Returns a dense length-``num_routers`` integer sequence with ``-1``
+        at ``dst_router`` itself (no hop needed).  This is the topology's one
+        minimal-routing rule: route columns are filled by following it, and
+        for topologies with link-type restrictions it must respect the
+        canonical traversal order (e.g. l-g-l in a Dragonfly).
+        """
 
-    @abstractmethod
+    # -- links (reads of the one Wiring) ----------------------------------------------
+    def wiring(self) -> Wiring:
+        """The links of :meth:`ports` as flat arrays (built on first use)."""
+        wiring = self.__dict__.get("_wiring")
+        if wiring is None:
+            wiring = self.__dict__["_wiring"] = Wiring.of(self)
+        return wiring
+
+    def _slot(self, router: int, port: int) -> int:
+        """Flat :class:`Wiring` index of the link at ``(router, port)``."""
+        self._check_router(router)
+        wiring = self.wiring()
+        slot = router * wiring.ports_per_router + port
+        if not 0 <= port < wiring.ports_per_router or wiring.neighbor[slot] < 0:
+            raise ValueError(f"port {port} of router {router} has no link")
+        return slot
+
     def neighbor(self, router: int, port: int) -> int:
         """Router at the far end of ``port``."""
+        return self.wiring().neighbor[self._slot(router, port)]
 
-    def neighbors(self, router: int) -> Iterator[int]:
-        for info in self.ports(router):
-            yield info.neighbor
+    def link_type(self, router: int, port: int) -> LinkType:
+        """Link type of network port ``port`` of ``router``."""
+        return LINK_TYPES[self.wiring().link_type[self._slot(router, port)]]
+
+    def back_port(self, router: int, port: int) -> int:
+        """Port of :meth:`neighbor` whose link leads back to ``router``."""
+        return self.wiring().back_port[self._slot(router, port)]
+
+    def num_global_ports(self, router: int) -> int:
+        """Number of wired GLOBAL ports of ``router``."""
+        self._check_router(router)
+        wiring = self.wiring()
+        per = wiring.ports_per_router
+        return max(wiring.global_index[router * per:(router + 1) * per], default=-1) + 1
+
+    def global_port_index(self, router: int, port: int) -> int:
+        """Index of GLOBAL port ``port`` among the router's global ports."""
+        index = self.wiring().global_index[self._slot(router, port)]
+        if index < 0:
+            raise ValueError(f"port {port} of router {router} is not a global port")
+        return index
 
     # -- groups (LOCAL-connected router sets) -------------------------------------
     def router_groups(self) -> List[List[int]]:
@@ -157,16 +315,11 @@ class Topology(ABC):
 
         For a Dragonfly these are its groups, for a HyperX/Flattened
         Butterfly the dimension-0 rows, for a Megafly the leaf+spine groups.
-        Subclasses may override with a closed form; the default computes the
-        components by traversal (cached).
+        Computed once by traversal and cached.
         """
         cached = self.__dict__.get("_router_groups")
-        if cached is None:
-            cached = self._compute_router_groups()
-            self.__dict__["_router_groups"] = cached
-        return cached
-
-    def _compute_router_groups(self) -> List[List[int]]:
+        if cached is not None:
+            return cached
         seen = [False] * self.num_routers
         groups: List[List[int]] = []
         for start in range(self.num_routers):
@@ -184,6 +337,7 @@ class Topology(ABC):
                         frontier.append(info.neighbor)
             component.sort()
             groups.append(component)
+        self.__dict__["_router_groups"] = groups
         return groups
 
     def group_slot(self, router: int) -> tuple[int, int]:
@@ -197,105 +351,7 @@ class Topology(ABC):
             self.__dict__["_group_slots"] = slots
         return slots[router]
 
-    # -- global-port indexing (saturation boards) ------------------------------------
-    def _global_port_row(self, router: int) -> dict:
-        """Cached ``port -> global-port index`` mapping of one router.
-
-        Route-table construction asks :meth:`global_port_index` for every
-        GLOBAL hop it propagates, so the per-call O(radix) rescan of
-        ``ports(router)`` is paid once per router here and every later call
-        is a dict lookup.  Closed-form topologies (Dragonfly, Megafly,
-        HyperX) override the public methods and never touch this cache.
-        """
-        rows = self.__dict__.get("_global_port_rows")
-        if rows is None:
-            rows = self.__dict__["_global_port_rows"] = {}
-        row = rows.get(router)
-        if row is None:
-            row = {}
-            for info in self.ports(router):
-                if info.link_type == LinkType.GLOBAL:
-                    row[info.port] = len(row)
-            rows[router] = row
-        return row
-
-    def num_global_ports(self, router: int) -> int:
-        """Number of GLOBAL-typed network ports of ``router``."""
-        return len(self._global_port_row(router))
-
-    def global_port_index(self, router: int, port: int) -> int:
-        """Index of GLOBAL port ``port`` among the router's global ports."""
-        index = self._global_port_row(router).get(port)
-        if index is None:
-            # Out-of-range ports raise the topology's own link_type error,
-            # matching the pre-cache behaviour.
-            self.link_type(router, port)
-            raise ValueError(f"port {port} of router {router} is not a global port")
-        return index
-
-    # -- routing helpers ---------------------------------------------------------
-    @abstractmethod
-    def min_next_port(self, src_router: int, dst_router: int) -> Optional[int]:
-        """First port of a minimal path ``src_router -> dst_router``.
-
-        Returns ``None`` when source and destination are the same router.
-        For topologies with link-type restrictions the returned hop respects
-        the canonical traversal order (e.g. l-g-l in a Dragonfly).
-        """
-
-    def min_next_ports_to(self, dst_router: int) -> Sequence[int]:
-        """First minimal-hop port towards ``dst_router`` for *every* source.
-
-        Returns a dense length-``num_routers`` integer sequence with ``-1``
-        at ``dst_router`` itself (no hop needed).  This is the batch form of
-        :meth:`min_next_port` that per-destination route-column construction
-        consumes; the generic fallback calls :meth:`min_next_port` once per
-        source, and closed-form topologies override it to derive the shared
-        ingredients (gateway router, destination coordinates) once per
-        column instead of once per pair.  Overrides must agree with
-        :meth:`min_next_port` entry for entry (locked by tests).
-        """
-        self._check_router(dst_router)
-        ports = array("i", [-1]) * self.num_routers
-        min_next_port = self.min_next_port
-        for src in range(self.num_routers):
-            if src == dst_router:
-                continue
-            port = min_next_port(src, dst_router)
-            ports[src] = -1 if port is None else port
-        return ports
-
-    def min_hop_sequence(self, src_router: int, dst_router: int) -> HopSequence:
-        """Hop-type sequence of the minimal path ``src_router -> dst_router``.
-
-        The default walks :meth:`min_next_port`; subclasses may override with
-        a closed form.  (The hot path never calls either — it reads the
-        precomputed :class:`~repro.routing.route_table.RouteTable`.)
-        """
-        return self._walk_min_sequence(src_router, dst_router)
-
-    def _walk_min_sequence(self, src_router: int, dst_router: int) -> HopSequence:
-        seq: list[LinkType] = []
-        current = src_router
-        limit = self.num_routers
-        while current != dst_router:
-            port = self.min_next_port(current, dst_router)
-            if port is None or len(seq) > limit:
-                raise RuntimeError(
-                    f"minimal route {src_router}->{dst_router} does not converge"
-                )
-            seq.append(self.link_type(current, port))
-            current = self.neighbor(current, port)
-        return tuple(seq)
-
-    def min_distance(self, src_router: int, dst_router: int) -> int:
-        return len(self.min_hop_sequence(src_router, dst_router))
-
     # -- misc ----------------------------------------------------------------------
-    def link_latency(self, link_type: LinkType, local: int, global_: int) -> int:
-        """Latency of a link of ``link_type`` given per-type latencies."""
-        return local if link_type == LinkType.LOCAL else global_
-
     def describe(self) -> str:
         """Human-readable summary of the configuration."""
         return (

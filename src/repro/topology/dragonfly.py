@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..core.link_types import G, HopSequence, L, LinkType
 from .base import PortInfo, Topology
@@ -90,119 +90,37 @@ class Dragonfly(Topology):
         return 3
 
     @property
-    def has_link_type_restrictions(self) -> bool:
-        return True
-
-    @property
     def canonical_minimal_sequence(self) -> HopSequence:
         # l-g-l: at most one local hop on each side of the single global hop.
         return (L, G, L)
 
-    @property
-    def num_local_ports(self) -> int:
-        return self._local_ports
-
-    # -- coordinates ------------------------------------------------------------
     def group_of(self, router: int) -> int:
         self._check_router(router)
         return router // self.a
 
-    def position_in_group(self, router: int) -> int:
-        self._check_router(router)
-        return router % self.a
-
-    def router_id(self, group: int, position: int) -> int:
-        if not 0 <= group < self.num_groups:
-            raise ValueError(f"group {group} out of range")
-        if not 0 <= position < self.a:
-            raise ValueError(f"position {position} out of range")
-        return group * self.a + position
-
-    # -- port layout --------------------------------------------------------------
-    # ports [0, a-2]          : local ports
+    # -- ports --------------------------------------------------------------------
+    # ports [0, a-2]          : local ports, ordered by target position
     # ports [a-1, a-1+h-1]    : global ports
-    def is_global_port(self, port: int) -> bool:
-        return port >= self._local_ports
-
-    def link_type(self, router: int, port: int) -> LinkType:
-        self._check_port(port)
-        return LinkType.GLOBAL if self.is_global_port(port) else LinkType.LOCAL
-
-    def local_port_to(self, router: int, other_position: int) -> int:
-        """Local port of ``router`` connected to position ``other_position`` of its group."""
-        pos = self.position_in_group(router)
-        if other_position == pos:
-            raise ValueError("a router has no local port to itself")
-        if not 0 <= other_position < self.a:
-            raise ValueError(f"position {other_position} out of range")
-        return other_position if other_position < pos else other_position - 1
-
-    def _local_port_target(self, router: int, port: int) -> int:
-        """Position in the group reached through local ``port`` of ``router``."""
-        pos = self.position_in_group(router)
-        return port if port < pos else port + 1
-
-    # -- global channel arithmetic ---------------------------------------------------
-    def global_channel(self, router: int, global_port: int) -> int:
-        """Group-level global channel index of ``global_port`` of ``router``."""
-        if not 0 <= global_port < self.h:
-            raise ValueError(f"global port {global_port} out of range [0, {self.h})")
-        return self.position_in_group(router) * self.h + global_port
-
-    def global_channel_to_group(self, src_group: int, dst_group: int) -> Optional[int]:
-        """Global channel of ``src_group`` that reaches ``dst_group`` directly.
-
-        Returns ``None`` when the channel that would connect them is not
-        populated (only possible for ``num_groups < a*h + 1``).
-        """
-        if src_group == dst_group:
-            raise ValueError("groups are identical")
-        offset = (dst_group - src_group) % self.num_groups
-        channel = offset - 1
-        if channel >= self.a * self.h:
-            return None
-        # The channel exists in the builder only when its peer group exists,
-        # which is always true because offset < num_groups.
-        return channel
-
-    def channel_owner(self, channel: int) -> tuple[int, int]:
-        """(position, global_port) owning group-level ``channel``."""
-        if not 0 <= channel < self.a * self.h:
-            raise ValueError(f"channel {channel} out of range")
-        return channel // self.h, channel % self.h
-
     def global_peer(self, router: int, global_port: int) -> Optional[int]:
         """Router at the far end of a global port (None when unpopulated)."""
-        group = self.group_of(router)
-        channel = self.global_channel(router, global_port)
-        dst_group = (group + channel + 1) % self.num_groups
+        group, position = divmod(router, self.a)
+        channel = position * self.h + global_port
         if channel + 1 >= self.num_groups:
             # Peer group does not exist in a partially-populated network.
             return None
-        peer_channel = self._peer_channel(channel, dst_group, group)
-        if peer_channel is None:
-            return None
-        peer_pos, _ = self.channel_owner(peer_channel)
-        return self.router_id(dst_group, peer_pos)
+        dst_group = (group + channel + 1) % self.num_groups
+        peer_channel = (group - dst_group) % self.num_groups - 1
+        return dst_group * self.a + peer_channel // self.h
 
-    def _peer_channel(self, channel: int, dst_group: int, src_group: int) -> Optional[int]:
-        offset_back = (src_group - dst_group) % self.num_groups
-        peer_channel = offset_back - 1
-        if peer_channel >= self.a * self.h:
-            return None
-        return peer_channel
-
-    # -- Topology interface ------------------------------------------------------------
     def ports(self, router: int) -> Sequence[PortInfo]:
         self._check_router(router)
-        infos: list[PortInfo] = []
-        group = self.group_of(router)
-        for port in range(self._local_ports):
-            target_pos = self._local_port_target(router, port)
-            infos.append(
-                PortInfo(port=port, neighbor=self.router_id(group, target_pos),
-                         link_type=LinkType.LOCAL)
-            )
+        position = router % self.a
+        base = router - position
+        infos = [
+            PortInfo(port=port, neighbor=base + (port if port < position else port + 1),
+                     link_type=LinkType.LOCAL)
+            for port in range(self._local_ports)
+        ]
         for k in range(self.h):
             peer = self.global_peer(router, k)
             if peer is not None:
@@ -212,73 +130,22 @@ class Dragonfly(Topology):
                 )
         return infos
 
-    def neighbor(self, router: int, port: int) -> int:
-        self._check_router(router)
-        self._check_port(port)
-        group = self.group_of(router)
-        if port < self._local_ports:
-            return self.router_id(group, self._local_port_target(router, port))
-        peer = self.global_peer(router, port - self._local_ports)
-        if peer is None:
-            raise ValueError(f"global port {port} of router {router} is unpopulated")
-        return peer
-
-    def port_to(self, router: int, neighbor: int) -> Optional[int]:
-        self._check_router(router)
-        self._check_router(neighbor)
-        if router == neighbor:
-            return None
-        g_r, g_n = self.group_of(router), self.group_of(neighbor)
-        if g_r == g_n:
-            return self.local_port_to(router, self.position_in_group(neighbor))
-        channel = self.global_channel_to_group(g_r, g_n)
-        if channel is None:
-            return None
-        pos, gport = self.channel_owner(channel)
-        if pos != self.position_in_group(router):
-            return None
-        if self.global_peer(router, gport) != neighbor:
-            return None
-        return self._local_ports + gport
-
     # -- minimal routing ------------------------------------------------------------
     def gateway_router(self, src_group: int, dst_group: int) -> tuple[int, int]:
-        """(router, global_port) in ``src_group`` owning the link to ``dst_group``."""
-        channel = self.global_channel_to_group(src_group, dst_group)
-        if channel is None:
-            raise ValueError(
-                f"groups {src_group} and {dst_group} are not directly connected "
-                "(partially-populated Dragonfly)"
-            )
-        pos, gport = self.channel_owner(channel)
-        return self.router_id(src_group, pos), gport
+        """(router, global_port) in ``src_group`` owning the link to ``dst_group``.
 
-    def entry_router(self, src_group: int, dst_group: int) -> int:
-        """Router of ``dst_group`` where minimal traffic from ``src_group`` lands."""
-        gw, gport = self.gateway_router(src_group, dst_group)
-        peer = self.global_peer(gw, gport)
-        assert peer is not None
-        return peer
-
-    def min_next_port(self, src_router: int, dst_router: int) -> Optional[int]:
-        self._check_router(src_router)
-        self._check_router(dst_router)
-        if src_router == dst_router:
-            return None
-        sg, dg = self.group_of(src_router), self.group_of(dst_router)
-        if sg == dg:
-            return self.local_port_to(src_router, self.position_in_group(dst_router))
-        gw, gport = self.gateway_router(sg, dg)
-        if gw == src_router:
-            return self._local_ports + gport
-        return self.local_port_to(src_router, self.position_in_group(gw))
+        Every pair of groups is directly connected: a group has ``a*h``
+        channels and at most ``a*h`` other groups.
+        """
+        channel = (dst_group - src_group) % self.num_groups - 1
+        return src_group * self.a + channel // self.h, channel % self.h
 
     def min_next_ports_to(self, dst_router: int) -> Sequence[int]:
-        """Closed-form batch of :meth:`min_next_port` for one destination.
+        """l-g-l minimal routing: local hop to the destination group's
+        gateway router, its global port, local hop to the destination.
 
-        Derives the destination's gateway router once per *group* (instead
-        of once per source router), then fills each group's sources with
-        pure local-port arithmetic — O(n) cheap integer work per column.
+        The gateway is derived once per *group*, then each group's sources
+        are filled with pure local-port arithmetic.
         """
         self._check_router(dst_router)
         a = self.a
@@ -288,7 +155,7 @@ class Dragonfly(Topology):
         for group in range(self.num_groups):
             base = group * a
             if group == dst_group:
-                # local_port_to(src, dst_pos) for every other position.
+                # The local port to dst_pos from every other position.
                 for pos in range(a):
                     if pos != dst_pos:
                         ports[base + pos] = (
@@ -304,39 +171,6 @@ class Dragonfly(Topology):
             ports[gateway] = local_ports + gport
         return ports
 
-    def min_hop_sequence(self, src_router: int, dst_router: int) -> HopSequence:
-        self._check_router(src_router)
-        self._check_router(dst_router)
-        if src_router == dst_router:
-            return ()
-        sg, dg = self.group_of(src_router), self.group_of(dst_router)
-        if sg == dg:
-            return (LinkType.LOCAL,)
-        gw, _ = self.gateway_router(sg, dg)
-        entry = self.entry_router(sg, dg)
-        seq: list[LinkType] = []
-        if gw != src_router:
-            seq.append(LinkType.LOCAL)
-        seq.append(LinkType.GLOBAL)
-        if entry != dst_router:
-            seq.append(LinkType.LOCAL)
-        return tuple(seq)
-
-    # -- groups / saturation ------------------------------------------------------------
-    def _compute_router_groups(self) -> List[List[int]]:
-        return [
-            list(range(group * self.a, (group + 1) * self.a))
-            for group in range(self.num_groups)
-        ]
-
-    def num_global_ports(self, router: int) -> int:
-        return self.h
-
-    def global_port_index(self, router: int, port: int) -> int:
-        if not self.is_global_port(port):
-            raise ValueError(f"port {port} of router {router} is not a global port")
-        return port - self._local_ports
-
     # -- misc -------------------------------------------------------------------------
     def describe(self) -> str:
         """Human-readable summary of the configuration."""
@@ -344,10 +178,6 @@ class Dragonfly(Topology):
             f"Dragonfly(h={self.h}, p={self.p}, a={self.a}, groups={self.num_groups}): "
             f"{self.num_routers} routers, {self.num_nodes} nodes, radix {self.radix}"
         )
-
-    def _check_port(self, port: int) -> None:
-        if not 0 <= port < self.radix:
-            raise ValueError(f"port {port} out of range [0, {self.radix})")
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +192,6 @@ class DragonflyParams:
     p: Optional[int] = None
     a: Optional[int] = None
     num_groups: Optional[int] = None
-
-    def validate(self) -> None:
-        if self.h < 1:
-            raise ValueError("Dragonfly h must be >= 1")
-        if self.p is not None and self.p < 1:
-            raise ValueError("Dragonfly p must be >= 1")
-        if self.a is not None and self.a < 2:
-            raise ValueError("Dragonfly a must be >= 2")
 
 
 @register_topology(

@@ -71,12 +71,6 @@ class FlattenedButterflyParams:
     k2: int = 4
     nodes_per_router: int = 2
 
-    def validate(self) -> None:
-        if self.k1 < 2 or self.k2 < 1:
-            raise ValueError("Flattened Butterfly needs k1 >= 2 and k2 >= 1")
-        if self.nodes_per_router < 1:
-            raise ValueError("nodes_per_router must be >= 1")
-
 
 @register_topology(
     "flattened_butterfly",

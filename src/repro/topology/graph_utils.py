@@ -1,28 +1,22 @@
 """Graph-level utilities built on top of :class:`repro.topology.base.Topology`.
 
 These helpers are primarily used by tests and examples to validate topology
-constructions (connectivity, diameter, degree regularity) by pure-Python BFS.
+constructions (connectivity, diameter, degree regularity) through the
+wiring's breadth-first search.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, Optional
 
 from .base import Topology
 
 
 def bfs_distances(topology: Topology, source: int) -> Dict[int, int]:
-    """Hop distances from ``source`` to every reachable router (plain BFS)."""
-    dist = {source: 0}
-    frontier = deque([source])
-    while frontier:
-        current = frontier.popleft()
-        for info in topology.ports(current):
-            if info.neighbor not in dist:
-                dist[info.neighbor] = dist[current] + 1
-                frontier.append(info.neighbor)
-    return dist
+    """Hop distances from ``source`` to every reachable router (the wiring
+    is symmetric, so distances towards ``source`` are distances from it)."""
+    dist, _ = topology.wiring().bfs(source)
+    return {router: d for router, d in enumerate(dist) if d >= 0}
 
 
 def is_connected(topology: Topology) -> bool:
@@ -61,12 +55,10 @@ def degree_histogram(topology: Topology) -> Dict[int, int]:
 
 
 def verify_bidirectional(topology: Topology) -> bool:
-    """Check that every link is matched by a reverse link of the same type."""
-    for router in range(topology.num_routers):
-        for info in topology.ports(router):
-            back = topology.port_to(info.neighbor, router)
-            if back is None:
-                return False
-            if topology.link_type(info.neighbor, back) != info.link_type:
-                return False
+    """Check that every link is matched by a reverse link of the same type
+    (building the :class:`~repro.topology.base.Wiring` checks exactly that)."""
+    try:
+        topology.wiring()
+    except ValueError:
+        return False
     return True

@@ -89,12 +89,6 @@ class HyperX(Topology):
         return sum(1 for s in self.dims if s > 1)
 
     @property
-    def has_link_type_restrictions(self) -> bool:
-        # Under DOR the dimensions are traversed in a fixed order; with a
-        # single populated dimension there is nothing to order.
-        return any(s > 1 for s in self.dims[1:])
-
-    @property
     def canonical_minimal_sequence(self) -> HopSequence:
         return (L,) + (G,) * sum(1 for s in self.dims[1:] if s > 1)
 
@@ -115,26 +109,7 @@ class HyperX(Topology):
             router += x * self._strides[d]
         return router
 
-    def _port_dim(self, port: int) -> int:
-        """Dimension a port belongs to."""
-        self._check_port(port)
-        for d in range(len(self.dims) - 1, -1, -1):
-            if port >= self._port_base[d]:
-                return d
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _port_target(self, own: int, rel: int) -> int:
-        """Target coordinate of the ``rel``-th port of a dimension."""
-        return rel if rel < own else rel + 1
-
-    def _port_for(self, d: int, own: int, target: int) -> int:
-        """Port reaching coordinate ``target`` of dimension ``d``."""
-        return self._port_base[d] + (target if target < own else target - 1)
-
-    # -- Topology interface ------------------------------------------------------
-    def link_type(self, router: int, port: int) -> LinkType:
-        return LinkType.LOCAL if self._port_dim(port) == 0 else LinkType.GLOBAL
-
+    # -- ports --------------------------------------------------------------------
     def ports(self, router: int) -> Sequence[PortInfo]:
         coords = self.coords(router)
         infos: List[PortInfo] = []
@@ -143,7 +118,7 @@ class HyperX(Topology):
             stride = self._strides[d]
             link_type = LinkType.LOCAL if d == 0 else LinkType.GLOBAL
             for rel in range(s - 1):
-                target = self._port_target(own, rel)
+                target = rel if rel < own else rel + 1
                 infos.append(
                     PortInfo(
                         port=self._port_base[d] + rel,
@@ -153,37 +128,9 @@ class HyperX(Topology):
                 )
         return infos
 
-    def neighbor(self, router: int, port: int) -> int:
-        coords = self.coords(router)
-        d = self._port_dim(port)
-        own = coords[d]
-        target = self._port_target(own, port - self._port_base[d])
-        return router + (target - own) * self._strides[d]
-
-    def port_to(self, router: int, neighbor: int) -> Optional[int]:
-        if router == neighbor:
-            return None
-        a, b = self.coords(router), self.coords(neighbor)
-        differing = [d for d in range(len(self.dims)) if a[d] != b[d]]
-        if len(differing) != 1:
-            return None
-        d = differing[0]
-        return self._port_for(d, a[d], b[d])
-
     # -- minimal (DOR) routing ----------------------------------------------------
-    def min_next_port(self, src_router: int, dst_router: int) -> Optional[int]:
-        if src_router == dst_router:
-            self._check_router(src_router)
-            self._check_router(dst_router)
-            return None
-        src, dst = self.coords(src_router), self.coords(dst_router)
-        for d in range(len(self.dims)):
-            if src[d] != dst[d]:
-                return self._port_for(d, src[d], dst[d])
-        raise AssertionError("unreachable")  # pragma: no cover
-
     def min_next_ports_to(self, dst_router: int) -> Sequence[int]:
-        """Closed-form batch of :meth:`min_next_port` for one destination.
+        """Dimension-order routing: correct the first differing dimension.
 
         Walks the router ids in order while maintaining their mixed-radix
         coordinates incrementally (dimension 0 fastest), so each source costs
@@ -213,32 +160,6 @@ class HyperX(Topology):
                 coords[d] = 0
         return ports
 
-    def min_hop_sequence(self, src_router: int, dst_router: int) -> HopSequence:
-        src, dst = self.coords(src_router), self.coords(dst_router)
-        return tuple(
-            L if d == 0 else G
-            for d in range(len(self.dims))
-            if src[d] != dst[d]
-        )
-
-    # -- groups / saturation --------------------------------------------------------
-    def _compute_router_groups(self) -> List[List[int]]:
-        # Dimension-0 rows; with dimension 0 fastest these are contiguous.
-        s0 = self.dims[0]
-        return [
-            list(range(base, base + s0))
-            for base in range(0, self.num_routers, s0)
-        ]
-
-    def num_global_ports(self, router: int) -> int:
-        return self._radix - (self.dims[0] - 1)
-
-    def global_port_index(self, router: int, port: int) -> int:
-        if port < self.dims[0] - 1:
-            raise ValueError(f"port {port} of router {router} is not a global port")
-        self._check_port(port)
-        return port - (self.dims[0] - 1)
-
     # -- misc -------------------------------------------------------------------------
     def describe(self) -> str:
         dims = "x".join(str(s) for s in self.dims)
@@ -246,10 +167,6 @@ class HyperX(Topology):
             f"HyperX(S={dims}, p={self.p}): {self.num_routers} routers, "
             f"{self.num_nodes} nodes, radix {self.radix}"
         )
-
-    def _check_port(self, port: int) -> None:
-        if not 0 <= port < self.radix:
-            raise ValueError(f"port {port} out of range [0, {self.radix})")
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +200,6 @@ class HyperXParams:
         if not isinstance(self.s, int) and self.l is not None \
                 and self.l != len(tuple(self.s)):
             raise ValueError("HyperX L does not match the length of S")
-        dims = self.dims()
-        if not dims or dims[0] < 2 or any(x < 1 for x in dims):
-            raise ValueError(f"invalid HyperX dimension sizes {dims}")
-        if self.nodes_per_router < 1:
-            raise ValueError("nodes_per_router must be >= 1")
 
 
 @register_topology(

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..core.link_types import G, HopSequence, L, LinkType
 from .base import PortInfo, Topology
@@ -103,10 +103,6 @@ class Megafly(Topology):
         return 5
 
     @property
-    def has_link_type_restrictions(self) -> bool:
-        return True
-
-    @property
     def canonical_minimal_sequence(self) -> HopSequence:
         # leaf - spine - global - spine - leaf; the intra-group leaf-spine-leaf
         # path is covered by the same (2 local, 1 global) envelope.
@@ -136,33 +132,9 @@ class Megafly(Topology):
         self._check_router(router)
         return router // self._group_size
 
-    def position_in_group(self, router: int) -> int:
-        self._check_router(router)
-        return router % self._group_size
-
     def is_spine(self, router: int) -> bool:
-        return self.position_in_group(router) >= self.leaves
-
-    def spine_position(self, router: int) -> int:
-        """Index of a spine router within its group's spine level."""
-        position = self.position_in_group(router)
-        if position < self.leaves:
-            raise ValueError(f"router {router} is a leaf, not a spine")
-        return position - self.leaves
-
-    def leaf_id(self, group: int, leaf: int) -> int:
-        if not 0 <= group < self.num_groups:
-            raise ValueError(f"group {group} out of range")
-        if not 0 <= leaf < self.leaves:
-            raise ValueError(f"leaf {leaf} out of range")
-        return group * self._group_size + leaf
-
-    def spine_id(self, group: int, spine: int) -> int:
-        if not 0 <= group < self.num_groups:
-            raise ValueError(f"group {group} out of range")
-        if not 0 <= spine < self.spines:
-            raise ValueError(f"spine {spine} out of range")
-        return group * self._group_size + self.leaves + spine
+        self._check_router(router)
+        return router % self._group_size >= self.leaves
 
     # -- node mapping -------------------------------------------------------------
     @property
@@ -183,158 +155,60 @@ class Megafly(Topology):
         first = group * self._nodes_per_group + position * self.p
         return range(first, first + self.p)
 
-    # -- global channel arithmetic ---------------------------------------------------
-    def global_channel_to_group(self, src_group: int, dst_group: int) -> Optional[int]:
-        """Global channel of ``src_group`` that reaches ``dst_group`` directly."""
-        if src_group == dst_group:
-            raise ValueError("groups are identical")
-        channel = (dst_group - src_group) % self.num_groups - 1
-        if channel >= self.spines * self.h:
-            return None
-        return channel
-
+    # -- ports --------------------------------------------------------------------
+    # Leaf ports:  [0, spines)            LOCAL up-links, one per spine.
+    # Spine ports: [0, leaves)            LOCAL down-links, one per leaf;
+    #              [leaves, leaves + h)   GLOBAL links.
     def gateway_spine(self, src_group: int, dst_group: int) -> Tuple[int, int]:
-        """(router, global_port_index) in ``src_group`` owning the link to ``dst_group``."""
-        channel = self.global_channel_to_group(src_group, dst_group)
-        if channel is None:
-            raise ValueError(
-                f"groups {src_group} and {dst_group} are not directly connected "
-                "(partially-populated Megafly)"
-            )
-        return self.spine_id(src_group, channel // self.h), channel % self.h
+        """(router, global_port_index) in ``src_group`` owning the link to
+        ``dst_group`` (every pair of groups is directly connected)."""
+        channel = (dst_group - src_group) % self.num_groups - 1
+        return (src_group * self._group_size + self.leaves + channel // self.h,
+                channel % self.h)
 
     def global_peer(self, router: int, global_port: int) -> Optional[int]:
         """Spine at the far end of a global port (None when unpopulated)."""
-        if not 0 <= global_port < self.h:
-            raise ValueError(f"global port {global_port} out of range [0, {self.h})")
-        group = self.group_of(router)
-        channel = self.spine_position(router) * self.h + global_port
+        group, position = divmod(router, self._group_size)
+        channel = (position - self.leaves) * self.h + global_port
         if channel + 1 >= self.num_groups:
             return None  # peer group does not exist (partially populated)
         dst_group = (group + channel + 1) % self.num_groups
         peer_channel = (group - dst_group) % self.num_groups - 1
-        if peer_channel >= self.spines * self.h:
-            return None
-        return self.spine_id(dst_group, peer_channel // self.h)
-
-    # -- Topology interface ------------------------------------------------------------
-    # Leaf ports:  [0, spines)            LOCAL up-links, one per spine.
-    # Spine ports: [0, leaves)            LOCAL down-links, one per leaf;
-    #              [leaves, leaves + h)   GLOBAL links.
-    def link_type(self, router: int, port: int) -> LinkType:
-        if self.is_spine(router):
-            if not 0 <= port < self.leaves + self.h:
-                raise ValueError(f"port {port} out of range for spine {router}")
-            return LinkType.LOCAL if port < self.leaves else LinkType.GLOBAL
-        if not 0 <= port < self.spines:
-            raise ValueError(f"port {port} out of range for leaf {router}")
-        return LinkType.LOCAL
+        return dst_group * self._group_size + self.leaves + peer_channel // self.h
 
     def ports(self, router: int) -> Sequence[PortInfo]:
         self._check_router(router)
-        group = self.group_of(router)
-        infos: List[PortInfo] = []
-        if self.is_spine(router):
-            for leaf in range(self.leaves):
+        base = router - router % self._group_size
+        if not self.is_spine(router):
+            return [
+                PortInfo(port=spine, neighbor=base + self.leaves + spine,
+                         link_type=LinkType.LOCAL)
+                for spine in range(self.spines)
+            ]
+        infos = [
+            PortInfo(port=leaf, neighbor=base + leaf, link_type=LinkType.LOCAL)
+            for leaf in range(self.leaves)
+        ]
+        for k in range(self.h):
+            peer = self.global_peer(router, k)
+            if peer is not None:
                 infos.append(
-                    PortInfo(port=leaf, neighbor=self.leaf_id(group, leaf),
-                             link_type=LinkType.LOCAL)
-                )
-            for k in range(self.h):
-                peer = self.global_peer(router, k)
-                if peer is not None:
-                    infos.append(
-                        PortInfo(port=self.leaves + k, neighbor=peer,
-                                 link_type=LinkType.GLOBAL)
-                    )
-        else:
-            for spine in range(self.spines):
-                infos.append(
-                    PortInfo(port=spine, neighbor=self.spine_id(group, spine),
-                             link_type=LinkType.LOCAL)
+                    PortInfo(port=self.leaves + k, neighbor=peer,
+                             link_type=LinkType.GLOBAL)
                 )
         return infos
 
-    def neighbor(self, router: int, port: int) -> int:
-        group = self.group_of(router)
-        if self.is_spine(router):
-            if 0 <= port < self.leaves:
-                return self.leaf_id(group, port)
-            if self.leaves <= port < self.leaves + self.h:
-                peer = self.global_peer(router, port - self.leaves)
-                if peer is None:
-                    raise ValueError(
-                        f"global port {port} of spine {router} is unpopulated"
-                    )
-                return peer
-            raise ValueError(f"port {port} out of range for spine {router}")
-        if not 0 <= port < self.spines:
-            raise ValueError(f"port {port} out of range for leaf {router}")
-        return self.spine_id(group, port)
-
-    def port_to(self, router: int, neighbor: int) -> Optional[int]:
-        self._check_router(router)
-        self._check_router(neighbor)
-        if router == neighbor:
-            return None
-        g_r, g_n = self.group_of(router), self.group_of(neighbor)
-        if g_r == g_n:
-            if self.is_spine(router) == self.is_spine(neighbor):
-                return None  # same level: not adjacent
-            if self.is_spine(router):
-                return self.position_in_group(neighbor)
-            return self.spine_position(neighbor)
-        if not (self.is_spine(router) and self.is_spine(neighbor)):
-            return None
-        channel = self.global_channel_to_group(g_r, g_n)
-        if channel is None:
-            return None
-        if self.spine_id(g_r, channel // self.h) != router:
-            return None
-        gport = channel % self.h
-        if self.global_peer(router, gport) != neighbor:
-            return None
-        return self.leaves + gport
-
     # -- minimal routing ------------------------------------------------------------
-    def _up_spine(self, src_pos: int, dst_pos: int, count: int) -> int:
-        """Deterministic spread of intra-level transit choices."""
-        return (src_pos + dst_pos) % count
-
-    def min_next_port(self, src_router: int, dst_router: int) -> Optional[int]:
-        self._check_router(src_router)
-        self._check_router(dst_router)
-        if src_router == dst_router:
-            return None
-        sg, dg = self.group_of(src_router), self.group_of(dst_router)
-        src_pos = self.position_in_group(src_router)
-        dst_pos = self.position_in_group(dst_router)
-        if sg == dg:
-            if self.is_spine(src_router) != self.is_spine(dst_router):
-                # Directly adjacent levels.
-                return self.port_to(src_router, dst_router)
-            if self.is_spine(src_router):
-                # spine -> spine: descend through a deterministic leaf.
-                return self._up_spine(src_pos - self.leaves,
-                                      dst_pos - self.leaves, self.leaves)
-            # leaf -> leaf: ascend through a deterministic spine.
-            return self._up_spine(src_pos, dst_pos, self.spines)
-        gateway, gport = self.gateway_spine(sg, dg)
-        if src_router == gateway:
-            return self.leaves + gport
-        if self.is_spine(src_router):
-            # Descend to a deterministic leaf, which will ascend to the gateway.
-            return self._up_spine(self.spine_position(src_router),
-                                  self.spine_position(gateway), self.leaves)
-        # Leaf: ascend straight to the gateway spine.
-        return self.spine_position(gateway)
-
     def min_next_ports_to(self, dst_router: int) -> Sequence[int]:
-        """Closed-form batch of :meth:`min_next_port` for one destination.
+        """Minimal routing through the fat-tree groups.
 
-        Derives the destination's gateway spine once per *group* (instead of
-        once per source router), then fills leaves and spines with the
-        deterministic :meth:`_up_spine` spread arithmetic.
+        Towards another group a leaf ascends straight to the gateway spine
+        and a non-gateway spine descends to a deterministic leaf; inside the
+        destination group adjacent levels hop directly and same-level
+        routers transit a deterministic router of the other level.  The
+        deterministic choice spreads transit as ``(src + dst) % count`` over
+        the two routers' positions within their level.  The gateway spine
+        is derived once per *group*.
         """
         self._check_router(dst_router)
         gs = self._group_size
@@ -369,24 +243,6 @@ class Megafly(Topology):
             ports[gateway] = leaves + gport
         return ports
 
-    # min_hop_sequence: inherited walk over min_next_port (the hot path reads
-    # the precomputed RouteTable instead).
-
-    # -- groups / saturation ------------------------------------------------------------
-    def _compute_router_groups(self) -> List[List[int]]:
-        return [
-            list(range(group * self._group_size, (group + 1) * self._group_size))
-            for group in range(self.num_groups)
-        ]
-
-    def num_global_ports(self, router: int) -> int:
-        return self.h if self.is_spine(router) else 0
-
-    def global_port_index(self, router: int, port: int) -> int:
-        if not self.is_spine(router) or not self.leaves <= port < self.leaves + self.h:
-            raise ValueError(f"port {port} of router {router} is not a global port")
-        return port - self.leaves
-
     # -- misc -------------------------------------------------------------------------
     def describe(self) -> str:
         return (
@@ -409,19 +265,6 @@ class MegaflyParams:
     h: int = 2
     nodes_per_router: int = 2
     num_groups: Optional[int] = None
-
-    def validate(self) -> None:
-        if self.spines < 1 or self.leaves < 1:
-            raise ValueError("Megafly spines and leaves must be >= 1")
-        if self.h < 1:
-            raise ValueError("Megafly h must be >= 1")
-        if self.nodes_per_router < 1:
-            raise ValueError("nodes_per_router must be >= 1")
-        if self.num_groups is not None and not (
-                2 <= self.num_groups <= self.spines * self.h + 1):
-            raise ValueError(
-                f"num_groups must be in [2, {self.spines * self.h + 1}]"
-            )
 
 
 @register_topology(

@@ -13,6 +13,14 @@ except ImportError:  # pragma: no cover
 import pytest  # noqa: E402
 
 from repro.config import SimulationConfig  # noqa: E402
+from repro.topology import TOPOLOGIES  # noqa: E402
+from topology_instances import REGISTRY_INSTANCES  # noqa: E402
+
+
+@pytest.fixture(params=sorted(REGISTRY_INSTANCES), name="topo")
+def topo_fixture(request):
+    """Each registered topology's representative instance."""
+    return TOPOLOGIES.build(request.param, REGISTRY_INSTANCES[request.param])
 
 
 @pytest.fixture

@@ -224,7 +224,7 @@ class TestLinkCallbacks:
         sim = Simulation(SimulationConfig(router=RouterConfig(**router_kwargs)))
         upstream = sim.routers[0]
         info = next(iter(sim.topology.ports(0)))
-        back_port = sim.topology.port_to(info.neighbor, 0)
+        back_port = sim.topology.back_port(0, info.port)
         output = upstream.output_ports[info.port]
         return output.link, output, sim.routers[info.neighbor].input_ports[back_port]
 

@@ -37,21 +37,7 @@ from repro.faults import (
 from repro.routing.route_table import RouteTable
 from repro.session import Session
 from repro.simulation import Simulation, SimulationArtifacts
-from repro.topology import TOPOLOGIES
 from repro.topology.base import LinkType
-
-# Kept in sync with the registry by test_route_tables.py.
-REGISTRY_INSTANCES = {
-    "dragonfly": {"h": 2},
-    "flattened_butterfly": {"k1": 4, "k2": 3, "nodes_per_router": 2},
-    "hyperx": {"s": (4, 3, 3), "nodes_per_router": 2},
-    "megafly": {"spines": 2, "leaves": 2, "h": 2, "nodes_per_router": 2},
-}
-
-
-@pytest.fixture(params=sorted(REGISTRY_INSTANCES), name="topo")
-def topo_fixture(request):
-    return TOPOLOGIES.build(request.param, REGISTRY_INSTANCES[request.param])
 
 
 def flap_config(policy: str = "drop", **overrides) -> SimulationConfig:
@@ -73,7 +59,7 @@ def flap_config(policy: str = "drop", **overrides) -> SimulationConfig:
     port = next(
         info.port
         for info in topology.ports(0)
-        if topology.link_type(0, info.port) == LinkType.GLOBAL
+        if info.link_type == LinkType.GLOBAL
     )
     schedule = FaultSchedule(
         events=(LinkDown(400, 0, port), LinkUp(900, 0, port)), policy=policy
@@ -329,11 +315,10 @@ class TestPartitionDetection:
 # Route-table invalidation: detours and recovery byte-identity
 # ---------------------------------------------------------------------------
 
-def _dead_pair(table, router=0, port=0):
+def _dead_pair(topo, router=0, port=0):
     """Directed (router, port) keys of both ends of one link."""
-    other = table._neighbor[router * table._ports_per_router + port]
-    back = table._back_ports()[router * table._ports_per_router + port]
-    return frozenset({(router, port), (other, back)})
+    back = (topo.neighbor(router, port), topo.back_port(router, port))
+    return frozenset({(router, port), back})
 
 
 def _column_bytes(table):
@@ -348,7 +333,7 @@ class TestFaultRetabling:
     def test_detours_avoid_the_dead_link(self, topo):
         table = RouteTable(topo)
         _column_bytes(table)  # every pristine column resident
-        dead = _dead_pair(table)
+        dead = _dead_pair(topo)
         assert table.set_fault_state(dead, frozenset()) > 0
         for dst in range(topo.num_routers):
             for src in range(topo.num_routers):
@@ -363,7 +348,7 @@ class TestFaultRetabling:
         table = RouteTable(topo)
         expected = _column_bytes(pristine)
         assert _column_bytes(table) == expected
-        table.set_fault_state(_dead_pair(table), frozenset())
+        table.set_fault_state(_dead_pair(topo), frozenset())
         assert _column_bytes(table) != expected
         # Recovery: clearing the fault state drops what was filled under
         # faults, and the pristine fill must come back byte-identical
@@ -378,11 +363,9 @@ class TestFaultRetabling:
 
     def test_unreachable_destination_raises(self, topo):
         table = RouteTable(topo)
-        per = table._ports_per_router
         dead = set()
-        for port in range(per):
-            if table._neighbor[port] >= 0:
-                dead |= _dead_pair(table, 0, port)
+        for info in topo.ports(0):
+            dead |= _dead_pair(topo, 0, info.port)
         table.set_fault_state(frozenset(dead), frozenset())
         with pytest.raises(NetworkPartitionedError):
             table.column(0)
@@ -391,11 +374,10 @@ class TestFaultRetabling:
         # Sink-hole rule: the column *to* a dead router keeps its pristine
         # fill, whether it was resident when the router died or not.
         pristine = RouteTable(topo)
-        dead_router = pristine._neighbor[0]
+        dead_router = topo.neighbor(0, 0)
         dead = set()
-        for port in range(pristine._ports_per_router):
-            if pristine._neighbor[dead_router * pristine._ports_per_router + port] >= 0:
-                dead |= _dead_pair(pristine, dead_router, port)
+        for info in topo.ports(dead_router):
+            dead |= _dead_pair(topo, dead_router, info.port)
         for resident in (True, False):
             table = RouteTable(topo)
             if resident:

@@ -2,8 +2,8 @@
 
 ``RouteTable`` builds a destination's column on first touch and answers
 ``next_port``, ``hop_sequence``, ``distance`` and ``first_global_link`` from
-it.  The oracle is the topology itself (``min_next_port`` /
-``min_hop_sequence``), on every registered topology and under any capacity:
+it.  The oracle walks the topology's ``min_next_ports_to`` over its wiring,
+on every registered topology and under any capacity:
 an evicted column must rebuild byte-identically, a simulation's results must
 not depend on the capacity, and — under faults — every column must be a pure
 function of the current dead set, whatever was resident when it changed.
@@ -16,6 +16,7 @@ import dataclasses
 import os
 
 import pytest
+from topology_instances import REGISTRY_INSTANCES, min_walk
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,48 +31,24 @@ from repro.routing.route_table import (
 from repro.simulation import SimulationArtifacts
 from repro.topology import TOPOLOGIES
 
-# One representative instance per registered topology (kept in sync with the
-# registry by test_every_registered_topology_is_covered below).
-REGISTRY_INSTANCES = {
-    "dragonfly": {"h": 2},
-    "flattened_butterfly": {"k1": 4, "k2": 3, "nodes_per_router": 2},
-    "hyperx": {"s": (4, 3, 3), "nodes_per_router": 2},
-    "megafly": {"spines": 2, "leaves": 2, "h": 2, "nodes_per_router": 2},
-}
-
-
-def test_every_registered_topology_is_covered():
-    assert set(REGISTRY_INSTANCES) == set(TOPOLOGIES.names())
-
-
-@pytest.fixture(params=sorted(REGISTRY_INSTANCES), name="topo")
-def topo_fixture(request):
-    return TOPOLOGIES.build(request.param, REGISTRY_INSTANCES[request.param])
-
-
-def walked_first_global(topo, src, dst):
-    """(owner, global-port index) of the first GLOBAL hop of the walked
-    minimal path, or None when it stays on LOCAL links."""
-    current = src
-    while current != dst:
-        port = topo.min_next_port(current, dst)
-        if topo.link_type(current, port) == LinkType.GLOBAL:
-            return current, topo.global_port_index(current, port)
-        current = topo.neighbor(current, port)
-    return None
-
 
 def assert_matches_topology(query, topo):
     """``query(src, dst)`` yields the four answers; compare with the walk."""
     n = topo.num_routers
     for dst in range(n):
+        ports = topo.min_next_ports_to(dst)
         for src in range(n):
             next_port, hop_sequence, distance, first_global_link = query(src, dst)
-            sequence = topo.min_hop_sequence(src, dst)
-            assert next_port == topo.min_next_port(src, dst)
+            walk = min_walk(topo, ports, src, dst)
+            sequence = tuple(link_type for _, _, link_type in walk)
+            assert next_port == (walk[0][1] if walk else None)
             assert hop_sequence == sequence
             assert distance == len(sequence)
-            assert first_global_link == walked_first_global(topo, src, dst)
+            assert first_global_link == next(
+                ((router, topo.global_port_index(router, port))
+                 for router, port, link_type in walk if link_type == LinkType.GLOBAL),
+                None,
+            )
 
 
 def pair_api(table):
@@ -113,16 +90,6 @@ class TestLazyDenseEquality:
                     col.distance(src), col.first_global_link(src))
 
         assert_matches_topology(column_api, topo)
-
-    def test_min_next_ports_to_matches_pairwise(self, topo):
-        # The batch column fill (closed-form where overridden) must agree
-        # with the per-pair minimal next-port query.
-        for dst in range(topo.num_routers):
-            ports = topo.min_next_ports_to(dst)
-            for src in range(topo.num_routers):
-                expected = topo.min_next_port(src, dst)
-                got = ports[src] if ports[src] >= 0 else None
-                assert got == expected, (src, dst)
 
 
 class TestLruEviction:
@@ -221,20 +188,19 @@ class TestSimulationEquivalence:
 
 # -- columns are a pure function of (topology, dst, current dead set) --------
 
-def _physical_links(table):
+def _physical_links(topo):
     """Both directed keys of every physical link, in a canonical order."""
-    per = table._ports_per_router
-    back = table._back_ports()
     links = []
-    for index, other in enumerate(table._neighbor):
-        router, port = divmod(index, per)
-        if other >= 0 and (router, port) < (other, back[index]):
-            links.append(frozenset({(router, port), (other, back[index])}))
+    for router in range(topo.num_routers):
+        for info in topo.ports(router):
+            back = (info.neighbor, topo.back_port(router, info.port))
+            if (router, info.port) < back:
+                links.append(frozenset({(router, info.port), back}))
     return links
 
 
 _LINKS = {
-    name: _physical_links(RouteTable(TOPOLOGIES.build(name, params)))
+    name: _physical_links(TOPOLOGIES.build(name, params))
     for name, params in REGISTRY_INSTANCES.items()
 }
 

@@ -3,6 +3,7 @@ Butterfly, plus registry-driven property tests that every registered topology
 (HyperX and Megafly included) must satisfy."""
 
 import pytest
+from topology_instances import REGISTRY_INSTANCES, min_walk
 
 from repro.core.link_types import LinkType, hop_counts
 from repro.routing.route_table import RouteTable
@@ -89,39 +90,39 @@ class TestDragonflyMinimalRouting:
         for src, dst in rng_pairs:
             if src == dst:
                 continue
-            seq = dragonfly.min_hop_sequence(src, dst)
+            walk = min_walk(dragonfly, dragonfly.min_next_ports_to(dst), src, dst)
+            seq = [link_type for _, _, link_type in walk]
             assert len(seq) <= 3
             # The sequence must be a subsequence of l-g-l (never g after l after g).
             labels = "".join("l" if s == LinkType.LOCAL else "g" for s in seq)
             assert labels in {"", "l", "g", "lg", "gl", "lgl"}
 
     def test_min_next_port_walk_reaches_destination(self, dragonfly):
-        for src in range(0, dragonfly.num_routers, max(1, dragonfly.num_routers // 7)):
-            for dst in range(0, dragonfly.num_routers, max(1, dragonfly.num_routers // 5)):
-                current = src
-                hops = 0
-                while current != dst:
-                    port = dragonfly.min_next_port(current, dst)
-                    assert port is not None
-                    current = dragonfly.neighbor(current, port)
-                    hops += 1
-                    assert hops <= 3
-                assert hops == len(dragonfly.min_hop_sequence(src, dst))
+        table = RouteTable(dragonfly)
+        for dst in range(0, dragonfly.num_routers, max(1, dragonfly.num_routers // 5)):
+            ports = dragonfly.min_next_ports_to(dst)
+            for src in range(0, dragonfly.num_routers, max(1, dragonfly.num_routers // 7)):
+                hops = len(min_walk(dragonfly, ports, src, dst))
+                assert hops <= 3
+                assert hops == table.distance(src, dst)
 
     def test_min_distance_bounds(self):
         # Dragonfly minimal routing is restricted to l-g-l paths, so the
         # routing distance can exceed the raw graph distance (which may use
         # two global hops) but never the diameter of 3.
         df = Dragonfly(h=2)
+        table = RouteTable(df)
         for src in range(0, df.num_routers, 5):
             distances = bfs_distances(df, src)
             for dst in range(0, df.num_routers, 7):
-                routed = df.min_distance(src, dst)
+                routed = table.distance(src, dst)
                 assert distances[dst] <= routed <= 3
 
     def test_same_router_has_empty_path(self, dragonfly):
-        assert dragonfly.min_hop_sequence(0, 0) == ()
-        assert dragonfly.min_next_port(0, 0) is None
+        table = RouteTable(dragonfly)
+        assert table.hop_sequence(0, 0) == ()
+        assert table.next_port(0, 0) is None
+        assert dragonfly.min_next_ports_to(0)[0] == -1
 
     def test_gateway_and_entry_routers_consistent(self, dragonfly):
         g0, g1 = 0, 1
@@ -129,7 +130,11 @@ class TestDragonflyMinimalRouting:
         assert dragonfly.group_of(gateway) == g0
         peer = dragonfly.global_peer(gateway, gport)
         assert dragonfly.group_of(peer) == g1
-        assert dragonfly.entry_router(g0, g1) == peer
+        # The gateway's global port is the wired link to the entry router,
+        # and minimal routing from the gateway to the entry router takes it.
+        port = dragonfly.a - 1 + gport
+        assert dragonfly.neighbor(gateway, port) == peer
+        assert dragonfly.min_next_ports_to(peer)[gateway] == port
 
 
 class TestDragonflyNodeMapping:
@@ -172,18 +177,14 @@ class TestFlattenedButterfly:
         fb = FlattenedButterfly2D(k1=3, k2=3, p=1)
         src = fb.router_at(0, 0)
         dst = fb.router_at(2, 2)
-        assert fb.min_hop_sequence(src, dst) == (LinkType.LOCAL, LinkType.GLOBAL)
+        assert RouteTable(fb).hop_sequence(src, dst) == (LinkType.LOCAL, LinkType.GLOBAL)
 
     def test_min_walk_reaches_destination(self):
         fb = FlattenedButterfly2D(k1=4, k2=4, p=1)
-        for src in range(fb.num_routers):
-            for dst in range(fb.num_routers):
-                current, hops = src, 0
-                while current != dst:
-                    port = fb.min_next_port(current, dst)
-                    current = fb.neighbor(current, port)
-                    hops += 1
-                    assert hops <= 2
+        for dst in range(fb.num_routers):
+            ports = fb.min_next_ports_to(dst)
+            for src in range(fb.num_routers):
+                assert len(min_walk(fb, ports, src, dst)) <= 2
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -201,23 +202,10 @@ class TestFlattenedButterfly:
 # Registry-driven property tests: every registered topology must satisfy these.
 # ---------------------------------------------------------------------------
 
-#: one representative instance per registered topology, built via the registry.
-REGISTRY_INSTANCES = {
-    "dragonfly": {"h": 2},
-    "flattened_butterfly": {"k1": 4, "k2": 3, "nodes_per_router": 2},
-    "hyperx": {"s": (4, 3, 3), "nodes_per_router": 2},
-    "megafly": {"spines": 2, "leaves": 2, "h": 2, "nodes_per_router": 2},
-}
-
-
 def test_every_registered_topology_has_an_instance():
-    # Force this table to grow with the registry.
+    # Force conftest's REGISTRY_INSTANCES (the ``topo`` fixture's
+    # parameters) to grow with the registry.
     assert set(REGISTRY_INSTANCES) == set(TOPOLOGIES.names())
-
-
-@pytest.fixture(params=sorted(REGISTRY_INSTANCES), name="topo")
-def topo_fixture(request):
-    return TOPOLOGIES.build(request.param, REGISTRY_INSTANCES[request.param])
 
 
 class TestRegisteredTopologyProperties:
@@ -226,35 +214,34 @@ class TestRegisteredTopologyProperties:
 
     def test_link_symmetry(self, topo):
         # Every link has a reverse link of the same type (verify_bidirectional)
-        # and the advertised ports are self-consistent.
+        # and the wiring reads back the advertised ports.
         assert verify_bidirectional(topo)
         for router in range(topo.num_routers):
             for info in topo.ports(router):
                 assert topo.neighbor(router, info.port) == info.neighbor
                 assert topo.link_type(router, info.port) == info.link_type
-                assert topo.port_to(router, info.neighbor) == info.port
+                back = topo.back_port(router, info.port)
+                assert topo.neighbor(info.neighbor, back) == router
+                assert topo.back_port(info.neighbor, back) == info.port
 
     def test_diameter_bound(self, topo):
         assert measured_diameter(topo) <= topo.diameter
 
     def test_minimal_routes_valid(self, topo):
         """Each minimal route uses declared ports, reaches its destination,
-        and its traversed link types match the advertised hop sequence."""
+        and its traversed link types match the route table's hop sequence."""
         max_local, max_global = topo.max_min_hop_counts()
-        for src in range(topo.num_routers):
-            for dst in range(topo.num_routers):
-                seq = topo.min_hop_sequence(src, dst)
-                current, traversed = src, []
-                while current != dst:
-                    port = topo.min_next_port(current, dst)
-                    assert port is not None
-                    declared = {info.port for info in topo.ports(current)}
-                    assert port in declared
-                    traversed.append(topo.link_type(current, port))
-                    current = topo.neighbor(current, port)
-                    assert len(traversed) <= topo.diameter
-                assert tuple(traversed) == seq
-                assert topo.min_next_port(src, src) is None
+        table = RouteTable(topo)
+        for dst in range(topo.num_routers):
+            ports = topo.min_next_ports_to(dst)
+            assert ports[dst] == -1
+            for src in range(topo.num_routers):
+                walk = min_walk(topo, ports, src, dst)
+                for router, port, _ in walk:
+                    assert port in {info.port for info in topo.ports(router)}
+                assert len(walk) <= topo.diameter
+                seq = tuple(link_type for _, _, link_type in walk)
+                assert table.hop_sequence(src, dst) == seq
                 # Node-attached endpoints stay within the declared envelope.
                 if topo.nodes_of_router(src) and topo.nodes_of_router(dst):
                     locals_, globals_ = hop_counts(seq)
@@ -263,8 +250,9 @@ class TestRegisteredTopologyProperties:
     def test_canonical_sequence_is_achieved(self, topo):
         """The declared worst case is tight: some node-router pair needs it."""
         canonical = topo.canonical_minimal_sequence
+        table = RouteTable(topo)
         counts = {
-            hop_counts(topo.min_hop_sequence(src, dst))
+            hop_counts(table.hop_sequence(src, dst))
             for src in range(topo.num_routers)
             if topo.nodes_of_router(src)
             for dst in range(topo.num_routers)
@@ -274,26 +262,23 @@ class TestRegisteredTopologyProperties:
 
     def test_route_table_matches_topology(self, topo):
         table = RouteTable(topo)
-        for src in range(topo.num_routers):
-            for dst in range(topo.num_routers):
-                assert table.next_port(src, dst) == topo.min_next_port(src, dst)
-                seq = topo.min_hop_sequence(src, dst)
+        for dst in range(topo.num_routers):
+            ports = topo.min_next_ports_to(dst)
+            for src in range(topo.num_routers):
+                expected = ports[src] if ports[src] >= 0 else None
+                assert table.next_port(src, dst) == expected
+                walk = min_walk(topo, ports, src, dst)
+                seq = tuple(link_type for _, _, link_type in walk)
                 assert table.hop_sequence(src, dst) == seq
                 assert table.distance(src, dst) == len(seq)
-                link = table.first_global_link(src, dst)
-                if LinkType.GLOBAL not in seq:
-                    assert link is None
-                else:
-                    owner, gport = link
-                    # The owner really is the router taking the first global
-                    # hop of the walked path.
-                    current = src
-                    while topo.link_type(
-                            current, topo.min_next_port(current, dst)) != LinkType.GLOBAL:
-                        current = topo.neighbor(current, topo.min_next_port(current, dst))
-                    assert owner == current
-                    port = topo.min_next_port(current, dst)
-                    assert topo.global_port_index(current, port) == gport
+                # The owner is the router taking the walk's first global hop.
+                first_global = next(
+                    ((router, topo.global_port_index(router, port))
+                     for router, port, link_type in walk
+                     if link_type == LinkType.GLOBAL),
+                    None,
+                )
+                assert table.first_global_link(src, dst) == first_global
 
     def test_router_groups_partition(self, topo):
         groups = topo.router_groups()
@@ -325,14 +310,13 @@ class TestHyperX:
         assert fb.num_routers == hx.num_routers
         for router in range(hx.num_routers):
             assert fb.ports(router) == hx.ports(router)
-            for dst in range(hx.num_routers):
-                assert fb.min_next_port(router, dst) == hx.min_next_port(router, dst)
+            assert fb.min_next_ports_to(router) == hx.min_next_ports_to(router)
 
     def test_three_dimensions_hop_sequence(self):
         hx = HyperX(dims=(3, 3, 3), p=1)
         src = hx.router_at(0, 0, 0)
         dst = hx.router_at(2, 2, 2)
-        assert hx.min_hop_sequence(src, dst) == (
+        assert RouteTable(hx).hop_sequence(src, dst) == (
             LinkType.LOCAL, LinkType.GLOBAL, LinkType.GLOBAL
         )
         assert hx.canonical_minimal_sequence == (
@@ -367,9 +351,10 @@ class TestMegafly:
 
     def test_leaf_to_leaf_paths_within_lgl(self):
         mf = Megafly(spines=2, leaves=2, h=2, p=2)
+        table = RouteTable(mf)
         for src in mf.valiant_routers():
             for dst in mf.valiant_routers():
-                seq = mf.min_hop_sequence(src, dst)
+                seq = table.hop_sequence(src, dst)
                 locals_, globals_ = hop_counts(seq)
                 assert locals_ <= 2 and globals_ <= 1
 
@@ -395,8 +380,9 @@ class TestMegafly:
         mf = Megafly(spines=2, leaves=2, h=2, p=1)
         assert len(mf.worst_escape_sequence) == len(mf.canonical_minimal_sequence) + 1
         # A non-gateway spine really needs the extra local hop.
+        table = RouteTable(mf)
         worst = max(
-            (hop_counts(mf.min_hop_sequence(spine, leaf)))
+            (hop_counts(table.hop_sequence(spine, leaf)))
             for spine in range(mf.num_routers) if mf.is_spine(spine)
             for leaf in mf.valiant_routers()
         )
