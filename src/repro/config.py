@@ -266,6 +266,9 @@ class SimulationConfig:
         self.routing.validate()
         self.traffic.validate()
         self.faults.validate()
+        if self.faults:
+            # Refuses missing routers/ports and partitions before cycle 0.
+            self.faults.timeline(self.network.build_cached().wiring())
         if self.warmup_cycles < 0 or self.measure_cycles < 1:
             raise ValueError("warmup_cycles must be >= 0 and measure_cycles >= 1")
         if self.deadlock_window_cycles < 1:

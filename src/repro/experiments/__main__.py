@@ -37,7 +37,7 @@ from ..store import FLUSH_INTERVAL_SECONDS, ResultStore, StoreError
 from . import tables
 from .figures import FIGURES, run_figure_sweep
 from .formatting import render_figure
-from .orchestrator import AdaptiveSettings, orchestration
+from .orchestrator import AdaptiveSettings, FaultSpecError, orchestration
 from .runner import SCALES
 
 DEFAULT_STORE = "results/store.json"
@@ -121,10 +121,15 @@ def cmd_run(args: argparse.Namespace) -> int:
                 print(tables.render_all_tables() + "\n")
                 continue
             start = time.perf_counter()
-            panels, outcome = run_figure_sweep(
-                name, scale=args.scale, patterns=args.patterns or None,
-                seeds=args.seeds,
-            )
+            try:
+                panels, outcome = run_figure_sweep(
+                    name, scale=args.scale, patterns=args.patterns or None,
+                    seeds=args.seeds,
+                )
+            except FaultSpecError as exc:
+                print(f"--faults: {exc}", file=sys.stderr)
+                status = 2
+                break
             elapsed = time.perf_counter() - start
             print(render_figure(f"{name} @ {args.scale}", panels))
             # The sweep's own accounting; zero counts other than the first two

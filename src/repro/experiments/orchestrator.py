@@ -62,7 +62,7 @@ from functools import lru_cache
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..config import SimulationConfig
-from ..faults import FaultSpec
+from ..faults import FaultSpec, NetworkPartitionedError
 from ..keys import _hash_payload, config_key
 from ..metrics import SimulationResult
 from ..probes import make_probes
@@ -865,6 +865,11 @@ class _ProgressReporter:
         )
 
 
+class FaultSpecError(ValueError):
+    """A sweep's fault spec cannot run on its network: it is malformed,
+    names a router or port the network lacks, or partitions it."""
+
+
 def _apply_fault_spec(job: Job, spec: FaultSpec) -> Job:
     """Inject a resolved fault schedule into a job, recomputing its key.
 
@@ -1112,14 +1117,24 @@ class SweepOutcome:
 def run_sweep(spec: SweepSpec, **overrides: Any) -> SweepOutcome:
     """Expand a sweep specification and execute all of its jobs.
 
-    ``overrides`` are forwarded to :func:`run_jobs`.
+    ``overrides`` are forwarded to :func:`run_jobs`.  Raises
+    :class:`FaultSpecError`, before dispatching anything, when the fault
+    spec in effect cannot run on the sweep's networks.
     """
     jobs = spec.expand()
     faults = replace(current_context(), **overrides).faults
     if faults is not None:
         # Fault schedules rewrite job keys, and the outcome's job list must
-        # carry the keys the results are stored under.
-        jobs = [_apply_fault_spec(job, faults) for job in jobs]
+        # carry the keys the results are stored under.  Every distinct
+        # schedule is resolved against its network before any job runs.
+        try:
+            jobs = [_apply_fault_spec(job, faults) for job in jobs]
+            for schedule, network in dict.fromkeys(
+                (job.config.faults, job.config.network) for job in jobs
+            ):
+                schedule.timeline(network.build_cached().wiring())
+        except (ValueError, NetworkPartitionedError) as exc:
+            raise FaultSpecError(str(exc)) from exc
     return SweepOutcome(spec=spec, jobs=jobs, stats=run_jobs(jobs, **overrides))
 
 

@@ -1,8 +1,8 @@
 """Deterministic fault injection: link/router failure and recovery mid-run.
 
-ROADMAP item 4(b): the paper's dragonfly-class networks are exactly the
-setting where transient link/router faults reshape congestion and routing,
-so this module adds a *seeded, replayable* fault axis to the simulator:
+Transient link and router faults reshape congestion and routing in the
+paper's dragonfly-class networks; this module is a *seeded, replayable*
+fault axis for the simulator:
 
 * :class:`FaultSchedule` — an immutable, sorted list of typed events
   (:class:`LinkDown` / :class:`LinkUp` / :class:`RouterDown` /
@@ -11,12 +11,18 @@ so this module adds a *seeded, replayable* fault axis to the simulator:
   or parsed from the CLI ``--faults`` spec (:func:`parse_faults`).  The
   schedule is carried on :class:`~repro.config.SimulationConfig` and hashed
   into ``config_key`` (omitted when empty, so no-fault keys are unchanged).
+* :meth:`FaultSchedule.timeline` — the schedule resolved against a
+  network's :class:`~repro.topology.base.Wiring` before cycle 0: one
+  :class:`FaultInterval` (dead links, dead routers) per distinct event
+  cycle.  ``SimulationConfig.validate()`` calls it, so a schedule naming a
+  missing element, or one whose live routers split in any interval
+  (:class:`NetworkPartitionedError`), never starts.
 * :class:`FaultController` — the runtime: installed by ``Simulation`` when
-  the schedule is non-empty, it replays each event through the engine
-  calendar at its exact cycle (events fire in ``_fire_events`` *before*
-  that cycle's traffic and router pumps, so replay is deterministic), marks
-  links/routers dead, applies the in-flight policy, and triggers
-  incremental re-table-ing of only the affected route columns.
+  the schedule is non-empty, it enters each interval through the engine
+  calendar at its exact cycle (calendar calls fire in ``_fire_events``
+  *before* that cycle's traffic and router pumps, so replay is
+  deterministic), applies the in-flight policy, and triggers incremental
+  re-table-ing of only the affected route columns.
 
 Semantics (see DESIGN.md §11 for the full model):
 
@@ -35,11 +41,9 @@ Semantics (see DESIGN.md §11 for the full model):
   column toward it and are dropped with accounting at the dead-link
   boundary — the sink-hole rule that keeps live columns free of
   unreachable destinations.
-* Every event ends with a live-graph connectivity check; splitting the
-  live routers raises :class:`NetworkPartitionedError`.
 
-Determinism: the fault schedule is data, events fire at exact cycles
-through the single engine calendar, detours are computed by a deterministic
+Determinism: the fault schedule is data, its intervals are entered at exact
+cycles through the single engine calendar, detours come from a deterministic
 BFS, and the generator's RNG stream is never consulted by any fault path —
 a given ``(seed, schedule)`` pair replays bit-identically.
 """
@@ -49,9 +53,13 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from bisect import bisect_right
+from dataclasses import asdict, dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple, Union,
+    TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple,
+    Union,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -60,22 +68,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .packet import Packet
     from .router.router import Router
     from .simulation import Simulation
-    from .topology.base import Topology
+    from .topology.base import Topology, Wiring
 
 __all__ = [
     "LinkDown", "LinkUp", "RouterDown", "RouterUp", "FaultEvent",
-    "FaultSchedule", "FaultSpec", "NetworkPartitionedError",
+    "FaultInterval", "FaultSchedule", "FaultSpec", "NetworkPartitionedError",
     "FaultController", "parse_faults", "FAULT_POLICIES",
 ]
 
 
 class NetworkPartitionedError(RuntimeError):
-    """A fault event (or a column rebuild under faults) left some live
+    """A fault schedule (or a column rebuild under faults) left some live
     source with no route to a live destination.
 
     Subclasses ``RuntimeError`` so existing does-not-converge handling
-    keeps working; raised from the event application path it aborts the
-    run at the exact offending cycle.
+    keeps working; :meth:`FaultSchedule.timeline` raises it when the
+    configuration is validated, before any cycle runs.
     """
 
 
@@ -124,8 +132,26 @@ class RouterUp:
 
 FaultEvent = Union[LinkDown, LinkUp, RouterDown, RouterUp]
 
+#: a directed link: the ``(router, port)`` it leaves through.
+_LinkKey = Tuple[int, int]
+
+
+@dataclass(frozen=True)
+class FaultInterval:
+    """The network's fault state from ``cycle`` until the next interval.
+
+    ``dead_links`` holds directed links, both directions of every dead
+    physical link; ``events`` are the schedule's events at ``cycle``, in
+    schedule order.
+    """
+
+    cycle: int
+    dead_links: FrozenSet[_LinkKey]
+    dead_routers: FrozenSet[int]
+    events: Tuple[FaultEvent, ...]
+
+
 _KIND_ORDER = {"link-down": 0, "link-up": 1, "router-down": 2, "router-up": 3}
-_KINDS = tuple(_KIND_ORDER)
 
 
 def _event_sort_key(event: FaultEvent) -> Tuple[int, int, int, int]:
@@ -161,29 +187,93 @@ class FaultSchedule:
 
     # -- validation ----------------------------------------------------------
     def validate(self) -> None:
-        """Structural validation (id bounds are checked against the built
-        topology by :class:`FaultController`)."""
+        """Structural validation (router and port ids, and connectivity, are
+        checked against a network by :meth:`timeline`)."""
         if self.policy not in FAULT_POLICIES:
             raise ValueError(
                 f"fault policy must be one of {FAULT_POLICIES}, "
                 f"got {self.policy!r}"
             )
         for event in self.events:
-            if event.kind not in _KINDS:
-                raise ValueError(f"unknown fault event kind {event.kind!r}")
             if event.cycle < 1:
                 raise ValueError(
                     f"fault event cycle must be >= 1, got {event.cycle}"
                 )
-            if event.router < 0:
-                raise ValueError(
-                    f"fault event router must be >= 0, got {event.router}"
+
+    def timeline(self, wiring: "Wiring") -> Tuple[FaultInterval, ...]:
+        """The schedule as one :class:`FaultInterval` per distinct event cycle.
+
+        After a cycle's events, a directed link is dead while its physical
+        link's last Link event is a :class:`LinkDown` or while either
+        endpoint's last Router event is a :class:`RouterDown`.  Raises
+        ``ValueError`` for an event naming a router or port ``wiring`` does
+        not have, and :class:`NetworkPartitionedError` for an interval whose
+        live routers are not mutually reachable (both directions of a dead
+        link are dead, so reaching every live router from one of them is
+        mutual reachability).
+        """
+        intervals = self._intervals(wiring)
+        for interval in intervals:
+            dead_routers = interval.dead_routers
+            live = [r for r in range(wiring.num_routers) if r not in dead_routers]
+            if not live:
+                continue
+            dist, _ = wiring.bfs(live[0], interval.dead_links, dead_routers)
+            reached = sum(1 for d in dist if d >= 0)
+            if reached < len(live):
+                raise NetworkPartitionedError(
+                    f"the fault events at cycle {interval.cycle} partition the "
+                    f"network: {reached} of {len(live)} live routers remain "
+                    f"mutually reachable"
                 )
-            port = getattr(event, "port", 0)
-            if port < 0:
+        return intervals
+
+    def _intervals(self, wiring: "Wiring") -> Tuple[FaultInterval, ...]:
+        """:meth:`timeline` without its connectivity check."""
+        n = wiring.num_routers
+        per = wiring.ports_per_router
+        neighbor = wiring.neighbor
+        for event in self.events:
+            if not 0 <= event.router < n:
                 raise ValueError(
-                    f"fault event port must be >= 0, got {port}"
+                    f"fault event references router {event.router}, but the "
+                    f"network has {n} routers"
                 )
+            if isinstance(event, (LinkDown, LinkUp)) and not (
+                0 <= event.port < per and neighbor[event.router * per + event.port] >= 0
+            ):
+                raise ValueError(
+                    f"fault event references port {event.port} of router "
+                    f"{event.router}, which has no link"
+                )
+
+        def both_ends(router: int, port: int) -> Tuple[_LinkKey, _LinkKey]:
+            slot = router * per + port
+            return (router, port), (neighbor[slot], wiring.back_port[slot])
+
+        down_links: Set[_LinkKey] = set()
+        down_routers: Set[int] = set()
+        intervals = []
+        for cycle, group in groupby(self.events, key=attrgetter("cycle")):
+            events = tuple(group)
+            for event in events:
+                if isinstance(event, LinkDown):
+                    down_links.update(both_ends(event.router, event.port))
+                elif isinstance(event, LinkUp):
+                    down_links.difference_update(both_ends(event.router, event.port))
+                elif isinstance(event, RouterDown):
+                    down_routers.add(event.router)
+                else:
+                    down_routers.discard(event.router)
+            dead_links = set(down_links)
+            for router in sorted(down_routers):
+                for port in range(per):
+                    if neighbor[router * per + port] >= 0:
+                        dead_links.update(both_ends(router, port))
+            intervals.append(FaultInterval(
+                cycle, frozenset(dead_links), frozenset(down_routers), events
+            ))
+        return tuple(intervals)
 
     # -- provenance ----------------------------------------------------------
     def digest(self) -> str:
@@ -371,9 +461,18 @@ def parse_faults(spec: str) -> FaultSpec:
 # Runtime controller
 # ---------------------------------------------------------------------------
 
-#: dead-link reason tags: a directed link is dead while it has >= 1 reason.
-_Reason = Tuple[str, int]
-_LinkKey = Tuple[int, int]
+def _revival(
+    timeline: Tuple[FaultInterval, ...],
+    now: int,
+    is_dead: Callable[[FaultInterval], bool],
+) -> Optional[int]:
+    """Cycle of the first interval after ``now`` in which ``is_dead`` is
+    false: when a dead link or router comes back (None = never)."""
+    start = bisect_right(timeline, now, key=attrgetter("cycle"))
+    for interval in timeline[start:]:
+        if not is_dead(interval):
+            return interval.cycle
+    return None
 
 
 class FaultController:
@@ -381,67 +480,42 @@ class FaultController:
 
     Constructed by ``Simulation.__init__`` when ``config.faults`` is
     non-empty; wraps every link's delivery callback (in-flight policy),
-    schedules one calendar event per fault event, and owns the dead-element
-    state plus the drop/reroute accounting that lands in per-window
+    schedules one calendar call per :class:`FaultInterval` of the
+    schedule's timeline, and owns the current dead sets plus the
+    drop/reroute accounting that lands in per-window
     ``SimulationResult.extra`` and RunRecord provenance.
     """
 
     def __init__(self, sim: "Simulation") -> None:
         self.sim = sim
         self.schedule: FaultSchedule = sim.config.faults
-        self.policy = self.schedule.policy
         # -- accounting (cumulative; snapshot into window extras) ----------
         self.faults_applied = 0
         self.packets_dropped = 0
-        self.packets_dropped_wire = 0
-        self.packets_dropped_buffer = 0
-        self.packets_dropped_source = 0
+        #: drops by where the packet was: on a dead link's wire, in a dead
+        #: router's buffers or in its nodes' source queues.
+        self._drops = {"wire": 0, "buffer": 0, "source": 0}
         self.packets_suppressed = 0
         self.packets_rerouted = 0
         self.columns_invalidated = 0
         # -- probe hooks (ProbeHub.wire; ``is not None`` guarded fires) ----
         self.on_fault_applied: Optional[Callable[..., None]] = None
         self.on_packet_dropped: Optional[Callable[..., None]] = None
-        # -- dead-element state -------------------------------------------
-        #: directed link -> set of reasons it is dead (link fault and/or a
-        #: dead endpoint router); the link is dead while reasons exist.
-        self._dead_reasons: Dict[_LinkKey, Set[_Reason]] = {}
-        #: flat membership set the link wrappers test per delivery.
+        #: the schedule's fault states.  ``Simulation`` validated its
+        #: config first, and that refused a partitioning schedule.
+        self.timeline = self.schedule._intervals(sim.topology.wiring())
+        #: the current interval's dead sets, updated in place: the link
+        #: wrappers and the traffic filter hold these very sets.
         self._dead_links: Set[_LinkKey] = set()
         self._dead_routers: Set[int] = set()
-        #: the topology's links, read by every (router, port) lookup here.
-        self._wiring = sim.topology.wiring()
-        self._validate_against(sim.topology)
-        self._install()
-
-    # -- construction --------------------------------------------------------
-    def _validate_against(self, topology: "Topology") -> None:
-        wiring = self._wiring
-        n = topology.num_routers
-        per = wiring.ports_per_router
-        for event in self.schedule.events:
-            if event.router >= n:
-                raise ValueError(
-                    f"fault event references router {event.router}, but the "
-                    f"network has {n} routers"
-                )
-            port = getattr(event, "port", None)
-            if port is not None:
-                if port >= per or wiring.neighbor[event.router * per + port] < 0:
-                    raise ValueError(
-                        f"fault event references port {port} of router "
-                        f"{event.router}, which has no link"
-                    )
-
-    def _install(self) -> None:
-        engine = self.sim.engine
-        for event in self.schedule.events:
-            engine.schedule_call(event.cycle, self._apply, (event,))
-        for router in self.sim.routers:
+        for interval in self.timeline:
+            sim.engine.schedule_call(interval.cycle, self._apply, (interval,))
+        for router in sim.routers:
             for port_id, output in router.output_ports.items():
-                link = output.link
-                if link is not None:
-                    self._wrap_link(router.router_id, port_id, link)
+                if output.link is not None:
+                    self._wrap_link(router.router_id, port_id, output.link)
+        if any(interval.dead_routers for interval in self.timeline):
+            sim.traffic.fault_filter = self._admit
 
     def _wrap_link(self, src: int, port: int, link: "Link") -> None:
         """Interpose the in-flight policy on ``link``'s delivery callback.
@@ -454,304 +528,112 @@ class FaultController:
         key = (src, port)
         inner = link._deliver
         dead = self._dead_links
+        timeline = self.timeline
         engine = self.sim.engine
         # link name is (src router, src port, dst router, dst port).
         _, _, dst_router, back_port = link._name
         channel = self.sim.routers[dst_router].input_ports[back_port].credit_channel
-        stall = self.policy == "stall"
-        controller = self
+        stall = self.schedule.policy == "stall"
 
         def deliver(packet: "Packet", vc: int, now: int) -> None:
             if key not in dead:
                 inner(packet, vc, now)
                 return
-            if stall:
-                up = controller._recovery_cycle(key, now)
-                if up is not None:
-                    # Hold the flit on the wire; the LinkUp event at ``up``
-                    # fires first (calendar insertion order), so this
-                    # re-delivery lands on a live link.
-                    engine.schedule_call(up, deliver, (packet, vc, up))
-                    return
-            controller._drop_on_wire(packet, key, vc, now, channel)
+            up = _revival(timeline, now, lambda interval: key in interval.dead_links)
+            if stall and up is not None:
+                # Hold the flit on the wire; the interval at ``up`` fires
+                # first (calendar insertion order), so this re-delivery
+                # lands on a live link.
+                engine.schedule_call(up, deliver, (packet, vc, up))
+            else:
+                self._dropped(packet, src, "wire", now)
+                self._return_credit(up, channel, vc, packet)
 
         link._deliver = deliver
 
-    # -- event application ---------------------------------------------------
-    def _apply(self, event: FaultEvent) -> None:
-        now = self.sim.engine.now
-        before = frozenset(self._dead_links)
-        kind = event.kind
-        if kind == "link-down":
-            assert isinstance(event, LinkDown)
-            for key in self._link_pair(event.router, event.port):
-                self._add_reason(key, ("link", self._pair_id(event)))
-        elif kind == "link-up":
-            assert isinstance(event, LinkUp)
-            for key in self._link_pair(event.router, event.port):
-                self._drop_reason(key, ("link", self._pair_id(event)))
-        elif kind == "router-down":
-            router = event.router
-            self._dead_routers.add(router)
-            for key in self._incident_links(router):
-                self._add_reason(key, ("router", router))
-            self._drain_router(self.sim.routers[router], now)
-            self._update_traffic_filter()
-        else:  # router-up
-            router = event.router
-            self._dead_routers.discard(router)
-            for key in self._incident_links(router):
-                self._drop_reason(key, ("router", router))
-            self._update_traffic_filter()
-        self.faults_applied += 1
-        if self._dead_links - before:
-            self._check_partition(event)
-        if self._dead_links != before:
-            self._retable()
-        hook = self.on_fault_applied
-        if hook is not None:
-            hook(event, now)
+    # -- interval application ------------------------------------------------
+    def _apply(self, interval: FaultInterval) -> None:
+        """Enter ``interval``, then report each of its events.
 
-    def _add_reason(self, key: _LinkKey, reason: _Reason) -> None:
-        self._dead_reasons.setdefault(key, set()).add(reason)
-        self._dead_links.add(key)
-
-    def _drop_reason(self, key: _LinkKey, reason: _Reason) -> None:
-        reasons = self._dead_reasons.get(key)
-        if reasons is None:
-            return
-        reasons.discard(reason)
-        if not reasons:
-            del self._dead_reasons[key]
-            self._dead_links.discard(key)
-
-    def _pair_id(self, event: "LinkDown | LinkUp") -> int:
-        """Canonical id of the physical link a Link{Down,Up} names."""
-        router, port = min(self._link_pair(event.router, event.port))
-        return router * self._wiring.ports_per_router + port
-
-    def _link_pair(self, router: int, port: int) -> Tuple[_LinkKey, _LinkKey]:
-        """Both directed keys of the physical link at ``(router, port)``."""
-        wiring = self._wiring
-        slot = router * wiring.ports_per_router + port
-        return (router, port), (wiring.neighbor[slot], wiring.back_port[slot])
-
-    def _incident_links(self, router: int) -> List[_LinkKey]:
-        wiring = self._wiring
-        per = wiring.ports_per_router
-        keys: List[_LinkKey] = []
-        for port in range(per):
-            if wiring.neighbor[router * per + port] >= 0:
-                keys.extend(self._link_pair(router, port))
-        return keys
-
-    def _recovery_cycle(self, key: _LinkKey, now: int) -> Optional[int]:
-        """First future cycle at which directed link ``key`` revives.
-
-        Replays the (tiny) schedule's reason arithmetic from the link's
-        current reasons; None when no future event clears them all.
-        """
-        reasons = set(self._dead_reasons.get(key, ()))
-        if not reasons:
-            return now
-        pair = {k for k in self._link_pair(*key)}
-        for event in self.schedule.events:
-            if event.cycle <= now:
-                continue
-            if event.kind == "link-up":
-                assert isinstance(event, LinkUp)
-                if (event.router, event.port) in pair:
-                    reasons.discard(("link", self._pair_id(event)))
-            elif event.kind == "link-down":
-                assert isinstance(event, LinkDown)
-                if (event.router, event.port) in pair:
-                    reasons.add(("link", self._pair_id(event)))
-            elif event.kind == "router-up":
-                reasons.discard(("router", event.router))
-            elif event.kind == "router-down":
-                if any(k[0] == event.router for k in sorted(pair)):
-                    reasons.add(("router", event.router))
-            if not reasons:
-                return event.cycle
-        return None
-
-    # -- partition detection -------------------------------------------------
-    def _check_partition(self, event: FaultEvent) -> None:
-        """Raise :class:`NetworkPartitionedError` when the live routers are
-        no longer mutually connected through live links (both directions
-        of a dead link are always dead, so reaching one live router from
-        all the others is mutual connectivity)."""
-        dead_routers = self._dead_routers
-        live = [r for r in range(self.sim.topology.num_routers)
-                if r not in dead_routers]
-        if not live:
-            return
-        dist, _ = self._wiring.bfs(live[0], self._dead_links, dead_routers)
-        reached = sum(1 for d in dist if d >= 0)
-        if reached < len(live):
-            raise NetworkPartitionedError(
-                f"fault event {event} at cycle {self.sim.engine.now} "
-                f"partitions the network: {reached} of {len(live)} live "
-                f"routers remain mutually reachable"
-            )
-
-    # -- re-table-ing --------------------------------------------------------
-    def _retable(self) -> None:
-        """Hand the new dead sets to the route table and flush stale plans.
-
-        The table drops exactly the resident columns the transition can
-        alter (:meth:`~repro.routing.route_table.RouteTable.set_fault_state`)
-        and rebuilds them on their next touch: the detour fill where the
-        pristine route crosses a dead link, the pristine, byte-identical
-        fill everywhere else — including every column once all faults have
-        cleared, and the column *to* a dead router (sink-hole rule: packets
-        flow to the dead boundary and drop there with accounting).
-        """
-        self.columns_invalidated += self.sim.route_table.set_fault_state(
-            frozenset(self._dead_links), frozenset(self._dead_routers)
-        )
-        self._invalidate_plans()
-
-    def _invalidate_plans(self) -> None:
-        """Flush every cached forwarding decision after a re-table.
-
-        Clears the routing layer's first-level plan memo, every port's cached
-        head plan and blocked-allocation verdict, and wakes every router so
-        the next pump re-evaluates against the rebuilt columns.  Cleared
-        non-None head plans count as rerouted packets (their forwarding
-        decision was recomputed because of a fault).
+        When either dead set changes: drain the routers that died, install
+        the sets, hand them to the route table — which drops the resident
+        columns they can alter
+        (:meth:`~repro.routing.route_table.RouteTable.set_fault_state`) —
+        and flush every cached forwarding decision; each cleared head plan
+        counts as a rerouted packet.
         """
         sim = self.sim
-        sim.routing.invalidate_route_caches()
-        rerouted = 0
-        for router in sim.routers:
-            for port in router._alloc_inputs:
-                plans = port.head_plans
-                for vc in range(len(plans)):
-                    if plans[vc] is not None:
-                        plans[vc] = None
-                        rerouted += 1
-                port._hot[port._hb + 2] = -1
-            masks = router._pv_masks
-            for i in range(len(masks)):
-                masks[i] = 0
-            router._pv_any_mask = 0
-            router._blocked_credit_mask = 0
-            router.wake()
-        self.packets_rerouted += rerouted
+        now = interval.cycle
+        dead_links, dead_routers = self._dead_links, self._dead_routers
+        if dead_links != interval.dead_links or dead_routers != interval.dead_routers:
+            for router in sorted(interval.dead_routers - dead_routers):
+                self._drain_router(sim.routers[router], now)
+            dead_links.clear()
+            dead_links.update(interval.dead_links)
+            dead_routers.clear()
+            dead_routers.update(interval.dead_routers)
+            self.columns_invalidated += sim.route_table.set_fault_state(
+                interval.dead_links, interval.dead_routers
+            )
+            sim.routing.invalidate_route_caches()
+            self.packets_rerouted += sum(router.forget_plans() for router in sim.routers)
+        hook = self.on_fault_applied
+        for event in interval.events:
+            self.faults_applied += 1
+            if hook is not None:
+                hook(event, now)
 
-    # -- in-flight and buffered packet handling ------------------------------
-    def _drop_on_wire(
-        self,
-        packet: "Packet",
-        key: _LinkKey,
-        vc: int,
-        now: int,
-        channel: Optional["CreditChannel"],
-    ) -> None:
-        """Drop a flit in flight on a dead link, with accounting.
-
-        The upstream output port's credit mirror was debited at grant time;
-        the credit is returned when the link recovers (never, if it does
-        not — a permanently-dead port's stale mirror is unreachable anyway).
-        """
+    # -- dropped packets and traffic suppression ----------------------------
+    def _dropped(self, packet: "Packet", router_id: int, reason: str, now: int) -> None:
+        """Count a packet a fault destroyed and report it to the probes
+        (``reason`` is ``"wire"``, ``"buffer"`` or ``"source"``)."""
         self.packets_dropped += 1
-        self.packets_dropped_wire += 1
+        self._drops[reason] += 1
         hook = self.on_packet_dropped
         if hook is not None:
-            hook(packet, key[0], "wire", now)
-        if channel is None:
-            return
-        up = self._recovery_cycle(key, now)
-        if up is not None:
+            hook(packet, router_id, reason, now)
+
+    def _return_credit(self, up: Optional[int], channel: Optional["CreditChannel"],
+                       vc: int, packet: "Packet") -> None:
+        """Return the credit a dropped ``packet`` held upstream when its link
+        or router revives at ``up`` (never, if it does not: a permanently
+        dead port's stale mirror is unreachable anyway)."""
+        if up is not None and channel is not None:
             self.sim.engine.schedule_call(
-                max(up, now),
-                channel._deliver,
+                up, channel._deliver,
                 (vc, packet.size_phits, packet.credit_tag_minimal),
             )
 
     def _drain_router(self, router: "Router", now: int) -> None:
-        """A failed router loses its buffered state: drop every resident
-        packet (network inputs, injection buffers, source queues) with
-        accounting, mirroring ``InputPort.pop``'s bookkeeping minus the
-        credit send (owed credits are scheduled at the router's recovery)."""
-        engine = self.sim.engine
+        """A failed router loses its buffered state: every resident packet
+        (network inputs, injection buffers, source queues) is dropped, and
+        the credits its network inputs owe upstream return at its revival."""
         router_id = router.router_id
-        up = self._router_recovery_cycle(router_id, now)
-        hook = self.on_packet_dropped
-        for port in router._alloc_inputs:
-            hot = port._hot
-            base = port._hb
-            channel = port.credit_channel
-            for vc, queue in enumerate(port.queues):
-                if not queue:
-                    continue
-                for packet, _ready in queue:
-                    size = packet.size_phits
-                    port.buffer.release(vc, size)
-                    self.packets_dropped += 1
-                    self.packets_dropped_buffer += 1
-                    if port.is_injection:
-                        router._injection_resident -= 1
-                    else:
-                        router.resident_packets -= 1
-                        router.resident_ledger.count -= 1
-                        if up is not None and channel is not None:
-                            engine.schedule_call(
-                                max(up, now),
-                                channel._deliver,
-                                (vc, size, packet.credit_tag_minimal),
-                            )
-                    if hook is not None:
-                        hook(packet, router_id, "buffer", now)
-                queue.clear()
-                port.head_plans[vc] = None
-            hot[base] = 0
-            hot[base + 1] = 0
-            hot[base + 2] = -1
-        for queue in router.source_queues:
-            for packet in queue:
-                self.packets_dropped += 1
-                self.packets_dropped_source += 1
-                router._source_backlog -= 1
-                if hook is not None:
-                    hook(packet, router_id, "source", now)
-            queue.clear()
+        up = _revival(
+            self.timeline, now, lambda interval: router_id in interval.dead_routers
+        )
+        buffered, queued = router.drop_resident()
+        for port, vc, packet in buffered:
+            self._return_credit(up, port.credit_channel, vc, packet)
+            self._dropped(packet, router_id, "buffer", now)
+        for packet in queued:
+            self._dropped(packet, router_id, "source", now)
 
-    def _router_recovery_cycle(self, router: int, now: int) -> Optional[int]:
-        for event in self.schedule.events:
-            if (event.cycle > now and event.kind == "router-up"
-                    and event.router == router):
-                return event.cycle
-        return None
-
-    # -- traffic suppression -------------------------------------------------
-    def _update_traffic_filter(self) -> None:
-        """(Un)install the generator-boundary filter for dead routers.
+    def _admit(self, packet: "Packet") -> bool:
+        """Traffic filter: suppress a packet to or from a dead router.
 
         Suppression happens *after* the RNG draw and *before*
         ``record_generation`` — the random stream is untouched (surviving
         traffic stays bit-identical) and suppressed packets never count as
         generated (conservation is over network-entering packets only).
         """
-        traffic = self.sim.traffic
-        assert traffic is not None
         dead = self._dead_routers
-        if not dead:
-            traffic.fault_filter = None
-            return
-        topology = self.sim.topology
-        router_of = topology.router_of_node
-        controller = self
-
-        def allow(packet: "Packet") -> bool:
-            if router_of(packet.src_node) in dead or \
-                    router_of(packet.dst_node) in dead:
-                controller.packets_suppressed += 1
-                return False
-            return True
-
-        traffic.fault_filter = allow
+        router_of = self.sim.topology.router_of_node
+        if dead and (router_of(packet.src_node) in dead
+                     or router_of(packet.dst_node) in dead):
+            self.packets_suppressed += 1
+            return False
+        return True
 
     # -- reporting -----------------------------------------------------------
     def window_extra(self) -> Dict[str, Any]:
@@ -768,12 +650,10 @@ class FaultController:
         return {
             "schedule_events": len(self.schedule.events),
             "schedule_digest": self.schedule.digest(),
-            "policy": self.policy,
+            "policy": self.schedule.policy,
             "applied": self.faults_applied,
             "packets_dropped": self.packets_dropped,
-            "packets_dropped_wire": self.packets_dropped_wire,
-            "packets_dropped_buffer": self.packets_dropped_buffer,
-            "packets_dropped_source": self.packets_dropped_source,
+            **{f"packets_dropped_{where}": n for where, n in self._drops.items()},
             "packets_suppressed": self.packets_suppressed,
             "packets_rerouted": self.packets_rerouted,
             "columns_invalidated": self.columns_invalidated,

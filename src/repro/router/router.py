@@ -49,7 +49,7 @@ through their ``router`` slot.  ``__init__`` picks each port's class.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..buffers.base import BufferOrganization
 from ..buffers.damq import DamqBuffer
@@ -70,6 +70,8 @@ from ..topology.base import Topology
 from .allocator import SeparableAllocator
 from .credits import CreditTracker
 from .ports import (
+    IN_BLOCKED,
+    IN_STRIDE,
     EjectionPort,
     InputPort,
     OutputPort,
@@ -422,6 +424,58 @@ class Router:
         self._source_backlog += 1
         self._inject_gate = 0
         self.wake()
+
+    # ------------------------------------------------------------------
+    # Fault injection (repro.faults)
+    # ------------------------------------------------------------------
+    def forget_plans(self) -> int:
+        """Drop every cached forwarding decision: the route table changed.
+
+        Clears each input's head plans and blocked verdict and the recorded
+        credit dependencies, and wakes the router so its next pump plans
+        afresh.  Returns how many head plans it cleared.
+        """
+        cleared = 0
+        for index, port in enumerate(self._alloc_inputs):
+            plans = port.head_plans
+            for vc, plan in enumerate(plans):
+                if plan is not None:
+                    plans[vc] = None
+                    cleared += 1
+            self._in_state[IN_STRIDE * index + IN_BLOCKED] = -1
+        self._pv_masks[:] = [0] * self._n_in
+        self._pv_any_mask = 0
+        self._blocked_credit_mask = 0
+        self.wake()
+        return cleared
+
+    def drop_resident(self) -> Tuple[List[Tuple[InputPort, int, Packet]], List[Packet]]:
+        """Empty every buffer and source queue: the router failed.
+
+        Returns the ``(port, vc, packet)`` of every buffered packet, in
+        allocation-input and VC order, and every source-queued packet; no
+        credit is sent and no hook fires, so accounting for them and the
+        credits network inputs owe upstream are the caller's.
+        """
+        buffered = []
+        for index, port in enumerate(self._alloc_inputs):
+            for vc, queue in enumerate(port.queues):
+                if queue:
+                    for packet, _ready in queue:
+                        port.buffer.release(vc, packet.size_phits)
+                        buffered.append((port, vc, packet))
+                    queue.clear()
+                    port.head_plans[vc] = None
+            base = IN_STRIDE * index
+            self._in_state[base:base + IN_STRIDE] = (0, 0, -1)
+        if self.resident_ledger is not None:
+            self.resident_ledger.count -= self.resident_packets
+        self.resident_packets = self._injection_resident = 0
+        queued = [packet for queue in self.source_queues for packet in queue]
+        for queue in self.source_queues:
+            queue.clear()
+        self._source_backlog = 0
+        return buffered, queued
 
     # ------------------------------------------------------------------
     # Per-cycle operation

@@ -9,8 +9,10 @@ The load-bearing guarantees:
   dead links on every registered topology, and recovery rebuilds columns
   byte-identical to the pristine fill (``tests/test_route_tables.py`` holds
   the generated columns-are-a-pure-function-of-the-dead-set test);
-* **partition detection** — a schedule that disconnects the live graph
-  raises a typed :class:`~repro.faults.NetworkPartitionedError`;
+* **the timeline** — a schedule resolves before cycle 0 into the dead sets
+  a brute-force per-cycle replay gives, and one that disconnects the live
+  graph in any interval is refused at validation with a typed
+  :class:`~repro.faults.NetworkPartitionedError`;
 * **conservation** — with the drop policy, every packet that entered the
   network is either delivered or dropped-with-accounting once drained.
 """
@@ -18,11 +20,14 @@ The load-bearing guarantees:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.config import SimulationConfig
+from repro.config import NetworkConfig, SimulationConfig
 from repro.core.arrangement import VcArrangement
 from repro.faults import (
     FaultSchedule,
@@ -32,6 +37,7 @@ from repro.faults import (
     NetworkPartitionedError,
     RouterDown,
     RouterUp,
+    _revival,
     parse_faults,
 )
 from repro.routing.route_table import RouteTable
@@ -65,6 +71,73 @@ def flap_config(policy: str = "drop", **overrides) -> SimulationConfig:
         events=(LinkDown(400, 0, port), LinkUp(900, 0, port)), policy=policy
     )
     return dataclasses.replace(base, faults=schedule, **overrides)
+
+
+def pinned_schedules(config: SimulationConfig) -> dict:
+    """Named event lists on ``flap_config``'s network, one per fault shape:
+    flaps of a global link and of the router behind it, overlapping link
+    and router windows in both revival orders, a link downed from both
+    ends and repaired from one, a local link never repaired, and sampled
+    link and router schedules."""
+    topology = config.network.build()
+    port = config.faults.events[0].port
+    local = next(
+        info.port for info in topology.ports(0)
+        if info.link_type == LinkType.LOCAL
+    )
+    far = topology.neighbor(0, port)
+    back = topology.back_port(0, port)
+    sampled = {
+        f"sample-{element}": parse_faults(
+            f"sample:mtbf={mtbf},mttr={mttr},until=1500,seed=4,"
+            f"element={element}"
+        ).resolve(config).events
+        for element, mtbf, mttr in (("link", 20000, 400), ("router", 6000, 300))
+    }
+    return {
+        "global-link-flap": config.faults.events,
+        "neighbour-router-flap": (RouterDown(400, far), RouterUp(900, far)),
+        "link-and-router-link-revives-first": (
+            LinkDown(400, 0, port), RouterDown(500, far),
+            LinkUp(800, 0, port), RouterUp(1000, far),
+        ),
+        "link-and-router-router-revives-first": (
+            LinkDown(400, 0, port), RouterDown(500, far),
+            RouterUp(800, far), LinkUp(1000, 0, port),
+        ),
+        "both-ends-down-one-up": (
+            LinkDown(400, 0, port), LinkDown(450, far, back),
+            LinkUp(900, 0, port),
+        ),
+        "local-link-never-repaired": (LinkDown(400, 0, local),),
+        **sampled,
+    }
+
+
+#: sha256[:16] of each pinned schedule's run (see
+#: ``test_faulted_run_matches_pinned_digest``).
+PINNED_RUN_DIGESTS = {
+    "drop": {
+        "global-link-flap": "135c0d1b32b50966",
+        "neighbour-router-flap": "0b6a38b52694b113",
+        "link-and-router-link-revives-first": "670c6921ddf42a0f",
+        "link-and-router-router-revives-first": "94764a002bfcd7a8",
+        "both-ends-down-one-up": "7c6c2e73dbfde91b",
+        "local-link-never-repaired": "524419a811a027dc",
+        "sample-link": "3ca737ebd10e4eb3",
+        "sample-router": "1f68f89bb56c5a12",
+    },
+    "stall": {
+        "global-link-flap": "9544d9c6ebf83530",
+        "neighbour-router-flap": "146d19743bf74c0b",
+        "link-and-router-link-revives-first": "7f72301dbbf476a5",
+        "link-and-router-router-revives-first": "f0ab2048e53fb55f",
+        "both-ends-down-one-up": "c4ca6e57fec89f3b",
+        "local-link-never-repaired": "2bbee7bca74e22c8",
+        "sample-link": "639ce02e72d3c760",
+        "sample-router": "d765d189e2ad79ea",
+    },
+}
 
 
 def run_session(config: SimulationConfig, windows: int = 3):
@@ -208,6 +281,36 @@ class TestFaultedRunDeterminism:
         assert provenance["packets_dropped"] == controller.packets_dropped
         assert provenance["columns_invalidated"] == controller.columns_invalidated
 
+    @pytest.mark.parametrize("name", sorted(PINNED_RUN_DIGESTS["drop"]))
+    @pytest.mark.parametrize("policy", ["drop", "stall"])
+    def test_faulted_run_matches_pinned_digest(self, policy, name):
+        # The digest covers the three windows, the post-drain packet counts
+        # and the fault provenance block of each schedule: a rewrite of the
+        # fault runtime must reproduce every one bit for bit.
+        config = flap_config(policy)
+        events = pinned_schedules(config)[name]
+        config = dataclasses.replace(
+            config, faults=FaultSchedule(events=events, policy=policy)
+        )
+        session = Session(config)
+        session.warmup()
+        windows = [dataclasses.asdict(session.measure()) for _ in range(3)]
+        session.drain()
+        metrics = session.sim.metrics
+        payload = {
+            "windows": windows,
+            "counts": [
+                metrics.packets_generated,
+                metrics.packets_delivered_total,
+                session.sim.total_resident_packets(),
+            ],
+            "faults": session.record().provenance["faults"],
+        }
+        digest = hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode()
+        ).hexdigest()[:16]
+        assert digest == PINNED_RUN_DIGESTS[policy][name]
+
     def test_stall_policy_drops_nothing(self):
         session, _, _ = run_session(flap_config("stall"))
         controller = session.sim.fault_controller
@@ -286,19 +389,64 @@ class TestAccounting:
         assert provenance["packets_suppressed"] == controller.packets_suppressed
 
 
+def _isolate(config: SimulationConfig, router: int, cycle: int) -> tuple:
+    """``LinkDown`` at ``cycle`` for every link of ``router``."""
+    topology = config.network.build()
+    return tuple(
+        LinkDown(cycle, router, info.port) for info in topology.ports(router)
+    )
+
+
 class TestPartitionDetection:
     def test_isolating_a_router_raises_typed_error(self):
+        # The down-events would fire at cycle 400, mid-measure: the
+        # schedule is refused before warm-up instead.
         config = flap_config("drop")
-        topology = config.network.build()
-        events = tuple(
-            LinkDown(400, 0, info.port) for info in topology.ports(0)
+        config = dataclasses.replace(
+            config, faults=FaultSchedule(events=_isolate(config, 0, 400))
         )
-        session = Session(
+        with pytest.raises(NetworkPartitionedError, match="cycle 400"):
+            config.validate()
+        with pytest.raises(NetworkPartitionedError):
+            Session(config)
+
+    def test_router_dying_with_its_links_is_not_a_partition(self):
+        # Only the state after *all* of a cycle's events counts: with every
+        # link of router 0 down at cycle 400 it is isolated, but it dies at
+        # the same cycle, so no live router is cut off.
+        config = flap_config("drop")
+        events = _isolate(config, 0, 400) + (RouterDown(400, 0),)
+        session, results, _ = run_session(
             dataclasses.replace(config, faults=FaultSchedule(events=events))
         )
-        session.warmup()  # the down-events fire at cycle 400, mid-measure
-        with pytest.raises(NetworkPartitionedError):
-            session.measure()
+        assert results[-1].packets_delivered > 0
+        assert session.sim.fault_controller.faults_applied == len(events)
+
+    def test_router_revived_into_isolation_is_refused(self):
+        # Router 5 dies, its links go down while it is dead, and it comes
+        # back with every link still down: live but cut off.  Run anyway,
+        # the route table would keep holding router 5 dead while its nodes
+        # inject, and packets would pile up in its injection buffers.
+        config = flap_config("drop")
+        events = (
+            (RouterDown(340, 5),) + _isolate(config, 5, 350) + (RouterUp(500, 5),)
+        )
+        config = dataclasses.replace(config, faults=FaultSchedule(events=events))
+        with pytest.raises(NetworkPartitionedError, match="cycle 500"):
+            config.validate()
+
+    def test_events_naming_missing_elements_are_refused(self):
+        config = flap_config("drop")
+        missing_port = config.network.build().wiring().ports_per_router
+        for event, message in (
+            (LinkDown(5, 999, 0), "router 999"),
+            (LinkDown(5, 0, missing_port), f"port {missing_port} of router 0"),
+            (RouterDown(5, 36), "router 36"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                dataclasses.replace(
+                    config, faults=FaultSchedule(events=(event,))
+                ).validate()
 
     def test_dead_router_is_not_a_partition(self):
         # Sink-hole rule: a dead router removes itself from the live graph,
@@ -309,6 +457,123 @@ class TestPartitionDetection:
             dataclasses.replace(config, faults=schedule)
         )
         assert results[-1].packets_delivered > 0
+
+
+# ---------------------------------------------------------------------------
+# The timeline against a brute-force per-cycle replay
+# ---------------------------------------------------------------------------
+
+#: the tiny Dragonfly, and a HyperX small enough that random events often
+#: cut it apart.
+ORACLE_WIRINGS = {
+    "dragonfly": NetworkConfig().build().wiring(),
+    "hyperx": NetworkConfig(topology="hyperx", params={"s": (3, 3)}).build().wiring(),
+}
+
+
+def _replay(wiring, events, cycle):
+    """Dead links and routers after every event up to ``cycle``, straight
+    from the rule: a directed link is dead while its physical link's last
+    Link event is a LinkDown or either endpoint's last Router event is a
+    RouterDown."""
+    per = wiring.ports_per_router
+
+    def physical(router, port):
+        slot = router * per + port
+        return frozenset({(router, port), (wiring.neighbor[slot], wiring.back_port[slot])})
+
+    last_link, last_router = {}, {}
+    for event in events:
+        if event.cycle > cycle:
+            break
+        if isinstance(event, (LinkDown, LinkUp)):
+            last_link[physical(event.router, event.port)] = event
+        else:
+            last_router[event.router] = event
+    dead_routers = {r for r, e in last_router.items() if isinstance(e, RouterDown)}
+    dead_links = set()
+    for slot, far in enumerate(wiring.neighbor):
+        router, port = divmod(slot, per)
+        if far >= 0 and (
+            isinstance(last_link.get(physical(router, port)), LinkDown)
+            or router in dead_routers or far in dead_routers
+        ):
+            dead_links.add((router, port))
+    return dead_links, dead_routers
+
+
+def _connected(wiring, dead_links, dead_routers):
+    """Depth-first search: every live router reachable over live links."""
+    per = wiring.ports_per_router
+    live = [r for r in range(wiring.num_routers) if r not in dead_routers]
+    seen = set(live[:1])
+    stack = list(seen)
+    while stack:
+        router = stack.pop()
+        for port in range(per):
+            far = wiring.neighbor[router * per + port]
+            if (far >= 0 and far not in dead_routers and far not in seen
+                    and (router, port) not in dead_links):
+                seen.add(far)
+                stack.append(far)
+    return len(seen) == len(live)
+
+
+@st.composite
+def fault_events(draw, wiring):
+    """Up to a dozen events over cycles 1-6 (so repeats, overlaps and
+    same-cycle events are common), some downing every link of a router,
+    with or without the router itself."""
+    per = wiring.ports_per_router
+    links = [
+        divmod(slot, per) for slot, far in enumerate(wiring.neighbor) if far >= 0
+    ]
+    cycles = st.integers(1, 6)
+    routers = st.integers(0, wiring.num_routers - 1)
+    one = st.one_of(
+        st.builds(lambda kind, cycle, link: (kind(cycle, *link),),
+                  st.sampled_from([LinkDown, LinkUp]), cycles, st.sampled_from(links)),
+        st.builds(lambda kind, cycle, router: (kind(cycle, router),),
+                  st.sampled_from([RouterDown, RouterUp]), cycles, routers),
+        st.builds(lambda cycle, router, dies: tuple(
+            LinkDown(cycle, router, port) for port in range(per)
+            if wiring.neighbor[router * per + port] >= 0
+        ) + ((RouterDown(cycle, router),) if dies else ()),
+                  cycles, routers, st.booleans()),
+    )
+    return tuple(event for group in draw(st.lists(one, max_size=12)) for event in group)
+
+
+@pytest.mark.parametrize("network", sorted(ORACLE_WIRINGS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_timeline_matches_per_cycle_replay(network, data):
+    wiring = ORACLE_WIRINGS[network]
+    schedule = FaultSchedule(events=data.draw(fault_events(wiring)))
+    last = max((event.cycle for event in schedule.events), default=0)
+    states = [_replay(wiring, schedule.events, cycle) for cycle in range(last + 1)]
+    cycles = sorted({event.cycle for event in schedule.events})
+    if not all(_connected(wiring, *states[cycle]) for cycle in cycles):
+        with pytest.raises(NetworkPartitionedError):
+            schedule.timeline(wiring)
+        return
+    timeline = schedule.timeline(wiring)
+    assert [interval.cycle for interval in timeline] == cycles
+    for interval in timeline:
+        assert (interval.dead_links, interval.dead_routers) == states[interval.cycle]
+        assert interval.events == tuple(
+            event for event in schedule.events if event.cycle == interval.cycle
+        )
+    # Revival lookups, asked (as at run time) of an element dead at ``now``:
+    # the oracle's first later cycle at which it is live, None if never.
+    for now, (dead_links, dead_routers) in enumerate(states):
+        later = range(now + 1, last + 1)
+        for key in dead_links:
+            expected = next((t for t in later if key not in states[t][0]), None)
+            assert _revival(timeline, now, lambda i: key in i.dead_links) == expected
+        for router in dead_routers:
+            expected = next((t for t in later if router not in states[t][1]), None)
+            assert _revival(timeline, now, lambda i: router in i.dead_routers) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +683,20 @@ class TestFaultOrchestration:
         assert len(entries) == 1
         _, record, _ = entries[0]
         assert record.provenance["faults"]["applied"] == 2
+
+    @pytest.mark.parametrize("spec", [
+        "link:999:0@5",
+        ";".join(f"link:0:{port}@5" for port in range(5)),  # cuts off router 0
+    ])
+    def test_cli_refuses_a_bad_schedule_before_any_job(self, spec, tmp_path, capsys):
+        from repro.experiments.__main__ import main
+
+        store = tmp_path / "store.json"
+        status = main(["run", "fig5", "--scale", "tiny", "--faults", spec,
+                       "--store", str(store)])
+        assert status == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("--faults: ")
 
     def test_deadlock_outcome_is_typed_and_inspectable(self, tmp_path):
         import subprocess
