@@ -22,8 +22,7 @@ class PortOccupancyLedger:
     Figure 8: {per-port, per-VC} x {all credits, MIN credits only}.  The two
     classes are two flat per-VC int lists rather than one counter object per
     (port, VC) pair: the pairs number millions at 10^5-endpoint scale and
-    every debit and credit return touches one, which the fused
-    ``StaticOutputPort`` paths do by indexing the lists directly.
+    every debit and credit return touches one.
     """
 
     __slots__ = ("num_vcs", "minimal", "nonminimal")

@@ -110,11 +110,8 @@ class RandomVc(VcSelection):
 
 _SELECTIONS = {
     "jsq": JoinShortestQueue,
-    "join-shortest-queue": JoinShortestQueue,
     "highest": HighestVc,
-    "highest-vc": HighestVc,
     "lowest": LowestVc,
-    "lowest-vc": LowestVc,
     "random": RandomVc,
 }
 
@@ -125,5 +122,5 @@ def make_selection(name: str) -> VcSelection:
         return _SELECTIONS[name.strip().lower()]()
     except KeyError as exc:
         raise ValueError(
-            f"unknown VC selection {name!r}; expected one of {sorted(set(_SELECTIONS))}"
+            f"unknown VC selection {name!r}; expected one of {sorted(_SELECTIONS)}"
         ) from exc

@@ -29,13 +29,15 @@ Events are stored as ``(fn, args)`` pairs and fired as ``fn(*args)``:
 completions) pass precomputed argument tuples instead of allocating one
 closure per packet.
 
-Activity tracking replaces the seed's per-cycle scan of every router: a
-router registers as active when it gains work (a packet arrives, a source
-enqueues, a credit returns) via :meth:`Engine.activate` and is deregistered
-by the engine once its :meth:`has_work` check fails at the top of a cycle.
-The active set is iterated in registration order so the shared RNG stream —
-and therefore every simulation result — is bit-identical to stepping all
-busy routers in router-id order.
+A router is registered as one ``pump(now) -> bool``: the engine calls it
+once per cycle while the router is *active*, and drops the router from the
+active set when the pump returns False (nothing to do).  A router re-joins
+the set when it gains work (a packet arrives, a source enqueues, a credit
+returns) through the ``engine_activate`` handle installed at registration,
+or at a timed wake (:meth:`Engine.schedule_wake`).  The active set is
+iterated in registration order so the shared RNG stream — and therefore
+every simulation result — is bit-identical to stepping all busy routers in
+router-id order.
 
 When no router is active and every traffic source reports itself quiescent
 (see ``quiescent()`` on :class:`~repro.traffic.base.TrafficGenerator`),
@@ -46,7 +48,7 @@ of ticking through empty cycles.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 Event = Callable[[int], None]
 
@@ -69,11 +71,10 @@ class Engine:
         #: far calendar: cycle -> bucket, plus a min-heap of those cycles.
         self._wheel: Dict[int, List[Tuple[Callable, tuple]]] = {}
         self._event_cycles: List[int] = []
-        self._steppers: List[object] = []
-        #: per-stepper merged has_work+step entry points (see register_router).
+        #: one ``pump(now) -> bool`` per registered router (see register_router).
         self._pumps: List[Callable[[int], bool]] = []
         self._generators: List[object] = []
-        #: indices (into ``_steppers``) of routers that may have work.
+        #: indices (into ``_pumps``) of routers that may have work.
         self._active: set[int] = set()
         #: timed router wake-ups (cheaper than events: a set union, no calls).
         #: Near wakes ride a ring of index-sets; far wakes use a dict + heap.
@@ -87,32 +88,19 @@ class Engine:
 
     # -- registration -----------------------------------------------------------
     def register_router(self, router: object) -> None:
-        """Register an object exposing ``step(now)`` and ``has_work()``.
+        """Register an object exposing ``pump(now) -> bool``.
 
-        Routers start active; they are dropped from the active set once
-        ``has_work()`` returns False and must re-activate themselves (via
-        :meth:`activate`) when they gain new work.
+        The pump does the router's work for the cycle and returns True, or
+        returns False when there is none.  Routers start active; they are
+        dropped from the active set once their pump returns False and must
+        re-activate themselves (via :meth:`activate`) when they gain new work.
         """
-        index = len(self._steppers)
-        self._steppers.append(router)
-        # One bound call per active router per cycle: routers expose a merged
-        # ``pump(now) -> bool`` (has_work + step); plain steppers get a
-        # wrapper so the cycle loop stays uniform.
-        pump = getattr(router, "pump", None)
-        if pump is None:
-            def pump(now: int, _router: object = router) -> bool:
-                if _router.has_work():
-                    _router.step(now)
-                    return True
-                return False
-        self._pumps.append(pump)
+        index = len(self._pumps)
+        self._pumps.append(router.pump)
         self._active.add(index)
         # Routers use these handles to signal activity without indirection.
-        try:
-            router.engine_index = index
-            router.engine_activate = self._active.add
-        except AttributeError:  # pragma: no cover - read-only test doubles
-            pass
+        router.engine_index = index
+        router.engine_activate = self._active.add
 
     def register_traffic(self, generator: object) -> None:
         """Register an object exposing ``tick(now)`` called once per cycle."""
@@ -150,11 +138,8 @@ class Engine:
         """Run ``event(cycle)`` at the given absolute cycle (must not be in the past)."""
         self.schedule_call(cycle, event, (cycle,))
 
-    def schedule_in(self, delay: int, event: Event) -> None:
-        self.schedule(self.now + delay, event)
-
     def schedule_wake(self, cycle: int, index: int) -> None:
-        """Re-activate stepper ``index`` at ``cycle`` (timed router sleep)."""
+        """Re-activate router ``index`` at ``cycle`` (timed router sleep)."""
         if cycle <= self.now:
             # The current cycle's ring slot is drained at the top of tick(),
             # so a due-now (or overdue) wake must go straight to the active
@@ -256,21 +241,20 @@ class Engine:
             best = wakes[0]
         return best
 
-    def run(self, cycles: int, callback: Optional[Callable[[int], None]] = None) -> None:
-        """Run ``cycles`` additional cycles, optionally invoking ``callback`` each cycle."""
+    def run(self, cycles: int) -> None:
+        """Run ``cycles`` additional cycles."""
         if cycles < 0:
             raise ValueError("cycles must be non-negative")
-        self.run_until(self.now + cycles, callback)
+        self.run_until(self.now + cycles)
 
-    def run_until(self, cycle: int, callback: Optional[Callable[[int], None]] = None) -> None:
+    def run_until(self, cycle: int) -> None:
         """Advance time to ``cycle``, fast-forwarding across idle gaps.
 
         A gap is skippable only when no router is active and every traffic
         source is quiescent, so skipping never changes simulation results.
-        Per-cycle ``callback`` invocation disables skipping.
         """
         while self.now < cycle:
-            if callback is None and self._quiescent():
+            if self._quiescent():
                 next_event = self._next_event_cycle()
                 target = cycle if next_event is None else min(next_event, cycle)
                 if target > self.now:
@@ -278,8 +262,6 @@ class Engine:
                     self.now = target
                     continue
             self.tick()
-            if callback is not None:
-                callback(self.now)
 
     # -- introspection --------------------------------------------------------------------
     def next_event_cycle(self) -> Optional[int]:
@@ -292,6 +274,3 @@ class Engine:
 
     def pending_events(self) -> int:
         return self._ring_events + sum(len(events) for events in self._wheel.values())
-
-    def routers(self) -> Iterable[object]:
-        return tuple(self._steppers)

@@ -210,21 +210,16 @@ class SimulationResult:
 class MetricsCollector:
     """Accumulates per-packet statistics and produces a :class:`SimulationResult`."""
 
-    def __init__(self, num_nodes: int, packet_size: int) -> None:
+    def __init__(self, num_nodes: int) -> None:
         if num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")
         self.num_nodes = num_nodes
-        self.packet_size = packet_size
         self.measurement_start: Optional[int] = None
         self.measurement_end: Optional[int] = None
-        self.reset()
-
-    def reset(self) -> None:
         self.packets_generated = 0
         self.packets_delivered_total = 0
         self.packets_delivered_window = 0
         self.phits_delivered_window = 0
-        self.phits_generated_window = 0
         self.latency_histogram = LatencyHistogram()
         self.misrouted_measured = 0
         self.measured_delivered = 0
@@ -258,7 +253,6 @@ class MetricsCollector:
         self._epoch += 1
         self.packets_delivered_window = 0
         self.phits_delivered_window = 0
-        self.phits_generated_window = 0
         self.latency_histogram = LatencyHistogram()
         self.misrouted_measured = 0
         self.measured_delivered = 0
@@ -275,8 +269,6 @@ class MetricsCollector:
     def record_generation(self, packet: Packet, cycle: int) -> None:
         self.packets_generated += 1
         packet.measured = self._epoch if self.in_window(cycle) else 0
-        if packet.measured:
-            self.phits_generated_window += packet.size_phits
 
     def record_delivery(self, packet: Packet, cycle: int) -> None:
         self.packets_delivered_total += 1

@@ -19,13 +19,9 @@ from ..core.mincred import PortOccupancyLedger
 class CreditTracker:
     """Upstream view of a downstream input port's free space.
 
-    Hot-path note: when the mirror is statically partitioned, the output
-    port is a :class:`~repro.router.ports.StaticOutputPort`, whose ``debit``
-    (grant time) and ``credit_return`` (return time) update the mirror, the
-    ledger and the router's ``_credit_free`` slab in one frame.  The methods
-    below remain the canonical implementations — DAMQ mirrors and standalone
-    users go through them (``OutputPort.debit`` / ``credit_return``) — and
-    the fused paths must stay check-for-check identical to them.
+    Every output port debits (grant time) and credits (return time) through
+    the methods below, via ``OutputPort.debit`` / ``credit_return``; the
+    mirror keeps the router's ``_credit_free`` slab in step as it goes.
     """
 
     __slots__ = ("mirror", "ledger")

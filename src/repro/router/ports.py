@@ -29,13 +29,11 @@ and :meth:`OutputPort.debit` the grant executor's credit debit.  Everything
 they touch is already a slot of the port (queues, hot-state slice, buffer,
 credit tracker) or reachable through its ``router`` slot, so a link costs
 two bound methods (``debit`` is looked up per call and stored nowhere) where
-it used to cost three closures of 6-10 cells each (DESIGN.md §6/§9).  The
-base classes carry the generic bodies (any buffer organization, any pipeline
-latency, layered through ``BufferOrganization`` / ``CreditTracker``);
-:class:`StaticInputPort` / :class:`StaticOutputPort` fuse the same checks
-into one frame for statically partitioned buffers.  The router picks the
-class once, when it builds the port, and the fused bodies
-must stay check-for-check identical to the generic ones.
+it used to cost three closures of 6-10 cells each (DESIGN.md §6/§9).  There
+is one body per callback, for every buffer organization and pipeline
+latency, layered through ``BufferOrganization`` / ``CreditTracker``: a copy
+fused into one frame for statically partitioned buffers measured within
+noise of these (DESIGN.md §6 table), so none is kept.
 """
 
 from __future__ import annotations
@@ -107,13 +105,12 @@ class InputPort:
         #: and get their queue on first arrival — at 10^5-endpoint scale
         #: most of the millions of VC queues never see a packet during
         #: short runs.  Consumers already treat an empty queue as falsy,
-        #: which None satisfies; only the arrival paths (``receive`` and the
-        #: fused ``deliver`` bodies) create.  The queue is a plain list, not a
-        #: deque: its depth is bounded by the VC's buffer capacity in
-        #: packets (small), ``pop(0)`` on a short list is cheap, and an
-        #: empty deque costs ~11x the memory of an empty list — once
-        #: steady-state traffic has touched every (port, VC) pair, that
-        #: difference is hundreds of MB at system scale.
+        #: which None satisfies; only ``receive`` creates one.  The queue is
+        #: a plain list, not a deque: its depth is bounded by the VC's
+        #: buffer capacity in packets (small), ``pop(0)`` on a short list is
+        #: cheap, and an empty deque costs ~11x the memory of an empty list
+        #: — once steady-state traffic has touched every (port, VC) pair,
+        #: that difference is hundreds of MB at system scale.
         self.queues: list[Optional[List[tuple[Packet, int]]]] = [None] * num_vcs
         #: precomputed round-robin visit orders: ``rr_orders[p]`` is the VC
         #: scan sequence starting at pointer ``p`` (allocator inner loop).
@@ -251,55 +248,6 @@ class InputPort:
         return self.resident_packets == 0
 
 
-class StaticInputPort(InputPort):
-    """Network input port over a statically partitioned buffer behind a
-    pipeline of at least one cycle: :meth:`deliver` fused into one frame."""
-
-    __slots__ = ()
-
-    def deliver(self, packet: Packet, vc: int, now: int) -> None:
-        # InputPort.receive inlined (network input buffers are never
-        # slab-bound, so the occupancy write is the whole allocation) ...
-        buffer = self.buffer
-        occupancy = buffer._occupancy
-        size = packet.size_phits
-        occ = occupancy[vc] + size
-        if occ > buffer._capacity[vc]:
-            buffer.allocate(vc, size)  # raises the canonical overflow
-        occupancy[vc] = occ
-        packet.current_vc = vc
-        ready = now + self.pipeline_latency
-        queues = self.queues
-        queue = queues[vc]
-        if queue is None:
-            queue = queues[vc] = []
-        queue.append((packet, ready))
-        hot = self._hot
-        hb = self._hb
-        resident = hot[hb] + 1
-        hot[hb] = resident
-        if resident == 1 or ready < hot[hb + 1]:
-            hot[hb + 1] = ready
-        hot[hb + 2] = -1
-        hook = self.on_occupancy
-        if hook is not None:
-            hook(vc, size, occ, now)
-        # ... then InputPort.deliver's router notification, ``ready > now``
-        # being a given.
-        router = self.router
-        router.resident_packets += 1
-        ledger = router.resident_ledger
-        if ledger is not None:
-            ledger.count += 1
-        blocked = router._alloc_sleep_until
-        if 0 <= blocked and ready < blocked:
-            router._alloc_sleep_until = ready
-        if router.saturation_board is None:
-            router.engine.schedule_wake(ready, router.engine_index)
-        else:
-            router.engine_activate(router.engine_index)
-
-
 class OutputPort:
     """Network output port: credit tracker, output buffer and link access."""
 
@@ -414,59 +362,6 @@ class OutputPort:
         if router._pv_any_mask & bit:
             # Clear the per-port blocked verdicts that depended on this
             # credit so the next allocation pass re-evaluates them.
-            in_state = router._in_state
-            pv_masks = router._pv_masks
-            for port in range(router._n_in):
-                if pv_masks[port] & bit:
-                    in_state[3 * port + 2] = -1
-                    pv_masks[port] = 0
-        if (router._alloc_sleep_until >= 0
-                and (router._blocked_credit_mask >> index) & 1):
-            router._alloc_sleep_until = -1
-            router.engine_activate(router.engine_index)
-
-
-class StaticOutputPort(OutputPort):
-    """Output port whose credit mirror is statically partitioned and bound to
-    the router's ``_credit_free`` slab: a debit or return touches exactly one
-    VC and one slab entry, so mirror + ledger + slab fuse into one frame."""
-
-    __slots__ = ()
-
-    def debit(self, vc: int, phits: int, minimal: bool) -> None:
-        tracker = self.credits
-        mirror = tracker.mirror
-        occupancy = mirror._occupancy
-        occ = occupancy[vc] + phits
-        capacity = mirror._capacity[vc]
-        if occ > capacity:
-            mirror.allocate(vc, phits)  # raises the canonical overflow
-        occupancy[vc] = occ
-        mirror._free_slab[mirror._free_base + vc] = capacity - occ
-        ledger = tracker.ledger
-        if minimal:
-            ledger.minimal[vc] += phits
-        else:
-            ledger.nonminimal[vc] += phits
-
-    def credit_return(self, vc: int, phits: int, minimal: bool) -> None:
-        tracker = self.credits
-        mirror = tracker.mirror
-        occupancy = mirror._occupancy
-        occ = occupancy[vc] - phits
-        if occ < 0:
-            mirror.release(vc, phits)  # raises the canonical underflow
-        occupancy[vc] = occ
-        index = mirror._free_base + vc
-        mirror._free_slab[index] = mirror._capacity[vc] - occ
-        ledger = tracker.ledger
-        counts = ledger.minimal if minimal else ledger.nonminimal
-        if phits > counts[vc]:
-            ledger.remove(vc, phits, minimal)  # raises the canonical underflow
-        counts[vc] -= phits
-        router = self.router
-        bit = 1 << index
-        if router._pv_any_mask & bit:
             in_state = router._in_state
             pv_masks = router._pv_masks
             for port in range(router._n_in):

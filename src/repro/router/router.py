@@ -38,12 +38,12 @@ to the full rescan (the property test in ``tests/test_alloc_equivalence.py``
 checks this against :class:`repro.router.reference.ReferenceRouter`).
 
 Three entry points are closures over the slabs, built once per *router*:
-the allocation pass, the grant executor and the pump.  The three per-*link*
+the allocation pass, the grant executor and the pump, which is the router's
+whole per-cycle body (the engine calls nothing else).  The three per-*link*
 callbacks — packet delivery, credit return, grant-time credit debit — are
 not: they are methods of the ports (``InputPort.deliver``,
-``OutputPort.credit_return`` / ``debit`` and their ``Static*`` fusions in
-:mod:`repro.router.ports`), which reach this router's sleep/verdict state
-through their ``router`` slot.  ``__init__`` picks each port's class.
+``OutputPort.credit_return`` / ``debit`` in :mod:`repro.router.ports`),
+which reach this router's sleep/verdict state through their ``router`` slot.
 """
 
 from __future__ import annotations
@@ -69,15 +69,7 @@ from ..routing.base import CandidateHop, EjectionRequest, RoutingAlgorithm
 from ..topology.base import Topology
 from .allocator import SeparableAllocator
 from .credits import CreditTracker
-from .ports import (
-    IN_BLOCKED,
-    IN_STRIDE,
-    EjectionPort,
-    InputPort,
-    OutputPort,
-    StaticInputPort,
-    StaticOutputPort,
-)
+from .ports import IN_BLOCKED, IN_STRIDE, EjectionPort, InputPort, OutputPort
 from .saturation import SaturationBoard
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -173,28 +165,20 @@ class Router:
         # -- network ports ------------------------------------------------------
         self.input_ports: Dict[int, InputPort] = {}
         self.output_ports: Dict[int, OutputPort] = {}
-        # The per-link callbacks are port methods (ports.py); the fused
-        # bodies apply to statically partitioned buffers — and, on the input
-        # side, to a pipeline that makes every arrival a *timed* wake.
-        pipeline_latency = router_config.pipeline_latency
         for info in topology.ports(router_id):
             num_vcs = arrangement.total(info.link_type)
             is_global = info.link_type == LinkType.GLOBAL
-            in_buffer = make_port_buffer(router_config, num_vcs, is_global)
-            fused = type(in_buffer) is StaticallyPartitionedBuffer
-            in_port = (
-                StaticInputPort if fused and pipeline_latency > 0 else InputPort
-            )(
+            in_port = InputPort(
                 port_id=info.port,
                 link_type=info.link_type,
                 num_vcs=num_vcs,
-                buffer=in_buffer,
-                pipeline_latency=pipeline_latency,
+                buffer=make_port_buffer(router_config, num_vcs, is_global),
+                pipeline_latency=router_config.pipeline_latency,
             )
             in_port.router = self
             self.input_ports[info.port] = in_port
             mirror = make_port_buffer(router_config, num_vcs, is_global)
-            out_port = (StaticOutputPort if fused else OutputPort)(
+            out_port = OutputPort(
                 port_id=info.port,
                 link_type=info.link_type,
                 credit_tracker=CreditTracker(mirror),
@@ -481,12 +465,13 @@ class Router:
     # Per-cycle operation
     # ------------------------------------------------------------------
     def _make_pump(self) -> Callable[[int], bool]:
-        """Build the merged has_work + step entry point as a closure.
+        """Build the router's per-cycle entry point as a closure.
 
-        Returns False (and schedules any needed timed wake) when stepping
-        would be a no-op, exactly like ``has_work``; otherwise performs the
-        cycle's work and returns True.  The engine calls this once per
-        active router per cycle, so the state it reads is prebound.
+        Returns False (and schedules any needed timed wake) when the cycle
+        would be a no-op; otherwise injects, allocates, refreshes its
+        saturation board entries (Piggyback) and returns True.  The engine
+        calls this once per active router per cycle, so the state it reads
+        is prebound.
         """
         router = self
         in_state = self._in_state
@@ -498,64 +483,55 @@ class Router:
         schedule_wake = self.engine.schedule_wake
 
         def pump(now: int) -> bool:
-            if router.saturation_board is not None:
-                if (router._saturation_posts or router.resident_packets
-                        or router._injection_resident or router._source_backlog):
-                    router.step(now)
-                    return True
-                return False
-            blocked = router._alloc_sleep_until
-            if blocked >= 0 and blocked <= now:
-                router._alloc_sleep_until = blocked = -1
-            earliest = -1
-            work = False
-            if router.resident_packets or router._injection_resident:
-                if blocked < 0:
-                    for base in range(0, 3 * n_in, 3):
-                        if in_state[base]:
-                            ready = in_state[base + 1]
-                            if ready <= now:
+            if router.saturation_board is None:
+                blocked = router._alloc_sleep_until
+                if blocked >= 0 and blocked <= now:
+                    router._alloc_sleep_until = blocked = -1
+                earliest = -1
+                work = False
+                if router.resident_packets or router._injection_resident:
+                    if blocked < 0:
+                        for base in range(0, 3 * n_in, 3):
+                            if in_state[base]:
+                                ready = in_state[base + 1]
+                                if ready <= now:
+                                    work = True
+                                    break
+                                if earliest < 0 or ready < earliest:
+                                    earliest = ready
+                    elif blocked < NEVER:
+                        earliest = blocked
+                if not work and router._source_backlog:
+                    for local in range(num_nodes):
+                        if source_queues[local]:
+                            busy = injection_busy_until[local]
+                            if busy <= now:
                                 work = True
                                 break
-                            if earliest < 0 or ready < earliest:
-                                earliest = ready
-                elif blocked < NEVER:
-                    earliest = blocked
-            if not work and router._source_backlog:
-                for local in range(num_nodes):
-                    if source_queues[local]:
-                        busy = injection_busy_until[local]
-                        if busy <= now:
-                            work = True
-                            break
-                        if earliest < 0 or busy < earliest:
-                            earliest = busy
-            if not work:
-                if earliest >= 0 and router._next_wake != earliest:
-                    router._next_wake = earliest
-                    schedule_wake(earliest, router.engine_index)
+                            if earliest < 0 or busy < earliest:
+                                earliest = busy
+                if not work:
+                    if earliest >= 0 and router._next_wake != earliest:
+                        router._next_wake = earliest
+                        schedule_wake(earliest, router.engine_index)
+                    return False
+            elif not (router._saturation_posts or router.resident_packets
+                      or router._injection_resident or router._source_backlog):
+                # Piggyback routers read time-varying board state, so they
+                # never sleep on a verdict: stepped every cycle they post or
+                # hold work.
                 return False
-            # Inlined step() body (saturation-board routers take the step()
-            # call above; plain routers never reach _update_saturation).
             if router._source_backlog and now >= router._inject_gate:
                 inject_from_sources(now)
             if router.resident_packets or router._injection_resident:
                 blocked = router._alloc_sleep_until
                 if blocked < 0 or blocked <= now:
                     router._allocate(now)
+            if router._saturation_posts:
+                router._update_saturation()
             return True
 
         return pump
-
-    def step(self, now: int) -> None:
-        if self._source_backlog and now >= self._inject_gate:
-            self._inject_from_sources(now)
-        if self.resident_packets or self._injection_resident:
-            blocked = self._alloc_sleep_until
-            if blocked < 0 or blocked <= now:
-                self._allocate(now)
-        if self.saturation_board is not None and self._saturation_posts:
-            self._update_saturation()
 
     # -- injection --------------------------------------------------------------------
     def _inject_from_sources(self, now: int) -> None:
@@ -905,7 +881,6 @@ class Router:
         in_busy = self._in_busy
         out_state = self._out_state
         speedup = self.speedup
-        schedule_call = self.engine.schedule_call
         on_hop_taken = self.routing.on_hop_taken
         router_id = self.router_id
 
@@ -922,34 +897,10 @@ class Router:
             xbar_time = -(-size // speedup)
             if xbar_time < 1:
                 xbar_time = 1
-            # -- inlined InputPort.pop (returns credits upstream for network
-            # ports; the credit is tagged with the class the space was
-            # debited under, i.e. *before* on_hop_taken may retag it).
-            port.queues[input_vc].pop(0)
-            port.head_plans[input_vc] = None
-            port.buffer.release(input_vc, size)
-            hot = port._hot
-            hb = port._hb
-            resident = hot[hb] - 1
-            hot[hb] = resident
-            hot[hb + 2] = -1
-            if resident:
-                min_ready = -1
-                for queue in port.queues:
-                    if queue:
-                        ready = queue[0][1]
-                        if min_ready < 0 or ready < min_ready:
-                            min_ready = ready
-                hot[hb + 1] = min_ready
-            channel = port.credit_channel
-            if channel is not None:
-                schedule_call(
-                    now + channel.latency, channel._deliver,
-                    (input_vc, size, packet.credit_tag_minimal),
-                )
-            hook = port.on_occupancy
-            if hook is not None:
-                hook(input_vc, -size, port.buffer.occupancy(input_vc), now)
+            # Returns credits upstream for network ports, tagged with the
+            # class the space was debited under, i.e. *before* on_hop_taken
+            # may retag it.
+            port.pop(input_vc, now, packet.credit_tag_minimal)
             if port.is_injection:
                 router._injection_resident -= 1
             else:

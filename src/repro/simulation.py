@@ -114,10 +114,7 @@ class Simulation:
             )
         else:
             self.route_table = artifacts.route_table
-        self.metrics = MetricsCollector(
-            num_nodes=self.topology.num_nodes,
-            packet_size=config.traffic.packet_size,
-        )
+        self.metrics = MetricsCollector(num_nodes=self.topology.num_nodes)
         self.policy = make_policy(config.routing.vc_policy, config.arrangement)
         self.selection = make_selection(config.routing.vc_selection)
         self.routing = make_routing(

@@ -11,7 +11,7 @@ request-reply virtual networks of Cray Cascade.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..core.link_types import MessageClass
 from ..metrics import MetricsCollector
@@ -46,8 +46,6 @@ class TrafficManager:
         #: *before* it is counted as generated (see repro.faults).
         self.fault_filter: Optional[Callable[[Packet], bool]] = None
         self.replies_generated = 0
-        #: outstanding requests by packet id (reactive mode diagnostics).
-        self._outstanding: Dict[int, Packet] = {}
         #: set by Session.drain(): no new requests (replies still flow so
         #: in-flight request-reply exchanges can complete).
         self._stopped = False
@@ -90,15 +88,12 @@ class TrafficManager:
             router_index = packet.src_node // self.nodes_per_router
         self.metrics.record_generation(packet, cycle)
         self.routers[router_index].enqueue_source(packet, cycle)
-        if self.reactive and packet.msg_class == MessageClass.REQUEST:
-            self._outstanding[packet.pid] = packet
 
     # -- delivery ----------------------------------------------------------------------
     def on_delivery(self, packet: Packet, cycle: int) -> None:
         """Router callback: record statistics and spawn replies."""
         self.metrics.record_delivery(packet, cycle)
         if self.reactive and packet.msg_class == MessageClass.REQUEST:
-            self._outstanding.pop(packet.pid, None)
             reply = Packet(
                 src_node=packet.dst_node,
                 dst_node=packet.src_node,
@@ -112,7 +107,3 @@ class TrafficManager:
             self._enqueue(reply, cycle)
         if self.delivery_hook is not None:
             self.delivery_hook(packet, cycle)
-
-    # -- diagnostics --------------------------------------------------------------------------
-    def outstanding_requests(self) -> int:
-        return len(self._outstanding)

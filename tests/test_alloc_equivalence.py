@@ -104,16 +104,16 @@ def test_incremental_allocator_matches_full_rescan(topology, algorithm, vc_polic
 
 
 @pytest.mark.parametrize("organization, pipeline_latency, input_body, output_body", [
-    ("static", 5, "StaticInputPort", "StaticOutputPort"),
-    ("static", 0, "InputPort", "StaticOutputPort"),
+    ("static", 5, "InputPort", "OutputPort"),
+    ("static", 0, "InputPort", "OutputPort"),
     ("damq", 5, "InputPort", "OutputPort"),
     ("damq", 0, "InputPort", "OutputPort"),
 ])
 def test_link_callback_bodies_match_full_rescan(
         organization, pipeline_latency, input_body, output_body):
-    """The per-link callbacks are port methods, fused or generic by buffer
-    organization and pipeline depth: each combination runs the body it should
-    and stays trace-identical to the reference router."""
+    """The per-link callbacks are port methods with one body each, whatever
+    the buffer organization and pipeline depth: each combination runs it and
+    stays trace-identical to the reference router."""
     from repro.config import RouterConfig
 
     config = dataclasses.replace(

@@ -235,7 +235,7 @@ class TestDeadlockWindowConfig:
 
 class TestMetrics:
     def _collector(self):
-        collector = MetricsCollector(num_nodes=10, packet_size=8)
+        collector = MetricsCollector(num_nodes=10)
         collector.open_window(100, 200)
         return collector
 
@@ -273,7 +273,7 @@ class TestMetrics:
         assert result.misrouted_fraction == pytest.approx(0.5)
 
     def test_window_required(self):
-        collector = MetricsCollector(num_nodes=4, packet_size=8)
+        collector = MetricsCollector(num_nodes=4)
         with pytest.raises(ValueError):
             collector.result(offered_load=0.1)
 
@@ -304,11 +304,10 @@ class TestEngine:
                 self.busy = busy
                 self.steps = 0
 
-            def has_work(self):
+            def pump(self, now):
+                if self.busy:
+                    self.steps += 1
                 return self.busy
-
-            def step(self, now):
-                self.steps += 1
 
         busy, idle = Stepper(True), Stepper(False)
         engine = Engine()

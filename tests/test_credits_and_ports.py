@@ -1,5 +1,9 @@
 """Credit tracking, min/non-min ledgers, allocator and port behaviour."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -231,7 +235,7 @@ class TestLinkCallbacks:
     def test_object_budget_per_link(self):
         """Construction costs a bounded number of gc-tracked objects per
         directed link, and no link owns a function object: every delivery
-        callback and every credit sink is one of two port methods."""
+        callback and every credit sink is the same port method."""
         import dataclasses
         import gc
 
@@ -254,10 +258,10 @@ class TestLinkCallbacks:
         assert len(outputs) == len(inputs) == 114 * 8
         # 31.8 per link when written (67.8 with per-link closures).
         assert built / len(outputs) <= 35.0
-        assert len({port.link._deliver.__func__ for port in outputs}) <= 2
-        assert len({port.credit_channel._deliver.__func__ for port in inputs}) <= 2
+        assert len({port.link._deliver.__func__ for port in outputs}) == 1
+        assert len({port.credit_channel._deliver.__func__ for port in inputs}) == 1
 
-    @pytest.mark.parametrize("pipeline_latency", [5, 0])  # fused, generic
+    @pytest.mark.parametrize("pipeline_latency", [5, 0])  # timed wake, activate
     def test_delivery_overflow_is_the_buffers_error(self, pipeline_latency):
         link, _output, input_port = self._wired_link(
             pipeline_latency=pipeline_latency)
@@ -289,3 +293,70 @@ class TestLinkCallbacks:
         assert output.credits.vc_occupancy(1, minimal_only=True) == 0
         with pytest.raises(ValueError, match="VC 1 overflow"):
             output.debit(1, 1, False)
+
+
+#: sha256[:16] of the three measure() windows of each Piggyback run below.
+#: Piggyback's sensing reads the credit ledger that every debit and credit
+#: return maintains, and its routers are pumped every cycle, so these runs pin
+#: the link callbacks and the pump body for all three buffer set-ups.
+PINNED_PB_DIGESTS = {
+    "mincred-port-4/2+2/1": {
+        "static-5": "c6e95d31e189b51d",
+        "static-0": "1198a5fa0cbe6de8",
+        "damq": "9c0b2dd034599778",
+    },
+    "flexvc-vc-4/2+2/1": {
+        "static-5": "2142ae12c6d92cc6",
+        "static-0": "ee49eaadb7a47c8a",
+        "damq": "f7bf12a5cc28711b",
+    },
+    "baseline-vc-4/2+4/2": {
+        "static-5": "1b57f4a02f416e5f",
+        "static-0": "9d05c98c337e6d75",
+        "damq": "1bc0c676953eafa9",
+    },
+}
+
+
+#: the Piggyback variants: VC policy, sensing and arrangement.
+PB_VARIANTS = {
+    "mincred-port-4/2+2/1": dict(
+        vc_policy="flexvc", pb_sensing="port", pb_min_credits_only=True,
+        split=((4, 2), (2, 1))),
+    "flexvc-vc-4/2+2/1": dict(
+        vc_policy="flexvc", pb_sensing="vc", split=((4, 2), (2, 1))),
+    "baseline-vc-4/2+4/2": dict(
+        vc_policy="baseline", pb_sensing="vc", split=((4, 2), (4, 2))),
+}
+
+#: buffer set-ups: organization and router pipeline latency.
+PB_BUFFERS = {"static-5": ("static", 5), "static-0": ("static", 0),
+              "damq": ("damq", 5)}
+
+
+def _pb_config(variant: str, buffers: str):
+    from repro.core.arrangement import VcArrangement
+    from repro.experiments.runner import TINY, base_config
+
+    kwargs = dict(PB_VARIANTS[variant])
+    arrangement = VcArrangement.request_reply(*kwargs.pop("split"))
+    config = base_config(TINY, pattern="adversarial", algorithm="pb",
+                         reactive=True, arrangement=arrangement, **kwargs)
+    organization, pipeline_latency = PB_BUFFERS[buffers]
+    return dataclasses.replace(config, router=dataclasses.replace(
+        config.router, buffer_organization=organization,
+        pipeline_latency=pipeline_latency))
+
+
+@pytest.mark.parametrize("buffers", list(PB_BUFFERS))
+@pytest.mark.parametrize("variant", sorted(PINNED_PB_DIGESTS))
+def test_piggyback_windows_match_pinned_digest(variant, buffers):
+    from repro.session import Session
+
+    session = Session(_pb_config(variant, buffers))
+    session.warmup()
+    windows = [dataclasses.asdict(session.measure()) for _ in range(3)]
+    digest = hashlib.sha256(
+        json.dumps(windows, sort_keys=True).encode()
+    ).hexdigest()[:16]
+    assert digest == PINNED_PB_DIGESTS[variant][buffers]

@@ -27,11 +27,11 @@ class _Stepper:
         self.engine_index = -1
         self.engine_activate = None
 
-    def has_work(self):
-        return self.busy
-
-    def step(self, now):
+    def pump(self, now):
+        if not self.busy:
+            return False
         self.steps.append(now)
+        return True
 
 
 class TestActivityTracking:
@@ -76,13 +76,6 @@ class TestFastForward:
         assert engine.now == 10_000
         # Only 3 cycles actually ticked (the two event cycles + none after).
         assert engine.idle_cycles_skipped >= 10_000 - 3
-
-    def test_callback_disables_skipping(self):
-        engine = Engine()
-        seen = []
-        engine.run_until(50, callback=seen.append)
-        assert len(seen) == 50
-        assert engine.idle_cycles_skipped == 0
 
     def test_busy_stepper_prevents_skipping(self):
         engine = Engine()

@@ -43,6 +43,7 @@ from repro.store import (
     ResultStore,
     StoreError,
     StoreLock,
+    StoreLockTimeout,
     detect_format,
     frame_entry,
     parse_frame_line,
@@ -751,6 +752,59 @@ class TestConcurrentWriters:
             if child.poll() is None:
                 child.kill()
                 child.wait(timeout=30)
+
+
+class TestFallbackLock:
+    """The exclusive-create protocol a lock degrades to without ``flock``:
+    the lock file's existence is the lock, and a stale holder is taken over."""
+
+    def test_acquire_writes_metadata_and_release_unlinks(self, tmp_path):
+        lock = StoreLock(str(tmp_path / "s.journal"), use_flock=False)
+        lock.acquire(timeout=0.2)
+        holder = lock.holder()
+        assert holder["pid"] == os.getpid()
+        assert holder["host"] == os.uname().nodename
+        lock.release()
+        assert not os.path.exists(lock.lock_path)
+        assert lock.takeovers == 0
+
+    def test_dead_local_holder_with_old_heartbeat_is_taken_over(self, tmp_path):
+        lock = StoreLock(str(tmp_path / "s.journal"), use_flock=False)
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait(timeout=30)  # reaped: its pid names no live process
+        old = time.time() - 3600
+        with open(lock.lock_path, "w", encoding="utf-8") as handle:
+            json.dump({"pid": child.pid, "host": os.uname().nodename,
+                       "acquired_at": old, "heartbeat_at": old}, handle)
+        lock.acquire(timeout=0.2)
+        assert lock.takeovers == 1
+        assert lock.holder()["pid"] == os.getpid()
+        lock.release()
+
+    def test_live_holder_times_out_naming_the_holder(self, tmp_path):
+        path = str(tmp_path / "s.journal")
+        holder = StoreLock(path, use_flock=False)
+        holder.acquire(timeout=0.2)
+        try:
+            waiter = StoreLock(path, use_flock=False)
+            with pytest.raises(StoreLockTimeout,
+                               match=f"pid {os.getpid()} on {os.uname().nodename}"):
+                waiter.acquire(timeout=0.2)
+            assert waiter.takeovers == 0 and not waiter.held
+        finally:
+            holder.release()
+
+    def test_unreadable_metadata_falls_back_to_mtime(self, tmp_path):
+        lock = StoreLock(str(tmp_path / "s.journal"), use_flock=False,
+                         stale_after=60.0)
+        with open(lock.lock_path, "w", encoding="utf-8") as handle:
+            handle.write("{half-written")
+        assert not lock.try_acquire()  # fresh mtime: a holder mid-write
+        old = time.time() - 3600
+        os.utime(lock.lock_path, (old, old))
+        assert lock.try_acquire()
+        assert lock.takeovers == 1
+        lock.release()
 
 
 # ---------------------------------------------------------------------------

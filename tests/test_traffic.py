@@ -159,7 +159,7 @@ class _StubRouter:
 class TestTrafficManager:
     def _manager(self, reactive: bool):
         routers = [_StubRouter() for _ in range(4)]
-        metrics = MetricsCollector(num_nodes=8, packet_size=8)
+        metrics = MetricsCollector(num_nodes=8)
         metrics.open_window(0, 1000)
         topo_nodes_per_router = 2
         gen = UniformTraffic(8, 0.0, 8, random.Random(0))  # manual enqueue only
