@@ -6,14 +6,16 @@ from router Y*, and (for Piggyback) *which global link does the minimal path
 cross first*.  All three are pure functions of ``(src, dst)`` on a static
 topology.
 
-The construction is naturally *per destination column*: filling every
-``(src, dst)`` answer for one fixed ``dst`` is an O(n) suffix-merge walk that
-follows the topology's
-:meth:`~repro.topology.base.Topology.min_next_ports_to` over its
-:class:`~repro.topology.base.Wiring`.  :class:`RouteTable` builds a
-column (:class:`RouteColumn`) the first time its destination is touched and
-keeps it in a plain ``dst``-indexed list, so a hit is one index and a
-``None`` test.  Resident columns are lean (~2 bytes per source: one-byte
+The construction is naturally *per destination column*: one call of the
+topology's :meth:`~repro.topology.base.Topology.min_next_ports_to` gives
+every source's next port towards ``dst``.  :class:`RouteTable` builds a
+column (:class:`RouteColumn`) the first time its destination is touched —
+the ports and an all-unresolved seq-id row, nothing walked — and keeps it in
+a plain ``dst``-indexed list, so a hit is one index and a ``None`` test.  A
+source's hop sequence is resolved the first time a caller reads it, by a
+suffix-merge walk over the :class:`~repro.topology.base.Wiring` that stops
+at the first already-resolved router, so a column costs what the run reads
+of it, not O(n).  Resident columns are lean (~2 bytes per source: one-byte
 ports plus interned seq ids, with the first-global row deferred to its sole
 consumer), and the default capacity is derived from
 :data:`DEFAULT_LAZY_STATE_BUDGET` so that up to ~60k routers *every* column
@@ -24,15 +26,16 @@ makes 10^5-endpoint networks constructible (see DESIGN.md §9).
 
 Hop sequences are interned: the ``seq_ids`` bytes index into the (small,
 ≤255-entry) table of distinct hop-type sequences, so lookups return shared
-tuples.  ``first_global`` stores ``(owning router, global-port index)`` pairs
-of the first GLOBAL hop of each minimal path (-1 when the path crosses
-none), generalizing the Dragonfly "gateway router" that Piggyback's
-remote-saturation sensing reads.
+tuples; :data:`UNRESOLVED` marks a source nobody has read yet, and ids are
+assigned in the order pairs are first read.  ``first_global`` stores
+``(owning router, global-port index)`` pairs of the first GLOBAL hop of each
+minimal path (-1 when the path crosses none), generalizing the Dragonfly
+"gateway router" that Piggyback's remote-saturation sensing reads.
 
 Under faults (:mod:`repro.faults`) a column is a pure function of
 ``(topology, dst, current dead set)``: the BFS detour fill iff its pristine
 ports cross a currently-dead directed link, the pristine fill otherwise —
-never a function of when the column happened to be built or evicted.
+never a function of when the column happened to be built, evicted or read.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ from ..core.link_types import HopSequence, LinkType
 from ..faults import NetworkPartitionedError
 from ..topology.base import LINK_TYPES, Topology
 
-#: sentinel sequence id marking a not-yet-computed pair during construction.
-_UNKNOWN = 0xFF
+#: sentinel sequence id of a pair whose hop sequence nobody has read yet.
+UNRESOLVED = 0xFF
 
 #: byte budget that sizes the default column capacity.  A resident column
 #: costs ~2n bytes (one next-port byte and one seq-id byte per source; the
@@ -68,9 +71,13 @@ class RouteColumn:
     """One destination's route answers: ``src``-indexed compact arrays.
 
     The unit of construction and the view handed to routing algorithms:
-    every query is a single flat index into an n-sized array.  ``sequences``
-    references the owning table's *live* interning list — sequence ids are
-    stable for the table's lifetime, so views stay valid as the list grows.
+    every query is a single flat index into an n-sized array.  ``seq_ids``
+    starts all :data:`UNRESOLVED` but at ``dst``; :meth:`hop_sequence` and
+    :meth:`distance` resolve a source on its first read (and every router
+    its path passes), checking that the route converges before any packet
+    can take it.  ``sequences`` references the owning table's *live*
+    interning list — sequence ids are stable for the table's lifetime, so
+    views stay valid as the list grows.
 
     Storage is deliberately lean — at system scale the full column set is
     resident (see :data:`DEFAULT_LAZY_STATE_BUDGET`):
@@ -101,10 +108,13 @@ class RouteColumn:
         return None if port == self._no_port else port
 
     def hop_sequence(self, src: int) -> HopSequence:
-        return self.sequences[self.seq_ids[src]]
+        seq_id = self.seq_ids[src]
+        if seq_id == UNRESOLVED:
+            seq_id = self._table._resolve(self, src)
+        return self.sequences[seq_id]
 
     def distance(self, src: int) -> int:
-        return len(self.sequences[self.seq_ids[src]])
+        return len(self.hop_sequence(src))
 
     @property
     def first_global(self) -> array:
@@ -138,13 +148,14 @@ class RouteColumn:
 class RouteTable:
     """Minimal next-hop ports and hop-type sequences, one column per ``dst``.
 
-    A missing column is filled on first touch by the suffix-merge walk and
-    kept in a ``dst``-indexed list; beyond ``capacity`` resident columns the
+    A missing column is built on first touch from the topology's next
+    ports, its hop sequences resolved per source on first read, and kept
+    in a ``dst``-indexed list; beyond ``capacity`` resident columns the
     oldest-built one is evicted and transparently recomputed on its next
     touch.  Recomputation is deterministic — the sequence-interning state
-    persists across evictions, so a rebuilt column is byte-identical to its
-    first build.  Memory is O(capacity · n), and the default capacity keeps
-    every column resident up to ~60k routers.
+    persists across evictions, so a rebuilt column resolves every source to
+    the id its first build did.  Memory is O(capacity · n), and the default
+    capacity keeps every column resident up to ~60k routers.
     """
 
     def __init__(self, topology: Topology,
@@ -152,8 +163,9 @@ class RouteTable:
         self.topology = topology
         n = topology.num_routers
         self._n = n
-        #: interned distinct hop-type sequences; ids are assigned in column
-        #: discovery order and never reused, so they survive evictions.
+        #: interned distinct hop-type sequences; ids are assigned in the
+        #: order pairs are first read and never reused, so they survive
+        #: evictions.
         self._sequence_list: List[HopSequence] = [()]
         self._seq_index: Dict[HopSequence, int] = {(): 0}
         #: prepend memo: ``(link type << 8) | tail sequence id -> sequence
@@ -178,6 +190,7 @@ class RouteTable:
         self.misses = 0
         self.columns_built = 0
         self.evictions = 0
+        self.pairs_resolved = 0
 
         # -- fault state (empty on pristine networks; see repro.faults) ----
         #: directed (router, port) links currently dead; columns whose
@@ -224,9 +237,9 @@ class RouteTable:
 
     def _build_column(self, dst: int) -> RouteColumn:
         # min_next_ports_to already produces exactly the column's port
-        # storage (-1 at the diagonal), so the walk reads it in place and
-        # only the seq-id row is filled here; the first-global row is
-        # deferred until a consumer asks (see RouteColumn).
+        # storage (-1 at the diagonal); hop sequences are resolved per
+        # source on first read and the first-global row when a consumer
+        # asks (see RouteColumn).
         port_batch = self.topology.min_next_ports_to(dst)
         dead_links = self._dead_links
         # Sink-hole rule: a dead destination keeps its pristine fill and
@@ -236,7 +249,8 @@ class RouteTable:
         ):
             port_batch = self._detour_ports_to(dst, port_batch)
             self._fault_dirty.add(dst)
-        seq_ids = self._fill_seq_ids(dst, port_batch)
+        seq_ids = bytearray([UNRESOLVED]) * self._n
+        seq_ids[dst] = 0
         if self._wiring.ports_per_router < 255:
             # Narrow to one byte per source: every port value fits in
             # [0, 254] and the -1 sentinel's low byte is 255.  Slicing the
@@ -254,70 +268,68 @@ class RouteTable:
         self.columns_built += 1
         return RouteColumn(dst, ports, seq_ids, no_port, self)
 
-    def _fill_seq_ids(self, dst: int, ports: Sequence[int]) -> bytearray:
-        """Interned hop-sequence id of every ``(src, dst)`` minimal path.
+    def _resolve(self, col: RouteColumn, src: int) -> int:
+        """Sequence id of ``(src, col.dst)``, resolved on its first read.
 
-        The walk follows each source's next hop in ``ports`` until it merges
-        into an already-known suffix of this column, then unwinds the path
-        backwards, interning one hop-type sequence per router on it.
+        The walk follows ``src``'s next hops in the column's ports until it
+        merges into an already-resolved suffix, then unwinds the path
+        backwards, interning one hop-type sequence per router on it, so
+        every router it passed is resolved too.
         """
-        n = self._n
+        seq_ids = col.seq_ids
         wiring = self._wiring
-        neighbor = wiring.neighbor
-        link_types = wiring.link_type
-        per_router = wiring.ports_per_router
-        step_get = self._seq_step.get
-        seq_ids = bytearray([_UNKNOWN]) * n
-        seq_ids[dst] = 0
-        for src in range(n):
-            if seq_ids[src] != _UNKNOWN:
-                continue
-            port = ports[src]
-            if port < 0:
-                if src in self._dead_routers:
-                    # Dead source: no packet can be resident there, so the
-                    # entry is a harmless no-route placeholder.
-                    seq_ids[src] = 0
-                    continue
-                raise RuntimeError(
-                    f"minimal route {src}->{dst} does not converge"
-                )
-            base = src * per_router + port
-            tail_id = seq_ids[neighbor[base]]
-            if tail_id != _UNKNOWN:
+        port = col.ports[src]
+        if port != col._no_port:
+            base = src * wiring.ports_per_router + port
+            tail_id = seq_ids[wiring.neighbor[base]]
+            if tail_id != UNRESOLVED:
                 # Fast path: the next hop is already resolved (the common
-                # case once the column's suffix tree starts filling in), so
-                # this source merges without path bookkeeping.
-                link_type = link_types[base]
-                seq_id = step_get(link_type << 8 | tail_id)
+                # case once a column's suffix tree fills in), so this source
+                # merges without path bookkeeping.
+                link_type = wiring.link_type[base]
+                seq_id = self._seq_step.get(link_type << 8 | tail_id)
                 if seq_id is None:
                     seq_id = self._intern_step(link_type, tail_id)
                 seq_ids[src] = seq_id
-                continue
-            # Walk towards dst until hitting an already-known suffix.
-            path: List[Tuple[int, int]] = []
-            current = src
-            while seq_ids[current] == _UNKNOWN:
-                port = ports[current]
-                if port < 0 or len(path) > n:
-                    raise RuntimeError(
-                        f"minimal route {src}->{dst} does not converge"
-                    )
-                base = current * per_router + port
-                path.append((current, link_types[base]))
-                current = neighbor[base]
-            tail_id = seq_ids[current]
-            for router, link_type in reversed(path):
-                seq_id = step_get(link_type << 8 | tail_id)
-                if seq_id is None:
-                    seq_id = self._intern_step(link_type, tail_id)
-                seq_ids[router] = tail_id = seq_id
-        return seq_ids
+                self.pairs_resolved += 1
+                return seq_id
+        elif src in self._dead_routers:
+            # Dead source: no packet can be resident there, so the entry is
+            # a harmless no-route placeholder.
+            seq_ids[src] = 0
+            self.pairs_resolved += 1
+            return 0
+        # Walk towards dst until hitting an already-resolved suffix (a live
+        # source without a port fails the walk's first step).
+        ports, no_port = col.ports, col._no_port
+        neighbor, link_types = wiring.neighbor, wiring.link_type
+        per_router = wiring.ports_per_router
+        step_get = self._seq_step.get
+        path: List[int] = []  # the walked (router, port) slots
+        current = src
+        while seq_ids[current] == UNRESOLVED:
+            port = ports[current]
+            if port == no_port or len(path) > self._n:
+                raise RuntimeError(
+                    f"minimal route {src}->{col.dst} does not converge"
+                )
+            base = current * per_router + port
+            path.append(base)
+            current = neighbor[base]
+        tail_id = seq_ids[current]
+        for base in reversed(path):
+            link_type = link_types[base]
+            seq_id = step_get(link_type << 8 | tail_id)
+            if seq_id is None:
+                seq_id = self._intern_step(link_type, tail_id)
+            seq_ids[base // per_router] = tail_id = seq_id
+        self.pairs_resolved += len(path)
+        return tail_id
 
     def _intern_step(self, link_type: int, tail_id: int) -> int:
         """Intern ``(link_type,) + sequences[tail_id]`` and memo the step.
 
-        Cold path of the prepend memo in :meth:`_fill_seq_ids` — runs at
+        Cold path of the prepend memo in :meth:`_resolve` — runs at
         most once per distinct ``(link type, tail sequence)`` pair per table.
         """
         sequences = self._sequence_list
@@ -325,7 +337,7 @@ class RouteTable:
         seq_id = self._seq_index.get(tail_seq)
         if seq_id is None:
             seq_id = len(sequences)
-            if seq_id >= _UNKNOWN:
+            if seq_id >= UNRESOLVED:
                 raise RuntimeError(
                     "route table overflow: more than 255 distinct "
                     "hop-type sequences"
@@ -339,10 +351,10 @@ class RouteTable:
                           no_port: int) -> array:
         """First-global row for one destination from its stored ports.
 
-        The same suffix-merge walk as :meth:`_fill_seq_ids`, propagating the
-        first-GLOBAL-hop link instead of the sequence id, re-run on demand
-        from a column's compact port storage (``ports[src]`` with
-        ``no_port`` at the diagonal).  Sentinel -2 marks not-yet-walked
+        The suffix-merge walk of :meth:`_resolve` over every source,
+        propagating the first-GLOBAL-hop link instead of the sequence id,
+        run on demand from a column's compact port storage (``ports[src]``
+        with ``no_port`` at the diagonal).  Sentinel -2 marks not-yet-walked
         sources; the returned row uses -1 for "path crosses no GLOBAL link".
         """
         n = self._n
@@ -491,6 +503,7 @@ class RouteTable:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
+            "pairs_resolved": self.pairs_resolved,
             "route_state_bytes": self.route_state_bytes(),
         }
 

@@ -71,6 +71,13 @@ class Dragonfly(Topology):
             )
         self._local_ports = self.a - 1
         self._radix = self._local_ports + self.h
+        #: ``_local_rows[p][pos]``: the local port from position ``pos`` to
+        #: position ``p`` of the same group (-1 at ``p`` itself).
+        self._local_rows = [
+            array("i", [p - 1]) * p + array("i", [-1])
+            + array("i", [p]) * (self.a - 1 - p)
+            for p in range(self.a)
+        ]
 
     # -- size ------------------------------------------------------------------
     @property
@@ -144,30 +151,22 @@ class Dragonfly(Topology):
         """l-g-l minimal routing: local hop to the destination group's
         gateway router, its global port, local hop to the destination.
 
-        The gateway is derived once per *group*, then each group's sources
-        are filled with pure local-port arithmetic.
+        The gateway is derived once per *group*, and each group's sources
+        are one slice of the precomputed local-port row towards it.
         """
         self._check_router(dst_router)
         a = self.a
+        rows = self._local_rows
         ports = array("i", [-1]) * self.num_routers
         dst_group, dst_pos = divmod(dst_router, a)
         local_ports = self._local_ports
         for group in range(self.num_groups):
             base = group * a
             if group == dst_group:
-                # The local port to dst_pos from every other position.
-                for pos in range(a):
-                    if pos != dst_pos:
-                        ports[base + pos] = (
-                            dst_pos if dst_pos < pos else dst_pos - 1
-                        )
+                ports[base:base + a] = rows[dst_pos]
                 continue
             gateway, gport = self.gateway_router(group, dst_group)
-            gw_pos = gateway - base
-            for pos in range(a):
-                ports[base + pos] = (
-                    gw_pos if gw_pos < pos else gw_pos - 1
-                )
+            ports[base:base + a] = rows[gateway - base]
             ports[gateway] = local_ports + gport
         return ports
 

@@ -75,6 +75,15 @@ class Megafly(Topology):
             )
         self._group_size = leaves + spines
         self._nodes_per_group = leaves * p
+        #: ``_spine_rows[s]``: every group position's next port towards
+        #: spine ``s`` of its group (leaves ascend, spines descend to leaf
+        #: ``(spine + s) % leaves``); the caller overwrites spine ``s``'s
+        #: own entry (its global port, or -1 when it is the destination).
+        self._spine_rows = [
+            array("i", [s]) * leaves
+            + array("i", [(spine + s) % leaves for spine in range(spines)])
+            for s in range(spines)
+        ]
 
     # -- size ------------------------------------------------------------------
     @property
@@ -208,39 +217,29 @@ class Megafly(Topology):
         routers transit a deterministic router of the other level.  The
         deterministic choice spreads transit as ``(src + dst) % count`` over
         the two routers' positions within their level.  The gateway spine
-        is derived once per *group*.
+        is derived once per *group*, and each group is one slice of the
+        precomputed row towards it.
         """
         self._check_router(dst_router)
         gs = self._group_size
         leaves, spines = self.leaves, self.spines
+        rows = self._spine_rows
         ports = array("i", [-1]) * self.num_routers
         dst_group, dst_pos = divmod(dst_router, gs)
-        dst_is_spine = dst_pos >= leaves
         for group in range(self.num_groups):
-            base = group * gs
-            if group == dst_group:
-                if dst_is_spine:
-                    dst_spine = dst_pos - leaves
-                    for leaf in range(leaves):
-                        ports[base + leaf] = dst_spine
-                    for spine in range(spines):
-                        if spine != dst_spine:
-                            ports[base + leaves + spine] = \
-                                (spine + dst_spine) % leaves
-                else:
-                    for leaf in range(leaves):
-                        if leaf != dst_pos:
-                            ports[base + leaf] = (leaf + dst_pos) % spines
-                    for spine in range(spines):
-                        ports[base + leaves + spine] = dst_pos
-                continue
-            gateway, gport = self.gateway_spine(group, dst_group)
-            gw_spine = gateway - base - leaves
+            if group != dst_group:
+                base = group * gs
+                gateway, gport = self.gateway_spine(group, dst_group)
+                ports[base:base + gs] = rows[gateway - base - leaves]
+                ports[gateway] = leaves + gport
+        base = dst_group * gs
+        if dst_pos >= leaves:
+            ports[base:base + gs] = rows[dst_pos - leaves]
+        else:
             for leaf in range(leaves):
-                ports[base + leaf] = gw_spine
-            for spine in range(spines):
-                ports[base + leaves + spine] = (spine + gw_spine) % leaves
-            ports[gateway] = leaves + gport
+                ports[base + leaf] = (leaf + dst_pos) % spines
+            ports[base + leaves:base + gs] = array("i", [dst_pos]) * spines
+        ports[dst_router] = -1
         return ports
 
     # -- misc -------------------------------------------------------------------------

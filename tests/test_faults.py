@@ -587,11 +587,14 @@ def _dead_pair(topo, router=0, port=0):
 
 
 def _column_bytes(table):
-    """Every column's stored arrays, touching (building) each one."""
-    return [
-        (bytes(col.ports), bytes(col.seq_ids))
-        for col in map(table.column, range(table.num_routers))
-    ]
+    """Every column's stored arrays, touching (building) each one and
+    reading every source's hop sequence (ids are assigned on first read)."""
+    n = table.num_routers
+    columns = [table.column(dst) for dst in range(n)]
+    for col in columns:
+        for src in range(n):
+            col.hop_sequence(src)
+    return [(bytes(col.ports), bytes(col.seq_ids)) for col in columns]
 
 
 class TestFaultRetabling:

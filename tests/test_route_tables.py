@@ -21,15 +21,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Session, Simulation, SimulationConfig
+from repro.config import NetworkConfig
 from repro.core.link_types import LinkType
 from repro.faults import NetworkPartitionedError
 from repro.routing.route_table import (
     DEFAULT_LAZY_STATE_BUDGET,
+    UNRESOLVED,
     RouteTable,
     make_route_table,
 )
-from repro.simulation import SimulationArtifacts
+from repro.simulation import SimulationArtifacts, build_artifacts
 from repro.topology import TOPOLOGIES
+from repro.topology.base import PortInfo, Topology
 
 
 def assert_matches_topology(query, topo):
@@ -58,15 +61,23 @@ def pair_api(table):
     )
 
 
+def resolved_sequences(col):
+    """Every source's hop sequence, read through the column (a source's id
+    is assigned on its first read)."""
+    return [col.hop_sequence(src) for src in range(len(col.seq_ids))]
+
+
 def column_bytes(col):
+    """A column's stored arrays once every source has been read."""
+    resolved_sequences(col)
     return bytes(col.ports), bytes(col.seq_ids), col.first_global.tobytes()
 
 
 def column_answers(col):
-    """Like :func:`column_bytes`, with the sequence ids decoded: two tables
-    intern sequences in the order they meet them, so ids are comparable only
-    between tables touched in the same order."""
-    return (bytes(col.ports), [col.sequences[i] for i in col.seq_ids],
+    """Like :func:`column_bytes`, with the sequences in place of their ids:
+    two tables intern sequences in the order pairs are first read, so ids
+    are comparable only between tables read in the same order."""
+    return (bytes(col.ports), resolved_sequences(col),
             col.first_global.tobytes())
 
 
@@ -130,6 +141,7 @@ class TestLruEviction:
         assert stats["hits"] == 1
         assert stats["misses"] == n
         assert stats["evictions"] == stats["columns_built"] - stats["columns_resident"]
+        assert stats["pairs_resolved"] == 0  # built, never read
         assert stats["route_state_bytes"] == table.route_state_bytes() > 0
 
     def test_capacity_clamped_to_table_size(self, topo):
@@ -184,6 +196,87 @@ class TestSimulationEquivalence:
         assert "mode" not in stats
         assert stats["columns_built"] >= 1
         assert stats["hits"] + stats["misses"] > 0
+
+
+class _LoopingRing(Topology):
+    """Four routers in a ring whose next hops towards router 0 send routers
+    1 and 2 to each other (port 0 climbs the ring, port 1 descends)."""
+
+    num_routers = 4
+    nodes_per_router = 1
+    radix = 2
+    diameter = 2
+    canonical_minimal_sequence = (LinkType.LOCAL, LinkType.LOCAL)
+
+    def ports(self, router):
+        return [PortInfo(0, (router + 1) % 4, LinkType.LOCAL),
+                PortInfo(1, (router - 1) % 4, LinkType.LOCAL)]
+
+    def min_next_ports_to(self, dst_router):
+        ports = [0 if (dst_router - src) % 4 <= 2 else 1 for src in range(4)]
+        ports[dst_router] = -1
+        if dst_router == 0:
+            ports[1], ports[2] = 0, 1
+        return ports
+
+
+class TestFirstReadResolution:
+    """A column resolves a source's hop sequence the first time it is read."""
+
+    def test_reading_k_pairs_leaves_the_rest_unresolved(self, topo):
+        n = topo.num_routers
+        dst = n - 1
+        ports = topo.min_next_ports_to(dst)
+        src = max(range(n), key=lambda s: len(min_walk(topo, ports, s, dst)))
+        walk = min_walk(topo, ports, src, dst)
+        table = RouteTable(topo)
+        col = table.column(dst)
+        assert list(col.seq_ids).count(UNRESOLVED) == n - 1
+        # One read resolves the k routers of its path; reading them again
+        # (each its own pair) resolves nothing more.
+        assert col.hop_sequence(src) == tuple(t for _, _, t in walk)
+        for router, _, _ in walk:
+            col.distance(router)
+        k = len(walk)
+        assert list(col.seq_ids).count(UNRESOLVED) == n - k - 1
+        assert table.table_stats()["pairs_resolved"] == k
+
+    def test_a_looping_route_fails_at_its_first_read(self):
+        table = RouteTable(_LoopingRing())
+        col = table.column(0)  # building the column walks nothing
+        assert col.hop_sequence(3) == (LinkType.LOCAL,)
+        with pytest.raises(RuntimeError, match="does not converge"):
+            col.hop_sequence(1)
+        with pytest.raises(RuntimeError, match="does not converge"):
+            table.distance(2, 0)
+
+    def test_query_order_never_reaches_a_result(self):
+        """Jobs sharing the registry's table read its pairs in another order
+        than a private table does; each gets the private table's result."""
+        # A parameter set no other test builds: the registry is process-wide.
+        network = NetworkConfig(topology="dragonfly",
+                                params={"h": 2, "num_groups": 6})
+        configs = [SimulationConfig(network=network).with_load(load)
+                   for load in (0.6, 0.3)]
+        private = [Simulation(config) for config in configs]
+        expected = [dataclasses.asdict(Session(simulation=sim).run().summary)
+                    for sim in private]
+        shared = build_artifacts(configs[0])
+        table = shared.route_table
+        n = table.num_routers
+        # Another job's order: the one-global-hop pairs, then every pair in
+        # reverse, so (GLOBAL,) takes the id a simulation gives (LOCAL,).
+        for src in range(n):
+            for info in shared.topology.ports(src):
+                if info.link_type == LinkType.GLOBAL:
+                    table.hop_sequence(src, info.neighbor)
+        for dst in reversed(range(n)):
+            for src in reversed(range(n)):
+                table.hop_sequence(src, dst)
+        for config, want in zip(reversed(configs), reversed(expected)):
+            got = Session(simulation=Simulation(config, artifacts=shared)).run()
+            assert dataclasses.asdict(got.summary) == want
+        assert table.sequences != private[0].route_table.sequences
 
 
 # -- columns are a pure function of (topology, dst, current dead set) --------
@@ -296,6 +389,10 @@ def test_system_scale_constructs_within_budget():
     session.measure(SYSTEM.measure_cycles)
     stats = session.record().provenance["route_table"]
     assert stats["evictions"] == 0
+    # Hop sequences are resolved per pair on first read: a short session
+    # reads a sliver of the n^2 pairs, so an eager fill cannot come back
+    # unnoticed.
+    assert stats["pairs_resolved"] < 0.01 * sim.topology.num_routers ** 2
 
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     peak_bytes = peak_kb * (1 if sys.platform == "darwin" else 1024)
