@@ -35,7 +35,7 @@ from ..core.vc_policy import HopContext, HopKind, VcPolicy, VcRange
 from ..core.vc_selection import VcSelection
 from ..packet import Packet, RouteKind
 from ..topology.base import LINK_TYPES, Topology
-from .route_table import UNRESOLVED, RouteTable
+from .route_table import RouteTable
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..router.router import Router
@@ -364,19 +364,12 @@ class RoutingAlgorithm(ABC):
         # The intended route is the minimal path from here, except on the
         # detour (plan() requests one only for a Valiant packet short of its
         # intermediate): first leg to the intermediate, then on to dst.
-        # Resolved ids are read inline; only a first read of a pair calls
-        # into the column (resolving here also resolves next_router).
-        seq_ids, sequences = dst_col.seq_ids, dst_col.sequences
         if is_detour:
             intended = (target_col.hop_sequence(here)
                         + dst_col.hop_sequence(target_router))
         else:
-            seq_id = seq_ids[here]
-            intended = (sequences[seq_id] if seq_id != UNRESOLVED
-                        else dst_col.hop_sequence(here))
-        seq_id = seq_ids[next_router]
-        escape = (sequences[seq_id] if seq_id != UNRESOLVED
-                  else dst_col.hop_sequence(next_router))
+            intended = dst_col.hop_sequence(here)
+        escape = dst_col.hop_sequence(next_router)
         # Every HopContext field, so a hit is exactly what evaluate() returns.
         key = (packet.msg_class, out_type, intended, escape, input_type,
                input_vc, packet.phase_offsets, packet.phase_position,

@@ -14,8 +14,10 @@ the ports and an all-unresolved seq-id row, nothing walked — and keeps it in
 a plain ``dst``-indexed list, so a hit is one index and a ``None`` test.  A
 source's hop sequence is resolved the first time a caller reads it, by a
 suffix-merge walk over the :class:`~repro.topology.base.Wiring` that stops
-at the first already-resolved router, so a column costs what the run reads
-of it, not O(n).  Resident columns are lean (~2 bytes per source: one-byte
+at the first already-resolved router, so a column's hop sequences cost what
+the run reads of them, not O(n).  The first-global row is the exception: its
+first read (Piggyback only) still walks every source of the column once.
+Resident columns are lean (~2 bytes per source: one-byte
 ports plus interned seq ids, with the first-global row deferred to its sole
 consumer), and the default capacity is derived from
 :data:`DEFAULT_LAZY_STATE_BUDGET` so that up to ~60k routers *every* column
@@ -26,7 +28,7 @@ makes 10^5-endpoint networks constructible (see DESIGN.md §9).
 
 Hop sequences are interned: the ``seq_ids`` bytes index into the (small,
 ≤255-entry) table of distinct hop-type sequences, so lookups return shared
-tuples; :data:`UNRESOLVED` marks a source nobody has read yet, and ids are
+tuples; a sentinel id marks a source nobody has read yet, and ids are
 assigned in the order pairs are first read.  ``first_global`` stores
 ``(owning router, global-port index)`` pairs of the first GLOBAL hop of each
 minimal path (-1 when the path crosses none), generalizing the Dragonfly
@@ -49,7 +51,7 @@ from ..faults import NetworkPartitionedError
 from ..topology.base import LINK_TYPES, Topology
 
 #: sentinel sequence id of a pair whose hop sequence nobody has read yet.
-UNRESOLVED = 0xFF
+_UNRESOLVED = 0xFF
 
 #: byte budget that sizes the default column capacity.  A resident column
 #: costs ~2n bytes (one next-port byte and one seq-id byte per source; the
@@ -72,7 +74,7 @@ class RouteColumn:
 
     The unit of construction and the view handed to routing algorithms:
     every query is a single flat index into an n-sized array.  ``seq_ids``
-    starts all :data:`UNRESOLVED` but at ``dst``; :meth:`hop_sequence` and
+    starts all unresolved but at ``dst``; :meth:`hop_sequence` and
     :meth:`distance` resolve a source on its first read (and every router
     its path passes), checking that the route converges before any packet
     can take it.  ``sequences`` references the owning table's *live*
@@ -86,8 +88,9 @@ class RouteColumn:
       topology's radix allows it, falling back to ``array('i')`` (-1) above
       254 ports per router;
     * the first-global row is built on the first :meth:`first_global_link`
-      call only — Piggyback's remote-saturation sensing is its sole
-      consumer, so min/val/par runs never pay its 8n bytes per column.
+      call only, by one walk of every source — Piggyback's remote-saturation
+      sensing is its sole consumer, so min/val/par runs never pay its 8n
+      bytes or O(n) walk per column.
     """
 
     __slots__ = ("dst", "ports", "seq_ids", "sequences", "_no_port",
@@ -109,7 +112,7 @@ class RouteColumn:
 
     def hop_sequence(self, src: int) -> HopSequence:
         seq_id = self.seq_ids[src]
-        if seq_id == UNRESOLVED:
+        if seq_id == _UNRESOLVED:
             seq_id = self._table._resolve(self, src)
         return self.sequences[seq_id]
 
@@ -249,7 +252,7 @@ class RouteTable:
         ):
             port_batch = self._detour_ports_to(dst, port_batch)
             self._fault_dirty.add(dst)
-        seq_ids = bytearray([UNRESOLVED]) * self._n
+        seq_ids = bytearray([_UNRESOLVED]) * self._n
         seq_ids[dst] = 0
         if self._wiring.ports_per_router < 255:
             # Narrow to one byte per source: every port value fits in
@@ -282,7 +285,7 @@ class RouteTable:
         if port != col._no_port:
             base = src * wiring.ports_per_router + port
             tail_id = seq_ids[wiring.neighbor[base]]
-            if tail_id != UNRESOLVED:
+            if tail_id != _UNRESOLVED:
                 # Fast path: the next hop is already resolved (the common
                 # case once a column's suffix tree fills in), so this source
                 # merges without path bookkeeping.
@@ -307,7 +310,7 @@ class RouteTable:
         step_get = self._seq_step.get
         path: List[int] = []  # the walked (router, port) slots
         current = src
-        while seq_ids[current] == UNRESOLVED:
+        while seq_ids[current] == _UNRESOLVED:
             port = ports[current]
             if port == no_port or len(path) > self._n:
                 raise RuntimeError(
@@ -337,7 +340,7 @@ class RouteTable:
         seq_id = self._seq_index.get(tail_seq)
         if seq_id is None:
             seq_id = len(sequences)
-            if seq_id >= UNRESOLVED:
+            if seq_id >= _UNRESOLVED:
                 raise RuntimeError(
                     "route table overflow: more than 255 distinct "
                     "hop-type sequences"

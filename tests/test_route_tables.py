@@ -26,7 +26,7 @@ from repro.core.link_types import LinkType
 from repro.faults import NetworkPartitionedError
 from repro.routing.route_table import (
     DEFAULT_LAZY_STATE_BUDGET,
-    UNRESOLVED,
+    _UNRESOLVED,
     RouteTable,
     make_route_table,
 )
@@ -231,14 +231,14 @@ class TestFirstReadResolution:
         walk = min_walk(topo, ports, src, dst)
         table = RouteTable(topo)
         col = table.column(dst)
-        assert list(col.seq_ids).count(UNRESOLVED) == n - 1
+        assert list(col.seq_ids).count(_UNRESOLVED) == n - 1
         # One read resolves the k routers of its path; reading them again
         # (each its own pair) resolves nothing more.
         assert col.hop_sequence(src) == tuple(t for _, _, t in walk)
         for router, _, _ in walk:
             col.distance(router)
         k = len(walk)
-        assert list(col.seq_ids).count(UNRESOLVED) == n - k - 1
+        assert list(col.seq_ids).count(_UNRESOLVED) == n - k - 1
         assert table.table_stats()["pairs_resolved"] == k
 
     def test_a_looping_route_fails_at_its_first_read(self):
