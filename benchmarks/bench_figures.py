@@ -101,7 +101,7 @@ CHECKS = {
 ])
 def test_figure(benchmark, capsys, name, pattern):
     panels = benchmark.pedantic(
-        lambda: run_figure(name, scale=SCALE, patterns=(pattern,), loads=LOADS.get(name)),
+        lambda: run_figure(name, scale=SCALE, patterns=(pattern,), loads=LOADS.get(name))[0],
         rounds=1, iterations=1,
     )
     with capsys.disabled():

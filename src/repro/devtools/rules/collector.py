@@ -23,9 +23,9 @@ CONTROLS = ("disable", "enable", "freeze", "unfreeze", "set_threshold", "collect
 SITES = (
     ("collector.py", "paused_collector", ("disable", "enable", "collect"),
      "the helper"),
-    ("experiments/orchestrator.py", "_execute_chunk", ("collect",),
+    ("experiments/executors.py", "_execute_chunk", ("collect",),
      "the per-job reclaim"),
-    ("experiments/orchestrator.py", "_PoolChunkExecutor", ("freeze",),
+    ("experiments/executors.py", "_PoolChunkExecutor", ("freeze",),
      "the pool initializer"),
 )
 

@@ -35,9 +35,10 @@ from ..probes import PROBES, make_probes
 from ..session import ConvergenceSettings
 from ..store import FLUSH_INTERVAL_SECONDS, ResultStore, StoreError
 from . import tables
-from .figures import FIGURES, run_figure_sweep
+from .figures import FIGURES, run_figure
 from .formatting import render_figure
-from .orchestrator import AdaptiveSettings, FaultSpecError, orchestration
+from .adaptive import AdaptiveSettings
+from .orchestrator import FaultSpecError, orchestration
 from .runner import SCALES
 
 DEFAULT_STORE = "results/store.json"
@@ -109,7 +110,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         workers=args.workers,
         store=store,
         probes=probes,
-        chunk_size=args.chunk_size,
         adaptive=adaptive,
         converge=converge,
         verbose=args.verbose,
@@ -122,7 +122,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 continue
             start = time.perf_counter()
             try:
-                panels, outcome = run_figure_sweep(
+                panels, outcome = run_figure(
                     name, scale=args.scale, patterns=args.patterns or None,
                     seeds=args.seeds,
                 )
@@ -357,9 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"result store path (default: {DEFAULT_STORE})")
     run.add_argument("--force", action="store_true",
                      help="ignore cached results (still persists fresh ones)")
-    run.add_argument("--chunk-size", type=int, default=None, metavar="N",
-                     help="jobs per pool task (default: automatic series-"
-                          "affine chunking; 1 = per-job dispatch)")
     run.add_argument("--adaptive", action="store_true",
                      help="adaptive sweep scheduling: climb each series' "
                           "loads low to high and extrapolate past the "

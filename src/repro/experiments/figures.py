@@ -6,11 +6,12 @@ each is one :class:`Figure` in :data:`FIGURES`: a *series function*
 ``(scale, pattern) -> [Series]`` plus its default patterns and loads.
 :func:`run_figure` expands a whole figure into one
 :class:`~repro.experiments.orchestrator.SweepSpec`, runs it under the active
-``orchestration(...)`` context and returns ``{pattern: [Series]}``, which
-:func:`~repro.experiments.formatting.render_figure` prints.  Absolute values
-differ from the paper because the substrate is a scaled pure-Python simulator
-(see DESIGN.md), but the comparative shapes — who wins, by roughly what
-factor, where crossovers appear — are the reproduction target.
+``orchestration(...)`` context and returns the panels ``{pattern: [Series]}``,
+which :func:`~repro.experiments.formatting.render_figure` prints, with the
+sweep's outcome.  Absolute values differ from the paper because the
+substrate is a scaled pure-Python simulator (see DESIGN.md), but the
+comparative shapes — who wins, by roughly what factor, where crossovers
+appear — are the reproduction target.
 """
 
 from __future__ import annotations
@@ -297,7 +298,7 @@ def figure_sweep(
     return panels, spec
 
 
-def run_figure_sweep(
+def run_figure(
     name: str,
     scale: str | ExperimentScale = "tiny",
     patterns: Optional[Sequence[str]] = None,
@@ -323,14 +324,3 @@ def run_figure_sweep(
                 file=sys.stderr,
             )
     return panels, outcome
-
-
-def run_figure(
-    name: str,
-    scale: str | ExperimentScale = "tiny",
-    patterns: Optional[Sequence[str]] = None,
-    loads: Optional[Iterable[float]] = None,
-    seeds: Optional[int] = None,
-) -> Dict[str, List[Series]]:
-    """:func:`run_figure_sweep`'s panels, ``{pattern: [Series]}``."""
-    return run_figure_sweep(name, scale, patterns, loads, seeds)[0]

@@ -70,8 +70,8 @@ def render_bar_table(title: str, series: Sequence[Series]) -> str:
 
 
 def render_figure(title: str, panels: Mapping[str, Sequence[Series]]) -> str:
-    """Render what :func:`~repro.experiments.figures.run_figure` returned, one
-    table per panel: bars when the panel was run at a single load and its
+    """Render the panels :func:`~repro.experiments.figures.run_figure`
+    returned, one table per panel: bars when the panel was run at a single load and its
     series are grouped, curves otherwise."""
     tables = []
     for pattern, series in panels.items():

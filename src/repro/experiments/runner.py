@@ -4,8 +4,9 @@ Every figure of the paper is regenerated from the same three ingredients:
 
 * an :class:`ExperimentScale` (network size, cycle counts, seeds, load grid),
 * a *configuration builder* describing one curve/bar of the figure, and
-* the sweep driver :func:`load_sweep` (:func:`repro.experiments.figures.run_figure`
-  runs a whole registered figure through the same machinery).
+* the sweep driver :func:`repro.experiments.figures.run_figure`, which runs a
+  whole registered figure as one sweep and fills its :class:`Series` with
+  :func:`collect`.
 
 Three scales are provided.  ``TINY`` keeps the benchmark suite runnable in
 minutes on a laptop; ``SMALL`` is the default for examples; ``PAPER`` matches
@@ -17,7 +18,7 @@ endeavour, which is exactly the substitution documented in DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..config import (
     NetworkConfig,
@@ -29,7 +30,7 @@ from ..config import (
 from ..core.arrangement import VcArrangement
 from ..metrics import SimulationResult
 from ..topology import TOPOLOGIES
-from .orchestrator import SweepOutcome, SweepSpec, run_sweep
+from .orchestrator import ConfigBuilder, SweepOutcome
 
 
 @dataclass(frozen=True)
@@ -161,11 +162,6 @@ def get_scale(scale: str | ExperimentScale) -> ExperimentScale:
 # Configuration builders
 # ---------------------------------------------------------------------------
 
-#: A builder produces a complete load-agnostic configuration; the sweep
-#: drivers apply the offered load (and seeds) on top of it.
-ConfigBuilder = Callable[[], SimulationConfig]
-
-
 @dataclass
 class Series:
     """One labelled curve (or bar group) of a figure."""
@@ -240,12 +236,10 @@ def base_config(
 
 
 # ---------------------------------------------------------------------------
-# Sweep driver (a thin wrapper over the orchestrator)
+# Filling a figure's series from its sweep
 # ---------------------------------------------------------------------------
 #
-# Takes what a figure varies (series, loads, seeds) and delegates to
-# repro.experiments.orchestrator: points become independent jobs.  How they
-# execute — worker count, result store, chunking, adaptive/convergence
+# How a sweep executes — worker count, result store, adaptive/convergence
 # modes — comes from the active ``orchestration(...)`` context alone.
 # Results are bit-identical serial or pooled because every job owns its RNG.
 
@@ -258,19 +252,3 @@ def collect(entry: Series, outcome: SweepOutcome, label: str) -> None:
     points = (outcome.point(label, load) for load in outcome.spec.loads)
     entry.results = [point for point in points if point is not None]
     entry.missing = outcome.missing(label)
-
-
-def load_sweep(
-    series: Sequence[Series], loads: Iterable[float], seeds: int = 1
-) -> List[Series]:
-    """Run every series at every offered load (latency/throughput curves)."""
-    spec = SweepSpec(
-        series=[(entry.label, entry.builder) for entry in series],
-        loads=list(loads),
-        seeds=max(1, seeds),
-        name="load_sweep",
-    )
-    outcome = run_sweep(spec)
-    for entry in series:
-        collect(entry, outcome, entry.label)
-    return list(series)

@@ -77,6 +77,7 @@ import json
 import logging
 import os
 import re
+import time
 import weakref
 import zlib
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
@@ -85,7 +86,7 @@ from ..metrics import SimulationResult
 from ..record import JobFailure, RunRecord
 from .errors import StoreError
 from .legacy_json import read_json_store
-from .locking import DEFAULT_LOCK_TIMEOUT, StoreLock
+from .locking import StoreLock
 
 __all__ = [
     "FLUSH_INTERVAL_SECONDS",
@@ -108,7 +109,8 @@ logger = logging.getLogger("repro.store")
 STORE_VERSION = 2
 
 #: default minimum seconds between mid-sweep store flushes (resumability vs
-#: I/O); per-store override via ``ResultStore(flush_interval=...)``.
+#: I/O, see :meth:`ResultStore.flush_if_due`); per-store override via
+#: ``ResultStore(flush_interval=...)``.
 FLUSH_INTERVAL_SECONDS = 5.0
 
 #: every journal frame (and therefore every journal file) starts with this.
@@ -117,18 +119,19 @@ JOURNAL_MAGIC = b"J1 "
 #: on-disk journal framing version (independent of the record schema).
 JOURNAL_VERSION = 1
 
-#: compaction trigger defaults: at least this many ops on file *and* at
-#: least this fraction of them superseded (or this many bytes with any
-#: dead ops at all).  Small enough to matter for long-lived shared stores,
-#: large enough that paper-scale sweeps never compact mid-run by surprise.
-DEFAULT_COMPACT_MIN_OPS = 4096
-DEFAULT_COMPACT_MIN_DEAD_FRACTION = 0.5
-DEFAULT_COMPACT_MIN_BYTES = 64 << 20
+#: compaction trigger, checked after every flush: at least this many ops on
+#: file *and* at least this fraction of them superseded (or this many bytes
+#: with any dead ops at all).  Small enough to matter for long-lived shared
+#: stores, large enough that paper-scale sweeps never compact mid-run by
+#: surprise.
+COMPACT_MIN_OPS = 4096
+COMPACT_MIN_DEAD_FRACTION = 0.5
+COMPACT_MIN_BYTES = 64 << 20
 
 #: crash-injection seam for the crash-safety tests: set
 #: ``REPRO_TEST_STORE_CRASH`` to one of ``append-partial`` /
 #: ``compact-before-replace`` / ``compact-after-replace`` to hard-exit the
-#: process at that point (mirrors the orchestrator's REPRO_TEST_CRASH_KEY).
+#: process at that point (mirrors the sweep executors' REPRO_TEST_CRASH_KEY).
 _CRASH_SEAM_ENV = "REPRO_TEST_STORE_CRASH"
 
 
@@ -274,9 +277,10 @@ class ResultStore:
 
     ``refresh=True`` turns reads into misses while still persisting new
     results — the CLI's ``--force``.  ``flush_interval`` tunes how often a
-    running sweep checkpoints mid-flight; the first write also arms a flush at
-    interpreter exit, so killed sweeps keep their latest completed points
-    while read-only opens (e.g. ``inspect``) never rewrite the file.
+    running sweep checkpoints mid-flight (:meth:`flush_if_due`); the first
+    write also arms a flush at interpreter exit, so killed sweeps keep their
+    latest completed points while read-only opens (e.g. ``inspect``) never
+    rewrite the file.
     ``strict`` makes a missing or unrecognized file a :class:`StoreError`
     (the ``inspect`` path); a lenient open starts empty and creates the file
     on first flush.  ``format`` is vestigial: ``"auto"`` and ``"journal"``
@@ -290,11 +294,6 @@ class ResultStore:
         flush_interval: float = FLUSH_INTERVAL_SECONDS,
         strict: bool = False,
         format: str = "auto",  # noqa: A002 - kept for callers that pass "journal"
-        lock_timeout: float = DEFAULT_LOCK_TIMEOUT,
-        compact_min_ops: int = DEFAULT_COMPACT_MIN_OPS,
-        compact_min_dead_fraction: float = DEFAULT_COMPACT_MIN_DEAD_FRACTION,
-        compact_min_bytes: int = DEFAULT_COMPACT_MIN_BYTES,
-        auto_compact: bool = True,
     ) -> None:
         if format not in ("auto", "journal"):
             raise ValueError(
@@ -303,13 +302,15 @@ class ResultStore:
         self.path = str(path)
         self.refresh = refresh
         self.flush_interval = float(flush_interval)
+        #: monotonic time of the last :meth:`flush` (or of the open).
+        self._flushed_at = time.monotonic()
         self.hits = 0
         self.misses = 0
         self.writes = 0
         #: v1 entries migrated while importing a JSON store (diagnostics).
         self.migrated = 0
         self._atexit_registered = False
-        self._lock = StoreLock(self.path, timeout=lock_timeout)
+        self._lock = StoreLock(self.path)
         #: live key -> its frame line, exactly what is or will be on disk
         #: (flush joins these, compaction writes them straight through).
         self._frames: Dict[str, bytes] = {}
@@ -321,10 +322,6 @@ class ResultStore:
         self._file_keys: Dict[str, None] = {}
         #: byte offset up to which we have replayed/absorbed the file.
         self._read_offset = 0
-        self._compact_min_ops = int(compact_min_ops)
-        self._compact_min_dead_fraction = float(compact_min_dead_fraction)
-        self._compact_min_bytes = int(compact_min_bytes)
-        self._auto_compact = bool(auto_compact)
         #: non-header ops currently replayed from the file.
         self.journal_ops = 0
         #: ops observed to be overwritten by a later op (cumulative).
@@ -589,10 +586,18 @@ class ResultStore:
     # -- lifecycle -----------------------------------------------------------
 
     def flush(self) -> None:
-        if not self._pending:
-            return
-        with self._lock:
-            self._flush_locked()
+        """Persist every pending write (one fsynced append)."""
+        if self._pending:
+            with self._lock:
+                self._flush_locked()
+        self._flushed_at = time.monotonic()
+
+    def flush_if_due(self) -> None:
+        """Flush once ``flush_interval`` seconds have passed since the last
+        flush: the one periodic checkpoint of a running sweep, which keeps it
+        resumable without a fsync per completed job."""
+        if time.monotonic() - self._flushed_at >= self.flush_interval:
+            self.flush()
 
     def close(self) -> None:
         """Flush pending writes."""
@@ -610,7 +615,7 @@ class ResultStore:
             self._absorb_locked()
             self._append_pending_locked()
         self._pending.clear()
-        if self._auto_compact and self._should_compact():
+        if self._should_compact():
             self._rewrite_locked(bump_compaction=True)
 
     def _append_pending_locked(self) -> None:
@@ -724,10 +729,10 @@ class ResultStore:
         live = len(self._frames)
         ops = self.journal_ops
         dead = max(0, ops - live)
-        if ops >= self._compact_min_ops and ops > 0:
-            if dead / ops >= self._compact_min_dead_fraction:
+        if ops >= COMPACT_MIN_OPS and ops > 0:
+            if dead / ops >= COMPACT_MIN_DEAD_FRACTION:
                 return True
-        return self._read_offset >= self._compact_min_bytes and dead > 0
+        return self._read_offset >= COMPACT_MIN_BYTES and dead > 0
 
     def _rewrite_locked(self, bump_compaction: bool) -> None:
         """Write the whole store as a fresh sorted journal (tmp + rename).

@@ -8,7 +8,7 @@ from ..config import TrafficConfig
 from ..topology.base import Topology
 from .base import TrafficGenerator
 from .bursty import BurstyUniformTraffic
-from .patterns import AdversarialTraffic, PermutationTraffic, UniformTraffic
+from .patterns import AdversarialTraffic, UniformTraffic
 from .reactive import TrafficManager
 
 
@@ -46,7 +46,6 @@ __all__ = [
     "TrafficGenerator",
     "UniformTraffic",
     "AdversarialTraffic",
-    "PermutationTraffic",
     "BurstyUniformTraffic",
     "TrafficManager",
     "make_generator",

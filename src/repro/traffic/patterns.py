@@ -77,28 +77,3 @@ class AdversarialTraffic(TrafficGenerator):
         candidates = self._group_nodes[target_group]
         return candidates[self.rng.randrange(len(candidates))]
 
-
-def permutation_destinations(num_nodes: int, rng: random.Random) -> list[int]:
-    """Random fixed permutation (a useful extra pattern for examples/tests).
-
-    Every node sends to a single fixed partner and no two nodes share a
-    destination; re-rolled until it is a derangement (no self-loops).
-    """
-    while True:
-        perm = list(range(num_nodes))
-        rng.shuffle(perm)
-        if all(perm[i] != i for i in range(num_nodes)):
-            return perm
-
-
-class PermutationTraffic(TrafficGenerator):
-    """Fixed random permutation traffic (each node has one partner)."""
-
-    name = "permutation"
-
-    def __init__(self, num_nodes, load, packet_size, rng):
-        super().__init__(num_nodes, load, packet_size, rng)
-        self._partners = permutation_destinations(num_nodes, rng)
-
-    def destination_for(self, node: int, cycle: int) -> Optional[int]:
-        return self._partners[node]

@@ -19,7 +19,8 @@ import pytest
 from repro.collector import paused_collector
 from repro.core.arrangement import VcArrangement
 from repro.experiments import TINY, base_config
-from repro.experiments.orchestrator import Job, _execute_chunk
+from repro.experiments.executors import _execute_chunk
+from repro.experiments.orchestrator import Job
 from repro.experiments.topologies import minimal_feasible_arrangement
 from repro.faults import FaultSchedule
 from repro.probes import PROBES, Probe, make_probes

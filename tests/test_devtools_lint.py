@@ -454,9 +454,9 @@ def test_upward_import_flagged_at_module_level_and_in_functions(tmp_path):
         from .metrics import SimulationResult
         from .session import Session
 
-        def run_three_seeds(config):
-            from .experiments.orchestrator import run_seed_jobs
-            return run_seed_jobs(config, 3)
+        def run_spec(spec):
+            from .experiments.orchestrator import run_sweep
+            return run_sweep(spec)
         """,
         name="repro/simulation.py",
     )

@@ -687,6 +687,27 @@ class TestFaultOrchestration:
         _, record, _ = entries[0]
         assert record.provenance["faults"]["applied"] == 2
 
+    def test_run_jobs_refuses_a_partitioning_spec_before_any_job(self, tmp_path):
+        from repro.experiments.orchestrator import (
+            FaultSpecError,
+            SweepSpec,
+            run_jobs,
+        )
+        from repro.store import ResultStore
+
+        jobs = SweepSpec(
+            series=[("s", lambda: SimulationConfig(warmup_cycles=50, measure_cycles=100))],
+            loads=[0.3],
+            seeds=2,
+        ).expand()
+        isolate = parse_faults(";".join(f"link:0:{port}@5" for port in range(5)))
+        path = tmp_path / "store.journal"
+        store = ResultStore(str(path))
+        with pytest.raises(FaultSpecError, match="cycle 5"):
+            run_jobs(jobs, workers=1, store=store, faults=isolate)
+        assert len(store) == 0 and store.writes == 0
+        assert not path.exists()
+
     @pytest.mark.parametrize("spec", [
         "link:999:0@5",
         ";".join(f"link:0:{port}@5" for port in range(5)),  # cuts off router 0

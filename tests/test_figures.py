@@ -23,7 +23,6 @@ from repro.experiments import (
     run_figure,
     topology_series,
 )
-from repro.experiments.figures import run_figure_sweep
 from repro.experiments.__main__ import main
 from repro.experiments.runner import SCALES
 from repro.store import ResultStore
@@ -87,12 +86,13 @@ class TestRunAndRender:
     ):
         store = ResultStore(str(tmp_path / "store.journal"))
         with orchestration(store=store):
-            first = run_figure(name, scale=MICRO)
+            first, _ = run_figure(name, scale=MICRO)
         jobs = store.writes
         assert jobs == len(figure_sweep(name, scale=MICRO)[1].expand())
         with orchestration(store=store):
-            second = run_figure(name, scale=MICRO)
+            second, outcome = run_figure(name, scale=MICRO)
         assert store.writes == jobs and store.hits == jobs
+        assert (outcome.stats.cache_hits, outcome.stats.executed) == (jobs, 0)
         entries = second["uniform"]
         assert [e.results for e in first["uniform"]] == [e.results for e in entries]
         assert all(len(entry.results) == 1 and not entry.missing for entry in entries)
@@ -143,7 +143,7 @@ class TestCli:
         monkeypatch.setenv("REPRO_TEST_HANG_KEY", hung.key)
         monkeypatch.setenv("REPRO_TEST_HANG_SECONDS", "60")
         status = main([
-            "run", "fig10", "--workers", "2", "--chunk-size", "1",
+            "run", "fig10", "--workers", "2",
             "--job-timeout", "3", "--store", str(tmp_path / "store.journal"),
         ])
         captured = capsys.readouterr()
@@ -171,11 +171,11 @@ class TestCli:
         outcomes = []
 
         def spying_sweep(*args, **kwargs):
-            panels, outcome = run_figure_sweep(*args, **kwargs)
+            panels, outcome = run_figure(*args, **kwargs)
             outcomes.append(outcome)
             return panels, outcome
 
-        monkeypatch.setattr(cli, "run_figure_sweep", spying_sweep)
+        monkeypatch.setattr(cli, "run_figure", spying_sweep)
         argv = [
             "run", "fig10", "--adaptive", "--verbose",
             "--store", str(tmp_path / "store.journal"),

@@ -8,18 +8,15 @@ import inspect
 import pytest
 
 from repro.config import SimulationConfig
-from repro.experiments import Series
+from repro.experiments.adaptive import AdaptiveSettings
 from repro.experiments.orchestrator import (
-    AdaptiveSettings,
     OrchestrationContext,
     SweepSpec,
     current_context,
     orchestration,
     run_jobs,
-    run_seed_jobs,
     run_sweep,
 )
-from repro.experiments.runner import load_sweep
 from repro.faults import parse_faults
 from repro.keys import config_key
 from repro.metrics import SimulationResult
@@ -86,12 +83,12 @@ class TestDeterminism:
         for key, result in serial.stats.results.items():
             assert dataclasses.asdict(result) == dataclasses.asdict(parallel.stats.results[key])
 
-    def test_run_seeds_matches_serial_wrapper(self):
-        config = make_config().with_load(0.2)
+    def test_context_workers_keep_seed_order(self):
+        spec = SweepSpec(series=[("point", build_config)], loads=[0.2], seeds=2)
         with orchestration(workers=1):
-            serial = run_seed_jobs(config, 2)
+            serial = run_sweep(spec).seed_results("point", 0.2)
         with orchestration(workers=2):
-            parallel = run_seed_jobs(config, 2)
+            parallel = run_sweep(spec).seed_results("point", 0.2)
         assert [dataclasses.asdict(r) for r in serial] == [
             dataclasses.asdict(r) for r in parallel
         ]
@@ -101,25 +98,26 @@ class TestDeterminism:
     def test_pool_backend_falls_back_cleanly(self, tmp_path):
         # The pool may degrade to serial in restricted environments; the
         # stored RunRecords are identical either way — everything except the
-        # wall-clock provenance is deterministic across executors.  Four jobs
-        # in chunks of two: each pool worker (its start-up heap frozen)
-        # reclaims a finished simulation before the next job, as the serial
-        # executor does.
+        # wall-clock provenance is deterministic across executors.  Each
+        # pool worker (its start-up heap frozen) reclaims a finished
+        # simulation before its next job, as the serial executor does.
         jobs = SweepSpec(
             series=[("s", build_config)], loads=[0.1, 0.4], seeds=2
         ).expand()
         ref = ResultStore(str(tmp_path / "serial.journal"))
         got = ResultStore(str(tmp_path / "pooled.journal"))
-        run_jobs(jobs, workers=1, store=ref, chunk_size=2)
-        run_jobs(jobs, workers=2, store=got, chunk_size=2)
+        run_jobs(jobs, workers=1, store=ref)
+        run_jobs(jobs, workers=2, store=got)
         for job in jobs:
             serial = ref.get_record(job.key).to_dict()
             pooled = got.get_record(job.key).to_dict()
             for record in (serial, pooled):
-                # The two things that depend on where a job ran: its wall
-                # time, and how warm its process's shared route table was.
+                # The things that depend on where a job ran: its wall time,
+                # and how warm its process's shared route table was (its
+                # lookups and the hop sequences earlier jobs resolved).
                 assert record["provenance"].pop("wall_time_s") > 0
                 assert record["provenance"]["route_table"].pop("hits") > 0
+                assert record["provenance"]["route_table"].pop("pairs_resolved") > 0
             assert pooled == serial
 
 
@@ -156,19 +154,19 @@ class TestResultStore:
         store.close()  # the interrupted writer is gone: its lock with it
 
         executed_keys = []
-        import repro.experiments.orchestrator as orch
+        import repro.experiments.executors as executors
 
-        original = orch._execute_job
+        original = executors._execute_job
 
         def spying_execute(job):
             executed_keys.append(job.key)
             return original(job)
 
-        orch._execute_job, saved = spying_execute, original
+        executors._execute_job, saved = spying_execute, original
         try:
             resumed = run_sweep(spec, workers=1, store=ResultStore(path))
         finally:
-            orch._execute_job = saved
+            executors._execute_job = saved
         assert resumed.stats.cache_hits == 1 and resumed.stats.executed == 1
         assert executed_keys == [jobs[1].key]
 
@@ -193,36 +191,38 @@ class TestResultStore:
 
 
 class TestContextWiring:
-    def test_load_sweep_uses_context_store(self, tmp_path):
+    def test_sweep_uses_context_store(self, tmp_path):
         path = str(tmp_path / "store.json")
-        series = [Series("only", build_config)]
+        spec = SweepSpec(series=[("only", build_config)], loads=[0.1])
         with orchestration(workers=1, store=path):
-            load_sweep(series, loads=[0.1], seeds=1)
+            first = run_sweep(spec).point("only", 0.1)
         reopened = ResultStore(path)
         assert len(reopened) == 1
 
         # Second run inside a context over the same store: pure cache.
-        series2 = [Series("only", build_config)]
         with orchestration(workers=1, store=reopened):
-            load_sweep(series2, loads=[0.1], seeds=1)
+            second = run_sweep(spec).point("only", 0.1)
         assert reopened.hits == 1
-        assert dataclasses.asdict(series2[0].results[0]) == dataclasses.asdict(
-            series[0].results[0]
-        )
+        assert dataclasses.asdict(second) == dataclasses.asdict(first)
 
     def test_nested_block_inherits_what_it_does_not_override(self, tmp_path):
         store = ResultStore(str(tmp_path / "store.journal"))
         with orchestration(store=store, workers=2):
-            with orchestration(chunk_size=1) as inner:
+            with orchestration(job_timeout=1.0) as inner:
                 assert inner is current_context()
-                assert (inner.store, inner.workers, inner.chunk_size) == (store, 2, 1)
-            assert current_context().chunk_size is None
+                assert (inner.store, inner.workers, inner.job_timeout) == (store, 2, 1.0)
+            assert current_context().job_timeout is None
         assert current_context() == OrchestrationContext()
 
     def test_run_point_averages_seeds(self):
-        result = average_results(run_seed_jobs(make_config().with_load(0.2), 2))
+        spec = SweepSpec(series=[("point", build_config)], loads=[0.2], seeds=2)
+        outcome = run_sweep(spec)
+        result = outcome.point("point", 0.2)
         assert isinstance(result, SimulationResult)
         assert result.packets_delivered > 0
+        seeds = outcome.seed_results("point", 0.2)
+        assert [job.seed for job in outcome.stats.jobs] == [1, 2]
+        assert dataclasses.asdict(result) == dataclasses.asdict(average_results(seeds))
 
 
 #: one non-default value per execution setting.
@@ -230,7 +230,6 @@ SETTING_VALUES = {
     "workers": 2,
     "store": ResultStore,  # opened on a temp path by the test
     "probes": ("timeseries",),
-    "chunk_size": 3,
     "adaptive": AdaptiveSettings(cutoff_after=1),
     "converge": ConvergenceSettings(rel_tol=0.01),
     "verbose": True,
@@ -252,7 +251,7 @@ class TestSettingsDeclaredOnce:
         value = SETTING_VALUES[name]
         if name == "store":
             value = ResultStore(str(tmp_path / "store.journal"))
-        other = "job_timeout" if name == "chunk_size" else "chunk_size"
+        other = "verbose" if name == "job_timeout" else "job_timeout"
         with orchestration(**{name: value}) as context:
             assert context is current_context()
             assert getattr(context, name) == value
@@ -320,7 +319,7 @@ class TestCrashResilience:
             "REPRO_TEST_CRASH_KEY", f"{jobs[2].key}:{marker}"
         )
         store = ResultStore(str(tmp_path / "store.json"))
-        stats = run_jobs(jobs, workers=2, store=store, chunk_size=1)
+        stats = run_jobs(jobs, workers=2, store=store)
         assert marker.exists()  # the crash really fired
         assert stats.failed == 0
         assert stats.retries >= 1
@@ -342,7 +341,7 @@ class TestCrashResilience:
         jobs = _resilience_jobs(4, seed_base=41)
         monkeypatch.setenv("REPRO_TEST_CRASH_KEY", jobs[1].key)  # every attempt
         store = ResultStore(str(tmp_path / "store.json"))
-        stats = run_jobs(jobs, workers=2, store=store, chunk_size=1)
+        stats = run_jobs(jobs, workers=2, store=store)
         assert stats.failed == 1
         assert sorted(stats.results) == sorted(
             job.key for job in jobs if job.key != jobs[1].key
@@ -368,7 +367,7 @@ class TestCrashResilience:
         monkeypatch.setenv("REPRO_TEST_HANG_SECONDS", "60")
         store = ResultStore(str(tmp_path / "store.json"))
         stats = run_jobs(
-            jobs, workers=2, store=store, chunk_size=1, job_timeout=3.0,
+            jobs, workers=2, store=store, job_timeout=3.0,
             verbose=True,
         )
         # The failed job counts towards the progress total, and is named.
@@ -392,7 +391,7 @@ class TestCrashResilience:
         monkeypatch.setenv("REPRO_TEST_HANG_SECONDS", "60")
         path = tmp_path / "store.json"
         store = ResultStore(str(path))
-        run_jobs(jobs, workers=2, store=store, chunk_size=1, job_timeout=3.0)
+        run_jobs(jobs, workers=2, store=store, job_timeout=3.0)
         store.flush()
         completed = subprocess.run(
             [sys.executable, "-m", "repro.experiments", "inspect", str(path)],

@@ -127,22 +127,22 @@ class TestV1StoreMigration:
         spec = SweepSpec(series=[("s", build_config)], loads=[0.1, 0.25], seeds=1)
         reference = self._write_v1_store(path, spec)
 
-        import repro.experiments.orchestrator as orch
+        import repro.experiments.executors as executors
 
         executed = []
-        original = orch._execute_job
+        original = executors._execute_job
 
         def spying_execute(job):
             executed.append(job.key)
             return original(job)
 
-        orch._execute_job = spying_execute
+        executors._execute_job = spying_execute
         try:
             store = ResultStore(str(path))
             assert store.migrated == 2
             outcome = run_sweep(spec, workers=1, store=store)
         finally:
-            orch._execute_job = original
+            executors._execute_job = original
         assert executed == []  # migration means no re-simulation
         assert outcome.stats.cache_hits == 2 and outcome.stats.executed == 0
         for key, result in reference.stats.results.items():
@@ -192,12 +192,17 @@ class TestProbedJobs:
         )
 
     def test_job_probes_roundtrip_spec(self):
-        spec = SweepSpec(
-            series=[("s", build_config)], loads=[0.1], seeds=1,
-            probes=("linkutil",),
-        )
-        job = spec.expand()[0]
-        assert job.probes == ("linkutil",)
+        # Context probes reach every job that names none of its own, and
+        # the jobs run as prepared: a job's own probes win.
+        from repro.experiments.orchestrator import run_jobs
+
+        plain, own = SweepSpec(
+            series=[("s", build_config)], loads=[0.1, 0.2], seeds=1,
+        ).expand()
+        own = dataclasses.replace(own, probes=("timeseries",))
+        stats = run_jobs([plain, own], workers=1, probes=("linkutil",))
+        assert [job.probes for job in stats.jobs] == [("linkutil",), ("timeseries",)]
+        assert [job.key for job in stats.jobs] == [plain.key, own.key]
 
     def test_unknown_probe_name_rejected(self):
         from repro.probes import make_probes

@@ -7,7 +7,7 @@ import pytest
 
 from repro.config import RoutingConfig, SimulationConfig, TrafficConfig
 from repro.core.arrangement import VcArrangement
-from repro.experiments.orchestrator import run_seed_jobs
+from repro.experiments.orchestrator import SweepSpec, run_sweep
 from repro.session import Session
 
 
@@ -40,7 +40,8 @@ class TestBasicDelivery:
         assert in_flight < result.packets_generated
 
     def test_multiple_seeds_average(self):
-        results = run_seed_jobs(make_config().with_load(0.2), 2)
+        spec = SweepSpec(series=[("point", make_config)], loads=[0.2], seeds=2)
+        results = run_sweep(spec).seed_results("point", 0.2)
         assert len(results) == 2
         assert results[0].accepted_load == pytest.approx(results[1].accepted_load, abs=0.05)
 

@@ -246,9 +246,12 @@ class TestJournalStore:
         clone = ResultStore(path)
         assert len(clone) == 3 and clone.compactions == 1
 
-    def test_auto_compaction_trigger(self, tmp_path):
+    def test_auto_compaction_trigger(self, tmp_path, monkeypatch):
+        import repro.store.journal as journal
+
+        monkeypatch.setattr(journal, "COMPACT_MIN_OPS", 8)
         path = str(tmp_path / "s.journal")
-        store = ResultStore(path, compact_min_ops=8)
+        store = ResultStore(path)
         for _ in range(6):
             fill(store, ["a", "b"])
             store.flush()

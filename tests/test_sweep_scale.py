@@ -3,8 +3,8 @@
 The contract under test (ISSUE 5 acceptance criteria):
 
 * default-mode sweeps are **bit-identical** to per-job fresh-build execution
-  at any worker count and chunk size — chunked dispatch and artifact reuse
-  are execution-strategy changes only;
+  at any worker count, whatever chunk size it gives — chunked dispatch and
+  artifact reuse are execution-strategy changes only;
 * interrupted sweeps resume from the store without recomputing anything
   already persisted, chunking included;
 * adaptive scheduling and convergence-window measurement are opt-in, flag
@@ -19,10 +19,9 @@ import pickle
 import pytest
 
 from repro.config import SimulationConfig
+from repro.experiments.adaptive import EXTRAPOLATED_KEY_SUFFIX, AdaptiveSettings
+from repro.experiments.executors import _chunk_pending
 from repro.experiments.orchestrator import (
-    EXTRAPOLATED_KEY_SUFFIX,
-    AdaptiveSettings,
-    Job,
     run_jobs,
     run_sweep,
     store_key,
@@ -100,6 +99,60 @@ class TestKeys:
         assert config_key(loaded) == "87d45d214bdb85725d4d20cb"
         spec = SweepSpec(series=[("tiny", lambda: base_config(TINY))], loads=[0.7])
         assert [job.key for job in spec.expand()] == [config_key(loaded)]
+
+    def test_store_addresses_pinned_to_a_digest(self, tmp_path):
+        """The addresses a sweep reads its results under, for the four kinds
+        of address there are: plain, convergence-suffixed, the extrapolated
+        alias adaptive mode also probes, and a key with a fault schedule
+        folded in.  Every lookup is answered from a stub record, so nothing
+        simulates; the digest was taken at e4360fa."""
+        import hashlib
+        import json
+
+        from repro.experiments import (
+            AdaptiveSettings,
+            ResultStore,
+            SweepSpec,
+            run_sweep,
+        )
+        from repro.faults import parse_faults
+        from repro.record import RunRecord
+
+        class AskedStore(ResultStore):
+            """Answers every lookup with one unsaturated record; keeps the keys."""
+
+            def __init__(self, path):
+                super().__init__(path)
+                self.asked = []
+
+            def get_record_any(self, *keys):
+                self.asked.append(keys)
+                return RunRecord.from_summary(make_result(0.0, 0.0))
+
+        def routed() -> SimulationConfig:
+            base = make_config()
+            return dataclasses.replace(
+                base, routing=dataclasses.replace(base.routing, vc_selection="random")
+            )
+
+        spec = SweepSpec(
+            series=[("df", build_config), ("random", routed)],
+            loads=[0.1, 0.35],
+            seeds=2,
+        )
+        addresses = []
+        for overrides in (
+            {},
+            {"converge": ConvergenceSettings()},
+            {"adaptive": AdaptiveSettings()},
+            {"faults": parse_faults("link:0:3@400-900")},
+        ):
+            store = AskedStore(str(tmp_path / f"{len(addresses)}.journal"))
+            outcome = run_sweep(spec, workers=1, store=store, **overrides)
+            assert outcome.stats.cache_hits == 8 and outcome.stats.executed == 0
+            addresses.append(store.asked)
+        digest = hashlib.sha256(json.dumps(addresses).encode()).hexdigest()[:16]
+        assert digest == "88519243f5be3baa"
 
     def test_store_key_suffixes_convergence_mode(self):
         job = SweepSpec(series=[("s", build_config)], loads=[0.1]).expand()[0]
@@ -193,24 +246,37 @@ class TestChunkedEquivalence:
         }
 
     def test_chunked_and_cached_matches_per_job_fresh_builds(self, tmp_path):
-        """workers in {1, 4} x chunked/cached == the serial per-job path."""
-        # Reference: per-job dispatch, fresh artifacts per simulation (the
-        # pre-artifact-cache PR 4 behaviour).
+        """workers in {1, 2, 4}, hence chunks of 6, 3 and 2 jobs, chunked and
+        cached == the serial per-job path."""
+        def short() -> SimulationConfig:
+            return make_config(warmup_cycles=50, measure_cycles=100)
+
+        def damq() -> SimulationConfig:
+            base = short()
+            return dataclasses.replace(
+                base,
+                router=dataclasses.replace(base.router, buffer_organization="damq"),
+            )
+
+        spec = SweepSpec(
+            series=[("static", short), ("damq", damq)], loads=[0.15, 0.3, 0.6], seeds=4
+        )
+        jobs = spec.expand()
+        assert len(jobs) == 24
+        # Reference: per-job dispatch, fresh artifacts per simulation.
         reference = {
             job.key: dataclasses.asdict(Session(job.config).run().summary)
-            for job in self._spec().expand()
+            for job in jobs
         }
         payloads = {}
-        for workers, chunk_size in ((1, None), (4, None), (4, 1), (1, 3)):
-            path = str(tmp_path / f"store_{workers}_{chunk_size}.json")
-            outcome = run_sweep(
-                self._spec(), workers=workers, chunk_size=chunk_size,
-                store=ResultStore(path),
-            )
+        for workers, size in ((1, 6), (2, 3), (4, 2)):
+            assert {len(chunk) for chunk in _chunk_pending(jobs, workers)} == {size}
+            path = str(tmp_path / f"store_{workers}.json")
+            outcome = run_sweep(spec, workers=workers, store=ResultStore(path))
             assert outcome.stats.executed == len(reference)
             for key, expected in reference.items():
                 assert dataclasses.asdict(outcome.stats.results[key]) == expected
-            payloads[(workers, chunk_size)] = self._store_payload(path)
+            payloads[workers] = self._store_payload(path)
         # Store contents (config keys + summaries) identical across modes.
         first = next(iter(payloads.values()))
         for payload in payloads.values():
@@ -226,16 +292,16 @@ class TestChunkedEquivalence:
         half = len(jobs) // 2
         run_jobs(jobs[:half], workers=1, store=ResultStore(path))
 
-        import repro.experiments.orchestrator as orch
+        import repro.experiments.executors as executors
 
         executed_keys = []
-        original = orch._execute_job
+        original = executors._execute_job
 
         def spying_execute(job):
             executed_keys.append(job.key)
             return original(job)
 
-        monkeypatch.setattr(orch, "_execute_job", spying_execute)
+        monkeypatch.setattr(executors, "_execute_job", spying_execute)
         outcome = run_sweep(spec, workers=1, store=ResultStore(path))
         assert outcome.stats.cache_hits == half
         assert sorted(executed_keys) == sorted(j.key for j in jobs[half:])
@@ -243,15 +309,19 @@ class TestChunkedEquivalence:
     def test_flush_interval_zero_checkpoints_every_result(self, tmp_path):
         path = str(tmp_path / "store.json")
         store = ResultStore(path, flush_interval=0.0)
+        flush = store.flush
         sizes = []
 
-        def on_progress(job, result):
-            # The store flushed before the progress callback ran, so every
-            # completed point is already on disk.
+        def counting_flush():
+            flush()
             sizes.append(len(ResultStore(path)))
 
-        run_jobs(self._spec().expand(), workers=1, store=store, progress=on_progress)
-        assert sizes == list(range(1, len(sizes) + 1))
+        store.flush = counting_flush
+        jobs = self._spec().expand()
+        run_jobs(jobs, workers=1, store=store)
+        # One checkpoint per completed point, each on disk when it returns,
+        # then the run's closing flush.
+        assert sizes == [*range(1, len(jobs) + 1), len(jobs)]
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +364,14 @@ class TestAdaptiveScheduling:
         )
         assert outcome.stats.executed + outcome.stats.extrapolated == len(self.LOADS)
         assert outcome.stats.extrapolated >= 1
-        table = outcome.table()
+        points = {load: outcome.point("sat", load) for load in self.LOADS}
         flagged = [
-            load for (_, load), result in table.items()
+            load for load, result in points.items()
             if result.extra.get("extrapolated")
         ]
         # Extrapolation only ever affects the highest loads, contiguously.
         assert flagged == self.LOADS[-len(flagged):]
-        for (_, load), result in table.items():
+        for load, result in points.items():
             if result.extra.get("extrapolated"):
                 assert result.offered_load == load
                 assert result.extra["extrapolated_from_load"] < load

@@ -12,7 +12,6 @@ from repro.topology import Dragonfly
 from repro.traffic import (
     AdversarialTraffic,
     BurstyUniformTraffic,
-    PermutationTraffic,
     TrafficManager,
     UniformTraffic,
     make_generator,
@@ -122,15 +121,6 @@ class TestBurstyTraffic:
     def test_burst_length_validation(self):
         with pytest.raises(ValueError):
             BurstyUniformTraffic(8, 0.5, 8, random.Random(0), burst_length=0.5)
-
-
-class TestPermutationTraffic:
-    def test_fixed_derangement(self):
-        rng = random.Random(2)
-        gen = PermutationTraffic(num_nodes=16, load=0.5, packet_size=8, rng=rng)
-        partners = [gen.destination_for(n, 0) for n in range(16)]
-        assert sorted(partners) == list(range(16))
-        assert all(partners[n] != n for n in range(16))
 
 
 class TestMakeGenerator:
