@@ -100,12 +100,21 @@ class TestKeys:
         spec = SweepSpec(series=[("tiny", lambda: base_config(TINY))], loads=[0.7])
         assert [job.key for job in spec.expand()] == [config_key(loaded)]
 
+    #: sha256[:16] of the lookups one sweep makes, per kind of address,
+    #: taken at e4360fa (the four together hashed to 88519243f5be3baa).
+    ADDRESS_DIGESTS = {
+        "plain": "9364dbe25443fc18",
+        "converge": "be6e9904d8970b0b",
+        "adaptive": "d7b2e722b07bf306",
+        "faults": "3b52e61cf4a44cd6",
+    }
+
     def test_store_addresses_pinned_to_a_digest(self, tmp_path):
-        """The addresses a sweep reads its results under, for the four kinds
-        of address there are: plain, convergence-suffixed, the extrapolated
-        alias adaptive mode also probes, and a key with a fault schedule
-        folded in.  Every lookup is answered from a stub record, so nothing
-        simulates; the digest was taken at e4360fa."""
+        """The addresses a sweep reads its results under, one digest per kind
+        of address: plain, convergence-suffixed, the extrapolated alias
+        adaptive mode also probes, and a key with a fault schedule folded
+        in.  Every lookup is answered from a stub record, so nothing
+        simulates."""
         import hashlib
         import json
 
@@ -140,19 +149,20 @@ class TestKeys:
             loads=[0.1, 0.35],
             seeds=2,
         )
-        addresses = []
-        for overrides in (
-            {},
-            {"converge": ConvergenceSettings()},
-            {"adaptive": AdaptiveSettings()},
-            {"faults": parse_faults("link:0:3@400-900")},
-        ):
-            store = AskedStore(str(tmp_path / f"{len(addresses)}.journal"))
-            outcome = run_sweep(spec, workers=1, store=store, **overrides)
+        overrides = {
+            "plain": {},
+            "converge": {"converge": ConvergenceSettings()},
+            "adaptive": {"adaptive": AdaptiveSettings()},
+            "faults": {"faults": parse_faults("link:0:3@400-900")},
+        }
+        digests = {}
+        for kind, override in overrides.items():
+            store = AskedStore(str(tmp_path / f"{kind}.journal"))
+            outcome = run_sweep(spec, workers=1, store=store, **override)
             assert outcome.stats.cache_hits == 8 and outcome.stats.executed == 0
-            addresses.append(store.asked)
-        digest = hashlib.sha256(json.dumps(addresses).encode()).hexdigest()[:16]
-        assert digest == "88519243f5be3baa"
+            payload = json.dumps(store.asked).encode()
+            digests[kind] = hashlib.sha256(payload).hexdigest()[:16]
+        assert digests == self.ADDRESS_DIGESTS
 
     def test_store_key_suffixes_convergence_mode(self):
         job = SweepSpec(series=[("s", build_config)], loads=[0.1]).expand()[0]
