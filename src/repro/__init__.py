@@ -83,7 +83,7 @@ from .probes import (
 )
 from .record import RunRecord
 from .routing import RouteTable
-from .session import ConvergenceSettings, Session
+from .session import Session
 from .simulation import (
     Simulation,
     SimulationArtifacts,
@@ -139,7 +139,6 @@ __all__ = [
     "RouteKind",
     # sessions, probes, records
     "Session",
-    "ConvergenceSettings",
     "Probe",
     "TimeSeriesProbe",
     "LinkUtilizationProbe",

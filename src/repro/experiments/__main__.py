@@ -32,12 +32,10 @@ from typing import Sequence
 
 from ..faults import parse_faults
 from ..probes import PROBES, make_probes
-from ..session import ConvergenceSettings
 from ..store import FLUSH_INTERVAL_SECONDS, ResultStore, StoreError
 from . import tables
 from .figures import FIGURES, run_figure
 from .formatting import render_figure
-from .adaptive import AdaptiveSettings
 from .orchestrator import FaultSpecError, orchestration
 from .runner import SCALES
 
@@ -103,15 +101,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     except StoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    adaptive = AdaptiveSettings() if args.adaptive else None
-    converge = ConvergenceSettings() if args.converge else None
     status = 0
     with orchestration(
         workers=args.workers,
         store=store,
         probes=probes,
-        adaptive=adaptive,
-        converge=converge,
         verbose=args.verbose,
         job_timeout=args.job_timeout,
         faults=faults,
@@ -142,7 +136,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                 status = 1
             counts = [
                 f"{stats.executed} point(s) simulated",
-                f"{stats.extrapolated} extrapolated" if stats.extrapolated else "",
                 f"{stats.cache_hits} served from cache",
                 f"{missing} missing" if missing else "",
                 f"{stats.retries} chunk retries" if stats.retries else "",
@@ -233,6 +226,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
                 parts.append(f"{cycles} cycles")
             if wall is not None:
                 parts.append(f"{wall}s wall")
+            # Sweeps measure every point with the fixed budget, but stores
+            # written by older code may hold points copied from a lower load
+            # or measured in convergence windows: say so, never present
+            # them as fixed-budget runs.
             if provenance.get("extrapolated"):
                 parts.append(
                     "EXTRAPOLATED from load "
@@ -357,16 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"result store path (default: {DEFAULT_STORE})")
     run.add_argument("--force", action="store_true",
                      help="ignore cached results (still persists fresh ones)")
-    run.add_argument("--adaptive", action="store_true",
-                     help="adaptive sweep scheduling: climb each series' "
-                          "loads low to high and extrapolate past the "
-                          "saturation knee instead of simulating "
-                          "(provenance-flagged; default margins)")
-    run.add_argument("--converge", action="store_true",
-                     help="convergence-window measurement: batch windows "
-                          "until confidence intervals tighten, capped at "
-                          "the fixed cycle budget (results stored under "
-                          "mode-suffixed keys)")
     run.add_argument("--verbose", action="store_true",
                      help="stream sweep progress (done/total, cache hits, "
                           "jobs/sec) to stderr")

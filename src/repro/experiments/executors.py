@@ -9,10 +9,6 @@ several jobs of one series in one pool task, which amortizes pickle/IPC
 overhead and keeps each worker's topology registry cache hot: a topology
 graph and its route table are built once per network per worker instead of
 once per job.
-
-Both executors support *incremental* submission: the adaptive scheduler
-(:mod:`repro.experiments.adaptive`) submits a series' next load step only
-after judging the previous one.
 """
 
 from __future__ import annotations
@@ -79,9 +75,7 @@ def _execute_job(job: Job) -> Tuple[str, RunRecord, bool]:
     artifacts come from :func:`~repro.simulation.build_artifacts` — the
     topology registry's build cache is the one construction cache, and the
     third element returned says whether this job's topology was served from
-    it; jobs carrying convergence settings measure via
-    :meth:`~repro.session.Session.measure_converged` instead of one fixed
-    window.
+    it.  Every job measures the one fixed window of its config.
     """
     _apply_test_seams(job.key)
     hits_before = TOPOLOGIES.build_cache_hits
@@ -90,10 +84,7 @@ def _execute_job(job: Job) -> Tuple[str, RunRecord, bool]:
     simulation = Simulation(job.config, artifacts=artifacts)
     session = Session(simulation=simulation, probes=make_probes(job.probes))
     session.warmup()
-    if job.converge is not None:
-        session.measure_converged(job.converge)
-    else:
-        session.measure()
+    session.measure()
     return job.key, session.record(), artifact_hit
 
 

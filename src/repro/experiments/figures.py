@@ -311,7 +311,7 @@ def run_figure(
     figure's (else the scale's) load grid and the scale's seed count.  A point
     whose job failed is left out of its series' ``results`` and named on
     stderr; ``Series.missing`` keeps the reasons, and ``outcome.stats`` says
-    how many points were simulated, extrapolated or served from the store.
+    how many points were simulated or served from the store.
     """
     panels, spec = figure_sweep(name, scale, patterns, loads, seeds)
     outcome = run_sweep(spec)

@@ -8,28 +8,23 @@ run.  This module turns that decomposition into infrastructure:
   and expands it into :class:`Job` objects keyed by a stable hash of the
   complete :class:`~repro.config.SimulationConfig`;
 * :class:`OrchestrationContext` declares *how* a sweep executes (worker
-  count, store, probes, adaptive/convergence modes, ...) exactly once;
+  count, store, probes, fault spec, ...) exactly once;
   :func:`orchestration` installs overrides of it for a block and
   :func:`run_jobs` / :func:`run_sweep` take the same names as per-call
   overrides, so :func:`~repro.experiments.figures.run_figure`, benchmarks
   and examples inherit parallelism and caching without signature changes;
-* :func:`run_jobs` is the one place a job is prepared (context probes,
-  convergence settings and fault spec attached, duplicates dropped) and the
-  run loop: it serves stored results from the
-  :class:`~repro.store.ResultStore`, dispatches the rest in series-affine
-  chunks to the executors of :mod:`repro.experiments.executors` (or to the
-  adaptive scheduler of :mod:`repro.experiments.adaptive`), and streams
-  every result back into the store, so an interrupted sweep resumes from
-  what it already computed;
-* opt-in **convergence-window measurement**
-  (:class:`~repro.session.ConvergenceSettings`): executed jobs measure in
-  batch windows until confidence intervals tighten, capped at the fixed
-  budget (results are keyed separately in the store — never mixed with
-  fixed-budget runs).
+* :func:`run_jobs` is the one place a job is prepared (context probes and
+  fault spec attached, duplicates dropped) and the run loop: it serves
+  stored results from the :class:`~repro.store.ResultStore`, dispatches the
+  rest in series-affine chunks to the executors of
+  :mod:`repro.experiments.executors`, and streams every result back into
+  the store, so an interrupted sweep resumes from what it already computed.
 
-Default-mode sweeps (no adaptive, no convergence) are bit-identical to
-per-job dispatch at any worker count — chunking and artifact reuse are
-execution-strategy changes only, enforced by ``tests/test_sweep_scale.py``.
+Every executed point is measured one way: the scale's fixed warm-up and
+measurement budget (:meth:`~repro.session.Session.measure`), stored under
+its config key.  Sweeps are bit-identical to per-job dispatch at any worker
+count — chunking and artifact reuse are execution-strategy changes only,
+enforced by ``tests/test_sweep_scale.py``.
 """
 
 from __future__ import annotations
@@ -38,7 +33,6 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
-from functools import lru_cache
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..config import SimulationConfig
@@ -46,26 +40,13 @@ from ..faults import FaultSpec, NetworkPartitionedError
 from ..keys import _hash_payload, config_key
 from ..metrics import SimulationResult
 from ..record import JobFailure, RunRecord
-from ..session import ConvergenceSettings
 from ..simulation import average_results
 from ..store import ResultStore
-from .adaptive import AdaptiveSettings, _adaptive_key_suffix, _start_adaptive
 from .executors import _chunk_pending, _make_chunk_executor
 
 #: A builder produces a complete load-agnostic configuration; the sweep
 #: applies the offered load (and seeds) on top of it.
 ConfigBuilder = Callable[[], SimulationConfig]
-
-
-@lru_cache(maxsize=None)
-def _converge_key_suffix(settings: ConvergenceSettings) -> str:
-    """Store-key suffix isolating convergence-mode results.
-
-    Convergence-window measurement changes the measurement procedure (and
-    thus the summary), so its results must never be served to — or from —
-    fixed-budget sweeps sharing the store.
-    """
-    return ":cw" + _hash_payload(asdict(settings))[:8]
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +61,7 @@ class Job:
     to the run; they add telemetry channels to the persisted RunRecord but
     never change the summary (probed runs are summary-identical by the
     zero-cost dispatch design), so the cache key deliberately ignores them.
-
-    ``converge`` switches the job's measurement to the convergence-window
-    controller, which *does* change the summary and therefore suffixes the
-    store key (:func:`store_key`).
+    ``key`` is also the job's result-store address.
     """
 
     key: str
@@ -92,21 +70,6 @@ class Job:
     seed: int
     config: SimulationConfig
     probes: Tuple[str, ...] = ()
-    converge: Optional[ConvergenceSettings] = None
-
-
-def store_key(job: Job) -> str:
-    """Result-store address of a job: its config hash, plus the
-    convergence-mode suffix when it measures in convergence windows."""
-    if job.converge is None:
-        return job.key
-    return job.key + _converge_key_suffix(job.converge)
-
-
-def extrapolated_key(job: Job, settings: AdaptiveSettings) -> str:
-    """Result-store address of the record the adaptive scheduler
-    extrapolates for ``job`` under ``settings`` (never its plain address)."""
-    return store_key(job) + _adaptive_key_suffix(settings)
 
 
 @dataclass
@@ -188,10 +151,6 @@ class OrchestrationContext:
     store: Optional[ResultStore] = None
     #: probe registry names attached to every executed (non-cached) job.
     probes: Tuple[str, ...] = ()
-    #: saturation-cutoff scheduling (None = off: simulate every point).
-    adaptive: Optional[AdaptiveSettings] = None
-    #: convergence-window measurement (None = off: one fixed window).
-    converge: Optional[ConvergenceSettings] = None
     #: stream progress/cache-hit lines to stderr while sweeping.
     verbose: bool = False
     #: per-job wall-clock budget in seconds (None = unlimited).  Enforced by
@@ -248,13 +207,11 @@ class JobRunStats:
 
     results: Dict[str, SimulationResult]
     #: the jobs as they ran, in the order given (duplicates kept, so a
-    #: :class:`SweepOutcome` can reassemble every series): context probes,
-    #: convergence settings and fault spec attached, keys rewritten to match.
+    #: :class:`SweepOutcome` can reassemble every series): context probes
+    #: and fault spec attached, keys rewritten to match.
     jobs: List[Job] = field(default_factory=list)
     cache_hits: int = 0
     executed: int = 0
-    #: adaptive-mode points recorded by extrapolation instead of simulation.
-    extrapolated: int = 0
     #: executed jobs whose topology (and the route table memoised on it)
     #: came from / missed the worker's topology-registry build cache.
     artifact_hits: int = 0
@@ -289,12 +246,12 @@ class _ProgressReporter:
             return
         self._last_print = now
         stats = self.stats
-        done = stats.cache_hits + stats.executed + stats.extrapolated + stats.failed
+        done = stats.cache_hits + stats.executed + stats.failed
         elapsed = max(now - self.start, 1e-9)
         simulated_rate = stats.executed / elapsed
         print(
             f"[sweep] {done}/{self.total} points | {stats.executed} simulated, "
-            f"{stats.cache_hits} cached, {stats.extrapolated} extrapolated"
+            f"{stats.cache_hits} cached"
             + (f", {stats.failed} failed" if stats.failed else "")
             + f" | artifact cache {stats.artifact_hits} hits / "
             f"{stats.artifact_misses} misses | {simulated_rate:.2f} jobs/s",
@@ -323,20 +280,16 @@ def _apply_fault_spec(job: Job, spec: FaultSpec) -> Job:
 def _prepare(jobs: Sequence[Job], settings: OrchestrationContext) -> List[Job]:
     """Each job as it will run under ``settings``.
 
-    Context probes and convergence settings go to every job that carries
-    none of its own (probes never change keys; convergence does, through
-    :func:`store_key`).  The context's fault spec is applied, and every
+    Context probes go to every job that carries none of its own (probes
+    never change keys).  The context's fault spec is applied, and every
     distinct (schedule, network) is resolved into its timeline, so a spec
     that cannot run raises :class:`FaultSpecError` before anything runs.
     """
-    probes, converge, faults = settings.probes, settings.converge, settings.faults
-    prepared: List[Job] = []
-    for job in jobs:
-        if probes and not job.probes:
-            job = replace(job, probes=probes)
-        if converge is not None and job.converge is None:
-            job = replace(job, converge=converge)
-        prepared.append(job)
+    probes, faults = settings.probes, settings.faults
+    prepared = [
+        replace(job, probes=probes) if probes and not job.probes else job
+        for job in jobs
+    ]
     if faults is None:
         return prepared
     try:
@@ -371,15 +324,9 @@ def run_jobs(jobs: Sequence[Job], **overrides: Any) -> JobRunStats:
     chunk, which checkpoints them every ``flush_interval`` seconds
     (:meth:`~repro.store.ResultStore.flush_if_due`) and is flushed on
     interrupt, so a killed sweep resumes from its latest completed points.
-
-    ``adaptive`` enables the saturation cutoff (see
-    :class:`~repro.experiments.adaptive.AdaptiveSettings`); ``converge``
-    switches executed jobs to convergence-window measurement (stored under
-    mode-suffixed keys).  Both are off by default, keeping default sweeps
-    bit-identical to per-job dispatch at any worker count.
     """
     settings = replace(current_context(), **overrides)
-    store, adaptive = settings.store, settings.adaptive
+    store = settings.store
     stats = JobRunStats(results={}, jobs=_prepare(jobs, settings))
     unique: Dict[str, Job] = {}
     for job in stats.jobs:
@@ -394,14 +341,7 @@ def run_jobs(jobs: Sequence[Job], **overrides: Any) -> JobRunStats:
         stats.store_absorbed = store.refresh_from_disk()
     pending: List[Job] = []
     for job in unique.values():
-        cached: Optional[RunRecord] = None
-        if store is not None:
-            addresses = [store_key(job)]
-            if adaptive is not None:
-                # A previous adaptive sweep under the *same settings* may
-                # have extrapolated this point.
-                addresses.append(extrapolated_key(job, adaptive))
-            cached = store.get_record_any(*addresses)
+        cached = store.get_record(job.key) if store is not None else None
         if cached is None:
             pending.append(job)
         else:
@@ -421,23 +361,12 @@ def run_jobs(jobs: Sequence[Job], **overrides: Any) -> JobRunStats:
             stats.failed += 1
             stats.failures[job.key] = record
             if store is not None:
-                store.put_failure(store_key(job), record, meta=_meta(job))
+                store.put_failure(job.key, record, meta=_meta(job))
         else:
             results[job.key] = record.summary
-            if record.is_extrapolated:
-                stats.extrapolated += 1
-            else:
-                stats.executed += 1
+            stats.executed += 1
             if store is not None:
-                meta = _meta(job)
-                if record.is_extrapolated:
-                    # Only the adaptive scheduler synthesizes records.
-                    assert adaptive is not None
-                    key = extrapolated_key(job, adaptive)
-                    meta["extrapolated"] = True
-                else:
-                    key = store_key(job)
-                store.put_record(key, record, meta=meta)
+                store.put_record(job.key, record, meta=_meta(job))
                 store.flush_if_due()
         if reporter is not None:
             reporter.update()
@@ -456,22 +385,14 @@ def run_jobs(jobs: Sequence[Job], **overrides: Any) -> JobRunStats:
 
     executor = _make_chunk_executor(settings.workers, settings.job_timeout, on_retry)
     try:
-        chunk_done: Optional[Callable[[Tuple[Job, ...]], None]] = None
-        if adaptive is not None:
-            chunk_done = _start_adaptive(
-                executor, list(unique.values()), stats, adaptive, on_result
-            )
-        else:
-            for chunk in _chunk_pending(pending, settings.workers):
-                executor.submit(chunk)
+        for chunk in _chunk_pending(pending, settings.workers):
+            executor.submit(chunk)
         while executor.pending():
             chunk, (records, (hits, misses)) = executor.next_completed()
             stats.artifact_hits += hits
             stats.artifact_misses += misses
             for job, (_, record) in zip(chunk, records):
                 on_result(job, record)
-            if chunk_done is not None:
-                chunk_done(chunk)
     finally:
         # Interrupts (KeyboardInterrupt included) land here: persist every
         # completed point *first* — the flush must not depend on how long
@@ -485,16 +406,12 @@ def run_jobs(jobs: Sequence[Job], **overrides: Any) -> JobRunStats:
     return stats
 
 
-#: :meth:`SweepOutcome.missing` reason of a job that was never dispatched.
-NOT_RUN = "not run"
-
-
 @dataclass
 class SweepOutcome:
     """What a sweep asked for (``spec``) and what running it produced.
 
     The jobs as they ran, results, failures and every count (cache hits,
-    executed, extrapolated, retries, ...) are read from ``stats``, the
+    executed, retries, ...) are read from ``stats``, the
     :class:`JobRunStats` of the sweep's one :func:`run_jobs` call.
     """
 
@@ -524,21 +441,16 @@ class SweepOutcome:
     def missing(self, series: str) -> List[Tuple[float, int, str]]:
         """``(load, seed, reason)`` of every job of ``series`` without a result.
 
-        The reason is the job's :class:`JobFailure`, or :data:`NOT_RUN` for a
-        job in neither ``stats.results`` nor ``stats.failures`` (the adaptive
-        scheduler abandons a series' ladder once every seed of a load step
-        has failed).
+        Every such job resolved to a :class:`JobFailure`; the reason is its
+        reason and detail.
         """
         gaps = []
         for job in self.stats.jobs:
             if job.series == series and job.key not in self.stats.results:
-                failure = self.stats.failures.get(job.key)
-                if failure is None:
-                    reason = NOT_RUN
-                else:
-                    reason = failure.reason + (
-                        f" ({failure.detail})" if failure.detail else ""
-                    )
+                failure = self.stats.failures[job.key]
+                reason = failure.reason + (
+                    f" ({failure.detail})" if failure.detail else ""
+                )
                 gaps.append((job.load, job.seed, reason))
         return gaps
 

@@ -239,14 +239,14 @@ def base_config(
 # Filling a figure's series from its sweep
 # ---------------------------------------------------------------------------
 #
-# How a sweep executes — worker count, result store, adaptive/convergence
-# modes — comes from the active ``orchestration(...)`` context alone.
+# How a sweep executes — worker count, result store, probes, fault spec —
+# comes from the active ``orchestration(...)`` context alone.
 # Results are bit-identical serial or pooled because every job owns its RNG.
 
 def collect(entry: Series, outcome: SweepOutcome, label: str) -> None:
     """Fill ``entry`` from the jobs a finished sweep ran under ``label``.
 
-    A point with a failed (or never run) seed is left out of ``results``
+    A point with a failed seed is left out of ``results``
     rather than averaged over fewer seeds; ``missing`` says which and why.
     """
     points = (outcome.point(label, load) for load in outcome.spec.loads)

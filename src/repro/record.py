@@ -21,7 +21,7 @@ re-running a single simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from .metrics import SimulationResult
@@ -141,44 +141,3 @@ class RunRecord:
     def from_summary(cls, summary: SimulationResult, **provenance: Any) -> "RunRecord":
         """Record with no telemetry (e.g. probe-less orchestrator jobs)."""
         return cls(summary=summary, provenance=dict(provenance))
-
-    # -- adaptive-sweep extrapolation -----------------------------------------
-    @property
-    def is_extrapolated(self) -> bool:
-        """True when this record was synthesized, not simulated."""
-        return bool(self.provenance.get("extrapolated"))
-
-    @classmethod
-    def extrapolate(
-        cls,
-        source: "RunRecord",
-        offered_load: float,
-        extra_provenance: Optional[Dict[str, Any]] = None,
-    ) -> "RunRecord":
-        """Synthesize a saturated point's record from the last simulated one.
-
-        Beyond the saturation knee, accepted load and latency plateau at the
-        knee's values (additional offered load is rejected at injection), so
-        the adaptive sweep scheduler records higher loads as copies of the
-        last simulated saturated point, re-labelled with the target offered
-        load and flagged — in the summary's ``extra`` *and* the record
-        provenance — as extrapolated rather than simulated.  Telemetry
-        channels are never copied: they describe the source run only.
-        """
-        summary = replace(
-            source.summary,
-            offered_load=offered_load,
-            extra={
-                **source.summary.extra,
-                "extrapolated": True,
-                "extrapolated_from_load": source.summary.offered_load,
-            },
-        )
-        provenance = {
-            "schema_version": source.schema_version,
-            "extrapolated": True,
-            "extrapolated_from_load": source.summary.offered_load,
-            "source_config_key": source.provenance.get("config_key"),
-        }
-        provenance.update(extra_provenance or {})
-        return cls(summary=summary, provenance=provenance)

@@ -13,35 +13,6 @@ For per-VC sensing with request-reply traffic two values are kept per port
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..metrics import SimulationResult
-
-#: default relative accepted-load shortfall above which a sweep point counts
-#: as saturated (see :func:`is_saturated_point`).
-DEFAULT_SATURATION_MARGIN = 0.05
-
-
-def is_saturated_point(
-    result: "SimulationResult", margin: float = DEFAULT_SATURATION_MARGIN
-) -> bool:
-    """Is a whole sweep point saturated (network rejects offered load)?
-
-    Complements the in-simulation :class:`SaturationBoard` (per-port, per
-    cycle) at sweep granularity: a point is saturated when its accepted load
-    falls short of the offered load by more than ``margin`` (relative), i.e.
-    the network has crossed its throughput knee and additional offered load
-    only deepens queues.  A suspected deadlock always counts as saturated.
-    The adaptive sweep scheduler uses this to stop climbing a series' load
-    ladder once consecutive points are saturated.
-    """
-    if result.deadlock_suspected:
-        return True
-    if result.offered_load <= 0.0:
-        return False
-    return result.accepted_load < result.offered_load * (1.0 - margin)
-
 
 class SaturationBoard:
     """Shared occupancy/saturation state of all global ports of one group."""

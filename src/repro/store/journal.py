@@ -495,8 +495,7 @@ class ResultStore:
         """First stored record among ``keys``.
 
         One *logical* lookup: exactly one hit or one miss is counted no
-        matter how many alternative keys are probed (the adaptive scheduler
-        checks a point's plain config key and its extrapolated alias).
+        matter how many alternative keys are probed.
         ``refresh`` mode returns None without touching the counters, as the
         single-key read always did.
         """

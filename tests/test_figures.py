@@ -160,14 +160,12 @@ class TestCli:
 
 
     def test_summary_reports_the_sweeps_own_counts(self, tmp_path, monkeypatch, capsys):
-        # Store writes cannot tell an extrapolated point from a simulated one:
-        # the summary has to print the sweep's own JobRunStats.
+        # The [fig10] and [sweep] lines print the sweep's own JobRunStats,
+        # here for a cold run and for one that is half served from the store.
         import re
 
         import repro.experiments.__main__ as cli
 
-        ladder = dataclasses.replace(MICRO, loads=(0.2, 0.7, 0.8, 0.9, 1.0))
-        monkeypatch.setitem(SCALES, "tiny", ladder)
         outcomes = []
 
         def spying_sweep(*args, **kwargs):
@@ -176,13 +174,11 @@ class TestCli:
             return panels, outcome
 
         monkeypatch.setattr(cli, "run_figure", spying_sweep)
-        argv = [
-            "run", "fig10", "--adaptive", "--verbose",
-            "--store", str(tmp_path / "store.journal"),
-        ]
+        argv = ["run", "fig10", "--verbose", "--store", str(tmp_path / "store.journal")]
 
-        def run_and_compare():
-            """Run once; the [fig10] and [sweep] lines must both read the stats."""
+        def run_and_compare(scale):
+            """Run once at ``scale``; both lines must read the stats."""
+            monkeypatch.setitem(SCALES, "tiny", scale)
             assert main(argv) == 0
             captured = capsys.readouterr()
             stats = outcomes.pop().stats
@@ -192,26 +188,25 @@ class TestCli:
             counts = {
                 name: int(number)
                 for number, name in re.findall(
-                    r"(\d+) (point\(s\) simulated|extrapolated|served from cache)",
-                    summary,
+                    r"(\d+) (point\(s\) simulated|served from cache)", summary
                 )
             }
             assert counts["point(s) simulated"] == stats.executed
             assert counts["served from cache"] == stats.cache_hits
-            assert counts.get("extrapolated", 0) == stats.extrapolated
+            total = stats.executed + stats.cache_hits
             assert (
-                f"25/25 points | {stats.executed} simulated, {stats.cache_hits} "
-                f"cached, {stats.extrapolated} extrapolated |"
+                f"{total}/{total} points | {stats.executed} simulated, "
+                f"{stats.cache_hits} cached |"
                 in captured.err.splitlines()[-1]
             )
             return stats, summary
 
-        cold, _ = run_and_compare()
-        assert cold.extrapolated >= 1 and cold.cache_hits == 0
-        assert cold.executed + cold.extrapolated == 25
-        rerun, summary = run_and_compare()
-        assert (rerun.executed, rerun.extrapolated, rerun.cache_hits) == (0, 0, 25)
-        assert "0 point(s) simulated, 25 served from cache" in summary
+        cold, _ = run_and_compare(MICRO)
+        assert (cold.executed, cold.cache_hits) == (5, 0)
+        ladder = dataclasses.replace(MICRO, loads=(0.5, 0.7))
+        rerun, summary = run_and_compare(ladder)
+        assert (rerun.executed, rerun.cache_hits) == (5, 5)
+        assert "5 point(s) simulated, 5 served from cache" in summary
 
 
 class TestNetworkFor:

@@ -8,7 +8,6 @@ import inspect
 import pytest
 
 from repro.config import SimulationConfig
-from repro.experiments.adaptive import AdaptiveSettings
 from repro.experiments.orchestrator import (
     OrchestrationContext,
     SweepSpec,
@@ -20,7 +19,7 @@ from repro.experiments.orchestrator import (
 from repro.faults import parse_faults
 from repro.keys import config_key
 from repro.metrics import SimulationResult
-from repro.session import ConvergenceSettings, Session
+from repro.session import Session
 from repro.simulation import average_results
 from repro.store import ResultStore, StoreError
 
@@ -230,8 +229,6 @@ SETTING_VALUES = {
     "workers": 2,
     "store": ResultStore,  # opened on a temp path by the test
     "probes": ("timeseries",),
-    "adaptive": AdaptiveSettings(cutoff_after=1),
-    "converge": ConvergenceSettings(rel_tol=0.01),
     "verbose": True,
     "job_timeout": 5.0,
     "faults": parse_faults("link:0:3@400-900"),

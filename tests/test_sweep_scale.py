@@ -1,14 +1,14 @@
-"""Sweep-scale execution tests: shared artifacts, chunking, adaptive, converge.
+"""Sweep-scale execution tests: store addresses, shared artifacts, chunking.
 
-The contract under test (ISSUE 5 acceptance criteria):
+The contract under test:
 
-* default-mode sweeps are **bit-identical** to per-job fresh-build execution
-  at any worker count, whatever chunk size it gives — chunked dispatch and
+* sweeps are **bit-identical** to per-job fresh-build execution at any
+  worker count, whatever chunk size it gives — chunked dispatch and
   artifact reuse are execution-strategy changes only;
 * interrupted sweeps resume from the store without recomputing anything
   already persisted, chunking included;
-* adaptive scheduling and convergence-window measurement are opt-in, flag
-  their provenance, and never pollute the default cache namespace.
+* a point is stored and served under its config key alone, and records
+  older stores hold under other addresses are never served.
 """
 
 from __future__ import annotations
@@ -16,21 +16,16 @@ from __future__ import annotations
 import dataclasses
 import pickle
 
-import pytest
-
 from repro.config import SimulationConfig
-from repro.experiments.adaptive import EXTRAPOLATED_KEY_SUFFIX, AdaptiveSettings
 from repro.experiments.executors import _chunk_pending
 from repro.experiments.orchestrator import (
     run_jobs,
     run_sweep,
-    store_key,
     SweepSpec,
 )
 from repro.keys import config_key
 from repro.metrics import SimulationResult
-from repro.router.saturation import is_saturated_point
-from repro.session import ConvergenceSettings, Session, _relative_half_width
+from repro.session import Session
 from repro.simulation import Simulation, build_artifacts
 from repro.store import ResultStore
 
@@ -44,7 +39,7 @@ def build_config() -> SimulationConfig:
     return make_config()
 
 
-def make_result(offered: float, accepted: float, deadlock: bool = False) -> SimulationResult:
+def make_result(offered: float, accepted: float) -> SimulationResult:
     return SimulationResult(
         offered_load=offered,
         accepted_load=accepted,
@@ -56,7 +51,7 @@ def make_result(offered: float, accepted: float, deadlock: bool = False) -> Simu
         measured_cycles=300,
         num_nodes=72,
         misrouted_fraction=0.0,
-        deadlock_suspected=deadlock,
+        deadlock_suspected=False,
     )
 
 
@@ -101,34 +96,25 @@ class TestKeys:
         assert [job.key for job in spec.expand()] == [config_key(loaded)]
 
     #: sha256[:16] of the lookups one sweep makes, per kind of address,
-    #: taken at e4360fa (the four together hashed to 88519243f5be3baa).
+    #: taken at e4360fa.
     ADDRESS_DIGESTS = {
         "plain": "9364dbe25443fc18",
-        "converge": "be6e9904d8970b0b",
-        "adaptive": "d7b2e722b07bf306",
         "faults": "3b52e61cf4a44cd6",
     }
 
     def test_store_addresses_pinned_to_a_digest(self, tmp_path):
         """The addresses a sweep reads its results under, one digest per kind
-        of address: plain, convergence-suffixed, the extrapolated alias
-        adaptive mode also probes, and a key with a fault schedule folded
-        in.  Every lookup is answered from a stub record, so nothing
-        simulates."""
+        of address: plain, and a key with a fault schedule folded in.  Every
+        lookup is answered from a stub record, so nothing simulates."""
         import hashlib
         import json
 
-        from repro.experiments import (
-            AdaptiveSettings,
-            ResultStore,
-            SweepSpec,
-            run_sweep,
-        )
+        from repro.experiments import ResultStore, SweepSpec, run_sweep
         from repro.faults import parse_faults
         from repro.record import RunRecord
 
         class AskedStore(ResultStore):
-            """Answers every lookup with one unsaturated record; keeps the keys."""
+            """Answers every lookup with one stub record; keeps the keys."""
 
             def __init__(self, path):
                 super().__init__(path)
@@ -151,8 +137,6 @@ class TestKeys:
         )
         overrides = {
             "plain": {},
-            "converge": {"converge": ConvergenceSettings()},
-            "adaptive": {"adaptive": AdaptiveSettings()},
             "faults": {"faults": parse_faults("link:0:3@400-900")},
         }
         digests = {}
@@ -163,16 +147,55 @@ class TestKeys:
             payload = json.dumps(store.asked).encode()
             digests[kind] = hashlib.sha256(payload).hexdigest()[:16]
         assert digests == self.ADDRESS_DIGESTS
+    def test_legacy_mode_records_are_labelled_and_never_served(self, tmp_path, capsys):
+        """Stores written before sweeps had one measurement protocol hold
+        points copied from a lower load (``:extrapolated:<hash>``) and points
+        measured in convergence windows (``:cw<hash>``).  A sweep simulates
+        the point again, and ``inspect`` labels both records."""
+        from repro.experiments.__main__ import main
+        from repro.record import RunRecord
 
-    def test_store_key_suffixes_convergence_mode(self):
-        job = SweepSpec(series=[("s", build_config)], loads=[0.1]).expand()[0]
-        assert store_key(job) == job.key
-        converged = dataclasses.replace(job, converge=ConvergenceSettings())
-        assert store_key(converged).startswith(job.key + ":cw")
-        other = dataclasses.replace(
-            job, converge=ConvergenceSettings(rel_tol=0.01)
+        spec = SweepSpec(
+            series=[("s", lambda: make_config(warmup_cycles=50, measure_cycles=100))],
+            loads=[0.3],
         )
-        assert store_key(converged) != store_key(other)
+        (job,) = spec.expand()
+        path = str(tmp_path / "legacy.journal")
+        store = ResultStore(path)
+        meta = {"series": "s", "load": 0.3, "seed": job.seed}
+        store.put_record(
+            job.key + ":extrapolated:d6beb6a6",
+            RunRecord.from_summary(
+                make_result(0.3, 0.25),
+                extrapolated=True,
+                extrapolated_from_load=0.2,
+                source_config_key="0" * 24,
+            ),
+            meta={**meta, "extrapolated": True},
+        )
+        store.put_record(
+            job.key + ":cw4a162c1e",
+            RunRecord.from_summary(
+                make_result(0.3, 0.29),
+                convergence={
+                    "converged": True,
+                    "windows": 3,
+                    "measured_cycles": 30,
+                    "budget_cycles": 100,
+                },
+            ),
+            meta=meta,
+        )
+        store.close()
+
+        outcome = run_sweep(spec, workers=1, store=ResultStore(path))
+        assert (outcome.stats.executed, outcome.stats.cache_hits) == (1, 0)
+
+        assert main(["inspect", path]) == 0
+        out = capsys.readouterr().out
+        assert "EXTRAPOLATED from load 0.2" in out
+        assert "converged in 3 windows (30 of 100 budget cycles)" in out
+        assert "3 of 3 entries shown" in out
 
 
 # ---------------------------------------------------------------------------
@@ -332,225 +355,3 @@ class TestChunkedEquivalence:
         # One checkpoint per completed point, each on disk when it returns,
         # then the run's closing flush.
         assert sizes == [*range(1, len(jobs) + 1), len(jobs)]
-
-
-# ---------------------------------------------------------------------------
-# Saturation-point detection
-# ---------------------------------------------------------------------------
-
-class TestSaturationPoint:
-    def test_accepted_tracks_offered_is_not_saturated(self):
-        assert not is_saturated_point(make_result(0.4, 0.39))
-
-    def test_large_shortfall_is_saturated(self):
-        assert is_saturated_point(make_result(0.9, 0.55))
-
-    def test_margin_is_relative(self):
-        assert not is_saturated_point(make_result(0.9, 0.86), margin=0.05)
-        assert is_saturated_point(make_result(0.9, 0.86), margin=0.01)
-
-    def test_deadlock_counts_as_saturated(self):
-        assert is_saturated_point(make_result(0.1, 0.1, deadlock=True))
-
-    def test_zero_load_never_saturated(self):
-        assert not is_saturated_point(make_result(0.0, 0.0))
-
-
-# ---------------------------------------------------------------------------
-# Adaptive scheduling
-# ---------------------------------------------------------------------------
-
-class TestAdaptiveScheduling:
-    LOADS = [0.2, 0.7, 0.8, 0.9, 1.0]
-
-    def _spec(self) -> SweepSpec:
-        return SweepSpec(series=[("sat", build_config)], loads=self.LOADS, seeds=1)
-
-    def test_cutoff_extrapolates_remaining_loads(self, tmp_path):
-        store = ResultStore(str(tmp_path / "store.json"))
-        outcome = run_sweep(
-            self._spec(), workers=1, store=store,
-            adaptive=AdaptiveSettings(cutoff_after=2, margin=0.05),
-        )
-        assert outcome.stats.executed + outcome.stats.extrapolated == len(self.LOADS)
-        assert outcome.stats.extrapolated >= 1
-        points = {load: outcome.point("sat", load) for load in self.LOADS}
-        flagged = [
-            load for load, result in points.items()
-            if result.extra.get("extrapolated")
-        ]
-        # Extrapolation only ever affects the highest loads, contiguously.
-        assert flagged == self.LOADS[-len(flagged):]
-        for load, result in points.items():
-            if result.extra.get("extrapolated"):
-                assert result.offered_load == load
-                assert result.extra["extrapolated_from_load"] < load
-
-    def test_extrapolated_records_use_suffixed_store_keys(self, tmp_path):
-        path = str(tmp_path / "store.json")
-        store = ResultStore(path)
-        outcome = run_sweep(
-            self._spec(), workers=1, store=store,
-            adaptive=AdaptiveSettings(cutoff_after=1, margin=0.05),
-        )
-        assert outcome.stats.extrapolated >= 1
-        stored = {
-            key: (record, meta) for key, record, meta in ResultStore(path).entries()
-        }
-        extrapolated_keys = [
-            key for key in stored if EXTRAPOLATED_KEY_SUFFIX in key
-        ]
-        assert len(extrapolated_keys) == outcome.stats.extrapolated
-        for key in extrapolated_keys:
-            record, meta = stored[key]
-            assert meta["extrapolated"] is True
-            assert record.provenance["extrapolated"] is True
-            # Traceability: the record names the simulated run it copies.
-            assert record.provenance["source_config_key"] in stored
-            # The plain config key must NOT exist for extrapolated points.
-            assert key.split(EXTRAPOLATED_KEY_SUFFIX)[0] not in stored
-
-    def test_non_adaptive_rerun_resimulates_extrapolated_points(self, tmp_path):
-        path = str(tmp_path / "store.json")
-        first = run_sweep(
-            self._spec(), workers=1, store=ResultStore(path),
-            adaptive=AdaptiveSettings(cutoff_after=1, margin=0.05),
-        )
-        assert first.stats.extrapolated >= 1
-        second = run_sweep(self._spec(), workers=1, store=ResultStore(path))
-        assert second.stats.executed == first.stats.extrapolated
-        assert second.stats.cache_hits == first.stats.executed
-
-    def test_adaptive_resume_serves_extrapolated_records(self, tmp_path):
-        path = str(tmp_path / "store.json")
-        settings = AdaptiveSettings(cutoff_after=1, margin=0.05)
-        first = run_sweep(
-            self._spec(), workers=1, store=ResultStore(path), adaptive=settings
-        )
-        resumed = run_sweep(
-            self._spec(), workers=1, store=ResultStore(path), adaptive=settings
-        )
-        assert resumed.stats.executed == 0 and resumed.stats.extrapolated == 0
-        assert resumed.stats.cache_hits == len(self.LOADS)
-        for key, result in first.stats.results.items():
-            assert dataclasses.asdict(resumed.stats.results[key]) == dataclasses.asdict(result)
-
-    def test_different_adaptive_settings_never_share_extrapolations(self, tmp_path):
-        """An extrapolation is only valid under the settings that made it."""
-        path = str(tmp_path / "store.json")
-        first = run_sweep(
-            self._spec(), workers=1, store=ResultStore(path),
-            adaptive=AdaptiveSettings(cutoff_after=1, margin=0.05),
-        )
-        assert first.stats.extrapolated >= 1
-        # A margin so wide nothing saturates: the old extrapolations must
-        # not be served, and with no cutoff every point is simulated.
-        second = run_sweep(
-            self._spec(), workers=1, store=ResultStore(path),
-            adaptive=AdaptiveSettings(cutoff_after=1, margin=0.5),
-        )
-        assert second.stats.cache_hits == first.stats.executed
-        assert second.stats.executed == first.stats.extrapolated
-        assert second.stats.extrapolated == 0
-
-    def test_adaptive_without_saturation_simulates_everything(self):
-        spec = SweepSpec(series=[("low", build_config)], loads=[0.05, 0.1], seeds=1)
-        outcome = run_sweep(
-            spec, workers=1, adaptive=AdaptiveSettings(cutoff_after=2, margin=0.5)
-        )
-        assert outcome.stats.extrapolated == 0
-        assert outcome.stats.executed == 2
-
-    def test_explicit_none_switches_the_blocks_adaptive_off(self):
-        from repro.experiments.orchestrator import orchestration
-
-        with orchestration(adaptive=AdaptiveSettings(cutoff_after=1, margin=0.05)):
-            stats = run_sweep(self._spec(), workers=1, adaptive=None).stats
-        assert stats.extrapolated == 0
-        assert stats.executed == len(self.LOADS)
-
-    def test_settings_validate(self):
-        with pytest.raises(ValueError):
-            AdaptiveSettings(cutoff_after=0)
-        with pytest.raises(ValueError):
-            AdaptiveSettings(margin=1.5)
-
-
-# ---------------------------------------------------------------------------
-# Convergence-window measurement
-# ---------------------------------------------------------------------------
-
-class TestConvergence:
-    def test_relative_half_width(self):
-        import math
-
-        assert _relative_half_width([1.0], 0.95) == math.inf
-        assert _relative_half_width([2.0, 2.0, 2.0], 0.95) == 0.0
-        wide = _relative_half_width([1.0, 3.0], 0.95)
-        narrow = _relative_half_width([1.9, 2.1], 0.95)
-        assert wide > narrow > 0.0
-
-    def test_settings_validate(self):
-        with pytest.raises(ValueError):
-            ConvergenceSettings(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            ConvergenceSettings(confidence=0.5)
-        with pytest.raises(ValueError):
-            ConvergenceSettings(min_windows=1)
-        with pytest.raises(ValueError):
-            ConvergenceSettings(min_windows=5, max_windows=3)
-
-    def test_budget_cap_and_provenance(self):
-        config = make_config(measure_cycles=1000).with_load(0.3)
-        session = Session(config)
-        session.warmup()
-        settings = ConvergenceSettings(rel_tol=0.2, min_windows=2, max_windows=5)
-        combined = session.measure_converged(settings)
-        record = session.record()
-        info = record.provenance["convergence"]
-        assert info["measured_cycles"] <= config.measure_cycles
-        assert info["windows"] == combined.extra["convergence_windows"]
-        assert record.summary.extra["convergence_windows"] == info["windows"]
-        assert record.summary is combined or record.summary == combined
-        # Per-batch windows ride along behind the combined headline.
-        assert len(record.windows) == info["windows"] + 1
-
-    def test_converged_early_spends_less_than_budget(self):
-        config = make_config(measure_cycles=2000).with_load(0.2)
-        session = Session(config)
-        session.warmup()
-        combined = session.measure_converged(
-            ConvergenceSettings(rel_tol=0.5, min_windows=2, max_windows=10)
-        )
-        info = session.provenance_extra["convergence"]
-        assert combined.extra["converged"] is True
-        assert info["measured_cycles"] < config.measure_cycles
-
-    def test_converge_mode_does_not_pollute_default_cache(self, tmp_path):
-        path = str(tmp_path / "store.json")
-        spec = SweepSpec(series=[("c", build_config)], loads=[0.2], seeds=1)
-        converged = run_sweep(
-            spec, workers=1, store=ResultStore(path),
-            converge=ConvergenceSettings(min_windows=2, max_windows=4),
-        )
-        assert converged.stats.executed == 1
-        # A default-mode sweep over the same store must not see it.
-        plain = run_sweep(spec, workers=1, store=ResultStore(path))
-        assert plain.stats.executed == 1 and plain.stats.cache_hits == 0
-        # ... and the converge-mode rerun is served from its own key.
-        again = run_sweep(
-            spec, workers=1, store=ResultStore(path),
-            converge=ConvergenceSettings(min_windows=2, max_windows=4),
-        )
-        assert again.stats.executed == 0 and again.stats.cache_hits == 1
-
-    def test_converged_summary_flagged_in_store_record(self, tmp_path):
-        path = str(tmp_path / "store.json")
-        spec = SweepSpec(series=[("c", build_config)], loads=[0.2], seeds=1)
-        run_sweep(
-            spec, workers=1, store=ResultStore(path),
-            converge=ConvergenceSettings(min_windows=2, max_windows=4),
-        )
-        ((key, record, _meta),) = ResultStore(path).entries()
-        assert ":cw" in key
-        assert "convergence" in record.provenance
