@@ -196,16 +196,16 @@ class InputPort:
         blocked = router._alloc_sleep_until
         if 0 <= blocked and ready < blocked:
             router._alloc_sleep_until = ready
-        if router.saturation_board is None and ready > now:
+        if not router.stepped_every_cycle and ready > now:
             # Nothing this arrival enables can happen before the head clears
             # the router pipeline, so wake exactly then instead of pumping a
             # guaranteed no-op cycle now.  (An active router keeps stepping
             # regardless; the extra wake is a cheap set-insert.)
             router.engine.schedule_wake(ready, router.engine_index)
         else:
-            # Piggyback board readers must be stepped every cycle while
-            # packets are pending (time-varying congestion state);
-            # zero-latency pipelines make the head routable this cycle.
+            # A router stepped every cycle must be pumped while packets are
+            # pending (time-varying congestion state); zero-latency
+            # pipelines make the head routable this cycle.
             router.engine_activate(router.engine_index)
 
     # -- head access -------------------------------------------------------------

@@ -153,7 +153,7 @@ class ReferenceRouter(Router):
                         retry = reject_until
                     if self.on_stall is not None:
                         self.on_stall(self.router_id, now, retry)
-                    if self.saturation_board is None:
+                    if not self.stepped_every_cycle:
                         self._alloc_sleep_until = retry
                         self._blocked_credit_mask = credit_mask
                 break

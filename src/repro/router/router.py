@@ -8,8 +8,9 @@ cut-through flow control, and separate consumption ports for requests and
 replies.
 
 One :class:`Router` instance owns the injection queues of its ``p`` attached
-nodes, its network input/output ports, and (for Piggyback routing in a
-Dragonfly) a reference to its group's saturation board.
+nodes and its network input/output ports.  A routing algorithm that senses
+time-varying congestion (Piggyback) marks it ``stepped_every_cycle`` and may
+give it a ``post_sensing`` callback, run after every allocation pass.
 
 Hot-path architecture (see DESIGN.md §6)
 ----------------------------------------
@@ -54,7 +55,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 from ..buffers.base import BufferOrganization
 from ..buffers.damq import DamqBuffer
 from ..buffers.fifo import StaticallyPartitionedBuffer
-from ..config import RouterConfig, RoutingConfig
+from ..config import RouterConfig
 from ..core.arrangement import VcArrangement
 from ..core.link_types import LinkType, MessageClass
 from ..core.vc_selection import (
@@ -70,7 +71,6 @@ from ..topology.base import Topology
 from .allocator import SeparableAllocator
 from .credits import CreditTracker
 from .ports import IN_BLOCKED, IN_STRIDE, EjectionPort, InputPort, OutputPort
-from .saturation import SaturationBoard
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine import Engine
@@ -129,7 +129,6 @@ class Router:
         topology: Topology,
         engine: "Engine",
         router_config: RouterConfig,
-        routing_config: RoutingConfig,
         arrangement: VcArrangement,
         routing: RoutingAlgorithm,
         selection: VcSelection,
@@ -138,11 +137,8 @@ class Router:
         on_injection: Optional[Callable[[Packet, int], None]] = None,
     ) -> None:
         self.router_id = router_id
-        self.topology = topology
         self.engine = engine
         self.router_config = router_config
-        self.routing_config = routing_config
-        self.arrangement = arrangement
         self.routing = routing
         self.selection = selection
         self.rng = rng
@@ -150,12 +146,11 @@ class Router:
         self.on_injection = on_injection
         self.speedup = router_config.speedup
         self._pipeline_latency = router_config.pipeline_latency
-        self.saturation_board: Optional[SaturationBoard] = None
-        #: position of this router on its group's saturation board.
-        self.saturation_position = -1
-        #: (output_port, board_index) pairs of the global ports (lazy).
-        self._saturation_ports: Optional[List] = None
-        self._saturation_posts = False
+        #: set by ``RoutingAlgorithm.bind_routers`` when injection decisions
+        #: read time-varying congestion state: never sleep on a verdict.
+        self.stepped_every_cycle = False
+        #: run after allocation on every pump (Piggyback's board post).
+        self.post_sensing: Optional[Callable[[], None]] = None
 
         # Transit-only routers (e.g. Megafly spines) attach no nodes.
         self.nodes = list(topology.nodes_of_router(router_id))
@@ -354,17 +349,6 @@ class Router:
     # ------------------------------------------------------------------
     # External interface (wiring and traffic)
     # ------------------------------------------------------------------
-    def attach_saturation_board(self, board: SaturationBoard, position: int = 0) -> None:
-        self.saturation_board = board
-        self.saturation_position = position
-        self._saturation_ports = None
-        #: whether this router posts measurements (owns global ports) or only
-        #: reads the board at injection time (e.g. Megafly leaves).
-        self._saturation_posts = any(
-            op.link_type == LinkType.GLOBAL for op in self.output_ports.values()
-        )
-        self.wake()
-
     def wake(self) -> None:
         """Re-register with the engine's active set (idempotent).
 
@@ -468,8 +452,8 @@ class Router:
         """Build the router's per-cycle entry point as a closure.
 
         Returns False (and schedules any needed timed wake) when the cycle
-        would be a no-op; otherwise injects, allocates, refreshes its
-        saturation board entries (Piggyback) and returns True.  The engine
+        would be a no-op; otherwise injects, allocates, runs
+        ``post_sensing`` and returns True.  The engine
         calls this once per active router per cycle, so the state it reads
         is prebound.
         """
@@ -483,7 +467,7 @@ class Router:
         schedule_wake = self.engine.schedule_wake
 
         def pump(now: int) -> bool:
-            if router.saturation_board is None:
+            if not router.stepped_every_cycle:
                 blocked = router._alloc_sleep_until
                 if blocked >= 0 and blocked <= now:
                     router._alloc_sleep_until = blocked = -1
@@ -515,11 +499,10 @@ class Router:
                         router._next_wake = earliest
                         schedule_wake(earliest, router.engine_index)
                     return False
-            elif not (router._saturation_posts or router.resident_packets
+            elif not (router.post_sensing is not None or router.resident_packets
                       or router._injection_resident or router._source_backlog):
-                # Piggyback routers read time-varying board state, so they
-                # never sleep on a verdict: stepped every cycle they post or
-                # hold work.
+                # Routers reading time-varying congestion state never sleep
+                # on a verdict: stepped every cycle they post or hold work.
                 return False
             if router._source_backlog and now >= router._inject_gate:
                 inject_from_sources(now)
@@ -527,8 +510,8 @@ class Router:
                 blocked = router._alloc_sleep_until
                 if blocked < 0 or blocked <= now:
                     router._allocate(now)
-            if router._saturation_posts:
-                router._update_saturation()
+            if router.post_sensing is not None:
+                router.post_sensing()
             return True
 
         return pump
@@ -794,15 +777,14 @@ class Router:
                             retry = reject_until
                         if router.on_stall is not None:
                             router.on_stall(router_id, now, retry)
-                        if router.saturation_board is None:
+                        if not router.stepped_every_cycle:
                             # Nothing was requestable: record the earliest
                             # cycle a deterministic blocker (crossbar,
                             # ejection port, grant cap) expires so pump()
                             # can sleep until then; async blockers (credits)
                             # re-activate the router via the credit sinks.
-                            # Piggyback routers are exempt: they are stepped
-                            # every cycle regardless (saturation sensing),
-                            # and their injection decisions read time-varying
+                            # Routers stepped every cycle are exempt: their
+                            # injection decisions read time-varying
                             # congestion state, so skipping allocation passes
                             # would change results.
                             router._alloc_sleep_until = retry
@@ -968,33 +950,3 @@ class Router:
         packet.delivered_at = done
         self.packets_delivered += 1
         self.engine.schedule_call(done, self.on_delivery, (packet, done))
-
-    # -- congestion sensing --------------------------------------------------------------------
-    def _update_saturation(self) -> None:
-        """Refresh this router's saturation bits on the group board (Piggyback)."""
-        board = self.saturation_board
-        assert board is not None
-        global_ports = self._saturation_ports
-        if global_ports is None:
-            topo = self.topology
-            global_ports = [
-                (op, topo.global_port_index(self.router_id, port))
-                for port, op in sorted(self.output_ports.items())
-                if op.link_type == LinkType.GLOBAL
-            ]
-            self._saturation_ports = global_ports
-        if not global_ports:
-            return
-        position = self.saturation_position
-        per_vc = self.routing_config.pb_sensing == "vc"
-        minimal_only = self.routing_config.pb_min_credits_only
-        class_indices = (0, 1) if (per_vc and self.arrangement.is_reactive) else (0,)
-        for class_index in class_indices:
-            if class_index == 0:
-                vc = 0
-            else:
-                vc = min(self.arrangement.request_global,
-                         self.arrangement.total_global - 1)
-            for op, gport in global_ports:
-                occupancy = op.credits.occupancy_metric(per_vc, vc, minimal_only)
-                board.post(position, gport, class_index, occupancy)

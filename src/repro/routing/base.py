@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from abc import ABC
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from ..config import RoutingConfig
 from ..core.arrangement import VcArrangement
@@ -38,6 +38,7 @@ from ..topology.base import LINK_TYPES, Topology
 from .route_table import RouteTable
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..router.credits import CreditTracker
     from ..router.router import Router
 
 #: bound on the plan and hop memo dictionaries.  The first-level plan memo is
@@ -237,6 +238,10 @@ class RoutingAlgorithm(ABC):
 
     def maybe_divert_in_transit(self, router: "Router", packet: Packet) -> None:
         """In-transit adaptive hook (PAR).  Default: never divert."""
+
+    def bind_routers(self, routers: Sequence["Router"]) -> None:
+        """Bind the algorithm's state to the built routers (Piggyback's
+        saturation boards).  Default: nothing."""
 
     # ------------------------------------------------------------------
     # Plan computation
@@ -461,12 +466,25 @@ class RoutingAlgorithm(ABC):
                 return candidate
         return dst_router  # pragma: no cover - degenerate pools only
 
-    def _local_queue_metric(self, router: "Router", target_router: int) -> int:
-        """Credit occupancy of the output port on the minimal path to ``target_router``."""
+    def _sensing_args(self, tracker: "CreditTracker", vc: int = 0) -> tuple:
+        """``tracker.occupancy_metric`` arguments of Figure 8's sensing
+        variant: per port, or VC ``vc`` (clamped to the port's VCs)."""
+        return (self.config.pb_sensing == "vc", min(vc, tracker.num_vcs - 1),
+                self.config.pb_min_credits_only)
+
+    def _queue_metric(self, router: "Router", target_router: int,
+                      vc: int = 0) -> int:
+        """Sensing metric of the first port towards ``target_router``."""
         out_port = self.route.column(target_router).next_port(router.router_id)
         if out_port is None:
             return 0
-        minimal_only = self.config.pb_min_credits_only
-        per_vc = self.config.pb_sensing == "vc"
         tracker = router.output_ports[out_port].credits
-        return tracker.occupancy_metric(per_vc, 0, minimal_only)
+        return tracker.occupancy_metric(*self._sensing_args(tracker, vc))
+
+    def _min_queue_longer(self, router: "Router", packet: Packet,
+                          intermediate: int, vc: int = 0) -> bool:
+        """UGAL's local test (PAR and PB): the minimal queue exceeds twice
+        the queue towards ``intermediate`` plus the threshold."""
+        q_min = self._queue_metric(router, packet.dst_router, vc)
+        q_nonmin = self._queue_metric(router, intermediate, vc)
+        return q_min > 2 * q_nonmin + self.config.pb_threshold * packet.size_phits

@@ -64,10 +64,7 @@ class ProgressiveAdaptiveRouting(RoutingAlgorithm):
         packet.par_decided = True
         dst_router = packet.dst_router
         intermediate = self._pick_intermediate(packet, router.router_id, dst_router)
-        q_min = self._local_queue_metric(router, dst_router)
-        q_nonmin = self._local_queue_metric(router, intermediate)
-        threshold = self.config.pb_threshold * packet.size_phits
-        if q_min > 2 * q_nonmin + threshold:
+        if self._min_queue_longer(router, packet, intermediate):
             packet.mark_valiant(intermediate)
             # The pre-diversion minimal hops consumed the first reference slot;
             # the Valiant detour starts at the next slot window.

@@ -10,11 +10,11 @@ router combines the saturation bit of the first global link on the minimal
 path with a local UGAL-style credit comparison to decide between the minimal
 path and a Valiant detour.
 
-The first-global-link lookup reads the precomputed
-:class:`~repro.routing.route_table.RouteTable`; the bit is only available
-when that link is owned by a router of the source's own group (always true in
-a Dragonfly, where it is the classic "gateway router"), so no code here
-depends on the concrete topology.
+Everything PB adds to the network is built here, by :meth:`bind_routers`.
+The first global link is walked off the route column the decision already
+reads (:func:`first_global_link`); its bit is only available when a router
+of the source's own group owns it (always true in a Dragonfly, where it is
+the classic "gateway router"), so no code here depends on the topology.
 
 Sensing variants (Figure 8):
 
@@ -30,14 +30,39 @@ Sensing variants (Figure 8):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 from ..core.link_types import LinkType, MessageClass
 from ..packet import Packet
+from ..router.saturation import SaturationBoard
+from ..topology.base import Wiring
 from .base import RoutingAlgorithm
+from .route_table import RouteColumn
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..router.router import Router
+
+
+def first_global_link(wiring: Wiring, column: RouteColumn,
+                      src: int) -> Optional[Tuple[int, int]]:
+    """``(owning router, global-port index)`` of the first GLOBAL hop on
+    ``src``'s path in ``column``, or None when the path stays on LOCAL links.
+
+    Follows the column's next ports from ``src`` and stops at the first
+    GLOBAL slot: on a pristine minimal path that is at most one local hop on
+    every registered topology (a fault detour may add hops).
+    """
+    per_router = wiring.ports_per_router
+    current = src
+    for _ in range(len(column.ports)):
+        port = column.next_port(current)
+        if port is None:
+            return None
+        slot = current * per_router + port
+        if wiring.link_type[slot] == LinkType.GLOBAL:
+            return current, wiring.global_index[slot]
+        current = wiring.neighbor[slot]
+    raise RuntimeError(f"minimal route {src}->{column.dst} does not converge")
 
 
 class PiggybackRouting(RoutingAlgorithm):
@@ -45,62 +70,106 @@ class PiggybackRouting(RoutingAlgorithm):
 
     name = "pb"
 
-    # -- sensing helpers -------------------------------------------------------
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: per-VC sensing of request-reply traffic keeps one board value per
+        #: message class (the first VC of each sub-path); otherwise class 0.
+        self._per_class = (self.config.pb_sensing == "vc"
+                           and self.arrangement.is_reactive)
+        #: saturation board of every group that owns global links, by group
+        #: id (filled by :meth:`bind_routers`).
+        self._boards: Dict[int, SaturationBoard] = {}
+
+    # -- sensing --------------------------------------------------------------
     def sensing_vc(self, msg_class: MessageClass) -> int:
         """First VC of the message class's sub-path (per-VC sensing)."""
         if msg_class == MessageClass.REPLY and self.arrangement.is_reactive:
-            return self.arrangement.request_global if self.arrangement.request_global > 0 else 0
+            return self.arrangement.request_global
         return 0
 
-    def _queue_metric(self, router: "Router", target_router: int,
-                      msg_class: MessageClass) -> int:
-        out_port = self.route.column(target_router).next_port(router.router_id)
-        if out_port is None:
-            return 0
-        tracker = router.output_ports[out_port].credits
-        per_vc = self.config.pb_sensing == "vc"
-        vc = min(self.sensing_vc(msg_class), tracker.num_vcs - 1)
-        return tracker.occupancy_metric(per_vc, vc, self.config.pb_min_credits_only)
+    def bind_routers(self, routers: Sequence["Router"]) -> None:
+        """Give every router group a shared saturation board.
+
+        Groups are the topology's LOCAL-connected router sets; each board is
+        sized to the group's widest router.  A group without global links
+        (e.g. a single-dimension HyperX) carries none and routes minimally.
+        A boarded group's routers read time-varying board state, so they
+        are stepped every cycle; those owning global ports post to it.
+        """
+        topo = self.topology
+        for group_id, members in enumerate(topo.router_groups()):
+            width = max(topo.num_global_ports(router) for router in members)
+            if width:
+                self._boards[group_id] = SaturationBoard(
+                    positions=len(members), global_ports=width, classes=2,
+                    saturation_factor=self.config.pb_saturation_factor,
+                )
+        for router in routers:
+            group_id, position = topo.group_slot(router.router_id)
+            board = self._boards.get(group_id)
+            if board is not None:
+                router.stepped_every_cycle = True
+                router.post_sensing = self._poster(router, board, position)
+
+    def _poster(self, router: "Router", board: SaturationBoard,
+                position: int) -> Optional[Callable[[], None]]:
+        """``router``'s post of its global ports' occupancy to ``board``, or
+        None when it owns none (a Megafly leaf only reads its board)."""
+        wiring = self.wiring
+        base = router.router_id * wiring.ports_per_router
+        global_ports = [
+            (op.credits, wiring.global_index[base + port])
+            for port, op in sorted(router.output_ports.items())
+            if op.link_type == LinkType.GLOBAL
+        ]
+        if not global_ports:
+            return None
+        posts = [
+            (tracker, gport, int(msg_class),
+             self._sensing_args(tracker, self.sensing_vc(msg_class)))
+            for msg_class in MessageClass
+            if msg_class == MessageClass.REQUEST or self._per_class
+            for tracker, gport in global_ports
+        ]
+
+        def post() -> None:
+            for tracker, gport, class_index, args in posts:
+                board.post(position, gport, class_index,
+                           tracker.occupancy_metric(*args))
+
+        return post
 
     def _min_global_saturated(self, router: "Router", packet: Packet,
-                              dst_col) -> bool:
+                              dst_col: RouteColumn) -> bool:
         """Saturation bit of the first global link on the packet's minimal path."""
-        board = router.saturation_board
+        topo = self.topology
+        src_group, _ = topo.group_slot(router.router_id)
+        board = self._boards.get(src_group)
         if board is None:
             return False
-        link = dst_col.first_global_link(router.router_id)
+        link = first_global_link(self.wiring, dst_col, router.router_id)
         if link is None:
             return False  # all-local path: no global link to protect
         owner, gport = link
-        topo = self.topology
-        src_group, _ = topo.group_slot(router.router_id)
         owner_group, owner_position = topo.group_slot(owner)
         if owner_group != src_group:
             # The minimal path enters its first global link outside the
             # source's group: no piggybacked information is available.
             return False
-        class_index = 1 if (packet.msg_class == MessageClass.REPLY
-                            and self.arrangement.is_reactive
-                            and self.config.pb_sensing == "vc") else 0
+        class_index = int(packet.msg_class) if self._per_class else 0
         return board.is_saturated(owner_position, gport, class_index)
 
     # -- injection decision ---------------------------------------------------------
     def decide_at_injection(self, router: "Router", packet: Packet) -> None:
         src_router = router.router_id
-        dst_router = self.topology.router_of_node(packet.dst_node)
-        if dst_router == src_router:
-            return
-        # One destination-column view serves the sequence test and the
-        # first-global-link sensing below (a single lazy column fill).
+        dst_router = packet.dst_router  # never src_router: plan() ejects
+        # One column view serves the sequence test and the first-global walk.
         dst_col = self.route.column(dst_router)
-        seq = dst_col.hop_sequence(src_router)
-        if LinkType.GLOBAL not in seq:
+        if LinkType.GLOBAL not in dst_col.hop_sequence(src_router):
             # Intra-group traffic: always minimal (no global link to protect).
             return
         intermediate = self._pick_intermediate(packet, src_router, dst_router)
-        saturated = self._min_global_saturated(router, packet, dst_col)
-        q_min = self._queue_metric(router, dst_router, packet.msg_class)
-        q_nonmin = self._queue_metric(router, intermediate, packet.msg_class)
-        threshold = self.config.pb_threshold * packet.size_phits
-        if saturated or q_min > 2 * q_nonmin + threshold:
+        if (self._min_queue_longer(router, packet, intermediate,
+                                   self.sensing_vc(packet.msg_class))
+                or self._min_global_saturated(router, packet, dst_col)):
             packet.mark_valiant(intermediate)

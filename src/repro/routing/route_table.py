@@ -1,10 +1,9 @@
 """Precomputed minimal-route table: per-destination columns built on demand.
 
-Routing algorithms ask three questions on every forwarding decision: *which
-port starts the minimal path to router X*, *what hop-type sequence remains
-from router Y*, and (for Piggyback) *which global link does the minimal path
-cross first*.  All three are pure functions of ``(src, dst)`` on a static
-topology.
+Routing algorithms ask two questions on every forwarding decision: *which
+port starts the minimal path to router X*, and *what hop-type sequence
+remains from router Y* (whose length is the distance).  Both are pure
+functions of ``(src, dst)`` on a static topology.
 
 The construction is naturally *per destination column*: one call of the
 topology's :meth:`~repro.topology.base.Topology.min_next_ports_to` gives
@@ -15,11 +14,9 @@ a plain ``dst``-indexed list, so a hit is one index and a ``None`` test.  A
 source's hop sequence is resolved the first time a caller reads it, by a
 suffix-merge walk over the :class:`~repro.topology.base.Wiring` that stops
 at the first already-resolved router, so a column's hop sequences cost what
-the run reads of them, not O(n).  The first-global row is the exception: its
-first read (Piggyback only) still walks every source of the column once.
-Resident columns are lean (~2 bytes per source: one-byte
-ports plus interned seq ids, with the first-global row deferred to its sole
-consumer), and the default capacity is derived from
+the run reads of them, not O(n).  Resident columns are lean (2 bytes per
+source: one-byte ports plus interned seq ids), and the default capacity is
+derived from
 :data:`DEFAULT_LAZY_STATE_BUDGET` so that up to ~60k routers *every* column
 stays resident — uniform traffic touches all destinations, where a smaller
 working set would thrash.  Only beyond the budget is the oldest-built column
@@ -29,10 +26,9 @@ makes 10^5-endpoint networks constructible (see DESIGN.md §9).
 Hop sequences are interned: the ``seq_ids`` bytes index into the (small,
 ≤255-entry) table of distinct hop-type sequences, so lookups return shared
 tuples; a sentinel id marks a source nobody has read yet, and ids are
-assigned in the order pairs are first read.  ``first_global`` stores
-``(owning router, global-port index)`` pairs of the first GLOBAL hop of each
-minimal path (-1 when the path crosses none), generalizing the Dragonfly
-"gateway router" that Piggyback's remote-saturation sensing reads.
+assigned in the order pairs are first read.  Any other question about a
+path (which global link it crosses first, say) is a walk of the column's
+ports over the :class:`~repro.topology.base.Wiring`.
 
 Under faults (:mod:`repro.faults`) a column is a pure function of
 ``(topology, dst, current dead set)``: the BFS detour fill iff its pristine
@@ -46,7 +42,7 @@ import sys
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.link_types import HopSequence, LinkType
+from ..core.link_types import HopSequence
 from ..faults import NetworkPartitionedError
 from ..topology.base import LINK_TYPES, Topology
 
@@ -54,8 +50,7 @@ from ..topology.base import LINK_TYPES, Topology
 _UNRESOLVED = 0xFF
 
 #: byte budget that sizes the default column capacity.  A resident column
-#: costs ~2n bytes (one next-port byte and one seq-id byte per source; the
-#: first-global row is deferred until a consumer actually asks, see
+#: costs ~2n bytes (one next-port byte and one seq-id byte per source, see
 #: :class:`RouteColumn`), so the default capacity is
 #: ``budget // (2n + overhead)`` clamped to ``[1, n]``.  Up to n ≈ 60k
 #: routers every column fits resident — uniform traffic touches *all*
@@ -87,14 +82,10 @@ class RouteColumn:
     * ``ports`` is one byte per source (sentinel 255 = no port) whenever the
       topology's radix allows it, falling back to ``array('i')`` (-1) above
       254 ports per router;
-    * the first-global row is built on the first :meth:`first_global_link`
-      call only, by one walk of every source — Piggyback's remote-saturation
-      sensing is its sole consumer, so min/val/par runs never pay its 8n
-      bytes or O(n) walk per column.
+    * ``seq_ids`` is one byte per source.
     """
 
-    __slots__ = ("dst", "ports", "seq_ids", "sequences", "_no_port",
-                 "_first_global", "_table")
+    __slots__ = ("dst", "ports", "seq_ids", "sequences", "_no_port", "_table")
 
     def __init__(self, dst: int, ports: Sequence[int], seq_ids: bytearray,
                  no_port: int, table: "RouteTable") -> None:
@@ -103,7 +94,6 @@ class RouteColumn:
         self.seq_ids = seq_ids
         self._no_port = no_port
         self.sequences = table._sequence_list
-        self._first_global: Optional[array] = None
         self._table = table
 
     def next_port(self, src: int) -> Optional[int]:
@@ -119,33 +109,12 @@ class RouteColumn:
     def distance(self, src: int) -> int:
         return len(self.hop_sequence(src))
 
-    @property
-    def first_global(self) -> array:
-        """First-global row, ``(router, global-port index)`` pairs at
-        ``[2*src, 2*src+1]`` (-1 = path crosses no GLOBAL link).  Built on
-        first access by re-walking this column's stored ports."""
-        fg = self._first_global
-        if fg is None:
-            fg = self._first_global = self._table._first_global_row(
-                self.dst, self.ports, self._no_port
-            )
-        return fg
-
-    def first_global_link(self, src: int) -> Optional[Tuple[int, int]]:
-        fg = self.first_global
-        router = fg[2 * src]
-        if router < 0:
-            return None
-        return router, fg[2 * src + 1]
-
     def nbytes(self) -> int:
         """Approximate payload bytes of this column's arrays."""
         ports = self.ports
         ports_bytes = (ports.itemsize * len(ports)
                        if isinstance(ports, array) else len(ports))
-        fg = self._first_global
-        fg_bytes = fg.itemsize * len(fg) if fg is not None else 0
-        return ports_bytes + len(self.seq_ids) + fg_bytes
+        return ports_bytes + len(self.seq_ids)
 
 
 class RouteTable:
@@ -241,8 +210,7 @@ class RouteTable:
     def _build_column(self, dst: int) -> RouteColumn:
         # min_next_ports_to already produces exactly the column's port
         # storage (-1 at the diagonal); hop sequences are resolved per
-        # source on first read and the first-global row when a consumer
-        # asks (see RouteColumn).
+        # source on first read (see RouteColumn).
         port_batch = self.topology.min_next_ports_to(dst)
         dead_links = self._dead_links
         # Sink-hole rule: a dead destination keeps its pristine fill and
@@ -350,57 +318,6 @@ class RouteTable:
         self._seq_step[link_type << 8 | tail_id] = seq_id
         return seq_id
 
-    def _first_global_row(self, dst: int, ports: Sequence[int],
-                          no_port: int) -> array:
-        """First-global row for one destination from its stored ports.
-
-        The suffix-merge walk of :meth:`_resolve` over every source,
-        propagating the first-GLOBAL-hop link instead of the sequence id,
-        run on demand from a column's compact port storage (``ports[src]``
-        with ``no_port`` at the diagonal).  Sentinel -2 marks not-yet-walked
-        sources; the returned row uses -1 for "path crosses no GLOBAL link".
-        """
-        n = self._n
-        wiring = self._wiring
-        neighbor = wiring.neighbor
-        link_types = wiring.link_type
-        global_index = wiring.global_index
-        per_router = wiring.ports_per_router
-        global_value = int(LinkType.GLOBAL)
-        fg = array("i", [-2]) * (2 * n)
-        fg[2 * dst] = -1
-        fg[2 * dst + 1] = -1
-        for src in range(n):
-            if fg[2 * src] != -2:
-                continue
-            if ports[src] == no_port:
-                # No-route placeholder (a source that was dead when this
-                # column was filled): report "no GLOBAL link" — the entry
-                # is never queried for a resident packet.
-                fg[2 * src] = -1
-                fg[2 * src + 1] = -1
-                continue
-            path: List[Tuple[int, int]] = []
-            current = src
-            while fg[2 * current] == -2:
-                port = ports[current]
-                if port == no_port or len(path) > n:
-                    raise RuntimeError(
-                        f"minimal route {src}->{dst} does not converge"
-                    )
-                base = current * per_router + port
-                path.append((current, base))
-                current = neighbor[base]
-            tail_fg_router = fg[2 * current]
-            tail_fg_port = fg[2 * current + 1]
-            for router, base in reversed(path):
-                if link_types[base] == global_value:
-                    tail_fg_router = router
-                    tail_fg_port = global_index[base]
-                fg[2 * router] = tail_fg_router
-                fg[2 * router + 1] = tail_fg_port
-        return fg
-
     # -- fault support (repro.faults) ----------------------------------------
     def set_fault_state(self, dead_links: frozenset,
                         dead_routers: frozenset) -> int:
@@ -480,11 +397,6 @@ class RouteTable:
 
     def distance(self, src: int, dst: int) -> int:
         return self.column(dst).distance(src)
-
-    def first_global_link(self, src: int, dst: int) -> Optional[Tuple[int, int]]:
-        """(owning router, global-port index) of the minimal path's first
-        GLOBAL hop, or None when the path stays on LOCAL links."""
-        return self.column(dst).first_global_link(src)
 
     # -- accounting ----------------------------------------------------------
     def route_state_bytes(self) -> int:

@@ -1,7 +1,8 @@
 """Simulation façade: build a network from a configuration and run it.
 
 ``Simulation(config)`` wires everything together — topology, routers, links,
-credit channels, saturation boards, traffic and metrics.  Execution lives in
+credit channels, traffic and metrics — and lets the routing algorithm bind
+whatever state it keeps on the routers.  Execution lives in
 the phased :class:`~repro.session.Session` API (warmup / measure / drain,
 probes, RunRecords): ``Session(config).run()`` is the one way to run a point.
 """
@@ -22,7 +23,6 @@ from .link import CreditChannel, Link
 from .metrics import MetricsCollector, ResidentLedger, SimulationResult
 from .packet import Packet
 from .router.router import Router
-from .router.saturation import SaturationBoard
 from .routing import make_routing
 from .routing.route_table import RouteTable
 from .topology.base import LINK_TYPES, Topology
@@ -35,8 +35,8 @@ class SimulationArtifacts:
     Everything here is a pure function of ``config.network`` (graph and
     latencies): the built topology and its
     :class:`~repro.routing.route_table.RouteTable` (minimal next ports, hop
-    sequences, first global links, adjacency; columns fill in on first
-    touch).  A pristine run only ever adds columns to the table, so one
+    sequences and distances; columns fill in on first touch).  A pristine
+    run only ever adds columns to the table, so one
     instance can back any number of simulations — a sweep worker takes them
     from :func:`build_artifacts` and injects them via
     ``Simulation(cfg, artifacts=...)``, turning a 200-job sweep's 200
@@ -104,8 +104,8 @@ class Simulation:
         self.topology = (
             artifacts.topology if artifacts is not None else config.network.build()
         )
-        #: minimal-route table shared by every routing consumer (plans,
-        #: PAR/PB sensing, saturation lookups).
+        #: minimal-route table shared by every routing consumer (plans and
+        #: the adaptive algorithms' congestion sensing).
         if artifacts is None:
             self.route_table = RouteTable(self.topology)
         elif config.faults:
@@ -128,7 +128,7 @@ class Simulation:
         self._resident_ledger = ResidentLedger()
         self._build_routers()
         self._wire_links()
-        self._attach_saturation_boards()
+        self.routing.bind_routers(self.routers)
         self._build_traffic()
         #: fault-injection runtime (None on pristine networks): wraps link
         #: deliveries and replays ``config.faults`` through the calendar.
@@ -153,7 +153,6 @@ class Simulation:
                 topology=self.topology,
                 engine=self.engine,
                 router_config=self.config.router,
-                routing_config=self.config.routing,
                 arrangement=self.config.arrangement,
                 routing=self.routing,
                 selection=self.selection,
@@ -194,34 +193,6 @@ class Simulation:
             # depends on the returned (port, vc) credit.
             channel.connect(output.credit_return)
             downstream.input_ports[back_port].credit_channel = channel
-
-    def _attach_saturation_boards(self) -> None:
-        """Give every router group a shared saturation board (Piggyback only).
-
-        Groups are the topology's LOCAL-connected router sets (Dragonfly
-        groups, HyperX rows, Megafly groups); each board is sized to the
-        group's widest router.  Groups without global links (e.g. a
-        single-dimension HyperX) carry no board — Piggyback then degenerates
-        to minimal routing, since no global link needs protecting.
-        """
-        if self.config.routing.algorithm != "pb":
-            return
-        topo = self.topology
-        boards: Dict[int, SaturationBoard] = {}
-        for group_id, members in enumerate(topo.router_groups()):
-            width = max(topo.num_global_ports(router) for router in members)
-            if width == 0:
-                continue
-            boards[group_id] = SaturationBoard(
-                positions=len(members), global_ports=width, classes=2,
-                saturation_factor=self.config.routing.pb_saturation_factor,
-            )
-        for router in self.routers:
-            group_id, position = topo.group_slot(router.router_id)
-            board = boards.get(group_id)
-            if board is not None:
-                router.attach_saturation_board(board, position)
-        self._saturation_boards = boards
 
     def _build_traffic(self) -> None:
         generator = make_generator(self.config.traffic, self.topology, self.rng)

@@ -7,6 +7,10 @@ board.  The runs below pin the other registered topologies: a Megafly leaf
 reads a board it never posts to (only spines own global ports) and its first
 global hop is one local hop away, a HyperX row and a Flattened Butterfly row
 sense through their dimension-0 neighbours.
+
+Piggyback reads its first global link off the route column the decision
+already holds, so a PB run's resident route state costs what a MIN run's
+does.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import json
 
 import pytest
 
+from repro.core.arrangement import VcArrangement
 from repro.experiments.runner import TINY, base_config
 from repro.experiments.topologies import minimal_feasible_arrangement
 from repro.session import Session
@@ -59,3 +64,21 @@ def test_piggyback_summary_matches_pinned_digest(topology, pattern):
         json.dumps(dataclasses.asdict(summary), sort_keys=True).encode()
     ).hexdigest()[:16]
     assert digest == PINNED_CROSS_TOPOLOGY_PB[topology, pattern]
+
+
+@pytest.mark.parametrize("algorithm", ["min", "pb"])
+def test_resident_columns_cost_two_bytes_per_source(algorithm):
+    """Every resident column holds one port byte and one sequence-id byte
+    per source after a run, whichever algorithm read it."""
+    config = base_config(TINY, algorithm=algorithm,
+                         arrangement=VcArrangement.single_class(4, 2))
+    config = dataclasses.replace(
+        config, warmup_cycles=100, measure_cycles=200
+    ).with_load(0.5)
+    session = Session(config)
+    session.run()
+    table = session.sim.route_table
+    n = table.num_routers
+    resident = [table._columns[dst] for dst in table._build_order]
+    assert len(resident) == n
+    assert [col.nbytes() for col in resident] == [2 * n] * n

@@ -1,9 +1,10 @@
 """The route table: per-destination columns checked against the topology walk.
 
 ``RouteTable`` builds a destination's column on first touch and answers
-``next_port``, ``hop_sequence``, ``distance`` and ``first_global_link`` from
-it.  The oracle walks the topology's ``min_next_ports_to`` over its wiring,
-on every registered topology and under any capacity:
+``next_port``, ``hop_sequence`` and ``distance`` from it; Piggyback's
+``first_global_link`` walks a column's ports.  The oracle walks the
+topology's ``min_next_ports_to`` over its wiring, on every registered
+topology and under any capacity:
 an evicted column must rebuild byte-identically, a simulation's results must
 not depend on the capacity, and — under faults — every column must be a pure
 function of the current dead set, whatever was resident when it changed.
@@ -24,6 +25,7 @@ from repro import Session, Simulation, SimulationConfig
 from repro.config import NetworkConfig
 from repro.core.link_types import LinkType
 from repro.faults import NetworkPartitionedError
+from repro.routing.piggyback import first_global_link
 from repro.routing.route_table import (
     DEFAULT_LAZY_STATE_BUDGET,
     _UNRESOLVED,
@@ -55,9 +57,11 @@ def assert_matches_topology(query, topo):
 
 
 def pair_api(table):
+    wiring = table.topology.wiring()
     return lambda src, dst: (
         table.next_port(src, dst), table.hop_sequence(src, dst),
-        table.distance(src, dst), table.first_global_link(src, dst),
+        table.distance(src, dst),
+        first_global_link(wiring, table.column(dst), src),
     )
 
 
@@ -70,15 +74,35 @@ def resolved_sequences(col):
 def column_bytes(col):
     """A column's stored arrays once every source has been read."""
     resolved_sequences(col)
-    return bytes(col.ports), bytes(col.seq_ids), col.first_global.tobytes()
+    return bytes(col.ports), bytes(col.seq_ids)
 
 
 def column_answers(col):
     """Like :func:`column_bytes`, with the sequences in place of their ids:
     two tables intern sequences in the order pairs are first read, so ids
     are comparable only between tables read in the same order."""
-    return (bytes(col.ports), resolved_sequences(col),
-            col.first_global.tobytes())
+    return bytes(col.ports), resolved_sequences(col)
+
+
+def first_global_links(wiring, col):
+    """Every source's first global link, walked off the column."""
+    return [first_global_link(wiring, col, src)
+            for src in range(len(col.seq_ids))]
+
+
+def assert_walk_follows_sequences(wiring, col):
+    """The walk stops where the column's hop sequence first goes GLOBAL."""
+    per_router = wiring.ports_per_router
+    for src, link in enumerate(first_global_links(wiring, col)):
+        sequence = col.hop_sequence(src)
+        if LinkType.GLOBAL not in sequence:
+            assert link is None
+            continue
+        router = src
+        for _ in range(sequence.index(LinkType.GLOBAL)):
+            router = wiring.neighbor[router * per_router + col.next_port(router)]
+        slot = router * per_router + col.next_port(router)
+        assert link == (router, wiring.global_index[slot])
 
 
 class TestLazyDenseEquality:
@@ -93,12 +117,13 @@ class TestLazyDenseEquality:
 
     def test_column_views_agree(self, topo):
         table = RouteTable(topo)
+        wiring = topo.wiring()
 
         def column_api(src, dst):
             col = table.column(dst)
             assert col is table.column(dst)  # resident: the same view
             return (col.next_port(src), col.hop_sequence(src),
-                    col.distance(src), col.first_global_link(src))
+                    col.distance(src), first_global_link(wiring, col, src))
 
         assert_matches_topology(column_api, topo)
 
@@ -106,15 +131,21 @@ class TestLazyDenseEquality:
 class TestLruEviction:
     def test_evicted_columns_rebuild_identically(self, topo):
         n = topo.num_routers
+        wiring = topo.wiring()
         default = RouteTable(topo)
         table = RouteTable(topo, capacity=2)
-        first = [column_bytes(default.column(dst)) for dst in range(n)]
+
+        def answers(col):
+            return column_bytes(col), first_global_links(wiring, col)
+
+        first = [answers(default.column(dst)) for dst in range(n)]
         assert default.evictions == 0 and default.columns_built == n
         # Two passes: by the second, all but the last 2 columns have been
-        # evicted once; the rebuilt arrays must equal the default table's.
+        # evicted once; the rebuilt arrays and walks must equal the default
+        # table's.
         for _ in range(2):
             for dst in range(n):
-                assert column_bytes(table.column(dst)) == first[dst]
+                assert answers(table.column(dst)) == first[dst]
         assert table.columns_built == 2 * n  # recomputation happened
 
     def test_oldest_built_column_is_evicted(self, topo):
@@ -341,6 +372,7 @@ def test_columns_are_a_pure_function_of_the_dead_set(data):
         assert len(resident) <= table.capacity
         for dst in resident:
             assert column_answers(table._columns[dst]) == expected[dst]
+            assert_walk_follows_sequences(topo.wiring(), table._columns[dst])
         # A detour fill is taken iff the pristine route crosses a dead link.
         assert table._fault_dirty == {
             dst for dst in resident if expected[dst] != pristine[dst]
@@ -367,37 +399,66 @@ class TestGlobalPortIndexCache:
                 break
 
 
+#: one system-scale smoke run, in its own process because ``ru_maxrss`` is a
+#: process-lifetime peak: prints the route-table provenance, the router and
+#: node counts and the peak RSS in bytes as one JSON line.
+_SYSTEM_SMOKE_CHILD = """
+import dataclasses, json, resource, sys
+from repro import Session, Simulation, SimulationConfig
+from repro.config import RoutingConfig
+from repro.core.arrangement import VcArrangement
+from repro.experiments import SYSTEM
+
+config = SimulationConfig(network=SYSTEM.network_for("dragonfly"))
+if sys.argv[1] == "pb":
+    config = dataclasses.replace(
+        config, routing=RoutingConfig(algorithm="pb"),
+        arrangement=VcArrangement.single_class(4, 2))
+config = config.with_load(SYSTEM.loads[0])
+sim = Simulation(config)
+session = Session(simulation=sim)
+session.warmup(SYSTEM.warmup_cycles)
+session.measure(SYSTEM.measure_cycles)
+peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({
+    "route_table": session.record().provenance["route_table"],
+    "routers": sim.topology.num_routers,
+    "nodes": sim.topology.num_nodes,
+    "peak_bytes": peak_kb * (1 if sys.platform == "darwin" else 1024),
+}))
+"""
+
+
 @pytest.mark.scale_smoke
 @pytest.mark.skipif(not os.environ.get("RUN_SCALE_SMOKE"),
                     reason="set RUN_SCALE_SMOKE=1 to run the 10^5-endpoint "
                            "construction smoke test (several minutes, ~GB RSS)")
-def test_system_scale_constructs_within_budget():
+@pytest.mark.parametrize("algorithm", ["min", "pb"])
+def test_system_scale_constructs_within_budget(algorithm):
     """A 10^5-endpoint Dragonfly constructs and runs a short warmup+measure
     session within the CI scale-smoke budget (wall clock is enforced by the
-    job timeout; RSS is asserted here)."""
-    import resource
+    job timeout; RSS is asserted here), for minimal routing and for
+    Piggyback (baseline 4/2), whose sensing reads the same columns."""
+    import json
+    import subprocess
     import sys
 
-    from repro.experiments import SYSTEM
-
-    network = SYSTEM.network_for("dragonfly")
-    config = SimulationConfig(network=network).with_load(SYSTEM.loads[0])
-    sim = Simulation(config)
-    assert sim.topology.num_nodes >= 100_000
-    session = Session(simulation=sim)
-    session.warmup(SYSTEM.warmup_cycles)
-    session.measure(SYSTEM.measure_cycles)
-    stats = session.record().provenance["route_table"]
+    child = subprocess.run(
+        [sys.executable, "-c", _SYSTEM_SMOKE_CHILD, algorithm],
+        capture_output=True, text=True, check=True,
+    )
+    result = json.loads(child.stdout.strip().splitlines()[-1])
+    assert result["nodes"] >= 100_000
+    stats = result["route_table"]
     assert stats["evictions"] == 0
     # Hop sequences are resolved per pair on first read: a short session
     # reads a sliver of the n^2 pairs, so an eager fill cannot come back
     # unnoticed.
-    assert stats["pairs_resolved"] < 0.01 * sim.topology.num_routers ** 2
+    assert stats["pairs_resolved"] < 0.01 * result["routers"] ** 2
 
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    peak_bytes = peak_kb * (1 if sys.platform == "darwin" else 1024)
-    # 1,280 MiB measured (1,976 MiB before the per-link callbacks became
-    # port methods) + 10%.
+    peak_bytes = result["peak_bytes"]
+    # 1,280 MiB measured for MIN (1,976 MiB before the per-link callbacks
+    # became port methods) + 10%.
     budget = 1408 * 1024**2
     assert peak_bytes <= budget, (
         f"peak RSS {peak_bytes / 1024**2:.0f} MiB > {budget // 1024**2} MiB")

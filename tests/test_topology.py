@@ -6,6 +6,7 @@ import pytest
 from topology_instances import REGISTRY_INSTANCES, min_walk
 
 from repro.core.link_types import LinkType, hop_counts
+from repro.routing.piggyback import first_global_link
 from repro.routing.route_table import RouteTable
 from repro.topology import (
     TOPOLOGIES,
@@ -278,7 +279,9 @@ class TestRegisteredTopologyProperties:
                      if link_type == LinkType.GLOBAL),
                     None,
                 )
-                assert table.first_global_link(src, dst) == first_global
+                assert first_global_link(
+                    topo.wiring(), table.column(dst), src
+                ) == first_global
 
     def test_router_groups_partition(self, topo):
         groups = topo.router_groups()

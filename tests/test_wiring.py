@@ -3,9 +3,9 @@
 Each digest is sha256[:16] over a network's every ``(router, port)`` link
 (neighbor, link type, back port, global-port index), its ``router_groups()``
 and every ``group_slot``, every ``min_next_ports_to(dst)`` column, and every
-``RouteTable`` ``hop_sequence`` / ``first_global_link``.  The literals were
-captured when each topology still derived its links and its minimal routes
-in closed form, per pair (``port_to``, ``min_next_port``,
+``RouteTable`` ``hop_sequence`` and Piggyback ``first_global_link``.  The
+literals were captured when each topology still derived its links and its
+minimal routes in closed form, per pair (``port_to``, ``min_next_port``,
 ``min_hop_sequence``); the generic derivations from ``ports()`` and
 ``min_next_ports_to`` must reproduce them exactly.
 """
@@ -18,6 +18,7 @@ from repro.config import NetworkConfig, RoutingConfig, SimulationConfig
 from repro.core.arrangement import VcArrangement
 from repro.core.link_types import LinkType
 from repro.experiments.runner import TINY
+from repro.routing.piggyback import first_global_link
 from repro.routing.route_table import RouteTable
 from repro.simulation import Simulation
 from repro.topology import (
@@ -93,10 +94,11 @@ def digest(topo):
     for dst in range(n):
         h.update(repr((dst, list(topo.min_next_ports_to(dst)))).encode())
     table = RouteTable(topo)
+    wiring = topo.wiring()
     for dst in range(n):
         h.update(repr((dst, [
             (tuple(int(t) for t in table.hop_sequence(src, dst)),
-             table.first_global_link(src, dst))
+             first_global_link(wiring, table.column(dst), src))
             for src in range(n)
         ])).encode())
     return h.hexdigest()[:16]
@@ -175,5 +177,5 @@ def test_saturation_board_width_is_the_wired_global_count():
         routing=RoutingConfig(algorithm="pb"),
         arrangement=VcArrangement.single_class(4, 2),
     ))
-    widths = {board.global_ports for board in sim._saturation_boards.values()}
+    widths = {board.global_ports for board in sim.routing._boards.values()}
     assert widths == {2}
