@@ -14,12 +14,11 @@ a plain ``dst``-indexed list, so a hit is one index and a ``None`` test.  A
 source's hop sequence is resolved the first time a caller reads it, by a
 suffix-merge walk over the :class:`~repro.topology.base.Wiring` that stops
 at the first already-resolved router, so a column's hop sequences cost what
-the run reads of them, not O(n).  Resident columns are lean (2 bytes per
+the run reads of them, not O(n).  Resident columns are lean (~2 bytes per
 source: one-byte ports plus interned seq ids), and the default capacity is
-derived from
-:data:`DEFAULT_LAZY_STATE_BUDGET` so that up to ~60k routers *every* column
-stays resident — uniform traffic touches all destinations, where a smaller
-working set would thrash.  Only beyond the budget is the oldest-built column
+derived from :data:`DEFAULT_LAZY_STATE_BUDGET` so that up to ~60k routers
+*every* column stays resident — uniform traffic touches all destinations,
+where a smaller working set would thrash.  Only beyond the budget is the oldest-built column
 evicted; it recomputes deterministically on its next touch, which is what
 makes 10^5-endpoint networks constructible (see DESIGN.md §9).
 
