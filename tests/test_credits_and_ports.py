@@ -315,6 +315,16 @@ PINNED_PB_DIGESTS = {
         "static-0": "9d05c98c337e6d75",
         "damq": "1bc0c676953eafa9",
     },
+    "baseline-port-4/2+4/2": {
+        "static-5": "d0ba68d84f231430",
+        "static-0": "7dc4fd6def3802c4",
+        "damq": "6060753ed4d76c4a",
+    },
+    "mincred-vc-4/2+2/1": {
+        "static-5": "f358ad6dc373e6ee",
+        "static-0": "fae90354bc289b80",
+        "damq": "4d4b64f4d6df3cc3",
+    },
 }
 
 
@@ -327,6 +337,11 @@ PB_VARIANTS = {
         vc_policy="flexvc", pb_sensing="vc", split=((4, 2), (2, 1))),
     "baseline-vc-4/2+4/2": dict(
         vc_policy="baseline", pb_sensing="vc", split=((4, 2), (4, 2))),
+    "baseline-port-4/2+4/2": dict(
+        vc_policy="baseline", pb_sensing="port", split=((4, 2), (4, 2))),
+    "mincred-vc-4/2+2/1": dict(
+        vc_policy="flexvc", pb_sensing="vc", pb_min_credits_only=True,
+        split=((4, 2), (2, 1))),
 }
 
 #: buffer set-ups: organization and router pipeline latency.
