@@ -6,13 +6,15 @@ The package contains two layers:
 
 * :mod:`repro.core` — the paper's contribution in isolation: VC arrangements,
   the distance-based baseline policy, FlexVC (safe/opportunistic hops,
-  request-reply handling, link-type restrictions), FlexVC-minCred accounting
-  and the analytical feasibility tables (Tables I-IV).
-* the simulation substrate — Dragonfly / Flattened Butterfly topologies, a
-  cycle-level virtual cut-through router model (credits, separable
-  allocation, static/DAMQ buffers), MIN/VAL/PAR/Piggyback routing, synthetic
-  traffic (UN, ADV, BURSTY-UN, request-reply) and the experiment harness that
-  regenerates every figure of the paper's evaluation.
+  request-reply handling, link-type restrictions), VC selection and the
+  analytical feasibility tables (Tables I-IV).
+* the simulation substrate — Dragonfly, Flattened Butterfly, HyperX and
+  Megafly topologies, a cycle-level virtual cut-through router model
+  (credits, with the minimally-routed share FlexVC-minCred senses kept per
+  output port; separable allocation; static/DAMQ buffers),
+  MIN/VAL/PAR/Piggyback routing, synthetic traffic (UN, ADV, BURSTY-UN,
+  request-reply) and the experiment harness that regenerates every figure of
+  the paper's evaluation.
 
 Quickstart::
 

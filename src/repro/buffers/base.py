@@ -15,7 +15,6 @@ diverge structurally from the real buffer.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
 
 
 class BufferOrganization(ABC):
@@ -25,12 +24,14 @@ class BufferOrganization(ABC):
     the buffer proper and the upstream credit mirror — so per-instance
     dicts are measurable at 10^5-endpoint scale."""
 
-    __slots__ = ("num_vcs", "_free_slab", "_free_base")
+    __slots__ = ("num_vcs", "_occupancy", "_free_slab", "_free_base")
 
     def __init__(self, num_vcs: int) -> None:
         if num_vcs < 1:
             raise ValueError("num_vcs must be >= 1")
         self.num_vcs = num_vcs
+        #: phits held by each VC; subclasses derive free space from it.
+        self._occupancy = [0] * num_vcs
         #: optional flat hot-state view: when bound, ``slab[base + vc]``
         #: mirrors ``free_for(vc)`` after every mutation, so the allocator
         #: inner loop reads plain ints instead of calling methods.
@@ -63,9 +64,10 @@ class BufferOrganization(ABC):
     def free_for(self, vc: int) -> int:
         """Phits currently available to ``vc`` (private + any shared pool)."""
 
-    @abstractmethod
     def occupancy(self, vc: int) -> int:
         """Phits currently held by ``vc``."""
+        self._check_vc(vc)
+        return self._occupancy[vc]
 
     @abstractmethod
     def capacity_for(self, vc: int) -> int:
@@ -77,7 +79,7 @@ class BufferOrganization(ABC):
         """Total phits of memory in the port."""
 
     def total_occupancy(self) -> int:
-        return sum(self.occupancy(vc) for vc in range(self.num_vcs))
+        return sum(self._occupancy)
 
     def can_accept(self, vc: int, phits: int) -> bool:
         """Virtual cut-through admission check for a whole packet."""
@@ -92,10 +94,7 @@ class BufferOrganization(ABC):
     def release(self, vc: int, phits: int) -> None:
         """Return ``phits`` previously allocated to ``vc``."""
 
-    # -- introspection ---------------------------------------------------------
-    def occupancies(self) -> Sequence[int]:
-        return [self.occupancy(vc) for vc in range(self.num_vcs)]
-
+    # -- validation ------------------------------------------------------------
     def _check_vc(self, vc: int) -> None:
         if not 0 <= vc < self.num_vcs:
             raise ValueError(f"VC {vc} out of range [0, {self.num_vcs})")

@@ -37,7 +37,7 @@ class DamqBuffer(BufferOrganization):
     """
 
     __slots__ = ("_total_capacity", "_private", "_shared_capacity",
-                 "_occupancy", "_shared_used")
+                 "_shared_used")
 
     def __init__(
         self,
@@ -64,7 +64,6 @@ class DamqBuffer(BufferOrganization):
         self._total_capacity = total_capacity
         self._private = private
         self._shared_capacity = total_capacity - sum(private)
-        self._occupancy = [0] * num_vcs
         #: phits of the shared pool currently in use, maintained incrementally
         #: (a pure function of the per-VC occupancies, so allocation/release
         #: order still does not matter).
@@ -119,10 +118,6 @@ class DamqBuffer(BufferOrganization):
         self._check_vc(vc)
         private_free = max(0, self._private[vc] - self._occupancy[vc])
         return private_free + self.shared_free()
-
-    def occupancy(self, vc: int) -> int:
-        self._check_vc(vc)
-        return self._occupancy[vc]
 
     def capacity_for(self, vc: int) -> int:
         self._check_vc(vc)

@@ -28,7 +28,7 @@ class StaticallyPartitionedBuffer(BufferOrganization):
         VC.
     """
 
-    __slots__ = ("_capacity", "_occupancy")
+    __slots__ = ("_capacity",)
 
     def __init__(self, num_vcs: int, capacity_per_vc: int | Sequence[int]) -> None:
         super().__init__(num_vcs)
@@ -48,22 +48,17 @@ class StaticallyPartitionedBuffer(BufferOrganization):
         if shared is None:
             shared = _CAPACITY_MEMO[key] = key
         self._capacity = shared
-        self._occupancy = [0] * num_vcs
 
     # -- queries -----------------------------------------------------------
     # The phit-accounting checks below stay, but upper-bound VC validation is
     # not repeated on the allocator's per-cycle paths (an out-of-range index
     # fails loudly as IndexError).  Negative indices would silently alias the
-    # last VC, so those are still rejected explicitly — current_vc/input_vc
-    # use -1 as an "at injection" sentinel elsewhere in the codebase.
+    # last VC, so those are still rejected explicitly — a routing plan's
+    # ``input_vc`` is -1 at injection (Router._plan_for).
     def free_for(self, vc: int) -> int:
         if vc < 0:
             raise ValueError(f"VC {vc} out of range")
         return self._capacity[vc] - self._occupancy[vc]
-
-    def occupancy(self, vc: int) -> int:
-        self._check_vc(vc)
-        return self._occupancy[vc]
 
     def capacity_for(self, vc: int) -> int:
         self._check_vc(vc)

@@ -1,4 +1,9 @@
-"""Core FlexVC machinery: VC arrangements, policies, selection and feasibility."""
+"""Core FlexVC machinery: VC arrangements, policies, selection and feasibility.
+
+FlexVC-minCred (Section III-D) is not here: its split credit accounting is
+one per-VC count of minimally-routed phits kept beside the credits it splits,
+on :class:`repro.router.ports.OutputPort`.
+"""
 
 from .arrangement import VcArrangement
 from .baseline import DistanceBasedPolicy
@@ -24,7 +29,6 @@ from .link_types import (
     reference_phases,
     sequence_str,
 )
-from .mincred import PortOccupancyLedger
 from .vc_policy import HopContext, HopKind, VcPolicy, VcRange
 from .vc_selection import (
     HighestVc,
@@ -61,7 +65,6 @@ __all__ = [
     "sequence_str",
     "DRAGONFLY_MIN",
     "DIAMETER2_MIN",
-    "PortOccupancyLedger",
     "VcSelection",
     "JoinShortestQueue",
     "HighestVc",

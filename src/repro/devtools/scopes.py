@@ -59,7 +59,6 @@ _SLOTS_SCOPE = (
     "link.py",
     "cache.py",
     "router/ports.py",
-    "router/credits.py",
     "buffers/",
 )
 

@@ -11,7 +11,7 @@ in a *port method* rather than a per-link closure: a packet delivery lands in
 schedules the downstream router's wake for the cycle the new head clears its
 pipeline, and a :class:`CreditChannel` delivers into
 :meth:`OutputPort.credit_return <repro.router.ports.OutputPort.credit_return>`,
-which credits the upstream tracker and re-activates the upstream router only
+which credits the upstream mirror and re-activates the upstream router only
 if its recorded allocation blockage depends on that credit.
 """
 
@@ -97,7 +97,7 @@ class Link:
 
 
 class CreditChannel:
-    """Reverse channel carrying credit returns to an upstream credit tracker."""
+    """Reverse channel carrying credit returns to an upstream output port."""
 
     __slots__ = ("engine", "latency", "_deliver")
 
@@ -123,5 +123,5 @@ class CreditChannel:
     def send_credit(self, vc: int, phits: int, minimal: bool, now: int) -> None:
         """Return ``phits`` of credit for ``vc`` after the channel latency."""
         if self._deliver is None:
-            raise RuntimeError("credit channel is not connected to an upstream tracker")
+            raise RuntimeError("credit channel is not connected to an upstream port")
         self.engine.schedule_call(now + self.latency, self._deliver, (vc, phits, minimal))

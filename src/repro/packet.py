@@ -66,15 +66,12 @@ class Packet:
     #: the first one is taken; topologies like HyperX have several per phase).
     phase_global_taken: int = 0
 
-    # -- position state --------------------------------------------------------
-    #: VC index the packet currently occupies at its input port (-1 at injection).
-    current_vc: int = -1
+    # -- credit state ----------------------------------------------------------
     #: routing class under which the packet's current buffer credits were
     #: debited upstream (must be echoed on the credit return).
     credit_tag_minimal: bool = True
 
     # -- bookkeeping ---------------------------------------------------------------
-    injected_at: int = -1
     delivered_at: int = -1
     #: measurement epoch this packet counts toward (0 = outside every window;
     #: the default of 1 equals the first window's epoch, so hand-built

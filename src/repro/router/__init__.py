@@ -1,7 +1,8 @@
-"""Router microarchitecture: ports, buffers wiring, allocation and credits."""
+"""Router microarchitecture: ports (each output port holds its credit mirror
+and the minimal share FlexVC-minCred senses), buffer wiring, allocation and
+Piggyback's saturation board."""
 
 from .allocator import Request, SeparableAllocator
-from .credits import CreditTracker
 from .ports import EjectionPort, InputPort, OutputPort
 from .router import Router, make_port_buffer
 from .saturation import SaturationBoard
@@ -12,7 +13,6 @@ __all__ = [
     "InputPort",
     "OutputPort",
     "EjectionPort",
-    "CreditTracker",
     "SeparableAllocator",
     "Request",
     "SaturationBoard",

@@ -27,13 +27,22 @@ the ports*, not closures: :meth:`InputPort.deliver` is the link's delivery
 callback, :meth:`OutputPort.credit_return` the reverse credit channel's sink
 and :meth:`OutputPort.debit` the grant executor's credit debit.  Everything
 they touch is already a slot of the port (queues, hot-state slice, buffer,
-credit tracker) or reachable through its ``router`` slot, so a link costs
+credit mirror) or reachable through its ``router`` slot, so a link costs
 two bound methods (``debit`` is looked up per call and stored nowhere) where
 it used to cost three closures of 6-10 cells each (DESIGN.md §6/§9).  There
 is one body per callback, for every buffer organization and pipeline
-latency, layered through ``BufferOrganization`` / ``CreditTracker``: a copy
-fused into one frame for statically partitioned buffers measured within
-noise of these (DESIGN.md §6 table), so none is kept.
+latency, layered through ``BufferOrganization``: a copy fused into one frame
+for statically partitioned buffers measured within noise of these
+(DESIGN.md §6 table), so none is kept.
+
+Credits
+-------
+An output port keeps one count per downstream VC, in its credit ``mirror``:
+a :class:`~repro.buffers.base.BufferOrganization` like the downstream
+buffer, which answers virtual cut-through admission.  FlexVC-minCred
+(Section III-D) adds ``minimal_phits``, the part of each VC's occupancy
+debited by minimally-routed packets; a credit return echoes its debit's
+class, so the non-minimal share is the occupancy minus that part.
 """
 
 from __future__ import annotations
@@ -44,7 +53,6 @@ from ..buffers.base import BufferOrganization
 from ..core.link_types import LinkType, MessageClass
 from ..link import CreditChannel, Link
 from ..packet import Packet
-from .credits import CreditTracker
 
 #: input-port slab offsets (stride 3): resident packet count, earliest head
 #: pipeline-ready cycle, and the port's blocked-verdict expiry (-1 = none —
@@ -160,7 +168,6 @@ class InputPort:
         """Store an arriving packet into VC ``vc``; it becomes routable after
         the router pipeline latency."""
         self.buffer.allocate(vc, packet.size_phits)
-        packet.current_vc = vc
         ready = now + self.pipeline_latency
         queue = self.queues[vc]
         if queue is None:
@@ -249,11 +256,11 @@ class InputPort:
 
 
 class OutputPort:
-    """Network output port: credit tracker, output buffer and link access."""
+    """Network output port: credit mirror, output buffer and link access."""
 
     __slots__ = (
-        "port_id", "link_type", "credits", "output_buffer_capacity",
-        "_pending_releases", "link", "packets_forwarded", "_hot", "_hb",
+        "port_id", "link_type", "mirror", "minimal_phits",
+        "output_buffer_capacity", "_pending_releases", "link", "_hot", "_hb",
         "router",
     )
 
@@ -261,12 +268,16 @@ class OutputPort:
         self,
         port_id: int,
         link_type: LinkType,
-        credit_tracker: CreditTracker,
+        mirror: BufferOrganization,
         output_buffer_phits: int,
     ) -> None:
         self.port_id = port_id
         self.link_type = link_type
-        self.credits = credit_tracker
+        #: upstream copy of the downstream input port's buffer accounting.
+        self.mirror = mirror
+        #: per-VC phits of the mirror's occupancy debited by minimally-routed
+        #: packets (the non-minimal share is the rest).
+        self.minimal_phits = [0] * mirror.num_vcs
         self.output_buffer_capacity = output_buffer_phits
         #: (cycle, phits) reclamations applied lazily by buffer_space_for —
         #: cheaper than scheduling one engine event per transmitted packet.
@@ -276,8 +287,6 @@ class OutputPort:
         #: at 10^5-endpoint scale.
         self._pending_releases: list[tuple[int, int]] = []
         self.link: Optional[Link] = None
-        #: utilization accounting.
-        self.packets_forwarded = 0
         #: hot-state slab slice [xbar_busy, grant_stamp, grants, buf_occ].
         #: The grant stamp makes the per-cycle grant counter self-resetting,
         #: so the allocator never sweeps output ports at the top of a cycle.
@@ -341,10 +350,15 @@ class OutputPort:
     # -- credit flow ------------------------------------------------------------------
     def debit(self, vc: int, phits: int, minimal: bool) -> None:
         """Consume downstream credits when a packet is granted towards ``vc``."""
-        self.credits.debit(vc, phits, minimal)
+        self.mirror.allocate(vc, phits)
+        if minimal:
+            self.minimal_phits[vc] += phits
 
     def credit_return(self, vc: int, phits: int, minimal: bool) -> None:
         """Sink of the reverse credit channel.
+
+        The mirror rejects a return larger than the VC's occupancy first;
+        then the return's routing class must hold at least ``phits``.
 
         A returning credit only re-activates the router when a recorded
         allocation blockage actually depends on it (its bit in
@@ -352,12 +366,22 @@ class OutputPort:
         no pipeline-ready head, and a credit cannot create one, so nothing
         needs to happen then.
         """
-        tracker = self.credits
-        tracker.credit(vc, phits, minimal)
+        mirror = self.mirror
+        mirror.release(vc, phits)
+        held = self.minimal_phits[vc]
+        if minimal:
+            if phits > held:
+                raise ValueError(
+                    f"removing {phits} minimal phits but only {held} accounted")
+            self.minimal_phits[vc] = held - phits
+        elif mirror._occupancy[vc] < held:
+            raise ValueError(
+                f"removing {phits} non-minimal phits but only "
+                f"{mirror._occupancy[vc] + phits - held} accounted")
         router = self.router
         # The mirror's free-slab binding is the router's ``_credit_free``
         # slice of this port, which is also how the masks are indexed.
-        index = tracker.mirror._free_base + vc
+        index = mirror._free_base + vc
         bit = 1 << index
         if router._pv_any_mask & bit:
             # Clear the per-port blocked verdicts that depended on this
@@ -373,18 +397,24 @@ class OutputPort:
             router._alloc_sleep_until = -1
             router.engine_activate(router.engine_index)
 
+    # -- congestion sensing --------------------------------------------------------
+    def occupancy_metric(self, per_vc: bool, vc: int, minimal_only: bool) -> int:
+        """Downstream phits held on this port's credits, as one of Figure 8's
+        four sensing variants: the whole port or VC ``vc`` only (``per_vc``),
+        counting all credits or, for FlexVC-minCred (Section III-D), only
+        those of minimally-routed packets (``minimal_only``)."""
+        counts = self.minimal_phits if minimal_only else self.mirror._occupancy
+        return counts[vc] if per_vc else sum(counts)
+
 
 class EjectionPort:
     """Consumption port of one node for one message class (1 phit/cycle)."""
 
-    __slots__ = ("node", "msg_class", "packets_consumed", "phits_consumed",
-                 "_hot", "_hb")
+    __slots__ = ("node", "msg_class", "_hot", "_hb")
 
     def __init__(self, node: int, msg_class: MessageClass) -> None:
         self.node = node
         self.msg_class = msg_class
-        self.packets_consumed = 0
-        self.phits_consumed = 0
         #: hot-state slab slice [busy_until].
         self._hot: list = [0]
         self._hb = 0
@@ -407,6 +437,4 @@ class EjectionPort:
             raise RuntimeError("ejection port busy")
         done = now + packet.size_phits
         self._hot[self._hb] = done
-        self.packets_consumed += 1
-        self.phits_consumed += packet.size_phits
         return done

@@ -4,7 +4,7 @@
 closure of :class:`~repro.router.router.Router` with a deliberately naive
 implementation: every cycle it re-evaluates **every** input port and VC from
 scratch through the layered object APIs (``OutputPort.buffer_space_for``,
-``CreditTracker.free_for``, ``VcSelection.choose``,
+``OutputPort.mirror.free_for``, ``VcSelection.choose``,
 ``SeparableAllocator.arbitrate`` with :class:`Request` objects), with none of
 the fast paths — no per-port blocked verdicts, no iteration skip lists, no
 inlined arbitration, no selection specialization, no candidate-resolved slab
@@ -117,12 +117,11 @@ class ReferenceRouter(Router):
                                 if now + 1 < reject_until:
                                     reject_until = now + 1
                                 continue
-                            tracker = op.credits
                             vc_range = candidate.vc_range
                             candidates: List[int] = []
                             free: List[int] = []
                             for out_vc in range(vc_range.lo, vc_range.hi + 1):
-                                space = tracker.free_for(out_vc)
+                                space = op.mirror.free_for(out_vc)
                                 if space >= size:
                                     candidates.append(out_vc)
                                     free.append(space)

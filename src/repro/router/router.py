@@ -69,7 +69,6 @@ from ..packet import Packet, RouteKind
 from ..routing.base import CandidateHop, EjectionRequest, RoutingAlgorithm
 from ..topology.base import Topology
 from .allocator import SeparableAllocator
-from .credits import CreditTracker
 from .ports import IN_BLOCKED, IN_STRIDE, EjectionPort, InputPort, OutputPort
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -172,11 +171,10 @@ class Router:
             )
             in_port.router = self
             self.input_ports[info.port] = in_port
-            mirror = make_port_buffer(router_config, num_vcs, is_global)
             out_port = OutputPort(
                 port_id=info.port,
                 link_type=info.link_type,
-                credit_tracker=CreditTracker(mirror),
+                mirror=make_port_buffer(router_config, num_vcs, is_global),
                 output_buffer_phits=router_config.output_buffer_phits,
             )
             out_port.router = self
@@ -249,7 +247,7 @@ class Router:
         self._out_pending: List[Optional[list]] = [None] * lookup
         self._out_by_port: List[Optional[OutputPort]] = [None] * lookup
         self._credit_free: List[int] = [0] * sum(
-            self.output_ports[port].credits.num_vcs for port in out_ids
+            self.output_ports[port].mirror.num_vcs for port in out_ids
         )
         cfree_base = 0
         for j, port in enumerate(out_ids):
@@ -257,8 +255,8 @@ class Router:
             op.bind_hot_state(self._out_state, 4 * j)
             self._out_base[port] = 4 * j
             self._cfree_base[port] = cfree_base
-            op.credits.mirror.bind_free_slab(self._credit_free, cfree_base)
-            cfree_base += op.credits.num_vcs
+            op.mirror.bind_free_slab(self._credit_free, cfree_base)
+            cfree_base += op.mirror.num_vcs
             self._out_cap[port] = op.output_buffer_capacity
             self._out_pending[port] = op._pending_releases
             self._out_by_port[port] = op
@@ -273,11 +271,11 @@ class Router:
         self._port_is_damq: List[bool] = [False] * lookup
         for port in out_ids:
             op = self.output_ports[port]
-            span = op.credits.num_vcs
+            span = op.mirror.num_vcs
             self._port_credit_masks[port] = (
                 ((1 << span) - 1) << self._cfree_base[port]
             )
-            self._port_is_damq[port] = isinstance(op.credits.mirror, DamqBuffer)
+            self._port_is_damq[port] = isinstance(op.mirror, DamqBuffer)
 
         self._eject_flat: List[Optional[EjectionPort]] = [None] * (2 * p)
         self._eject_busy: List[int] = [0] * (2 * p)
@@ -324,11 +322,6 @@ class Router:
         self._blocked_credit_mask = 0
         #: shared network-wide resident-packet counter (see Simulation).
         self.resident_ledger: Optional[ResidentLedger] = None
-
-        # -- statistics ---------------------------------------------------------------
-        self.packets_injected = 0
-        self.packets_delivered = 0
-        self.misrouted_packets = 0
 
         # -- probe dispatch (None = unsubscribed, zero-cost) ---------------------------
         #: ``hook(packet, now)`` fired on a packet's first non-minimal hop.
@@ -563,8 +556,6 @@ class Router:
             self.injection_busy_until[local] = now + size
             if queue and now + size < gate:
                 gate = now + size
-            packet.injected_at = now
-            self.packets_injected += 1
             if on_injection is not None:
                 on_injection(packet, now)
         self._inject_gate = gate
@@ -914,7 +905,6 @@ class Router:
             # and at most one grant per output per iteration can land, so
             # the space reservation needs no re-check.
             out_state[ob + 3] += size
-            op.packets_forwarded += 1
             # Transmission timing is fully determined here (FIFO link, known
             # crossbar and serialization delays), so the send is scheduled
             # now instead of polling an output queue every cycle: the packet
@@ -929,10 +919,9 @@ class Router:
                 start = link.busy_until
             tail_out = link.transmit(packet, out_vc, start)
             op.schedule_release(tail_out, size)
-            if not minimal_tag and packet.hops == 1:
-                router.misrouted_packets += 1
-                if router.on_misroute is not None:
-                    router.on_misroute(packet, now)
+            if (not minimal_tag and packet.hops == 1
+                    and router.on_misroute is not None):
+                router.on_misroute(packet, now)
 
         return execute_grant
 
@@ -948,5 +937,4 @@ class Router:
                 self.resident_ledger.count -= 1
         done = ejection.consume(packet, now)
         packet.delivered_at = done
-        self.packets_delivered += 1
         self.engine.schedule_call(done, self.on_delivery, (packet, done))

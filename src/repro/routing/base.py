@@ -38,7 +38,7 @@ from ..topology.base import LINK_TYPES, Topology
 from .route_table import RouteTable
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..router.credits import CreditTracker
+    from ..router.ports import OutputPort
     from ..router.router import Router
 
 #: bound on the plan and hop memo dictionaries.  The first-level plan memo is
@@ -466,10 +466,11 @@ class RoutingAlgorithm(ABC):
                 return candidate
         return dst_router  # pragma: no cover - degenerate pools only
 
-    def _sensing_args(self, tracker: "CreditTracker", vc: int = 0) -> tuple:
-        """``tracker.occupancy_metric`` arguments of Figure 8's sensing
+    def _sensing_args(self, port: "OutputPort", vc: int = 0) -> tuple:
+        """``port.occupancy_metric`` arguments of Figure 8's sensing
         variant: per port, or VC ``vc`` (clamped to the port's VCs)."""
-        return (self.config.pb_sensing == "vc", min(vc, tracker.num_vcs - 1),
+        return (self.config.pb_sensing == "vc",
+                min(vc, port.mirror.num_vcs - 1),
                 self.config.pb_min_credits_only)
 
     def _queue_metric(self, router: "Router", target_router: int,
@@ -478,8 +479,8 @@ class RoutingAlgorithm(ABC):
         out_port = self.route.column(target_router).next_port(router.router_id)
         if out_port is None:
             return 0
-        tracker = router.output_ports[out_port].credits
-        return tracker.occupancy_metric(*self._sensing_args(tracker, vc))
+        port = router.output_ports[out_port]
+        return port.occupancy_metric(*self._sensing_args(port, vc))
 
     def _min_queue_longer(self, router: "Router", packet: Packet,
                           intermediate: int, vc: int = 0) -> bool:

@@ -24,8 +24,12 @@ Sensing variants (Figure 8):
   under distance-based management; with request-reply traffic, the first VC
   of each sub-path) is considered;
 * **minCred** (``pb_min_credits_only``) — FlexVC-minCred: only credits held by
-  minimally-routed packets are counted, restoring the pattern-identification
-  ability that FlexVC's buffer sharing blurs.
+  minimally-routed packets are counted (each output port's
+  ``minimal_phits``), restoring the pattern-identification ability that
+  FlexVC's buffer sharing blurs.
+
+All four read :meth:`OutputPort.occupancy_metric
+<repro.router.ports.OutputPort.occupancy_metric>`.
 """
 
 from __future__ import annotations
@@ -118,24 +122,24 @@ class PiggybackRouting(RoutingAlgorithm):
         wiring = self.wiring
         base = router.router_id * wiring.ports_per_router
         global_ports = [
-            (op.credits, wiring.global_index[base + port])
+            (op, wiring.global_index[base + port])
             for port, op in sorted(router.output_ports.items())
             if op.link_type == LinkType.GLOBAL
         ]
         if not global_ports:
             return None
         posts = [
-            (tracker, gport, int(msg_class),
-             self._sensing_args(tracker, self.sensing_vc(msg_class)))
+            (op, gport, int(msg_class),
+             self._sensing_args(op, self.sensing_vc(msg_class)))
             for msg_class in MessageClass
             if msg_class == MessageClass.REQUEST or self._per_class
-            for tracker, gport in global_ports
+            for op, gport in global_ports
         ]
 
         def post() -> None:
-            for tracker, gport, class_index, args in posts:
+            for op, gport, class_index, args in posts:
                 board.post(position, gport, class_index,
-                           tracker.occupancy_metric(*args))
+                           op.occupancy_metric(*args))
 
         return post
 

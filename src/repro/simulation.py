@@ -188,7 +188,7 @@ class Simulation:
             output = self.routers[router_id].output_ports[port]
             output.attach_link(link)
             channel = CreditChannel(self.engine, latency)
-            # The sink credits the upstream tracker and re-activates the
+            # The sink credits the upstream mirror and re-activates the
             # upstream router only when its recorded allocation blockage
             # depends on the returned (port, vc) credit.
             channel.connect(output.credit_return)

@@ -1,4 +1,5 @@
-"""Credit tracking, min/non-min ledgers, allocator and port behaviour."""
+"""Credit flow and minCred sensing on output ports, allocator and port
+behaviour."""
 
 import dataclasses
 import hashlib
@@ -10,10 +11,8 @@ from hypothesis import strategies as st
 
 from repro.buffers import StaticallyPartitionedBuffer
 from repro.core.link_types import LinkType, MessageClass
-from repro.core.mincred import PortOccupancyLedger
 from repro.packet import Packet
 from repro.router.allocator import Request, SeparableAllocator
-from repro.router.credits import CreditTracker
 from repro.router.ports import EjectionPort, InputPort
 from repro.router.saturation import SaturationBoard
 
@@ -22,80 +21,82 @@ def make_packet(size=8, src=0, dst=1):
     return Packet(src_node=src, dst_node=dst, size_phits=size)
 
 
-class TestPortOccupancyLedger:
-    def test_add_remove(self):
-        ledger = PortOccupancyLedger(num_vcs=2)
-        ledger.add(1, 8, minimal=True)
-        ledger.add(1, 8, minimal=False)
-        assert ledger.vc_occupancy(1) == 16
-        assert ledger.vc_occupancy(1, minimal_only=True) == 8
-        ledger.remove(1, 8, minimal=True)
-        assert ledger.minimal == [0, 0] and ledger.nonminimal == [0, 8]
+def _wired_link(**router_kwargs):
+    """A link of a small wired network with its two ends: (link, output port
+    upstream, input port downstream).  A credit return reaches the upstream
+    router, so credit tests need one."""
+    from repro.config import RouterConfig, SimulationConfig
+    from repro.simulation import Simulation
 
-    def test_underflow_rejected_per_class(self):
-        ledger = PortOccupancyLedger(num_vcs=2)
-        ledger.add(0, 8, minimal=False)
-        with pytest.raises(ValueError, match="removing 1 minimal phits but only 0"):
-            ledger.remove(0, 1, minimal=True)
-        with pytest.raises(ValueError,
-                           match="removing 9 non-minimal phits but only 8"):
-            ledger.remove(0, 9, minimal=False)
-
-    def test_needs_a_vc(self):
-        with pytest.raises(ValueError):
-            PortOccupancyLedger(num_vcs=0)
-
-    def test_ledger_port_occupancy(self):
-        ledger = PortOccupancyLedger(num_vcs=2)
-        ledger.add(0, 8, minimal=True)
-        ledger.add(1, 8, minimal=False)
-        assert ledger.port_occupancy() == 16
-        assert ledger.port_occupancy(minimal_only=True) == 8
-        assert ledger.vc_occupancy(1, minimal_only=True) == 0
+    sim = Simulation(SimulationConfig(router=RouterConfig(**router_kwargs)))
+    upstream = sim.routers[0]
+    info = next(iter(sim.topology.ports(0)))
+    back_port = sim.topology.back_port(0, info.port)
+    output = upstream.output_ports[info.port]
+    return output.link, output, sim.routers[info.neighbor].input_ports[back_port]
 
 
-class TestCreditTracker:
-    def test_debit_and_credit(self):
-        tracker = CreditTracker(StaticallyPartitionedBuffer(2, 32))
-        assert tracker.can_send(0, 8)
-        tracker.debit(0, 8, minimal=True)
-        assert tracker.free_for(0) == 24
-        assert tracker.vc_occupancy(0) == 8
-        tracker.credit(0, 8, minimal=True)
-        assert tracker.free_for(0) == 32
-
-    def test_vct_admission(self):
-        tracker = CreditTracker(StaticallyPartitionedBuffer(1, 16))
-        tracker.debit(0, 8, minimal=True)
-        assert tracker.can_send(0, 8)
-        tracker.debit(0, 8, minimal=False)
-        assert not tracker.can_send(0, 1)
-
-    def test_occupancy_metric_variants(self):
-        tracker = CreditTracker(StaticallyPartitionedBuffer(2, 64))
-        tracker.debit(0, 8, minimal=True)
-        tracker.debit(1, 16, minimal=False)
-        assert tracker.occupancy_metric(per_vc=False, vc=0, minimal_only=False) == 24
-        assert tracker.occupancy_metric(per_vc=False, vc=0, minimal_only=True) == 8
-        assert tracker.occupancy_metric(per_vc=True, vc=0, minimal_only=False) == 8
-        assert tracker.occupancy_metric(per_vc=True, vc=1, minimal_only=True) == 0
+#: one step of the credit property: (debit?, VC, phits, minimal tag, which
+#: outstanding debit a return gives back).
+credit_steps = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 1), st.integers(1, 8),
+              st.booleans(), st.integers(0, 63)),
+    max_size=60,
+)
 
 
+@pytest.mark.parametrize("organization", ["static", "damq"])
 @settings(max_examples=50, deadline=None)
-@given(events=st.lists(st.tuples(st.integers(0, 1), st.booleans()), max_size=50))
-def test_credit_conservation_property(events):
-    """Every debit matched by a credit restores the tracker exactly."""
-    tracker = CreditTracker(StaticallyPartitionedBuffer(2, 512))
+@given(steps=credit_steps)
+def test_port_credits_match_outstanding_phits(organization, steps):
+    """Random debits and tagged credit returns on a wired output port: after
+    every step Figure 8's four sensing variants equal a brute-force tally of
+    the outstanding phits; a return tagged with a class holding fewer phits
+    is that class's error; returning everything restores every VC."""
+    _link, port, _input_port = _wired_link(buffer_organization=organization)
+    num_vcs = port.mirror.num_vcs
+    fresh = [port.mirror.free_for(vc) for vc in range(num_vcs)]
     outstanding = []
-    for vc, minimal in events:
-        if tracker.can_send(vc, 8):
-            tracker.debit(vc, 8, minimal)
-            outstanding.append((vc, minimal))
-    for vc, minimal in outstanding:
-        tracker.credit(vc, 8, minimal)
-    assert tracker.port_occupancy() == 0
-    for vc in range(2):
-        assert tracker.free_for(vc) == 512
+
+    def tally(vc, minimal_only):
+        return sum(phits for debit_vc, phits, minimal in outstanding
+                   if (vc is None or debit_vc == vc)
+                   and (minimal or not minimal_only))
+
+    def check_metrics():
+        for minimal_only in (False, True):
+            assert port.occupancy_metric(False, 0, minimal_only) == tally(
+                None, minimal_only)
+            for vc in range(num_vcs):
+                assert port.occupancy_metric(True, vc, minimal_only) == tally(
+                    vc, minimal_only)
+
+    for debit, vc, phits, minimal, pick in steps:
+        if debit:
+            if port.mirror.free_for(vc) >= phits:
+                port.debit(vc, phits, minimal)
+                outstanding.append((vc, phits, minimal))
+        elif outstanding:
+            port.credit_return(*outstanding.pop(pick % len(outstanding)))
+        check_metrics()
+
+    for vc in range(num_vcs):
+        occupancy = tally(vc, False)
+        for minimal, name in ((True, "minimal"), (False, "non-minimal")):
+            held = tally(vc, True) if minimal else occupancy - tally(vc, True)
+            if held < occupancy:
+                # The mirror holds held + 1 phits, so only the class rejects.
+                with pytest.raises(ValueError, match=(
+                        f"removing {held + 1} {name} phits but only {held} "
+                        f"accounted")):
+                    port.credit_return(vc, held + 1, minimal)
+                port.mirror.allocate(vc, held + 1)  # undo the mirror's release
+    check_metrics()
+
+    while outstanding:
+        port.credit_return(*outstanding.pop())
+    check_metrics()
+    assert [port.mirror.free_for(vc) for vc in range(num_vcs)] == fresh
 
 
 class TestInputPort:
@@ -218,20 +219,6 @@ class TestSaturationBoard:
 class TestLinkCallbacks:
     """The three calls a link makes into its routers are port methods."""
 
-    @staticmethod
-    def _wired_link(**router_kwargs):
-        """A link of a small wired network with its two ends: (link, output
-        port upstream, input port downstream)."""
-        from repro.config import RouterConfig, SimulationConfig
-        from repro.simulation import Simulation
-
-        sim = Simulation(SimulationConfig(router=RouterConfig(**router_kwargs)))
-        upstream = sim.routers[0]
-        info = next(iter(sim.topology.ports(0)))
-        back_port = sim.topology.back_port(0, info.port)
-        output = upstream.output_ports[info.port]
-        return output.link, output, sim.routers[info.neighbor].input_ports[back_port]
-
     def test_object_budget_per_link(self):
         """Construction costs a bounded number of gc-tracked objects per
         directed link, and no link owns a function object: every delivery
@@ -256,14 +243,16 @@ class TestLinkCallbacks:
         inputs = [port for router in sim.routers
                   for port in router.input_ports.values()]
         assert len(outputs) == len(inputs) == 114 * 8
-        # 31.8 per link when written (67.8 with per-link closures).
-        assert built / len(outputs) <= 35.0
+        # 28.4 per link since each output port keeps its credit count in its
+        # mirror (31.4 with a separate tracker and min/non-min ledger, 67.8
+        # with per-link closures).
+        assert built / len(outputs) <= 30.0
         assert len({port.link._deliver.__func__ for port in outputs}) == 1
         assert len({port.credit_channel._deliver.__func__ for port in inputs}) == 1
 
     @pytest.mark.parametrize("pipeline_latency", [5, 0])  # timed wake, activate
     def test_delivery_overflow_is_the_buffers_error(self, pipeline_latency):
-        link, _output, input_port = self._wired_link(
+        link, _output, input_port = _wired_link(
             pipeline_latency=pipeline_latency)
         capacity = input_port.buffer.capacity_for(0)
         for _ in range(capacity // 8):
@@ -275,7 +264,7 @@ class TestLinkCallbacks:
             link._deliver(make_packet(size=8), 0, 10)
 
     def test_credit_underflow_is_the_mirrors_then_the_ledgers_error(self):
-        _link, output, input_port = self._wired_link()
+        _link, output, input_port = _wired_link()
         sink = input_port.credit_channel._deliver
         with pytest.raises(ValueError,
                            match="VC 0 underflow: releasing 8 with occupancy 0"):
@@ -286,19 +275,20 @@ class TestLinkCallbacks:
             sink(0, 8, False)
 
     def test_debit_overflow_is_the_mirrors_error(self):
-        _link, output, _input_port = self._wired_link()
-        capacity = output.credits.mirror.capacity_for(1)
+        _link, output, _input_port = _wired_link()
+        capacity = output.mirror.capacity_for(1)
         output.debit(1, capacity, False)
-        assert output.credits.free_for(1) == 0
-        assert output.credits.vc_occupancy(1, minimal_only=True) == 0
+        assert output.mirror.free_for(1) == 0
+        assert output.occupancy_metric(True, 1, True) == 0
         with pytest.raises(ValueError, match="VC 1 overflow"):
             output.debit(1, 1, False)
 
 
 #: sha256[:16] of the three measure() windows of each Piggyback run below.
-#: Piggyback's sensing reads the credit ledger that every debit and credit
+#: Piggyback's sensing reads the credit counts that every debit and credit
 #: return maintains, and its routers are pumped every cycle, so these runs pin
-#: the link callbacks and the pump body for all three buffer set-ups.
+#: the link callbacks and the pump body for all three buffer set-ups.  The
+#: five variants cover all four branches of ``OutputPort.occupancy_metric``.
 PINNED_PB_DIGESTS = {
     "mincred-port-4/2+2/1": {
         "static-5": "c6e95d31e189b51d",
