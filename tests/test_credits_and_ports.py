@@ -243,9 +243,8 @@ class TestLinkCallbacks:
         inputs = [port for router in sim.routers
                   for port in router.input_ports.values()]
         assert len(outputs) == len(inputs) == 114 * 8
-        # 28.4 per link since each output port keeps its credit count in its
-        # mirror (31.4 with a separate tracker and min/non-min ledger, 67.8
-        # with per-link closures).
+        # 28.4 per link when written (31.4 with a credit tracker and
+        # min/non-min ledger per output port, 67.8 with per-link closures).
         assert built / len(outputs) <= 30.0
         assert len({port.link._deliver.__func__ for port in outputs}) == 1
         assert len({port.credit_channel._deliver.__func__ for port in inputs}) == 1
