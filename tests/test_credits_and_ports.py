@@ -36,6 +36,66 @@ def _wired_link(**router_kwargs):
     return output.link, output, sim.routers[info.neighbor].input_ports[back_port]
 
 
+class TestPortOccupancyLedger:
+    """The minimal / non-minimal split of a wired output port's credits
+    (FlexVC-minCred, Section III-D).  Static mirror: 2 VCs of 32 phits."""
+
+    def test_add_remove(self):
+        _link, port, _input_port = _wired_link()
+        port.debit(1, 8, minimal=True)
+        port.debit(1, 8, minimal=False)
+        assert port.occupancy_metric(per_vc=True, vc=1, minimal_only=False) == 16
+        assert port.occupancy_metric(per_vc=True, vc=1, minimal_only=True) == 8
+        port.credit_return(1, 8, minimal=True)
+        assert port.minimal_phits == [0, 0]
+        assert [port.mirror.occupancy(vc) for vc in range(2)] == [0, 8]
+
+    def test_underflow_rejected_per_class(self):
+        _link, port, _input_port = _wired_link()
+        # The mirror holds 16 phits on each VC, so only the class rejects.
+        for vc in range(2):
+            port.debit(vc, 8, minimal=True)
+            port.debit(vc, 8, minimal=False)
+        with pytest.raises(ValueError,
+                           match="removing 9 minimal phits but only 8 accounted"):
+            port.credit_return(0, 9, minimal=True)
+        with pytest.raises(
+                ValueError,
+                match="removing 9 non-minimal phits but only 8 accounted"):
+            port.credit_return(1, 9, minimal=False)
+
+    def test_ledger_port_occupancy(self):
+        _link, port, _input_port = _wired_link()
+        port.debit(0, 8, minimal=True)
+        port.debit(1, 8, minimal=False)
+        assert port.occupancy_metric(per_vc=False, vc=0, minimal_only=False) == 16
+        assert port.occupancy_metric(per_vc=False, vc=0, minimal_only=True) == 8
+        assert port.occupancy_metric(per_vc=True, vc=1, minimal_only=True) == 0
+
+
+class TestCreditTracker:
+    """Debits and credit returns on a wired output port move its mirror.
+    Static mirror: 2 VCs of 32 phits."""
+
+    def test_debit_and_credit(self):
+        _link, port, _input_port = _wired_link()
+        assert port.mirror.can_accept(0, 8)
+        port.debit(0, 8, minimal=True)
+        assert port.mirror.free_for(0) == 24
+        assert port.occupancy_metric(per_vc=True, vc=0, minimal_only=False) == 8
+        port.credit_return(0, 8, minimal=True)
+        assert port.mirror.free_for(0) == 32
+
+    def test_occupancy_metric_variants(self):
+        _link, port, _input_port = _wired_link()
+        port.debit(0, 8, minimal=True)
+        port.debit(1, 16, minimal=False)
+        assert port.occupancy_metric(per_vc=False, vc=0, minimal_only=False) == 24
+        assert port.occupancy_metric(per_vc=False, vc=0, minimal_only=True) == 8
+        assert port.occupancy_metric(per_vc=True, vc=0, minimal_only=False) == 8
+        assert port.occupancy_metric(per_vc=True, vc=1, minimal_only=True) == 0
+
+
 #: one step of the credit property: (debit?, VC, phits, minimal tag, which
 #: outstanding debit a return gives back).
 credit_steps = st.lists(
