@@ -13,8 +13,8 @@ Each entry measures, for one (scale, topology) pair:
   during the session below);
 * ``route_state_bytes`` / ``route_state_bytes_per_router`` — route-table
   state right after construction; ``table_stats`` has it after the session
-  (~2 bytes per source per resident column, bounded by the column
-  capacity, so bytes/router *falls* with n once capacity < n);
+  (~2 bytes per source per resident column; a column stays resident once
+  built, so a session touching every destination holds 2n² bytes);
 * ``warm_cps`` — cycles/sec of a short warmup+measure session (offered
   load 0.2, or 0.1 at system scale, matching the ``system`` experiment
   registry; cold route-column faults included, so this is the honest

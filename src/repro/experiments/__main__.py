@@ -239,8 +239,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             if route_table and "columns_built" in route_table:
                 parts.append(
                     f"route-table (built {route_table['columns_built']}, "
-                    f"hits {route_table.get('hits')}, "
-                    f"evictions {route_table.get('evictions')})"
+                    f"hits {route_table.get('hits')})"
                 )
             convergence = provenance.get("convergence")
             if convergence:

@@ -14,13 +14,11 @@ a plain ``dst``-indexed list, so a hit is one index and a ``None`` test.  A
 source's hop sequence is resolved the first time a caller reads it, by a
 suffix-merge walk over the :class:`~repro.topology.base.Wiring` that stops
 at the first already-resolved router, so a column's hop sequences cost what
-the run reads of them, not O(n).  Resident columns are lean (~2 bytes per
-source: one-byte ports plus interned seq ids), and the default capacity is
-derived from :data:`DEFAULT_LAZY_STATE_BUDGET` so that up to ~60k routers
-*every* column stays resident — uniform traffic touches all destinations,
-where a smaller working set would thrash.  Only beyond the budget is the oldest-built column
-evicted; it recomputes deterministically on its next touch, which is what
-makes 10^5-endpoint networks constructible (see DESIGN.md §9).
+the run reads of them, not O(n).  A column stays resident until a fault
+drops it (:meth:`RouteTable.set_fault_state`); columns are lean (~2 bytes
+per source: one-byte ports plus interned seq ids), so once every
+destination is touched the route state is 2n² bytes — 148 MiB at 8,814
+routers (see DESIGN.md §9).
 
 Hop sequences are interned: the ``seq_ids`` bytes index into the (small,
 ≤255-entry) table of distinct hop-type sequences, so lookups return shared
@@ -32,7 +30,7 @@ ports over the :class:`~repro.topology.base.Wiring`.
 Under faults (:mod:`repro.faults`) a column is a pure function of
 ``(topology, dst, current dead set)``: the BFS detour fill iff its pristine
 ports cross a currently-dead directed link, the pristine fill otherwise —
-never a function of when the column happened to be built, evicted or read.
+never a function of when the column happened to be built, dropped or read.
 """
 
 from __future__ import annotations
@@ -48,21 +46,6 @@ from ..topology.base import LINK_TYPES, Topology
 #: sentinel sequence id of a pair whose hop sequence nobody has read yet.
 _UNRESOLVED = 0xFF
 
-#: byte budget that sizes the default column capacity.  A resident column
-#: costs ~2n bytes (one next-port byte and one seq-id byte per source, see
-#: :class:`RouteColumn`), so the default capacity is
-#: ``budget // (2n + overhead)`` clamped to ``[1, n]``.  Up to n ≈ 60k
-#: routers every column fits resident — uniform traffic touches *all*
-#: destination columns every few cycles, so a smaller working set would
-#: thrash with worst-case (cyclic) misses — while the worst-case resident
-#: route state stays bounded by the budget at any n.
-DEFAULT_LAZY_STATE_BUDGET = 256 * 1024 * 1024
-
-#: per-column constant overhead (column object, list slot, buffer headers)
-#: used when translating the byte budget into a column count.
-_COLUMN_OVERHEAD_BYTES = 512
-
-
 class RouteColumn:
     """One destination's route answers: ``src``-indexed compact arrays.
 
@@ -76,7 +59,7 @@ class RouteColumn:
     views stay valid as the list grows.
 
     Storage is deliberately lean — at system scale the full column set is
-    resident (see :data:`DEFAULT_LAZY_STATE_BUDGET`):
+    resident:
 
     * ``ports`` is one byte per source (sentinel 255 = no port) whenever the
       topology's radix allows it, falling back to ``array('i')`` (-1) above
@@ -121,22 +104,19 @@ class RouteTable:
 
     A missing column is built on first touch from the topology's next
     ports, its hop sequences resolved per source on first read, and kept
-    in a ``dst``-indexed list; beyond ``capacity`` resident columns the
-    oldest-built one is evicted and transparently recomputed on its next
-    touch.  Recomputation is deterministic — the sequence-interning state
-    persists across evictions, so a rebuilt column resolves every source to
-    the id its first build did.  Memory is O(capacity · n), and the default
-    capacity keeps every column resident up to ~60k routers.
+    in a ``dst``-indexed list until :meth:`set_fault_state` drops it.
+    Rebuilding is deterministic — the sequence-interning state persists
+    across drops, so a rebuilt column resolves every source to the id its
+    first build did.  Memory is O(n) per touched destination.
     """
 
-    def __init__(self, topology: Topology,
-                 capacity: Optional[int] = None) -> None:
+    def __init__(self, topology: Topology) -> None:
         self.topology = topology
         n = topology.num_routers
         self._n = n
         #: interned distinct hop-type sequences; ids are assigned in the
         #: order pairs are first read and never reused, so they survive
-        #: evictions.
+        #: dropped columns.
         self._sequence_list: List[HopSequence] = [()]
         self._seq_index: Dict[HopSequence, int] = {(): 0}
         #: prepend memo: ``(link type << 8) | tail sequence id -> sequence
@@ -149,18 +129,10 @@ class RouteTable:
         self._wiring = topology.wiring()
 
         # -- resident columns ----------------------------------------------
-        if capacity is None:
-            capacity = DEFAULT_LAZY_STATE_BUDGET // (
-                2 * n + _COLUMN_OVERHEAD_BYTES
-            )
-        self.capacity = max(1, min(int(capacity), n))
         self._columns: List[Optional[RouteColumn]] = [None] * n
-        #: resident destinations, oldest-built first (the eviction order).
-        self._build_order: List[int] = []
         self.hits = 0
         self.misses = 0
         self.columns_built = 0
-        self.evictions = 0
         self.pairs_resolved = 0
 
         # -- fault state (empty on pristine networks; see repro.faults) ----
@@ -180,11 +152,7 @@ class RouteTable:
             self.hits += 1
             return col
         self.misses += 1
-        if len(self._build_order) >= self.capacity:
-            self.invalidate(self._build_order[0])
-            self.evictions += 1
         col = self._columns[dst] = self._build_column(dst)
-        self._build_order.append(dst)
         return col
 
     def invalidate(self, dst: int) -> None:
@@ -192,18 +160,20 @@ class RouteTable:
         next touch rebuilds it against the current fault state."""
         if self._columns[dst] is not None:
             self._columns[dst] = None
-            self._build_order.remove(dst)
             self._fault_dirty.discard(dst)
+
+    def _resident(self) -> List[RouteColumn]:
+        """The built columns, in ``dst`` order."""
+        return [col for col in self._columns if col is not None]
 
     def columns_via(self, router: int, port: int) -> List[int]:
         """Resident destinations whose route from ``router`` leaves via
         ``port`` (the invalidation set of a failed directed link).
         Non-resident columns need none — their next build consults the
         fault state anyway."""
-        columns = self._columns
         return [
-            dst for dst in self._build_order
-            if columns[dst].next_port(router) == port
+            col.dst for col in self._resident()
+            if col.next_port(router) == port
         ]
 
     def _build_column(self, dst: int) -> RouteColumn:
@@ -334,10 +304,11 @@ class RouteTable:
             stale.update(self.columns_via(router, port))
         self._dead_links = dead_links
         self._dead_routers = dead_routers
-        resident = len(self._build_order)
-        for dst in sorted(stale):
+        columns = self._columns
+        dropped = [dst for dst in stale if columns[dst] is not None]
+        for dst in dropped:
             self.invalidate(dst)
-        return resident - len(self._build_order)
+        return len(dropped)
 
     def _detour_ports_to(self, dst: int, pristine: Sequence[int]) -> array:
         """Next-port batch for ``dst`` around the dead elements.
@@ -401,8 +372,7 @@ class RouteTable:
     def route_state_bytes(self) -> int:
         """Approximate bytes held by resident columns + the neighbor and
         link-type rows of the wiring the walks read."""
-        columns = self._columns
-        resident = sum(columns[dst].nbytes() for dst in self._build_order)
+        resident = sum(col.nbytes() for col in self._resident())
         neighbor = self._wiring.neighbor
         return (resident + neighbor.itemsize * len(neighbor)
                 + len(self._wiring.link_type))
@@ -411,12 +381,10 @@ class RouteTable:
         """Provenance-ready summary of this table's footprint and churn."""
         return {
             "routers": self._n,
-            "capacity": self.capacity,
             "columns_built": self.columns_built,
-            "columns_resident": len(self._build_order),
+            "columns_resident": len(self._resident()),
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
             "pairs_resolved": self.pairs_resolved,
             "route_state_bytes": self.route_state_bytes(),
         }

@@ -305,7 +305,7 @@ class Session:
         }
         if sim.fault_controller is not None:
             provenance["faults"] = sim.fault_controller.provenance()
-        # Column builds, hits and evictions: an execution strategy, not part
+        # Column builds, hits and misses: an execution strategy, not part
         # of any cache key, but recorded so system-scale runs can be audited
         # for column churn.
         provenance["route_table"] = sim.route_table.table_stats()

@@ -84,8 +84,8 @@ class Simulation:
     (``build_artifacts(config)`` does by construction).  A pristine run only
     adds columns to the table, so sharing artifacts across simulations is
     bit-identical to private builds.  A run with
-    ``config.faults`` re-tables in place, so it takes a private table of the
-    injected table's capacity instead of the injected table itself.
+    ``config.faults`` re-tables in place, so it takes a private table
+    instead of the injected table itself.
     """
 
     @paused_collector()
@@ -106,12 +106,8 @@ class Simulation:
         )
         #: minimal-route table shared by every routing consumer (plans and
         #: the adaptive algorithms' congestion sensing).
-        if artifacts is None:
+        if artifacts is None or config.faults:
             self.route_table = RouteTable(self.topology)
-        elif config.faults:
-            self.route_table = RouteTable(
-                self.topology, capacity=artifacts.route_table.capacity
-            )
         else:
             self.route_table = artifacts.route_table
         self.metrics = MetricsCollector(num_nodes=self.topology.num_nodes)

