@@ -219,8 +219,13 @@ class Engine:
                 return False
         return True
 
-    def _next_event_cycle(self) -> Optional[int]:
-        """Next cycle with a scheduled event or timed router wake."""
+    def next_event_cycle(self) -> Optional[int]:
+        """Next cycle with a scheduled event or timed router wake (None if
+        empty).
+
+        Sessions use this to fast-forward drain phases event by event instead
+        of polling idle cycles.
+        """
         best: Optional[int] = None
         if self._ring_events or self._wake_ring_count:
             # Bounded scan of the near-term ring; the first hit is the answer
@@ -255,7 +260,7 @@ class Engine:
         """
         while self.now < cycle:
             if self._quiescent():
-                next_event = self._next_event_cycle()
+                next_event = self.next_event_cycle()
                 target = cycle if next_event is None else min(next_event, cycle)
                 if target > self.now:
                     self.idle_cycles_skipped += target - self.now
@@ -264,13 +269,5 @@ class Engine:
             self.tick()
 
     # -- introspection --------------------------------------------------------------------
-    def next_event_cycle(self) -> Optional[int]:
-        """Public view of the next scheduled event/wake cycle (None if empty).
-
-        Sessions use this to fast-forward drain phases event by event instead
-        of polling idle cycles.
-        """
-        return self._next_event_cycle()
-
     def pending_events(self) -> int:
         return self._ring_events + sum(len(events) for events in self._wheel.values())

@@ -317,10 +317,6 @@ class OutputPort:
     def grants_this_cycle(self) -> int:
         return self._hot[self._hb + OUT_GRANTS]
 
-    @property
-    def output_buffer_occupancy(self) -> int:
-        return self._hot[self._hb + OUT_BUF_OCC]
-
     def attach_link(self, link: Link) -> None:
         self.link = link
 

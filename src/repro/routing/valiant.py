@@ -25,8 +25,6 @@ class ValiantRouting(RoutingAlgorithm):
 
     def decide_at_injection(self, router: "Router", packet: Packet) -> None:
         src_router = router.router_id
-        dst_router = self.topology.router_of_node(packet.dst_node)
-        if dst_router == src_router:
-            return  # consumed locally, nothing to randomize
+        dst_router = packet.dst_router  # never src_router: plan() ejects
         intermediate = self._pick_intermediate(packet, src_router, dst_router)
         packet.mark_valiant(intermediate)
