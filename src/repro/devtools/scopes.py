@@ -64,9 +64,9 @@ _SLOTS_SCOPE = (
 
 # The storage layer replays journals and rewrites stores: its on-disk byte
 # order must be reproducible, so the ordering-determinism rules apply.  It
-# is deliberately OUTSIDE det-wallclock/det-env-read scope — lock
-# heartbeats/staleness need wall-clock time, and the crash-injection test
-# seam reads the environment, both legitimately.
+# is deliberately OUTSIDE det-wallclock/det-env-read scope — lock timeouts
+# and the holder's acquisition time need wall-clock time, and the
+# crash-injection test seam reads the environment, both legitimately.
 _STORE = ("store/",)
 
 # Layering runs one way: core -> session -> store -> orchestration -> CLI.

@@ -30,7 +30,7 @@ import sys
 import time
 from typing import Sequence
 
-from ..faults import parse_faults
+from ..faults import FaultSpec, parse_faults
 from ..probes import PROBES, make_probes
 from ..store import FLUSH_INTERVAL_SECONDS, ResultStore, StoreError
 from . import tables
@@ -98,9 +98,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         store = ResultStore(
             args.store, refresh=args.force, flush_interval=args.flush_interval
         )
+        return _run_figures(args, store, probes, faults)
     except StoreError as exc:
+        # At open, or at any later flush: a lock timeout, or a filesystem
+        # without flock under a fresh store (first locked at the first flush).
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _run_figures(
+    args: argparse.Namespace, store: ResultStore, probes: tuple,
+    faults: FaultSpec | None,
+) -> int:
     status = 0
     with orchestration(
         workers=args.workers,

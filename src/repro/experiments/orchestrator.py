@@ -397,9 +397,13 @@ def run_jobs(jobs: Sequence[Job], **overrides: Any) -> JobRunStats:
         # Interrupts (KeyboardInterrupt included) land here: persist every
         # completed point *first* — the flush must not depend on how long
         # worker teardown takes or on a second interrupt arriving during it.
-        if store is not None:
-            store.flush()
-        executor.shutdown()
+        # A flush that raises (StoreError) must still tear the pool down, or
+        # interpreter exit waits for every queued chunk.
+        try:
+            if store is not None:
+                store.flush()
+        finally:
+            executor.shutdown()
     stats.elapsed_s = time.monotonic() - start_time
     if reporter is not None:
         reporter.update(final=True)

@@ -8,7 +8,8 @@ Public surface:
   (:mod:`.journal`);
 * :func:`read_json_store` — the read-only importer for monolithic JSON
   stores written by earlier code, which :class:`ResultStore` applies on open;
-* :class:`StoreLock` — the advisory inter-process lock the store uses;
+* :class:`StoreLock` — the advisory inter-process ``flock`` lock the store
+  uses (a filesystem without ``flock`` is refused with :class:`StoreError`);
 * the typed errors, format constants and frame helpers.
 """
 
@@ -27,11 +28,10 @@ from .journal import (
     scan_frames,
 )
 from .legacy_json import read_json_store
-from .locking import DEFAULT_LOCK_TIMEOUT, DEFAULT_STALE_AFTER, StoreLock
+from .locking import DEFAULT_LOCK_TIMEOUT, StoreLock
 
 __all__ = [
     "DEFAULT_LOCK_TIMEOUT",
-    "DEFAULT_STALE_AFTER",
     "FLUSH_INTERVAL_SECONDS",
     "JOURNAL_MAGIC",
     "JOURNAL_VERSION",

@@ -12,9 +12,11 @@ class StoreError(RuntimeError):
     ``inspect`` path) on missing or unrecognized files, by *any* open of a
     monolithic JSON store that cannot be read in full (the first flush would
     replace it, and a file we could not read must keep its bytes) or of a
-    journal newer than this code, and by operations that cannot acquire the
-    store lock within their timeout.  A lenient open of a missing or
-    unrecognized file starts empty — results are recomputable by definition.
+    journal newer than this code, by operations that cannot acquire the
+    store lock within their timeout, and by any lock attempt where ``flock``
+    is unsupported (the message names the lock path and the OS error).  A
+    lenient open of a missing or unrecognized file starts empty — results are
+    recomputable by definition.
     """
 
 
@@ -24,7 +26,7 @@ class StoreLockTimeout(StoreError):
     With ``flock`` the kernel releases a dead holder's lock automatically,
     so a timeout means a *live* process held the lock through our whole
     wait — most likely a wedged compaction or a very slow writer.  The
-    message names the holder (pid/host/heartbeat) read from the lock
-    metadata when available.
+    message names the holder (pid, host and how long ago it acquired) read
+    from the lock file when available.
     """
 

@@ -577,8 +577,11 @@ class ResultStore:
             if store is not None:
                 try:
                     store.flush()
-                except (OSError, StoreError):
-                    pass
+                except (OSError, StoreError) as exc:
+                    logger.warning(
+                        "store %s: the flush at exit failed, results written "
+                        "since the last flush may be lost: %s", store.path, exc,
+                    )
 
         atexit.register(_flush_at_exit)
 

@@ -8,7 +8,10 @@ sweeps), so no figure can silently start simulating other configurations.
 from __future__ import annotations
 
 import dataclasses
+import errno
+import fcntl
 import hashlib
+import os
 from functools import partial
 
 import pytest
@@ -25,7 +28,7 @@ from repro.experiments import (
 )
 from repro.experiments.__main__ import main
 from repro.experiments.runner import SCALES
-from repro.store import ResultStore
+from repro.store import ResultStore, StoreLock, StoreLockTimeout
 from repro.topology import TOPOLOGIES, register_topology
 from repro.topology.flattened_butterfly import (
     FlattenedButterfly2D,
@@ -158,6 +161,32 @@ class TestCli:
         assert row.split() == ["reserved", "0%", "-"]
         assert "4 point(s) simulated, 0 served from cache, 1 missing" in captured.out
 
+
+    @pytest.mark.parametrize("failure", ["lock-timeout", "no-flock"])
+    def test_store_error_after_open_is_one_error_line(
+        self, failure, tmp_path, monkeypatch, capsys
+    ):
+        # The store path is fresh, so its lock is first taken at the sweep's
+        # first flush, after open: the error must read like one at open.
+        monkeypatch.setitem(SCALES, "tiny", MICRO)
+        if failure == "lock-timeout":
+            def acquire(lock, timeout=None):
+                raise StoreLockTimeout(
+                    f"could not acquire store lock {lock.lock_path} (pid 1 on elsewhere)"
+                )
+
+            monkeypatch.setattr(StoreLock, "acquire", acquire)
+        else:
+            def no_locks(fd, operation):
+                raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+            monkeypatch.setattr(fcntl, "flock", no_locks)
+        store = str(tmp_path / "store.journal")
+        status = main(["run", "fig10", "--workers", "1", "--store", store])
+        err = capsys.readouterr().err.splitlines()
+        assert status == 2
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert store + ".lock" in err[0]
 
     def test_summary_reports_the_sweeps_own_counts(self, tmp_path, monkeypatch, capsys):
         # The [fig10] and [sweep] lines print the sweep's own JobRunStats,

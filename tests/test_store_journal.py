@@ -19,8 +19,10 @@ The properties under test are the tentpole's acceptance criteria:
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -33,6 +35,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repro.store.journal as journal_module
+import repro.store.locking as locking_module
 
 from repro.config import SimulationConfig
 from repro.experiments.orchestrator import Job, run_jobs
@@ -739,7 +742,7 @@ class TestConcurrentWriters:
         )
         try:
             assert child.stdout.readline().strip() == "locked"
-            lock = StoreLock(path, timeout=0.5)
+            lock = StoreLock(path)
             assert not lock.try_acquire()  # held by the live child
             child.kill()
             child.wait(timeout=30)
@@ -757,57 +760,80 @@ class TestConcurrentWriters:
                 child.wait(timeout=30)
 
 
-class TestFallbackLock:
-    """The exclusive-create protocol a lock degrades to without ``flock``:
-    the lock file's existence is the lock, and a stale holder is taken over."""
+def _no_locks(fd, operation):
+    """``fcntl.flock`` on a filesystem that does not support it."""
+    raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
 
-    def test_acquire_writes_metadata_and_release_unlinks(self, tmp_path):
-        lock = StoreLock(str(tmp_path / "s.journal"), use_flock=False)
+
+class TestFlockLock:
+    """What the lock keeps beyond mutual exclusion: the holder is named, the
+    lock file outlives a release, and a missing ``flock`` is refused."""
+
+    def test_contended_acquire_times_out_naming_the_holder(self, tmp_path):
+        # flock locks belong to open file descriptions, so two StoreLock
+        # objects in one process conflict as two processes do.
+        path = str(tmp_path / "s.journal")
+        holder = StoreLock(path)
+        holder.acquire(timeout=0.2)
+        try:
+            waiter = StoreLock(path)
+            with pytest.raises(StoreLockTimeout,
+                               match=f"pid {os.getpid()} on {os.uname().nodename}"):
+                waiter.acquire(timeout=0.2)
+            assert not waiter.held
+        finally:
+            holder.release()
+
+    def test_lock_file_names_the_holder_and_outlives_release(self, tmp_path):
+        lock = StoreLock(str(tmp_path / "s.journal"))
         lock.acquire(timeout=0.2)
         holder = lock.holder()
         assert holder["pid"] == os.getpid()
         assert holder["host"] == os.uname().nodename
         lock.release()
-        assert not os.path.exists(lock.lock_path)
-        assert lock.takeovers == 0
-
-    def test_dead_local_holder_with_old_heartbeat_is_taken_over(self, tmp_path):
-        lock = StoreLock(str(tmp_path / "s.journal"), use_flock=False)
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait(timeout=30)  # reaped: its pid names no live process
-        old = time.time() - 3600
-        with open(lock.lock_path, "w", encoding="utf-8") as handle:
-            json.dump({"pid": child.pid, "host": os.uname().nodename,
-                       "acquired_at": old, "heartbeat_at": old}, handle)
-        lock.acquire(timeout=0.2)
-        assert lock.takeovers == 1
-        assert lock.holder()["pid"] == os.getpid()
-        lock.release()
-
-    def test_live_holder_times_out_naming_the_holder(self, tmp_path):
-        path = str(tmp_path / "s.journal")
-        holder = StoreLock(path, use_flock=False)
-        holder.acquire(timeout=0.2)
-        try:
-            waiter = StoreLock(path, use_flock=False)
-            with pytest.raises(StoreLockTimeout,
-                               match=f"pid {os.getpid()} on {os.uname().nodename}"):
-                waiter.acquire(timeout=0.2)
-            assert waiter.takeovers == 0 and not waiter.held
-        finally:
-            holder.release()
-
-    def test_unreadable_metadata_falls_back_to_mtime(self, tmp_path):
-        lock = StoreLock(str(tmp_path / "s.journal"), use_flock=False,
-                         stale_after=60.0)
-        with open(lock.lock_path, "w", encoding="utf-8") as handle:
-            handle.write("{half-written")
-        assert not lock.try_acquire()  # fresh mtime: a holder mid-write
-        old = time.time() - 3600
-        os.utime(lock.lock_path, (old, old))
+        assert os.path.exists(lock.lock_path)
         assert lock.try_acquire()
-        assert lock.takeovers == 1
         lock.release()
+
+    @pytest.mark.parametrize("missing", ["ENOLCK", "no-fcntl"])
+    def test_missing_flock_is_a_store_error_naming_the_lock(
+        self, missing, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "s.journal")
+        with ResultStore(path) as seeded:  # an existing journal: open locks
+            fill(seeded, ["k"])
+        if missing == "ENOLCK":
+            monkeypatch.setattr(locking_module.fcntl, "flock", _no_locks)
+            reason = os.strerror(errno.ENOLCK)
+        else:
+            monkeypatch.setattr(locking_module, "_HAVE_FCNTL", False)
+            reason = "no fcntl.flock"
+        lock = StoreLock(path)
+        with pytest.raises(StoreError, match=re.escape(lock.lock_path)) as raised:
+            lock.try_acquire()
+        assert reason in str(raised.value)
+        assert not isinstance(raised.value, StoreLockTimeout)
+        assert not lock.held
+        with pytest.raises(StoreError, match=re.escape(lock.lock_path)):
+            ResultStore(path, strict=True)
+
+    def test_failed_flush_at_exit_is_logged_naming_the_store(self, tmp_path):
+        path = str(tmp_path / "s.journal")
+        script = """
+        import errno, fcntl
+        store = ResultStore(sys.argv[1])
+        store.put("k", summary(1))  # arms the flush at exit
+
+        def no_locks(fd, operation):
+            raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+        fcntl.flock = no_locks
+        """
+        result = run_child(script, path)
+        assert result.returncode == 0, result.stderr
+        assert f"store {path}: the flush at exit failed" in result.stderr
+        assert path + ".lock" in result.stderr
+        assert not os.path.exists(path)
 
 
 # ---------------------------------------------------------------------------
