@@ -356,6 +356,29 @@ class TestCrashResilience:
         assert store.get_record(jobs[1].key) is None
         assert jobs[1].key not in {key for key, _, _ in store.entries()}
 
+    def test_failing_flush_still_shuts_the_pool_down(self, tmp_path, monkeypatch):
+        # A flush that raises mid-sweep (a lock timeout, a filesystem without
+        # flock) must not leave the pool running: interpreter exit would wait
+        # for every queued chunk before the error is reported.
+        from repro.experiments import executors
+
+        shutdowns = []
+        original = executors._PoolChunkExecutor.shutdown
+
+        def spying_shutdown(executor):
+            shutdowns.append(executor)
+            original(executor)
+
+        def failing_flush():
+            raise StoreError("flush failed")
+
+        monkeypatch.setattr(executors._PoolChunkExecutor, "shutdown", spying_shutdown)
+        store = ResultStore(str(tmp_path / "store.journal"), flush_interval=0)
+        monkeypatch.setattr(store, "flush", failing_flush)
+        with pytest.raises(StoreError, match="flush failed"):
+            run_jobs(_resilience_jobs(4, seed_base=81), workers=2, store=store)
+        assert len(shutdowns) == 1
+
     def test_hung_job_times_out_into_typed_failure(
         self, tmp_path, monkeypatch, capsys
     ):
