@@ -13,8 +13,10 @@ class StoreError(RuntimeError):
     monolithic JSON store that cannot be read in full (the first flush would
     replace it, and a file we could not read must keep its bytes) or of a
     journal newer than this code, by operations that cannot acquire the
-    store lock within their timeout, and by any lock attempt where ``flock``
-    is unsupported (the message names the lock path and the OS error).  A
+    store lock within their timeout, by any lock attempt where ``flock``
+    is unsupported (the message names the lock path and the OS error), and
+    by a lookup after ``close()`` or of a frame that no longer matches its
+    length and checksum on disk (both name the store path).  A
     lenient open of a missing or unrecognized file starts empty — results are
     recomputable by definition.
     """

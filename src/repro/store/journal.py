@@ -23,12 +23,25 @@ a full ``json.loads`` yields (no writer emits a top-level member twice), and a
 — journals written before this layout (all members sorted), keys JSON had to
 escape, unknown ops, the header — takes one full ``json.loads`` whose tree is
 dropped once key and op are read.  ``json.loads`` ignores member order, so
-older code reads these frames and :data:`JOURNAL_VERSION` stays 1.  In memory
-an entry *is* its frame (``key -> encoded line``): opening costs a scan, a
-lookup decodes the one frame it returns, and ``put_record`` encodes at the
-write site (an unserialisable ``meta`` raises there, not at ``flush``).  On the
-ledger's 37 MB journal: reopen 1.10 -> 0.11 s, peak RSS 259 -> 77 MB (DESIGN
-§12).
+older code reads these frames and :data:`JOURNAL_VERSION` stays 1.
+
+In memory an entry *is its offset* (``key -> (offset, length)`` into the
+journal): opening costs a scan and keeps no payload, and a lookup reads the
+one frame it returns with ``os.pread`` through a read descriptor the store
+holds, checking its length and CRC again before decoding it.
+``put_record`` encodes at the write site (an unserialisable ``meta`` raises
+there, not at ``flush``); the frame stays ``bytes`` until a flush appends it
+and then becomes an offset.  Entries imported from a JSON store stay ``bytes`` until
+the first flush rewrites the file.  One invariant keeps this exact: every
+offset refers to the file the held descriptor has open.  The descriptor is
+bound only where the offsets are produced, under the lock: a replay from
+offset zero (a ``dup`` of the replay's own handle) or a rewrite (the
+snapshot's own handle); a resynchronisation reads the frames it re-owns
+through the old descriptor before rebinding.  :meth:`ResultStore.close`
+flushes and releases it, and a read after ``close()`` raises
+:class:`StoreError`.  On the ledger's 37 MB journal: reopen 1.10 -> 0.11 s
+and peak RSS 259 -> 77 MB when an entry became its frame, then 63.5 -> 28 MB
+when it became its offset (DESIGN §12).
 
 Durability and concurrency contract:
 
@@ -58,8 +71,9 @@ Durability and concurrency contract:
   key in key order, built in a tmp file, fsynced, ``os.replace``d over the
   journal, directory fsynced.  A crash at any point leaves either the old
   journal or the complete new one — never a mix.  Peers detect the swap via
-  the header's compaction counter (or a shrunken file) and resynchronize
-  from offset zero.
+  the header's compaction counter (or a shrunken file, or a file at the path
+  that is not the one their descriptor holds) and resynchronize from offset
+  zero.
 
 Monolithic JSON stores written by earlier code (:mod:`.legacy_json`) are
 *imported*: an open reads the file into memory without touching it, and the
@@ -80,7 +94,7 @@ import re
 import time
 import weakref
 import zlib
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from ..metrics import SimulationResult
 from ..record import JobFailure, RunRecord
@@ -263,6 +277,12 @@ def scan_frames(data: bytes, start: int = 0) -> Tuple[List[Dict[str, Any]], int]
     return payloads, pos
 
 
+#: one live entry: its frame's ``(offset, length)`` in the file the store's
+#: read descriptor holds, or the frame itself while no file holds it yet
+#: (a write not yet flushed, an entry imported from a JSON store).
+_Entry = Union[Tuple[int, int], bytes]
+
+
 def _crash_seam(point: str) -> None:
     if os.environ.get(_CRASH_SEAM_ENV) == point:  # pragma: no cover - test seam
         os._exit(17)
@@ -311,9 +331,13 @@ class ResultStore:
         self.migrated = 0
         self._atexit_registered = False
         self._lock = StoreLock(self.path)
-        #: live key -> its frame line, exactly what is or will be on disk
-        #: (flush joins these, compaction writes them straight through).
-        self._frames: Dict[str, bytes] = {}
+        #: live key -> where its frame line is (see :data:`_Entry`).
+        self._index: Dict[str, _Entry] = {}
+        #: read descriptor of the file every offset in ``_index`` refers to
+        #: (None before the store has bound one, and after :meth:`close`),
+        #: and the finalizer that closes it if the store is dropped unclosed.
+        self._fd: Optional[int] = None
+        self._fd_closer: Optional[weakref.finalize] = None
         #: live keys whose frame is a ``failure`` op (every other is a record).
         self._failed: Set[str] = set()
         #: keys written since the last flush, in write order (append queue).
@@ -340,7 +364,7 @@ class ResultStore:
         self._open(strict)
 
     def __len__(self) -> int:
-        return len(self._frames)
+        return len(self._index)
 
     def __enter__(self) -> "ResultStore":
         return self
@@ -357,7 +381,7 @@ class ResultStore:
                 # Sniffed again under the lock: a peer that imported the same
                 # JSON file may just have replaced it with a journal.
                 if detect_format(self.path) == "journal":
-                    self._replay_locked(0, absorb=False)
+                    self._bind(self._replay_locked(0, absorb=False))
                 else:
                     self._import_json()
         elif strict and existing is None:
@@ -389,15 +413,18 @@ class ResultStore:
             f", {self.migrated} from v1" if self.migrated else "",
         )
 
-    def _replay_locked(self, offset: int, absorb: bool) -> None:
-        """Replay the file's frames from ``offset`` on, filing each op's bytes;
+    def _replay_locked(self, offset: int, absorb: bool) -> Optional[int]:
+        """Replay the file's frames from ``offset`` on, filing each op's place;
         stops at the first torn or corrupt frame and truncates what follows.
 
         ``absorb=True`` marks a mid-life merge of a *peer's* appends: our own
         un-flushed writes (``_pending``) win ties, and newly learned entries
-        are counted in :attr:`absorbed_records`.
+        are counted in :attr:`absorbed_records`.  A replay from offset zero
+        returns a duplicate of its own handle, the descriptor the offsets it
+        filed refer to, for the caller to :meth:`_bind`; from any other
+        offset it continues the file already bound and returns None.
         """
-        frames, file_keys, pending = self._frames, self._file_keys, self._pending
+        index, file_keys, pending = self._index, self._file_keys, self._pending
         failed = self._failed
         self.frames_fallback = 0
         end = offset
@@ -415,6 +442,7 @@ class ResultStore:
                     if payload is None:
                         break  # checksummed, yet not a JSON object: same rule
                     placed = self._place_parsed(payload)
+                start = end
                 end += len(line)
                 if placed is None:
                     continue
@@ -425,17 +453,18 @@ class ResultStore:
                 file_keys[key] = None
                 if absorb and key in pending:
                     continue  # our pending write is newer than the peer's
-                if absorb and key not in frames:
+                if absorb and key not in index:
                     self.absorbed_records += 1
-                frames[key] = line  # _file(), inline: once per frame on file
+                index[key] = (start, len(line))  # _file(), inline: once per frame
                 if failure:
                     failed.add(key)
                 elif failed:
                     failed.discard(key)
             size = os.fstat(handle.fileno()).st_size
-        if end < size:
-            self._truncate_torn(end, size - end)
-        self._read_offset = end
+            if end < size:
+                self._truncate_torn(end, size - end)
+            self._read_offset = end
+            return os.dup(handle.fileno()) if offset == 0 else None
 
     def _place_parsed(self, payload: Dict[str, Any]) -> Optional[Tuple[str, bool]]:
         """``(key, is_failure)`` of a fully parsed op; None if it files nothing."""
@@ -474,14 +503,34 @@ class ResultStore:
     # -- reads / writes ------------------------------------------------------
 
     def _file(self, key: str, frame: bytes, failure: bool) -> None:
-        self._frames[key] = frame
+        self._index[key] = frame
         if failure:
             self._failed.add(key)
         else:
             self._failed.discard(key)
 
+    def _line(self, key: str, entry: _Entry) -> bytes:
+        """The frame line of one entry: held bytes, or read through the held
+        descriptor (unchecked: :meth:`_checked_body` checks it)."""
+        if isinstance(entry, bytes):
+            return entry
+        if self._fd is None:
+            raise StoreError(f"store {self.path} is closed: cannot read {key!r}")
+        offset, length = entry
+        return os.pread(self._fd, length, offset)
+
+    def _checked_body(self, key: str, line: bytes) -> bytes:
+        """Payload bytes of ``key``'s frame line, length- and CRC-checked."""
+        body = _frame_body(line[:-1]) if line.endswith(b"\n") else None
+        if body is None:
+            raise StoreError(
+                f"store {self.path}: the frame of {key!r} no longer matches "
+                "its length and checksum"
+            )
+        return body
+
     def _decode(self, key: str) -> Dict[str, Any]:
-        payload = parse_frame_line(self._frames[key][:-1])
+        payload = _parse_body(self._checked_body(key, self._line(key, self._index[key])))
         if payload is None:  # checksummed at replay, so not a torn write
             raise ValueError(f"journal entry {key!r}: payload is not a JSON object")
         self.decoded += 1
@@ -502,7 +551,7 @@ class ResultStore:
         if self.refresh:
             return None
         for key in keys:
-            if key in self._frames and key not in self._failed:
+            if key in self._index and key not in self._failed:
                 self.hits += 1
                 return RunRecord.from_dict(self._decode(key)["record"])
         # Failure entries count as misses on purpose: a later sweep
@@ -516,14 +565,14 @@ class ResultStore:
         Failure entries are skipped — consumers of ``entries()`` expect
         result records; use :meth:`failures` for the failure ledger.
         """
-        for key in self._frames:
+        for key in self._index:
             if key not in self._failed:
                 payload = self._decode(key)
                 yield key, RunRecord.from_dict(payload["record"]), payload.get("meta", {})
 
     def failures(self) -> Iterator[Tuple[str, JobFailure, Dict[str, object]]]:
         """Iterate stored ``(key, failure, meta)`` entries."""
-        for key in self._frames:
+        for key in self._index:
             if key in self._failed:
                 payload = self._decode(key)
                 yield key, JobFailure.from_dict(payload["failure"]), payload.get("meta", {})
@@ -602,8 +651,33 @@ class ResultStore:
             self.flush()
 
     def close(self) -> None:
-        """Flush pending writes."""
-        self.flush()
+        """Flush pending writes and release the read descriptor; a lookup
+        after this raises :class:`StoreError`."""
+        try:
+            self.flush()
+        finally:
+            self._release_descriptor()
+
+    def _bind(self, fd: Optional[int]) -> None:
+        """Make ``fd`` the read descriptor, closing the one held before.
+
+        Called only under the lock, by the critical section that produced
+        the offsets ``fd`` serves (a replay from zero, or a rewrite).
+        """
+        if fd is None:
+            return
+        self._release_descriptor()
+        self._fd = fd
+        self._fd_closer = weakref.finalize(self, os.close, fd)
+        # Not at exit: the flush at exit may still need it, and the process's
+        # descriptors close with it anyway.
+        self._fd_closer.atexit = False
+
+    def _release_descriptor(self) -> None:
+        if self._fd_closer is not None:
+            self._fd_closer()
+            self._fd_closer = None
+        self._fd = None
 
     def _flush_locked(self) -> None:
         if detect_format(self.path) != "journal":
@@ -616,14 +690,14 @@ class ResultStore:
             # that flushed first left a journal, absorbed from offset zero.
             self._absorb_locked()
             self._append_pending_locked()
-        self._pending.clear()
         if self._should_compact():
             self._rewrite_locked(bump_compaction=True)
 
     def _append_pending_locked(self) -> None:
         if not self._pending:
             return
-        frames = b"".join(map(self._frames.__getitem__, self._pending))
+        index = self._index
+        frames = b"".join(map(index.__getitem__, self._pending))
         fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
         try:
             if os.environ.get(_CRASH_SEAM_ENV) == "append-partial":
@@ -633,6 +707,8 @@ class ResultStore:
                 os._exit(17)
             os.write(fd, frames)
             os.fsync(fd)
+            # where the batch landed, as the file says (O_APPEND: at its end)
+            offset = os.lseek(fd, 0, os.SEEK_CUR) - len(frames)
         finally:
             os.close(fd)
         for key in self._pending:
@@ -640,7 +716,11 @@ class ResultStore:
             if key in self._file_keys:
                 self.superseded += 1
             self._file_keys[key] = None
-        self._read_offset += len(frames)
+            length = len(index[key])
+            index[key] = (offset, length)
+            offset += length
+        self._read_offset = offset
+        self._pending.clear()
 
     def _header_payload(self, compactions: int) -> Dict[str, Any]:
         return {
@@ -663,44 +743,60 @@ class ResultStore:
 
     def _absorb_locked(self) -> None:
         try:
-            size = os.path.getsize(self.path)
+            stat = os.stat(self.path)
         except OSError:  # pragma: no cover - racing deletion
             return
         header = self._read_header()
         if header is None or (
             int(header.get("compactions", 0)) != self.compactions
-            or size < self._read_offset
+            or stat.st_size < self._read_offset
+            or not self._holds(stat)
         ):
             # A peer compacted (or wholesale-rewrote) the journal: our byte
             # offset refers to the previous file generation.  Resync fully.
             self._resync_locked()
             return
-        if size > self._read_offset:
+        if stat.st_size > self._read_offset:
             # Appends are fsynced under the lock, so a torn tail here can
             # only belong to a writer that died mid-append: safe to drop.
-            self._replay_locked(self._read_offset, absorb=True)
+            self._bind(self._replay_locked(self._read_offset, absorb=True))
+
+    def _holds(self, stat: os.stat_result) -> bool:
+        """Whether the file at the path is the one our offsets refer to (with
+        no descriptor bound yet, no offset refers to any file)."""
+        if self._fd is None:
+            return self._read_offset == 0
+        return os.path.samestat(os.fstat(self._fd), stat)
 
     def _resync_locked(self) -> None:
-        stash, stash_failed = self._frames, self._failed
-        self._frames, self._failed = {}, set()
+        stash, stash_failed = self._index, self._failed
+        self._index, self._failed = {}, set()
         self._file_keys = {}
         self.journal_ops = 0
-        self._replay_locked(0, absorb=False)
-        foreign = sum(1 for key in self._frames if key not in stash)
+        fd = self._replay_locked(0, absorb=False)
+        foreign = sum(1 for key in self._index if key not in stash)
         self.absorbed_records += foreign
-        for key, frame in stash.items():
-            if key in self._pending or key not in self._frames:
-                # Ours and newer than anything replayed — or an entry we knew
-                # that the new file generation lost (a peer rewrote from
-                # partial knowledge): (re-)own it so the next append restores
-                # durability — no record goes missing.
-                self._file(key, frame, key in stash_failed)
-                self._pending[key] = None
+        try:
+            for key, entry in stash.items():
+                if key in self._pending or key not in self._index:
+                    # Ours and newer than anything replayed — or an entry we
+                    # knew that the new file generation lost (a peer rewrote
+                    # from partial knowledge): (re-)own it so the next append
+                    # restores durability — no record goes missing.  Its
+                    # bytes come through the old descriptor, still bound.
+                    line = self._line(key, entry)
+                    self._checked_body(key, line)
+                    self._file(key, line, key in stash_failed)
+                    self._pending[key] = None
+        except (OSError, StoreError):
+            os.close(fd)
+            raise
+        self._bind(fd)
         if stash:
             logger.info(
-                "journal %s: resynchronized after peer compaction "
+                "journal %s: resynchronized with a new file generation "
                 "(%d entries on file, %d newly absorbed)",
-                self.path, len(self._frames), foreign,
+                self.path, len(self._index), foreign,
             )
 
     def _read_header(self) -> Optional[Dict[str, Any]]:
@@ -724,11 +820,10 @@ class ResultStore:
             if detect_format(self.path) == "journal":
                 self._absorb_locked()
                 self._append_pending_locked()
-                self._pending.clear()
             self._rewrite_locked(bump_compaction=True)
 
     def _should_compact(self) -> bool:
-        live = len(self._frames)
+        live = len(self._index)
         ops = self.journal_ops
         dead = max(0, ops - live)
         if ops >= COMPACT_MIN_OPS and ops > 0:
@@ -753,20 +848,35 @@ class ResultStore:
         tmp_path = os.path.join(
             directory, os.path.basename(self.path) + f".compact.{os.getpid()}.tmp"
         )
-        with open(tmp_path, "wb") as handle:
-            handle.write(frame_entry(self._header_payload(compactions)))
-            frames = self._frames
-            handle.writelines(frames[key] for key in sorted(frames))
+        index = self._index
+        placed: Dict[str, Tuple[int, int]] = {}
+        # Opened for reading too: its duplicate becomes the read descriptor.
+        with open(tmp_path, "w+b") as handle:
+            offset = handle.write(frame_entry(self._header_payload(compactions)))
+            for key in sorted(index):
+                line = self._line(key, index[key])
+                self._checked_body(key, line)
+                handle.write(line)
+                placed[key] = (offset, len(line))
+                offset += len(line)
             handle.flush()
             os.fsync(handle.fileno())
+            fd = os.dup(handle.fileno())
         _crash_seam("compact-before-replace")
-        os.replace(tmp_path, self.path)
+        try:
+            os.replace(tmp_path, self.path)
+        except OSError:
+            os.close(fd)
+            raise
         _crash_seam("compact-after-replace")
         fsync_directory(directory)
+        index.update(placed)  # updating in place keeps the iteration order
+        self._bind(fd)
         self.compactions = compactions
-        self.journal_ops = len(self._frames)
-        self._file_keys = dict.fromkeys(self._frames)
-        self._read_offset = os.path.getsize(self.path)
+        self.journal_ops = len(index)
+        self._file_keys = dict.fromkeys(index)
+        self._read_offset = offset
+        self._pending.clear()  # every entry is on file now
 
     def _clean_stale_tmps(self, directory: str) -> None:
         """Remove tmp snapshots left by compactions that died pre-rename."""
@@ -795,7 +905,9 @@ class ResultStore:
             compactions=self.compactions,
             absorbed=self.absorbed_records,
             migrated_v1=self.migrated,
-            resident_bytes=sum(map(len, self._frames.values())),
+            resident_bytes=sum(
+                len(entry) for entry in self._index.values() if isinstance(entry, bytes)
+            ),
             frames_fallback=self.frames_fallback,
             decoded=self.decoded,
         )

@@ -4,7 +4,11 @@ One :class:`StoreLock` guards one store path with ``fcntl.flock`` on a
 ``<path>.lock`` sidecar file.  The lock is advisory and kernel-owned: the
 kernel releases it when the holding process dies, so a SIGKILLed sweep can
 never leave the store locked.  After acquiring, the holder writes its PID and
-host into the lock file, so a contention error names the live holder.
+host into the lock file, so a contention error names the live holder.  It
+writes them with one ``pwrite`` at offset zero, space-padded to a fixed
+width, and never truncates the file: every holder's record covers the whole
+previous one, and ``json.load`` reads past the trailing spaces.  (Truncating
+at every acquisition cost more than the journal append's own ``fsync``.)
 
 ``flock`` is the only protocol.  Where it is missing (a platform without
 :mod:`fcntl`, or a filesystem that rejects ``flock``, as some network mounts
@@ -44,6 +48,10 @@ DEFAULT_LOCK_TIMEOUT = 30.0
 
 #: seconds between attempts while :meth:`StoreLock.acquire` waits.
 _RETRY_SECONDS = 0.05
+
+#: bytes every holder record is space-padded to (a record of a host name too
+#: long to fit is written whole; the holder is then best-effort, as always).
+_HOLDER_WIDTH = 256
 
 
 class StoreLock:
@@ -130,9 +138,7 @@ class StoreLock:
         payload = {"pid": os.getpid(), "host": _hostname(), "acquired_at": time.time()}
         data = json.dumps(payload, sort_keys=True).encode("utf-8")
         try:
-            os.ftruncate(fd, 0)
-            os.lseek(fd, 0, os.SEEK_SET)
-            os.write(fd, data)
+            os.pwrite(fd, data.ljust(_HOLDER_WIDTH), 0)
         except OSError:  # pragma: no cover - metadata is best-effort
             pass
 

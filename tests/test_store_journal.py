@@ -14,12 +14,18 @@ The properties under test are the tentpole's acceptance criteria:
 * monolithic JSON stores written by earlier code (v1 and v2, pinned under
   ``tests/data``) are imported on open without being touched and replaced
   by a journal on the first flush, losslessly — also when two processes
-  import the same file; one that cannot be read in full is never replaced.
+  import the same file; one that cannot be read in full is never replaced;
+* an entry on file is held as its offset: a reopened store keeps no payload
+  bytes and reads through one descriptor that ``close()`` releases, and two
+  writers on one path each read exactly what a last-write-wins model of what
+  they have seen says, through a peer's compaction and through a journal
+  removed and started again under them.
 """
 
 from __future__ import annotations
 
 import errno
+import gc
 import json
 import os
 import re
@@ -29,6 +35,7 @@ import sys
 import tempfile
 import textwrap
 import time
+import tracemalloc
 import zlib
 
 import pytest
@@ -453,8 +460,14 @@ class TestFramesAsEntries:
         assert counting.loads_calls == 3  # the failure itself, no record
         info = clone.describe()
         assert info["decoded"] == 2
-        assert info["resident_bytes"] == os.path.getsize(path) - len(
-            open(path, "rb").readline())
+        # an entry on file is its offset: only unflushed frames are resident
+        assert info["resident_bytes"] == 0
+        clone.put("pending", sample_summary())
+        pending_bytes = clone.describe()["resident_bytes"]
+        size = os.path.getsize(path)
+        clone.flush()
+        assert pending_bytes == os.path.getsize(path) - size > 0
+        assert clone.describe()["resident_bytes"] == 0
 
     def test_flush_and_compaction_do_not_reencode(self, tmp_path, monkeypatch):
         path = str(tmp_path / "s.journal")
@@ -479,6 +492,184 @@ class TestFramesAsEntries:
         assert len(store) == 0 and store.writes == 0
         store.flush()  # nothing half-written to persist
         assert not os.path.exists(store.path)
+
+
+# ---------------------------------------------------------------------------
+# Entries held as offsets: memory, the read descriptor, two writers
+# ---------------------------------------------------------------------------
+
+class TwoWriterModel:
+    """Last-write-wins model of one store on a shared journal: what it has
+    seen (its own writes and what it absorbed) and where it stopped reading.
+
+    ``disk`` is ``None`` (no file) or ``[generation, frames]``; every rewrite
+    makes a new generation (a fresh ``object()``), as ``os.replace`` makes a
+    new file.
+    """
+
+    def __init__(self):
+        self.view, self.pending, self.generation, self.read = {}, {}, None, 0
+
+    def absorb(self, disk):
+        generation, frames = disk
+        if generation != self.generation:  # resync: re-own what the file lacks
+            merged = dict(frames)
+            for key, value in self.view.items():
+                if key in self.pending or key not in merged:
+                    merged[key] = value
+                    self.pending[key] = None
+            self.view = merged
+        else:
+            for key, value in frames[self.read:]:
+                if key not in self.pending:
+                    self.view[key] = value
+        self.generation, self.read = generation, len(frames)
+
+    def append(self, disk):
+        disk[1].extend((key, self.view[key]) for key in self.pending)
+        self.pending.clear()
+        self.read = len(disk[1])
+
+    def rewrite(self):
+        self.generation = object()
+        self.pending.clear()
+        frames = sorted(self.view.items())
+        self.read = len(frames)
+        return [self.generation, frames]
+
+
+_TWO_WRITER_KEYS = ["a", "b", "c", 'q"x']  # the last takes the full-parse path
+_two_writer_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["put", "put", "put", "flush", "compact", "refresh",
+                         "get", "get", "unlink"]),
+        st.integers(0, 1),
+        st.sampled_from(_TWO_WRITER_KEYS),
+    ),
+    max_size=30,
+)
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestEntriesAsOffsets:
+    def test_open_keeps_no_payload_bytes(self, tmp_path):
+        path = str(tmp_path / "s.journal")
+        record = RunRecord(summary=sample_summary(), provenance={"pad": "x" * 2100})
+        keys = [f"{i:032x}" for i in range(2000)]
+        with ResultStore(path) as store:
+            for key in keys:
+                store.put_record(key, record)
+        assert os.path.getsize(path) > 2000 * 2400
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            clone = ResultStore(path)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(clone) == 2000 and clone.describe()["resident_bytes"] == 0
+        assert grown / len(keys) <= 400, f"{grown / len(keys):.0f} B per live key"
+        assert clone.get_record(keys[1234]).to_dict() == record.to_dict()
+        clone.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd to count descriptors")
+    def test_descriptor_lifetime(self, tmp_path):
+        path = str(tmp_path / "s.journal")
+        with ResultStore(path) as seeded:
+            fill(seeded, ["a", "b"])
+        base = open_fds()
+        store = ResultStore(path)
+        assert open_fds() == base + 1  # the read descriptor; the lock is free
+        store.put("c", sample_summary())
+        store.flush()
+        store.compact()  # rebinds to the new generation, closing the old one
+        assert open_fds() == base + 1
+        store.close()
+        assert open_fds() == base
+        with pytest.raises(StoreError, match=re.escape(path)):
+            store.get_record("a")
+        with pytest.raises(StoreError, match=re.escape(path)):
+            list(store.entries())
+        dropped = ResultStore(path)
+        assert open_fds() == base + 1
+        del dropped  # never closed: the finalizer closes its descriptor
+        assert open_fds() == base
+
+    @settings(max_examples=80, deadline=None)
+    @given(ops=_two_writer_ops)
+    @example(ops=[  # a peer compacts while the other store holds offsets
+        ("put", 0, "a"), ("flush", 0, "a"), ("put", 1, "b"), ("flush", 1, "b"),
+        ("put", 0, "a"), ("compact", 0, "a"), ("get", 1, "a"), ("get", 1, "b"),
+        ("put", 1, "c"), ("flush", 1, "c"), ("get", 1, "a"),
+    ])
+    @example(ops=[  # the new generation lost keys a store knew: it re-owns them
+        ("put", 0, "a"), ("flush", 0, "a"), ("put", 1, "b"), ("flush", 1, "b"),
+        ("unlink", 0, "a"), ("put", 0, "c"), ("flush", 0, "c"),
+        ("refresh", 1, "a"), ("get", 1, "b"), ("get", 1, "a"), ("get", 1, "c"),
+    ])
+    def test_two_writers_read_what_they_have_seen(self, ops):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "shared.journal")
+            stores = [ResultStore(path), ResultStore(path)]
+            models = [TwoWriterModel(), TwoWriterModel()]
+            disk = None
+            version = 0
+
+            def read(who, key):
+                got = stores[who].get_record_any(key)
+                return None if got is None else got.summary.packets_delivered
+
+            def flushed(model, disk):
+                """The model after ``flush()`` (also what ``close()`` does)."""
+                if not model.pending:
+                    return disk
+                if disk is None:
+                    return model.rewrite()
+                model.absorb(disk)
+                model.append(disk)
+                return disk
+
+            for op, who, key in ops:
+                store, model = stores[who], models[who]
+                if op == "put":
+                    version += 1
+                    store.put(key, sample_summary(packets_delivered=version))
+                    model.view[key] = version
+                    model.pending[key] = None
+                elif op == "flush":
+                    store.flush()
+                    disk = flushed(model, disk)
+                elif op == "compact":
+                    store.compact()
+                    if disk is not None:
+                        model.absorb(disk)
+                        model.append(disk)
+                    disk = model.rewrite()
+                elif op == "refresh":
+                    store.refresh_from_disk()
+                    if disk is not None:
+                        model.absorb(disk)
+                elif op == "unlink":
+                    if disk is not None:
+                        os.unlink(path)
+                        disk = None
+                else:
+                    assert read(who, key) == model.view.get(key), (op, who, key)
+                assert len(store) == len(model.view)
+            for who in (0, 1):
+                assert {key: read(who, key) for key in _TWO_WRITER_KEYS} == {
+                    key: models[who].view.get(key) for key in _TWO_WRITER_KEYS}
+                stores[who].close()
+                disk = flushed(models[who], disk)
+            with ResultStore(path) as reopened:
+                on_file = {key: record.summary.packets_delivered
+                           for key, record, _ in reopened.entries()}
+            assert on_file == (dict(disk[1]) if disk is not None else {})
 
 
 # ---------------------------------------------------------------------------
@@ -794,6 +985,25 @@ class TestFlockLock:
         assert os.path.exists(lock.lock_path)
         assert lock.try_acquire()
         lock.release()
+
+    def test_acquire_overwrites_the_holder_without_truncating(self, tmp_path, monkeypatch):
+        def no_truncate(fd, length):
+            raise OSError(errno.EIO, "the lock file must not be truncated")
+
+        monkeypatch.setattr(os, "ftruncate", no_truncate)
+        lock = StoreLock(str(tmp_path / "s.journal"))
+        monkeypatch.setattr(locking_module, "_hostname", lambda: "h" * 150)
+        lock.acquire(timeout=0.2)
+        assert lock.holder()["host"] == "h" * 150
+        lock.release()
+        # a shorter record over a longer one: padding, not truncation, hides it
+        monkeypatch.setattr(locking_module, "_hostname", lambda: "short")
+        lock.acquire(timeout=0.2)
+        try:
+            holder = lock.holder()
+            assert (holder["pid"], holder["host"]) == (os.getpid(), "short")
+        finally:
+            lock.release()
 
     @pytest.mark.parametrize("missing", ["ENOLCK", "no-fcntl"])
     def test_missing_flock_is_a_store_error_naming_the_lock(
