@@ -1,7 +1,7 @@
 """Collector-policy rule.
 
 The cyclic collector has one policy (:mod:`repro.collector`): paused while
-the simulator runs, a finished simulation reclaimed where it dies, pool
+the simulator runs, a finished simulation reclaimed where it dies, sweep
 workers frozen at start.  A second ``gc.disable()`` somewhere else would be
 a second policy that nobody measured against the first.
 """
@@ -25,8 +25,8 @@ SITES = (
      "the helper"),
     ("experiments/executors.py", "_execute_chunk", ("collect",),
      "the per-job reclaim"),
-    ("experiments/executors.py", "_PoolChunkExecutor", ("freeze",),
-     "the pool initializer"),
+    ("experiments/executors.py", "_worker_main", ("freeze",),
+     "a worker's start"),
 )
 
 

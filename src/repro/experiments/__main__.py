@@ -386,10 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "overwritten")
     run.add_argument("--job-timeout", type=float, default=None, metavar="S",
                      dest="job_timeout",
-                     help="per-job wall-clock budget in seconds (pool "
-                          "execution only): a hung job is terminated and "
-                          "recorded as a typed failure in the store instead "
-                          "of wedging the sweep")
+                     help="per-job wall-clock budget in seconds, counted "
+                          "from when a worker starts the job (--workers 2 "
+                          "or more): a hung job's worker is killed and the "
+                          "job recorded as a typed failure in the store "
+                          "instead of wedging the sweep")
     run.set_defaults(func=cmd_run)
 
     inspect = sub.add_parser(

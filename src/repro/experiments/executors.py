@@ -3,12 +3,13 @@
 :func:`~repro.experiments.orchestrator.run_jobs` groups pending jobs into
 *series-affine chunks* (:func:`_chunk_pending`) and hands them to a chunk
 executor from :func:`_make_chunk_executor`: in this process when
-``workers == 1``, on a ``ProcessPoolExecutor`` otherwise.  Results are
-bit-identical either way because every job owns its RNG.  A chunk runs
-several jobs of one series in one pool task, which amortizes pickle/IPC
-overhead and keeps each worker's topology registry cache hot: a topology
-graph and its route table are built once per network per worker instead of
-once per job.
+``workers == 1``, on ``workers`` worker processes otherwise, each fed
+through its own pipe.  Either executor yields one result per finished job,
+and results are bit-identical either way because every job owns its RNG.
+A chunk runs several jobs of one series on one worker, which amortizes
+pickle/IPC overhead and keeps each worker's topology registry cache hot: a
+topology graph and its route table are built once per network per worker
+instead of once per job.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from __future__ import annotations
 import gc
 import math
 import os
+import signal
+import threading
 import time
+import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from multiprocessing import Pipe, Process, parent_process
+from multiprocessing.connection import Connection, wait
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..probes import make_probes
 from ..record import JobFailure, RunRecord
@@ -67,7 +70,7 @@ def _apply_test_seams(job_key: str) -> None:
 
 
 def _execute_job(job: Job) -> Tuple[str, RunRecord, bool]:
-    """Top-level worker function (must be picklable for the process pool).
+    """Run one job in this process.
 
     Runs the job through the phased Session API so probe names on the job
     yield telemetry channels in the returned :class:`RunRecord`; without
@@ -88,19 +91,14 @@ def _execute_job(job: Job) -> Tuple[str, RunRecord, bool]:
     return job.key, session.record(), artifact_hit
 
 
-#: Per-chunk result: ordered (config-hash, record-or-failure) pairs plus how
-#: many of the chunk's jobs (hit, missed) the topology build cache.  Failures
-#: only appear on the pool executor's resilience paths (crash-retry
-#: exhaustion, job timeout).
-_ChunkResult = Tuple[List[Tuple[str, "RunRecord | JobFailure"]], Tuple[int, int]]
+#: What an executor yields per finished job: its key, its record (or its
+#: :class:`JobFailure`) and whether its topology came from the build cache.
+_JobResult = Tuple[str, "RunRecord | JobFailure", bool]
 
 
-def _execute_chunk(jobs: Sequence[Job]) -> _ChunkResult:
-    """Run a series-affine chunk of jobs in this process, one after another.
-
-    Returns the per-job records in order plus the chunk's build-cache
-    ``(hits, misses)`` — one or the other per job — so the parent can report
-    how much construction work the cache absorbed.
+def _execute_chunk(jobs: Sequence[Job], report: Callable[[_JobResult], None]) -> None:
+    """Run a series-affine chunk of jobs in this process, one after another,
+    handing each job's result to ``report`` as soon as it finishes.
 
     A finished job's ``Simulation`` is the one reference cycle a run builds
     (:mod:`repro.collector`), and with the phases paused the allocation
@@ -108,12 +106,9 @@ def _execute_chunk(jobs: Sequence[Job]) -> _ChunkResult:
     it here, when it dies, so a process holds one live simulation however
     many jobs it runs.
     """
-    executed = []
     for job in jobs:
-        executed.append(_execute_job(job))
+        report(_execute_job(job))
         gc.collect()
-    hits = sum(hit for _, _, hit in executed)
-    return [(key, record) for key, record, _ in executed], (hits, len(jobs) - hits)
 
 
 # ---------------------------------------------------------------------------
@@ -124,52 +119,102 @@ class _SerialChunkExecutor:
     """Chunk execution in this process; lazily runs on ``next_completed``."""
 
     def __init__(self) -> None:
-        self._queue: deque = deque()
+        self._chunks: Deque[Tuple[Job, ...]] = deque()
+        self._done: Deque[_JobResult] = deque()
 
     def submit(self, chunk: Sequence[Job]) -> None:
-        self._queue.append(tuple(chunk))
+        self._chunks.append(tuple(chunk))
 
     def pending(self) -> bool:
-        return bool(self._queue)
+        return bool(self._chunks) or bool(self._done)
 
-    def next_completed(self) -> "Tuple[Tuple[Job, ...], _ChunkResult]":
-        chunk = self._queue.popleft()
-        return chunk, _execute_chunk(chunk)
+    def next_completed(self) -> _JobResult:
+        if not self._done:
+            _execute_chunk(self._chunks.popleft(), self._done.append)
+        return self._done.popleft()
 
     def shutdown(self) -> None:
         pass
 
 
+def _exit_with_parent() -> None:
+    # Under ``fork`` the parent's sentinel stays open while a sibling holds
+    # the end it inherited, so watch for re-parenting; under ``forkserver``
+    # the parent is the server, which can outlive the sweep, so watch the
+    # sentinel.
+    ppid, sentinel = os.getppid(), parent_process().sentinel
+    while os.getppid() == ppid and not wait([sentinel], 0.5):
+        pass
+    os._exit(1)
+
+
+def _worker_main(conn: Connection) -> None:
+    """A worker process: run each chunk received, one message per job.
+
+    The heap a worker starts with (modules, what the fork copied) never
+    dies in it, so freezing it keeps :func:`_execute_chunk`'s per-job full
+    collection to what the job itself left behind (13 ms -> 2 ms after a
+    ``tiny`` job).  A watchdog thread ends the worker within half a second
+    of its parent's death, idle or mid-job: the pipe alone cannot tell,
+    since under ``fork`` every later worker inherits the parent's end of it.
+    """
+    gc.freeze()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops us on Ctrl-C
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
+    try:
+        while True:
+            chunk = conn.recv()
+            try:
+                _execute_chunk(chunk, conn.send)
+            except Exception as exc:  # raised in the parent, as a serial run would
+                exc.add_note(traceback.format_exc())
+                conn.send(exc)
+    except (EOFError, ConnectionError):  # the parent is gone
+        pass
+
+
+class _Worker:
+    """One worker process, the parent's end of its pipe, and the jobs of
+    the chunk it runs that it has not reported yet (the first is running)."""
+
+    def __init__(self) -> None:
+        self.conn, child = Pipe()
+        self.process = Process(target=_worker_main, args=(child,), daemon=True)
+        self.process.start()
+        child.close()
+        self.jobs: Deque[Job] = deque()
+        #: when the running job started (dispatch, or the last job's report).
+        self.started = 0.0
+
+    def stop(self) -> None:
+        self.process.kill()
+        self.process.join()
+        self.conn.close()
+
+
 class _PoolChunkExecutor:
-    """Chunk execution on a process pool, drained one chunk at a time.
+    """Chunk execution on ``workers`` processes, each fed through its own pipe.
 
-    Two failure modes are survived instead of propagated:
+    A worker gets one chunk at a time and reports each job as it finishes,
+    so the parent always knows which job every worker is running.  That is
+    what a failure is charged to:
 
-    * **worker crash** (``BrokenProcessPool``): a dead worker kills the whole
-      pool — every in-flight future fails at once.  The pool is rebuilt and
-      every lost chunk resubmitted, each with a bounded retry budget
-      (:data:`MAX_RETRIES` crashes per chunk) and a short linear backoff; a
-      chunk that keeps killing workers resolves to per-job
-      :class:`JobFailure` entries instead of looping forever.
-    * **job timeout** (``job_timeout`` seconds per job): chunks carry a
-      submission deadline of ``len(chunk) * job_timeout``.  An expired chunk
-      cannot be cancelled cooperatively — its worker is wedged — so the pool
-      is terminated and rebuilt; innocent in-flight chunks are resubmitted
-      as-is, the expired chunk is re-split into single-job chunks to pinpoint
-      the hang, and a single job that *still* exceeds its deadline resolves
-      to ``JobFailure("timeout")``.
+    * **worker crash** (EOF on the pipe, or the process gone): the jobs
+      already reported are kept and the rest of the chunk is requeued; the
+      running job is retried by itself, after a short linear backoff, until
+      it has killed :data:`MAX_RETRIES` + 1 workers, and then resolves to
+      ``JobFailure("worker-crash")`` alone.
+    * **job timeout** (``job_timeout`` seconds per job, counted from when
+      the job starts): that worker is killed and replaced, the job resolves
+      to ``JobFailure("timeout")``, and the rest of its chunk is requeued.
+      No other worker is touched.
 
-    ``on_retry`` fires before any resubmission so the caller can checkpoint
-    (``run_jobs`` flushes the result store: completed points must not depend
-    on the retried chunk ever succeeding).
-
-    Every pool's workers start by freezing their heap (the ``initializer``):
-    what a worker starts with (modules, what the fork copied) never dies in
-    it, so freezing it keeps :func:`_execute_chunk`'s per-job full collection
-    to what the job itself left behind (13 ms -> 2 ms after a ``tiny`` job).
+    ``on_retry`` fires before a crashed job is requeued so the caller can
+    checkpoint (``run_jobs`` flushes the result store: completed points must
+    not depend on the retried job ever succeeding).
     """
 
-    #: pool-crash retries per chunk before it resolves to failures.
+    #: crash retries per job before it resolves to a failure.
     MAX_RETRIES = 3
     #: linear backoff base between crash retries (seconds).
     RETRY_BACKOFF_S = 0.1
@@ -180,164 +225,114 @@ class _PoolChunkExecutor:
         job_timeout: Optional[float],
         on_retry: Callable[[Tuple[Job, ...], str], None],
     ) -> None:
-        self._executor = ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze)
-        self._workers = workers
         self._job_timeout = job_timeout
         self._on_retry = on_retry
-        #: future -> (chunk, wall-clock deadline).
-        self._futures: Dict[object, Tuple[Tuple[Job, ...], float]] = {}
-        self._done: deque = deque()
-        #: chunk identity (its job keys) -> crash retries spent so far.
-        self._retries: Dict[Tuple[str, ...], int] = {}
-
-    @staticmethod
-    def _chunk_id(chunk: Tuple[Job, ...]) -> Tuple[str, ...]:
-        return tuple(job.key for job in chunk)
+        self._queue: Deque[Tuple[Job, ...]] = deque()
+        self._done: Deque[_JobResult] = deque()
+        #: job key -> workers it has killed.
+        self._crashes: Dict[str, int] = {}
+        self._workers: List[_Worker] = []
+        try:
+            for _ in range(workers):
+                self._workers.append(_Worker())
+        except OSError:
+            self.shutdown()
+            raise
 
     def submit(self, chunk: Sequence[Job]) -> None:
-        chunk = tuple(chunk)
-        deadline = (
-            time.monotonic() + self._job_timeout * len(chunk)
-            if self._job_timeout is not None
-            else math.inf
-        )
-        try:
-            future = self._executor.submit(_execute_chunk, chunk)
-        except BrokenProcessPool:
-            # The pool died between our last wait and this submit (e.g. a
-            # just-retried chunk crashed its worker again).  Rebuild and
-            # submit to the fresh pool; the earlier in-flight futures are
-            # already failed and will surface as lost on the next wait.
-            self._rebuild_pool(terminate=False)
-            future = self._executor.submit(_execute_chunk, chunk)
-        self._futures[future] = (chunk, deadline)
+        self._queue.append(tuple(chunk))
 
     def pending(self) -> bool:
-        return bool(self._futures) or bool(self._done)
+        return bool(self._queue or self._done) or any(w.jobs for w in self._workers)
 
-    def next_completed(self) -> "Tuple[Tuple[Job, ...], _ChunkResult]":
+    def next_completed(self) -> _JobResult:
+        # Dispatch right after each wait: a worker that just finished its
+        # chunk gets the next one before the caller stores the results.
+        self._dispatch()
         while not self._done:
             self._wait_once()
+            self._dispatch()
         return self._done.popleft()
 
+    def _dispatch(self) -> None:
+        for worker in self._workers:
+            if not worker.jobs and self._queue:
+                chunk = self._queue.popleft()
+                worker.jobs.extend(chunk)
+                worker.started = time.monotonic()
+                try:
+                    worker.conn.send(chunk)
+                except OSError:
+                    pass  # the worker died idle: the wait sees its pipe's EOF
+
     def _wait_once(self) -> None:
+        busy = [worker for worker in self._workers if worker.jobs]
+        limit = self._job_timeout
         timeout = None
-        if self._job_timeout is not None and self._futures:
-            nearest = min(deadline for _, deadline in self._futures.values())
-            timeout = max(0.0, nearest - time.monotonic())
-        done, _ = wait(self._futures, timeout=timeout, return_when=FIRST_COMPLETED)
-        lost: List[Tuple[Job, ...]] = []
-        for future in done:
-            chunk, _deadline = self._futures.pop(future)
+        if limit is not None:
+            timeout = max(0.0, min(w.started for w in busy) + limit - time.monotonic())
+        ready = set(wait(
+            [w.conn for w in busy] + [w.process.sentinel for w in busy], timeout
+        ))
+        for worker in busy:
+            if worker.conn in ready or worker.process.sentinel in ready:
+                self._receive(worker)
+            elif limit is not None and time.monotonic() - worker.started >= limit:
+                self._timed_out(worker)
+
+    def _receive(self, worker: _Worker) -> None:
+        while worker.jobs and worker.conn.poll():
             try:
-                result = future.result()
-            except BrokenProcessPool:
-                lost.append(chunk)
-                continue
-            self._done.append((chunk, result))
-        if lost:
-            # A broken pool dooms every other in-flight future too: reclaim
-            # them all, rebuild once, then retry each lost chunk.
-            lost.extend(chunk for chunk, _ in self._futures.values())
-            self._futures.clear()
-            self._rebuild_pool(terminate=False)
-            for chunk in lost:
-                self._retry_crashed(chunk)
-        elif not done and self._job_timeout is not None:
-            self._reap_expired()
-
-    def _rebuild_pool(self, terminate: bool) -> None:
-        if terminate:
-            # A wedged worker never returns from user code; cooperative
-            # shutdown would block forever, so kill the worker processes.
-            processes = getattr(self._executor, "_processes", None)
-            for process in list((processes or {}).values()):
-                process.terminate()
-        self._executor.shutdown(wait=False, cancel_futures=True)
-        self._executor = ProcessPoolExecutor(
-            max_workers=self._workers, initializer=gc.freeze
-        )
-
-    def _retry_crashed(self, chunk: Tuple[Job, ...]) -> None:
-        attempts = self._retries.get(self._chunk_id(chunk), 0) + 1
-        self._retries[self._chunk_id(chunk)] = attempts
-        if attempts > self.MAX_RETRIES:
-            # Crash counts are circumstantial: a pool crash dooms *every*
-            # in-flight chunk, so an innocent chunk sharing the pool with a
-            # crasher accumulates retries it never caused.  Settle guilt
-            # with one isolated run on a throwaway single-worker pool.
-            result = self._probe_solo(chunk)
-            if result is not None:
-                self._done.append((chunk, result))
+                message = worker.conn.recv()
+            except (EOFError, OSError):
+                self._crashed(worker)
                 return
+            if isinstance(message, Exception):
+                raise message
+            self._done.append(message)
+            worker.jobs.popleft()
+            worker.started = time.monotonic()
+
+    def _replace(self, worker: _Worker) -> Job:
+        """Stop ``worker`` for good, start its replacement, requeue the jobs
+        of its chunk that never ran, and return the one that was running."""
+        worker.stop()
+        self._workers[self._workers.index(worker)] = _Worker()
+        running = worker.jobs.popleft()
+        if worker.jobs:
+            self._queue.appendleft(tuple(worker.jobs))
+        return running
+
+    def _crashed(self, worker: _Worker) -> None:
+        job = self._replace(worker)
+        crashes = self._crashes[job.key] = self._crashes.get(job.key, 0) + 1
+        if crashes > self.MAX_RETRIES:
             failure = JobFailure(
                 reason="worker-crash",
-                detail=(
-                    f"chunk killed its worker pool {attempts} times, "
-                    "including an isolated single-worker probe"
-                ),
-                retries=attempts,
+                detail=f"killed its worker {crashes} times",
+                retries=crashes,
             )
-            self._done.append(
-                (chunk, ([(job.key, failure) for job in chunk], (0, 0)))
-            )
+            self._done.append((job.key, failure, False))
             return
-        self._on_retry(chunk, "worker-crash")
-        time.sleep(self.RETRY_BACKOFF_S * attempts)
-        self.submit(chunk)
+        self._on_retry((job,), "worker-crash")
+        time.sleep(self.RETRY_BACKOFF_S * crashes)
+        self._queue.appendleft((job,))
 
-    def _probe_solo(self, chunk: Tuple[Job, ...]) -> Optional[_ChunkResult]:
-        """Run ``chunk`` alone on a fresh one-worker pool; None if it crashes
-        (or times out) there too — which makes the chunk definitively guilty."""
-        self._on_retry(chunk, "worker-crash")
-        solo = ProcessPoolExecutor(max_workers=1, initializer=gc.freeze)
-        timeout = (
-            self._job_timeout * len(chunk) if self._job_timeout is not None else None
+    def _timed_out(self, worker: _Worker) -> None:
+        job = self._replace(worker)
+        failure = JobFailure(
+            reason="timeout",
+            detail=f"exceeded per-job timeout of {self._job_timeout:g}s",
+            retries=self._crashes.get(job.key, 0),
         )
-        try:
-            return solo.submit(_execute_chunk, chunk).result(timeout=timeout)
-        except (BrokenProcessPool, FuturesTimeoutError):
-            processes = getattr(solo, "_processes", None)
-            for process in list((processes or {}).values()):
-                process.terminate()
-            return None
-        finally:
-            solo.shutdown(wait=False, cancel_futures=True)
-
-    def _reap_expired(self) -> None:
-        now = time.monotonic()
-        expired: List[Tuple[Job, ...]] = []
-        innocent: List[Tuple[Job, ...]] = []
-        for chunk, deadline in self._futures.values():
-            (expired if deadline <= now else innocent).append(chunk)
-        if not expired:
-            return
-        self._futures.clear()
-        self._rebuild_pool(terminate=True)
-        for chunk in innocent:
-            # Collateral of the pool kill, not suspects: resubmit unchanged
-            # (fresh deadline — their elapsed time was lost with the pool).
-            self.submit(chunk)
-        for chunk in expired:
-            if len(chunk) == 1:
-                failure = JobFailure(
-                    reason="timeout",
-                    detail=f"exceeded per-job timeout of {self._job_timeout:g}s",
-                    retries=self._retries.get(self._chunk_id(chunk), 0),
-                )
-                self._done.append((chunk, ([(chunk[0].key, failure)], (0, 0))))
-            else:
-                # Can't tell which job wedged: re-split so each gets its own
-                # deadline and only the true offender fails.
-                self._on_retry(chunk, "timeout")
-                for job in chunk:
-                    self.submit((job,))
+        self._done.append((job.key, failure, False))
 
     def shutdown(self) -> None:
-        # On the normal path nothing is pending; on interrupt, don't block
-        # on in-flight chunks whose results would be discarded anyway, and
-        # drop queued ones so workers wind down promptly.
-        self._executor.shutdown(wait=False, cancel_futures=True)
+        # On the normal path every worker is idle; on interrupt, results
+        # still running would be discarded anyway.
+        for worker in self._workers:
+            worker.stop()
+        self._workers.clear()
 
 
 def _make_chunk_executor(
@@ -371,7 +366,7 @@ def _chunk_pending(pending: Sequence[Job], workers: int) -> List[List[Job]]:
             chunks.append(series_jobs[start:start + size])
     # Heaviest chunks first (longest-processing-time heuristic): high-load
     # points cost the most wall clock, so scheduling them early shortens the
-    # straggler tail on multi-core pools.  Submission order never affects
+    # straggler tail on several workers.  Submission order never affects
     # results — jobs are independent and keyed by content hash.
     chunks.sort(key=lambda chunk: -max(job.load for job in chunk))
     return chunks

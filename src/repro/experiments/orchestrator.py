@@ -153,9 +153,10 @@ class OrchestrationContext:
     probes: Tuple[str, ...] = ()
     #: stream progress/cache-hit lines to stderr while sweeping.
     verbose: bool = False
-    #: per-job wall-clock budget in seconds (None = unlimited).  Enforced by
-    #: the pool executor only; a hung job resolves to a stored
-    #: :class:`JobFailure` instead of wedging the sweep.
+    #: per-job wall-clock budget in seconds (None = unlimited), counted from
+    #: when a worker starts the job.  Enforced with ``workers > 1`` only; a
+    #: hung job resolves to a stored :class:`JobFailure` instead of wedging
+    #: the sweep.
     job_timeout: Optional[float] = None
     #: fault-injection spec applied to every job whose config carries no
     #: schedule of its own (resolved per config; rewrites job keys, since
@@ -217,7 +218,7 @@ class JobRunStats:
     artifact_hits: int = 0
     artifact_misses: int = 0
     elapsed_s: float = 0.0
-    #: chunk resubmissions after worker crashes / timeout re-splits.
+    #: jobs requeued after they crashed their worker.
     retries: int = 0
     #: jobs that resolved to a stored :class:`JobFailure` instead of a
     #: result (crash-retry exhaustion or per-job timeout).
@@ -321,7 +322,7 @@ def run_jobs(jobs: Sequence[Job], **overrides: Any) -> JobRunStats:
     (:func:`~repro.experiments.executors._chunk_pending`) so each worker
     builds construction artifacts once per network and per-job IPC is
     amortized.  Results still stream to the result store per completed
-    chunk, which checkpoints them every ``flush_interval`` seconds
+    job, which checkpoints them every ``flush_interval`` seconds
     (:meth:`~repro.store.ResultStore.flush_if_due`) and is flushed on
     interrupt, so a killed sweep resumes from its latest completed points.
     """
@@ -353,7 +354,7 @@ def run_jobs(jobs: Sequence[Job], **overrides: Any) -> JobRunStats:
     )
     start_time = time.monotonic()
 
-    def on_result(job: Job, record: "RunRecord | JobFailure") -> None:
+    def on_result(job: Job, record: "RunRecord | JobFailure", artifact_hit: bool) -> None:
         if isinstance(record, JobFailure):
             # Terminal failure: record *why* the point is missing.  The
             # failure entry reads as a store miss, so a later sweep (or the
@@ -365,6 +366,8 @@ def run_jobs(jobs: Sequence[Job], **overrides: Any) -> JobRunStats:
         else:
             results[job.key] = record.summary
             stats.executed += 1
+            stats.artifact_hits += artifact_hit
+            stats.artifact_misses += not artifact_hit
             if store is not None:
                 store.put_record(job.key, record, meta=_meta(job))
                 store.flush_if_due()
@@ -373,7 +376,7 @@ def run_jobs(jobs: Sequence[Job], **overrides: Any) -> JobRunStats:
 
     def on_retry(chunk: Tuple[Job, ...], reason: str) -> None:
         # Checkpoint before any resubmission: the completed points must
-        # survive even if the retried chunk keeps killing workers.
+        # survive even if the retried job keeps killing workers.
         stats.retries += 1
         if store is not None:
             store.flush()
@@ -388,17 +391,14 @@ def run_jobs(jobs: Sequence[Job], **overrides: Any) -> JobRunStats:
         for chunk in _chunk_pending(pending, settings.workers):
             executor.submit(chunk)
         while executor.pending():
-            chunk, (records, (hits, misses)) = executor.next_completed()
-            stats.artifact_hits += hits
-            stats.artifact_misses += misses
-            for job, (_, record) in zip(chunk, records):
-                on_result(job, record)
+            key, record, artifact_hit = executor.next_completed()
+            on_result(unique[key], record, artifact_hit)
     finally:
         # Interrupts (KeyboardInterrupt included) land here: persist every
         # completed point *first* — the flush must not depend on how long
         # worker teardown takes or on a second interrupt arriving during it.
-        # A flush that raises (StoreError) must still tear the pool down, or
-        # interpreter exit waits for every queued chunk.
+        # A flush that raises (StoreError) must still stop the workers, or
+        # they run on until interpreter exit.
         try:
             if store is not None:
                 store.flush()

@@ -50,7 +50,8 @@ class JobFailure:
     reason: str
     #: human-readable elaboration (retry counts, timeout seconds, ...).
     detail: str = ""
-    #: crash-retries spent on the job's chunk before giving up.
+    #: workers the job crashed before it was given up (a timeout: the
+    #: crashes charged to it before it timed out).
     retries: int = 0
 
     def to_dict(self) -> Dict[str, object]:

@@ -216,9 +216,10 @@ def test_execute_chunk_holds_one_simulation_at_a_time():
             config=config.with_load(LOAD).with_seed(seed))
         for seed in range(6)
     ]
-    _execute_chunk(jobs[:1])
+    _execute_chunk(jobs[:1], lambda result: None)
     after_first = len(gc.get_objects())
-    records, _ = _execute_chunk(jobs[1:])
+    records = []
+    _execute_chunk(jobs[1:], records.append)
     assert len(records) == 5
     # A live tiny Simulation is 10-17k tracked objects; five records are not.
     assert len(gc.get_objects()) - after_first < 1_000

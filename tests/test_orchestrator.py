@@ -305,6 +305,15 @@ def _resilience_jobs(count: int, seed_base: int) -> list:
     return jobs
 
 
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is alive (a zombie waiting to be reaped is not)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestCrashResilience:
     def test_worker_crash_is_retried_and_sweep_completes(self, tmp_path, monkeypatch):
         # One worker hard-exits while executing a specific job; the marker
@@ -355,6 +364,97 @@ class TestCrashResilience:
         # and is invisible to the record iterator.
         assert store.get_record(jobs[1].key) is None
         assert jobs[1].key not in {key for key, _, _ in store.entries()}
+
+    def test_only_the_crasher_fails(self, monkeypatch):
+        # Nine jobs make chunks of two.  The crasher is the second job of
+        # its chunk: its chunk-mate has reported by the time it crashes,
+        # and no other job may be charged with its crashes.
+        from repro.experiments.executors import _PoolChunkExecutor, _chunk_pending
+
+        jobs = _resilience_jobs(9, seed_base=91)
+        assert [len(chunk) for chunk in _chunk_pending(jobs, 2)] == [2, 2, 2, 2, 1]
+        crasher = jobs[3].key
+        monkeypatch.setenv("REPRO_TEST_CRASH_KEY", crasher)  # every attempt
+        stats = run_jobs(jobs, workers=2)
+        assert stats.failed == 1
+        assert stats.failures[crasher].reason == "worker-crash"
+        assert stats.failures[crasher].retries == _PoolChunkExecutor.MAX_RETRIES + 1
+        monkeypatch.delenv("REPRO_TEST_CRASH_KEY")
+        serial = run_jobs(jobs, workers=1)
+        assert sorted(stats.results) == sorted(
+            job.key for job in jobs if job.key != crasher
+        )
+        for key, result in stats.results.items():
+            assert dataclasses.asdict(result) == dataclasses.asdict(serial.results[key])
+
+    def test_queued_job_is_not_timed_out(self):
+        # A job's clock starts when a worker starts it, not when the sweep
+        # queues it.  The timeout is 8x the longest of three measured jobs,
+        # and the sweep holds 4x the timeout of work (capped), one series
+        # per job so that every job is its own chunk: on two workers the
+        # last jobs wait in the queue about twice the timeout.
+        import math
+        import time
+
+        walls = []
+        for job in _resilience_jobs(3, seed_base=101):
+            start = time.monotonic()
+            run_jobs([job], workers=1)
+            walls.append(time.monotonic() - start)
+        timeout = 8 * max(walls)
+        count = min(80, math.ceil(4 * timeout / min(walls)))
+        jobs = [
+            dataclasses.replace(job, series=f"s{index}")
+            for index, job in enumerate(_resilience_jobs(count, seed_base=104))
+        ]
+        stats = run_jobs(jobs, workers=2, job_timeout=timeout)
+        assert stats.failed == 0
+        assert stats.retries == 0
+
+    def test_workers_die_with_their_parent(self, tmp_path):
+        # A sweep killed with SIGKILL leaves no worker behind, idle or in
+        # the middle of a job.
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        script = tmp_path / "sweep.py"
+        script.write_text(
+            "import os, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from test_orchestrator import _resilience_jobs, run_jobs\n"
+            "jobs = _resilience_jobs(2, seed_base=121)\n"
+            "os.environ['REPRO_TEST_HANG_KEY'] = jobs[0].key\n"
+            "run_jobs(jobs, workers=2)\n",
+            encoding="utf-8",
+        )
+        sweep = subprocess.Popen(
+            [sys.executable, str(script), os.path.dirname(__file__)]
+        )
+        children = f"/proc/{sweep.pid}/task/{sweep.pid}/children"
+        workers: list = []
+        try:
+            if not os.path.exists(children):
+                pytest.skip("no /proc/<pid>/task/<pid>/children on this platform")
+            deadline = time.monotonic() + 30
+            while len(workers) < 2 and time.monotonic() < deadline:
+                with open(children, encoding="utf-8") as handle:
+                    workers = [int(pid) for pid in handle.read().split()]
+                time.sleep(0.05)
+            assert len(workers) == 2
+            sweep.send_signal(signal.SIGKILL)
+            sweep.wait(timeout=30)
+            deadline = time.monotonic() + 5
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, workers))
+        finally:
+            sweep.kill()
+            sweep.wait(timeout=30)
+            for pid in filter(_running, workers):
+                os.kill(pid, signal.SIGKILL)
 
     def test_failing_flush_still_shuts_the_pool_down(self, tmp_path, monkeypatch):
         # A flush that raises mid-sweep (a lock timeout, a filesystem without

@@ -329,14 +329,15 @@ class CountingJson:
 _json_scalars = st.none() | st.booleans() | st.integers() | st.text() | st.floats(
     allow_nan=False)
 _member_names = st.sampled_from(["op", "key", "record", "failure", "meta"]) | st.text()
+
+
+def _json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(_member_names, inner, max_size=3)
+
+
 _metas = st.dictionaries(
     _member_names,
-    st.recursive(
-        _json_scalars,
-        lambda inner: st.lists(inner, max_size=3)
-        | st.dictionaries(_member_names, inner, max_size=3),
-        max_leaves=6,
-    ),
+    st.recursive(_json_scalars, _json_containers, max_leaves=6),
     max_size=4,
 )
 _keys = st.text(max_size=12) | st.sampled_from(
@@ -368,7 +369,7 @@ class TestFramesAsEntries:
     def test_sorted_layout_journal_stays_readable(self, tmp_path):
         path = str(tmp_path / "old.journal")
         shutil.copy(SORTED_LAYOUT_FIXTURE, path)
-        data = open(path, "rb").read()
+        data = read_bytes(path)
         assert b'{"key":' in data and b'{"key":"3f9a-alpha","op"' not in data
         store = ResultStore(path)
         info = store.describe()
@@ -399,7 +400,7 @@ class TestFramesAsEntries:
         store.put_failure("def", JobFailure(reason="timeout"))
         store.put('needs"escape', sample_summary())
         store.close()
-        lines = open(path, "rb").read().splitlines()
+        lines = read_bytes(path).splitlines()
         assert b' {"key":"abc","op":"record","meta":{"series":"S"},"record":{' in lines[1]
         assert b' {"key":"def","op":"failure","failure":{' in lines[2]
         clone = ResultStore(path)
@@ -407,7 +408,7 @@ class TestFramesAsEntries:
         # only the key that JSON had to escape took the full parse
         assert clone.describe()["frames_fallback"] == 1
         # what the previous reader did with these bytes: a plain full parse
-        assert reference_view(open(path, "rb").read()) == public_view(clone)
+        assert reference_view(read_bytes(path)) == public_view(clone)
 
     @settings(max_examples=60, deadline=None)
     @given(ops=st.lists(st.tuples(_ops(), st.booleans()), max_size=12))
@@ -415,6 +416,10 @@ class TestFramesAsEntries:
         ({"op": "failure", "key": "real",
           "failure": {"reason": "timeout", "detail": "", "retries": 0},
           "meta": {"a": {"key": "decoy", "op": "record", "z": 1}}}, False),
+    ])
+    @example(ops=[  # a meta nested two levels below its members
+        ({"op": "record", "key": "deep", "record": RunRecord(summary=sample_summary()).to_dict(),
+          "meta": {"a": [{"op": "failure", "key": [None, 1.5]}]}}, True),
     ])
     def test_lazy_replay_equals_full_parse(self, ops):
         frames = [frame_entry({"op": "header", "journal_version": 1, "compactions": 0})]
@@ -691,7 +696,7 @@ class TestTornTailRecovery:
         must salvage exactly the fully-framed records and never raise.
         """
         path = self._build(tmp_path)
-        data = open(path, "rb").read()
+        data = read_bytes(path)
         # frame boundaries: offsets at which a frame ends
         _, _ = scan_frames(data)
         boundaries = []
@@ -739,7 +744,7 @@ class TestTornTailRecovery:
         # it (indistinguishable from interleaved torn writes), but every
         # record before the corruption survives.
         path = self._build(tmp_path)
-        data = bytearray(open(path, "rb").read())
+        data = bytearray(read_bytes(path))
         data[len(data) // 2] ^= 0x01
         with open(path, "wb") as handle:
             handle.write(bytes(data))
@@ -766,19 +771,19 @@ class TestCrashSafety:
             store.flush()
             print(i, flush=True)
         """
-        child = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-c", CHILD_PRELUDE + textwrap.dedent(script), path],
             stdout=subprocess.PIPE, text=True, env=dict(os.environ),
-        )
-        flushed = 0
-        try:
-            while flushed < 5:
-                line = child.stdout.readline()
-                assert line, "writer died before reaching 5 flushes"
-                flushed = int(line)
-        finally:
-            child.kill()
-            child.wait(timeout=30)
+        ) as child:
+            flushed = 0
+            try:
+                while flushed < 5:
+                    line = child.stdout.readline()
+                    assert line, "writer died before reaching 5 flushes"
+                    flushed = int(line)
+            finally:
+                child.kill()
+                child.wait(timeout=30)
         store = ResultStore(path)
         # every record the child reported as flushed survived the SIGKILL
         assert len(store) >= flushed
@@ -927,28 +932,28 @@ class TestConcurrentWriters:
         import time
         time.sleep(60)
         """
-        child = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-c", CHILD_PRELUDE + textwrap.dedent(script), path],
             stdout=subprocess.PIPE, text=True, env=dict(os.environ),
-        )
-        try:
-            assert child.stdout.readline().strip() == "locked"
-            lock = StoreLock(path)
-            assert not lock.try_acquire()  # held by the live child
-            child.kill()
-            child.wait(timeout=30)
-            deadline = time.monotonic() + 10
-            acquired = False
-            while time.monotonic() < deadline and not acquired:
-                acquired = lock.try_acquire()  # kernel released it on death
-                if not acquired:
-                    time.sleep(0.05)
-            assert acquired
-            lock.release()
-        finally:
-            if child.poll() is None:
+        ) as child:
+            try:
+                assert child.stdout.readline().strip() == "locked"
+                lock = StoreLock(path)
+                assert not lock.try_acquire()  # held by the live child
                 child.kill()
                 child.wait(timeout=30)
+                deadline = time.monotonic() + 10
+                acquired = False
+                while time.monotonic() < deadline and not acquired:
+                    acquired = lock.try_acquire()  # kernel released it on death
+                    if not acquired:
+                        time.sleep(0.05)
+                assert acquired
+                lock.release()
+            finally:
+                if child.poll() is None:
+                    child.kill()
+                    child.wait(timeout=30)
 
 
 def _no_locks(fd, operation):
