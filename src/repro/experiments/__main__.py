@@ -20,12 +20,14 @@ store written by earlier code is imported on open and replaced by a journal
 the first time the sweep writes to it.  Stored entries are versioned :class:`~repro.record.RunRecord` payloads; ``--probes``
 attaches registry probes to every executed point so telemetry channels are
 persisted alongside the summaries, and ``inspect`` pretty-prints them
-(``--verbose`` adds store durability statistics).
+(``--verbose`` adds store durability statistics).  A reader that closes
+stdout early (``inspect | head``) ends a command quietly with status 141.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Sequence
@@ -387,10 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--job-timeout", type=float, default=None, metavar="S",
                      dest="job_timeout",
                      help="per-job wall-clock budget in seconds, counted "
-                          "from when a worker starts the job (--workers 2 "
-                          "or more): a hung job's worker is killed and the "
-                          "job recorded as a typed failure in the store "
-                          "instead of wedging the sweep")
+                          "from when a worker starts the job: a hung job's "
+                          "worker is killed and the job recorded as a typed "
+                          "failure in the store instead of wedging the "
+                          "sweep")
     run.set_defaults(func=cmd_run)
 
     inspect = sub.add_parser(
@@ -413,7 +415,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader left: send the rest to devnull, so the flush at
+        # exit cannot raise again, and exit as SIGPIPE would (128 + 13).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

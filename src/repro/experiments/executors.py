@@ -3,9 +3,10 @@
 :func:`~repro.experiments.orchestrator.run_jobs` groups pending jobs into
 *series-affine chunks* (:func:`_chunk_pending`) and hands them to a chunk
 executor from :func:`_make_chunk_executor`: in this process when
-``workers == 1``, on ``workers`` worker processes otherwise, each fed
-through its own pipe.  Either executor yields one result per finished job,
-and results are bit-identical either way because every job owns its RNG.
+``workers == 1`` and no job timeout is set, on ``workers`` worker
+processes otherwise, each fed through its own pipe.  Either executor
+yields one result per finished job, and results are bit-identical either
+way because every job owns its RNG.
 A chunk runs several jobs of one series on one worker, which amortizes
 pickle/IPC overhead and keeps each worker's topology registry cache hot: a
 topology graph and its route table are built once per network per worker
@@ -340,7 +341,8 @@ def _make_chunk_executor(
     job_timeout: Optional[float],
     on_retry: Callable[[Tuple[Job, ...], str], None],
 ) -> "_SerialChunkExecutor | _PoolChunkExecutor":
-    if workers > 1:
+    # A timeout needs a worker it can kill, even when there is only one.
+    if workers > 1 or job_timeout is not None:
         try:
             return _PoolChunkExecutor(workers, job_timeout, on_retry)
         except OSError:  # pragma: no cover - environment-dependent

@@ -145,7 +145,8 @@ class OrchestrationContext:
     every entry point and an explicit ``None`` switches a setting off.
     """
 
-    #: worker processes (1 = serial, in this process).
+    #: worker processes (1 = serial, in this process unless a
+    #: ``job_timeout`` needs a worker it can kill).
     workers: int = 1
     #: where results persist and are served from (None = nowhere).
     store: Optional[ResultStore] = None
@@ -154,9 +155,9 @@ class OrchestrationContext:
     #: stream progress/cache-hit lines to stderr while sweeping.
     verbose: bool = False
     #: per-job wall-clock budget in seconds (None = unlimited), counted from
-    #: when a worker starts the job.  Enforced with ``workers > 1`` only; a
-    #: hung job resolves to a stored :class:`JobFailure` instead of wedging
-    #: the sweep.
+    #: when a worker starts the job (a budget runs jobs on worker
+    #: processes, even with ``workers == 1``); a hung job resolves to a
+    #: stored :class:`JobFailure` instead of wedging the sweep.
     job_timeout: Optional[float] = None
     #: fault-injection spec applied to every job whose config carries no
     #: schedule of its own (resolved per config; rewrites job keys, since

@@ -414,9 +414,9 @@ class AllocStallProbe(Probe):
         return {
             "alloc_stalls": {
                 "meta": {"key": "router_id",
-                         "note": ("stall = a stepped router with resident "
-                                  "packets granted nothing; Piggyback routers "
-                                  "report stalls but never sleep on them")},
+                         "note": ("stall = an allocation pass that granted "
+                                  "nothing; the router then sleeps on it, "
+                                  "so one blocked spell counts once")},
                 "data": {str(k): v for k, v in sorted(self._stalls.items())},
             }
         }

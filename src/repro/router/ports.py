@@ -203,16 +203,14 @@ class InputPort:
         blocked = router._alloc_sleep_until
         if 0 <= blocked and ready < blocked:
             router._alloc_sleep_until = ready
-        if not router.stepped_every_cycle and ready > now:
+        if ready > now:
             # Nothing this arrival enables can happen before the head clears
             # the router pipeline, so wake exactly then instead of pumping a
             # guaranteed no-op cycle now.  (An active router keeps stepping
             # regardless; the extra wake is a cheap set-insert.)
             router.engine.schedule_wake(ready, router.engine_index)
         else:
-            # A router stepped every cycle must be pumped while packets are
-            # pending (time-varying congestion state); zero-latency
-            # pipelines make the head routable this cycle.
+            # Zero-latency pipelines make the head routable this cycle.
             router.engine_activate(router.engine_index)
 
     # -- head access -------------------------------------------------------------
@@ -356,11 +354,13 @@ class OutputPort:
         The mirror rejects a return larger than the VC's occupancy first;
         then the return's routing class must hold at least ``phits``.
 
-        A returning credit only re-activates the router when a recorded
+        A returning credit re-activates the router when a recorded
         allocation blockage actually depends on it (its bit in
         ``_blocked_credit_mask``).  A router sleeping *without* a verdict has
         no pipeline-ready head, and a credit cannot create one, so nothing
-        needs to happen then.
+        needs to happen then, unless the router posts (``post_sensing``).
+        Debit and credit return are the only writers of what a post reads,
+        so a return wakes a poster and its pump posts the new count.
         """
         mirror = self.mirror
         mirror.release(vc, phits)
@@ -391,6 +391,8 @@ class OutputPort:
         if (router._alloc_sleep_until >= 0
                 and (router._blocked_credit_mask >> index) & 1):
             router._alloc_sleep_until = -1
+            router.engine_activate(router.engine_index)
+        elif router.post_sensing is not None:
             router.engine_activate(router.engine_index)
 
     # -- congestion sensing --------------------------------------------------------

@@ -152,9 +152,8 @@ class ReferenceRouter(Router):
                         retry = reject_until
                     if self.on_stall is not None:
                         self.on_stall(self.router_id, now, retry)
-                    if not self.stepped_every_cycle:
-                        self._alloc_sleep_until = retry
-                        self._blocked_credit_mask = credit_mask
+                    self._alloc_sleep_until = retry
+                    self._blocked_credit_mask = credit_mask
                 break
             for grant in self.allocator.arbitrate(requests):
                 self._execute_grant(

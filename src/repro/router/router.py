@@ -9,8 +9,8 @@ replies.
 
 One :class:`Router` instance owns the injection queues of its ``p`` attached
 nodes and its network input/output ports.  A routing algorithm that senses
-time-varying congestion (Piggyback) marks it ``stepped_every_cycle`` and may
-give it a ``post_sensing`` callback, run after every allocation pass.
+time-varying congestion (Piggyback) may give it a ``post_sensing`` callback,
+run at the end of every pump; a credit return wakes such a router.
 
 Hot-path architecture (see DESIGN.md §6)
 ----------------------------------------
@@ -145,10 +145,9 @@ class Router:
         self.on_injection = on_injection
         self.speedup = router_config.speedup
         self._pipeline_latency = router_config.pipeline_latency
-        #: set by ``RoutingAlgorithm.bind_routers`` when injection decisions
-        #: read time-varying congestion state: never sleep on a verdict.
-        self.stepped_every_cycle = False
-        #: run after allocation on every pump (Piggyback's board post).
+        #: run at the end of every pump (Piggyback's board post); set by
+        #: ``RoutingAlgorithm.bind_routers``.  A credit return wakes a
+        #: router that has one, since the post reads its credit counts.
         self.post_sensing: Optional[Callable[[], None]] = None
 
         # Transit-only routers (e.g. Megafly spines) attach no nodes.
@@ -326,8 +325,8 @@ class Router:
         # -- probe dispatch (None = unsubscribed, zero-cost) ---------------------------
         #: ``hook(packet, now)`` fired on a packet's first non-minimal hop.
         self.on_misroute: Optional[Callable[[Packet, int], None]] = None
-        #: ``hook(router_id, now, retry_cycle)`` fired when a stepped router
-        #: with resident packets produces no allocation request.
+        #: ``hook(router_id, now, retry_cycle)`` fired when an allocation
+        #: pass produces no request (once: the router sleeps on the verdict).
         self.on_stall: Optional[Callable[[int, int, int], None]] = None
 
         #: specialized grant/allocation entry points (closures over the
@@ -445,10 +444,9 @@ class Router:
         """Build the router's per-cycle entry point as a closure.
 
         Returns False (and schedules any needed timed wake) when the cycle
-        would be a no-op; otherwise injects, allocates, runs
-        ``post_sensing`` and returns True.  The engine
-        calls this once per active router per cycle, so the state it reads
-        is prebound.
+        would be a no-op; otherwise injects, allocates and returns True.
+        Either way it ends with ``post_sensing``.  The engine calls this
+        once per active router per cycle, so the state it reads is prebound.
         """
         router = self
         in_state = self._in_state
@@ -460,52 +458,45 @@ class Router:
         schedule_wake = self.engine.schedule_wake
 
         def pump(now: int) -> bool:
-            if not router.stepped_every_cycle:
-                blocked = router._alloc_sleep_until
-                if blocked >= 0 and blocked <= now:
-                    router._alloc_sleep_until = blocked = -1
-                earliest = -1
-                work = False
-                if router.resident_packets or router._injection_resident:
-                    if blocked < 0:
-                        for base in range(0, 3 * n_in, 3):
-                            if in_state[base]:
-                                ready = in_state[base + 1]
-                                if ready <= now:
-                                    work = True
-                                    break
-                                if earliest < 0 or ready < earliest:
-                                    earliest = ready
-                    elif blocked < NEVER:
-                        earliest = blocked
-                if not work and router._source_backlog:
-                    for local in range(num_nodes):
-                        if source_queues[local]:
-                            busy = injection_busy_until[local]
-                            if busy <= now:
+            blocked = router._alloc_sleep_until
+            if blocked >= 0 and blocked <= now:
+                router._alloc_sleep_until = blocked = -1
+            earliest = -1
+            work = False
+            if router.resident_packets or router._injection_resident:
+                if blocked < 0:
+                    for base in range(0, 3 * n_in, 3):
+                        if in_state[base]:
+                            ready = in_state[base + 1]
+                            if ready <= now:
                                 work = True
                                 break
-                            if earliest < 0 or busy < earliest:
-                                earliest = busy
-                if not work:
-                    if earliest >= 0 and router._next_wake != earliest:
-                        router._next_wake = earliest
-                        schedule_wake(earliest, router.engine_index)
-                    return False
-            elif not (router.post_sensing is not None or router.resident_packets
-                      or router._injection_resident or router._source_backlog):
-                # Routers reading time-varying congestion state never sleep
-                # on a verdict: stepped every cycle they post or hold work.
-                return False
-            if router._source_backlog and now >= router._inject_gate:
-                inject_from_sources(now)
-            if router.resident_packets or router._injection_resident:
-                blocked = router._alloc_sleep_until
-                if blocked < 0 or blocked <= now:
-                    router._allocate(now)
+                            if earliest < 0 or ready < earliest:
+                                earliest = ready
+                elif blocked < NEVER:
+                    earliest = blocked
+            if not work and router._source_backlog:
+                for local in range(num_nodes):
+                    if source_queues[local]:
+                        busy = injection_busy_until[local]
+                        if busy <= now:
+                            work = True
+                            break
+                        if earliest < 0 or busy < earliest:
+                            earliest = busy
+            if work:
+                if router._source_backlog and now >= router._inject_gate:
+                    inject_from_sources(now)
+                if router.resident_packets or router._injection_resident:
+                    blocked = router._alloc_sleep_until
+                    if blocked < 0 or blocked <= now:
+                        router._allocate(now)
+            elif earliest >= 0 and router._next_wake != earliest:
+                router._next_wake = earliest
+                schedule_wake(earliest, router.engine_index)
             if router.post_sensing is not None:
                 router.post_sensing()
-            return True
+            return work
 
         return pump
 
@@ -768,18 +759,13 @@ class Router:
                             retry = reject_until
                         if router.on_stall is not None:
                             router.on_stall(router_id, now, retry)
-                        if not router.stepped_every_cycle:
-                            # Nothing was requestable: record the earliest
-                            # cycle a deterministic blocker (crossbar,
-                            # ejection port, grant cap) expires so pump()
-                            # can sleep until then; async blockers (credits)
-                            # re-activate the router via the credit sinks.
-                            # Routers stepped every cycle are exempt: their
-                            # injection decisions read time-varying
-                            # congestion state, so skipping allocation passes
-                            # would change results.
-                            router._alloc_sleep_until = retry
-                            router._blocked_credit_mask = credit_mask
+                        # Nothing was requestable: record the earliest
+                        # cycle a deterministic blocker (crossbar, ejection
+                        # port, grant cap) expires so pump() can sleep until
+                        # then; async blockers (credits) re-activate the
+                        # router via the credit sinks.
+                        router._alloc_sleep_until = retry
+                        router._blocked_credit_mask = credit_mask
                     break
                 # Output stage (inlined separable allocator, identical to
                 # SeparableAllocator.arbitrate): at most one grant per

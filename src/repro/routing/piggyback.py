@@ -97,8 +97,8 @@ class PiggybackRouting(RoutingAlgorithm):
         Groups are the topology's LOCAL-connected router sets; each board is
         sized to the group's widest router.  A group without global links
         (e.g. a single-dimension HyperX) carries none and routes minimally.
-        A boarded group's routers read time-varying board state, so they
-        are stepped every cycle; those owning global ports post to it.
+        A boarded group's routers that own global ports post to it through
+        ``Router.post_sensing``; readers need nothing (DESIGN §2).
         """
         topo = self.topology
         for group_id, members in enumerate(topo.router_groups()):
@@ -112,7 +112,6 @@ class PiggybackRouting(RoutingAlgorithm):
             group_id, position = topo.group_slot(router.router_id)
             board = self._boards.get(group_id)
             if board is not None:
-                router.stepped_every_cycle = True
                 router.post_sensing = self._poster(router, board, position)
 
     def _poster(self, router: "Router", board: SaturationBoard,

@@ -345,8 +345,9 @@ class TestLinkCallbacks:
 
 #: sha256[:16] of the three measure() windows of each Piggyback run below.
 #: Piggyback's sensing reads the credit counts that every debit and credit
-#: return maintains, and its routers are pumped every cycle, so these runs pin
-#: the link callbacks and the pump body for all three buffer set-ups.  The
+#: return maintains, and a poster posts at the end of every pump and is woken
+#: by every credit return, so these runs pin the link callbacks, the pump
+#: body and that wake rule for all three buffer set-ups.  The
 #: five variants cover all four branches of ``OutputPort.occupancy_metric``.
 PINNED_PB_DIGESTS = {
     "mincred-port-4/2+2/1": {

@@ -9,6 +9,7 @@ import pytest
 from repro.config import SimulationConfig
 from repro.core.arrangement import VcArrangement
 from repro.engine import Engine
+from repro.experiments.runner import TINY
 from repro.session import Session
 from repro.simulation import Simulation
 
@@ -142,22 +143,78 @@ class TestDeterminism:
         b = Session(config.with_seed(99)).run().summary
         assert dataclasses.asdict(a) != dataclasses.asdict(b)
 
-    def test_sleeping_routers_do_not_change_results(self):
-        """Forcing every router to poll every cycle must not change results."""
-        config = make_config().with_load(0.3)
+    @staticmethod
+    def _assert_polling_changes_nothing(config):
+        """Forcing every router to poll every cycle, and every Piggyback
+        poster to post on each of those pumps whatever its pump did, must
+        not change results."""
         reference = Session(config).run().summary
 
         polled = Simulation(config)
+        engine = polled.engine
         always_on = list(range(len(polled.routers)))
-        original_tick = polled.engine.tick
+        for router in polled.routers:
+            post = router.post_sensing
+            if post is not None:
+                def pump_and_post(now, pump=engine._pumps[router.engine_index],
+                                  post=post):
+                    busy = pump(now)
+                    post()
+                    return busy
+
+                engine._pumps[router.engine_index] = pump_and_post
+        original_tick = engine.tick
 
         def tick_all():
-            polled.engine._active.update(always_on)
+            engine._active.update(always_on)
             original_tick()
 
-        polled.engine.tick = tick_all
+        engine.tick = tick_all
         result = Session(simulation=polled).run().summary
         assert dataclasses.asdict(result) == dataclasses.asdict(reference)
+
+    def test_sleeping_routers_do_not_change_results(self):
+        self._assert_polling_changes_nothing(make_config().with_load(0.3))
+
+    #: Piggyback inputs: posters sleep and wake on credit returns, readers
+    #: decide on board state; a Megafly leaf reads its board but never posts.
+    PB_CONFIGS = {
+        "adv-request-reply-vc": dict(
+            routing=dataclasses.replace(
+                SimulationConfig().routing, algorithm="pb", pb_sensing="vc"
+            ),
+            traffic=dataclasses.replace(
+                SimulationConfig().traffic, pattern="adversarial", reactive=True
+            ),
+            arrangement=VcArrangement.request_reply((4, 2), (4, 2)),
+        ),
+        "adv-mincred-port": dict(
+            routing=dataclasses.replace(
+                SimulationConfig().routing, algorithm="pb", vc_policy="flexvc",
+                pb_sensing="port", pb_min_credits_only=True,
+            ),
+            traffic=dataclasses.replace(
+                SimulationConfig().traffic, pattern="adversarial"
+            ),
+            arrangement=VcArrangement.single_class(4, 2),
+        ),
+        "megafly-adv-vc": dict(
+            network=TINY.network_for("megafly"),
+            routing=dataclasses.replace(
+                SimulationConfig().routing, algorithm="pb", vc_policy="flexvc",
+                pb_sensing="vc",
+            ),
+            traffic=dataclasses.replace(
+                SimulationConfig().traffic, pattern="adversarial"
+            ),
+            arrangement=VcArrangement.single_class(4, 2),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PB_CONFIGS))
+    def test_sleeping_piggyback_routers_do_not_change_results(self, name):
+        self._assert_polling_changes_nothing(
+            make_config(**self.PB_CONFIGS[name]).with_load(0.4))
 
 
 class TestResidentLedger:

@@ -111,3 +111,20 @@ def test_run_rejects_store_format_flag(tmp_path):
     assert result.returncode == 2
     assert "unrecognized arguments: --store-format" in result.stderr
     assert not (tmp_path / "s.journal").exists()
+
+
+def test_inspect_into_a_closed_pipe_is_quiet(tmp_path):
+    """``inspect | head``: a reader that closes stdout at once ends the CLI
+    with its documented status and nothing on stderr, not a traceback."""
+    fixture = REPO_ROOT / "tests" / "data" / "json_store_v2.json"
+    store = tmp_path / "legacy.json"
+    store.write_bytes(fixture.read_bytes())
+    with subprocess.Popen(
+        [sys.executable, "-m", "repro.experiments", "inspect", str(store)],
+        cwd=REPO_ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+    ) as child:
+        child.stdout.close()
+        stderr = child.stderr.read()
+    assert stderr == b""
+    assert child.returncode == 141

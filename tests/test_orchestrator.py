@@ -502,6 +502,16 @@ class TestCrashResilience:
         stored = list(store.failures())
         assert len(stored) == 1 and stored[0][1].reason == "timeout"
 
+    def test_job_timeout_holds_at_one_worker(self, monkeypatch):
+        # A budget needs a worker it can kill, so one worker still times out.
+        jobs = _resilience_jobs(2, seed_base=71)
+        monkeypatch.setenv("REPRO_TEST_HANG_KEY", jobs[0].key)
+        monkeypatch.setenv("REPRO_TEST_HANG_SECONDS", "3")
+        stats = run_jobs(jobs, workers=1, store=None, job_timeout=1.0)
+        assert stats.failed == 1
+        assert stats.failures[jobs[0].key].reason == "timeout"
+        assert sorted(stats.results) == [jobs[1].key]
+
     def test_inspect_surfaces_failures(self, tmp_path, monkeypatch):
         import subprocess
         import sys

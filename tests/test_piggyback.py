@@ -82,3 +82,22 @@ def test_resident_columns_cost_two_bytes_per_source(algorithm):
     resident = [col for col in table._columns if col is not None]
     assert len(resident) == n
     assert [col.nbytes() for col in resident] == [2 * n] * n
+
+
+def test_piggyback_network_goes_quiet():
+    """A drained Piggyback network sleeps: posters wake on credit returns
+    only, so nothing stays active and the engine skips the idle cycles."""
+    config = base_config(
+        TINY, algorithm="pb", reactive=True, pb_sensing="vc",
+        arrangement=VcArrangement.request_reply((4, 2), (4, 2)),
+    )
+    config = dataclasses.replace(config, warmup_cycles=300).with_load(0.4)
+    session = Session(config)
+    session.warmup()
+    session.drain()
+    engine = session.engine
+    assert session.sim.total_resident_packets() == 0
+    assert engine.active_count() == 0
+    skipped = engine.idle_cycles_skipped
+    session.run_until(engine.now + 1000)
+    assert engine.idle_cycles_skipped - skipped >= 990
