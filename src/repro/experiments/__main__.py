@@ -38,7 +38,7 @@ from ..store import FLUSH_INTERVAL_SECONDS, ResultStore, StoreError
 from . import tables
 from .figures import FIGURES, run_figure
 from .formatting import render_figure
-from .orchestrator import FaultSpecError, orchestration
+from .orchestrator import FaultSpecError
 from .runner import SCALES
 
 DEFAULT_STORE = "results/store.json"
@@ -113,50 +113,44 @@ def _run_figures(
     faults: FaultSpec | None,
 ) -> int:
     status = 0
-    with orchestration(
-        workers=args.workers,
-        store=store,
-        probes=probes,
-        verbose=args.verbose,
-        job_timeout=args.job_timeout,
-        faults=faults,
-    ):
-        for name in args.figures:
-            if name == TABLES:
-                print(tables.render_all_tables() + "\n")
-                continue
-            start = time.perf_counter()
-            try:
-                panels, outcome = run_figure(
-                    name, scale=args.scale, patterns=args.patterns or None,
-                    seeds=args.seeds,
-                )
-            except FaultSpecError as exc:
-                print(f"--faults: {exc}", file=sys.stderr)
-                status = 2
-                break
-            elapsed = time.perf_counter() - start
-            print(render_figure(f"{name} @ {args.scale}", panels))
-            # The sweep's own accounting; zero counts other than the first two
-            # (which CI greps) are left out.
-            stats = outcome.stats
-            missing = sum(
-                len(entry.missing) for series in panels.values() for entry in series
+    for name in args.figures:
+        if name == TABLES:
+            print(tables.render_all_tables() + "\n")
+            continue
+        start = time.perf_counter()
+        try:
+            panels, outcome = run_figure(
+                name, scale=args.scale, patterns=args.patterns or None,
+                seeds=args.seeds, workers=args.workers, store=store,
+                probes=probes, verbose=args.verbose,
+                job_timeout=args.job_timeout, faults=faults,
             )
-            if missing:
-                status = 1
-            counts = [
-                f"{stats.executed} point(s) simulated",
-                f"{stats.cache_hits} served from cache",
-                f"{missing} missing" if missing else "",
-                f"{stats.retries} chunk retries" if stats.retries else "",
-                f"{stats.store_absorbed} absorbed from peer writers"
-                if stats.store_absorbed else "",
-            ]
-            print(
-                f"\n[{name}] {elapsed:.1f}s with {args.workers} worker(s): "
-                + ", ".join(filter(None, counts)) + f" ({args.store})\n"
-            )
+        except FaultSpecError as exc:
+            print(f"--faults: {exc}", file=sys.stderr)
+            status = 2
+            break
+        elapsed = time.perf_counter() - start
+        print(render_figure(f"{name} @ {args.scale}", panels))
+        # The sweep's own accounting; zero counts other than the first two
+        # (which CI greps) are left out.
+        stats = outcome.stats
+        missing = sum(
+            len(entry.missing) for series in panels.values() for entry in series
+        )
+        if missing:
+            status = 1
+        counts = [
+            f"{stats.executed} point(s) simulated",
+            f"{stats.cache_hits} served from cache",
+            f"{missing} missing" if missing else "",
+            f"{stats.retries} chunk retries" if stats.retries else "",
+            f"{stats.store_absorbed} absorbed from peer writers"
+            if stats.store_absorbed else "",
+        ]
+        print(
+            f"\n[{name}] {elapsed:.1f}s with {args.workers} worker(s): "
+            + ", ".join(filter(None, counts)) + f" ({args.store})\n"
+        )
     store.close()
     return status
 

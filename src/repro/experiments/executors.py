@@ -4,7 +4,9 @@
 *series-affine chunks* (:func:`_chunk_pending`) and hands them to a chunk
 executor from :func:`_make_chunk_executor`: in this process when
 ``workers == 1`` and no job timeout is set, on ``workers`` worker
-processes otherwise, each fed through its own pipe.  Either executor
+processes otherwise, each fed through its own pipe.  A pool that cannot
+start raises (its ``OSError``): running in-process instead would ignore the
+job timeout and the worker count the caller asked for.  Either executor
 yields one result per finished job, and results are bit-identical either
 way because every job owns its RNG.
 A chunk runs several jobs of one series on one worker, which amortizes
@@ -343,10 +345,7 @@ def _make_chunk_executor(
 ) -> "_SerialChunkExecutor | _PoolChunkExecutor":
     # A timeout needs a worker it can kill, even when there is only one.
     if workers > 1 or job_timeout is not None:
-        try:
-            return _PoolChunkExecutor(workers, job_timeout, on_retry)
-        except OSError:  # pragma: no cover - environment-dependent
-            pass
+        return _PoolChunkExecutor(workers, job_timeout, on_retry)
     return _SerialChunkExecutor()
 
 

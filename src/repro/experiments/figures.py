@@ -5,8 +5,8 @@ series (a VC arrangement / policy / buffer organisation) x offered loads — so
 each is one :class:`Figure` in :data:`FIGURES`: a *series function*
 ``(scale, pattern) -> [Series]`` plus its default patterns and loads.
 :func:`run_figure` expands a whole figure into one
-:class:`~repro.experiments.orchestrator.SweepSpec`, runs it under the active
-``orchestration(...)`` context and returns the panels ``{pattern: [Series]}``,
+:class:`~repro.experiments.orchestrator.SweepSpec`, runs it with the execution
+settings it is called with and returns the panels ``{pattern: [Series]}``,
 which :func:`~repro.experiments.formatting.render_figure` prints, with the
 sweep's outcome.  Absolute values differ from the paper because the
 substrate is a scaled pure-Python simulator (see DESIGN.md), but the
@@ -19,7 +19,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.arrangement import VcArrangement
 from .orchestrator import SweepOutcome, SweepSpec, run_sweep
@@ -304,17 +304,20 @@ def run_figure(
     patterns: Optional[Sequence[str]] = None,
     loads: Optional[Iterable[float]] = None,
     seeds: Optional[int] = None,
+    **settings: Any,
 ) -> Tuple[Dict[str, List[Series]], SweepOutcome]:
     """Run figure ``name`` as one sweep: its filled panels and the outcome.
 
     ``patterns``, ``loads`` and ``seeds`` default to the figure's panels, the
-    figure's (else the scale's) load grid and the scale's seed count.  A point
+    figure's (else the scale's) load grid and the scale's seed count.
+    ``settings`` are :func:`~repro.experiments.orchestrator.run_jobs`'s
+    keywords (``workers``, ``store``, ...), passed on untouched.  A point
     whose job failed is left out of its series' ``results`` and named on
     stderr; ``Series.missing`` keeps the reasons, and ``outcome.stats`` says
     how many points were simulated or served from the store.
     """
     panels, spec = figure_sweep(name, scale, patterns, loads, seeds)
-    outcome = run_sweep(spec)
+    outcome = run_sweep(spec, **settings)
     entries = [entry for series in panels.values() for entry in series]
     for (label, _), entry in zip(spec.series, entries):
         collect(entry, outcome, label)

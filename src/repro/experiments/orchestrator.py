@@ -1,4 +1,4 @@
-"""Sweep orchestration: jobs, sweep specifications, the context, the run loop.
+"""Sweep orchestration: jobs, sweep specifications, the run loop.
 
 Every experiment of the paper decomposes into independent *jobs* — one
 ``(series, load, seed)`` point, each a full :class:`~repro.simulation.Simulation`
@@ -7,18 +7,18 @@ run.  This module turns that decomposition into infrastructure:
 * :class:`SweepSpec` declaratively describes a sweep (series x loads x seeds)
   and expands it into :class:`Job` objects keyed by a stable hash of the
   complete :class:`~repro.config.SimulationConfig`;
-* :class:`OrchestrationContext` declares *how* a sweep executes (worker
-  count, store, probes, fault spec, ...) exactly once;
-  :func:`orchestration` installs overrides of it for a block and
-  :func:`run_jobs` / :func:`run_sweep` take the same names as per-call
-  overrides, so :func:`~repro.experiments.figures.run_figure`, benchmarks
-  and examples inherit parallelism and caching without signature changes;
-* :func:`run_jobs` is the one place a job is prepared (context probes and
-  fault spec attached, duplicates dropped) and the run loop: it serves
-  stored results from the :class:`~repro.store.ResultStore`, dispatches the
-  rest in series-affine chunks to the executors of
+* :func:`run_jobs` declares *how* a sweep executes (worker count, store,
+  probes, fault spec, ...) exactly once, as its keyword-only parameters;
+  :func:`run_sweep` and :func:`~repro.experiments.figures.run_figure` pass
+  the same names on untouched, so a misspelt one is a ``TypeError`` from
+  every entry point;
+* :func:`run_jobs` is the one place a job is prepared (probes and fault
+  spec attached, duplicates dropped) and the run loop: it serves stored
+  results from the :class:`~repro.store.ResultStore`, dispatches the rest in
+  series-affine chunks to the executors of
   :mod:`repro.experiments.executors`, and streams every result back into
   the store, so an interrupted sweep resumes from what it already computed.
+  The caller opens and closes the store.
 
 Every executed point is measured one way: the scale's fixed warm-up and
 measurement budget (:meth:`~repro.session.Session.measure`), stored under
@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import sys
 import time
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config import SimulationConfig
 from ..faults import FaultSpec, NetworkPartitionedError
-from ..keys import _hash_payload, config_key
+from ..keys import _hash_payload, config_key, key_payload
 from ..metrics import SimulationResult
 from ..record import JobFailure, RunRecord
 from ..simulation import average_results
@@ -98,9 +97,9 @@ class SweepSpec:
     def expand(self) -> List[Job]:
         """Expand into independent jobs (deterministic order).
 
-        Hashing works off **one** ``asdict`` serialization pass per series:
-        the base config's payload is converted once and only the load/seed
-        leaves are rewritten per job, instead of re-walking the whole
+        Hashing works off **one** :func:`~repro.keys.key_payload` pass per
+        series: the base config's payload is converted once and only the
+        load/seed leaves are rewritten per job, instead of re-walking the whole
         dataclass tree for each of the series x loads x seeds points.  The
         resulting keys are identical to ``config_key(job.config)`` (asserted
         by the orchestrator tests).
@@ -108,10 +107,7 @@ class SweepSpec:
         jobs: List[Job] = []
         for label, builder in self.series:
             base = builder()
-            payload = asdict(base)
-            if not base.faults:
-                # Mirror config_key()'s empty-faults omission.
-                payload.pop("faults", None)
+            payload = key_payload(base)
             traffic_payload = payload["traffic"]
             for load in self.loads:
                 loaded = base.with_load(load)
@@ -132,74 +128,6 @@ class SweepSpec:
 
 
 # ---------------------------------------------------------------------------
-# Orchestration context
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OrchestrationContext:
-    """How a sweep executes: the one declaration of every execution setting.
-
-    :func:`orchestration`, :func:`run_jobs` and :func:`run_sweep` all take
-    these field names as ``**overrides`` of the active context
-    (``dataclasses.replace``), so a misspelt name is a ``TypeError`` from
-    every entry point and an explicit ``None`` switches a setting off.
-    """
-
-    #: worker processes (1 = serial, in this process unless a
-    #: ``job_timeout`` needs a worker it can kill).
-    workers: int = 1
-    #: where results persist and are served from (None = nowhere).
-    store: Optional[ResultStore] = None
-    #: probe registry names attached to every executed (non-cached) job.
-    probes: Tuple[str, ...] = ()
-    #: stream progress/cache-hit lines to stderr while sweeping.
-    verbose: bool = False
-    #: per-job wall-clock budget in seconds (None = unlimited), counted from
-    #: when a worker starts the job (a budget runs jobs on worker
-    #: processes, even with ``workers == 1``); a hung job resolves to a
-    #: stored :class:`JobFailure` instead of wedging the sweep.
-    job_timeout: Optional[float] = None
-    #: fault-injection spec applied to every job whose config carries no
-    #: schedule of its own (resolved per config; rewrites job keys, since
-    #: non-empty schedules hash into ``config_key``).
-    faults: Optional["FaultSpec"] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "workers", max(1, int(self.workers)))
-        object.__setattr__(self, "probes", tuple(self.probes))
-
-
-_CONTEXT_STACK: List[OrchestrationContext] = [OrchestrationContext()]
-
-
-def current_context() -> OrchestrationContext:
-    return _CONTEXT_STACK[-1]
-
-
-@contextmanager
-def orchestration(**overrides: Any) -> Iterator[OrchestrationContext]:
-    """Override execution settings for every sweep run inside the block.
-
-    ``overrides`` are :class:`OrchestrationContext` fields; whatever is not
-    named is inherited from the enclosing block (or the defaults).  ``store``
-    may also be a path: the store is opened here, and any store is flushed
-    on exit.  ``probes`` are attached to every job executed inside the block
-    (cached points are still served from the store without telemetry — use
-    ``refresh``/``--force`` to re-run them probed).
-    """
-    if isinstance(overrides.get("store"), str):
-        overrides["store"] = ResultStore(overrides["store"])
-    context = replace(current_context(), **overrides)
-    _CONTEXT_STACK.append(context)
-    try:
-        yield context
-    finally:
-        _CONTEXT_STACK.pop()
-        if context.store is not None:
-            context.store.flush()
-
-
-# ---------------------------------------------------------------------------
 # Sweep execution
 # ---------------------------------------------------------------------------
 
@@ -209,8 +137,8 @@ class JobRunStats:
 
     results: Dict[str, SimulationResult]
     #: the jobs as they ran, in the order given (duplicates kept, so a
-    #: :class:`SweepOutcome` can reassemble every series): context probes
-    #: and fault spec attached, keys rewritten to match.
+    #: :class:`SweepOutcome` can reassemble every series): probes and
+    #: fault spec attached, keys rewritten to match.
     jobs: List[Job] = field(default_factory=list)
     cache_hits: int = 0
     executed: int = 0
@@ -279,15 +207,16 @@ def _apply_fault_spec(job: Job, spec: FaultSpec) -> Job:
     return replace(job, config=fault_config, key=config_key(fault_config))
 
 
-def _prepare(jobs: Sequence[Job], settings: OrchestrationContext) -> List[Job]:
-    """Each job as it will run under ``settings``.
+def _prepare(
+    jobs: Sequence[Job], probes: Tuple[str, ...], faults: Optional[FaultSpec]
+) -> List[Job]:
+    """Each job as it will run with ``probes`` and ``faults``.
 
-    Context probes go to every job that carries none of its own (probes
-    never change keys).  The context's fault spec is applied, and every
-    distinct (schedule, network) is resolved into its timeline, so a spec
-    that cannot run raises :class:`FaultSpecError` before anything runs.
+    ``probes`` go to every job that carries none of its own (probes never
+    change keys).  The fault spec is applied, and every distinct (schedule,
+    network) is resolved into its timeline, so a spec that cannot run raises
+    :class:`FaultSpecError` before anything runs.
     """
-    probes, faults = settings.probes, settings.faults
     prepared = [
         replace(job, probes=probes) if probes and not job.probes else job
         for job in jobs
@@ -310,13 +239,37 @@ def _meta(job: Job) -> Dict[str, object]:
     return {"series": job.series, "load": job.load, "seed": job.seed}
 
 
-def run_jobs(jobs: Sequence[Job], **overrides: Any) -> JobRunStats:
+def run_jobs(
+    jobs: Sequence[Job],
+    *,
+    workers: int = 1,
+    store: Optional[ResultStore] = None,
+    probes: Sequence[str] = (),
+    verbose: bool = False,
+    job_timeout: Optional[float] = None,
+    faults: Optional[FaultSpec] = None,
+) -> JobRunStats:
     """Execute jobs, serving duplicates and stored results from cache.
 
-    Returns a :class:`JobRunStats`.  How the jobs execute comes from the
-    active :func:`orchestration` context with ``overrides``
-    (:class:`OrchestrationContext` field names) applied on top; every job is
-    prepared for it first (:func:`_prepare`), and may raise
+    Returns a :class:`JobRunStats`.  The keywords are the sweep's execution
+    settings, declared here once:
+
+    * ``workers``: worker processes (1 = serial, in this process unless a
+      ``job_timeout`` needs a worker it can kill);
+    * ``store``: where results persist and are served from (None =
+      nowhere); the caller opens and closes it;
+    * ``probes``: probe registry names attached to every executed
+      (non-cached) job that names none of its own;
+    * ``verbose``: stream progress/cache-hit lines to stderr;
+    * ``job_timeout``: per-job wall-clock budget in seconds (None =
+      unlimited), counted from when a worker starts the job; a budget runs
+      jobs on worker processes, even with ``workers == 1``, and a hung job
+      resolves to a stored :class:`JobFailure` instead of wedging the sweep;
+    * ``faults``: fault-injection spec applied to every job whose config
+      carries no schedule of its own (resolved per config; rewrites job
+      keys, since non-empty schedules hash into ``config_key``).
+
+    Every job is prepared first (:func:`_prepare`), and may raise
     :class:`FaultSpecError` there.
 
     Execution is chunked: pending jobs are grouped into series-affine chunks
@@ -325,11 +278,11 @@ def run_jobs(jobs: Sequence[Job], **overrides: Any) -> JobRunStats:
     amortized.  Results still stream to the result store per completed
     job, which checkpoints them every ``flush_interval`` seconds
     (:meth:`~repro.store.ResultStore.flush_if_due`) and is flushed on
-    interrupt, so a killed sweep resumes from its latest completed points.
+    return and on interrupt, so a killed sweep resumes from its latest
+    completed points.
     """
-    settings = replace(current_context(), **overrides)
-    store = settings.store
-    stats = JobRunStats(results={}, jobs=_prepare(jobs, settings))
+    workers = max(1, int(workers))
+    stats = JobRunStats(results={}, jobs=_prepare(jobs, tuple(probes), faults))
     unique: Dict[str, Job] = {}
     for job in stats.jobs:
         unique.setdefault(job.key, job)
@@ -351,7 +304,7 @@ def run_jobs(jobs: Sequence[Job], **overrides: Any) -> JobRunStats:
             stats.cache_hits += 1
 
     reporter = (
-        _ProgressReporter(total=len(unique), stats=stats) if settings.verbose else None
+        _ProgressReporter(total=len(unique), stats=stats) if verbose else None
     )
     start_time = time.monotonic()
 
@@ -381,15 +334,15 @@ def run_jobs(jobs: Sequence[Job], **overrides: Any) -> JobRunStats:
         stats.retries += 1
         if store is not None:
             store.flush()
-        if settings.verbose:
+        if verbose:
             print(
                 f"[sweep] retrying {len(chunk)}-job chunk after {reason}",
                 file=sys.stderr,
             )
 
-    executor = _make_chunk_executor(settings.workers, settings.job_timeout, on_retry)
+    executor = _make_chunk_executor(workers, job_timeout, on_retry)
     try:
-        for chunk in _chunk_pending(pending, settings.workers):
+        for chunk in _chunk_pending(pending, workers):
             executor.submit(chunk)
         while executor.pending():
             key, record, artifact_hit = executor.next_completed()
@@ -460,11 +413,11 @@ class SweepOutcome:
         return gaps
 
 
-def run_sweep(spec: SweepSpec, **overrides: Any) -> SweepOutcome:
+def run_sweep(spec: SweepSpec, **settings: Any) -> SweepOutcome:
     """Expand a sweep specification and execute all of its jobs.
 
-    ``overrides`` are forwarded to :func:`run_jobs`, which raises
-    :class:`FaultSpecError`, before dispatching anything, when the fault
-    spec in effect cannot run on the sweep's networks.
+    ``settings`` are :func:`run_jobs`'s keywords, passed on untouched; it
+    raises :class:`FaultSpecError`, before dispatching anything, when the
+    fault spec cannot run on the sweep's networks.
     """
-    return SweepOutcome(spec=spec, stats=run_jobs(spec.expand(), **overrides))
+    return SweepOutcome(spec=spec, stats=run_jobs(spec.expand(), **settings))

@@ -240,7 +240,7 @@ def base_config(
 # ---------------------------------------------------------------------------
 #
 # How a sweep executes — worker count, result store, probes, fault spec —
-# comes from the active ``orchestration(...)`` context alone.
+# is the keywords of the ``run_figure`` / ``run_sweep`` call that runs it.
 # Results are bit-identical serial or pooled because every job owns its RNG.
 
 def collect(entry: Series, outcome: SweepOutcome, label: str) -> None:

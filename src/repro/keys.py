@@ -22,15 +22,22 @@ def _hash_payload(payload: Dict[str, object]) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:24]
 
 
+def key_payload(config: SimulationConfig) -> Dict[str, object]:
+    """What :func:`config_key` hashes: the config as a dataclass dict.
+
+    The empty default fault schedule adds nothing, keeping every
+    pre-existing (no-fault) stored key and golden valid.
+    """
+    payload = asdict(config)
+    if not config.faults:
+        payload.pop("faults", None)
+    return payload
+
+
 def config_key(config: SimulationConfig) -> str:
     """Stable content hash of a complete simulation configuration.
 
     Dataclass-derived JSON with sorted keys, so two structurally equal
     configurations (even if built through different code paths) share a key.
     """
-    payload = asdict(config)
-    if not config.faults:
-        # The empty default adds nothing, keeping every pre-existing
-        # (no-fault) stored key and golden valid.
-        payload.pop("faults", None)
-    return _hash_payload(payload)
+    return _hash_payload(key_payload(config))

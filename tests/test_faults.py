@@ -645,13 +645,41 @@ class TestFaultRetabling:
                 )
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2(d): a Valiant packet set up while a router was "
+    "dead is left with an empty head plan after the router revives",
+)
+@pytest.mark.parametrize("policy", ["drop", "stall"])
+def test_packets_drain_after_a_router_revives(policy):
+    """Tiny Dragonfly, PB FlexVC per-VC 4/2+4/2 request-reply, ADV load 0.5,
+    router 1 down from 250 to 450.  Today one packet stays resident after a
+    4,000-cycle drain, neither delivered nor counted as dropped; the fix
+    deletes the marker."""
+    from repro.experiments.runner import TINY, base_config
+
+    config = base_config(
+        TINY, pattern="adversarial", algorithm="pb", reactive=True,
+        vc_policy="flexvc", pb_sensing="vc",
+        arrangement=VcArrangement.request_reply((4, 2), (4, 2)),
+    ).with_load(0.5)
+    config = dataclasses.replace(config, faults=FaultSchedule(
+        events=(RouterDown(250, 1), RouterUp(450, 1)), policy=policy))
+    session = Session(config)
+    session.warmup()
+    session.measure(300)
+    session.measure(300)
+    session.drain(4000)
+    assert session.sim.total_resident_packets() == 0
+
+
 # ---------------------------------------------------------------------------
 # Orchestration integration
 # ---------------------------------------------------------------------------
 
 class TestFaultOrchestration:
     def test_fault_spec_applies_to_jobs_and_rewrites_keys(self, tmp_path):
-        from repro.experiments.orchestrator import Job, orchestration, run_jobs
+        from repro.experiments.orchestrator import Job, run_jobs
         from repro.keys import config_key
         from repro.store import ResultStore
 
@@ -663,14 +691,12 @@ class TestFaultOrchestration:
             config=config,
         )
         spec = parse_faults("link:0:3@200-400")
-        store = ResultStore(str(tmp_path / "store.json"))
-        with orchestration(store=store, faults=spec):
-            stats = run_jobs([job])
+        with ResultStore(str(tmp_path / "store.json")) as store:
+            stats = run_jobs([job], store=store, faults=spec)
+            entries = list(store.entries())
         assert len(stats.results) == 1
         faulted_key = next(iter(stats.results))
         assert faulted_key != job.key  # schedules hash into the config key
-        store.flush()
-        entries = list(store.entries())
         assert len(entries) == 1
         _, record, _ = entries[0]
         assert record.provenance["faults"]["applied"] == 2

@@ -21,7 +21,6 @@ from repro.experiments import (
     TINY,
     Figure,
     figure_sweep,
-    orchestration,
     render_figure,
     run_figure,
     topology_series,
@@ -87,14 +86,12 @@ class TestRunAndRender:
     def test_second_pass_is_all_cache_hits_and_renders_every_series(
         self, tmp_path, name
     ):
-        store = ResultStore(str(tmp_path / "store.journal"))
-        with orchestration(store=store):
-            first, _ = run_figure(name, scale=MICRO)
-        jobs = store.writes
-        assert jobs == len(figure_sweep(name, scale=MICRO)[1].expand())
-        with orchestration(store=store):
-            second, outcome = run_figure(name, scale=MICRO)
-        assert store.writes == jobs and store.hits == jobs
+        with ResultStore(str(tmp_path / "store.journal")) as store:
+            first, _ = run_figure(name, scale=MICRO, store=store)
+            jobs = store.writes
+            assert jobs == len(figure_sweep(name, scale=MICRO)[1].expand())
+            second, outcome = run_figure(name, scale=MICRO, store=store)
+            assert store.writes == jobs and store.hits == jobs
         assert (outcome.stats.cache_hits, outcome.stats.executed) == (jobs, 0)
         entries = second["uniform"]
         assert [e.results for e in first["uniform"]] == [e.results for e in entries]
@@ -114,10 +111,10 @@ class TestRunAndRender:
             assert all(baseline in row for row in rows)
 
     def test_stored_series_label_names_the_panel(self, tmp_path):
-        store = ResultStore(str(tmp_path / "store.journal"))
-        with orchestration(store=store):
-            run_figure("fig10", scale=MICRO)
-        assert {meta["series"] for _key, _record, meta in store.entries()} == {
+        with ResultStore(str(tmp_path / "store.journal")) as store:
+            run_figure("fig10", scale=MICRO, store=store)
+            series = {meta["series"] for _key, _record, meta in store.entries()}
+        assert series == {
             f"uniform|reserved {percent}%" for percent in (0, 25, 50, 75, 100)
         }
 

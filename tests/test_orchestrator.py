@@ -8,14 +8,8 @@ import inspect
 import pytest
 
 from repro.config import SimulationConfig
-from repro.experiments.orchestrator import (
-    OrchestrationContext,
-    SweepSpec,
-    current_context,
-    orchestration,
-    run_jobs,
-    run_sweep,
-)
+from repro.experiments.figures import run_figure
+from repro.experiments.orchestrator import SweepSpec, run_jobs, run_sweep
 from repro.faults import parse_faults
 from repro.keys import config_key
 from repro.metrics import SimulationResult
@@ -84,10 +78,8 @@ class TestDeterminism:
 
     def test_context_workers_keep_seed_order(self):
         spec = SweepSpec(series=[("point", build_config)], loads=[0.2], seeds=2)
-        with orchestration(workers=1):
-            serial = run_sweep(spec).seed_results("point", 0.2)
-        with orchestration(workers=2):
-            parallel = run_sweep(spec).seed_results("point", 0.2)
+        serial = run_sweep(spec, workers=1).seed_results("point", 0.2)
+        parallel = run_sweep(spec, workers=2).seed_results("point", 0.2)
         assert [dataclasses.asdict(r) for r in serial] == [
             dataclasses.asdict(r) for r in parallel
         ]
@@ -95,9 +87,9 @@ class TestDeterminism:
         assert serial[0].packets_generated != 0
 
     def test_pool_backend_falls_back_cleanly(self, tmp_path):
-        # The pool may degrade to serial in restricted environments; the
-        # stored RunRecords are identical either way — everything except the
-        # wall-clock provenance is deterministic across executors.  Each
+        # The stored RunRecords are identical serial or pooled — everything
+        # except the wall-clock provenance is deterministic across
+        # executors.  Each
         # pool worker (its start-up heap frozen) reclaims a finished
         # simulation before its next job, as the serial executor does.
         jobs = SweepSpec(
@@ -193,25 +185,15 @@ class TestContextWiring:
     def test_sweep_uses_context_store(self, tmp_path):
         path = str(tmp_path / "store.json")
         spec = SweepSpec(series=[("only", build_config)], loads=[0.1])
-        with orchestration(workers=1, store=path):
-            first = run_sweep(spec).point("only", 0.1)
-        reopened = ResultStore(path)
-        assert len(reopened) == 1
+        with ResultStore(path) as store:
+            first = run_sweep(spec, workers=1, store=store).point("only", 0.1)
 
-        # Second run inside a context over the same store: pure cache.
-        with orchestration(workers=1, store=reopened):
-            second = run_sweep(spec).point("only", 0.1)
-        assert reopened.hits == 1
+        # Second run over the same store, reopened: pure cache.
+        with ResultStore(path) as reopened:
+            assert len(reopened) == 1
+            second = run_sweep(spec, workers=1, store=reopened).point("only", 0.1)
+            assert reopened.hits == 1
         assert dataclasses.asdict(second) == dataclasses.asdict(first)
-
-    def test_nested_block_inherits_what_it_does_not_override(self, tmp_path):
-        store = ResultStore(str(tmp_path / "store.journal"))
-        with orchestration(store=store, workers=2):
-            with orchestration(job_timeout=1.0) as inner:
-                assert inner is current_context()
-                assert (inner.store, inner.workers, inner.job_timeout) == (store, 2, 1.0)
-            assert current_context().job_timeout is None
-        assert current_context() == OrchestrationContext()
 
     def test_run_point_averages_seeds(self):
         spec = SweepSpec(series=[("point", build_config)], loads=[0.2], seeds=2)
@@ -236,29 +218,37 @@ SETTING_VALUES = {
 
 
 class TestSettingsDeclaredOnce:
-    """Every OrchestrationContext field is a keyword of all three entry
-    points — and of nothing else: their signatures name none of them."""
+    """The execution settings are run_jobs's keyword-only parameters, and
+    run_sweep and run_figure pass them on: their signatures name none."""
 
     def test_every_field_has_a_sample_value(self):
-        names = [field.name for field in dataclasses.fields(OrchestrationContext)]
+        parameters = inspect.signature(run_jobs).parameters.values()
+        names = [p.name for p in parameters if p.kind is p.KEYWORD_ONLY]
         assert names == list(SETTING_VALUES)
 
     @pytest.mark.parametrize("name", list(SETTING_VALUES))
-    def test_setting_reaches_every_entry_point(self, name, tmp_path):
+    def test_setting_reaches_every_entry_point(self, name, tmp_path, monkeypatch):
         value = SETTING_VALUES[name]
         if name == "store":
             value = ResultStore(str(tmp_path / "store.journal"))
-        other = "verbose" if name == "job_timeout" else "job_timeout"
-        with orchestration(**{name: value}) as context:
-            assert context is current_context()
-            assert getattr(context, name) == value
-            with orchestration(**{other: 7}):
-                assert getattr(current_context(), name) == value
-                assert getattr(current_context(), other) == 7
-        assert getattr(current_context(), name) != value
-        assert run_jobs([], **{name: value}).executed == 0
+        import repro.experiments.orchestrator as orchestrator
+
+        seen = []
+        real = orchestrator.run_jobs
+
+        def spy(jobs, **settings):
+            seen.append(settings[name])
+            return real(jobs, **settings)
+
+        monkeypatch.setattr(orchestrator, "run_jobs", spy)
+        assert spy([], **{name: value}).executed == 0
         empty = SweepSpec(series=[], loads=[])
         assert run_sweep(empty, **{name: value}).stats.executed == 0
+        panels, outcome = run_figure("fig10", loads=[], **{name: value})
+        assert outcome.stats.executed == 0
+        assert seen == [value] * 3
+        if name == "store":
+            value.close()
 
     def test_unknown_setting_is_a_type_error(self):
         with pytest.raises(TypeError, match="bogus"):
@@ -266,11 +256,10 @@ class TestSettingsDeclaredOnce:
         with pytest.raises(TypeError, match="bogus"):
             run_sweep(SweepSpec(series=[], loads=[]), bogus=1)
         with pytest.raises(TypeError, match="bogus"):
-            with orchestration(bogus=1):
-                pass
+            run_figure("fig10", loads=[], bogus=1)
 
     def test_signatures_name_no_setting(self):
-        for function in (orchestration, run_jobs, run_sweep):
+        for function in (run_sweep, run_figure):
             assert not set(inspect.signature(function).parameters) & set(SETTING_VALUES)
 
 
@@ -478,6 +467,29 @@ class TestCrashResilience:
         with pytest.raises(StoreError, match="flush failed"):
             run_jobs(_resilience_jobs(4, seed_base=81), workers=2, store=store)
         assert len(shutdowns) == 1
+
+    def test_pool_that_cannot_start_is_an_error(self, monkeypatch):
+        # Running in-process instead would ignore the timeout: an error, with
+        # the worker that did start stopped again.
+        import errno
+        import multiprocessing
+
+        from repro.experiments import executors
+
+        started = []
+
+        class SecondWorkerFails(executors._Worker):
+            def __init__(self) -> None:
+                if started:
+                    raise OSError(errno.EAGAIN, "no process for a worker")
+                super().__init__()
+                started.append(self)
+
+        monkeypatch.setattr(executors, "_Worker", SecondWorkerFails)
+        with pytest.raises(OSError, match="no process for a worker"):
+            run_jobs(_resilience_jobs(2, seed_base=91), workers=2, job_timeout=5.0)
+        assert len(started) == 1
+        assert multiprocessing.active_children() == []
 
     def test_hung_job_times_out_into_typed_failure(
         self, tmp_path, monkeypatch, capsys

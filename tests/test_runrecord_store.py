@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.config import SimulationConfig
-from repro.experiments.orchestrator import SweepSpec, orchestration, run_sweep
+from repro.experiments.orchestrator import SweepSpec, run_sweep
 from repro.metrics import SimulationResult
 from repro.record import RECORD_SCHEMA_VERSION, RunRecord
 from repro.session import Session
@@ -154,7 +154,7 @@ class TestV1StoreMigration:
         self._write_v1_store(path, spec)
         store = ResultStore(str(path))
         store.flush()  # an import alone writes nothing
-        assert json.load(open(path))["version"] == 1
+        assert json.loads(path.read_text())["version"] == 1
         store.put("fresh", sample_summary())
         store.flush()  # the first write replaces the file, v1 entries upgraded
         with open(path, "rb") as handle:
@@ -178,11 +178,11 @@ class TestProbedJobs:
     def test_context_probes_persist_channels(self, tmp_path):
         path = str(tmp_path / "store.json")
         spec = SweepSpec(series=[("s", build_config)], loads=[0.1], seeds=1)
-        with orchestration(workers=1, store=path, probes=("timeseries",)):
-            outcome = run_sweep(spec)
-        store = ResultStore(path)
+        with ResultStore(path) as store:
+            outcome = run_sweep(spec, workers=1, store=store, probes=("timeseries",))
         key = spec.expand()[0].key
-        record = store.get_record(key)
+        with ResultStore(path) as store:
+            record = store.get_record(key)
         assert "timeseries" in record.channels
         assert record.provenance["probes"] == ["TimeSeriesProbe"]
         # Probing never changes the summary (zero-cost dispatch design).
@@ -192,7 +192,7 @@ class TestProbedJobs:
         )
 
     def test_job_probes_roundtrip_spec(self):
-        # Context probes reach every job that names none of its own, and
+        # Sweep probes reach every job that names none of its own, and
         # the jobs run as prepared: a job's own probes win.
         from repro.experiments.orchestrator import run_jobs
 

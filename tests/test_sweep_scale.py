@@ -23,7 +23,8 @@ from repro.experiments.orchestrator import (
     run_sweep,
     SweepSpec,
 )
-from repro.keys import config_key
+from repro.faults import FaultSchedule, LinkDown, LinkUp
+from repro.keys import config_key, key_payload
 from repro.metrics import SimulationResult
 from repro.session import Session
 from repro.simulation import Simulation, build_artifacts
@@ -74,14 +75,25 @@ class TestKeys:
                 arrangement=VcArrangement.single_class(4, 2),
             )
 
+        def faulted() -> SimulationConfig:
+            return make_config(
+                faults=FaultSchedule(events=(LinkDown(100, 0, 3), LinkUp(200, 0, 3)))
+            )
+
         spec = SweepSpec(
-            series=[("df", build_config), ("hx", hyperx_flexvc)],
+            series=[("df", build_config), ("hx", hyperx_flexvc), ("faults", faulted)],
             loads=[0.1, 0.35],
             seeds=2,
         )
-        for job in spec.expand():
+        jobs = spec.expand()
+        for job in jobs:
             assert job.key == config_key(job.config)
             assert pickle.loads(pickle.dumps(job)) == job
+        # The schedule is part of the address; the empty default is not.
+        assert "faults" in key_payload(jobs[-1].config)
+        assert "faults" not in key_payload(jobs[0].config)
+        assert jobs[-1].key != config_key(dataclasses.replace(jobs[-1].config,
+                                                              faults=FaultSchedule()))
 
     def test_keys_pinned_to_literals(self):
         """Stores are addressed by these digests (taken at 8f5e6d3): a drift

@@ -286,3 +286,45 @@ def test_flexvc_4_2_valiant_keeps_delivering_under_adversarial_load():
     session.warmup(1000)
     delivered = [session.measure(500).packets_delivered for _ in range(8)]
     assert min(delivered) >= 1500, delivered
+
+
+def _hyperx_drain(algorithm: str):
+    """Tiny HyperX (4x3x3) at FlexVC's minimal feasible arrangement, uniform
+    load 0.2: warm-up 200, one 300-cycle window, then a 4,000-cycle drain.
+    Returns (arrangement, drain cycles, packets left resident)."""
+    from repro.experiments.runner import TINY, base_config
+    from repro.experiments.topologies import minimal_feasible_arrangement
+    from repro.session import Session
+
+    network = TINY.network_for("hyperx")
+    arrangement = minimal_feasible_arrangement(network, algorithm, "flexvc")
+    config = base_config(
+        TINY, network=network, algorithm=algorithm, vc_policy="flexvc",
+        arrangement=arrangement,
+    ).with_load(0.2)
+    session = Session(config)
+    session.warmup(200)
+    session.measure(300)
+    cycles = session.drain(4000)
+    return arrangement, cycles, session.sim.total_resident_packets()
+
+
+def test_hyperx_flexvc_min_drains():
+    """The control of the wedge below: MIN at 2/2 empties the network."""
+    arrangement, cycles, resident = _hyperx_drain("min")
+    assert arrangement == VcArrangement.single_class(2, 2)
+    assert resident == 0 and cycles < 4000
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: HyperX wires LOCAL and GLOBAL links (minimal "
+    "path L G G), and FlexVC at 3/3 wedges like the Dragonfly Valiant case",
+)
+@pytest.mark.parametrize("algorithm", ["val", "par", "pb"])
+def test_hyperx_flexvc_minimal_arrangement_drains(algorithm):
+    """Today VAL, PAR and PB at 3/3 leave 159, 11 and 15 packets resident
+    after the drain; the fix deletes the marker."""
+    arrangement, _, resident = _hyperx_drain(algorithm)
+    assert arrangement == VcArrangement.single_class(3, 3)
+    assert resident == 0
