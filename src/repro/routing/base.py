@@ -38,7 +38,6 @@ from ..topology.base import LINK_TYPES, Topology
 from .route_table import RouteTable
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..router.ports import OutputPort
     from ..router.router import Router
 
 #: bound on the plan and hop memo dictionaries.  The first-level plan memo is
@@ -466,26 +465,31 @@ class RoutingAlgorithm(ABC):
                 return candidate
         return dst_router  # pragma: no cover - degenerate pools only
 
-    def _sensing_args(self, port: "OutputPort", vc: int = 0) -> tuple:
+    def sensing_vc(self, msg_class: MessageClass, link_type: LinkType) -> int:
+        """VC that per-VC sensing reads for ``msg_class`` on a ``link_type``
+        port: the first (Piggyback overrides it for replies)."""
+        return 0
+
+    def _sensing_args(self, vc: int) -> tuple:
         """``port.occupancy_metric`` arguments of Figure 8's sensing
-        variant: per port, or VC ``vc`` (clamped to the port's VCs)."""
-        return (self.config.pb_sensing == "vc",
-                min(vc, port.mirror.num_vcs - 1),
+        variant: per port, or VC ``vc``."""
+        return (self.config.pb_sensing == "vc", vc,
                 self.config.pb_min_credits_only)
 
     def _queue_metric(self, router: "Router", target_router: int,
-                      vc: int = 0) -> int:
+                      msg_class: MessageClass) -> int:
         """Sensing metric of the first port towards ``target_router``."""
         out_port = self.route.column(target_router).next_port(router.router_id)
         if out_port is None:
             return 0
         port = router.output_ports[out_port]
-        return port.occupancy_metric(*self._sensing_args(port, vc))
+        vc = self.sensing_vc(msg_class, port.link_type)
+        return port.occupancy_metric(*self._sensing_args(vc))
 
     def _min_queue_longer(self, router: "Router", packet: Packet,
-                          intermediate: int, vc: int = 0) -> bool:
+                          intermediate: int) -> bool:
         """UGAL's local test (PAR and PB): the minimal queue exceeds twice
         the queue towards ``intermediate`` plus the threshold."""
-        q_min = self._queue_metric(router, packet.dst_router, vc)
-        q_nonmin = self._queue_metric(router, intermediate, vc)
+        q_min = self._queue_metric(router, packet.dst_router, packet.msg_class)
+        q_nonmin = self._queue_metric(router, intermediate, packet.msg_class)
         return q_min > 2 * q_nonmin + self.config.pb_threshold * packet.size_phits

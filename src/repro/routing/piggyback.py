@@ -85,10 +85,14 @@ class PiggybackRouting(RoutingAlgorithm):
         self._boards: Dict[int, SaturationBoard] = {}
 
     # -- sensing --------------------------------------------------------------
-    def sensing_vc(self, msg_class: MessageClass) -> int:
-        """First VC of the message class's sub-path (per-VC sensing)."""
-        if msg_class == MessageClass.REPLY and self.arrangement.is_reactive:
-            return self.arrangement.request_global
+    def sensing_vc(self, msg_class: MessageClass, link_type: LinkType) -> int:
+        """First VC of the message class's sub-path on ``link_type`` ports
+        (per-VC sensing): a reply reads the first reply VC, or the last VC
+        where the link type carries no reply VC of its own."""
+        arrangement = self.arrangement
+        if msg_class == MessageClass.REPLY and arrangement.is_reactive:
+            return min(arrangement.request_count(link_type),
+                       arrangement.total(link_type) - 1)
         return 0
 
     def bind_routers(self, routers: Sequence["Router"]) -> None:
@@ -129,7 +133,7 @@ class PiggybackRouting(RoutingAlgorithm):
             return None
         posts = [
             (op, gport, int(msg_class),
-             self._sensing_args(op, self.sensing_vc(msg_class)))
+             self._sensing_args(self.sensing_vc(msg_class, LinkType.GLOBAL)))
             for msg_class in MessageClass
             if msg_class == MessageClass.REQUEST or self._per_class
             for op, gport in global_ports
@@ -172,7 +176,6 @@ class PiggybackRouting(RoutingAlgorithm):
             # Intra-group traffic: always minimal (no global link to protect).
             return
         intermediate = self._pick_intermediate(packet, src_router, dst_router)
-        if (self._min_queue_longer(router, packet, intermediate,
-                                   self.sensing_vc(packet.msg_class))
+        if (self._min_queue_longer(router, packet, intermediate)
                 or self._min_global_saturated(router, packet, dst_col)):
             packet.mark_valiant(intermediate)

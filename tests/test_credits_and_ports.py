@@ -349,6 +349,9 @@ class TestLinkCallbacks:
 #: by every credit return, so these runs pin the link callbacks, the pump
 #: body and that wake rule for all three buffer set-ups.  The
 #: five variants cover all four branches of ``OutputPort.occupancy_metric``.
+#: The per-VC ``flexvc-vc`` and ``baseline-vc`` digests were re-sealed when a
+#: reply's sensing VC became the first reply VC of the sensed port's own
+#: link type (it read ``request_global`` on every port before).
 PINNED_PB_DIGESTS = {
     "mincred-port-4/2+2/1": {
         "static-5": "c6e95d31e189b51d",
@@ -356,14 +359,14 @@ PINNED_PB_DIGESTS = {
         "damq": "9c0b2dd034599778",
     },
     "flexvc-vc-4/2+2/1": {
-        "static-5": "2142ae12c6d92cc6",
-        "static-0": "ee49eaadb7a47c8a",
-        "damq": "f7bf12a5cc28711b",
+        "static-5": "8444fe57fa9ee2e4",
+        "static-0": "2aff52be14d1460b",
+        "damq": "9ba12005c4483ed5",
     },
     "baseline-vc-4/2+4/2": {
-        "static-5": "1b57f4a02f416e5f",
-        "static-0": "9d05c98c337e6d75",
-        "damq": "1bc0c676953eafa9",
+        "static-5": "6d9f2261beb080f8",
+        "static-0": "8136cbd4a5d49e1a",
+        "damq": "171efc3570a72c31",
     },
     "baseline-port-4/2+4/2": {
         "static-5": "d0ba68d84f231430",

@@ -101,3 +101,62 @@ def test_piggyback_network_goes_quiet():
     skipped = engine.idle_cycles_skipped
     session.run_until(engine.now + 1000)
     assert engine.idle_cycles_skipped - skipped >= 990
+
+
+def test_reply_senses_the_first_reply_vc_of_its_ports_link_type():
+    """Per-VC sensing reads the first VC of the packet's sub-path on the
+    port it senses: on a 4/2+2/1 router a reply reads VC 4 of a local port
+    and VC 2 of a global one, a request reads VC 0 of either.  A link type
+    with no reply VC of its own (4/2+2/0 globally) reads its last VC."""
+    from repro.core.link_types import LinkType, MessageClass
+    from repro.simulation import Simulation
+
+    def sensed(arrangement):
+        config = base_config(
+            TINY, pattern="adversarial", algorithm="pb", reactive=True,
+            vc_policy="flexvc", pb_sensing="vc", arrangement=arrangement,
+        )
+        sim = Simulation(config)
+        ports = sim.routers[0].output_ports.values()
+        return {
+            (port.link_type, msg_class): (
+                sim.routing.sensing_vc(msg_class, port.link_type),
+                port.mirror.num_vcs,
+            )
+            for port in ports
+            for msg_class in MessageClass
+        }
+
+    L, G = LinkType.LOCAL, LinkType.GLOBAL
+    REQUEST, REPLY = MessageClass.REQUEST, MessageClass.REPLY
+    assert sensed(VcArrangement.request_reply((4, 2), (2, 1))) == {
+        (L, REQUEST): (0, 6), (L, REPLY): (4, 6),
+        (G, REQUEST): (0, 3), (G, REPLY): (2, 3),
+    }
+    assert sensed(VcArrangement.request_reply((4, 2), (2, 0)))[G, REPLY] == (1, 2)
+
+
+def test_reply_queue_reads_land_on_reply_vcs(monkeypatch):
+    """Every per-VC read a 4/2+2/1 run makes, injection decisions and board
+    posts alike, is a request read of VC 0 or a reply read of the port's
+    first reply VC: 4 on local ports, 2 on global ones."""
+    from repro.core.link_types import LinkType
+    from repro.router.ports import OutputPort
+
+    reads = set()
+    original = OutputPort.occupancy_metric
+
+    def spy(port, per_vc, vc, minimal_only):
+        reads.add((port.link_type, vc))
+        return original(port, per_vc, vc, minimal_only)
+
+    monkeypatch.setattr(OutputPort, "occupancy_metric", spy)
+    config = base_config(
+        TINY, pattern="adversarial", algorithm="pb", reactive=True,
+        vc_policy="flexvc", pb_sensing="vc",
+        arrangement=VcArrangement.request_reply((4, 2), (2, 1)),
+    )
+    session = Session(dataclasses.replace(config, warmup_cycles=300).with_load(0.5))
+    session.warmup()
+    assert reads == {(LinkType.LOCAL, 0), (LinkType.LOCAL, 4),
+                     (LinkType.GLOBAL, 0), (LinkType.GLOBAL, 2)}
