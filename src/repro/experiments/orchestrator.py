@@ -258,8 +258,9 @@ def run_jobs(
       ``job_timeout`` needs a worker it can kill);
     * ``store``: where results persist and are served from (None =
       nowhere); the caller opens and closes it;
-    * ``probes``: probe registry names attached to every executed
-      (non-cached) job that names none of its own;
+    * ``probes``: probe registry names attached to every executed job
+      that names none of its own (a cached point is served without
+      telemetry: open the store with ``refresh=True`` to re-run it probed);
     * ``verbose``: stream progress/cache-hit lines to stderr;
     * ``job_timeout``: per-job wall-clock budget in seconds (None =
       unlimited), counted from when a worker starts the job; a budget runs

@@ -349,9 +349,6 @@ class TestLinkCallbacks:
 #: by every credit return, so these runs pin the link callbacks, the pump
 #: body and that wake rule for all three buffer set-ups.  The
 #: five variants cover all four branches of ``OutputPort.occupancy_metric``.
-#: The per-VC ``flexvc-vc`` and ``baseline-vc`` digests were re-sealed when a
-#: reply's sensing VC became the first reply VC of the sensed port's own
-#: link type (it read ``request_global`` on every port before).
 PINNED_PB_DIGESTS = {
     "mincred-port-4/2+2/1": {
         "static-5": "c6e95d31e189b51d",
