@@ -8,7 +8,7 @@ both halves).  Every automatic collection during construction or a
 :class:`~repro.session.Session` phase therefore walks a large live heap and
 finds nothing — a tenth of wall time at 876 routers, more above — so those
 blocks run with the collector paused, and the finished simulation is
-reclaimed where it dies (``executors._execute_chunk``).
+reclaimed where it dies (``executors._run_job``).
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ CONTROLS = ("disable", "enable", "freeze", "unfreeze", "set_threshold", "collect
 SITES = (
     ("collector.py", "paused_collector", ("disable", "enable", "collect"),
      "the helper"),
-    ("experiments/executors.py", "_execute_chunk", ("collect",),
+    ("experiments/executors.py", "_run_job", ("collect",),
      "the per-job reclaim"),
     ("experiments/executors.py", "_worker_main", ("freeze",),
      "a worker's start"),

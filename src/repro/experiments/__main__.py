@@ -143,7 +143,7 @@ def _run_figures(
             f"{stats.executed} point(s) simulated",
             f"{stats.cache_hits} served from cache",
             f"{missing} missing" if missing else "",
-            f"{stats.retries} chunk retries" if stats.retries else "",
+            f"{stats.retries} crash retries" if stats.retries else "",
             f"{stats.store_absorbed} absorbed from peer writers"
             if stats.store_absorbed else "",
         ]

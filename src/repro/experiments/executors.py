@@ -1,24 +1,21 @@
-"""How a sweep's jobs execute: one job, a chunk of jobs, and the chunk executors.
+"""How a sweep's jobs execute: one job, and the two executors.
 
-:func:`~repro.experiments.orchestrator.run_jobs` groups pending jobs into
-*series-affine chunks* (:func:`_chunk_pending`) and hands them to a chunk
-executor from :func:`_make_chunk_executor`: in this process when
-``workers == 1`` and no job timeout is set, on ``workers`` worker
-processes otherwise, each fed through its own pipe.  A pool that cannot
-start raises (its ``OSError``): running in-process instead would ignore the
-job timeout and the worker count the caller asked for.  Either executor
-yields one result per finished job, and results are bit-identical either
-way because every job owns its RNG.
-A chunk runs several jobs of one series on one worker, which amortizes
-pickle/IPC overhead and keeps each worker's topology registry cache hot: a
-topology graph and its route table are built once per network per worker
-instead of once per job.
+:func:`~repro.experiments.orchestrator.run_jobs` hands its pending jobs, in
+:func:`_dispatch_order`, to an executor from :func:`_make_executor`: in
+this process when ``workers == 1`` and no job timeout is set, on
+``workers`` worker processes otherwise, each fed one job at a time through
+its own pipe.  A pool that cannot start raises (its ``OSError``): running
+in-process instead would ignore the job timeout and the worker count the
+caller asked for.  Either executor yields one result per finished job, and
+results are bit-identical either way because every job owns its RNG.
+A worker builds a network's topology and route table once, whichever of
+its jobs needs it first: the topology registry's build cache
+(``TOPOLOGIES.build_cached``) lives as long as the worker.
 """
 
 from __future__ import annotations
 
 import gc
-import math
 import os
 import signal
 import threading
@@ -37,11 +34,6 @@ from ..topology import TOPOLOGIES
 
 if TYPE_CHECKING:
     from .orchestrator import Job
-
-#: upper bound of a chunk's size (resumability granularity: an interrupted
-#: sweep loses at most this many in-flight jobs per worker).
-MAX_CHUNK_JOBS = 8
-
 
 # ---------------------------------------------------------------------------
 # Job execution
@@ -99,9 +91,8 @@ def _execute_job(job: Job) -> Tuple[str, RunRecord, bool]:
 _JobResult = Tuple[str, "RunRecord | JobFailure", bool]
 
 
-def _execute_chunk(jobs: Sequence[Job], report: Callable[[_JobResult], None]) -> None:
-    """Run a series-affine chunk of jobs in this process, one after another,
-    handing each job's result to ``report`` as soon as it finishes.
+def _run_job(job: Job) -> _JobResult:
+    """Run one job in this process and reclaim its simulation.
 
     A finished job's ``Simulation`` is the one reference cycle a run builds
     (:mod:`repro.collector`), and with the phases paused the allocation
@@ -109,32 +100,40 @@ def _execute_chunk(jobs: Sequence[Job], report: Callable[[_JobResult], None]) ->
     it here, when it dies, so a process holds one live simulation however
     many jobs it runs.
     """
-    for job in jobs:
-        report(_execute_job(job))
-        gc.collect()
+    result = _execute_job(job)
+    gc.collect()
+    return result
+
+
+def _dispatch_order(pending: Sequence[Job]) -> List[Job]:
+    """Heaviest load first, spec order among equal loads.
+
+    Greedy list scheduling in longest-processing-time order (Graham, 1969):
+    high-load points cost the most wall clock, so starting them first
+    leaves the short ones to fill the tail on every worker.  The order never
+    affects results — jobs are independent and keyed by content hash.
+    """
+    return sorted(pending, key=lambda job: -job.load)
 
 
 # ---------------------------------------------------------------------------
-# Chunk executors
+# Executors
 # ---------------------------------------------------------------------------
 
-class _SerialChunkExecutor:
-    """Chunk execution in this process; lazily runs on ``next_completed``."""
+class _SerialExecutor:
+    """Job execution in this process; lazily runs on ``next_completed``."""
 
     def __init__(self) -> None:
-        self._chunks: Deque[Tuple[Job, ...]] = deque()
-        self._done: Deque[_JobResult] = deque()
+        self._queue: Deque[Job] = deque()
 
-    def submit(self, chunk: Sequence[Job]) -> None:
-        self._chunks.append(tuple(chunk))
+    def submit(self, job: Job) -> None:
+        self._queue.append(job)
 
     def pending(self) -> bool:
-        return bool(self._chunks) or bool(self._done)
+        return bool(self._queue)
 
     def next_completed(self) -> _JobResult:
-        if not self._done:
-            _execute_chunk(self._chunks.popleft(), self._done.append)
-        return self._done.popleft()
+        return _run_job(self._queue.popleft())
 
     def shutdown(self) -> None:
         pass
@@ -152,10 +151,10 @@ def _exit_with_parent() -> None:
 
 
 def _worker_main(conn: Connection) -> None:
-    """A worker process: run each chunk received, one message per job.
+    """A worker process: run each job received, one message back per job.
 
     The heap a worker starts with (modules, what the fork copied) never
-    dies in it, so freezing it keeps :func:`_execute_chunk`'s per-job full
+    dies in it, so freezing it keeps :func:`_run_job`'s per-job full
     collection to what the job itself left behind (13 ms -> 2 ms after a
     ``tiny`` job).  A watchdog thread ends the worker within half a second
     of its parent's death, idle or mid-job: the pipe alone cannot tell,
@@ -166,9 +165,9 @@ def _worker_main(conn: Connection) -> None:
     threading.Thread(target=_exit_with_parent, daemon=True).start()
     try:
         while True:
-            chunk = conn.recv()
+            job = conn.recv()
             try:
-                _execute_chunk(chunk, conn.send)
+                conn.send(_run_job(job))
             except Exception as exc:  # raised in the parent, as a serial run would
                 exc.add_note(traceback.format_exc())
                 conn.send(exc)
@@ -177,16 +176,16 @@ def _worker_main(conn: Connection) -> None:
 
 
 class _Worker:
-    """One worker process, the parent's end of its pipe, and the jobs of
-    the chunk it runs that it has not reported yet (the first is running)."""
+    """One worker process, the parent's end of its pipe, and the job it
+    runs (None while idle)."""
 
     def __init__(self) -> None:
         self.conn, child = Pipe()
         self.process = Process(target=_worker_main, args=(child,), daemon=True)
         self.process.start()
         child.close()
-        self.jobs: Deque[Job] = deque()
-        #: when the running job started (dispatch, or the last job's report).
+        self.job: Optional[Job] = None
+        #: when the running job was sent (an idle worker starts it at once).
         self.started = 0.0
 
     def stop(self) -> None:
@@ -195,22 +194,20 @@ class _Worker:
         self.conn.close()
 
 
-class _PoolChunkExecutor:
-    """Chunk execution on ``workers`` processes, each fed through its own pipe.
+class _PoolExecutor:
+    """Job execution on ``workers`` processes, each fed through its own pipe.
 
-    A worker gets one chunk at a time and reports each job as it finishes,
-    so the parent always knows which job every worker is running.  That is
-    what a failure is charged to:
+    A worker gets one job at a time, so the parent always knows which job
+    every worker is running.  That is what a failure is charged to:
 
-    * **worker crash** (EOF on the pipe, or the process gone): the jobs
-      already reported are kept and the rest of the chunk is requeued; the
-      running job is retried by itself, after a short linear backoff, until
-      it has killed :data:`MAX_RETRIES` + 1 workers, and then resolves to
-      ``JobFailure("worker-crash")`` alone.
+    * **worker crash** (EOF on the pipe, or the process gone): the job is
+      retried on a fresh worker, after a short linear backoff, until it has
+      killed :data:`MAX_RETRIES` + 1 workers, and then resolves to
+      ``JobFailure("worker-crash")``.
     * **job timeout** (``job_timeout`` seconds per job, counted from when
-      the job starts): that worker is killed and replaced, the job resolves
-      to ``JobFailure("timeout")``, and the rest of its chunk is requeued.
-      No other worker is touched.
+      its worker starts it): that worker is killed and replaced, and the
+      job resolves to ``JobFailure("timeout")``.  No other worker is
+      touched.
 
     ``on_retry`` fires before a crashed job is requeued so the caller can
     checkpoint (``run_jobs`` flushes the result store: completed points must
@@ -226,11 +223,11 @@ class _PoolChunkExecutor:
         self,
         workers: int,
         job_timeout: Optional[float],
-        on_retry: Callable[[Tuple[Job, ...], str], None],
+        on_retry: Callable[[Job, str], None],
     ) -> None:
         self._job_timeout = job_timeout
         self._on_retry = on_retry
-        self._queue: Deque[Tuple[Job, ...]] = deque()
+        self._queue: Deque[Job] = deque()
         self._done: Deque[_JobResult] = deque()
         #: job key -> workers it has killed.
         self._crashes: Dict[str, int] = {}
@@ -242,15 +239,17 @@ class _PoolChunkExecutor:
             self.shutdown()
             raise
 
-    def submit(self, chunk: Sequence[Job]) -> None:
-        self._queue.append(tuple(chunk))
+    def submit(self, job: Job) -> None:
+        self._queue.append(job)
 
     def pending(self) -> bool:
-        return bool(self._queue or self._done) or any(w.jobs for w in self._workers)
+        return bool(self._queue or self._done) or any(
+            w.job is not None for w in self._workers
+        )
 
     def next_completed(self) -> _JobResult:
         # Dispatch right after each wait: a worker that just finished its
-        # chunk gets the next one before the caller stores the results.
+        # job gets the next one before the caller stores the result.
         self._dispatch()
         while not self._done:
             self._wait_once()
@@ -259,17 +258,16 @@ class _PoolChunkExecutor:
 
     def _dispatch(self) -> None:
         for worker in self._workers:
-            if not worker.jobs and self._queue:
-                chunk = self._queue.popleft()
-                worker.jobs.extend(chunk)
+            if worker.job is None and self._queue:
+                worker.job = self._queue.popleft()
                 worker.started = time.monotonic()
                 try:
-                    worker.conn.send(chunk)
+                    worker.conn.send(worker.job)
                 except OSError:
                     pass  # the worker died idle: the wait sees its pipe's EOF
 
     def _wait_once(self) -> None:
-        busy = [worker for worker in self._workers if worker.jobs]
+        busy = [worker for worker in self._workers if worker.job is not None]
         limit = self._job_timeout
         timeout = None
         if limit is not None:
@@ -284,27 +282,25 @@ class _PoolChunkExecutor:
                 self._timed_out(worker)
 
     def _receive(self, worker: _Worker) -> None:
-        while worker.jobs and worker.conn.poll():
-            try:
-                message = worker.conn.recv()
-            except (EOFError, OSError):
-                self._crashed(worker)
-                return
-            if isinstance(message, Exception):
-                raise message
-            self._done.append(message)
-            worker.jobs.popleft()
-            worker.started = time.monotonic()
+        if not worker.conn.poll():
+            return
+        try:
+            message = worker.conn.recv()
+        except (EOFError, OSError):
+            self._crashed(worker)
+            return
+        if isinstance(message, Exception):
+            raise message
+        self._done.append(message)
+        worker.job = None
 
     def _replace(self, worker: _Worker) -> Job:
-        """Stop ``worker`` for good, start its replacement, requeue the jobs
-        of its chunk that never ran, and return the one that was running."""
+        """Stop ``worker`` for good, start its replacement and return the
+        job that was running."""
         worker.stop()
         self._workers[self._workers.index(worker)] = _Worker()
-        running = worker.jobs.popleft()
-        if worker.jobs:
-            self._queue.appendleft(tuple(worker.jobs))
-        return running
+        assert worker.job is not None
+        return worker.job
 
     def _crashed(self, worker: _Worker) -> None:
         job = self._replace(worker)
@@ -317,9 +313,9 @@ class _PoolChunkExecutor:
             )
             self._done.append((job.key, failure, False))
             return
-        self._on_retry((job,), "worker-crash")
+        self._on_retry(job, "worker-crash")
         time.sleep(self.RETRY_BACKOFF_S * crashes)
-        self._queue.appendleft((job,))
+        self._queue.appendleft(job)
 
     def _timed_out(self, worker: _Worker) -> None:
         job = self._replace(worker)
@@ -338,36 +334,20 @@ class _PoolChunkExecutor:
         self._workers.clear()
 
 
-def _make_chunk_executor(
+def _make_executor(
+    pending: Sequence[Job],
     workers: int,
     job_timeout: Optional[float],
-    on_retry: Callable[[Tuple[Job, ...], str], None],
-) -> "_SerialChunkExecutor | _PoolChunkExecutor":
-    # A timeout needs a worker it can kill, even when there is only one.
-    if workers > 1 or job_timeout is not None:
-        return _PoolChunkExecutor(workers, job_timeout, on_retry)
-    return _SerialChunkExecutor()
+    on_retry: Callable[[Job, str], None],
+) -> "_SerialExecutor | _PoolExecutor":
+    """An executor holding ``pending`` in :func:`_dispatch_order`.
 
-
-def _chunk_pending(pending: Sequence[Job], workers: int) -> List[List[Job]]:
-    """Group pending jobs into series-affine chunks.
-
-    Jobs of one chunk always belong to one series (one network), so a
-    worker executing the chunk builds its artifacts at most once.  The size
-    balances IPC amortization against load balance and resumability:
-    roughly four chunks per worker, capped at :data:`MAX_CHUNK_JOBS` jobs.
+    A timeout needs a worker it can kill, even when there is only one; a
+    sweep with nothing to run starts no worker.
     """
-    by_series: Dict[str, List[Job]] = {}
-    for job in pending:
-        by_series.setdefault(job.series, []).append(job)
-    size = max(1, min(MAX_CHUNK_JOBS, math.ceil(len(pending) / (max(1, workers) * 4))))
-    chunks: List[List[Job]] = []
-    for series_jobs in by_series.values():
-        for start in range(0, len(series_jobs), size):
-            chunks.append(series_jobs[start:start + size])
-    # Heaviest chunks first (longest-processing-time heuristic): high-load
-    # points cost the most wall clock, so scheduling them early shortens the
-    # straggler tail on several workers.  Submission order never affects
-    # results — jobs are independent and keyed by content hash.
-    chunks.sort(key=lambda chunk: -max(job.load for job in chunk))
-    return chunks
+    executor: "_SerialExecutor | _PoolExecutor" = _SerialExecutor()
+    if pending and (workers > 1 or job_timeout is not None):
+        executor = _PoolExecutor(workers, job_timeout, on_retry)
+    for job in _dispatch_order(pending):
+        executor.submit(job)
+    return executor

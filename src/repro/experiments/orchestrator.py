@@ -14,17 +14,17 @@ run.  This module turns that decomposition into infrastructure:
   every entry point;
 * :func:`run_jobs` is the one place a job is prepared (probes and fault
   spec attached, duplicates dropped) and the run loop: it serves stored
-  results from the :class:`~repro.store.ResultStore`, dispatches the rest in
-  series-affine chunks to the executors of
+  results from the :class:`~repro.store.ResultStore`, dispatches the rest
+  one job at a time, heaviest load first, to the executors of
   :mod:`repro.experiments.executors`, and streams every result back into
   the store, so an interrupted sweep resumes from what it already computed.
   The caller opens and closes the store.
 
 Every executed point is measured one way: the scale's fixed warm-up and
 measurement budget (:meth:`~repro.session.Session.measure`), stored under
-its config key.  Sweeps are bit-identical to per-job dispatch at any worker
-count — chunking and artifact reuse are execution-strategy changes only,
-enforced by ``tests/test_sweep_scale.py``.
+its config key.  Sweeps are bit-identical to a serial run with fresh
+artifacts at any worker count — dispatch order and artifact reuse are
+execution-strategy changes only, enforced by ``tests/test_sweep_scale.py``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from ..metrics import SimulationResult
 from ..record import JobFailure, RunRecord
 from ..simulation import average_results
 from ..store import ResultStore
-from .executors import _chunk_pending, _make_chunk_executor
+from .executors import _make_executor
 
 #: A builder produces a complete load-agnostic configuration; the sweep
 #: applies the offered load (and seeds) on top of it.
@@ -273,11 +273,10 @@ def run_jobs(
     Every job is prepared first (:func:`_prepare`), and may raise
     :class:`FaultSpecError` there.
 
-    Execution is chunked: pending jobs are grouped into series-affine chunks
-    (:func:`~repro.experiments.executors._chunk_pending`) so each worker
-    builds construction artifacts once per network and per-job IPC is
-    amortized.  Results still stream to the result store per completed
-    job, which checkpoints them every ``flush_interval`` seconds
+    Pending jobs go to the executor one at a time, heaviest load first
+    (:func:`~repro.experiments.executors._dispatch_order`); a sweep with
+    none pending starts no worker.  Results stream to the result store per
+    completed job, which checkpoints them every ``flush_interval`` seconds
     (:meth:`~repro.store.ResultStore.flush_if_due`) and is flushed on
     return and on interrupt, so a killed sweep resumes from its latest
     completed points.
@@ -329,7 +328,7 @@ def run_jobs(
         if reporter is not None:
             reporter.update()
 
-    def on_retry(chunk: Tuple[Job, ...], reason: str) -> None:
+    def on_retry(job: Job, reason: str) -> None:
         # Checkpoint before any resubmission: the completed points must
         # survive even if the retried job keeps killing workers.
         stats.retries += 1
@@ -337,14 +336,12 @@ def run_jobs(
             store.flush()
         if verbose:
             print(
-                f"[sweep] retrying {len(chunk)}-job chunk after {reason}",
+                f"[sweep] retrying {job.series}@{job.load:g} after {reason}",
                 file=sys.stderr,
             )
 
-    executor = _make_chunk_executor(workers, job_timeout, on_retry)
+    executor = _make_executor(pending, workers, job_timeout, on_retry)
     try:
-        for chunk in _chunk_pending(pending, workers):
-            executor.submit(chunk)
         while executor.pending():
             key, record, artifact_hit = executor.next_completed()
             on_result(unique[key], record, artifact_hit)

@@ -19,7 +19,7 @@ import pytest
 from repro.collector import paused_collector
 from repro.core.arrangement import VcArrangement
 from repro.experiments import TINY, base_config
-from repro.experiments.executors import _execute_chunk
+from repro.experiments.executors import _run_job
 from repro.experiments.orchestrator import Job
 from repro.experiments.topologies import minimal_feasible_arrangement
 from repro.faults import FaultSchedule
@@ -207,7 +207,7 @@ def test_phases_run_paused_and_settle_at_their_exit(tiny_config):
 # -- (c) reclamation --------------------------------------------------------
 
 
-def test_execute_chunk_holds_one_simulation_at_a_time():
+def test_run_job_holds_one_simulation_at_a_time():
     config = dataclasses.replace(
         _dragonfly("min", "flexvc"), warmup_cycles=100, measure_cycles=200
     )
@@ -216,10 +216,9 @@ def test_execute_chunk_holds_one_simulation_at_a_time():
             config=config.with_load(LOAD).with_seed(seed))
         for seed in range(6)
     ]
-    _execute_chunk(jobs[:1], lambda result: None)
+    _run_job(jobs[0])
     after_first = len(gc.get_objects())
-    records = []
-    _execute_chunk(jobs[1:], records.append)
+    records = [_run_job(job) for job in jobs[1:]]
     assert len(records) == 5
     # A live tiny Simulation is 10-17k tracked objects; five records are not.
     assert len(gc.get_objects()) - after_first < 1_000

@@ -355,19 +355,19 @@ class TestCrashResilience:
         assert jobs[1].key not in {key for key, _, _ in store.entries()}
 
     def test_only_the_crasher_fails(self, monkeypatch):
-        # Nine jobs make chunks of two.  The crasher is the second job of
-        # its chunk: its chunk-mate has reported by the time it crashes,
-        # and no other job may be charged with its crashes.
-        from repro.experiments.executors import _PoolChunkExecutor, _chunk_pending
+        # A worker holds one job, so no other job may be charged with the
+        # crasher's crashes: it alone fails, and every other job equals
+        # the serial result.
+        from repro.experiments.executors import _PoolExecutor
 
         jobs = _resilience_jobs(9, seed_base=91)
-        assert [len(chunk) for chunk in _chunk_pending(jobs, 2)] == [2, 2, 2, 2, 1]
         crasher = jobs[3].key
         monkeypatch.setenv("REPRO_TEST_CRASH_KEY", crasher)  # every attempt
         stats = run_jobs(jobs, workers=2)
         assert stats.failed == 1
         assert stats.failures[crasher].reason == "worker-crash"
-        assert stats.failures[crasher].retries == _PoolChunkExecutor.MAX_RETRIES + 1
+        assert stats.failures[crasher].retries == _PoolExecutor.MAX_RETRIES + 1
+        assert stats.retries == _PoolExecutor.MAX_RETRIES
         monkeypatch.delenv("REPRO_TEST_CRASH_KEY")
         serial = run_jobs(jobs, workers=1)
         assert sorted(stats.results) == sorted(
@@ -376,12 +376,20 @@ class TestCrashResilience:
         for key, result in stats.results.items():
             assert dataclasses.asdict(result) == dataclasses.asdict(serial.results[key])
 
+    def test_retry_names_the_point(self, tmp_path, monkeypatch, capsys):
+        jobs = _resilience_jobs(3, seed_base=95)
+        marker = tmp_path / "crashed.marker"
+        monkeypatch.setenv("REPRO_TEST_CRASH_KEY", f"{jobs[1].key}:{marker}")
+        stats = run_jobs(jobs, workers=2, verbose=True)
+        assert stats.retries == 1
+        err = capsys.readouterr().err.splitlines()
+        assert "[sweep] retrying resilience@0.3 after worker-crash" in err
+
     def test_queued_job_is_not_timed_out(self):
         # A job's clock starts when a worker starts it, not when the sweep
         # queues it.  The timeout is 8x the longest of three measured jobs,
-        # and the sweep holds 4x the timeout of work (capped), one series
-        # per job so that every job is its own chunk: on two workers the
-        # last jobs wait in the queue about twice the timeout.
+        # and the sweep holds 4x the timeout of work (capped): on two
+        # workers the last jobs wait in the queue about twice the timeout.
         import math
         import time
 
@@ -392,11 +400,9 @@ class TestCrashResilience:
             walls.append(time.monotonic() - start)
         timeout = 8 * max(walls)
         count = min(80, math.ceil(4 * timeout / min(walls)))
-        jobs = [
-            dataclasses.replace(job, series=f"s{index}")
-            for index, job in enumerate(_resilience_jobs(count, seed_base=104))
-        ]
-        stats = run_jobs(jobs, workers=2, job_timeout=timeout)
+        stats = run_jobs(
+            _resilience_jobs(count, seed_base=104), workers=2, job_timeout=timeout
+        )
         assert stats.failed == 0
         assert stats.retries == 0
 
@@ -448,11 +454,11 @@ class TestCrashResilience:
     def test_failing_flush_still_shuts_the_pool_down(self, tmp_path, monkeypatch):
         # A flush that raises mid-sweep (a lock timeout, a filesystem without
         # flock) must not leave the pool running: interpreter exit would wait
-        # for every queued chunk before the error is reported.
+        # for every queued job before the error is reported.
         from repro.experiments import executors
 
         shutdowns = []
-        original = executors._PoolChunkExecutor.shutdown
+        original = executors._PoolExecutor.shutdown
 
         def spying_shutdown(executor):
             shutdowns.append(executor)
@@ -461,7 +467,7 @@ class TestCrashResilience:
         def failing_flush():
             raise StoreError("flush failed")
 
-        monkeypatch.setattr(executors._PoolChunkExecutor, "shutdown", spying_shutdown)
+        monkeypatch.setattr(executors._PoolExecutor, "shutdown", spying_shutdown)
         store = ResultStore(str(tmp_path / "store.journal"), flush_interval=0)
         monkeypatch.setattr(store, "flush", failing_flush)
         with pytest.raises(StoreError, match="flush failed"):
@@ -542,3 +548,67 @@ class TestCrashResilience:
         assert completed.returncode == 0
         assert "FAILED: timeout" in completed.stdout
         assert "1 failed" in completed.stdout
+
+
+class TestDispatch:
+    def test_order_is_load_descending_and_stable(self):
+        from repro.experiments.executors import _dispatch_order
+
+        jobs = [
+            dataclasses.replace(job, load=load)
+            for job, load in zip(
+                _resilience_jobs(6, seed_base=131), (0.3, 0.9, 0.1, 0.9, 0.3, 0.5)
+            )
+        ]
+        ordered = _dispatch_order(jobs)
+        assert [job.load for job in ordered] == [0.9, 0.9, 0.5, 0.3, 0.3, 0.1]
+        # Equal loads keep spec order.
+        assert [jobs.index(job) for job in ordered] == [1, 3, 5, 0, 4, 2]
+
+    def test_every_message_to_a_worker_is_one_job(self, monkeypatch):
+        from repro.experiments import executors
+        from repro.experiments.orchestrator import Job
+
+        sent = []
+
+        class SpyingConnection:
+            def __init__(self, conn) -> None:
+                self._conn = conn
+
+            def send(self, message) -> None:
+                sent.append(message)
+                self._conn.send(message)
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+        class SpiedWorker(executors._Worker):
+            def __init__(self) -> None:
+                super().__init__()
+                self.conn = SpyingConnection(self.conn)
+
+        monkeypatch.setattr(executors, "_Worker", SpiedWorker)
+        jobs = _resilience_jobs(5, seed_base=141)
+        stats = run_jobs(jobs, workers=2)
+        assert stats.executed == 5
+        assert all(type(message) is Job for message in sent)
+        assert sorted(message.key for message in sent) == sorted(j.key for j in jobs)
+
+    def test_fully_cached_sweep_starts_no_worker(self, tmp_path, monkeypatch):
+        from repro.experiments import executors
+
+        jobs = _resilience_jobs(2, seed_base=151)
+        store = ResultStore(str(tmp_path / "store.journal"))
+        run_jobs(jobs, workers=1, store=store)
+        started = []
+
+        class CountedWorker(executors._Worker):
+            def __init__(self) -> None:
+                started.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(executors, "_Worker", CountedWorker)
+        stats = run_jobs(jobs, workers=2, job_timeout=30, store=store)
+        store.close()
+        assert stats.cache_hits == 2 and stats.executed == 0
+        assert started == []

@@ -1,12 +1,12 @@
-"""Sweep-scale execution tests: store addresses, shared artifacts, chunking.
+"""Sweep-scale execution tests: store addresses, shared artifacts, dispatch.
 
 The contract under test:
 
 * sweeps are **bit-identical** to per-job fresh-build execution at any
-  worker count, whatever chunk size it gives — chunked dispatch and
-  artifact reuse are execution-strategy changes only;
+  worker count — dispatch order and artifact reuse are execution-strategy
+  changes only;
 * interrupted sweeps resume from the store without recomputing anything
-  already persisted, chunking included;
+  already persisted;
 * a point is stored and served under its config key alone, and records
   older stores hold under other addresses are never served.
 """
@@ -17,7 +17,6 @@ import dataclasses
 import pickle
 
 from repro.config import SimulationConfig
-from repro.experiments.executors import _chunk_pending
 from repro.experiments.orchestrator import (
     run_jobs,
     run_sweep,
@@ -274,10 +273,10 @@ class TestArtifactCache:
 
 
 # ---------------------------------------------------------------------------
-# Chunked execution equivalence (the tentpole default-mode guarantee)
+# Dispatch equivalence: any worker count, any order, one result per point
 # ---------------------------------------------------------------------------
 
-class TestChunkedEquivalence:
+class TestDispatchEquivalence:
     SPEC = dict(loads=[0.15, 0.3], seeds=2)
 
     def _spec(self) -> SweepSpec:
@@ -290,9 +289,9 @@ class TestChunkedEquivalence:
             for key, record, _meta in ResultStore(str(path)).entries()
         }
 
-    def test_chunked_and_cached_matches_per_job_fresh_builds(self, tmp_path):
-        """workers in {1, 2, 4}, hence chunks of 6, 3 and 2 jobs, chunked and
-        cached == the serial per-job path."""
+    def test_dispatched_and_cached_matches_per_job_fresh_builds(self, tmp_path):
+        """workers in {1, 2, 4}, heaviest load first with shared artifacts
+        == the serial per-job path with fresh builds, in spec order."""
         def short() -> SimulationConfig:
             return make_config(warmup_cycles=50, measure_cycles=100)
 
@@ -314,8 +313,7 @@ class TestChunkedEquivalence:
             for job in jobs
         }
         payloads = {}
-        for workers, size in ((1, 6), (2, 3), (4, 2)):
-            assert {len(chunk) for chunk in _chunk_pending(jobs, workers)} == {size}
+        for workers in (1, 2, 4):
             path = str(tmp_path / f"store_{workers}.json")
             outcome = run_sweep(spec, workers=workers, store=ResultStore(path))
             assert outcome.stats.executed == len(reference)
@@ -328,7 +326,7 @@ class TestChunkedEquivalence:
             assert payload == first
 
     def test_resume_recomputes_nothing_stored(self, tmp_path, monkeypatch):
-        """A killed chunked sweep resumes: stored points never re-execute."""
+        """A killed sweep resumes: stored points never re-execute."""
         path = str(tmp_path / "store.json")
         spec = self._spec()
         jobs = spec.expand()
