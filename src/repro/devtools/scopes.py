@@ -64,8 +64,8 @@ _SLOTS_SCOPE = (
 
 # The storage layer replays journals and rewrites stores: its on-disk byte
 # order must be reproducible, so the ordering-determinism rules apply.  It
-# is deliberately OUTSIDE det-wallclock/det-env-read scope — lock timeouts
-# and the holder's acquisition time need wall-clock time, and the
+# is deliberately OUTSIDE det-wallclock/det-env-read scope — the flush
+# interval and the lock holder's acquisition time need wall-clock time, and the
 # crash-injection test seam reads the environment, both legitimately.
 _STORE = ("store/",)
 

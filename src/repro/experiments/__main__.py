@@ -14,8 +14,8 @@ Results are persisted to a store keyed by a content hash of each point's
 complete :class:`~repro.config.SimulationConfig` (default
 ``results/store.json``), so re-running a figure serves every already-computed
 point from cache — interrupted sweeps resume instead of recomputing.  The
-store is a crash-safe journal (append-only, checksummed, safe for concurrent
-sweep processes sharing one path; see :mod:`repro.store`); a monolithic JSON
+store is a crash-safe journal (append-only, checksummed, one writing run at a
+time, which ``inspect`` may read meanwhile; see :mod:`repro.store`); a monolithic JSON
 store written by earlier code is imported on open and replaced by a journal
 the first time the sweep writes to it.  Stored entries are versioned :class:`~repro.record.RunRecord` payloads; ``--probes``
 attaches registry probes to every executed point so telemetry channels are
@@ -102,8 +102,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
         return _run_figures(args, store, probes, faults)
     except StoreError as exc:
-        # At open, or at any later flush: a lock timeout, or a filesystem
-        # without flock under a fresh store (first locked at the first flush).
+        # Every lock error comes at open: another writer holds the store,
+        # or its filesystem has no flock.  Later, a flush or a lookup can
+        # still meet a frame that no longer matches its checksum.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -144,8 +145,6 @@ def _run_figures(
             f"{stats.cache_hits} served from cache",
             f"{missing} missing" if missing else "",
             f"{stats.retries} crash retries" if stats.retries else "",
-            f"{stats.store_absorbed} absorbed from peer writers"
-            if stats.store_absorbed else "",
         ]
         print(
             f"\n[{name}] {elapsed:.1f}s with {args.workers} worker(s): "
@@ -168,7 +167,7 @@ def _channel_digest(name: str, payload: dict) -> str:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     try:
-        store = ResultStore(args.store, strict=True)
+        store = ResultStore(args.store, read_only=True)
     except StoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -154,10 +154,6 @@ class JobRunStats:
     failed: int = 0
     #: job key -> terminal failure, for callers that want the reasons.
     failures: Dict[str, JobFailure] = field(default_factory=dict)
-    #: records absorbed from other writer processes sharing the store (a
-    #: peer sweep's flushed results picked up before dispatch turn into
-    #: cache hits instead of re-simulations).
-    store_absorbed: int = 0
 
 
 class _ProgressReporter:
@@ -288,12 +284,6 @@ def run_jobs(
         unique.setdefault(job.key, job)
 
     results = stats.results
-    if store is not None:
-        # Re-read the shared journal before deciding what to dispatch: a
-        # concurrent sweep process may have flushed results since we opened
-        # the store, and every absorbed record below becomes a cache hit
-        # instead of a re-simulation.
-        stats.store_absorbed = store.refresh_from_disk()
     pending: List[Job] = []
     for job in unique.values():
         cached = store.get_record(job.key) if store is not None else None

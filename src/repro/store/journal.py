@@ -34,54 +34,46 @@ there, not at ``flush``); the frame stays ``bytes`` until a flush appends it
 and then becomes an offset.  Entries imported from a JSON store stay ``bytes`` until
 the first flush rewrites the file.  One invariant keeps this exact: every
 offset refers to the file the held descriptor has open.  The descriptor is
-bound only where the offsets are produced, under the lock: a replay from
-offset zero (a ``dup`` of the replay's own handle) or a rewrite (the
-snapshot's own handle); a resynchronisation reads the frames it re-owns
-through the old descriptor before rebinding.  :meth:`ResultStore.close`
-flushes and releases it, and a read after ``close()`` raises
-:class:`StoreError`.  On the ledger's 37 MB journal: reopen 1.10 -> 0.11 s
-and peak RSS 259 -> 77 MB when an entry became its frame, then 63.5 -> 28 MB
-when it became its offset (DESIGN §12).
+bound only where the offsets are produced: a replay from offset zero (a
+``dup`` of the replay's own handle) or a rewrite (the snapshot's own handle,
+bound after the snapshot has read every frame through the old one).
+:meth:`ResultStore.close` flushes and releases it, and a read after
+``close()`` raises :class:`StoreError`.  On the ledger's 37 MB journal:
+reopen 1.10 -> 0.11 s and peak RSS 259 -> 77 MB when an entry became its
+frame, then 63.5 -> 28 MB when it became its offset (DESIGN §12).
 
-Durability and concurrency contract:
+Durability and access contract:
 
+* **one writer** — a store opened for writing takes its :class:`StoreLock`
+  at open, without waiting, and holds it until :meth:`ResultStore.close`
+  (or until it is dropped); a second writer is refused at once with
+  :class:`StoreLocked`, naming the holder.  So nothing on file changes
+  under a writer but its own appends and rewrites;
+* **read-only readers** — ``read_only=True`` takes no lock and reads a
+  snapshot: the frames whole at its open, through its own descriptor, which
+  keeps the old file alive and exact when the writer compacts.  It never
+  truncates (a live writer may be mid-append) and refuses every write;
 * **one fsynced append per flush** — a flush frames only the keys written
   since the previous flush and appends them with a single ``write`` +
   ``fsync``, so persisting a sweep's next results is O(new records), never
   O(store);
-* **torn-write recovery** — opening (and absorbing, below) scans frames and
-  *truncates* an invalid tail instead of raising: a SIGKILL/power loss at
-  any byte offset costs at most the half-written final entry, and every
-  complete record before it is salvaged (logged, counted in
-  :attr:`torn_salvages`);
-* **advisory locking** — every critical section (recovery, append,
-  compaction) runs under the store's :class:`StoreLock`, so any number of
-  orchestrator processes can write one journal: appends interleave instead
-  of clobbering.  Because appends happen only under the lock and are
-  fsynced before release, a torn tail can only belong to a *dead* writer —
-  truncating it under the lock never destroys live data;
-* **absorption** — before appending, a flush reads every frame a peer
-  appended since our last offset and merges it into memory (our pending
-  writes win ties; tied keys are identical by construction — records are
-  keyed by config content hash).  :meth:`refresh_from_disk` exposes the
-  same absorption to the orchestrator, which calls it before dispatch so a
-  second sweep resumes from a peer's partial results;
+* **torn-write recovery** — a writable open scans frames and *truncates* an
+  invalid tail instead of raising: a SIGKILL/power loss at any byte offset
+  costs at most the half-written final entry, and every complete record
+  before it is salvaged (logged, counted in :attr:`torn_salvages`).  The
+  writer holds the lock, so the tail belongs to a dead writer;
 * **compaction** — when the journal accumulates enough superseded ops (or
   bytes), it is rewritten as a sorted snapshot: header + one frame per live
   key in key order, built in a tmp file, fsynced, ``os.replace``d over the
   journal, directory fsynced.  A crash at any point leaves either the old
-  journal or the complete new one — never a mix.  Peers detect the swap via
-  the header's compaction counter (or a shrunken file, or a file at the path
-  that is not the one their descriptor holds) and resynchronize from offset
-  zero.
+  journal or the complete new one — never a mix.
 
 Monolithic JSON stores written by earlier code (:mod:`.legacy_json`) are
 *imported*: an open reads the file into memory without touching it, and the
 first flush that has something to write replaces it with a journal through the
-same rewrite, under the lock.  Read-only opens therefore never rewrite
-anything, two processes importing one file lose nothing (the second flusher
-finds a journal and absorbs it), and a JSON file that cannot be read in full
-raises :class:`StoreError` on every open — it is never replaced.
+same rewrite.  Read-only opens therefore never rewrite anything, and a JSON
+file that cannot be read in full raises :class:`StoreError` on every open —
+it is never replaced.
 """
 
 from __future__ import annotations
@@ -98,7 +90,7 @@ from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from ..metrics import SimulationResult
 from ..record import JobFailure, RunRecord
-from .errors import StoreError
+from .errors import StoreError, StoreLocked
 from .legacy_json import read_json_store
 from .locking import StoreLock
 
@@ -135,7 +127,7 @@ JOURNAL_VERSION = 1
 
 #: compaction trigger, checked after every flush: at least this many ops on
 #: file *and* at least this fraction of them superseded (or this many bytes
-#: with any dead ops at all).  Small enough to matter for long-lived shared
+#: with any dead ops at all).  Small enough to matter for long-lived
 #: stores, large enough that paper-scale sweeps never compact mid-run by
 #: surprise.
 COMPACT_MIN_OPS = 4096
@@ -299,12 +291,14 @@ class ResultStore:
     results — the CLI's ``--force``.  ``flush_interval`` tunes how often a
     running sweep checkpoints mid-flight (:meth:`flush_if_due`); the first
     write also arms a flush at interpreter exit, so killed sweeps keep their
-    latest completed points while read-only opens (e.g. ``inspect``) never
-    rewrite the file.
-    ``strict`` makes a missing or unrecognized file a :class:`StoreError`
-    (the ``inspect`` path); a lenient open starts empty and creates the file
-    on first flush.  ``format`` is vestigial: ``"auto"`` and ``"journal"``
-    both mean the one format there is.
+    latest completed points.
+    ``read_only`` opens a snapshot without the lock (the ``inspect`` path):
+    a missing or unrecognized file is a :class:`StoreError`, a torn tail is
+    left as it is, and every write raises.  A writable open takes the lock
+    (:class:`StoreLocked` if another writer holds it), starts empty on a
+    missing or unrecognized file and creates the file on first flush.
+    ``format`` is vestigial: ``"auto"`` and ``"journal"`` both mean the one
+    format there is.
     """
 
     def __init__(
@@ -312,7 +306,7 @@ class ResultStore:
         path: str,
         refresh: bool = False,
         flush_interval: float = FLUSH_INTERVAL_SECONDS,
-        strict: bool = False,
+        read_only: bool = False,
         format: str = "auto",  # noqa: A002 - kept for callers that pass "journal"
     ) -> None:
         if format not in ("auto", "journal"):
@@ -330,7 +324,8 @@ class ResultStore:
         #: v1 entries migrated while importing a JSON store (diagnostics).
         self.migrated = 0
         self._atexit_registered = False
-        self._lock = StoreLock(self.path)
+        #: the writer's lock, held from open to :meth:`close` (None: read-only).
+        self._lock: Optional[StoreLock] = None if read_only else StoreLock(self.path)
         #: live key -> where its frame line is (see :data:`_Entry`).
         self._index: Dict[str, _Entry] = {}
         #: read descriptor of the file every offset in ``_index`` refers to
@@ -344,24 +339,26 @@ class ResultStore:
         self._pending: Dict[str, None] = {}
         #: keys known to have at least one frame on file (supersede stats).
         self._file_keys: Dict[str, None] = {}
-        #: byte offset up to which we have replayed/absorbed the file.
-        self._read_offset = 0
+        #: byte length of the journal as this store last replayed or wrote it.
+        self._end = 0
         #: non-header ops currently replayed from the file.
         self.journal_ops = 0
         #: ops observed to be overwritten by a later op (cumulative).
         self.superseded = 0
-        #: torn-tail recoveries performed (open + absorb), and bytes dropped.
+        #: torn-tail recoveries performed at open, and bytes dropped.
         self.torn_salvages = 0
         self.torn_bytes_dropped = 0
         #: lifetime compaction count (from the journal header).
         self.compactions = 0
-        #: records/failures absorbed from other writers of this journal.
-        self.absorbed_records = 0
-        #: frames the last replay/absorb had to parse in full to place.
+        #: frames the replay had to parse in full to place.
         self.frames_fallback = 0
         #: payload decodes served (lookups, ``entries()``, ``failures()``).
         self.decoded = 0
-        self._open(strict)
+        try:
+            self._open(read_only)
+        except BaseException:
+            self._release()
+            raise
 
     def __len__(self) -> int:
         return len(self._index)
@@ -374,19 +371,21 @@ class ResultStore:
 
     # -- open / recovery -----------------------------------------------------
 
-    def _open(self, strict: bool) -> None:
+    def _open(self, read_only: bool) -> None:
+        if self._lock is not None and not self._lock.try_acquire():
+            raise StoreLocked(
+                f"store {self.path} already has a writer "
+                f"({self._lock.holder_description()}); open it read-only, "
+                "or wait for that run to finish"
+            )
         existing = detect_format(self.path)
-        if existing in ("journal", "json"):
-            with self._lock:
-                # Sniffed again under the lock: a peer that imported the same
-                # JSON file may just have replaced it with a journal.
-                if detect_format(self.path) == "journal":
-                    self._bind(self._replay_locked(0, absorb=False))
-                else:
-                    self._import_json()
-        elif strict and existing is None:
+        if existing == "journal":
+            self._bind(self._replay())
+        elif existing == "json":
+            self._import_json()
+        elif read_only and existing is None:
             raise StoreError(f"store not found: {self.path}")
-        elif strict and existing == "unknown":
+        elif read_only and existing == "unknown":
             raise StoreError(
                 f"store {self.path}: unrecognized format "
                 "(neither JSON nor journal)"
@@ -396,9 +395,9 @@ class ResultStore:
     def _import_json(self) -> None:
         """Load a monolithic JSON store into memory; the file is not touched.
 
-        The imported entries are not pending: the first flush that has
-        something to write finds a non-journal file and rewrites the whole
-        store over it (:meth:`_flush_locked`).
+        The imported entries are not pending: no journal is bound, so the
+        first flush that has something to write rewrites the whole store
+        over the file (:meth:`flush`).
         """
         entries, self.migrated = read_json_store(self.path)
         for key, entry in entries.items():
@@ -413,23 +412,17 @@ class ResultStore:
             f", {self.migrated} from v1" if self.migrated else "",
         )
 
-    def _replay_locked(self, offset: int, absorb: bool) -> Optional[int]:
-        """Replay the file's frames from ``offset`` on, filing each op's place;
-        stops at the first torn or corrupt frame and truncates what follows.
-
-        ``absorb=True`` marks a mid-life merge of a *peer's* appends: our own
-        un-flushed writes (``_pending``) win ties, and newly learned entries
-        are counted in :attr:`absorbed_records`.  A replay from offset zero
-        returns a duplicate of its own handle, the descriptor the offsets it
-        filed refer to, for the caller to :meth:`_bind`; from any other
-        offset it continues the file already bound and returns None.
+    def _replay(self) -> int:
+        """Replay the file's frames from offset zero, filing each op's place;
+        stops at the first torn or corrupt frame, and a writer (the lock's
+        holder, so the tail is a dead writer's) truncates what follows.
+        Returns a duplicate of its own handle, the descriptor the offsets it
+        filed refer to, for the caller to :meth:`_bind`.
         """
-        index, file_keys, pending = self._index, self._file_keys, self._pending
-        failed = self._failed
+        index, file_keys, failed = self._index, self._file_keys, self._failed
         self.frames_fallback = 0
-        end = offset
+        end = 0
         with open(self.path, "rb") as handle:
-            handle.seek(offset)
             for line in handle:
                 body = _frame_body(line[:-1]) if line.endswith(b"\n") else None
                 if body is None:
@@ -451,20 +444,16 @@ class ResultStore:
                 if key in file_keys:
                     self.superseded += 1
                 file_keys[key] = None
-                if absorb and key in pending:
-                    continue  # our pending write is newer than the peer's
-                if absorb and key not in index:
-                    self.absorbed_records += 1
                 index[key] = (start, len(line))  # _file(), inline: once per frame
                 if failure:
                     failed.add(key)
                 elif failed:
                     failed.discard(key)
             size = os.fstat(handle.fileno()).st_size
-            if end < size:
+            if end < size and self._lock is not None:
                 self._truncate_torn(end, size - end)
-            self._read_offset = end
-            return os.dup(handle.fileno()) if offset == 0 else None
+            self._end = end
+            return os.dup(handle.fileno())
 
     def _place_parsed(self, payload: Dict[str, Any]) -> Optional[Tuple[str, bool]]:
         """``(key, is_failure)`` of a fully parsed op; None if it files nothing."""
@@ -601,6 +590,7 @@ class ResultStore:
     def _write(
         self, key: str, op: str, body: Dict[str, Any], meta: Optional[Dict[str, object]]
     ) -> None:
+        self._check_writable()
         self._file(key, _op_frame(key, op, body, meta), op == "failure")
         self.writes += 1
         self._pending[key] = None
@@ -612,9 +602,8 @@ class ResultStore:
         Flushes pending results when the interpreter exits (including an
         unhandled KeyboardInterrupt), via a weakref so the registration
         never keeps the store alive.  Armed only once the store has actually
-        been *written to* — read-only opens (``inspect``, including ones
-        that import a JSON store) must never rewrite a file that another
-        process may be appending to.
+        been *written to*: a writable open that writes nothing never
+        rewrites a JSON store it imported.
         """
         if self._atexit_registered:
             return
@@ -636,11 +625,23 @@ class ResultStore:
 
     # -- lifecycle -----------------------------------------------------------
 
+    def _check_writable(self) -> None:
+        if self._lock is None or not self._lock.held:
+            state = "read-only" if self._lock is None else "closed"
+            raise StoreError(f"store {self.path} is {state}: cannot write to it")
+
     def flush(self) -> None:
         """Persist every pending write (one fsynced append)."""
         if self._pending:
-            with self._lock:
-                self._flush_locked()
+            self._check_writable()
+            if self._fd is None:
+                # First flush of a fresh store or over an imported JSON file
+                # (or foreign bytes): materialize the whole store as a journal.
+                self._rewrite(bump_compaction=False)
+            else:
+                self._append_pending()
+            if self._should_compact():
+                self._rewrite(bump_compaction=True)
         self._flushed_at = time.monotonic()
 
     def flush_if_due(self) -> None:
@@ -651,21 +652,24 @@ class ResultStore:
             self.flush()
 
     def close(self) -> None:
-        """Flush pending writes and release the read descriptor; a lookup
-        after this raises :class:`StoreError`."""
+        """Flush pending writes, then release the read descriptor and the
+        lock; a lookup or a write after this raises :class:`StoreError`."""
         try:
             self.flush()
         finally:
-            self._release_descriptor()
+            self._release()
 
-    def _bind(self, fd: Optional[int]) -> None:
+    def _release(self) -> None:
+        self._release_descriptor()
+        if self._lock is not None:
+            self._lock.release()
+
+    def _bind(self, fd: int) -> None:
         """Make ``fd`` the read descriptor, closing the one held before.
 
-        Called only under the lock, by the critical section that produced
-        the offsets ``fd`` serves (a replay from zero, or a rewrite).
+        Called only by the replay or the rewrite that produced the offsets
+        ``fd`` serves, once nothing reads through the old one any more.
         """
-        if fd is None:
-            return
         self._release_descriptor()
         self._fd = fd
         self._fd_closer = weakref.finalize(self, os.close, fd)
@@ -679,23 +683,7 @@ class ResultStore:
             self._fd_closer = None
         self._fd = None
 
-    def _flush_locked(self) -> None:
-        if detect_format(self.path) != "journal":
-            # First flush of a fresh store or over an imported JSON file (or
-            # the path was emptied/replaced by foreign bytes): materialize
-            # the whole store as a journal.
-            self._rewrite_locked(bump_compaction=False)
-        else:
-            # Also where a second importer of one JSON file lands: the peer
-            # that flushed first left a journal, absorbed from offset zero.
-            self._absorb_locked()
-            self._append_pending_locked()
-        if self._should_compact():
-            self._rewrite_locked(bump_compaction=True)
-
-    def _append_pending_locked(self) -> None:
-        if not self._pending:
-            return
+    def _append_pending(self) -> None:
         index = self._index
         frames = b"".join(map(index.__getitem__, self._pending))
         fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
@@ -719,7 +707,7 @@ class ResultStore:
             length = len(index[key])
             index[key] = (offset, length)
             offset += length
-        self._read_offset = offset
+        self._end = offset
         self._pending.clear()
 
     def _header_payload(self, compactions: int) -> Dict[str, Any]:
@@ -730,97 +718,12 @@ class ResultStore:
             "compactions": compactions,
         }
 
-    # -- absorption (shared-writer merges) -------------------------------------
-
-    def refresh_from_disk(self) -> int:
-        """Absorb frames other writers appended; returns new records learned."""
-        if detect_format(self.path) != "journal":
-            return 0
-        before = self.absorbed_records
-        with self._lock:
-            self._absorb_locked()
-        return self.absorbed_records - before
-
-    def _absorb_locked(self) -> None:
-        try:
-            stat = os.stat(self.path)
-        except OSError:  # pragma: no cover - racing deletion
-            return
-        header = self._read_header()
-        if header is None or (
-            int(header.get("compactions", 0)) != self.compactions
-            or stat.st_size < self._read_offset
-            or not self._holds(stat)
-        ):
-            # A peer compacted (or wholesale-rewrote) the journal: our byte
-            # offset refers to the previous file generation.  Resync fully.
-            self._resync_locked()
-            return
-        if stat.st_size > self._read_offset:
-            # Appends are fsynced under the lock, so a torn tail here can
-            # only belong to a writer that died mid-append: safe to drop.
-            self._bind(self._replay_locked(self._read_offset, absorb=True))
-
-    def _holds(self, stat: os.stat_result) -> bool:
-        """Whether the file at the path is the one our offsets refer to (with
-        no descriptor bound yet, no offset refers to any file)."""
-        if self._fd is None:
-            return self._read_offset == 0
-        return os.path.samestat(os.fstat(self._fd), stat)
-
-    def _resync_locked(self) -> None:
-        stash, stash_failed = self._index, self._failed
-        self._index, self._failed = {}, set()
-        self._file_keys = {}
-        self.journal_ops = 0
-        fd = self._replay_locked(0, absorb=False)
-        foreign = sum(1 for key in self._index if key not in stash)
-        self.absorbed_records += foreign
-        try:
-            for key, entry in stash.items():
-                if key in self._pending or key not in self._index:
-                    # Ours and newer than anything replayed — or an entry we
-                    # knew that the new file generation lost (a peer rewrote
-                    # from partial knowledge): (re-)own it so the next append
-                    # restores durability — no record goes missing.  Its
-                    # bytes come through the old descriptor, still bound.
-                    line = self._line(key, entry)
-                    self._checked_body(key, line)
-                    self._file(key, line, key in stash_failed)
-                    self._pending[key] = None
-        except (OSError, StoreError):
-            os.close(fd)
-            raise
-        self._bind(fd)
-        if stash:
-            logger.info(
-                "journal %s: resynchronized with a new file generation "
-                "(%d entries on file, %d newly absorbed)",
-                self.path, len(self._index), foreign,
-            )
-
-    def _read_header(self) -> Optional[Dict[str, Any]]:
-        try:
-            with open(self.path, "rb") as handle:
-                line = handle.readline(4096)
-        except OSError:  # pragma: no cover - racing deletion
-            return None
-        if not line.endswith(b"\n"):
-            return None
-        payload = parse_frame_line(line[:-1])
-        if payload is None or payload.get("op") != "header":
-            return None
-        return payload
-
     # -- compaction ------------------------------------------------------------
 
     def compact(self) -> None:
-        """Force a compaction now (absorbing peers' appends first)."""
-        with self._lock:
-            if detect_format(self.path) == "journal":
-                self._absorb_locked()
-                self._append_pending_locked()
-            self._rewrite_locked(bump_compaction=True)
+        """Force a compaction now (pending writes go into the snapshot)."""
+        self._check_writable()
+        self._rewrite(bump_compaction=True)
 
     def _should_compact(self) -> bool:
         live = len(self._index)
@@ -829,17 +732,17 @@ class ResultStore:
         if ops >= COMPACT_MIN_OPS and ops > 0:
             if dead / ops >= COMPACT_MIN_DEAD_FRACTION:
                 return True
-        return self._read_offset >= COMPACT_MIN_BYTES and dead > 0
+        return self._end >= COMPACT_MIN_BYTES and dead > 0
 
-    def _rewrite_locked(self, bump_compaction: bool) -> None:
+    def _rewrite(self, bump_compaction: bool) -> None:
         """Write the whole store as a fresh sorted journal (tmp + rename).
 
-        Used by compaction (``bump_compaction=True`` — peers detect the new
-        generation via the header counter) and by first-flush
+        Used by compaction (``bump_compaction=True``) and by first-flush
         materialization, over an imported JSON file included.  Crash-safe:
         the snapshot is complete and fsynced before the rename, and the
         directory is fsynced after, so a crash leaves either the old file or
-        the whole new one.
+        the whole new one.  Every frame on file is read through the old
+        descriptor before the snapshot's own handle is bound.
         """
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
@@ -875,7 +778,7 @@ class ResultStore:
         self.compactions = compactions
         self.journal_ops = len(index)
         self._file_keys = dict.fromkeys(index)
-        self._read_offset = offset
+        self._end = offset
         self._pending.clear()  # every entry is on file now
 
     def _clean_stale_tmps(self, directory: str) -> None:
@@ -903,7 +806,6 @@ class ResultStore:
             torn_salvages=self.torn_salvages,
             torn_bytes_dropped=self.torn_bytes_dropped,
             compactions=self.compactions,
-            absorbed=self.absorbed_records,
             migrated_v1=self.migrated,
             resident_bytes=sum(
                 len(entry) for entry in self._index.values() if isinstance(entry, bytes)

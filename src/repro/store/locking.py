@@ -2,22 +2,23 @@
 
 One :class:`StoreLock` guards one store path with ``fcntl.flock`` on a
 ``<path>.lock`` sidecar file.  The lock is advisory and kernel-owned: the
-kernel releases it when the holding process dies, so a SIGKILLed sweep can
-never leave the store locked.  After acquiring, the holder writes its PID and
-host into the lock file, so a contention error names the live holder.  It
-writes them with one ``pwrite`` at offset zero, space-padded to a fixed
-width, and never truncates the file: every holder's record covers the whole
-previous one, and ``json.load`` reads past the trailing spaces.  (Truncating
-at every acquisition cost more than the journal append's own ``fsync``.)
+kernel releases it when the last descriptor of the holding open file
+description closes, so a SIGKILLed sweep can never leave the store locked.
+After acquiring, the holder writes its PID and host into the lock file, so
+a refused writer names the live holder.  It writes them with one ``pwrite``
+at offset zero, space-padded to a fixed width, and never truncates the
+file: every holder's record covers the whole previous one, and
+``json.load`` reads past the trailing spaces.
 
 ``flock`` is the only protocol.  Where it is missing (a platform without
 :mod:`fcntl`, or a filesystem that rejects ``flock``, as some network mounts
 do) :meth:`StoreLock.try_acquire` raises :class:`StoreError` naming the lock
 path and the OS error; DESIGN §12 says why there is no fallback.
 
-The store acquires the lock transiently around each critical section (open/
-recovery, append+fsync, compaction), so multiple writer processes interleave
-on one journal.
+A store opened for writing takes its lock once, at open, without waiting,
+and holds it until it is closed or dropped: a store has one writer at a
+time.  Sweep workers forked while it is held inherit the descriptor; the
+explicit ``LOCK_UN`` of :meth:`StoreLock.release` frees it for all of them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import time
 import weakref
 from typing import Any, Dict, Optional
 
-from .errors import StoreError, StoreLockTimeout
+from .errors import StoreError
 
 try:  # pragma: no cover - import succeeds on every POSIX platform we run on
     import fcntl
@@ -38,16 +39,7 @@ try:  # pragma: no cover - import succeeds on every POSIX platform we run on
 except ImportError:  # pragma: no cover - non-POSIX: locking raises StoreError
     _HAVE_FCNTL = False
 
-__all__ = ["StoreLock", "DEFAULT_LOCK_TIMEOUT"]
-
-#: default seconds to wait for a contended lock before raising
-#: :class:`StoreLockTimeout`.  Journal critical sections are short (one
-#: append+fsync, or one compaction of a store that fits in memory), so a
-#: healthy writer never holds the lock anywhere near this long.
-DEFAULT_LOCK_TIMEOUT = 30.0
-
-#: seconds between attempts while :meth:`StoreLock.acquire` waits.
-_RETRY_SECONDS = 0.05
+__all__ = ["StoreLock"]
 
 #: bytes every holder record is space-padded to (a record of a host name too
 #: long to fit is written whole; the holder is then best-effort, as always).
@@ -101,7 +93,8 @@ class StoreLock:
                 f"cannot lock store {self.lock_path}: this platform has no "
                 "fcntl.flock"
             )
-        self._ensure_parent_dir()
+        # Locks are taken before the store file exists (fresh sweeps).
+        os.makedirs(os.path.dirname(os.path.abspath(self.lock_path)), exist_ok=True)
         fd = os.open(self.lock_path, os.O_RDWR | os.O_CREAT, 0o644)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -113,26 +106,6 @@ class StoreLock:
                 f"cannot lock store {self.lock_path}: flock failed ({exc}); "
                 "the store needs a filesystem that supports flock"
             ) from exc
-        self._adopt(fd)
-        return True
-
-    def _ensure_parent_dir(self) -> None:
-        """Locks are taken before the store file exists (fresh sweeps)."""
-        directory = os.path.dirname(os.path.abspath(self.lock_path))
-        os.makedirs(directory, exist_ok=True)
-
-    def acquire(self, timeout: float = DEFAULT_LOCK_TIMEOUT) -> None:
-        """Block (polling) until acquired; :class:`StoreLockTimeout` on expiry."""
-        deadline = time.monotonic() + timeout
-        while not self.try_acquire():
-            if time.monotonic() >= deadline:
-                raise StoreLockTimeout(
-                    f"could not acquire store lock {self.lock_path} "
-                    f"within {timeout:g}s ({self.holder_description()})"
-                )
-            time.sleep(_RETRY_SECONDS)
-
-    def _adopt(self, fd: int) -> None:
         self._fd = fd
         self._finalizer = weakref.finalize(self, _close_quietly, fd)
         payload = {"pid": os.getpid(), "host": _hostname(), "acquired_at": time.time()}
@@ -141,6 +114,7 @@ class StoreLock:
             os.pwrite(fd, data.ljust(_HOLDER_WIDTH), 0)
         except OSError:  # pragma: no cover - metadata is best-effort
             pass
+        return True
 
     # -- release -------------------------------------------------------------
 
@@ -151,21 +125,14 @@ class StoreLock:
         if self._finalizer is not None:
             self._finalizer.detach()
             self._finalizer = None
-        # Never unlink the lock file: a waiter already blocked on this inode
-        # would otherwise "acquire" an unlinked file while a third process
-        # locks a fresh one — two winners.
+        # Never unlink the lock file: a process that opened this inode
+        # before the unlink would lock an orphaned file while a third
+        # process locks a fresh one — two winners.
         try:
             fcntl.flock(fd, fcntl.LOCK_UN)
         except OSError:  # pragma: no cover - release is best-effort
             pass
         _close_quietly(fd)
-
-    def __enter__(self) -> "StoreLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *_exc: object) -> None:
-        self.release()
 
 
 def _hostname() -> str:

@@ -27,7 +27,7 @@ from repro.experiments import (
 )
 from repro.experiments.__main__ import main
 from repro.experiments.runner import SCALES
-from repro.store import ResultStore, StoreLock, StoreLockTimeout
+from repro.store import ResultStore, StoreLock
 from repro.topology import TOPOLOGIES, register_topology
 from repro.topology.flattened_butterfly import (
     FlattenedButterfly2D,
@@ -159,31 +159,35 @@ class TestCli:
         assert "4 point(s) simulated, 0 served from cache, 1 missing" in captured.out
 
 
-    @pytest.mark.parametrize("failure", ["lock-timeout", "no-flock"])
-    def test_store_error_after_open_is_one_error_line(
+    @pytest.mark.parametrize("failure", ["locked", "no-flock"])
+    def test_store_lock_error_at_open_is_one_error_line(
         self, failure, tmp_path, monkeypatch, capsys
     ):
-        # The store path is fresh, so its lock is first taken at the sweep's
-        # first flush, after open: the error must read like one at open.
+        # A writable open takes the store's lock, fresh path included, so
+        # every lock error comes at open, before any point runs.
         monkeypatch.setitem(SCALES, "tiny", MICRO)
-        if failure == "lock-timeout":
-            def acquire(lock, timeout=None):
-                raise StoreLockTimeout(
-                    f"could not acquire store lock {lock.lock_path} (pid 1 on elsewhere)"
-                )
-
-            monkeypatch.setattr(StoreLock, "acquire", acquire)
+        store = str(tmp_path / "store.journal")
+        holder = StoreLock(store)
+        if failure == "locked":
+            assert holder.try_acquire()  # another writer of this store
+            named = f"pid {os.getpid()} on "
         else:
             def no_locks(fd, operation):
                 raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
 
             monkeypatch.setattr(fcntl, "flock", no_locks)
-        store = str(tmp_path / "store.journal")
-        status = main(["run", "fig10", "--workers", "1", "--store", store])
-        err = capsys.readouterr().err.splitlines()
+            named = store + ".lock"
+        try:
+            status = main(["run", "fig10", "--workers", "1", "--store", store])
+        finally:
+            holder.release()
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
         assert status == 2
         assert len(err) == 1 and err[0].startswith("error: "), err
-        assert store + ".lock" in err[0]
+        assert store in err[0] and named in err[0]
+        assert "point(s) simulated" not in captured.out
+        assert not os.path.exists(store)
 
     def test_summary_reports_the_sweeps_own_counts(self, tmp_path, monkeypatch, capsys):
         # The [fig10] and [sweep] lines print the sweep's own JobRunStats,

@@ -81,14 +81,14 @@ def test_strict_open_raises_lenient_does_not(tmp_path):
     # Sweep path: a missing store is an empty one (created on first flush).
     assert len(ResultStore(str(tmp_path / "missing.json"))) == 0
     with pytest.raises(StoreError):
-        ResultStore(str(tmp_path / "missing.json"), strict=True)
+        ResultStore(str(tmp_path / "missing.json"), read_only=True)
     # A damaged JSON store raises either way: the sweep's first flush would
     # replace a file it could not read.
     corrupt = tmp_path / "corrupt.json"
     corrupt.write_text("{oops", encoding="utf-8")
-    for strict in (False, True):
+    for read_only in (False, True):
         with pytest.raises(StoreError):
-            ResultStore(str(corrupt), strict=strict)
+            ResultStore(str(corrupt), read_only=read_only)
     assert corrupt.read_text(encoding="utf-8") == "{oops"
 
 

@@ -120,7 +120,7 @@ class TestResultStore:
         store = ResultStore(path)
         first = run_sweep(spec, workers=1, store=store)
         assert first.stats.executed == 1 and first.stats.cache_hits == 0
-        store.flush()
+        store.close()
 
         # A fresh store object backed by the same file serves from cache
         # without running a single simulation.

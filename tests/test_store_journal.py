@@ -7,19 +7,20 @@ The properties under test are the tentpole's acceptance criteria:
   and never raises;
 * a crash at any point of a compaction leaves either the old journal or the
   complete new one, never a mix;
-* two concurrent writer processes sharing one journal produce the exact
-  union of their records — zero lost;
-* a second sweep over a shared store resumes from a peer's partial results
-  (cache hits, not re-simulation);
+* a store has one writer: a writable open holds the lock until ``close()``
+  (or its owner's death), and a second writer is refused at once, naming
+  the holder, while read-only readers open beside it without the lock and
+  never truncate;
+* a second sweep over a store resumes from its results (cache hits, not
+  re-simulation);
 * monolithic JSON stores written by earlier code (v1 and v2, pinned under
   ``tests/data``) are imported on open without being touched and replaced
-  by a journal on the first flush, losslessly — also when two processes
-  import the same file; one that cannot be read in full is never replaced;
+  by a journal on the first flush, losslessly; one that cannot be read in
+  full is never replaced;
 * an entry on file is held as its offset: a reopened store keeps no payload
-  bytes and reads through one descriptor that ``close()`` releases, and two
-  writers on one path each read exactly what a last-write-wins model of what
-  they have seen says, through a peer's compaction and through a journal
-  removed and started again under them.
+  bytes and reads through one descriptor that ``close()`` releases, and a
+  reader opened at any step reads exactly what was flushed at its open,
+  through the writer's later appends and compactions.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from repro.store import (
     ResultStore,
     StoreError,
     StoreLock,
-    StoreLockTimeout,
+    StoreLocked,
     detect_format,
     frame_entry,
     parse_frame_line,
@@ -189,7 +190,7 @@ class TestJournalStore:
         store.flush()
         assert detect_format(path) == "journal"
 
-        clone = ResultStore(path)
+        clone = ResultStore(path, read_only=True)
         assert len(clone) == 4
         assert clone.get_record("k2") is not None
         failures = list(clone.failures())
@@ -208,7 +209,7 @@ class TestJournalStore:
         # append-only: the second flush grew the file, no rewrite
         assert os.path.getsize(path) > size_after_first
 
-        clone = ResultStore(path)
+        clone = ResultStore(path, read_only=True)
         assert len(clone) == 2  # last write wins
         assert clone.get_record("a").summary.offered_load == pytest.approx(0.9)
         info = clone.describe()
@@ -237,7 +238,7 @@ class TestJournalStore:
         store = ResultStore(path, format="journal")
         store.put_record("k", record, meta={"series": "S", "load": 0.5})
         store.flush()
-        _, clone, meta = next(ResultStore(path).entries())
+        _, clone, meta = next(ResultStore(path, read_only=True).entries())
         assert clone.to_dict() == record.to_dict()
         assert meta == {"series": "S", "load": 0.5}
 
@@ -253,7 +254,7 @@ class TestJournalStore:
         assert store.compactions == 1
         assert store.journal_ops == 3
         assert os.path.getsize(path) < size_before
-        clone = ResultStore(path)
+        clone = ResultStore(path, read_only=True)
         assert len(clone) == 3 and clone.compactions == 1
 
     def test_auto_compaction_trigger(self, tmp_path, monkeypatch):
@@ -267,7 +268,7 @@ class TestJournalStore:
             store.flush()
         # 12 ops, 2 live -> dead fraction 10/12 > 0.5 with min_ops reached
         assert store.compactions == 1
-        assert ResultStore(path).describe()["entries"] == 2
+        assert ResultStore(path, read_only=True).describe()["entries"] == 2
 
     def test_no_file_until_first_flush(self, tmp_path):
         path = str(tmp_path / "s.journal")
@@ -389,7 +390,7 @@ class TestFramesAsEntries:
         # compaction writes the held frames straight through, old layout and all
         store.compact()
         assert store.journal_ops == 4
-        clone = ResultStore(path)
+        clone = ResultStore(path, read_only=True)
         assert public_view(clone) == before
         assert clone.describe()["journal_ops"] == 4 and clone.compactions == 1
 
@@ -483,12 +484,12 @@ class TestFramesAsEntries:
         counting = CountingJson()
         monkeypatch.setattr(journal_module, "json", counting)
         store.flush()
-        # the absorb before the append re-reads the header; nothing else parses
-        assert counting.dumps_calls == 0 and counting.loads_calls == 1
+        # an append encodes and parses nothing: the frames were built at put
+        assert counting.dumps_calls == 0 and counting.loads_calls == 0
         store.compact()
         assert counting.dumps_calls == 1  # the new generation's header
-        assert counting.loads_calls == 2
-        assert len(ResultStore(path)) == 52
+        assert counting.loads_calls == 0
+        assert len(ResultStore(path, read_only=True)) == 52
 
     def test_unserialisable_meta_raises_at_put(self, tmp_path):
         store = ResultStore(str(tmp_path / "s.journal"), format="journal")
@@ -500,56 +501,15 @@ class TestFramesAsEntries:
 
 
 # ---------------------------------------------------------------------------
-# Entries held as offsets: memory, the read descriptor, two writers
+# Entries held as offsets: memory, the read descriptor, readers beside a writer
 # ---------------------------------------------------------------------------
 
-class TwoWriterModel:
-    """Last-write-wins model of one store on a shared journal: what it has
-    seen (its own writes and what it absorbed) and where it stopped reading.
-
-    ``disk`` is ``None`` (no file) or ``[generation, frames]``; every rewrite
-    makes a new generation (a fresh ``object()``), as ``os.replace`` makes a
-    new file.
-    """
-
-    def __init__(self):
-        self.view, self.pending, self.generation, self.read = {}, {}, None, 0
-
-    def absorb(self, disk):
-        generation, frames = disk
-        if generation != self.generation:  # resync: re-own what the file lacks
-            merged = dict(frames)
-            for key, value in self.view.items():
-                if key in self.pending or key not in merged:
-                    merged[key] = value
-                    self.pending[key] = None
-            self.view = merged
-        else:
-            for key, value in frames[self.read:]:
-                if key not in self.pending:
-                    self.view[key] = value
-        self.generation, self.read = generation, len(frames)
-
-    def append(self, disk):
-        disk[1].extend((key, self.view[key]) for key in self.pending)
-        self.pending.clear()
-        self.read = len(disk[1])
-
-    def rewrite(self):
-        self.generation = object()
-        self.pending.clear()
-        frames = sorted(self.view.items())
-        self.read = len(frames)
-        return [self.generation, frames]
-
-
-_TWO_WRITER_KEYS = ["a", "b", "c", 'q"x']  # the last takes the full-parse path
-_two_writer_ops = st.lists(
+_MODEL_KEYS = ["a", "b", "c", 'q"x']  # the last takes the full-parse path
+_one_writer_ops = st.lists(
     st.tuples(
-        st.sampled_from(["put", "put", "put", "flush", "compact", "refresh",
-                         "get", "get", "unlink"]),
-        st.integers(0, 1),
-        st.sampled_from(_TWO_WRITER_KEYS),
+        st.sampled_from(["put", "put", "put", "flush", "compact", "reopen",
+                         "open-reader", "get", "get"]),
+        st.sampled_from(_MODEL_KEYS),
     ),
     max_size=30,
 )
@@ -588,93 +548,95 @@ class TestEntriesAsOffsets:
         with ResultStore(path) as seeded:
             fill(seeded, ["a", "b"])
         base = open_fds()
+        reader = ResultStore(path, read_only=True)
+        assert open_fds() == base + 1  # the read descriptor, and no lock
+        reader.close()
         store = ResultStore(path)
-        assert open_fds() == base + 1  # the read descriptor; the lock is free
+        assert open_fds() == base + 2  # the read descriptor and the lock
         store.put("c", sample_summary())
         store.flush()
         store.compact()  # rebinds to the new generation, closing the old one
-        assert open_fds() == base + 1
+        assert open_fds() == base + 2
         store.close()
         assert open_fds() == base
         with pytest.raises(StoreError, match=re.escape(path)):
             store.get_record("a")
         with pytest.raises(StoreError, match=re.escape(path)):
             list(store.entries())
+        with pytest.raises(StoreError, match="closed"):
+            store.put("d", sample_summary())
         dropped = ResultStore(path)
-        assert open_fds() == base + 1
-        del dropped  # never closed: the finalizer closes its descriptor
+        assert open_fds() == base + 2
+        del dropped  # never closed: finalizers close its descriptor and lock
         assert open_fds() == base
+        ResultStore(path).close()  # and the lock went with it
 
     @settings(max_examples=80, deadline=None)
-    @given(ops=_two_writer_ops)
-    @example(ops=[  # a peer compacts while the other store holds offsets
-        ("put", 0, "a"), ("flush", 0, "a"), ("put", 1, "b"), ("flush", 1, "b"),
-        ("put", 0, "a"), ("compact", 0, "a"), ("get", 1, "a"), ("get", 1, "b"),
-        ("put", 1, "c"), ("flush", 1, "c"), ("get", 1, "a"),
+    @given(ops=_one_writer_ops)
+    @example(ops=[  # a compaction rewrites entries the writer holds as offsets
+        ("put", "a"), ("flush", "a"), ("put", "b"), ("compact", "a"),
+        ("get", "a"), ("get", "b"),
     ])
-    @example(ops=[  # the new generation lost keys a store knew: it re-owns them
-        ("put", 0, "a"), ("flush", 0, "a"), ("put", 1, "b"), ("flush", 1, "b"),
-        ("unlink", 0, "a"), ("put", 0, "c"), ("flush", 0, "c"),
-        ("refresh", 1, "a"), ("get", 1, "b"), ("get", 1, "a"), ("get", 1, "c"),
+    @example(ops=[  # a reader keeps its snapshot through appends and compaction
+        ("put", "a"), ("flush", "a"), ("open-reader", "a"), ("put", "a"),
+        ("put", "b"), ("flush", "b"), ("compact", "a"), ("open-reader", "a"),
+        ("put", "c"), ("reopen", "a"), ("get", "a"), ("get", "b"),
     ])
-    def test_two_writers_read_what_they_have_seen(self, ops):
+    def test_readers_read_what_was_flushed_at_their_open(self, ops):
         with tempfile.TemporaryDirectory() as directory:
-            path = os.path.join(directory, "shared.journal")
-            stores = [ResultStore(path), ResultStore(path)]
-            models = [TwoWriterModel(), TwoWriterModel()]
-            disk = None
+            path = os.path.join(directory, "s.journal")
+            writer = ResultStore(path)
+            # key -> version: the writer's view, what is on file (None: no
+            # file yet), and each reader with what was on file at its open
+            view, on_file, readers = {}, None, []
             version = 0
 
-            def read(who, key):
-                got = stores[who].get_record_any(key)
+            def read(store, key):
+                got = store.get_record_any(key)
                 return None if got is None else got.summary.packets_delivered
 
-            def flushed(model, disk):
-                """The model after ``flush()`` (also what ``close()`` does)."""
-                if not model.pending:
-                    return disk
-                if disk is None:
-                    return model.rewrite()
-                model.absorb(disk)
-                model.append(disk)
-                return disk
-
-            for op, who, key in ops:
-                store, model = stores[who], models[who]
+            for op, key in ops:
                 if op == "put":
                     version += 1
-                    store.put(key, sample_summary(packets_delivered=version))
-                    model.view[key] = version
-                    model.pending[key] = None
+                    writer.put(key, sample_summary(packets_delivered=version))
+                    view[key] = version
                 elif op == "flush":
-                    store.flush()
-                    disk = flushed(model, disk)
+                    writer.flush()
+                    if writer.writes:
+                        on_file = dict(view)
                 elif op == "compact":
-                    store.compact()
-                    if disk is not None:
-                        model.absorb(disk)
-                        model.append(disk)
-                    disk = model.rewrite()
-                elif op == "refresh":
-                    store.refresh_from_disk()
-                    if disk is not None:
-                        model.absorb(disk)
-                elif op == "unlink":
-                    if disk is not None:
-                        os.unlink(path)
-                        disk = None
+                    writer.compact()
+                    on_file = dict(view)
+                elif op == "reopen":
+                    writer.close()
+                    if writer.writes:
+                        on_file = dict(view)
+                    writer = ResultStore(path)
+                    assert len(writer) == len(view)
+                elif op == "open-reader":
+                    if on_file is None:
+                        with pytest.raises(StoreError, match="not found"):
+                            ResultStore(path, read_only=True)
+                    else:
+                        readers.append((ResultStore(path, read_only=True), dict(on_file)))
                 else:
-                    assert read(who, key) == model.view.get(key), (op, who, key)
-                assert len(store) == len(model.view)
-            for who in (0, 1):
-                assert {key: read(who, key) for key in _TWO_WRITER_KEYS} == {
-                    key: models[who].view.get(key) for key in _TWO_WRITER_KEYS}
-                stores[who].close()
-                disk = flushed(models[who], disk)
-            with ResultStore(path) as reopened:
-                on_file = {key: record.summary.packets_delivered
-                           for key, record, _ in reopened.entries()}
-            assert on_file == (dict(disk[1]) if disk is not None else {})
+                    assert read(writer, key) == view.get(key), (op, key)
+                    for reader, seen in readers:
+                        assert read(reader, key) == seen.get(key), (op, key)
+                assert len(writer) == len(view)
+            for reader, seen in readers:
+                assert {key: read(reader, key) for key in _MODEL_KEYS} == {
+                    key: seen.get(key) for key in _MODEL_KEYS}
+                reader.close()
+            writer.close()
+            if writer.writes:
+                on_file = dict(view)
+            if on_file is None:
+                assert not view and not os.path.exists(path)
+            else:
+                with ResultStore(path, read_only=True) as reopened:
+                    assert {key: record.summary.packets_delivered
+                            for key, record, _ in reopened.entries()} == on_file == view
 
 
 # ---------------------------------------------------------------------------
@@ -684,9 +646,8 @@ class TestEntriesAsOffsets:
 class TestTornTailRecovery:
     def _build(self, tmp_path, n=6) -> str:
         path = str(tmp_path / "s.journal")
-        store = ResultStore(path, format="journal")
-        fill(store, [f"k{i}" for i in range(n)])
-        store.flush()
+        with ResultStore(path, format="journal") as store:
+            fill(store, [f"k{i}" for i in range(n)])
         return path
 
     def test_truncation_at_every_byte_offset(self, tmp_path):
@@ -713,17 +674,17 @@ class TestTornTailRecovery:
             with open(target, "wb") as handle:
                 handle.write(data[:cut])
             complete = sum(1 for b in boundaries if b <= cut)
-            store = ResultStore(target)
-            # header frame is boundary 0; records are the rest
-            expected_records = max(0, complete - 1)
-            assert len(store) == expected_records, f"cut at byte {cut}"
+            with ResultStore(target) as store:
+                # header frame is boundary 0; records are the rest
+                expected_records = max(0, complete - 1)
+                assert len(store) == expected_records, f"cut at byte {cut}"
             if cut not in (0, *boundaries):
                 assert store.torn_salvages == 1
                 # the truncation repaired the file: reopening is clean
                 # (a cut inside the very first frame truncates to an empty
                 # file, which then sniffs as a fresh store)
                 if os.path.getsize(target):
-                    assert ResultStore(target).torn_salvages == 0
+                    assert ResultStore(target, read_only=True).torn_salvages == 0
 
     def test_garbage_tail_is_dropped_and_file_repaired(self, tmp_path):
         path = self._build(tmp_path)
@@ -737,7 +698,7 @@ class TestTornTailRecovery:
         # salvaged store is immediately writable again
         store.put("k-after", sample_summary())
         store.flush()
-        assert len(ResultStore(path)) == 7
+        assert len(ResultStore(path, read_only=True)) == 7
 
     def test_corrupt_middle_hides_later_records(self, tmp_path):
         # prefix-validity: a flipped byte mid-journal drops everything after
@@ -796,9 +757,8 @@ class TestCrashSafety:
     def test_crash_mid_append_write(self, tmp_path):
         """Die after half a frame batch hits disk (REPRO_TEST_STORE_CRASH)."""
         path = str(tmp_path / "s.journal")
-        store = ResultStore(path, format="journal")
-        fill(store, ["a", "b", "c"])
-        store.flush()
+        with ResultStore(path, format="journal") as store:
+            fill(store, ["a", "b", "c"])
         script = """
         path = sys.argv[1]
         store = ResultStore(path)
@@ -819,10 +779,10 @@ class TestCrashSafety:
 
     def test_crash_before_compaction_replace(self, tmp_path):
         path = str(tmp_path / "s.journal")
-        store = ResultStore(path)
-        for _ in range(3):
-            fill(store, ["a", "b"])
-            store.flush()
+        with ResultStore(path) as store:
+            for _ in range(3):
+                fill(store, ["a", "b"])
+                store.flush()
         script = """
         store = ResultStore(sys.argv[1])
         store.compact()
@@ -842,10 +802,10 @@ class TestCrashSafety:
 
     def test_crash_after_compaction_replace(self, tmp_path):
         path = str(tmp_path / "s.journal")
-        store = ResultStore(path)
-        for _ in range(3):
-            fill(store, ["a", "b"])
-            store.flush()
+        with ResultStore(path) as store:
+            for _ in range(3):
+                fill(store, ["a", "b"])
+                store.flush()
         script = """
         store = ResultStore(sys.argv[1])
         store.compact()
@@ -861,74 +821,20 @@ class TestCrashSafety:
 
 
 # ---------------------------------------------------------------------------
-# Concurrent writers
+# Concurrent writers: one at a time, readers beside it
 # ---------------------------------------------------------------------------
 
 class TestConcurrentWriters:
-    def test_two_processes_zero_lost_records(self, tmp_path):
-        """Two simultaneous writer processes -> the exact union survives."""
-        path = str(tmp_path / "shared.journal")
-        script = """
-        path, prefix, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
-        store = ResultStore(path, format="journal")
-        for i in range(count):
-            store.put(f"{prefix}{i}", summary(i + 1))
-            store.flush()
-        store.close()
-        print("done", flush=True)
-        """
-        env = dict(os.environ)
-        children = [
-            subprocess.Popen(
-                [
-                    sys.executable, "-c", CHILD_PRELUDE + textwrap.dedent(script),
-                    path, prefix, "20",
-                ],
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-            )
-            for prefix in ("alpha", "beta")
-        ]
-        for child in children:
-            out, err = child.communicate(timeout=120)
-            assert child.returncode == 0, err
-            assert "done" in out
-        store = ResultStore(path)
-        expected = {f"alpha{i}" for i in range(20)} | {f"beta{i}" for i in range(20)}
-        assert {key for key, _, _ in store.entries()} == expected
-
-    def test_in_process_interleaving_and_refresh(self, tmp_path):
-        path = str(tmp_path / "shared.journal")
-        a = ResultStore(path, format="journal")
-        b = ResultStore(path, format="journal")
-        a.put("a1", sample_summary()); a.flush()
-        b.put("b1", sample_summary()); b.flush()  # absorbs a1
-        a.put("a2", sample_summary()); a.flush()  # absorbs b1
-        assert b.refresh_from_disk() == 1  # a2
-        assert a.refresh_from_disk() == 0  # already absorbed b1 at flush
-        assert len(a) == len(b) == 3
-        assert b.absorbed_records == 2
-
-    def test_peer_compaction_resync_loses_nothing(self, tmp_path):
-        path = str(tmp_path / "shared.journal")
-        a = ResultStore(path, format="journal")
-        b = ResultStore(path, format="journal")
-        fill(a, ["a1", "a2"]); a.flush()
-        fill(b, ["b1"]); b.flush()
-        a.compact()  # new file generation while b holds an old offset
-        assert a.compactions == 1
-        b.put("b2", sample_summary())
-        b.flush()  # detects the generation bump, resyncs, then appends
-        assert b.compactions == 1
-        union = {key for key, _, _ in ResultStore(path).entries()}
-        assert union == {"a1", "a2", "b1", "b2"}
+    """A writable store holds its lock from open to close: a second writer
+    is refused at open, and read-only readers take no lock."""
 
     def test_lock_released_by_dead_process(self, tmp_path):
         path = str(tmp_path / "s.journal")
         script = """
-        from repro.store import StoreLock
-        lock = StoreLock(sys.argv[1])
-        assert lock.try_acquire()
-        print("locked", flush=True)
+        store = ResultStore(sys.argv[1])
+        store.put("from-child", summary(1))
+        store.flush()
+        print(os.getpid(), flush=True)
         import time
         time.sleep(60)
         """
@@ -937,23 +843,106 @@ class TestConcurrentWriters:
             stdout=subprocess.PIPE, text=True, env=dict(os.environ),
         ) as child:
             try:
-                assert child.stdout.readline().strip() == "locked"
-                lock = StoreLock(path)
-                assert not lock.try_acquire()  # held by the live child
+                assert int(child.stdout.readline()) == child.pid
+                with pytest.raises(StoreLocked, match=f"pid {child.pid} on "):
+                    ResultStore(path)  # held by the live child
+                with ResultStore(path, read_only=True) as reader:
+                    assert reader.get_record("from-child") is not None
                 child.kill()
                 child.wait(timeout=30)
                 deadline = time.monotonic() + 10
-                acquired = False
-                while time.monotonic() < deadline and not acquired:
-                    acquired = lock.try_acquire()  # kernel released it on death
-                    if not acquired:
+                while True:  # the kernel released it on death
+                    try:
+                        store = ResultStore(path)
+                        break
+                    except StoreLocked:
+                        if time.monotonic() > deadline:
+                            raise
                         time.sleep(0.05)
-                assert acquired
-                lock.release()
+                assert len(store) == 1
+                store.put("after", sample_summary())
+                store.close()
             finally:
                 if child.poll() is None:
                     child.kill()
                     child.wait(timeout=30)
+
+    def test_second_writer_is_refused_at_once_until_close(self, tmp_path):
+        path = str(tmp_path / "s.journal")
+        first = ResultStore(path)  # a fresh path: the lock is taken at open
+        start = time.monotonic()
+        with pytest.raises(StoreLocked, match=f"pid {os.getpid()} on "):
+            ResultStore(path)
+        assert time.monotonic() - start < 0.5
+        assert not os.path.exists(path)
+        first.put("k", sample_summary())
+        first.close()
+        second = ResultStore(path)
+        assert len(second) == 1
+        second.close()
+
+    def test_close_releases_the_lock_a_forked_child_inherited(self, tmp_path):
+        import multiprocessing
+
+        path = str(tmp_path / "s.journal")
+
+        def fork_sleeper():
+            # holds a copy of the lock's descriptor, as a sweep worker does
+            child = multiprocessing.get_context("fork").Process(
+                target=time.sleep, args=(30,))
+            child.start()
+            return child
+
+        store = ResultStore(path)
+        child = fork_sleeper()
+        try:
+            del store  # dropped unclosed: the child's copy keeps the lock
+            with pytest.raises(StoreLocked):
+                ResultStore(path)
+        finally:
+            child.kill()
+            child.join()
+        store = ResultStore(path)  # the last copy died with the child
+        child = fork_sleeper()
+        try:
+            store.close()  # LOCK_UN frees it for every copy
+            ResultStore(path).close()
+        finally:
+            child.kill()
+            child.join()
+
+    def test_read_only_open_leaves_a_torn_tail_a_writable_open_truncates(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "s.journal")
+        with ResultStore(path) as store:
+            fill(store, ["a", "b", "c"])
+        good_size = os.path.getsize(path)
+        with open(path, "ab") as handle:
+            handle.write(frame_entry({"op": "record", "key": "d"})[:-9])
+        torn = read_bytes(path)
+        with ResultStore(path, read_only=True) as reader:
+            assert len(reader) == 3 and reader.torn_salvages == 0
+        assert read_bytes(path) == torn  # a live writer may be mid-append
+        with ResultStore(path) as writer:
+            assert len(writer) == 3 and writer.torn_salvages == 1
+        assert os.path.getsize(path) == good_size
+
+    def test_read_only_store_refuses_writes(self, tmp_path):
+        path = str(tmp_path / "s.journal")
+        with ResultStore(path) as store:
+            fill(store, ["a"])
+        before = read_bytes(path)
+        reader = ResultStore(path, read_only=True)
+        for write in (
+            lambda: reader.put("b", sample_summary()),
+            lambda: reader.put_failure("b", JobFailure(reason="timeout")),
+            reader.compact,
+        ):
+            with pytest.raises(StoreError, match="read-only"):
+                write()
+        reader.close()  # nothing to write, so nothing raised
+        assert read_bytes(path) == before and len(reader) == 1
 
 
 def _no_locks(fd, operation):
@@ -965,24 +954,26 @@ class TestFlockLock:
     """What the lock keeps beyond mutual exclusion: the holder is named, the
     lock file outlives a release, and a missing ``flock`` is refused."""
 
-    def test_contended_acquire_times_out_naming_the_holder(self, tmp_path):
+    def test_contended_try_acquire_names_the_holder(self, tmp_path):
         # flock locks belong to open file descriptions, so two StoreLock
         # objects in one process conflict as two processes do.
         path = str(tmp_path / "s.journal")
         holder = StoreLock(path)
-        holder.acquire(timeout=0.2)
+        assert holder.try_acquire()
         try:
-            waiter = StoreLock(path)
-            with pytest.raises(StoreLockTimeout,
-                               match=f"pid {os.getpid()} on {os.uname().nodename}"):
-                waiter.acquire(timeout=0.2)
-            assert not waiter.held
+            contender = StoreLock(path)
+            assert not contender.try_acquire()
+            assert not contender.held
+            named = f"pid {os.getpid()} on {os.uname().nodename}, acquired "
+            assert contender.holder_description().startswith(named)
+            with pytest.raises(StoreLocked, match=re.escape(named)):
+                ResultStore(path)
         finally:
             holder.release()
 
     def test_lock_file_names_the_holder_and_outlives_release(self, tmp_path):
         lock = StoreLock(str(tmp_path / "s.journal"))
-        lock.acquire(timeout=0.2)
+        assert lock.try_acquire()
         holder = lock.holder()
         assert holder["pid"] == os.getpid()
         assert holder["host"] == os.uname().nodename
@@ -998,12 +989,12 @@ class TestFlockLock:
         monkeypatch.setattr(os, "ftruncate", no_truncate)
         lock = StoreLock(str(tmp_path / "s.journal"))
         monkeypatch.setattr(locking_module, "_hostname", lambda: "h" * 150)
-        lock.acquire(timeout=0.2)
+        assert lock.try_acquire()
         assert lock.holder()["host"] == "h" * 150
         lock.release()
         # a shorter record over a longer one: padding, not truncation, hides it
         monkeypatch.setattr(locking_module, "_hostname", lambda: "short")
-        lock.acquire(timeout=0.2)
+        assert lock.try_acquire()
         try:
             holder = lock.holder()
             assert (holder["pid"], holder["host"]) == (os.getpid(), "short")
@@ -1015,7 +1006,7 @@ class TestFlockLock:
         self, missing, tmp_path, monkeypatch
     ):
         path = str(tmp_path / "s.journal")
-        with ResultStore(path) as seeded:  # an existing journal: open locks
+        with ResultStore(path) as seeded:
             fill(seeded, ["k"])
         if missing == "ENOLCK":
             monkeypatch.setattr(locking_module.fcntl, "flock", _no_locks)
@@ -1027,27 +1018,32 @@ class TestFlockLock:
         with pytest.raises(StoreError, match=re.escape(lock.lock_path)) as raised:
             lock.try_acquire()
         assert reason in str(raised.value)
-        assert not isinstance(raised.value, StoreLockTimeout)
+        assert not isinstance(raised.value, StoreLocked)
         assert not lock.held
         with pytest.raises(StoreError, match=re.escape(lock.lock_path)):
-            ResultStore(path, strict=True)
+            ResultStore(path)  # a writable open locks, fresh path or not
+        fresh = str(tmp_path / "fresh.journal")
+        with pytest.raises(StoreError, match=re.escape(fresh + ".lock")):
+            ResultStore(fresh)
+        # a reader takes no lock, so it works on such a filesystem
+        assert len(ResultStore(path, read_only=True)) == 1
 
     def test_failed_flush_at_exit_is_logged_naming_the_store(self, tmp_path):
         path = str(tmp_path / "s.journal")
         script = """
-        import errno, fcntl
+        import errno
         store = ResultStore(sys.argv[1])
         store.put("k", summary(1))  # arms the flush at exit
 
-        def no_locks(fd, operation):
-            raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, "disk on fire")
 
-        fcntl.flock = no_locks
+        os.fsync = failing_fsync
         """
         result = run_child(script, path)
         assert result.returncode == 0, result.stderr
         assert f"store {path}: the flush at exit failed" in result.stderr
-        assert path + ".lock" in result.stderr
+        assert "disk on fire" in result.stderr
         assert not os.path.exists(path)
 
 
@@ -1090,7 +1086,7 @@ class TestFormatsAndMigration:
         records, failed, migrated = JSON_FIXTURES[name]
         path = copy_fixture(tmp_path, name)
         before = read_bytes(path)
-        store = ResultStore(path, strict=True)
+        store = ResultStore(path, read_only=True)
         assert len(store) == len(records) + len(failed)
         assert store.migrated == migrated
         assert [key for key, _, _ in store.entries()] == records
@@ -1117,7 +1113,7 @@ class TestFormatsAndMigration:
         assert end == os.path.getsize(path)
         assert payloads[0]["op"] == "header" and payloads[0]["store_version"] == 2
         assert [p["key"] for p in payloads[1:]] == sorted(records + failed + ["fresh"])
-        clone = ResultStore(path)
+        clone = ResultStore(path, read_only=True)
         view = public_view(clone)
         assert view.pop("fresh")[2] == {"series": "new"}
         assert view == imported
@@ -1140,22 +1136,6 @@ class TestFormatsAndMigration:
         assert record.provenance["v1_meta"]["load"] == 0.2
         assert record.summary.offered_load == pytest.approx(0.2)
 
-    @pytest.mark.parametrize("first", ["a", "b"])
-    def test_two_importers_of_one_json_file_lose_nothing(self, tmp_path, first):
-        records, failed, _ = JSON_FIXTURES["json_store_v2.json"]
-        path = copy_fixture(tmp_path, "json_store_v2.json")
-        stores = {"a": ResultStore(path), "b": ResultStore(path)}  # both import
-        stores["a"].put("from-a", sample_summary())
-        stores["b"].put("from-b", sample_summary())
-        second = "b" if first == "a" else "a"
-        stores[first].close()  # replaces the JSON file with a journal
-        stores[second].close()  # finds a journal under the lock: absorbs, appends
-        assert stores[first].describe()["absorbed"] == 0
-        assert stores[second].describe()["absorbed"] > 0
-        union = ResultStore(path)
-        assert set(public_view(union)) == {*records, *failed, "from-a", "from-b"}
-        assert union.torn_salvages == 0
-
     def test_open_after_a_peer_replaced_the_json_file(self, tmp_path):
         path = copy_fixture(tmp_path, "json_store_v1.json")
         early = ResultStore(path)
@@ -1175,28 +1155,28 @@ class TestFormatsAndMigration:
 
     def test_strict_open_errors(self, tmp_path):
         with pytest.raises(StoreError):
-            ResultStore(str(tmp_path / "missing.journal"), strict=True,
+            ResultStore(str(tmp_path / "missing.journal"), read_only=True,
                         format="journal")
         garbage = tmp_path / "garbage.bin"
         garbage.write_bytes(b"\x00\x01\x02 not a store")
         with pytest.raises(StoreError):
-            ResultStore(str(garbage), strict=True, format="journal")
+            ResultStore(str(garbage), read_only=True, format="journal")
 
     def test_migration_never_destroys_unreadable_json(self, tmp_path):
         # a JSON file that cannot be read in full raises on every open —
-        # lenient or strict — and keeps its bytes: the first flush would
+        # writable or read-only — and keeps its bytes: the first flush would
         # otherwise replace it with a journal of whatever was understood.
         for label, text in UNREADABLE_JSON.items():
             path = tmp_path / f"{label}.json"
             path.write_text(text, encoding="utf-8")
-            for strict in (False, True):
+            for read_only in (False, True):
                 with pytest.raises(StoreError):
-                    ResultStore(str(path), strict=strict)
+                    ResultStore(str(path), read_only=read_only)
             assert path.read_text(encoding="utf-8") == text, label
 
 
 # ---------------------------------------------------------------------------
-# Shared-store sweep resume (real run_jobs)
+# Sweep resume over a store (real run_jobs)
 # ---------------------------------------------------------------------------
 
 def _tiny_jobs(count: int, seed_base: int) -> list:
@@ -1251,23 +1231,3 @@ class TestSharedSweepResume:
         )
         assert inspect.returncode == 0, inspect.stderr
         assert inspect.stdout.count("series=shared") == 4
-
-    def test_sweep_absorbs_peer_results_before_dispatch(self, tmp_path):
-        path = str(tmp_path / "s.journal")
-        jobs = _tiny_jobs(4, seed_base=31)
-        # store B opens first (empty view of the shared journal) ...
-        b = ResultStore(path, format="journal")
-        # ... then a peer sweep A computes and flushes half the jobs
-        a = ResultStore(path, format="journal")
-        stats_a = run_jobs(jobs[:2], workers=1, store=a)
-        assert stats_a.executed == 2
-        a.flush()
-        # B's sweep re-reads the shared journal before dispatch: the peer's
-        # two results become cache hits, only the rest simulate.
-        stats_b = run_jobs(jobs, workers=1, store=b)
-        assert stats_b.store_absorbed == 2
-        assert stats_b.cache_hits == 2
-        assert stats_b.executed == 2
-        b.flush()
-        union = {key for key, _, _ in ResultStore(path).entries()}
-        assert union == {job.key for job in jobs}

@@ -357,7 +357,7 @@ class TestDispatchEquivalence:
 
         def counting_flush():
             flush()
-            sizes.append(len(ResultStore(path)))
+            sizes.append(len(ResultStore(path, read_only=True)))
 
         store.flush = counting_flush
         jobs = self._spec().expand()
