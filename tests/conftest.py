@@ -12,9 +12,28 @@ except ImportError:  # pragma: no cover
 
 import pytest  # noqa: E402
 
+import pins  # noqa: E402
 from repro.config import SimulationConfig  # noqa: E402
 from repro.topology import TOPOLOGIES  # noqa: E402
 from topology_instances import REGISTRY_INSTANCES  # noqa: E402
+
+
+@pytest.fixture
+def pin(request) -> pins.Pin:
+    """Checks this case's value against its entry in ``tests/data/pins.json``."""
+    return pins.Pin(request.node.nodeid, pins.PINS, pins.MOVED)
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_collection_modifyitems(items):
+    pins.COLLECTED.update(item.nodeid for item in items)
+
+
+def pytest_terminal_summary(terminalreporter):
+    if pins.MOVED:
+        terminalreporter.section("moved pins (pinned -> now)")
+        for line in pins.moved_table(pins.MOVED):
+            terminalreporter.write_line(line)
 
 
 @pytest.fixture(params=sorted(REGISTRY_INSTANCES), name="topo")

@@ -2,7 +2,6 @@
 behaviour."""
 
 import dataclasses
-import hashlib
 import json
 
 import pytest
@@ -15,6 +14,8 @@ from repro.packet import Packet
 from repro.router.allocator import Request, SeparableAllocator
 from repro.router.ports import EjectionPort, InputPort
 from repro.router.saturation import SaturationBoard
+
+from pins import digest
 
 
 def make_packet(size=8, src=0, dst=1):
@@ -343,41 +344,6 @@ class TestLinkCallbacks:
             output.debit(1, 1, False)
 
 
-#: sha256[:16] of the three measure() windows of each Piggyback run below.
-#: Piggyback's sensing reads the credit counts that every debit and credit
-#: return maintains, and a poster posts at the end of every pump and is woken
-#: by every credit return, so these runs pin the link callbacks, the pump
-#: body and that wake rule for all three buffer set-ups.  The
-#: five variants cover all four branches of ``OutputPort.occupancy_metric``.
-PINNED_PB_DIGESTS = {
-    "mincred-port-4/2+2/1": {
-        "static-5": "c6e95d31e189b51d",
-        "static-0": "1198a5fa0cbe6de8",
-        "damq": "9c0b2dd034599778",
-    },
-    "flexvc-vc-4/2+2/1": {
-        "static-5": "8444fe57fa9ee2e4",
-        "static-0": "2aff52be14d1460b",
-        "damq": "9ba12005c4483ed5",
-    },
-    "baseline-vc-4/2+4/2": {
-        "static-5": "6d9f2261beb080f8",
-        "static-0": "8136cbd4a5d49e1a",
-        "damq": "171efc3570a72c31",
-    },
-    "baseline-port-4/2+4/2": {
-        "static-5": "d0ba68d84f231430",
-        "static-0": "7dc4fd6def3802c4",
-        "damq": "6060753ed4d76c4a",
-    },
-    "mincred-vc-4/2+2/1": {
-        "static-5": "f358ad6dc373e6ee",
-        "static-0": "fae90354bc289b80",
-        "damq": "4d4b64f4d6df3cc3",
-    },
-}
-
-
 #: the Piggyback variants: VC policy, sensing and arrangement.
 PB_VARIANTS = {
     "mincred-port-4/2+2/1": dict(
@@ -414,14 +380,19 @@ def _pb_config(variant: str, buffers: str):
 
 
 @pytest.mark.parametrize("buffers", list(PB_BUFFERS))
-@pytest.mark.parametrize("variant", sorted(PINNED_PB_DIGESTS))
-def test_piggyback_windows_match_pinned_digest(variant, buffers):
+@pytest.mark.parametrize("variant", sorted(PB_VARIANTS))
+def test_piggyback_windows_match_pinned_digest(variant, buffers, pin):
+    """sha256[:16] of the three measure() windows of each Piggyback run.
+
+    Piggyback's sensing reads the credit counts that every debit and credit
+    return maintains, and a poster posts at the end of every pump and is
+    woken by every credit return, so these runs pin the link callbacks, the
+    pump body and that wake rule for all three buffer set-ups.  The five
+    variants cover all four branches of ``OutputPort.occupancy_metric``.
+    """
     from repro.session import Session
 
     session = Session(_pb_config(variant, buffers))
     session.warmup()
     windows = [dataclasses.asdict(session.measure()) for _ in range(3)]
-    digest = hashlib.sha256(
-        json.dumps(windows, sort_keys=True).encode()
-    ).hexdigest()[:16]
-    assert digest == PINNED_PB_DIGESTS[variant][buffers]
+    pin(digest(json.dumps(windows, sort_keys=True)))

@@ -45,6 +45,8 @@ from repro.session import Session
 from repro.simulation import Simulation, SimulationArtifacts
 from repro.topology.base import LinkType
 
+from pins import digest
+
 
 def flap_config(policy: str = "drop", **overrides) -> SimulationConfig:
     """TINY dragonfly with a warmup-spanning global-link flap.
@@ -114,32 +116,6 @@ def pinned_schedules(config: SimulationConfig) -> dict:
     }
 
 
-#: sha256[:16] of each pinned schedule's run (see
-#: ``test_faulted_run_matches_pinned_digest``).
-PINNED_RUN_DIGESTS = {
-    "drop": {
-        "global-link-flap": "135c0d1b32b50966",
-        "neighbour-router-flap": "0b6a38b52694b113",
-        "link-and-router-link-revives-first": "670c6921ddf42a0f",
-        "link-and-router-router-revives-first": "94764a002bfcd7a8",
-        "both-ends-down-one-up": "7c6c2e73dbfde91b",
-        "local-link-never-repaired": "524419a811a027dc",
-        "sample-link": "3ca737ebd10e4eb3",
-        "sample-router": "1f68f89bb56c5a12",
-    },
-    "stall": {
-        "global-link-flap": "9544d9c6ebf83530",
-        "neighbour-router-flap": "146d19743bf74c0b",
-        "link-and-router-link-revives-first": "7f72301dbbf476a5",
-        "link-and-router-router-revives-first": "f0ab2048e53fb55f",
-        "both-ends-down-one-up": "c4ca6e57fec89f3b",
-        "local-link-never-repaired": "2bbee7bca74e22c8",
-        "sample-link": "639ce02e72d3c760",
-        "sample-router": "d765d189e2ad79ea",
-    },
-}
-
-
 def run_session(config: SimulationConfig, windows: int = 3):
     session = Session(config)
     session.warmup()
@@ -192,13 +168,10 @@ class TestFaultSchedule:
         config = SimulationConfig(warmup_cycles=150, measure_cycles=300)
         payload = dataclasses.asdict(config)
         payload.pop("faults")
-        import hashlib
-
-        key = config_key(config)
         legacy = hashlib.sha256(
             json.dumps(payload, sort_keys=True, default=str).encode()
-        ).hexdigest()[: len(key)]
-        assert key == legacy
+        ).hexdigest()
+        assert legacy.startswith(config_key(config))
 
     def test_non_empty_schedule_changes_config_key(self):
         from repro.keys import config_key
@@ -269,9 +242,9 @@ class TestFaultedRunDeterminism:
         assert provenance["packets_dropped"] == controller.packets_dropped
         assert provenance["columns_invalidated"] == controller.columns_invalidated
 
-    @pytest.mark.parametrize("name", sorted(PINNED_RUN_DIGESTS["drop"]))
+    @pytest.mark.parametrize("name", sorted(pinned_schedules(flap_config())))
     @pytest.mark.parametrize("policy", ["drop", "stall"])
-    def test_faulted_run_matches_pinned_digest(self, policy, name):
+    def test_faulted_run_matches_pinned_digest(self, policy, name, pin):
         # The digest covers the three windows, the post-drain packet counts
         # and the fault provenance block of each schedule: a rewrite of the
         # fault runtime must reproduce every one bit for bit.
@@ -294,10 +267,7 @@ class TestFaultedRunDeterminism:
             ],
             "faults": session.record().provenance["faults"],
         }
-        digest = hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()
-        ).hexdigest()[:16]
-        assert digest == PINNED_RUN_DIGESTS[policy][name]
+        pin(digest(json.dumps(payload, sort_keys=True)))
 
     def test_stall_policy_drops_nothing(self):
         session, _, _ = run_session(flap_config("stall"))

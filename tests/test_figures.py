@@ -1,8 +1,9 @@
 """The figure layer: the FIGURES registry, run_figure, render_figure, the CLI.
 
-Expansion is pinned against digests measured at the commit before the
-registry existed (from ``figureN(scale="tiny")`` and the two topology
-sweeps), so no figure can silently start simulating other configurations.
+Expansion is pinned (``tests/data/pins.json``) against digests measured at
+the commit before the registry existed (from ``figureN(scale="tiny")`` and
+the two topology sweeps), so no figure can silently start simulating other
+configurations.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import errno
 import fcntl
-import hashlib
 import os
 from functools import partial
 
@@ -34,36 +34,26 @@ from repro.topology.flattened_butterfly import (
     FlattenedButterflyParams,
 )
 
+from pins import PINS, digest
+
 #: runs in milliseconds per job: 72 nodes, 90 cycles, one load.
 MICRO = dataclasses.replace(TINY, warmup_cycles=30, measure_cycles=60, loads=(0.5,))
-
-#: figure -> (digest of the sorted "load|seed|config_key" lines, job count)
-#: at scale="tiny" with default patterns and seeds.
-TINY_JOBS = {
-    "fig5": ("89ac158fae54c68c", 56),
-    "fig6": ("3ddf1dc037be16ce", 56),
-    "fig7": ("f9a47ace031ac517", 84),
-    "fig8": ("28b08427fcb0e0fa", 84),
-    "fig9": ("30d9e923cca410b6", 26),
-    "fig10": ("752ea76d04f4412a", 20),
-    "fig11": ("22ed1e5f568b9e7a", 56),
-    "hyperx": ("b9f9cfbe81d43401", 32),
-    "megafly": ("1654a3f9017d8bbb", 32),
-}
 
 
 class TestExpansion:
     def test_every_registered_figure_is_pinned(self):
-        assert set(TINY_JOBS) == set(FIGURES)
+        prefix = "tests/test_figures.py::TestExpansion::test_tiny_jobs_are_the_parents["
+        assert {key[len(prefix):-1] for key in PINS if key.startswith(prefix)} == set(FIGURES)
 
-    @pytest.mark.parametrize("name", sorted(TINY_JOBS))
-    def test_tiny_jobs_are_the_parents(self, name):
+    @pytest.mark.parametrize("name", sorted(FIGURES))
+    def test_tiny_jobs_are_the_parents(self, name, pin):
+        """Pinned: the digest of the sorted "load|seed|config_key" lines and
+        the job count, at scale="tiny" with default patterns and seeds."""
         jobs = figure_sweep(name, scale="tiny")[1].expand()
         lines = sorted(f"{job.load}|{job.seed}|{job.key}" for job in jobs)
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
-        assert (digest, len(jobs)) == TINY_JOBS[name]
+        pin([digest("\n".join(lines)), len(jobs)])
 
-    @pytest.mark.parametrize("name", sorted(TINY_JOBS))
+    @pytest.mark.parametrize("name", sorted(FIGURES))
     def test_job_labels_are_unique_and_name_their_panel(self, name):
         panels, spec = figure_sweep(name, scale="tiny")
         labels = [label for label, _ in spec.series]

@@ -16,7 +16,6 @@ does.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 
 import pytest
@@ -26,15 +25,12 @@ from repro.experiments.runner import TINY, base_config
 from repro.experiments.topologies import minimal_feasible_arrangement
 from repro.session import Session
 
-#: sha256[:16] of the summary of each short PB run below.
-PINNED_CROSS_TOPOLOGY_PB = {
-    ("megafly", "uniform"): "ec4b9c923e7abc03",
-    ("megafly", "adversarial"): "f7beb69a9f0cd304",
-    ("hyperx", "uniform"): "8f8ba8c8c6ea93da",
-    ("hyperx", "adversarial"): "80009e00dfdf6164",
-    ("flattened_butterfly", "uniform"): "db9a559824ef8760",
-    ("flattened_butterfly", "adversarial"): "2d95d079412e8453",
-}
+from pins import digest
+
+#: the short PB runs whose summaries are pinned, one per topology and pattern.
+PB_RUNS = [(topology, pattern)
+           for topology in ("flattened_butterfly", "hyperx", "megafly")
+           for pattern in ("adversarial", "uniform")]
 
 
 def _pb_config(topology: str, pattern: str):
@@ -57,13 +53,11 @@ def _pb_config(topology: str, pattern: str):
     ).with_load(0.6)
 
 
-@pytest.mark.parametrize("topology,pattern", sorted(PINNED_CROSS_TOPOLOGY_PB))
-def test_piggyback_summary_matches_pinned_digest(topology, pattern):
+@pytest.mark.parametrize("topology,pattern", PB_RUNS)
+def test_piggyback_summary_matches_pinned_digest(topology, pattern, pin):
+    """Pinned: sha256[:16] of the run's summary."""
     summary = Session(_pb_config(topology, pattern)).run().summary
-    digest = hashlib.sha256(
-        json.dumps(dataclasses.asdict(summary), sort_keys=True).encode()
-    ).hexdigest()[:16]
-    assert digest == PINNED_CROSS_TOPOLOGY_PB[topology, pattern]
+    pin(digest(json.dumps(dataclasses.asdict(summary), sort_keys=True)))
 
 
 @pytest.mark.parametrize("algorithm", ["min", "pb"])

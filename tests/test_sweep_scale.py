@@ -29,6 +29,8 @@ from repro.session import Session
 from repro.simulation import Simulation, build_artifacts
 from repro.store import ResultStore
 
+from pins import digest
+
 
 def make_config(**overrides) -> SimulationConfig:
     base = SimulationConfig(warmup_cycles=150, measure_cycles=300)
@@ -94,30 +96,25 @@ class TestKeys:
         assert jobs[-1].key != config_key(dataclasses.replace(jobs[-1].config,
                                                               faults=FaultSchedule()))
 
-    def test_keys_pinned_to_literals(self):
+    def test_keys_pinned_to_literals(self, pin):
         """Stores are addressed by these digests (taken at 8f5e6d3): a drift
         passes every self-consistency check and only shows as a cold cache."""
         from repro.experiments.runner import TINY, base_config
 
-        assert config_key(SimulationConfig()) == "6498ae9e3d6299285dbdc254"
-        assert config_key(base_config(TINY)) == "fe8a19e68ef09c90bc6ab78c"
         loaded = base_config(TINY).with_load(0.7)
-        assert config_key(loaded) == "87d45d214bdb85725d4d20cb"
+        pin({
+            "SimulationConfig()": config_key(SimulationConfig()),
+            "base_config(TINY)": config_key(base_config(TINY)),
+            "base_config(TINY).with_load(0.7)": config_key(loaded),
+        })
         spec = SweepSpec(series=[("tiny", lambda: base_config(TINY))], loads=[0.7])
         assert [job.key for job in spec.expand()] == [config_key(loaded)]
 
-    #: sha256[:16] of the lookups one sweep makes, per kind of address,
-    #: taken at e4360fa.
-    ADDRESS_DIGESTS = {
-        "plain": "9364dbe25443fc18",
-        "faults": "3b52e61cf4a44cd6",
-    }
-
-    def test_store_addresses_pinned_to_a_digest(self, tmp_path):
-        """The addresses a sweep reads its results under, one digest per kind
-        of address: plain, and a key with a fault schedule folded in.  Every
-        lookup is answered from a stub record, so nothing simulates."""
-        import hashlib
+    def test_store_addresses_pinned_to_a_digest(self, tmp_path, pin):
+        """The addresses a sweep reads its results under, one sha256[:16]
+        digest of its lookups per kind of address (taken at e4360fa): plain,
+        and a key with a fault schedule folded in.  Every lookup is answered
+        from a stub record, so nothing simulates."""
         import json
 
         from repro.experiments import ResultStore, SweepSpec, run_sweep
@@ -155,9 +152,8 @@ class TestKeys:
             store = AskedStore(str(tmp_path / f"{kind}.journal"))
             outcome = run_sweep(spec, workers=1, store=store, **override)
             assert outcome.stats.cache_hits == 8 and outcome.stats.executed == 0
-            payload = json.dumps(store.asked).encode()
-            digests[kind] = hashlib.sha256(payload).hexdigest()[:16]
-        assert digests == self.ADDRESS_DIGESTS
+            digests[kind] = digest(json.dumps(store.asked))
+        pin(digests)
     def test_legacy_mode_records_are_labelled_and_never_served(self, tmp_path, capsys):
         """Stores written before sweeps had one measurement protocol hold
         points copied from a lower load (``:extrapolated:<hash>``) and points

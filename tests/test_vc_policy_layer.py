@@ -2,15 +2,15 @@
 
 A policy is one verdict function (``VcPolicy.evaluate``) and feasibility is
 one walk (``walk_reference_path``) that config validation, Tables I-IV and the
-Section II slot assignment all read.  The three digests below were captured at
-``1830dda``, before the layer was folded, over exactly the inputs generated
-here: accept/reject of ``SimulationConfig.validate()``, the verdict memo a run
-leaves behind, and the rendered tables.
+Section II slot assignment all read.  The three digests pinned in
+``tests/data/pins.json`` were captured at ``1830dda``, before the layer was
+folded, over exactly the inputs generated here: accept/reject of
+``SimulationConfig.validate()``, the verdict memo a run leaves behind, and the
+rendered tables.
 """
 
 from __future__ import annotations
 
-import hashlib
 from functools import lru_cache
 
 import pytest
@@ -32,9 +32,7 @@ from repro.experiments.runner import TINY, base_config
 from repro.experiments.tables import render_all_tables
 from repro.session import Session
 
-
-def _digest(lines) -> str:
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+from pins import digest
 
 
 # ---------------------------------------------------------------------------
@@ -94,41 +92,37 @@ def _validate_grid_lines():
     return sorted(lines)
 
 
-def test_validate_accepts_and_rejects_the_same_grid():
+def test_validate_accepts_and_rejects_the_same_grid(pin):
     lines = _validate_grid_lines()
-    assert len(lines) == 9216
-    assert sum(line.endswith("|1") for line in lines) == 3908
-    assert _digest(lines) == "e6d772e4813e9e6f"
+    pin({"lines": len(lines), "accepted": sum(line.endswith("|1") for line in lines),
+         "digest": digest("\n".join(lines))})
 
 
 # ---------------------------------------------------------------------------
 # (ii) a run's verdict memo is entry for entry what it was
 # ---------------------------------------------------------------------------
 
+#: name -> the ``base_config(TINY)`` overrides of the run whose memo is pinned.
 MEMO_RUNS = {
-    "baseline min": (dict(algorithm="min"), 9, "795a19ea24df7d5b"),
-    "baseline val 4/2 adv": (
-        dict(algorithm="val", pattern="adversarial",
-             arrangement=VcArrangement.single_class(4, 2)),
-        73, "f929fecb5c638bc3"),
-    "baseline pb 4/2": (
-        dict(algorithm="pb", arrangement=VcArrangement.single_class(4, 2)),
-        71, "db66a2548a9b3d70"),
-    "flexvc val 8/4 adv": (
-        dict(algorithm="val", pattern="adversarial", vc_policy="flexvc",
-             arrangement=VcArrangement.single_class(8, 4)),
-        209, "5f8ec75974c9d6e6"),
-    "flexvc par 8/4": (
-        dict(algorithm="par", vc_policy="flexvc",
-             arrangement=VcArrangement.single_class(8, 4)),
-        389, "1002f56f389da74e"),
+    "baseline min": dict(algorithm="min"),
+    "baseline val 4/2 adv": dict(
+        algorithm="val", pattern="adversarial",
+        arrangement=VcArrangement.single_class(4, 2)),
+    "baseline pb 4/2": dict(
+        algorithm="pb", arrangement=VcArrangement.single_class(4, 2)),
+    "flexvc val 8/4 adv": dict(
+        algorithm="val", pattern="adversarial", vc_policy="flexvc",
+        arrangement=VcArrangement.single_class(8, 4)),
+    "flexvc par 8/4": dict(
+        algorithm="par", vc_policy="flexvc",
+        arrangement=VcArrangement.single_class(8, 4)),
 }
 
 
 @lru_cache(maxsize=None)
 def _verdict_memo(name: str) -> dict:
     """The verdict memo one ``tiny`` run at load 0.7 leaves behind."""
-    session = Session(base_config(TINY, **MEMO_RUNS[name][0]).with_load(0.7))
+    session = Session(base_config(TINY, **MEMO_RUNS[name]).with_load(0.7))
     session.run()
     return session.sim.routing._verdict_memo
 
@@ -151,11 +145,9 @@ def _memo_lines(memo: dict):
 
 
 @pytest.mark.parametrize("name", sorted(MEMO_RUNS))
-def test_verdict_memo_is_what_it_was(name):
-    _, entries, digest = MEMO_RUNS[name]
+def test_verdict_memo_is_what_it_was(name, pin):
     lines = _memo_lines(_verdict_memo(name))
-    assert len(lines) == entries
-    assert _digest(lines) == digest
+    pin({"entries": len(lines), "digest": digest("\n".join(lines))})
 
 
 @pytest.mark.parametrize("name, routings", [
@@ -206,9 +198,10 @@ Table IV
   PAR  | ((2, 1), (2, 1)): X / opport. | ((3, 2), (2, 1)): opport. / opport. | ((4, 2), (4, 2)): opport. / opport. | ((5, 2), (5, 2)): safe / safe"""
 
 
-def test_tables_render_as_they_did():
-    assert render_all_tables() == TABLES_TEXT
-    assert _digest([TABLES_TEXT]) == "4db12da5d33fb062"
+def test_tables_render_as_they_did(pin):
+    text = render_all_tables()
+    pin(digest(text))
+    assert text == TABLES_TEXT
 
 
 # ---------------------------------------------------------------------------

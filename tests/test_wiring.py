@@ -3,14 +3,13 @@
 Each digest is sha256[:16] over a network's every ``(router, port)`` link
 (neighbor, link type, back port, global-port index), its ``router_groups()``
 and every ``group_slot``, every ``min_next_ports_to(dst)`` column, and every
-``RouteTable`` ``hop_sequence`` and Piggyback ``first_global_link``.  The
-literals were captured when each topology still derived its links and its
-minimal routes in closed form, per pair (``port_to``, ``min_next_port``,
-``min_hop_sequence``); the generic derivations from ``ports()`` and
-``min_next_ports_to`` must reproduce them exactly.
+``RouteTable`` ``hop_sequence`` and Piggyback ``first_global_link``, pinned
+per network in ``tests/data/pins.json``.  The values were captured when each
+topology still derived its links and its minimal routes in closed form, per
+pair (``port_to``, ``min_next_port``, ``min_hop_sequence``); the generic
+derivations from ``ports()`` and ``min_next_ports_to`` must reproduce them
+exactly.
 """
-
-import hashlib
 
 import pytest
 
@@ -33,6 +32,8 @@ from repro.topology import (
     verify_bidirectional,
 )
 
+from pins import digest
+
 NETWORKS = {
     "dragonfly h=1": lambda: Dragonfly(h=1),
     "dragonfly h=2": lambda: Dragonfly(h=2),
@@ -54,30 +55,8 @@ NETWORKS = {
     },
 }
 
-CLOSED_FORM_DIGESTS = {
-    "dragonfly h=1": "2e1bdd9eb091c883",
-    "dragonfly h=2": "a57b56f9f50c41e5",
-    "dragonfly h=3": "3b13a1daddb23029",
-    "dragonfly h=2 6 groups": "aa69d007312767ab",
-    "dragonfly h=3 a=4 5 groups": "75bd812cc8c3f9b8",
-    "megafly 2/2 h=2": "26688bd2e230299a",
-    "megafly 3/2 h=2": "a884dd8c897edbd6",
-    "megafly 2/3 h=2 3 groups": "d38e9030624f0df1",
-    "hyperx (4,)": "43bb36c25989998d",
-    "hyperx (4,1)": "43bb36c25989998d",
-    "hyperx (3,3,3)": "fc33b664eca9029e",
-    "hyperx (2,3,1,2)": "e279d902c1981a79",
-    "fb 4x3": "4ec16e6536d51184",
-    "fb 5x1": "4186426146136ca8",
-    "tiny dragonfly": "a57b56f9f50c41e5",
-    "tiny flattened_butterfly": "54c796ead9e19f61",
-    "tiny hyperx": "836156457d00fb8d",
-    "tiny megafly": "26688bd2e230299a",
-}
-
-
-def digest(topo):
-    h = hashlib.sha256()
+def wiring_digest(topo):
+    chunks = []
     n = topo.num_routers
     for router in range(n):
         row = []
@@ -88,25 +67,25 @@ def digest(topo):
                      if link_type == LinkType.GLOBAL else -1)
             row.append((port, topo.neighbor(router, port), int(link_type),
                         topo.back_port(router, port), index))
-        h.update(repr((router, row)).encode())
-    h.update(repr(topo.router_groups()).encode())
-    h.update(repr([topo.group_slot(router) for router in range(n)]).encode())
+        chunks.append(repr((router, row)))
+    chunks.append(repr(topo.router_groups()))
+    chunks.append(repr([topo.group_slot(router) for router in range(n)]))
     for dst in range(n):
-        h.update(repr((dst, list(topo.min_next_ports_to(dst)))).encode())
+        chunks.append(repr((dst, list(topo.min_next_ports_to(dst)))))
     table = RouteTable(topo)
     wiring = topo.wiring()
     for dst in range(n):
-        h.update(repr((dst, [
+        chunks.append(repr((dst, [
             (tuple(int(t) for t in table.hop_sequence(src, dst)),
              first_global_link(wiring, table.column(dst), src))
             for src in range(n)
-        ])).encode())
-    return h.hexdigest()[:16]
+        ])))
+    return digest(*chunks)
 
 
 @pytest.mark.parametrize("name", sorted(NETWORKS))
-def test_wiring_and_routes_match_closed_form_digest(name):
-    assert digest(NETWORKS[name]()) == CLOSED_FORM_DIGESTS[name]
+def test_wiring_and_routes_match_closed_form_digest(name, pin):
+    pin(wiring_digest(NETWORKS[name]()))
 
 
 class _Line(Topology):
