@@ -33,7 +33,7 @@ class Link:
     # slots drop the per-instance dict (~300 bytes each).
     __slots__ = (
         "engine", "latency", "link_type", "_deliver", "_name", "busy_until",
-        "phits_transmitted", "probe_hook",
+        "probe_hook",
     )
 
     def __init__(
@@ -57,8 +57,6 @@ class Link:
         self._name = name
         #: cycle at which the tail of the last packet leaves the upstream side.
         self.busy_until = 0
-        #: accounting for link-utilization statistics.
-        self.phits_transmitted = 0
         #: probe dispatch ``hook(link, packet, vc, now)``; None (the default)
         #: keeps the no-probe transmit path free of any dispatch work.
         self.probe_hook = None
@@ -86,7 +84,6 @@ class Link:
             raise RuntimeError(f"link {self.name or id(self)} busy until {self.busy_until}")
         tail_out = now + packet.size_phits
         self.busy_until = tail_out
-        self.phits_transmitted += packet.size_phits
         if self.probe_hook is not None:
             self.probe_hook(self, packet, vc, now)
         arrival = tail_out + self.latency

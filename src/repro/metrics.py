@@ -28,22 +28,6 @@ from typing import Any, Dict, List, Optional
 from .packet import Packet
 
 
-class ResidentLedger:
-    """Network-wide count of packets resident in router input buffers.
-
-    One ledger is shared by all routers of a simulation; a link delivery
-    (``InputPort.deliver``) increments it and popping a network input port
-    decrements it, which makes
-    ``Simulation.total_resident_packets`` (and the deadlock heuristic) O(1)
-    instead of a sum over every router.
-    """
-
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
-
-
 class LatencyHistogram:
     """Bounded-memory latency distribution with an exact fine region.
 
@@ -222,7 +206,6 @@ class MetricsCollector:
         self.phits_delivered_window = 0
         self.latency_histogram = LatencyHistogram()
         self.misrouted_measured = 0
-        self.measured_delivered = 0
         self.last_delivery_cycle = -1
         #: measurement epoch: packets are stamped with the epoch of the window
         #: they were generated in, so a packet from window N delivered after
@@ -255,7 +238,6 @@ class MetricsCollector:
         self.phits_delivered_window = 0
         self.latency_histogram = LatencyHistogram()
         self.misrouted_measured = 0
-        self.measured_delivered = 0
         return result
 
     def in_window(self, cycle: int) -> bool:
@@ -277,7 +259,6 @@ class MetricsCollector:
             self.packets_delivered_window += 1
             self.phits_delivered_window += packet.size_phits
         if packet.measured == self._epoch:
-            self.measured_delivered += 1
             self.latency_histogram.add(packet.latency)
             if not packet.is_minimal:
                 self.misrouted_measured += 1
@@ -291,8 +272,8 @@ class MetricsCollector:
         histogram = self.latency_histogram
         average_latency = histogram.mean()
         misrouted_fraction = (
-            self.misrouted_measured / self.measured_delivered
-            if self.measured_delivered else 0.0
+            self.misrouted_measured / histogram.count
+            if histogram.count else 0.0
         )
         return SimulationResult(
             offered_load=offered_load,

@@ -197,7 +197,9 @@ class ProbeHub:
 # ---------------------------------------------------------------------------
 
 class TimeSeriesProbe(Probe):
-    """Interval-sampled accepted load, delivery latency and resident packets.
+    """Interval-sampled accepted load, delivery latency and the packets in
+    network input buffers (``resident``; injection buffers and source queues
+    are not counted).
 
     A sample row is flushed every ``interval`` cycles and at every session
     phase transition, so measurement-window boundaries always coincide with a
@@ -272,7 +274,8 @@ class TimeSeriesProbe(Probe):
                                "resident"],
                     "note": ("rows also flush at phase transitions; summing "
                              "'phits' over a measurement window reproduces "
-                             "the window's phits_delivered exactly"),
+                             "the window's phits_delivered exactly; "
+                             "'resident' counts network input buffers only"),
                 },
                 "data": self.samples,
             }

@@ -196,9 +196,6 @@ class InputPort:
         self.receive(packet, vc, now)
         router = self.router
         router.resident_packets += 1
-        ledger = router.resident_ledger
-        if ledger is not None:
-            ledger.count += 1
         ready = now + self.pipeline_latency
         blocked = router._alloc_sleep_until
         if 0 <= blocked and ready < blocked:

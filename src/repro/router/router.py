@@ -64,7 +64,6 @@ from ..core.vc_selection import (
     LowestVc,
     VcSelection,
 )
-from ..metrics import ResidentLedger
 from ..packet import Packet, RouteKind
 from ..routing.base import CandidateHop, EjectionRequest, RoutingAlgorithm
 from ..topology.base import Topology
@@ -222,6 +221,9 @@ class Router:
             self.input_ports[port] for port in sorted(self.input_ports)
         ]
         self.allocator = SeparableAllocator(len(self._alloc_inputs))
+        #: packets in the network input buffers (injection buffers are
+        #: ``_injection_resident``); ``Simulation.total_resident_packets``
+        #: sums it over the routers.
         self.resident_packets = 0
 
         # -- hot-state slabs (see module docstring) -------------------------------
@@ -319,8 +321,6 @@ class Router:
         #: other credit returns leave the router asleep (they cannot change
         #: the outcome of the recorded pass).
         self._blocked_credit_mask = 0
-        #: shared network-wide resident-packet counter (see Simulation).
-        self.resident_ledger: Optional[ResidentLedger] = None
 
         # -- probe dispatch (None = unsubscribed, zero-cost) ---------------------------
         #: ``hook(packet, now)`` fired on a packet's first non-minimal hop.
@@ -354,14 +354,14 @@ class Router:
     def resolve_candidate(self, candidate: CandidateHop) -> tuple:
         """Burn this router's slab indices into a memoized candidate.
 
-        Returns the allocator's evaluation record ``(out_port, vc_lo, vc_hi,
+        Returns the allocator's evaluation record ``(out_port, lo, hi,
         out_state_base, credit_free_base, out_buffer_capacity,
         pending_releases, credit_fail_mask)``; safe because candidates are
         memoized per router.
         """
         out_port = candidate.out_port
-        lo = candidate.vc_lo
-        hi = candidate.vc_hi
+        lo = candidate.vc_range.lo
+        hi = candidate.vc_range.hi
         cb = self._cfree_base[out_port]
         if self._port_is_damq[out_port]:
             fail_mask = self._port_credit_masks[out_port]
@@ -428,8 +428,6 @@ class Router:
                     port.head_plans[vc] = None
             base = IN_STRIDE * index
             self._in_state[base:base + IN_STRIDE] = (0, 0, -1)
-        if self.resident_ledger is not None:
-            self.resident_ledger.count -= self.resident_packets
         self.resident_packets = self._injection_resident = 0
         queued = [packet for queue in self.source_queues for packet in queue]
         for queue in self.source_queues:
@@ -830,9 +828,8 @@ class Router:
     def _make_grant_executor(self) -> Callable[[tuple, int], None]:
         """Build the grant-execution closure (pop, debit, transmit).
 
-        All router-local references are captured once; the resident ledger
-        and probe hooks are read through ``router`` because they are wired
-        after construction.
+        All router-local references are captured once; the probe hooks are
+        read through ``router`` because they are wired after construction.
         """
         router = self
         alloc_inputs = self._alloc_inputs
@@ -864,9 +861,6 @@ class Router:
                 router._injection_resident -= 1
             else:
                 router.resident_packets -= 1
-                ledger = router.resident_ledger
-                if ledger is not None:
-                    ledger.count -= 1
             # Routing state update; detour-affecting hops take the generic
             # path, plain hops inline the counter bumps.
             if candidate.simple_hop:
@@ -919,8 +913,6 @@ class Router:
             self._injection_resident -= 1
         else:
             self.resident_packets -= 1
-            if self.resident_ledger is not None:
-                self.resident_ledger.count -= 1
         done = ejection.consume(packet, now)
         packet.delivered_at = done
         self.engine.schedule_call(done, self.on_delivery, (packet, done))

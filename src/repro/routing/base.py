@@ -68,11 +68,7 @@ class CandidateHop:
     reaches_intermediate: bool = False
     #: granting this hop abandons the remaining detour (escape fallback).
     abandons_detour: bool = False
-    #: flattened copies of ``vc_range.lo`` / ``vc_range.hi`` so the allocator
-    #: inner loop reads plain ints (filled in ``__post_init__``).
-    vc_lo: int = -1
-    vc_hi: int = -1
-    #: packed router-resolved evaluation record — ``(out_port, vc_lo, vc_hi,
+    #: packed router-resolved evaluation record — ``(out_port, lo, hi,
     #: out_state_base, credit_free_base, out_buffer_capacity,
     #: pending_releases, credit_fail_mask)``.  Candidates are memoized per
     #: router (the hop-memo key starts with the router id), so the
@@ -94,9 +90,7 @@ class CandidateHop:
 
     def __post_init__(self) -> None:
         self.alone = [self]
-        self.vc_lo = self.vc_range.lo
-        self.vc_hi = self.vc_range.hi
-        self.hot = (self.out_port, self.vc_lo, self.vc_hi)
+        self.hot = (self.out_port, self.vc_range.lo, self.vc_range.hi)
         self.is_global_hop = self.out_type == LinkType.GLOBAL
         self.simple_hop = not (self.reaches_intermediate or self.abandons_detour)
 

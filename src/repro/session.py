@@ -239,9 +239,10 @@ class Session:
     def drain(self, max_cycles: int = DEFAULT_DRAIN_LIMIT_CYCLES) -> int:
         """Stop injection and run until the network is empty (or the bound).
 
-        Returns the number of cycles the drain took.  After draining,
-        ``total_resident_packets()`` is zero unless the network is genuinely
-        wedged (suspected deadlock) or ``max_cycles`` elapsed first.
+        Returns the number of cycles the drain took.  After draining, the
+        network input buffers (``total_resident_packets()``), the injection
+        buffers and the source queues are all empty unless the network is
+        wedged or ``max_cycles`` elapsed first.
         """
         self._enter_phase("drain")
         self.sim.traffic.stop()
@@ -265,11 +266,9 @@ class Session:
         Probe sampling events are excluded from the in-flight check — they
         re-arm themselves forever and carry no packets.
         """
-        sim = self.sim
-        if sim._resident_ledger.count:
-            return False
-        for router in sim.routers:
-            if router._injection_resident or router._source_backlog:
+        for router in self.sim.routers:
+            if (router.resident_packets or router._injection_resident
+                    or router._source_backlog):
                 return False
         samplers = sum(1 for probe in self._probes if probe.sample_interval > 0)
         return self.engine.pending_events() <= samplers

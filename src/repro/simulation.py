@@ -20,7 +20,7 @@ from .core.link_types import LinkType
 from .core.vc_selection import make_selection
 from .engine import Engine
 from .link import CreditChannel, Link
-from .metrics import MetricsCollector, ResidentLedger, SimulationResult
+from .metrics import MetricsCollector, SimulationResult
 from .packet import Packet
 from .router.router import Router
 from .routing import make_routing
@@ -120,8 +120,6 @@ class Simulation:
         )
         self.routers: List[Router] = []
         self.traffic: Optional[TrafficManager] = None
-        #: O(1) network-wide resident-packet counter shared by all routers.
-        self._resident_ledger = ResidentLedger()
         self._build_routers()
         self._wire_links()
         self.routing.bind_routers(self.routers)
@@ -155,7 +153,6 @@ class Simulation:
                 rng=self.rng,
                 on_delivery=self._on_delivery,
             )
-            router.resident_ledger = self._resident_ledger
             self.routers.append(router)
             self.engine.register_router(router)
 
@@ -214,8 +211,9 @@ class Simulation:
 
     # -- diagnostics -----------------------------------------------------------------
     def _deadlock_suspected(self) -> bool:
-        """No delivery for a long stretch while packets remain in flight (O(1))."""
-        if self._resident_ledger.count == 0:
+        """No delivery for a long stretch while packets wait in network input
+        buffers (injection buffers and source queues are not counted)."""
+        if not self.total_resident_packets():
             return False
         window = self.config.deadlock_window_cycles
         last = self.metrics.last_delivery_cycle
@@ -224,8 +222,9 @@ class Simulation:
         return (self.engine.now - last) > window
 
     def total_resident_packets(self) -> int:
-        """Packets resident in network input buffers, maintained incrementally."""
-        return self._resident_ledger.count
+        """Packets in network input buffers (not injection buffers or source
+        queues), summed over the routers."""
+        return sum(router.resident_packets for router in self.routers)
 
 
 def _average_extras(results: List[SimulationResult]) -> Dict[str, float]:

@@ -45,7 +45,6 @@ class TrafficManager:
         #: returns False to suppress a packet whose endpoint router is down,
         #: *before* it is counted as generated (see repro.faults).
         self.fault_filter: Optional[Callable[[Packet], bool]] = None
-        self.replies_generated = 0
         #: set by Session.drain(): no new requests (replies still flow so
         #: in-flight request-reply exchanges can complete).
         self._stopped = False
@@ -103,7 +102,6 @@ class TrafficManager:
                 in_reply_to=packet.pid,
                 pid=next(self._pids),
             )
-            self.replies_generated += 1
             self._enqueue(reply, cycle)
         if self.delivery_hook is not None:
             self.delivery_hook(packet, cycle)

@@ -1,0 +1,153 @@
+"""Accepted means drains: the tier-1 census of wedged configurations.
+
+The paper promises deadlock freedom for every VC arrangement its tables
+accept.  This census runs each registered topology x routing x VC policy at
+its minimal feasible arrangement (the one the topology figures use), under
+uniform load 0.5 and adversarial load 0.9, and gives each a verdict:
+
+* **drains** - ``drain(4000)`` empties the network;
+* **wedged** - packets are held after ``drain(4000)`` and the count does not
+  move over two more ``drain(2000)`` steps;
+* **slow** - anything else (Dragonfly MIN under adversarial load empties in
+  the first extra step); it passes.
+
+"Held" counts network input buffers, injection buffers and source queues.
+Every configuration wedged today is a strict ``xfail``, so a change that
+mends one fails here until its marker is deleted.  A wedge's message gives
+the held counts and splits the stuck heads into those whose cached plan is
+empty (``[]``: no hop is offered at all) and those that have candidates (a
+cyclic wait).
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Tuple
+
+import pytest
+
+from repro.core.arrangement import VcArrangement
+from repro.experiments.runner import TINY, base_config
+from repro.experiments.topologies import (
+    POLICIES,
+    ROUTINGS,
+    minimal_feasible_arrangement,
+)
+from repro.session import Session
+from repro.topology import TOPOLOGIES
+
+#: (pattern, load) points of the census.
+POINTS = (("uniform", 0.5), ("adversarial", 0.9))
+
+#: configurations that wedge today, as (topology, routing, policy, pattern);
+#: all are FlexVC at the minimal feasible arrangement.
+WEDGED = {
+    ("dragonfly", "val", "flexvc", "adversarial"),
+    ("dragonfly", "par", "flexvc", "uniform"),
+    ("dragonfly", "par", "flexvc", "adversarial"),
+    ("hyperx", "val", "flexvc", "uniform"),
+    ("hyperx", "val", "flexvc", "adversarial"),
+    ("hyperx", "par", "flexvc", "uniform"),
+    ("hyperx", "par", "flexvc", "adversarial"),
+    ("hyperx", "pb", "flexvc", "uniform"),
+    ("hyperx", "pb", "flexvc", "adversarial"),
+    ("megafly", "par", "flexvc", "uniform"),
+    ("megafly", "par", "flexvc", "adversarial"),
+    ("flattened_butterfly", "par", "flexvc", "uniform"),
+    ("flattened_butterfly", "par", "flexvc", "adversarial"),
+}
+
+
+def _held(session: Session) -> int:
+    return sum(
+        router.resident_packets + router._injection_resident
+        + router._source_backlog
+        for router in session.sim.routers
+    )
+
+
+def _stuck_heads(session: Session) -> Tuple[int, int]:
+    """(heads whose cached plan is empty, heads whose plan has candidates)."""
+    empty = candidates = 0
+    for router in session.sim.routers:
+        ports = list(router.injection_ports) + list(router.input_ports.values())
+        for port in ports:
+            for vc, queue in enumerate(port.queues):
+                if queue:
+                    plan = port.head_plans[vc]
+                    if plan == []:
+                        empty += 1
+                    elif plan:
+                        candidates += 1
+    return empty, candidates
+
+
+def census(topology: str, algorithm: str, policy: str, pattern: str,
+           load: float,
+           arrangement: Optional[VcArrangement] = None) -> Tuple[str, str]:
+    """Run one census configuration; returns ``(verdict, detail)``."""
+    network = TINY.network_for(topology)
+    if arrangement is None:
+        arrangement = minimal_feasible_arrangement(network, algorithm, policy)
+    config = base_config(
+        TINY, pattern=pattern, algorithm=algorithm, vc_policy=policy,
+        arrangement=arrangement, network=network, seed=1,
+    ).with_load(load)
+    session = Session(config)
+    session.warmup(200)
+    session.measure(600)
+    session.drain(4000)
+    held: List[int] = [_held(session)]
+    while held[-1] and len(held) < 3:
+        session.drain(2000)
+        held.append(_held(session))
+    if not held[0]:
+        verdict = "drains"
+    elif len(set(held)) == 1:
+        verdict = "wedged"
+    else:
+        verdict = "slow"
+    empty, candidates = _stuck_heads(session)
+    detail = (
+        f"{arrangement.label()}: held {held} after "
+        f"drain(4000) and each drain(2000); stuck heads with an empty plan "
+        f"{empty}, with candidates {candidates}"
+    )
+    return verdict, detail
+
+
+def _cases():
+    for topology in TOPOLOGIES.names():
+        for algorithm in ROUTINGS:
+            for policy in POLICIES:
+                for pattern, load in POINTS:
+                    key = (topology, algorithm, policy, pattern)
+                    marks = ()
+                    if key in WEDGED:
+                        marks = pytest.mark.xfail(
+                            strict=True,
+                            reason="ROADMAP item 18: accepted arrangement "
+                            "wedges",
+                        )
+                    yield pytest.param(*key, load, id="-".join(key),
+                                       marks=marks)
+
+
+@pytest.mark.parametrize("topology, algorithm, policy, pattern, load",
+                         list(_cases()))
+def test_accepted_configuration_is_not_wedged(topology, algorithm, policy,
+                                              pattern, load):
+    verdict, detail = census(topology, algorithm, policy, pattern, load)
+    assert verdict != "wedged", detail
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP items 1 and 18(d): cyclic wait, every stuck head has "
+    "candidates",
+)
+def test_dragonfly_pb_flexvc_5_2_adversarial_is_not_wedged():
+    verdict, detail = census(
+        "dragonfly", "pb", "flexvc", "adversarial", 0.9,
+        arrangement=VcArrangement.single_class(5, 2),
+    )
+    assert verdict != "wedged", detail

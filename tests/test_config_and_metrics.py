@@ -226,9 +226,9 @@ class TestDeadlockWindowConfig:
             warmup_cycles=10, measure_cycles=30, deadlock_window_cycles=5
         ).with_load(0.0)
         sim = Simulation(config)
-        # Plant a resident packet so the ledger is non-empty, then check the
-        # configured window (not the 2500-cycle default) drives the verdict.
-        sim._resident_ledger.count = 1
+        # Plant a resident packet so a network input counts one, then check
+        # the configured window (not the 2500-cycle default) drives the verdict.
+        sim.routers[0].resident_packets = 1
         sim.engine.run_until(config.total_cycles())
         assert sim._deadlock_suspected()  # 40 cycles idle > window of 5
 

@@ -215,21 +215,3 @@ class TestDeterminism:
     def test_sleeping_piggyback_routers_do_not_change_results(self, name):
         self._assert_polling_changes_nothing(
             make_config(**self.PB_CONFIGS[name]).with_load(0.4))
-
-
-class TestResidentLedger:
-    def test_ledger_matches_router_sum(self):
-        sim = Simulation(make_config().with_load(0.3))
-        checks = []
-        original_tick = sim.engine.tick
-
-        def tick():
-            original_tick()
-            checks.append(
-                sim.total_resident_packets()
-                == sum(r.resident_packets for r in sim.routers)
-            )
-
-        sim.engine.tick = tick
-        Session(simulation=sim).run()
-        assert checks and all(checks)

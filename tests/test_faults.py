@@ -309,7 +309,7 @@ class TestAccounting:
         sim = session.sim
         metrics = sim.metrics
         controller = sim.fault_controller
-        assert sim._resident_ledger.count == 0
+        assert sim.total_resident_packets() == 0
         assert (
             metrics.packets_generated
             == metrics.packets_delivered_total + controller.packets_dropped
@@ -340,7 +340,7 @@ class TestAccounting:
             metrics.packets_generated
             == metrics.packets_delivered_total
             + controller.packets_dropped
-            + session.sim._resident_ledger.count
+            + session.sim.total_resident_packets()
         )
         record = session.record()
         provenance = record.provenance["faults"]
@@ -718,7 +718,7 @@ class TestFaultOrchestration:
         session = Session(config)
         session.warmup()
         # Plant a resident packet so the idle window reads as a wedge.
-        session.sim._resident_ledger.count = 1
+        session.sim.routers[0].resident_packets = 1
         result = session.measure()
         assert result.deadlock_suspected
         assert result.extra["outcome"] == "deadlock"

@@ -21,6 +21,8 @@ import pytest
 
 from repro.config import RoutingConfig, SimulationConfig, TrafficConfig
 from repro.core.arrangement import VcArrangement
+from repro.experiments.runner import TINY, base_config
+from repro.experiments.topologies import minimal_feasible_arrangement
 from repro.metrics import LatencyHistogram
 from repro.probes import (
     AllocStallProbe,
@@ -33,12 +35,28 @@ from repro.probes import (
 )
 from repro.session import Session
 from repro.simulation import average_results
+from repro.topology import TOPOLOGIES
 from repro.metrics import SimulationResult
 
 
 def tiny_config(**overrides) -> SimulationConfig:
     base = SimulationConfig(warmup_cycles=300, measure_cycles=700, seed=3)
     return dataclasses.replace(base, **overrides).with_load(0.6)
+
+
+class DeliveredHopPhits(Probe):
+    """Sums ``hops * size_phits`` over delivered packets: once a run has
+    drained, the phits that every link carried."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.phits = 0
+
+    def on_packet_delivered(self, packet, cycle: int) -> None:
+        self.phits += packet.hops * packet.size_phits
+
+    def channels(self):
+        return {"delivered_hop_phits": {"meta": {}, "data": self.phits}}
 
 
 class TestNoProbeEquivalence:
@@ -89,7 +107,7 @@ class TestProbeTelemetry:
         config = tiny_config()
         session = Session(config, probes=[
             TimeSeriesProbe(100), LinkUtilizationProbe(), VcOccupancyProbe(),
-            LatencyHistogramProbe(), AllocStallProbe(),
+            LatencyHistogramProbe(), AllocStallProbe(), DeliveredHopPhits(),
         ])
         session.warmup()
         summary = session.measure()
@@ -118,15 +136,18 @@ class TestProbeTelemetry:
         _, _, session, record = recorded
         data = record.channel("link_utilization")["data"]
         assert data  # traffic flowed
-        # Channel totals must equal the links' own phit counters.
-        sim_links = {
-            output.link.name: output.link.phits_transmitted
+        links = {
+            output.link.name
             for router in session.sim.routers
             for output in router.output_ports.values()
         }
-        for name, entry in data.items():
-            assert entry["phits"] == sim_links[name]
+        assert set(data) <= links
+        for entry in data.values():
             assert 0.0 <= entry["utilization"] <= 1.0
+        # The drained run's link phits are the delivered packets' hop phits.
+        assert sum(entry["phits"] for entry in data.values()) == (
+            record.channel("delivered_hop_phits")["data"]
+        )
 
     def test_vc_occupancy_bounded_and_positive(self, recorded):
         _, _, session, record = recorded
@@ -164,6 +185,33 @@ class TestProbeTelemetry:
         assert prov["engine_cycles"] == session.now
         assert prov["schema_version"] == 2
         assert "TimeSeriesProbe" in prov["probes"]
+
+
+@pytest.mark.parametrize("algorithm", ["min", "val", "pb"])
+@pytest.mark.parametrize("topology", TOPOLOGIES.names())
+def test_drained_run_conserves_packets_and_phits(topology, algorithm):
+    """A drained baseline run delivered every packet it generated, holds
+    none in a network input, and its links carried exactly the phits of
+    the delivered packets' hops."""
+    network = TINY.network_for(topology)
+    config = base_config(
+        TINY, network=network, algorithm=algorithm,
+        arrangement=minimal_feasible_arrangement(network, algorithm, "baseline"),
+        seed=3,
+    ).with_load(0.4)
+    session = Session(config, probes=[LinkUtilizationProbe(), DeliveredHopPhits()])
+    session.warmup()
+    session.measure()
+    session.drain()
+    metrics = session.sim.metrics
+    assert metrics.packets_delivered_total > 0
+    assert metrics.packets_generated == metrics.packets_delivered_total
+    assert session.sim.total_resident_packets() == 0
+    record = session.record()
+    links = record.channel("link_utilization")["data"]
+    assert sum(entry["phits"] for entry in links.values()) == (
+        record.channel("delivered_hop_phits")["data"]
+    )
 
 
 class TestSessionLifecycle:

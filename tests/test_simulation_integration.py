@@ -7,7 +7,9 @@ import pytest
 
 from repro.config import RoutingConfig, SimulationConfig, TrafficConfig
 from repro.core.arrangement import VcArrangement
+from repro.core.link_types import MessageClass
 from repro.experiments.orchestrator import SweepSpec, run_sweep
+from repro.probes import Probe
 from repro.session import Session
 
 
@@ -144,15 +146,25 @@ class TestBurstyTraffic:
 
 class TestRequestReply:
     def test_reactive_traffic_generates_replies(self):
+        class ReplyCounter(Probe):
+            def __init__(self):
+                super().__init__()
+                self.replies = 0
+
+            def on_packet_delivered(self, packet, cycle):
+                if packet.msg_class == MessageClass.REPLY:
+                    self.replies += 1
+
+        counter = ReplyCounter()
         session = Session(
             make_config(
                 traffic=TrafficConfig(load=0.4, reactive=True),
                 arrangement=VcArrangement.request_reply((2, 1), (2, 1)),
-            )
+            ),
+            probes=[counter],
         )
         session.run()
-        assert session.sim.traffic is not None
-        assert session.sim.traffic.replies_generated > 0
+        assert counter.replies > 0
 
     def test_flexvc_request_reply_runs_with_fewer_vcs(self):
         result = Session(
