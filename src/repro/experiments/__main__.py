@@ -245,6 +245,14 @@ def cmd_inspect(args: argparse.Namespace) -> int:
                     f"route-table (built {route_table['columns_built']}, "
                     f"hits {route_table.get('hits')})"
                 )
+            routing = provenance.get("routing")
+            if routing and "plan_misses" in routing:
+                parts.append(
+                    f"routing (plan misses {routing['plan_misses']}, "
+                    f"memo {routing.get('plan_memo_size')}, "
+                    f"hops {routing.get('hop_builds')}, "
+                    f"empty plans {routing.get('empty_plans')})"
+                )
             convergence = provenance.get("convergence")
             if convergence:
                 state = "converged" if convergence.get("converged") else "unconverged"

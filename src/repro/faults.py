@@ -559,8 +559,9 @@ class FaultController:
         the sets, hand them to the route table — which drops the resident
         columns they can alter
         (:meth:`~repro.routing.route_table.RouteTable.set_fault_state`) —
-        and flush every cached forwarding decision; each cleared head plan
-        counts as a rerouted packet.
+        and clear every head's cached plan; each cleared head plan counts
+        as a rerouted packet.  The routing memos stay: they are keyed by
+        route shape, so a rebuilt column reads fresh keys.
         """
         sim = self.sim
         now = interval.cycle
@@ -575,7 +576,6 @@ class FaultController:
             self.columns_invalidated += sim.route_table.set_fault_state(
                 interval.dead_links, interval.dead_routers
             )
-            sim.routing.invalidate_route_caches()
             self.packets_rerouted += sum(router.forget_plans() for router in sim.routers)
         hook = self.on_fault_applied
         for event in interval.events:

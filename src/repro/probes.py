@@ -254,9 +254,7 @@ class TimeSeriesProbe(Probe):
             "mean_latency": (
                 self._latency_sum / self._delivered if self._delivered else 0.0
             ),
-            "resident": (
-                session.sim.total_resident_packets() if session else 0
-            ),
+            "resident": session.sim.held()[0] if session else 0,
         })
         self._phits = 0
         self._delivered = 0

@@ -222,9 +222,14 @@ class Router:
         ]
         self.allocator = SeparableAllocator(len(self._alloc_inputs))
         #: packets in the network input buffers (injection buffers are
-        #: ``_injection_resident``); ``Simulation.total_resident_packets``
-        #: sums it over the routers.
+        #: ``_injection_resident``); ``Simulation.held`` sums it over the
+        #: routers.
         self.resident_packets = 0
+        #: network-input heads planned ``[]`` (no admissible hop), on a
+        #: network with every router up / while some router is dead
+        #: (RunRecord provenance, see ``Simulation.routing_stats``).
+        self.empty_plans = 0
+        self.empty_plans_router_down = 0
 
         # -- hot-state slabs (see module docstring) -------------------------------
         n_in = len(self._alloc_inputs)
@@ -654,6 +659,8 @@ class Router:
                                 plan = routing_plan(router, packet, None, -1)
                             else:
                                 plan = routing_plan(router, packet, input_type, vc)
+                                if not plan:
+                                    router._count_empty_plan()
                             head_plans[vc] = plan
                         if type(plan) is EjectionRequest:
                             slot = plan.slot
@@ -822,8 +829,21 @@ class Router:
         input_type = None if port.is_injection else port.link_type
         input_vc = -1 if port.is_injection else vc
         plan = self.routing.plan(self, packet, input_type, input_vc)
+        if not plan and not port.is_injection:
+            self._count_empty_plan()
         port.head_plans[vc] = plan
         return plan
+
+    def _count_empty_plan(self) -> None:
+        """A network-input head was planned ``[]``: no hop is offered.
+
+        Counted apart while any router is dead, since a re-table around a
+        dead router may leave a head planless.
+        """
+        if self.routing.route.dead_routers:
+            self.empty_plans_router_down += 1
+        else:
+            self.empty_plans += 1
 
     def _make_grant_executor(self) -> Callable[[tuple, int], None]:
         """Build the grant-execution closure (pop, debit, transmit).

@@ -35,23 +35,23 @@ from ..core.vc_policy import HopContext, HopKind, VcPolicy, VcRange
 from ..core.vc_selection import VcSelection
 from ..packet import Packet, RouteKind
 from ..topology.base import LINK_TYPES, Topology
-from .route_table import RouteTable
+from .route_table import _UNRESOLVED, RouteTable
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..router.router import Router
 
-#: bound on the plan and hop memo dictionaries.  The first-level plan memo is
-#: keyed by the (here, dst, phase-state) situations actually traversed —
-#: effectively O(n²) under uniform traffic at 10^5-endpoint scale — and the
-#: hop memo by (router, port, verdict), so each is cleared wholesale when it
-#: reaches this many entries.  The constructions are pure (no RNG; randomness
-#: lives in the per-packet injection decisions), so a rebuilt entry is
-#: identical and the clear is invisible in results.  ~262k entries keep
-#: worst-case memo memory around 70 MB; canonical paper-scale runs stay far
-#: below the cap.  At system scale the plan memo does hit it and every entry
-#: is then re-missed once — which is why a plan miss must stay cheap: two
-#: route-column reads plus two small dict hits (see ``_candidate_towards``),
-#: never a policy evaluation.
+#: bound on the plan, verdict and hop memo dictionaries, each cleared
+#: wholesale when it reaches this many entries.  The first-level plan memo
+#: is keyed by route *shape* — (router, out port, intended-path id, state) —
+#: so it grows with routers x ports x the shapes and states that leave
+#: them, not with destination pairs; the hop memo by (router, port,
+#: verdict).  The constructions are pure (no RNG; randomness lives in the
+#: per-packet injection decisions), so a rebuilt entry is identical and the
+#: clear is invisible in results.  ~262k entries keep worst-case memo memory
+#: around 70 MB; paper-scale runs stay far below the cap, and at h=13 the
+#: plan memo comes near it (241,525 entries after 150 cycles at load 0.1).
+#: A plan miss stays cheap for that reason: two route-column reads plus two
+#: small dict hits (see ``_candidate_towards``), never a policy evaluation.
 _MEMO_CAP = 1 << 18
 
 
@@ -71,7 +71,7 @@ class CandidateHop:
     #: packed router-resolved evaluation record — ``(out_port, lo, hi,
     #: out_state_base, credit_free_base, out_buffer_capacity,
     #: pending_releases, credit_fail_mask)``.  Candidates are memoized per
-    #: router (the hop-memo key starts with the router id), so the
+    #: router (the hop-memo key starts with the router's port slot), so the
     #: router-local slab indices and references can be burned in at
     #: construction; the allocator then evaluates a candidate with a single
     #: attribute load plus flat reads.  Filled by
@@ -159,16 +159,17 @@ class RoutingAlgorithm(ABC):
         #: :class:`CandidateHop` itself (immutable in practice, shared by
         #: every packet in the same situation) is memoized per ``(router,
         #: out port, verdict, flags)``: at most routers × ports × verdict
-        #: variety.  Neither embeds a route-table answer, so both survive a
-        #: fault re-table.
+        #: variety.
         self._verdict_memo: dict = {}
         self._hop_memo: dict = {}
         #: first-level hit path: whole plans of the minimal branch keyed by
-        #: ``(here, dst, state)`` (plan lists are shared and never mutated).
-        #: Keys approach O(n²) under uniform traffic at system scale, hence
-        #: the :data:`_MEMO_CAP` wholesale clear (purity makes the rebuild
-        #: answer-identical, and plan lists held by callers stay valid);
-        #: canonical paper-scale runs never reach the cap.
+        #: route shape, ``(here, out port, intended-path id, state)``, read
+        #: straight off the destination's route column (plan lists are
+        #: shared and never mutated).  The escape path is the intended path
+        #: without its first hop (interned one-to-one), so the key fixes
+        #: every input of the plan, and no memo holds a route-table answer:
+        #: a fault re-table that rebuilds a column gives new keys and
+        #: leaves every entry true, so it flushes nothing.
         self._plan_memo: dict = {}
         #: miss-path work counters (RunRecord provenance; the hit paths
         #: carry no counter).
@@ -177,13 +178,20 @@ class RoutingAlgorithm(ABC):
         self.hop_builds = 0
         # devtools: unbounded-ok(keyed by (dst router, msg class): at most 2n entries)
         self._ejection_memo: dict = {}
-        #: packed-int plan-memo keys: every component is a small bounded
-        #: non-negative int (after the +1 shifts), so the key packs into one
-        #: integer — int hashing is much cheaper than hashing a 9-tuple.
-        #: Out-of-range phase state (never produced by the canonical
-        #: reference shapes) falls back to tuple keys, which cannot collide
-        #: with ints in the same dict.
-        self._key_routers = topology.num_routers
+        #: the plan memo's hit path reads the route columns directly (the
+        #: table mutates this list in place, never replaces it).
+        self._columns = self.route.columns
+        self._no_port = self.route.no_port
+        #: packed-int memo keys: every component is a small bounded
+        #: non-negative int (after the +1 shifts), so a key packs into one
+        #: integer — int hashing is much cheaper than hashing a tuple.  The
+        #: bounds come from the wiring (ports per router), the route table
+        #: (interned ids are below ``_UNRESOLVED``) and the arrangement
+        #: (the widest port's VC count).  Out-of-range phase state (never
+        #: produced by the canonical reference shapes) falls back to tuple
+        #: plan keys, which cannot collide with ints in the same dict.
+        self._key_ports = self.wiring.ports_per_router
+        self._key_vcs = max(arrangement.total_local, arrangement.total_global)
         #: hook elision: algorithms that keep the base-class no-op hooks
         #: (e.g. MIN/VAL never divert in transit) skip the virtual call on
         #: every plan computation.
@@ -196,19 +204,8 @@ class RoutingAlgorithm(ABC):
         )
 
     # ------------------------------------------------------------------
-    # Fault support
+    # Provenance
     # ------------------------------------------------------------------
-    def invalidate_route_caches(self) -> None:
-        """Flush the memo that bakes in route-table answers.
-
-        Called by the fault controller after re-table-ing: first-level plans
-        embed next ports read from the mutated columns.  Verdicts (pure
-        functions of path shape) and router-local hops (pure functions of
-        the static ``(router, port)`` wiring) survive, as does the ejection
-        memo — ejection requests depend only on the node attachment.
-        """
-        self._plan_memo.clear()
-
     def memo_stats(self) -> Dict[str, int]:
         """Miss-path work counters and memo sizes (RunRecord provenance)."""
         return {
@@ -292,7 +289,17 @@ class RoutingAlgorithm(ABC):
 
         # Minimal continuation (MIN packets, and Valiant packets past their
         # intermediate — both take the same minimal path from here): the whole
-        # plan is a pure function of this key, so memoize it.
+        # plan is a pure function of the route shape and state, so memoize
+        # it.  MinimalRouting.plan computes the same key.
+        col = self._columns[dst_router]
+        if col is None:
+            col = self.route.column(dst_router)
+        port = col.ports[here]
+        if port == self._no_port:
+            return _NO_PLAN
+        seq_id = col.seq_ids[here]
+        if seq_id == _UNRESOLVED:
+            seq_id = col.seq_id(here)
         phase_local = packet.phase_local
         phase_global = packet.phase_global
         phase_position = packet.phase_position
@@ -300,14 +307,15 @@ class RoutingAlgorithm(ABC):
         if (0 <= phase_local < 16 and 0 <= phase_global < 16
                 and 0 <= phase_position < 32
                 and 0 <= phase_global_taken < 16 and -1 <= input_vc < 15):
-            key = (here * self._key_routers + dst_router) * 2 + packet.msg_class
+            key = (here * self._key_ports + port) * _UNRESOLVED + seq_id
+            key = key * 2 + packet.msg_class
             key = key * 3 + (0 if input_type is None else input_type + 1)
             key = (key * 16 + input_vc + 1) * 16 + phase_local
             key = ((key * 16 + phase_global) * 32 + phase_position) * 16 \
                 + phase_global_taken
         else:  # pragma: no cover - beyond any canonical reference shape
             key = (
-                here, dst_router, packet.msg_class, input_type, input_vc,
+                here, port, seq_id, packet.msg_class, input_type, input_vc,
                 phase_local, phase_global, phase_position, phase_global_taken,
             )
         cached = self._plan_memo.get(key)
@@ -386,8 +394,10 @@ class RoutingAlgorithm(ABC):
         reaches_intermediate = (
             is_detour and next_router == packet.intermediate_router
         )
-        hop_key = (here, out_port, vc_range.lo, vc_range.hi, opportunistic,
-                   reaches_intermediate, abandons_detour)
+        vcs = self._key_vcs
+        hop_key = (((slot * vcs + vc_range.lo) * vcs + vc_range.hi) * 8
+                   + opportunistic + 2 * reaches_intermediate
+                   + 4 * abandons_detour)
         candidate = self._hop_memo.get(hop_key)
         if candidate is None:
             self.hop_builds += 1

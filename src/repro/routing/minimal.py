@@ -7,6 +7,7 @@ from typing import TYPE_CHECKING, Optional
 from ..core.link_types import LinkType
 from ..packet import Packet
 from .base import _MEMO_CAP, _NO_PLAN, EjectionRequest, Plan, RoutingAlgorithm
+from .route_table import _UNRESOLVED
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..router.router import Router
@@ -34,7 +35,9 @@ class MinimalRouting(RoutingAlgorithm):
         MIN packets never carry Valiant/PAR state, so the generic method's
         decision hooks and detour branches are dead; dropping them keeps the
         per-head cost at a memo lookup.  Behaviour-identical to the base
-        implementation (the route_decided stamp is preserved for parity).
+        implementation, and it computes the same route-shape key, so the
+        two share memo entries (the route_decided stamp is preserved for
+        parity).
         """
         here = router.router_id
         dst_router = packet.dst_router
@@ -51,6 +54,15 @@ class MinimalRouting(RoutingAlgorithm):
                 self._ejection_memo[eject_key] = ejection
             return ejection
         packet.route_decided = True
+        col = self._columns[dst_router]
+        if col is None:
+            col = self.route.column(dst_router)
+        port = col.ports[here]
+        if port == self._no_port:
+            return _NO_PLAN
+        seq_id = col.seq_ids[here]
+        if seq_id == _UNRESOLVED:
+            seq_id = col.seq_id(here)
         phase_local = packet.phase_local
         phase_global = packet.phase_global
         phase_position = packet.phase_position
@@ -58,14 +70,15 @@ class MinimalRouting(RoutingAlgorithm):
         if (0 <= phase_local < 16 and 0 <= phase_global < 16
                 and 0 <= phase_position < 32
                 and 0 <= phase_global_taken < 16 and -1 <= input_vc < 15):
-            key = (here * self._key_routers + dst_router) * 2 + packet.msg_class
+            key = (here * self._key_ports + port) * _UNRESOLVED + seq_id
+            key = key * 2 + packet.msg_class
             key = key * 3 + (0 if input_type is None else input_type + 1)
             key = (key * 16 + input_vc + 1) * 16 + phase_local
             key = ((key * 16 + phase_global) * 32 + phase_position) * 16 \
                 + phase_global_taken
         else:  # pragma: no cover - beyond any canonical reference shape
             key = (
-                here, dst_router, packet.msg_class, input_type, input_vc,
+                here, port, seq_id, packet.msg_class, input_type, input_vc,
                 phase_local, phase_global, phase_position, phase_global_taken,
             )
         cached = self._plan_memo.get(key)

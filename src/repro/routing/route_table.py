@@ -82,11 +82,15 @@ class RouteColumn:
         port = self.ports[src]
         return None if port == self._no_port else port
 
-    def hop_sequence(self, src: int) -> HopSequence:
+    def seq_id(self, src: int) -> int:
+        """Interned id of ``src``'s hop sequence, resolved on first read."""
         seq_id = self.seq_ids[src]
         if seq_id == _UNRESOLVED:
             seq_id = self._table._resolve(self, src)
-        return self.sequences[seq_id]
+        return seq_id
+
+    def hop_sequence(self, src: int) -> HopSequence:
+        return self.sequences[self.seq_id(src)]
 
     def distance(self, src: int) -> int:
         return len(self.hop_sequence(src))
@@ -129,7 +133,11 @@ class RouteTable:
         self._wiring = topology.wiring()
 
         # -- resident columns ----------------------------------------------
-        self._columns: List[Optional[RouteColumn]] = [None] * n
+        #: ``dst``-indexed resident columns (None = not built).  Mutated in
+        #: place only, so a reader may keep a reference to the list.
+        self.columns: List[Optional[RouteColumn]] = [None] * n
+        #: the ``ports`` sentinel of a source with no port (see RouteColumn).
+        self.no_port = 0xFF if self._wiring.ports_per_router < 255 else -1
         self.hits = 0
         self.misses = 0
         self.columns_built = 0
@@ -147,24 +155,24 @@ class RouteTable:
     # -- column management ---------------------------------------------------
     def column(self, dst: int) -> RouteColumn:
         """The (computed-on-demand) column of destination ``dst``."""
-        col = self._columns[dst]
+        col = self.columns[dst]
         if col is not None:
             self.hits += 1
             return col
         self.misses += 1
-        col = self._columns[dst] = self._build_column(dst)
+        col = self.columns[dst] = self._build_column(dst)
         return col
 
     def invalidate(self, dst: int) -> None:
         """Drop destination ``dst``'s column (no-op when not resident); the
         next touch rebuilds it against the current fault state."""
-        if self._columns[dst] is not None:
-            self._columns[dst] = None
+        if self.columns[dst] is not None:
+            self.columns[dst] = None
             self._fault_dirty.discard(dst)
 
     def _resident(self) -> List[RouteColumn]:
         """The built columns, in ``dst`` order."""
-        return [col for col in self._columns if col is not None]
+        return [col for col in self.columns if col is not None]
 
     def columns_via(self, router: int, port: int) -> List[int]:
         """Resident destinations whose route from ``router`` leaves via
@@ -201,12 +209,10 @@ class RouteTable:
             step = port_batch.itemsize
             low = 0 if sys.byteorder == "little" else step - 1
             ports = port_batch.tobytes()[low::step]
-            no_port = 0xFF
         else:
             ports = port_batch
-            no_port = -1
         self.columns_built += 1
-        return RouteColumn(dst, ports, seq_ids, no_port, self)
+        return RouteColumn(dst, ports, seq_ids, self.no_port, self)
 
     def _resolve(self, col: RouteColumn, src: int) -> int:
         """Sequence id of ``(src, col.dst)``, resolved on its first read.
@@ -304,7 +310,7 @@ class RouteTable:
             stale.update(self.columns_via(router, port))
         self._dead_links = dead_links
         self._dead_routers = dead_routers
-        columns = self._columns
+        columns = self.columns
         dropped = [dst for dst in stale if columns[dst] is not None]
         for dst in dropped:
             self.invalidate(dst)
@@ -349,6 +355,11 @@ class RouteTable:
     @property
     def num_routers(self) -> int:
         return self._n
+
+    @property
+    def dead_routers(self) -> frozenset:
+        """Routers dead in the installed fault state (empty when pristine)."""
+        return self._dead_routers
 
     @property
     def sequences(self) -> Tuple[HopSequence, ...]:

@@ -266,10 +266,8 @@ class Session:
         Probe sampling events are excluded from the in-flight check — they
         re-arm themselves forever and carry no packets.
         """
-        for router in self.sim.routers:
-            if (router.resident_packets or router._injection_resident
-                    or router._source_backlog):
-                return False
+        if any(self.sim.held()):
+            return False
         samplers = sum(1 for probe in self._probes if probe.sample_interval > 0)
         return self.engine.pending_events() <= samplers
 
@@ -308,9 +306,10 @@ class Session:
         # of any cache key, but recorded so system-scale runs can be audited
         # for column churn.
         provenance["route_table"] = sim.route_table.table_stats()
-        # Plan-construction work done on memo misses, and what the memos
-        # hold: says whether a slow point spent its time rebuilding plans.
-        provenance["routing"] = sim.routing.memo_stats()
+        # Plan-construction work done on memo misses, what the memos hold,
+        # and how many heads were planned with no hop: says whether a slow
+        # point spent its time rebuilding plans, or stranded packets.
+        provenance["routing"] = sim.routing_stats()
         provenance.update(self.provenance_extra)
         summary = self.windows[0][1]
         windows = [

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .collector import paused_collector
 from .config import SimulationConfig
@@ -221,10 +221,31 @@ class Simulation:
             return self.engine.now > window
         return (self.engine.now - last) > window
 
+    def held(self) -> Tuple[int, int, int]:
+        """Where the packets are: ``(network input buffers, injection
+        buffers, source queues)``, each summed over the routers."""
+        routers = self.routers
+        return (
+            sum(router.resident_packets for router in routers),
+            sum(router._injection_resident for router in routers),
+            sum(router._source_backlog for router in routers),
+        )
+
     def total_resident_packets(self) -> int:
         """Packets in network input buffers (not injection buffers or source
-        queues), summed over the routers."""
-        return sum(router.resident_packets for router in self.routers)
+        queues)."""
+        return self.held()[0]
+
+    def routing_stats(self) -> Dict[str, int]:
+        """The routing algorithm's memo counters and the routers' empty-plan
+        counts (RunRecord provenance)."""
+        return {
+            **self.routing.memo_stats(),
+            "empty_plans": sum(r.empty_plans for r in self.routers),
+            "empty_plans_router_down": sum(
+                r.empty_plans_router_down for r in self.routers
+            ),
+        }
 
 
 def _average_extras(results: List[SimulationResult]) -> Dict[str, float]:

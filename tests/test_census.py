@@ -11,12 +11,13 @@ uniform load 0.5 and adversarial load 0.9, and gives each a verdict:
 * **slow** - anything else (Dragonfly MIN under adversarial load empties in
   the first extra step); it passes.
 
-"Held" counts network input buffers, injection buffers and source queues.
-Every configuration wedged today is a strict ``xfail``, so a change that
-mends one fails here until its marker is deleted.  A wedge's message gives
-the held counts and splits the stuck heads into those whose cached plan is
-empty (``[]``: no hop is offered at all) and those that have candidates (a
-cyclic wait).
+"Held" counts network input buffers, injection buffers and source queues
+(``Simulation.held``).  Every configuration wedged today is a strict
+``xfail``, so a change that mends one fails here until its marker is
+deleted.  A wedge's message gives the held counts, the run's count of heads
+planned empty (``[]``: no hop is offered at all) and splits the stuck heads
+into those whose cached plan is empty and those that have candidates (a
+cyclic wait).  A configuration outside ``WEDGED`` plans no head empty.
 """
 
 from __future__ import annotations
@@ -58,11 +59,11 @@ WEDGED = {
 
 
 def _held(session: Session) -> int:
-    return sum(
-        router.resident_packets + router._injection_resident
-        + router._source_backlog
-        for router in session.sim.routers
-    )
+    return sum(session.sim.held())
+
+
+def _empty_plans(session: Session) -> int:
+    return session.sim.routing_stats()["empty_plans"]
 
 
 def _stuck_heads(session: Session) -> Tuple[int, int]:
@@ -81,10 +82,10 @@ def _stuck_heads(session: Session) -> Tuple[int, int]:
     return empty, candidates
 
 
-def census(topology: str, algorithm: str, policy: str, pattern: str,
-           load: float,
-           arrangement: Optional[VcArrangement] = None) -> Tuple[str, str]:
-    """Run one census configuration; returns ``(verdict, detail)``."""
+def _measured(topology: str, algorithm: str, policy: str, pattern: str,
+              load: float,
+              arrangement: Optional[VcArrangement] = None) -> Session:
+    """One census configuration after its warm-up and measurement window."""
     network = TINY.network_for(topology)
     if arrangement is None:
         arrangement = minimal_feasible_arrangement(network, algorithm, policy)
@@ -95,6 +96,16 @@ def census(topology: str, algorithm: str, policy: str, pattern: str,
     session = Session(config)
     session.warmup(200)
     session.measure(600)
+    return session
+
+
+def census(topology: str, algorithm: str, policy: str, pattern: str,
+           load: float,
+           arrangement: Optional[VcArrangement] = None) -> Tuple[str, str, int]:
+    """Run one census configuration; returns ``(verdict, detail,
+    empty_plans)``."""
+    session = _measured(topology, algorithm, policy, pattern, load,
+                        arrangement)
     session.drain(4000)
     held: List[int] = [_held(session)]
     while held[-1] and len(held) < 3:
@@ -107,12 +118,14 @@ def census(topology: str, algorithm: str, policy: str, pattern: str,
     else:
         verdict = "slow"
     empty, candidates = _stuck_heads(session)
+    empty_plans = _empty_plans(session)
     detail = (
-        f"{arrangement.label()}: held {held} after "
-        f"drain(4000) and each drain(2000); stuck heads with an empty plan "
-        f"{empty}, with candidates {candidates}"
+        f"{session.config.arrangement.label()}: held {held} after "
+        f"drain(4000) and each drain(2000); heads planned empty "
+        f"{empty_plans}; stuck heads with an empty plan {empty}, with "
+        f"candidates {candidates}"
     )
-    return verdict, detail
+    return verdict, detail, empty_plans
 
 
 def _cases():
@@ -136,8 +149,10 @@ def _cases():
                          list(_cases()))
 def test_accepted_configuration_is_not_wedged(topology, algorithm, policy,
                                               pattern, load):
-    verdict, detail = census(topology, algorithm, policy, pattern, load)
+    verdict, detail, empty_plans = census(topology, algorithm, policy,
+                                          pattern, load)
     assert verdict != "wedged", detail
+    assert empty_plans == 0, detail
 
 
 @pytest.mark.xfail(
@@ -146,8 +161,33 @@ def test_accepted_configuration_is_not_wedged(topology, algorithm, policy,
     "candidates",
 )
 def test_dragonfly_pb_flexvc_5_2_adversarial_is_not_wedged():
-    verdict, detail = census(
+    verdict, detail, _ = census(
         "dragonfly", "pb", "flexvc", "adversarial", 0.9,
         arrangement=VcArrangement.single_class(5, 2),
     )
     assert verdict != "wedged", detail
+
+
+@pytest.mark.parametrize(
+    "topology, algorithm, arrangement, pattern, load, planned_empty", [
+        # Two of the empty-plan wedges: their heads are planned empty before
+        # the drain starts.
+        ("hyperx", "val", VcArrangement.single_class(3, 3), "uniform", 0.5, True),
+        ("dragonfly", "par", VcArrangement.single_class(3, 2), "adversarial",
+         0.9, True),
+        # The two cyclic waits: every stuck head has candidates.
+        ("dragonfly", "val", VcArrangement.single_class(3, 2), "adversarial",
+         0.9, False),
+        ("dragonfly", "pb", VcArrangement.single_class(5, 2), "adversarial",
+         0.9, False),
+    ], ids=["hyperx-val-3/3-uniform", "dragonfly-par-3/2-adversarial",
+            "dragonfly-val-3/2-adversarial", "dragonfly-pb-5/2-adversarial"])
+def test_empty_plan_count_tells_the_two_wedge_kinds_apart(
+    topology, algorithm, arrangement, pattern, load, planned_empty,
+):
+    # The count a wedge verdict can read: positive where the routing offers
+    # a head no hop, zero where heads wait on one another.  Mending the
+    # empty plans turns the first two to zero.
+    session = _measured(topology, algorithm, "flexvc", pattern, load,
+                        arrangement)
+    assert (_empty_plans(session) > 0) == planned_empty

@@ -73,7 +73,7 @@ def test_resident_columns_cost_two_bytes_per_source(algorithm):
     session.run()
     table = session.sim.route_table
     n = table.num_routers
-    resident = [col for col in table._columns if col is not None]
+    resident = [col for col in table.columns if col is not None]
     assert len(resident) == n
     assert [col.nbytes() for col in resident] == [2 * n] * n
 

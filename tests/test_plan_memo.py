@@ -1,16 +1,21 @@
 """Two-level plan construction: shape-keyed verdicts, router-local hops.
 
-``RoutingAlgorithm`` memoizes the VC verdict on the hop's path *shape* and
-the ``CandidateHop`` on ``(router, port, verdict)`` (DESIGN.md §6).  The
-guarantees locked here:
+``RoutingAlgorithm`` memoizes the minimal plan on its route *shape*
+``(router, out port, intended-path id, state)``, the VC verdict on the hop's
+path shapes and the ``CandidateHop`` on ``(router, port, verdict)``
+(DESIGN.md §6).  The guarantees locked here:
 
 * **differential** — a plan served through the memos equals one assembled by
   calling ``policy.evaluate(HopContext(...))`` directly on an independent
-  dense table, for generated positions, inputs and phase states;
+  table, for generated positions, inputs and phase states, on a pristine
+  network and after a link-down re-table of a memo warmed before it;
 * **scale invariance** — the verdict memo's population does not depend on
-  the network size, and neither memo grows with the destinations touched;
-* **fault survival** — a re-table drops only the first-level plan memo, and
-  the run is trace-identical to one that drops everything;
+  the network size, and none of the three memos grows with the destinations
+  touched;
+* **one key** — ``MinimalRouting.plan`` and the minimal branch of
+  ``RoutingAlgorithm.plan`` serve each other's memo entries;
+* **fault survival** — a re-table flushes no memo, and the run is
+  trace-identical to one that drops every memo at each re-table;
 * **observability** — the miss-path counters land in RunRecord provenance
   and never in the simulated statistics that fingerprints hash.
 """
@@ -21,6 +26,7 @@ import dataclasses
 import functools
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +38,8 @@ from repro.experiments.runner import TINY
 from repro.experiments.topologies import minimal_feasible_arrangement
 from repro.faults import FaultSchedule, LinkDown, LinkUp
 from repro.packet import Packet, RouteKind
-from repro.routing.base import CandidateHop
+from repro.routing.base import CandidateHop, RoutingAlgorithm
+from repro.routing.minimal import MinimalRouting
 from repro.routing.route_table import RouteTable
 from repro.session import Session
 from repro.simulation import Simulation
@@ -115,8 +122,15 @@ def _direct_plan(sim: Simulation, table: RouteTable, here: int, packet: Packet,
     return [candidate for candidate in plan if candidate is not None]
 
 
-@settings(max_examples=300, deadline=None)
-@given(
+@functools.lru_cache(maxsize=None)
+def _faulted_table(network: str, dead_links: frozenset) -> RouteTable:
+    """An independent table built with ``dead_links`` already down."""
+    table = RouteTable(NETWORKS[network].build())
+    table.set_fault_state(dead_links, frozenset())
+    return table
+
+
+_PLAN_INPUTS = dict(
     network=st.sampled_from(sorted(NETWORKS)),
     policy=st.sampled_from(("baseline", "flexvc")),
     algorithm=st.sampled_from(("min", "val", "par")),
@@ -128,11 +142,10 @@ def _direct_plan(sim: Simulation, table: RouteTable, here: int, packet: Packet,
     phase=st.tuples(st.integers(0, 4), st.integers(0, 2),
                     st.integers(0, 6), st.integers(0, 3)),
 )
-def test_memoized_plan_equals_direct_evaluation(
-    network, policy, algorithm, routers, valiant, reached, input_type,
-    input_vc, phase,
-):
-    sim = _simulation(network, policy, algorithm)
+
+
+def _example(sim: Simulation, routers, valiant, reached, phase):
+    """``(here, packet)`` of one generated plan query on ``sim``."""
     n = sim.topology.num_routers
     here = routers[0] % n
     dst = (here + 1 + routers[1] % (n - 1)) % n
@@ -148,13 +161,89 @@ def test_memoized_plan_equals_direct_evaluation(
         phase_local=phase[0], phase_global=phase[1],
         phase_position=phase[2], phase_global_taken=phase[3],
     )
-    expected = _direct_plan(sim, _reference_table(network), here, packet,
-                            input_type, input_vc)
+    return here, packet
+
+
+def _assert_plans(sim: Simulation, table: RouteTable, here: int,
+                  packet: Packet, input_type, input_vc: int) -> None:
+    expected = _direct_plan(sim, table, here, packet, input_type, input_vc)
     for _ in range(2):  # second pass: every memo level is a hit
         plan = sim.routing.plan(sim.routers[here], packet, input_type, input_vc)
         assert plan == expected
         for got, want in zip(plan, expected):
             assert got.hot == want.hot and len(got.hot) == 8
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_PLAN_INPUTS)
+def test_memoized_plan_equals_direct_evaluation(
+    network, policy, algorithm, routers, valiant, reached, input_type,
+    input_vc, phase,
+):
+    sim = _simulation(network, policy, algorithm)
+    here, packet = _example(sim, routers, valiant, reached, phase)
+    _assert_plans(sim, _reference_table(network), here, packet, input_type,
+                  input_vc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(link=st.integers(0, 10_000), **_PLAN_INPUTS)
+def test_memo_warmed_before_a_link_down_answers_for_the_new_table(
+    link, network, policy, algorithm, routers, valiant, reached, input_type,
+    input_vc, phase,
+):
+    sim = _simulation(network, policy, algorithm)
+    here, packet = _example(sim, routers, valiant, reached, phase)
+    wiring = sim.topology.wiring()
+    slots = [slot for slot, peer in enumerate(wiring.neighbor) if peer >= 0]
+    slot = slots[link % len(slots)]
+    router, port = divmod(slot, wiring.ports_per_router)
+    dead = frozenset({
+        (router, port),
+        (wiring.neighbor[slot], wiring.back_port[slot]),
+    })
+    # Warm every memo level on the pristine table, then re-table as the
+    # fault controller does (no memo is flushed) and ask again.
+    _assert_plans(sim, _reference_table(network), here, packet, input_type,
+                  input_vc)
+    sim.route_table.set_fault_state(dead, frozenset())
+    try:
+        _assert_plans(sim, _faulted_table(network, dead), here, packet,
+                      input_type, input_vc)
+    finally:
+        sim.route_table.set_fault_state(frozenset(), frozenset())
+
+
+@pytest.mark.parametrize("algorithm", ["min", "val"])
+def test_min_copy_and_base_branch_compute_one_key(algorithm):
+    # A MIN packet, or a Valiant one past its intermediate: both take the
+    # minimal continuation, which MinimalRouting.plan specialises.
+    sim = _simulation.__wrapped__("dragonfly-h2", "flexvc", algorithm)
+    routing = sim.routing
+    n = sim.topology.num_routers
+    copies = (RoutingAlgorithm.plan, MinimalRouting.plan)
+    for dst in range(1, n):
+        for input_type, input_vc in ((None, -1), (LinkType.LOCAL, 1),
+                                     (LinkType.GLOBAL, 0)):
+            packets = [
+                Packet(0, 0, 8, dst_router=dst, route_decided=True,
+                       route_kind=RouteKind.VALIANT, intermediate_router=0,
+                       intermediate_reached=True, phase_local=2,
+                       phase_global=1, phase_position=1,
+                       phase_global_taken=1)
+                if algorithm == "val"
+                else Packet(0, 0, 8, dst_router=dst, route_decided=True)
+                for _ in copies
+            ]
+            first, second = copies if dst % 2 else copies[::-1]
+            router = sim.routers[dst // 2]
+            if router.router_id == dst:
+                continue
+            plan = first(routing, router, packets[0], input_type, input_vc)
+            misses = routing.plan_misses
+            assert second(routing, router, packets[1], input_type,
+                          input_vc) is plan
+            assert routing.plan_misses == misses
 
 
 def _uniform_min_stats(network: str) -> dict:
@@ -186,12 +275,12 @@ def test_memos_do_not_grow_with_destinations_touched():
         routing.plan(router, Packet(0, 0, 8, dst_router=dst), None, -1)
     verdicts = len(routing._verdict_memo)
     hops = len(routing._hop_memo)
-    # One injection state, every destination: only the first-level memo has
-    # an entry per destination.  Verdicts are bounded by the topology's
-    # distinct minimal shapes, hops by this router's ports.
-    assert len(routing._plan_memo) == n - 1
+    # One injection state, every destination: verdicts are bounded by the
+    # topology's distinct minimal shapes, hops and first-level plans by this
+    # router's ports times those shapes.
     assert verdicts <= len(sim.route_table.sequences)
     assert hops <= radix * verdicts < n - 1
+    assert len(routing._plan_memo) <= radix * verdicts < n - 1
 
 
 def _flap_config() -> SimulationConfig:
@@ -210,33 +299,39 @@ def _flap_config() -> SimulationConfig:
 
 
 def test_fault_retable_keeps_hop_and_verdict_memos():
+    # A re-table flushes no memo at all, the plan memo included.
     def run(drop_everything: bool):
         sim = Simulation(_flap_config())
         routing = sim.routing
-        survivors = []
-        invalidate = routing.invalidate_route_caches
+        memos = (routing._plan_memo, routing._verdict_memo, routing._hop_memo)
+        sizes = []
+        set_fault_state = sim.route_table.set_fault_state
 
-        def spy() -> None:
-            invalidate()
+        def spy(dead_links, dead_routers):
+            sizes.append([tuple(map(len, memos))])
+            dropped = set_fault_state(dead_links, dead_routers)
             if drop_everything:
-                routing._verdict_memo.clear()
-                routing._hop_memo.clear()
-            survivors.append((len(routing._plan_memo),
-                              len(routing._verdict_memo),
-                              len(routing._hop_memo)))
+                for memo in memos:
+                    memo.clear()
+            return dropped
 
-        routing.invalidate_route_caches = spy
+        sim.route_table.set_fault_state = spy
+        # Fires once the whole re-table (columns, head plans) is done.
+        sim.fault_controller.on_fault_applied = (
+            lambda event, cycle: sizes[-1].append(tuple(map(len, memos)))
+        )
         trace = []
         sim.traffic.delivery_hook = lambda packet, cycle: trace.append(
             (packet.pid, packet.src_node, packet.dst_node, packet.hops, cycle)
         )
         result = dataclasses.asdict(Session(simulation=sim).run().summary)
-        return trace, result, survivors
+        return trace, result, sizes
 
-    trace, result, survivors = run(drop_everything=False)
-    assert len(survivors) == 2, "link down + link up re-table once each"
-    for plans, verdicts, hops in survivors:
-        assert plans == 0 and verdicts > 0 and hops > 0
+    trace, result, sizes = run(drop_everything=False)
+    assert len(sizes) == 2, "link down + link up re-table once each"
+    for before, after in sizes:
+        assert min(before) > 0
+        assert all(a >= b for a, b in zip(after, before)), (before, after)
     cold_trace, cold_result, _ = run(drop_everything=True)
     assert trace and trace == cold_trace
     assert result == cold_result
@@ -249,8 +344,10 @@ def test_miss_counters_live_in_provenance_not_in_results(tiny_config):
     assert set(stats) == {
         "plan_misses", "verdict_builds", "hop_builds",
         "plan_memo_size", "verdict_memo_size", "hop_memo_size",
+        "empty_plans", "empty_plans_router_down",
     }
-    assert stats == session.sim.routing.memo_stats()
+    assert stats == session.sim.routing_stats()
+    assert stats["empty_plans"] == stats["empty_plans_router_down"] == 0
     assert stats["plan_misses"] >= stats["plan_memo_size"] > 0
     assert stats["hop_builds"] == stats["hop_memo_size"] > 0
     # The goldens (tests/test_golden_results.py, "tiny result fingerprint")

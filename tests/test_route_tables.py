@@ -135,7 +135,7 @@ class TestLruEviction:
         # rebuilt arrays and walks equal its first build.
         dst = n // 2
         table.invalidate(dst)
-        assert table._columns[dst] is None
+        assert table.columns[dst] is None
         assert answers(table.column(dst)) == first[dst]
         assert table.columns_built == n + 1  # recomputation happened
 
@@ -331,10 +331,10 @@ def test_columns_are_a_pure_function_of_the_dead_set(data):
         table.set_fault_state(dead, frozenset())
         for dst in data.draw(touches, label="touched under this dead set"):
             assert column_answers(table.column(dst)) == expected[dst]
-        resident = [dst for dst in range(n) if table._columns[dst] is not None]
+        resident = [dst for dst in range(n) if table.columns[dst] is not None]
         for dst in resident:
-            assert column_answers(table._columns[dst]) == expected[dst]
-            assert_walk_follows_sequences(topo.wiring(), table._columns[dst])
+            assert column_answers(table.columns[dst]) == expected[dst]
+            assert_walk_follows_sequences(topo.wiring(), table.columns[dst])
         # A detour fill is taken iff the pristine route crosses a dead link.
         assert table._fault_dirty == {
             dst for dst in resident if expected[dst] != pristine[dst]

@@ -172,9 +172,7 @@ class TestProbeTelemetry:
 
     def test_drain_empties_network(self, recorded):
         _, _, session, _ = recorded
-        assert session.sim.total_resident_packets() == 0
-        assert all(r._source_backlog == 0 and r._injection_resident == 0
-                   for r in session.sim.routers)
+        assert session.sim.held() == (0, 0, 0)
 
     def test_provenance(self, recorded):
         config, _, session, record = recorded
