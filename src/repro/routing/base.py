@@ -181,16 +181,19 @@ class RoutingAlgorithm(ABC):
         #: the plan memo's hit path reads the route columns directly (the
         #: table mutates this list in place, never replaces it).
         self._columns = self.route.columns
-        self._no_port = self.route.no_port
-        #: packed-int memo keys: every component is a small bounded
-        #: non-negative int (after the +1 shifts), so a key packs into one
+        #: packed-int memo keys: every component is a small bounded int
+        #: (non-negative after the +1 shifts), so a key packs into one
         #: integer — int hashing is much cheaper than hashing a tuple.  The
         #: bounds come from the wiring (ports per router), the route table
         #: (interned ids are below ``_UNRESOLVED``) and the arrangement
-        #: (the widest port's VC count).  Out-of-range phase state (never
-        #: produced by the canonical reference shapes) falls back to tuple
-        #: plan keys, which cannot collide with ints in the same dict.
-        self._key_ports = self.wiring.ports_per_router
+        #: (the widest port's VC count).  The column's no-port sentinel
+        #: (255, or -1 on wide routers) is one more port value, so a head
+        #: at a dead router keys its own entry and is planned ``[]`` on the
+        #: miss path.  Out-of-range phase state (never produced by the
+        #: canonical reference shapes) falls back to tuple plan keys, which
+        #: cannot collide with ints in the same dict.
+        self._key_ports = max(self.wiring.ports_per_router,
+                              self.route.no_port) + 1
         self._key_vcs = max(arrangement.total_local, arrangement.total_global)
         #: hook elision: algorithms that keep the base-class no-op hooks
         #: (e.g. MIN/VAL never divert in transit) skip the virtual call on
@@ -295,8 +298,6 @@ class RoutingAlgorithm(ABC):
         if col is None:
             col = self.route.column(dst_router)
         port = col.ports[here]
-        if port == self._no_port:
-            return _NO_PLAN
         seq_id = col.seq_ids[here]
         if seq_id == _UNRESOLVED:
             seq_id = col.seq_id(here)

@@ -58,8 +58,6 @@ class MinimalRouting(RoutingAlgorithm):
         if col is None:
             col = self.route.column(dst_router)
         port = col.ports[here]
-        if port == self._no_port:
-            return _NO_PLAN
         seq_id = col.seq_ids[here]
         if seq_id == _UNRESOLVED:
             seq_id = col.seq_id(here)
