@@ -54,6 +54,13 @@ if TYPE_CHECKING:  # pragma: no cover
 #: small dict hits (see ``_candidate_towards``), never a policy evaluation.
 _MEMO_CAP = 1 << 18
 
+#: span of the packed plan-memo state: message class (2), input type (None,
+#: local, global), input VC + 1 (16), phase_local (16), phase_global (16),
+#: phase_position (32), phase_global_taken (16).  The route shape is packed
+#: above it; packing the small state first keeps every step but the last
+#: two on single-digit ints, so the key costs what the destination key did.
+_STATE_SPAN = 2 * 3 * 16 * 16 * 16 * 32 * 16
+
 
 @dataclass(slots=True)
 class CandidateHop:
@@ -308,12 +315,13 @@ class RoutingAlgorithm(ABC):
         if (0 <= phase_local < 16 and 0 <= phase_global < 16
                 and 0 <= phase_position < 32
                 and 0 <= phase_global_taken < 16 and -1 <= input_vc < 15):
-            key = (here * self._key_ports + port) * _UNRESOLVED + seq_id
-            key = key * 2 + packet.msg_class
-            key = key * 3 + (0 if input_type is None else input_type + 1)
-            key = (key * 16 + input_vc + 1) * 16 + phase_local
-            key = ((key * 16 + phase_global) * 32 + phase_position) * 16 \
-                + phase_global_taken
+            key = packet.msg_class * 3 + (
+                0 if input_type is None else input_type + 1)
+            key = ((key * 16 + input_vc + 1) * 16 + phase_local) * 16 \
+                + phase_global
+            key = (key * 32 + phase_position) * 16 + phase_global_taken
+            key += ((here * self._key_ports + port) * _UNRESOLVED
+                    + seq_id) * _STATE_SPAN
         else:  # pragma: no cover - beyond any canonical reference shape
             key = (
                 here, port, seq_id, packet.msg_class, input_type, input_vc,

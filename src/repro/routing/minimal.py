@@ -6,7 +6,9 @@ from typing import TYPE_CHECKING, Optional
 
 from ..core.link_types import LinkType
 from ..packet import Packet
-from .base import _MEMO_CAP, _NO_PLAN, EjectionRequest, Plan, RoutingAlgorithm
+from .base import (
+    _MEMO_CAP, _NO_PLAN, _STATE_SPAN, EjectionRequest, Plan, RoutingAlgorithm,
+)
 from .route_table import _UNRESOLVED
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -68,12 +70,13 @@ class MinimalRouting(RoutingAlgorithm):
         if (0 <= phase_local < 16 and 0 <= phase_global < 16
                 and 0 <= phase_position < 32
                 and 0 <= phase_global_taken < 16 and -1 <= input_vc < 15):
-            key = (here * self._key_ports + port) * _UNRESOLVED + seq_id
-            key = key * 2 + packet.msg_class
-            key = key * 3 + (0 if input_type is None else input_type + 1)
-            key = (key * 16 + input_vc + 1) * 16 + phase_local
-            key = ((key * 16 + phase_global) * 32 + phase_position) * 16 \
-                + phase_global_taken
+            key = packet.msg_class * 3 + (
+                0 if input_type is None else input_type + 1)
+            key = ((key * 16 + input_vc + 1) * 16 + phase_local) * 16 \
+                + phase_global
+            key = (key * 32 + phase_position) * 16 + phase_global_taken
+            key += ((here * self._key_ports + port) * _UNRESOLVED
+                    + seq_id) * _STATE_SPAN
         else:  # pragma: no cover - beyond any canonical reference shape
             key = (
                 here, port, seq_id, packet.msg_class, input_type, input_vc,
