@@ -57,8 +57,9 @@ _MEMO_CAP = 1 << 18
 #: span of the packed plan-memo state: message class (2), input type (None,
 #: local, global), input VC + 1 (16), phase_local (16), phase_global (16),
 #: phase_position (32), phase_global_taken (16).  The route shape is packed
-#: above it; packing the small state first keeps every step but the last
-#: two on single-digit ints, so the key costs what the destination key did.
+#: above it: packing the small state first keeps every step but the last
+#: two on single-digit (30-bit) ints, which CPython multiplies and adds
+#: faster than multi-digit ones.
 _STATE_SPAN = 2 * 3 * 16 * 16 * 16 * 32 * 16
 
 
@@ -188,9 +189,8 @@ class RoutingAlgorithm(ABC):
         #: the plan memo's hit path reads the route columns directly (the
         #: table mutates this list in place, never replaces it).
         self._columns = self.route.columns
-        #: packed-int memo keys: every component is a small bounded int
-        #: (non-negative after the +1 shifts), so a key packs into one
-        #: integer — int hashing is much cheaper than hashing a tuple.  The
+        #: packed-int memo keys: every component is a small bounded int, so
+        #: a key packs into one integer — int hashing is much cheaper than hashing a tuple.  The
         #: bounds come from the wiring (ports per router), the route table
         #: (interned ids are below ``_UNRESOLVED``) and the arrangement
         #: (the widest port's VC count).  The column's no-port sentinel
