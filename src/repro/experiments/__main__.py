@@ -249,9 +249,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             if routing and "plan_misses" in routing:
                 parts.append(
                     f"routing (plan misses {routing['plan_misses']}, "
-                    f"memo {routing.get('plan_memo_size')}, "
-                    f"hops {routing.get('hop_builds')}, "
-                    f"empty plans {routing.get('empty_plans')})"
+                    f"memo {routing.get('plan_memo_size', '?')}, "
+                    f"hops {routing.get('hop_builds', '?')}, "
+                    f"empty plans {routing.get('empty_plans', '?')})"
                 )
             convergence = provenance.get("convergence")
             if convergence:
