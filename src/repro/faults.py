@@ -64,8 +64,9 @@ from typing import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .config import SimulationConfig
-    from .link import CreditChannel, Link
+    from .link import Link
     from .packet import Packet
+    from .router.ports import InputPort
     from .router.router import Router
     from .simulation import Simulation
     from .topology.base import Topology, Wiring
@@ -520,36 +521,33 @@ class FaultController:
     def _wrap_link(self, src: int, port: int, link: "Link") -> None:
         """Interpose the in-flight policy on ``link``'s delivery callback.
 
-        The wrapper replaces ``link._deliver`` *at construction time*, so
+        The wrapper replaces ``link.deliver`` *at construction time*, so
         every scheduled delivery — including flits already on the wire when
         a fault fires — passes through it.  The live-link path is one set
         membership test; no-fault simulations never install wrappers.
         """
         key = (src, port)
-        inner = link._deliver
+        inner = link.deliver
         dead = self._dead_links
         timeline = self.timeline
         engine = self.sim.engine
-        # link name is (src router, src port, dst router, dst port).
-        _, _, dst_router, back_port = link._name
-        channel = self.sim.routers[dst_router].input_ports[back_port].credit_channel
         stall = self.schedule.policy == "stall"
 
-        def deliver(packet: "Packet", vc: int, now: int) -> None:
+        def deliver(in_port: "InputPort", packet: "Packet", vc: int, now: int) -> None:
             if key not in dead:
-                inner(packet, vc, now)
+                inner(in_port, packet, vc, now)
                 return
             up = _revival(timeline, now, lambda interval: key in interval.dead_links)
             if stall and up is not None:
                 # Hold the flit on the wire; the interval at ``up`` fires
                 # first (calendar insertion order), so this re-delivery
                 # lands on a live link.
-                engine.schedule_call(up, deliver, (packet, vc, up))
+                engine.schedule_call(up, deliver, (in_port, packet, vc, up))
             else:
                 self._dropped(packet, src, "wire", now)
-                self._return_credit(up, channel, vc, packet)
+                self._return_credit(up, in_port, vc, packet)
 
-        link._deliver = deliver
+        link.deliver = deliver
 
     # -- interval application ------------------------------------------------
     def _apply(self, interval: FaultInterval) -> None:
@@ -593,15 +591,17 @@ class FaultController:
         if hook is not None:
             hook(packet, router_id, reason, now)
 
-    def _return_credit(self, up: Optional[int], channel: Optional["CreditChannel"],
+    def _return_credit(self, up: Optional[int], port: "InputPort",
                        vc: int, packet: "Packet") -> None:
-        """Return the credit a dropped ``packet`` held upstream when its link
-        or router revives at ``up`` (never, if it does not: a permanently
-        dead port's stale mirror is unreachable anyway)."""
-        if up is not None and channel is not None:
+        """Return the credit a dropped ``packet`` held at ``port`` to its
+        upstream output port when its link or router revives at ``up``
+        (never, if it does not: a permanently dead port's stale mirror is
+        unreachable anyway)."""
+        upstream = port.upstream
+        if up is not None and upstream is not None:
             self.sim.engine.schedule_call(
-                up, channel._deliver,
-                (vc, packet.size_phits, packet.credit_tag_minimal),
+                up, type(upstream).credit_return,
+                (upstream, vc, packet.size_phits, packet.credit_tag_minimal),
             )
 
     def _drain_router(self, router: "Router", now: int) -> None:
@@ -614,7 +614,7 @@ class FaultController:
         )
         buffered, queued = router.drop_resident()
         for port, vc, packet in buffered:
-            self._return_credit(up, port.credit_channel, vc, packet)
+            self._return_credit(up, port, vc, packet)
             self._dropped(packet, router_id, "buffer", now)
         for packet in queued:
             self._dropped(packet, router_id, "source", now)

@@ -79,6 +79,10 @@ class Packet:
     measured: int = 1
     #: id of the request packet that triggered this reply (reactive traffic).
     in_reply_to: Optional[int] = None
+    #: forwarding plan of the packet as the head of its input VC: computed
+    #: once by the router holding it and cleared when it leaves (``pop``).
+    #: Only a head is ever planned, so no other packet holds one.
+    plan: Optional[object] = field(default=None, compare=False, repr=False)
 
     @property
     def is_minimal(self) -> bool:

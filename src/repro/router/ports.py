@@ -20,20 +20,22 @@ private mini-slab, so the methods below behave identically either way; the
 attribute names of the old object-per-field layout remain available as
 read-only properties.
 
-Per-link callbacks
-------------------
-The three calls a directed link makes into its two routers are *methods of
-the ports*, not closures: :meth:`InputPort.deliver` is the link's delivery
-callback, :meth:`OutputPort.credit_return` the reverse credit channel's sink
-and :meth:`OutputPort.debit` the grant executor's credit debit.  Everything
-they touch is already a slot of the port (queues, hot-state slice, buffer,
-credit mirror) or reachable through its ``router`` slot, so a link costs
-two bound methods (``debit`` is looked up per call and stored nowhere) where
-it used to cost three closures of 6-10 cells each (DESIGN.md §6/§9).  There
-is one body per callback, for every buffer organization and pipeline
-latency, layered through ``BufferOrganization``: a copy fused into one frame
-for statically partitioned buffers measured within noise of these
-(DESIGN.md §6 table), so none is kept.
+Per-link state
+--------------
+A directed link's state lives in its two port ends, not in objects of its
+own.  The three calls a link makes into its routers are *functions of the
+port classes*: the link's ``deliver`` slot is :meth:`InputPort.deliver`
+itself, called with the downstream port as its first argument; an input
+port's ``pop`` schedules :meth:`OutputPort.credit_return` with its
+``upstream`` port as the first argument after its ``credit_latency``; and
+the grant executor calls :meth:`OutputPort.debit`.  Everything they touch is
+already a slot of the port (queues, hot-state slice, buffer, credit mirror)
+or reachable through its ``router`` slot, so a link holds no bound method,
+closure or credit-channel object (DESIGN.md §6/§9).  There is one body per
+callback, for every buffer organization and pipeline latency, layered
+through ``BufferOrganization``: a copy fused into one frame for statically
+partitioned buffers measured within noise of these (DESIGN.md §6 table), so
+none is kept.
 
 Credits
 -------
@@ -51,7 +53,7 @@ from typing import List, Optional
 
 from ..buffers.base import BufferOrganization
 from ..core.link_types import LinkType, MessageClass
-from ..link import CreditChannel, Link
+from ..link import Link
 from ..packet import Packet
 
 #: input-port slab offsets (stride 3): resident packet count, earliest head
@@ -88,7 +90,7 @@ class InputPort:
 
     __slots__ = (
         "port_id", "link_type", "num_vcs", "buffer", "pipeline_latency",
-        "is_injection", "queues", "credit_channel", "head_plans", "rr_orders",
+        "is_injection", "queues", "upstream", "credit_latency", "rr_orders",
         "on_occupancy", "_hot", "_hb", "router",
     )
 
@@ -125,13 +127,11 @@ class InputPort:
         #: Identical for every port with the same VC count, so shared
         #: process-wide instead of rebuilt per port.
         self.rr_orders: tuple[tuple[int, ...], ...] = _rr_orders(num_vcs)
-        #: reverse channel returning credits to the upstream output port.
-        self.credit_channel: Optional[CreditChannel] = None
-        #: per-VC cached forwarding plan of the current head packet, computed
-        #: once by the router and invalidated when the head changes (pop).
-        #: Arrivals never stale an entry: a VC whose head changes through
-        #: ``receive`` was empty, so its entry was already None.
-        self.head_plans: List[Optional[object]] = [None] * num_vcs
+        #: the output port at the other end of the link, which ``pop``
+        #: returns credits to after ``credit_latency`` cycles (None for
+        #: injection and standalone ports: no credit leaves them).
+        self.upstream: Optional[OutputPort] = None
+        self.credit_latency = 0
         #: probe dispatch ``hook(vc, delta_phits, occupancy, now)``; None (the
         #: default) keeps the no-probe receive/pop paths dispatch-free.
         self.on_occupancy = None
@@ -222,7 +222,9 @@ class InputPort:
     def pop(self, vc: int, now: int, minimal: bool) -> Packet:
         """Remove the head packet of ``vc``, free its space and return credits."""
         packet, _ = self.queues[vc].pop(0)
-        self.head_plans[vc] = None
+        # The head's cached forwarding plan (``Packet.plan``) is this
+        # router's; the packet's next head position plans afresh.
+        packet.plan = None
         self.buffer.release(vc, packet.size_phits)
         hot = self._hot
         base = self._hb
@@ -237,8 +239,11 @@ class InputPort:
                     if min_ready < 0 or ready < min_ready:
                         min_ready = ready
             hot[base + 1] = min_ready
-        if self.credit_channel is not None:
-            self.credit_channel.send_credit(vc, packet.size_phits, minimal, now)
+        upstream = self.upstream
+        if upstream is not None:
+            self.router.engine.schedule_call(
+                now + self.credit_latency, _credit_return,
+                (upstream, vc, packet.size_phits, minimal))
         if self.on_occupancy is not None:
             self.on_occupancy(vc, -packet.size_phits, self.buffer.occupancy(vc), now)
         return packet
@@ -312,9 +317,6 @@ class OutputPort:
     def grants_this_cycle(self) -> int:
         return self._hot[self._hb + OUT_GRANTS]
 
-    def attach_link(self, link: Link) -> None:
-        self.link = link
-
     # -- admission -----------------------------------------------------------------
     def buffer_space_for(self, phits: int, now: Optional[int] = None) -> bool:
         """Room for ``phits`` in the output buffer (after matured releases)?
@@ -346,7 +348,7 @@ class OutputPort:
             self.minimal_phits[vc] += phits
 
     def credit_return(self, vc: int, phits: int, minimal: bool) -> None:
-        """Sink of the reverse credit channel.
+        """Credit return from the downstream input port (its ``pop``).
 
         The mirror rejects a return larger than the VC's occupancy first;
         then the return's routing class must hold at least ``phits``.
@@ -400,6 +402,10 @@ class OutputPort:
         those of minimally-routed packets (``minimal_only``)."""
         counts = self.minimal_phits if minimal_only else self.mirror._occupancy
         return counts[vc] if per_vc else sum(counts)
+
+
+#: what ``InputPort.pop`` schedules: one function for every output port.
+_credit_return = OutputPort.credit_return
 
 
 class EjectionPort:

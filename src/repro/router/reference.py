@@ -80,7 +80,7 @@ class ReferenceRouter(Router):
                             reject_until = queue[0][1]
                         continue
                     packet = head
-                    plan = port.head_plans[vc]
+                    plan = packet.plan
                     if plan is None:
                         plan = self._plan_for(port, vc, packet)
                     if isinstance(plan, EjectionRequest):

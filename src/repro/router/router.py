@@ -29,9 +29,8 @@ integers) instead of object attributes:
 * ``_eject_busy`` — ejection busy timers per ``(node, msg_class)``;
 * ``_inj_free`` — injection buffer free space per ``(node, vc)``.
 
-Forwarding plans are computed once per head packet and cached per
-``(port, vc)`` on the input port (``InputPort.head_plans``), invalidated
-when the head changes (pop).  Within a cycle, allocation iterations after
+Forwarding plans are computed once per head packet and cached on the packet
+itself (``Packet.plan``), cleared when it leaves the port (pop).  Within a cycle, allocation iterations after
 the first only rescan inputs that proposed a request in the previous
 iteration: output resources are consumed monotonically within a cycle and
 non-proposing ports' heads are unchanged, so the skip is behaviour-identical
@@ -402,11 +401,12 @@ class Router:
         """
         cleared = 0
         for index, port in enumerate(self._alloc_inputs):
-            plans = port.head_plans
-            for vc, plan in enumerate(plans):
-                if plan is not None:
-                    plans[vc] = None
-                    cleared += 1
+            for queue in port.queues:
+                if queue:
+                    head = queue[0][0]
+                    if head.plan is not None:
+                        head.plan = None
+                        cleared += 1
             self._in_state[IN_STRIDE * index + IN_BLOCKED] = -1
         self._pv_masks[:] = [0] * self._n_in
         self._pv_any_mask = 0
@@ -428,9 +428,9 @@ class Router:
                 if queue:
                     for packet, _ready in queue:
                         port.buffer.release(vc, packet.size_phits)
+                        packet.plan = None
                         buffered.append((port, vc, packet))
                     queue.clear()
-                    port.head_plans[vc] = None
             base = IN_STRIDE * index
             self._in_state[base:base + IN_STRIDE] = (0, 0, -1)
         self.resident_packets = self._injection_resident = 0
@@ -582,7 +582,7 @@ class Router:
         full_scan = range(self._n_in)
         #: per alloc-input constants, one list index + unpack per evaluation.
         port_data = [
-            (port.queues, port.head_plans, port.rr_orders, port.num_vcs,
+            (port.queues, port.rr_orders, port.num_vcs,
              None if port.is_injection else port.link_type,
              port.is_injection)
             for port in alloc_inputs
@@ -635,7 +635,7 @@ class Router:
                             continue
                         in_state[base + 2] = -1
                     # Input stage: one requestable head packet (round-robin).
-                    (queues, head_plans, rr_orders, num_vcs, input_type,
+                    (queues, rr_orders, num_vcs, input_type,
                      is_injection) = port_data[index]
                     request = None
                     p_retry = NEVER
@@ -651,17 +651,17 @@ class Router:
                             if ready < p_retry:
                                 p_retry = ready
                             continue
-                        plan = head_plans[vc]
+                        plan = packet.plan
                         if plan is None:
                             # Inlined _plan_for: compute and cache the head's
-                            # forwarding plan on the port.
+                            # forwarding plan on the packet.
                             if is_injection:
                                 plan = routing_plan(router, packet, None, -1)
                             else:
                                 plan = routing_plan(router, packet, input_type, vc)
                                 if not plan:
                                     router._count_empty_plan()
-                            head_plans[vc] = plan
+                            packet.plan = plan
                         if type(plan) is EjectionRequest:
                             slot = plan.slot
                             if slot < 0:
@@ -825,13 +825,13 @@ class Router:
         return allocate
 
     def _plan_for(self, port: InputPort, vc: int, packet: Packet):
-        """Compute (and cache on the port) the head packet's forwarding plan."""
+        """Compute (and cache on the packet) the head packet's forwarding plan."""
         input_type = None if port.is_injection else port.link_type
         input_vc = -1 if port.is_injection else vc
         plan = self.routing.plan(self, packet, input_type, input_vc)
         if not plan and not port.is_injection:
             self._count_empty_plan()
-        port.head_plans[vc] = plan
+        packet.plan = plan
         return plan
 
     def _count_empty_plan(self) -> None:

@@ -1,7 +1,7 @@
 """Simulation façade: build a network from a configuration and run it.
 
 ``Simulation(config)`` wires everything together — topology, routers, links,
-credit channels, traffic and metrics — and lets the routing algorithm bind
+traffic and metrics — and lets the routing algorithm bind
 whatever state it keeps on the routers.  Execution lives in
 the phased :class:`~repro.session.Session` API (warmup / measure / drain,
 probes, RunRecords): ``Session(config).run()`` is the one way to run a point.
@@ -19,13 +19,13 @@ from .core.flexvc import make_policy
 from .core.link_types import LinkType
 from .core.vc_selection import make_selection
 from .engine import Engine
-from .link import CreditChannel, Link
+from .link import Link
 from .metrics import MetricsCollector, SimulationResult
 from .packet import Packet
 from .router.router import Router
 from .routing import make_routing
 from .routing.route_table import RouteTable
-from .topology.base import LINK_TYPES, Topology
+from .topology.base import Topology
 from .traffic import TrafficManager, make_generator
 
 @dataclass
@@ -161,31 +161,21 @@ class Simulation:
         return net.local_latency if link_type == LinkType.LOCAL else net.global_latency
 
     def _wire_links(self) -> None:
-        """Create one unidirectional link + credit channel per directed edge."""
+        """Join the two port ends of every directed edge: the output port
+        holds a :class:`Link` to the input port, and the input port holds
+        the output port as its ``upstream``, where ``pop`` returns credits
+        after the same latency."""
         wiring = self.topology.wiring()
         for slot, neighbor in enumerate(wiring.neighbor):
             if neighbor < 0:
                 continue
             router_id, port = divmod(slot, wiring.ports_per_router)
-            back_port = wiring.back_port[slot]
-            downstream = self.routers[neighbor]
-            link_type = LINK_TYPES[wiring.link_type[slot]]
-            latency = self._link_latency(link_type)
-            link = Link(
-                engine=self.engine,
-                latency=latency,
-                link_type=link_type,
-                deliver=downstream.input_ports[back_port].deliver,
-                name=(router_id, port, neighbor, back_port),
-            )
             output = self.routers[router_id].output_ports[port]
-            output.attach_link(link)
-            channel = CreditChannel(self.engine, latency)
-            # The sink credits the upstream mirror and re-activates the
-            # upstream router only when its recorded allocation blockage
-            # depends on the returned (port, vc) credit.
-            channel.connect(output.credit_return)
-            downstream.input_ports[back_port].credit_channel = channel
+            in_port = self.routers[neighbor].input_ports[wiring.back_port[slot]]
+            latency = self._link_latency(output.link_type)
+            output.link = Link(self.engine, latency, in_port)
+            in_port.upstream = output
+            in_port.credit_latency = latency
 
     def _build_traffic(self) -> None:
         generator = make_generator(self.config.traffic, self.topology, self.rng)

@@ -124,12 +124,10 @@ def test_link_callback_bodies_match_full_rescan(
     sim = Simulation(config)
     links = [port.link for router in sim.routers
              for port in router.output_ports.values()]
-    sinks = [port.credit_channel._deliver for router in sim.routers
-             for port in router.input_ports.values()]
-    assert {link._deliver.__func__.__qualname__ for link in links} == {
+    assert {link.deliver.__qualname__ for link in links} == {
         f"{input_body}.deliver"}
-    assert {sink.__func__.__qualname__ for sink in sinks} == {
-        f"{output_body}.credit_return"}
+    assert {type(link.port.upstream).credit_return.__qualname__
+            for link in links} == {f"{output_body}.credit_return"}
     fast_trace = _delivery_trace(sim)
     fast_result = dataclasses.asdict(Session(simulation=sim).run().summary)
     ref_trace, ref_result = _run(config, reference=True)

@@ -72,9 +72,9 @@ def _stuck_heads(session: Session) -> Tuple[int, int]:
     for router in session.sim.routers:
         ports = list(router.injection_ports) + list(router.input_ports.values())
         for port in ports:
-            for vc, queue in enumerate(port.queues):
+            for queue in port.queues:
                 if queue:
-                    plan = port.head_plans[vc]
+                    plan = queue[0][0].plan
                     if plan == []:
                         empty += 1
                     elif plan:

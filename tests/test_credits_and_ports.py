@@ -278,14 +278,18 @@ class TestSaturationBoard:
 
 
 class TestLinkCallbacks:
-    """The three calls a link makes into its routers are port methods."""
+    """A directed link's state lives in its two port ends: the calls a link
+    makes into its routers are functions of the port classes."""
 
     def test_object_budget_per_link(self):
         """Construction costs a bounded number of gc-tracked objects per
-        directed link, and no link owns a function object: every delivery
-        callback and every credit sink is the same port method."""
+        directed link, and no link owns a function object: without faults
+        every bound method and closure construction makes is one per router
+        at most, and every link delivers through ``InputPort.deliver``."""
+        import collections
         import dataclasses
         import gc
+        import types
 
         from repro.config import SimulationConfig
         from repro.experiments.runner import TINY
@@ -295,20 +299,29 @@ class TestLinkCallbacks:
             network=dataclasses.replace(TINY, h=3).network_for("dragonfly"))
         artifacts = build_artifacts(config)
         gc.collect()
-        before = len(gc.get_objects())
+        before = {id(obj) for obj in gc.get_objects()}
         sim = Simulation(config, artifacts=artifacts)
         gc.collect()
-        built = len(gc.get_objects()) - before
+        built = [obj for obj in gc.get_objects() if id(obj) not in before]
         outputs = [port for router in sim.routers
                    for port in router.output_ports.values()]
         inputs = [port for router in sim.routers
                   for port in router.input_ports.values()]
         assert len(outputs) == len(inputs) == 114 * 8
-        # 28.4 per link when written (31.4 with a credit tracker and
-        # min/non-min ledger per output port, 67.8 with per-link closures).
-        assert built / len(outputs) <= 30.0
-        assert len({port.link._deliver.__func__ for port in outputs}) == 1
-        assert len({port.credit_channel._deliver.__func__ for port in inputs}) == 1
+        # 24.05 per link when written (28.4 with a credit channel, two bound
+        # methods and a head-plan list per input port; 31.4 with a credit
+        # tracker and min/non-min ledger per output port, 67.8 with
+        # per-link closures).
+        assert len(built) / len(outputs) <= 24.1
+        callables = collections.Counter(
+            obj.__func__.__qualname__ if isinstance(obj, types.MethodType)
+            else obj.__qualname__
+            for obj in built
+            if isinstance(obj, types.MethodType)
+            or (isinstance(obj, types.FunctionType) and obj.__closure__))
+        assert callables and max(callables.values()) <= len(sim.routers)
+        assert all(port.link.deliver is InputPort.deliver for port in outputs)
+        assert all(port.upstream.link.port is port for port in inputs)
 
     @pytest.mark.parametrize("pipeline_latency", [5, 0])  # timed wake, activate
     def test_delivery_overflow_is_the_buffers_error(self, pipeline_latency):
@@ -316,16 +329,17 @@ class TestLinkCallbacks:
             pipeline_latency=pipeline_latency)
         capacity = input_port.buffer.capacity_for(0)
         for _ in range(capacity // 8):
-            link._deliver(make_packet(size=8), 0, 10)
+            link.deliver(input_port, make_packet(size=8), 0, 10)
         assert input_port.occupancy(0) == capacity
         with pytest.raises(
                 ValueError,
                 match=f"VC 0 overflow: occupancy {capacity} \\+ 8 > capacity {capacity}"):
-            link._deliver(make_packet(size=8), 0, 10)
+            link.deliver(input_port, make_packet(size=8), 0, 10)
 
     def test_credit_underflow_is_the_mirrors_then_the_ledgers_error(self):
         _link, output, input_port = _wired_link()
-        sink = input_port.credit_channel._deliver
+        assert input_port.upstream is output
+        sink = output.credit_return
         with pytest.raises(ValueError,
                            match="VC 0 underflow: releasing 8 with occupancy 0"):
             sink(0, 8, True)
