@@ -25,7 +25,7 @@ first, and routing near appends into an existing far bucket, therefore
 reproduces the exact single-calendar insertion order.
 
 Events are stored as ``(fn, args)`` pairs and fired as ``fn(*args)``:
-:meth:`schedule_call` lets hot callers (links, credit channels, ejection
+:meth:`schedule_call` lets hot callers (links, credit returns, ejection
 completions) pass precomputed argument tuples instead of allocating one
 closure per packet.
 

@@ -30,7 +30,7 @@ their data as named :class:`~repro.record.RunRecord` telemetry channels via
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from .metrics import LatencyHistogram
 from .packet import Packet
@@ -285,9 +285,10 @@ class LinkUtilizationProbe(Probe):
 
     def __init__(self) -> None:
         super().__init__()
-        self._phits: Dict[str, int] = {}
-        self._packets: Dict[str, int] = {}
-        self._types: Dict[str, str] = {}
+        #: counts keyed by the ``Link`` itself; its name is read off its
+        #: port ends, so it is formatted once per link in ``channels``.
+        self._phits: Dict[Any, int] = {}
+        self._packets: Dict[Any, int] = {}
         self._attach_cycle = 0
 
     def on_attach(self, session: "Session") -> None:
@@ -295,23 +296,21 @@ class LinkUtilizationProbe(Probe):
         self._attach_cycle = session.now
 
     def on_flit_transmitted(self, link, packet: Packet, vc: int, cycle: int) -> None:
-        name = link.name
-        self._phits[name] = self._phits.get(name, 0) + packet.size_phits
-        self._packets[name] = self._packets.get(name, 0) + 1
-        if name not in self._types:
-            self._types[name] = link.link_type.name.lower()
+        self._phits[link] = self._phits.get(link, 0) + packet.size_phits
+        self._packets[link] = self._packets.get(link, 0) + 1
 
     def channels(self) -> Dict[str, dict]:
         elapsed = (self.session.now - self._attach_cycle) if self.session else 0
         data = {
-            name: {
+            link.name: {
                 "phits": phits,
-                "packets": self._packets[name],
-                "link_type": self._types[name],
+                "packets": self._packets[link],
+                "link_type": link.link_type.name.lower(),
                 "utilization": phits / elapsed if elapsed else 0.0,
             }
-            for name, phits in sorted(self._phits.items())
+            for link, phits in self._phits.items()
         }
+        data = dict(sorted(data.items()))
         return {
             "link_utilization": {
                 "meta": {

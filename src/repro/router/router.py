@@ -30,11 +30,11 @@ integers) instead of object attributes:
 * ``_inj_free`` — injection buffer free space per ``(node, vc)``.
 
 Forwarding plans are computed once per head packet and cached on the packet
-itself (``Packet.plan``), cleared when it leaves the port (pop).  Within a cycle, allocation iterations after
-the first only rescan inputs that proposed a request in the previous
-iteration: output resources are consumed monotonically within a cycle and
-non-proposing ports' heads are unchanged, so the skip is behaviour-identical
-to the full rescan (the property test in ``tests/test_alloc_equivalence.py``
+itself (``Packet.plan``), cleared when it leaves the port (pop).  Within a
+cycle, allocation iterations after the first only rescan inputs that
+proposed a request in the previous iteration: output resources are consumed
+monotonically within a cycle and non-proposing ports' heads are unchanged,
+so the skip is behaviour-identical to the full rescan (the property test in ``tests/test_alloc_equivalence.py``
 checks this against :class:`repro.router.reference.ReferenceRouter`).
 
 Three entry points are closures over the slabs, built once per *router*:
