@@ -191,8 +191,13 @@ def reservation_series(scale: ExperimentScale, pattern: str) -> List[Series]:
     """Figure 10: DAMQ with 0-100% of the port memory privately reserved per
     VC (MIN routing, 128/512-phit ports).
 
-    The 0% point is the configuration the paper reports as deadlocking; its
-    results carry ``deadlock_suspected`` so callers can verify it.
+    The 0% point is the configuration the paper reports as deadlocking.  Its
+    ``deadlock_suspected`` flag does not show that: the flag needs 2,500
+    cycles without a delivery, which a ``tiny`` run (900 cycles) cannot
+    reach, and at ``small`` (uniform, load 1.0, seed 1) it read False at
+    cycle 3,700 on a point that still held 4,583 packets after a 4,000-cycle
+    drain.  ROADMAP item 21 replaces the flag with a per-window wedge
+    verdict.
     """
     return [
         _series(

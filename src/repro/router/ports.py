@@ -52,6 +52,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..buffers.base import BufferOrganization
+from ..buffers.damq import DamqBuffer
 from ..core.link_types import LinkType, MessageClass
 from ..link import Link
 from ..packet import Packet
@@ -341,6 +342,19 @@ class OutputPort:
         self._pending_releases.append((cycle, phits))
 
     # -- credit flow ------------------------------------------------------------------
+    def credit_mask(self, lo: int, hi: int) -> int:
+        """Bits of the router's credit-free slab whose credit returns can
+        lift a credit block on downstream VCs ``lo..hi``.
+
+        A shared-pool (DAMQ) mirror lets any credit of the port raise any
+        VC's free space, so its mask covers the whole port; a statically
+        partitioned mirror's covers exactly ``lo..hi``.
+        """
+        mirror = self.mirror
+        if isinstance(mirror, DamqBuffer):
+            lo, hi = 0, mirror.num_vcs - 1
+        return ((1 << (hi - lo + 1)) - 1) << (mirror._free_base + lo)
+
     def debit(self, vc: int, phits: int, minimal: bool) -> None:
         """Consume downstream credits when a packet is granted towards ``vc``."""
         self.mirror.allocate(vc, phits)

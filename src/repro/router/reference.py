@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import List
 
 from ..routing.base import EjectionRequest
-from .allocator import Request
+from .allocator import Request, SeparableAllocator
 from .router import NEVER, Router
 
 
@@ -34,6 +34,7 @@ class ReferenceRouter(Router):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        self.allocator = SeparableAllocator(self._n_in)
         # Shadow the specialized closure installed by Router.__init__.
         self._allocate = self._allocate_reference
 
@@ -88,7 +89,7 @@ class ReferenceRouter(Router):
                         if slot < 0:
                             slot = 2 * (plan.node - self.nodes[0]) + plan.msg_class
                             plan.slot = slot
-                        ejection = self._eject_flat[slot]
+                        ejection = self.ejection_ports[slot]
                         if not ejection.idle_at(now):
                             if ejection.busy_until < reject_until:
                                 reject_until = ejection.busy_until
@@ -129,9 +130,8 @@ class ReferenceRouter(Router):
                                 # Track the credit dependency so the router's
                                 # sleep verdict wakes correctly on returns
                                 # (conservatively: the whole port span).
-                                credit_mask |= self._port_credit_masks[
-                                    candidate.out_port
-                                ]
+                                credit_mask |= op.credit_mask(
+                                    0, op.mirror.num_vcs - 1)
                                 continue
                             request = Request(
                                 input_index=index,

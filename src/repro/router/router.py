@@ -66,7 +66,6 @@ from ..core.vc_selection import (
 from ..packet import Packet, RouteKind
 from ..routing.base import CandidateHop, EjectionRequest, RoutingAlgorithm
 from ..topology.base import Topology
-from .allocator import SeparableAllocator
 from .ports import IN_BLOCKED, IN_STRIDE, EjectionPort, InputPort, OutputPort
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -135,7 +134,6 @@ class Router:
     ) -> None:
         self.router_id = router_id
         self.engine = engine
-        self.router_config = router_config
         self.routing = routing
         self.selection = selection
         self.rng = rng
@@ -193,15 +191,13 @@ class Router:
                     is_injection=True,
                 )
             )
-        #: per-node ejection ports indexed by ``MessageClass`` value
-        #: (REQUEST=0, REPLY=1) — a list, not a dict, because one exists per
-        #: node and dicts carry per-instance hash-table overhead.
-        self.ejection_ports: List[List[EjectionPort]] = [
-            [
-                EjectionPort(self.nodes[i], MessageClass.REQUEST),
-                EjectionPort(self.nodes[i], MessageClass.REPLY),
-            ]
-            for i in range(p)
+        #: ejection ports, two per node, at flat slot ``2 * local_node +
+        #: msg_class`` (``MessageClass``: REQUEST=0, REPLY=1), the index an
+        #: ``EjectionRequest.slot`` caches.
+        self.ejection_ports: List[EjectionPort] = [
+            EjectionPort(node, msg_class)
+            for node in self.nodes
+            for msg_class in (MessageClass.REQUEST, MessageClass.REPLY)
         ]
         #: per-node injection backlogs — plain lists (see InputPort.queues
         #: for the deque-vs-list memory rationale; one exists per node).
@@ -219,7 +215,6 @@ class Router:
         self._alloc_inputs: List[InputPort] = list(self.injection_ports) + [
             self.input_ports[port] for port in sorted(self.input_ports)
         ]
-        self.allocator = SeparableAllocator(len(self._alloc_inputs))
         #: packets in the network input buffers (injection buffers are
         #: ``_injection_resident``); ``Simulation.held`` sums it over the
         #: routers.
@@ -243,53 +238,22 @@ class Router:
         self._pv_masks: List[int] = [0] * n_in
         self._pv_any_mask = 0
 
-        out_ids = sorted(self.output_ports)
-        lookup = (max(out_ids) + 1) if out_ids else 0
-        self._out_state: List[int] = [0] * (4 * len(out_ids))
-        self._out_base: List[int] = [-1] * lookup
-        self._cfree_base: List[int] = [-1] * lookup
-        self._out_cap: List[int] = [0] * lookup
-        self._out_pending: List[Optional[list]] = [None] * lookup
-        self._out_by_port: List[Optional[OutputPort]] = [None] * lookup
+        # Output ports take their slab slices in ascending port order;
+        # ``resolve_candidate`` reads the offsets back off each port.
+        outputs = [self.output_ports[port] for port in sorted(self.output_ports)]
+        self._out_state: List[int] = [0] * (4 * len(outputs))
         self._credit_free: List[int] = [0] * sum(
-            self.output_ports[port].mirror.num_vcs for port in out_ids
+            op.mirror.num_vcs for op in outputs
         )
         cfree_base = 0
-        for j, port in enumerate(out_ids):
-            op = self.output_ports[port]
+        for j, op in enumerate(outputs):
             op.bind_hot_state(self._out_state, 4 * j)
-            self._out_base[port] = 4 * j
-            self._cfree_base[port] = cfree_base
             op.mirror.bind_free_slab(self._credit_free, cfree_base)
             cfree_base += op.mirror.num_vcs
-            self._out_cap[port] = op.output_buffer_capacity
-            self._out_pending[port] = op._pending_releases
-            self._out_by_port[port] = op
 
-        #: per-output-port bitmask over the ``_credit_free`` slab indices,
-        #: used to record which credit returns can unblock a sleeping router.
-        #: DAMQ mirrors share one pool across the port's VCs, so any credit
-        #: of the port can raise any VC's free space and the whole port span
-        #: is recorded; statically partitioned mirrors record the exact
-        #: candidate VC range instead (``None`` here selects that path).
-        self._port_credit_masks: List[int] = [0] * lookup
-        self._port_is_damq: List[bool] = [False] * lookup
-        for port in out_ids:
-            op = self.output_ports[port]
-            span = op.mirror.num_vcs
-            self._port_credit_masks[port] = (
-                ((1 << span) - 1) << self._cfree_base[port]
-            )
-            self._port_is_damq[port] = isinstance(op.mirror, DamqBuffer)
-
-        self._eject_flat: List[Optional[EjectionPort]] = [None] * (2 * p)
         self._eject_busy: List[int] = [0] * (2 * p)
-        for i in range(p):
-            for msg_class in (MessageClass.REQUEST, MessageClass.REPLY):
-                slot = 2 * i + msg_class
-                ejection = self.ejection_ports[i][msg_class]
-                ejection.bind_hot_state(self._eject_busy, slot)
-                self._eject_flat[slot] = ejection
+        for slot, ejection in enumerate(self.ejection_ports):
+            ejection.bind_hot_state(self._eject_busy, slot)
 
         n_inj_vcs = router_config.num_injection_vcs
         self._n_inj_vcs = n_inj_vcs
@@ -298,13 +262,6 @@ class Router:
             port.buffer.bind_free_slab(self._inj_free, i * n_inj_vcs)
 
         self._sel_mode = _selection_mode(selection)
-        #: all slab references the allocator needs, bundled so ``_allocate``
-        #: binds them with one attribute load + tuple unpack per call.
-        self._hot_refs = (
-            self._alloc_inputs, self._in_state, self._in_busy, self._in_rr,
-            self._out_state, self._credit_free, self._eject_busy,
-            self._pv_masks,
-        )
 
         # -- activity tracking ---------------------------------------------------------
         #: index assigned by Engine.register_router; -1 until registered.
@@ -360,20 +317,18 @@ class Router:
 
         Returns the allocator's evaluation record ``(out_port, lo, hi,
         out_state_base, credit_free_base, out_buffer_capacity,
-        pending_releases, credit_fail_mask)``; safe because candidates are
+        pending_releases, credit_fail_mask, output_port)``, every field read
+        off the candidate's :class:`OutputPort`; safe because candidates are
         memoized per router.
         """
         out_port = candidate.out_port
+        op = self.output_ports[out_port]
         lo = candidate.vc_range.lo
         hi = candidate.vc_range.hi
-        cb = self._cfree_base[out_port]
-        if self._port_is_damq[out_port]:
-            fail_mask = self._port_credit_masks[out_port]
-        else:
-            fail_mask = ((1 << (hi - lo + 1)) - 1) << (cb + lo)
         return (
-            out_port, lo, hi, self._out_base[out_port], cb,
-            self._out_cap[out_port], self._out_pending[out_port], fail_mask,
+            out_port, lo, hi, op._hb, op.mirror._free_base,
+            op.output_buffer_capacity, op._pending_releases,
+            op.credit_mask(lo, hi), op,
         )
 
     def enqueue_source(self, packet: Packet, now: int) -> None:
@@ -569,12 +524,19 @@ class Router:
         implementation in :mod:`repro.router.reference`.
         """
         router = self
-        (alloc_inputs, in_state, in_busy, in_rr, out_state, credit_free,
-         eject_busy, pv_masks) = self._hot_refs
+        in_state = self._in_state
+        in_busy = self._in_busy
+        in_rr = self._in_rr
+        out_state = self._out_state
+        credit_free = self._credit_free
+        eject_busy = self._eject_busy
+        pv_masks = self._pv_masks
         speedup = self.speedup
         sel_mode = self._sel_mode
-        allocator = self.allocator
-        num_inputs = allocator.num_inputs
+        num_inputs = self._n_in
+        #: output-stage round-robin priority over alloc inputs (what
+        #: ``SeparableAllocator._priority`` is to the reference router).
+        priority = 0
         routing_plan = self.routing.plan
         execute_grant = self._execute_grant
         first_node = self.nodes[0] if self.nodes else 0
@@ -585,10 +547,11 @@ class Router:
             (port.queues, port.rr_orders, port.num_vcs,
              None if port.is_injection else port.link_type,
              port.is_injection)
-            for port in alloc_inputs
+            for port in self._alloc_inputs
         ]
 
         def allocate(now: int) -> None:
+            nonlocal priority
             router._alloc_sleep_until = -1
             reject_until = NEVER
             credit_mask = 0
@@ -681,7 +644,7 @@ class Router:
                             size = packet.size_phits
                             for candidate in plan:
                                 (out_port, lo, hi, ob, cb, cap, pending,
-                                 fail_mask) = candidate.hot
+                                 fail_mask, _) = candidate.hot
                                 out_busy = out_state[ob]
                                 if out_busy > now:
                                     if out_busy < p_retry:
@@ -781,7 +744,7 @@ class Router:
                 # re-propose; when neither exists the next scan provably
                 # yields nothing and is skipped.
                 if len(requests) == 1:
-                    allocator._priority = (allocator._priority + 1) % num_inputs
+                    priority = (priority + 1) % num_inputs
                     request = requests[0]
                     execute_grant(request, now)
                     if request[3] >= 0:
@@ -795,7 +758,6 @@ class Router:
                             by_resource[key] = [request]
                         else:
                             bucket.append(request)
-                    priority = allocator._priority
                     any_eject = False
                     for bucket in by_resource.values():
                         winner = bucket[0]
@@ -809,7 +771,7 @@ class Router:
                         if winner[3] < 0:
                             any_eject = True
                         execute_grant(winner, now)
-                    allocator._priority = (priority + 1) % num_inputs
+                    priority = (priority + 1) % num_inputs
                     if not any_eject and len(by_resource) == len(requests):
                         break  # no losers: nothing can re-propose this cycle
                 if not router.resident_packets and not router._injection_resident:
@@ -853,7 +815,6 @@ class Router:
         """
         router = self
         alloc_inputs = self._alloc_inputs
-        out_by_port = self._out_by_port
         in_busy = self._in_busy
         out_state = self._out_state
         speedup = self.speedup
@@ -866,8 +827,9 @@ class Router:
             if key < 0:
                 router._eject(port, input_vc, packet, candidate, now)
                 return
-            ob = candidate.hot[3]
-            op = out_by_port[key]
+            hot = candidate.hot
+            ob = hot[3]
+            op = hot[8]
             # Integer ceiling of size/speedup (no math.ceil/float division).
             size = packet.size_phits
             xbar_time = -(-size // speedup)
@@ -927,7 +889,7 @@ class Router:
 
     def _eject(self, port: InputPort, input_vc: int, packet: Packet,
                request: EjectionRequest, now: int) -> None:
-        ejection = self._eject_flat[request.slot]
+        ejection = self.ejection_ports[request.slot]
         port.pop(input_vc, now, packet.credit_tag_minimal)
         if port.is_injection:
             self._injection_resident -= 1

@@ -78,11 +78,11 @@ class CandidateHop:
     abandons_detour: bool = False
     #: packed router-resolved evaluation record — ``(out_port, lo, hi,
     #: out_state_base, credit_free_base, out_buffer_capacity,
-    #: pending_releases, credit_fail_mask)``.  Candidates are memoized per
-    #: router (the hop-memo key starts with the router's port slot), so the
-    #: router-local slab indices and references can be burned in at
-    #: construction; the allocator then evaluates a candidate with a single
-    #: attribute load plus flat reads.  Filled by
+    #: pending_releases, credit_fail_mask, output_port)``.  Candidates are
+    #: memoized per router (the hop-memo key starts with the router's port
+    #: slot), so the router-local slab indices and references can be burned
+    #: in at construction; the allocator then evaluates a candidate with a
+    #: single attribute load plus flat reads.  Filled by
     #: RoutingAlgorithm._candidate_towards; hand-built candidates (tests)
     #: keep the 3-field prefix form.
     hot: tuple = ()
@@ -442,7 +442,8 @@ class RoutingAlgorithm(ABC):
             packet.intermediate_reached = True
             self._enter_second_phase(packet)
         # No plan-cache invalidation needed here: the hop's grant popped the
-        # packet from its input VC, which cleared the port's head-plan entry.
+        # packet from its input VC, and ``InputPort.pop`` cleared
+        # ``Packet.plan``.
 
     def _enter_second_phase(self, packet: Packet) -> None:
         packet.begin_phase((packet.phase_local + self.phase_ref[0],

@@ -308,11 +308,12 @@ class TestLinkCallbacks:
         inputs = [port for router in sim.routers
                   for port in router.input_ports.values()]
         assert len(outputs) == len(inputs) == 114 * 8
-        # 24.05 per link when written (28.4 with a credit channel, two bound
-        # methods and a head-plan list per input port; 31.4 with a credit
-        # tracker and min/non-min ledger per output port, 67.8 with
-        # per-link closures).
-        assert len(built) / len(outputs) <= 24.1
+        # 22.31 per link when written (24.06 with the router's per-port
+        # lookup lists, nested ejection lists and fast-path allocator object;
+        # 28.4 with a credit channel, two bound methods and a head-plan list
+        # per input port; 31.4 with a credit tracker and min/non-min ledger
+        # per output port, 67.8 with per-link closures).
+        assert len(built) / len(outputs) <= 22.36
         callables = collections.Counter(
             obj.__func__.__qualname__ if isinstance(obj, types.MethodType)
             else obj.__qualname__

@@ -587,8 +587,10 @@ def test_parse_error_reported_not_raised(tmp_path):
 
 def _run_cli(*args, cwd=REPO_ROOT):
     env_src = str(SRC)
+    # ``-B``: the bare environment drops PYTHONDONTWRITEBYTECODE, and the
+    # child must not write bytecode into the checkout either way.
     return subprocess.run(
-        [sys.executable, "-m", "repro.devtools", *args],
+        [sys.executable, "-B", "-m", "repro.devtools", *args],
         cwd=cwd,
         capture_output=True,
         text=True,

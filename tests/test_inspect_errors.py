@@ -19,8 +19,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv: str):
+    # ``-B`` (here and below): the bare environment drops
+    # PYTHONDONTWRITEBYTECODE, and the child must not write bytecode into
+    # the checkout either way.
     return subprocess.run(
-        [sys.executable, "-m", "repro.experiments", *argv],
+        [sys.executable, "-B", "-m", "repro.experiments", *argv],
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,
@@ -120,7 +123,7 @@ def test_inspect_into_a_closed_pipe_is_quiet(tmp_path):
     store = tmp_path / "legacy.json"
     store.write_bytes(fixture.read_bytes())
     with subprocess.Popen(
-        [sys.executable, "-m", "repro.experiments", "inspect", str(store)],
+        [sys.executable, "-B", "-m", "repro.experiments", "inspect", str(store)],
         cwd=REPO_ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
     ) as child:

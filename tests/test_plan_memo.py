@@ -171,7 +171,7 @@ def _assert_plans(sim: Simulation, table: RouteTable, here: int,
         plan = sim.routing.plan(sim.routers[here], packet, input_type, input_vc)
         assert plan == expected
         for got, want in zip(plan, expected):
-            assert got.hot == want.hot and len(got.hot) == 8
+            assert got.hot == want.hot and len(got.hot) == 9
 
 
 @settings(max_examples=300, deadline=None)
