@@ -54,7 +54,7 @@ class StaticallyPartitionedBuffer(BufferOrganization):
     # not repeated on the allocator's per-cycle paths (an out-of-range index
     # fails loudly as IndexError).  Negative indices would silently alias the
     # last VC, so those are still rejected explicitly — a routing plan's
-    # ``input_vc`` is -1 at injection (Router._plan_for).
+    # ``input_vc`` is -1 at injection (ReferenceRouter._plan_for).
     def free_for(self, vc: int) -> int:
         if vc < 0:
             raise ValueError(f"VC {vc} out of range")

@@ -65,11 +65,17 @@ IN_MIN_READY = 1
 IN_BLOCKED = 2
 IN_STRIDE = 3
 
-#: output-port slab offsets (stride 4).
+#: output-port slab offsets (stride 6): four counters, then the port's
+#: pending-release list and the port itself, so a record holding only the
+#: slab offset (``CandidateHop.hot``, shared by every router of a port
+#: layout) reaches this router's objects.
 OUT_XBAR_BUSY = 0
 OUT_GRANT_STAMP = 1
 OUT_GRANTS = 2
 OUT_BUF_OCC = 3
+OUT_PENDING = 4
+OUT_PORT = 5
+OUT_STRIDE = 6
 
 #: shared round-robin visit orders keyed by VC count (every port with the
 #: same ``num_vcs`` scans VCs in the same precomputed orders).
@@ -288,7 +294,8 @@ class OutputPort:
         #: at 10^5-endpoint scale.
         self._pending_releases: list[tuple[int, int]] = []
         self.link: Optional[Link] = None
-        #: hot-state slab slice [xbar_busy, grant_stamp, grants, buf_occ].
+        #: hot-state slab slice [xbar_busy, grant_stamp, grants, buf_occ]
+        #: (a standalone port's private one holds the counters only).
         #: The grant stamp makes the per-cycle grant counter self-resetting,
         #: so the allocator never sweeps output ports at the top of a cycle.
         self._hot: list = [0, -1, 0, 0]
@@ -298,11 +305,14 @@ class OutputPort:
         self.router = None
 
     def bind_hot_state(self, slab: list, base: int) -> None:
-        """Move this port's hot counters into ``slab[base:base+4]``."""
+        """Move this port's hot counters into ``slab[base:base+4]`` and
+        put its pending-release list and itself after them."""
         hot = self._hot
         hb = self._hb
         for offset in range(4):
             slab[base + offset] = hot[hb + offset]
+        slab[base + OUT_PENDING] = self._pending_releases
+        slab[base + OUT_PORT] = self
         self._hot = slab
         self._hb = base
 

@@ -24,8 +24,10 @@ from __future__ import annotations
 
 from typing import List
 
+from ..packet import Packet
 from ..routing.base import EjectionRequest
 from .allocator import Request, SeparableAllocator
+from .ports import InputPort
 from .router import NEVER, Router
 
 
@@ -37,6 +39,17 @@ class ReferenceRouter(Router):
         self.allocator = SeparableAllocator(self._n_in)
         # Shadow the specialized closure installed by Router.__init__.
         self._allocate = self._allocate_reference
+
+    def _plan_for(self, port: InputPort, vc: int, packet: Packet):
+        """Compute (and cache on the packet) the head packet's forwarding
+        plan; the fast allocator inlines this body."""
+        input_type = None if port.is_injection else port.link_type
+        input_vc = -1 if port.is_injection else vc
+        plan = self.routing.plan(self, packet, input_type, input_vc)
+        if not plan and not port.is_injection:
+            self._count_empty_plan()
+        packet.plan = plan
+        return plan
 
     def _allocate_reference(self, now: int) -> None:
         """One cycle of iterative input-first separable allocation.

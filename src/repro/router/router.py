@@ -23,7 +23,8 @@ integers) instead of object attributes:
 * ``_in_busy`` / ``_in_rr`` — input crossbar timers and round-robin VC
   pointers, owned entirely by the router;
 * ``_out_state`` — per output port ``[xbar_busy, grant_stamp, grants,
-  buf_occ]`` shared with the :class:`OutputPort` objects;
+  buf_occ, pending_releases, port]`` shared with the :class:`OutputPort`
+  objects;
 * ``_credit_free`` — downstream free space per ``(port, vc)``, maintained by
   the credit mirrors (``BufferOrganization.bind_free_slab``);
 * ``_eject_busy`` — ejection busy timers per ``(node, msg_class)``;
@@ -66,7 +67,9 @@ from ..core.vc_selection import (
 from ..packet import Packet, RouteKind
 from ..routing.base import CandidateHop, EjectionRequest, RoutingAlgorithm
 from ..topology.base import Topology
-from .ports import IN_BLOCKED, IN_STRIDE, EjectionPort, InputPort, OutputPort
+from .ports import (
+    IN_BLOCKED, IN_STRIDE, OUT_STRIDE, EjectionPort, InputPort, OutputPort,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine import Engine
@@ -238,16 +241,17 @@ class Router:
         self._pv_masks: List[int] = [0] * n_in
         self._pv_any_mask = 0
 
-        # Output ports take their slab slices in ascending port order;
+        # Output ports take their slab slices in ascending port order, so
+        # routers of one port layout class share every offset;
         # ``resolve_candidate`` reads the offsets back off each port.
         outputs = [self.output_ports[port] for port in sorted(self.output_ports)]
-        self._out_state: List[int] = [0] * (4 * len(outputs))
+        self._out_state: list = [0] * (OUT_STRIDE * len(outputs))
         self._credit_free: List[int] = [0] * sum(
             op.mirror.num_vcs for op in outputs
         )
         cfree_base = 0
         for j, op in enumerate(outputs):
-            op.bind_hot_state(self._out_state, 4 * j)
+            op.bind_hot_state(self._out_state, OUT_STRIDE * j)
             op.mirror.bind_free_slab(self._credit_free, cfree_base)
             cfree_base += op.mirror.num_vcs
 
@@ -313,13 +317,16 @@ class Router:
             self.engine_activate(self.engine_index)
 
     def resolve_candidate(self, candidate: CandidateHop) -> tuple:
-        """Burn this router's slab indices into a memoized candidate.
+        """Burn the slab offsets of the candidate's port into its record.
 
         Returns the allocator's evaluation record ``(out_port, lo, hi,
         out_state_base, credit_free_base, out_buffer_capacity,
-        pending_releases, credit_fail_mask, output_port)``, every field read
-        off the candidate's :class:`OutputPort`; safe because candidates are
-        memoized per router.
+        credit_fail_mask)``, every field read off the candidate's
+        :class:`OutputPort`.  It holds offsets and constants only, no object
+        of this router: routers of one port layout class take identical
+        slab slices, so the record is true at every router that shares the
+        memoized candidate, and each reads its own pending-release list and
+        port at ``out_state_base + OUT_PENDING`` / ``+ OUT_PORT``.
         """
         out_port = candidate.out_port
         op = self.output_ports[out_port]
@@ -327,8 +334,7 @@ class Router:
         hi = candidate.vc_range.hi
         return (
             out_port, lo, hi, op._hb, op.mirror._free_base,
-            op.output_buffer_capacity, op._pending_releases,
-            op.credit_mask(lo, hi), op,
+            op.output_buffer_capacity, op.credit_mask(lo, hi),
         )
 
     def enqueue_source(self, packet: Packet, now: int) -> None:
@@ -616,8 +622,8 @@ class Router:
                             continue
                         plan = packet.plan
                         if plan is None:
-                            # Inlined _plan_for: compute and cache the head's
-                            # forwarding plan on the packet.
+                            # Inlined ReferenceRouter._plan_for: compute and
+                            # cache the head's forwarding plan on the packet.
                             if is_injection:
                                 plan = routing_plan(router, packet, None, -1)
                             else:
@@ -643,8 +649,8 @@ class Router:
                         else:
                             size = packet.size_phits
                             for candidate in plan:
-                                (out_port, lo, hi, ob, cb, cap, pending,
-                                 fail_mask, _) = candidate.hot
+                                (out_port, lo, hi, ob, cb, cap,
+                                 fail_mask) = candidate.hot
                                 out_busy = out_state[ob]
                                 if out_busy > now:
                                     if out_busy < p_retry:
@@ -656,6 +662,7 @@ class Router:
                                         p_retry = now + 1
                                     continue
                                 occupancy = out_state[ob + 3]
+                                pending = out_state[ob + 4]  # OUT_PENDING
                                 if pending and pending[0][0] <= now:
                                     # Output-buffer reclamations are lazy,
                                     # not wake events.
@@ -786,16 +793,6 @@ class Router:
 
         return allocate
 
-    def _plan_for(self, port: InputPort, vc: int, packet: Packet):
-        """Compute (and cache on the packet) the head packet's forwarding plan."""
-        input_type = None if port.is_injection else port.link_type
-        input_vc = -1 if port.is_injection else vc
-        plan = self.routing.plan(self, packet, input_type, input_vc)
-        if not plan and not port.is_injection:
-            self._count_empty_plan()
-        packet.plan = plan
-        return plan
-
     def _count_empty_plan(self) -> None:
         """A network-input head was planned ``[]``: no hop is offered.
 
@@ -827,9 +824,8 @@ class Router:
             if key < 0:
                 router._eject(port, input_vc, packet, candidate, now)
                 return
-            hot = candidate.hot
-            ob = hot[3]
-            op = hot[8]
+            ob = candidate.hot[3]
+            op = out_state[ob + 5]  # OUT_PORT
             # Integer ceiling of size/speedup (no math.ceil/float division).
             size = packet.size_phits
             xbar_time = -(-size // speedup)

@@ -42,16 +42,16 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: bound on the plan, verdict and hop memo dictionaries, each cleared
 #: wholesale when it reaches this many entries.  The first-level plan memo
-#: is keyed by route *shape* — (router, out port, intended-path id, state) —
-#: so it grows with routers x ports x the shapes and states that leave
-#: them, not with destination pairs; the hop memo by (router, port,
-#: verdict).  The constructions are pure (no RNG; randomness lives in the
-#: per-packet injection decisions), so a rebuilt entry is identical and the
-#: clear is invisible in results.  ~262k entries keep worst-case memo memory
-#: around 70 MB; paper-scale runs stay far below the cap, and at h=13 the
-#: plan memo comes near it (241,525 entries after 150 cycles at load 0.1).
-#: A plan miss stays cheap for that reason: two route-column reads plus two
-#: small dict hits (see ``_candidate_towards``), never a policy evaluation.
+#: is keyed by route *shape* — (port layout class, out port, intended-path
+#: id, state) — so it grows with layout classes x ports x the shapes and
+#: states that leave them, not with routers or destination pairs; the hop
+#: memo by (layout class, port, verdict).  The constructions are pure (no
+#: RNG; randomness lives in the per-packet injection decisions), so a
+#: rebuilt entry is identical and the clear is invisible in results.  No
+#: run comes near the cap: a Dragonfly has one layout class, and at h=13
+#: the memos hold a few hundred entries (DESIGN.md §9(d)).  A plan miss
+#: stays cheap: two route-column reads plus two small dict hits (see
+#: ``_candidate_towards``), never a policy evaluation.
 _MEMO_CAP = 1 << 18
 
 #: span of the packed plan-memo state: message class (2), input type (None,
@@ -68,7 +68,6 @@ class CandidateHop:
     """One admissible forwarding option for a head packet."""
 
     out_port: int
-    next_router: int
     out_type: LinkType
     vc_range: VcRange
     opportunistic: bool = False
@@ -76,13 +75,14 @@ class CandidateHop:
     reaches_intermediate: bool = False
     #: granting this hop abandons the remaining detour (escape fallback).
     abandons_detour: bool = False
-    #: packed router-resolved evaluation record — ``(out_port, lo, hi,
+    #: packed slab-resolved evaluation record — ``(out_port, lo, hi,
     #: out_state_base, credit_free_base, out_buffer_capacity,
-    #: pending_releases, credit_fail_mask, output_port)``.  Candidates are
-    #: memoized per router (the hop-memo key starts with the router's port
-    #: slot), so the router-local slab indices and references can be burned
-    #: in at construction; the allocator then evaluates a candidate with a
-    #: single attribute load plus flat reads.  Filled by
+    #: credit_fail_mask)`` (``Router.resolve_candidate``).  Candidates are
+    #: shared by every router of a port layout class (the hop-memo key
+    #: starts with the class), and those routers lay out their slabs
+    #: identically, so the record holds offsets only; the allocator then
+    #: evaluates a candidate with a single attribute load plus flat reads
+    #: of its own router's slabs.  Filled by
     #: RoutingAlgorithm._candidate_towards; hand-built candidates (tests)
     #: keep the 3-field prefix form.
     hot: tuple = ()
@@ -152,6 +152,9 @@ class RoutingAlgorithm(ABC):
         )
         #: the topology's links: neighbor and link type of a candidate's port.
         self.wiring = topology.wiring()
+        #: each router's port layout class, the router's part of every
+        #: plan- and hop-memo key.
+        self._layout = self.wiring.layout
         #: reference-slot contribution of one minimal segment (phase), used to
         #: advance the baseline's slot offsets between phases.
         self.phase_ref = topology.phase_ref
@@ -165,19 +168,22 @@ class RoutingAlgorithm(ABC):
         #: topology's distinct path shapes × VC/phase states (tens to a few
         #: hundred entries), independent of network size.  The
         #: :class:`CandidateHop` itself (immutable in practice, shared by
-        #: every packet in the same situation) is memoized per ``(router,
-        #: out port, verdict, flags)``: at most routers × ports × verdict
-        #: variety.
+        #: every packet in the same situation) is memoized per ``(layout
+        #: class, out port, verdict, flags)``: at most layout classes ×
+        #: ports × verdict variety, again independent of network size.
         self._verdict_memo: dict = {}
         self._hop_memo: dict = {}
         #: first-level hit path: whole plans of the minimal branch keyed by
-        #: route shape, ``(here, out port, intended-path id, state)``, read
-        #: straight off the destination's route column (plan lists are
-        #: shared and never mutated).  The escape path is the intended path
-        #: without its first hop (interned one-to-one), so the key fixes
-        #: every input of the plan, and no memo holds a route-table answer:
-        #: a fault re-table that rebuilds a column gives new keys and
-        #: leaves every entry true, so it flushes nothing.
+        #: route shape, ``(layout class of here, out port, intended-path id,
+        #: state)``, read straight off the destination's route column (plan
+        #: lists are shared and never mutated).  Routers of one class share
+        #: an entry: the class fixes the out port's link type and slab
+        #: offsets, and nothing else of the router reaches the plan.  The
+        #: escape path is the intended path without its first hop (interned
+        #: one-to-one), so the key fixes every input of the plan, and no
+        #: memo holds a route-table answer: a fault re-table that rebuilds
+        #: a column gives new keys and leaves every entry true, so it
+        #: flushes nothing.
         self._plan_memo: dict = {}
         #: miss-path work counters (RunRecord provenance; the hit paths
         #: carry no counter).
@@ -320,11 +326,12 @@ class RoutingAlgorithm(ABC):
             key = ((key * 16 + input_vc + 1) * 16 + phase_local) * 16 \
                 + phase_global
             key = (key * 32 + phase_position) * 16 + phase_global_taken
-            key += ((here * self._key_ports + port) * _UNRESOLVED
-                    + seq_id) * _STATE_SPAN
+            key += ((self._layout[here] * self._key_ports + port)
+                    * _UNRESOLVED + seq_id) * _STATE_SPAN
         else:  # pragma: no cover - beyond any canonical reference shape
             key = (
-                here, port, seq_id, packet.msg_class, input_type, input_vc,
+                self._layout[here], port, seq_id, packet.msg_class,
+                input_type, input_vc,
                 phase_local, phase_global, phase_position, phase_global_taken,
             )
         cached = self._plan_memo.get(key)
@@ -359,7 +366,8 @@ class RoutingAlgorithm(ABC):
         single flat index, so the lazy front-end touches each needed column
         once) yield the out port and the path *shapes*.  The VC verdict is
         then a memo hit on those shapes, and the shared
-        :class:`CandidateHop` a memo hit on ``(router, port, verdict)``.
+        :class:`CandidateHop` a memo hit on ``(layout class, port,
+        verdict)``.
         """
         here = router.router_id
         route = self.route
@@ -368,7 +376,8 @@ class RoutingAlgorithm(ABC):
         if out_port is None:
             return None
         wiring = self.wiring
-        slot = here * wiring.ports_per_router + out_port
+        ports_per_router = wiring.ports_per_router
+        slot = here * ports_per_router + out_port
         next_router = wiring.neighbor[slot]
         out_type = LINK_TYPES[wiring.link_type[slot]]
         dst_router = packet.dst_router  # resolved by plan() before this point
@@ -404,7 +413,8 @@ class RoutingAlgorithm(ABC):
             is_detour and next_router == packet.intermediate_router
         )
         vcs = self._key_vcs
-        hop_key = (((slot * vcs + vc_range.lo) * vcs + vc_range.hi) * 8
+        layout_slot = self._layout[here] * ports_per_router + out_port
+        hop_key = (((layout_slot * vcs + vc_range.lo) * vcs + vc_range.hi) * 8
                    + opportunistic + 2 * reaches_intermediate
                    + 4 * abandons_detour)
         candidate = self._hop_memo.get(hop_key)
@@ -412,7 +422,6 @@ class RoutingAlgorithm(ABC):
             self.hop_builds += 1
             candidate = CandidateHop(
                 out_port=out_port,
-                next_router=next_router,
                 out_type=out_type,
                 vc_range=vc_range,
                 opportunistic=opportunistic,

@@ -75,11 +75,12 @@ class MinimalRouting(RoutingAlgorithm):
             key = ((key * 16 + input_vc + 1) * 16 + phase_local) * 16 \
                 + phase_global
             key = (key * 32 + phase_position) * 16 + phase_global_taken
-            key += ((here * self._key_ports + port) * _UNRESOLVED
-                    + seq_id) * _STATE_SPAN
+            key += ((self._layout[here] * self._key_ports + port)
+                    * _UNRESOLVED + seq_id) * _STATE_SPAN
         else:  # pragma: no cover - beyond any canonical reference shape
             key = (
-                here, port, seq_id, packet.msg_class, input_type, input_vc,
+                self._layout[here], port, seq_id, packet.msg_class,
+                input_type, input_vc,
                 phase_local, phase_global, phase_position, phase_global_taken,
             )
         cached = self._plan_memo.get(key)

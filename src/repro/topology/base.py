@@ -41,6 +41,11 @@ class Wiring:
     link_type: bytes
     back_port: array
     global_index: array
+    #: each router's port layout class: routers whose every port slot has
+    #: the same presence and link type share one class id, numbered in
+    #: order of first appearance (one class per Dragonfly, two in a
+    #: Megafly: leaves and spines).
+    layout: Tuple[int, ...]
 
     @classmethod
     def of(cls, topology: "Topology") -> "Wiring":
@@ -55,15 +60,20 @@ class Wiring:
         neighbor = array("i", [-1]) * (n * per)
         link_type = bytearray(n * per)
         global_index = array("i", [-1]) * (n * per)
+        classes: Dict[bytes, int] = {}
+        layout = []
         for router, row in enumerate(rows):
             base = router * per
             count = 0
+            shape = bytearray(per)  # 0 = no link, else link type + 1
             for port, other, kind in row:
                 neighbor[base + port] = other
                 link_type[base + port] = kind
+                shape[port] = kind + 1
                 if kind == LinkType.GLOBAL:
                     global_index[base + port] = count
                     count += 1
+            layout.append(classes.setdefault(bytes(shape), len(classes)))
         # The ports between an ordered router pair are matched index by
         # index in ascending port order, which pairs parallel links
         # deterministically.
@@ -93,7 +103,8 @@ class Wiring:
                     )
                 matched[other] = back
                 back_port[base + port] = back
-        return cls(n, per, neighbor, bytes(link_type), back_port, global_index)
+        return cls(n, per, neighbor, bytes(link_type), back_port, global_index,
+                   tuple(layout))
 
     def bfs(
         self,

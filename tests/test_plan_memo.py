@@ -1,9 +1,9 @@
-"""Two-level plan construction: shape-keyed verdicts, router-local hops.
+"""Two-level plan construction: shape-keyed verdicts, layout-shared hops.
 
 ``RoutingAlgorithm`` memoizes the minimal plan on its route *shape*
-``(router, out port, intended-path id, state)``, the VC verdict on the hop's
-path shapes and the ``CandidateHop`` on ``(router, port, verdict)``
-(DESIGN.md §6).  The guarantees locked here:
+``(port layout class, out port, intended-path id, state)``, the VC verdict
+on the hop's path shapes and the ``CandidateHop`` on ``(layout class, port,
+verdict)`` (DESIGN.md §6).  The guarantees locked here:
 
 * **differential** — a plan served through the memos equals one assembled by
   calling ``policy.evaluate(HopContext(...))`` directly on an independent
@@ -14,6 +14,9 @@ path shapes and the ``CandidateHop`` on ``(router, port, verdict)``
   touched;
 * **one key** — ``MinimalRouting.plan`` and the minimal branch of
   ``RoutingAlgorithm.plan`` serve each other's memo entries;
+* **layout invariance** — every router of a port layout class resolves a
+  candidate to the same record and is served the same plan objects, and no
+  memo key holds a router id;
 * **fault survival** — a re-table flushes no memo, and the run is
   trace-identical to one that drops every memo at each re-table;
 * **observability** — the miss-path counters land in RunRecord provenance
@@ -22,6 +25,7 @@ path shapes and the ``CandidateHop`` on ``(router, port, verdict)``
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import json
@@ -99,7 +103,7 @@ def _direct_plan(sim: Simulation, table: RouteTable, here: int, packet: Packet,
         if vc_range is None:
             return None
         candidate = CandidateHop(
-            out_port=port, next_router=nxt, out_type=out_type,
+            out_port=port, out_type=out_type,
             vc_range=vc_range,
             opportunistic=kind == HopKind.OPPORTUNISTIC,
             reaches_intermediate=(
@@ -171,7 +175,7 @@ def _assert_plans(sim: Simulation, table: RouteTable, here: int,
         plan = sim.routing.plan(sim.routers[here], packet, input_type, input_vc)
         assert plan == expected
         for got, want in zip(plan, expected):
-            assert got.hot == want.hot and len(got.hot) == 9
+            assert got.hot == want.hot and len(got.hot) == 7
 
 
 @settings(max_examples=300, deadline=None)
@@ -258,7 +262,8 @@ def test_verdict_memo_is_scale_invariant():
     h3 = _uniform_min_stats("dragonfly-h3")
     assert h2["verdict_memo_size"] == h3["verdict_memo_size"] < 100
     assert h2["verdict_builds"] == h2["verdict_memo_size"]
-    # 36 vs 114 routers: only the position-keyed memos grow.
+    # 36 vs 114 routers, 5 vs 8 ports, one port layout class each: the
+    # plan and hop memos grow with the radix, not with the router count.
     assert h3["hop_memo_size"] > h2["hop_memo_size"]
     assert h3["plan_memo_size"] > h2["plan_memo_size"]
 
@@ -281,6 +286,63 @@ def test_memos_do_not_grow_with_destinations_touched():
     assert verdicts <= len(sim.route_table.sequences)
     assert hops <= radix * verdicts < n - 1
     assert len(routing._plan_memo) <= radix * verdicts < n - 1
+
+
+def _plan_everywhere(sim: Simulation) -> dict:
+    """``{(here, dst): plan}`` of an injected packet at every router towards
+    every node-attached router."""
+    topology = sim.topology
+    n = topology.num_routers
+    targets = [dst for dst in range(n) if topology.nodes_of_router(dst)]
+    return {
+        (here, dst): sim.routing.plan(sim.routers[here],
+                                      Packet(0, 0, 8, dst_router=dst), None, -1)
+        for here in range(n) for dst in targets if dst != here
+    }
+
+
+@pytest.mark.parametrize("network", sorted(NETWORKS))
+def test_routers_of_one_layout_class_share_plans_and_records(network):
+    sim = _simulation.__wrapped__(network, "flexvc", "min")
+    layout = sim.topology.wiring().layout
+    members = collections.defaultdict(list)
+    for router, cls in enumerate(layout):
+        members[cls].append(router)
+    # Megafly: leaves and spines.
+    assert len(members) == (2 if network == "megafly" else 1)
+    plans = _plan_everywhere(sim)
+    # One plan object per route shape, whichever router of the class asks.
+    by_shape: dict = {}
+    askers = collections.defaultdict(set)
+    for (here, dst), plan in plans.items():
+        column = sim.route_table.column(dst)
+        shape = (layout[here], column.ports[here], column.seq_id(here))
+        assert by_shape.setdefault(shape, plan) is plan
+        askers[shape].add(here)
+    assert max(map(len, askers.values())) > 1
+    # Every router of the class resolves a shared candidate to its record,
+    # and no plan or candidate is served to two classes.
+    served = collections.defaultdict(set)
+    for (here, _dst), plan in plans.items():
+        if plan:
+            served[id(plan)].add(layout[here])
+        for candidate in plan:
+            served[id(candidate)].add(layout[here])
+            assert len(candidate.hot) == 7
+            for router in members[layout[here]]:
+                assert sim.routers[router].resolve_candidate(candidate) \
+                    == candidate.hot
+    assert served and all(len(classes) == 1 for classes in served.values())
+
+
+def test_hop_memo_has_no_router_factor():
+    sim = _simulation.__wrapped__("dragonfly-h3", "flexvc", "min")
+    routing = sim.routing
+    _plan_everywhere(sim)
+    wiring = sim.topology.wiring()
+    classes = len(set(wiring.layout))
+    assert len(routing._hop_memo) <= (
+        classes * wiring.ports_per_router * len(routing._verdict_memo))
 
 
 def _flap_config() -> SimulationConfig:

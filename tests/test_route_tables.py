@@ -362,8 +362,8 @@ class TestGlobalPortIndexCache:
 
 
 #: one system-scale smoke run, in its own process because ``ru_maxrss`` is a
-#: process-lifetime peak: prints the route-table provenance, the router and
-#: node counts and the peak RSS in bytes as one JSON line.
+#: process-lifetime peak: prints the route-table and routing provenance, the
+#: router and node counts and the peak RSS in bytes as one JSON line.
 _SYSTEM_SMOKE_CHILD = """
 import dataclasses, json, resource, sys
 from repro import Session, Simulation, SimulationConfig
@@ -382,8 +382,10 @@ session = Session(simulation=sim)
 session.warmup(SYSTEM.warmup_cycles)
 session.measure(SYSTEM.measure_cycles)
 peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+provenance = session.record().provenance
 print(json.dumps({
-    "route_table": session.record().provenance["route_table"],
+    "route_table": provenance["route_table"],
+    "routing": provenance["routing"],
     "routers": sim.topology.num_routers,
     "nodes": sim.topology.num_nodes,
     "peak_bytes": peak_kb * (1 if sys.platform == "darwin" else 1024),
@@ -417,12 +419,20 @@ def test_system_scale_constructs_within_budget(algorithm):
     # reads a sliver of the n^2 pairs, so an eager fill cannot come back
     # unnoticed.
     assert stats["pairs_resolved"] < 0.01 * result["routers"] ** 2
+    # The plan and hop memos are keyed by port layout class, not router:
+    # a few hundred entries at most, where a router id in a key makes
+    # hundreds of thousands.
+    routing = result["routing"]
+    assert routing["plan_memo_size"] < 1000, routing
+    assert routing["hop_memo_size"] < 1000, routing
 
     peak_bytes = result["peak_bytes"]
-    # 1,023 MiB measured for MIN (1,175 MiB with a credit channel, two bound
-    # methods and a name tuple per link and a head-plan list per input port;
-    # 1,976 MiB before the per-link callbacks became port methods) + 10%.
-    # Piggyback read 1,071 MiB.
-    budget = 1125 * 1024**2
+    # 908 MiB measured for Piggyback, the larger of the two, + 10%; MIN read
+    # 865 MiB.  With a router id in the plan- and hop-memo keys they read
+    # 1,023 and 976 MiB (226,348 plan entries under MIN); 1,175 MiB for MIN
+    # with a credit channel, two bound methods and a name tuple per link and
+    # a head-plan list per input port; 1,976 MiB before the per-link
+    # callbacks became port methods.
+    budget = 1000 * 1024**2
     assert peak_bytes <= budget, (
         f"peak RSS {peak_bytes / 1024**2:.0f} MiB > {budget // 1024**2} MiB")
