@@ -1,16 +1,16 @@
 """Memory-bound rules.
 
 PR 7's leak fix: long sweeps with per-(src,dst) routing state grew memos
-without bound.  The repo convention is a cap constant checked with a
-wholesale-clear guard (``if len(self._plan_memo) >= _MEMO_CAP:
-self._plan_memo.clear()``) or a BoundedLRU.  A wholesale clear is only
-invisible where rebuilding an entry is pure *and cheap*: after a clear every
-live key misses once more, so the guard belongs on memos whose miss path is
-a few lookups (the routing plan memo's is two route-column reads and two
-small dict hits), not on ones that redo an evaluation per entry.  This rule
-makes the convention machine-checked: any dict-valued memo/cache binding in
-a hot module must be capped, bounded, or explicitly suppressed with a
-written reason.
+without bound.  So any dict-valued memo/cache binding in a hot module must
+show its bound, and any one of three forms does: a cap constant checked
+with a wholesale-clear guard (``if len(self._memo) >= _MEMO_CAP:
+self._memo.clear()``), a BoundedLRU, or a ``# devtools:
+unbounded-ok(<reason>)`` on the binding saying why its keys bound it (the
+routing memos: layout classes, ports, interned path ids and a fixed state
+span, none of which grows with routers or pairs).  A wholesale clear is
+only invisible where rebuilding an entry is pure *and cheap*: after a clear
+every live key misses once more, so the guard belongs on memos whose miss
+path is a few lookups, not on ones that redo an evaluation per entry.
 """
 
 from __future__ import annotations
@@ -34,12 +34,14 @@ class UnboundedMemoRule(Rule):
     summary = "dict memos in hot modules need a cap constant or unbounded-ok reason"
     doc = (
         "A dict whose name contains 'memo' or 'cache', bound in a hot "
-        "module, must be bounded: either the module checks "
-        "`len(<memo>) >= <CAP-constant>` somewhere (the wholesale-clear "
-        "pattern from routing/base.py), or the value is a BoundedLRU, or the "
+        "module, must be bounded, and any one of three forms satisfies the "
+        "rule: the module checks `len(<memo>) >= <CAP-constant>` somewhere "
+        "(a wholesale-clear guard), or the value is a BoundedLRU, or the "
         "binding carries `# devtools: unbounded-ok(<reason>)` stating why "
         "growth is inherently bounded (e.g. keyed by node id: at most n "
-        "entries).  Suppressions without a reason are themselves flagged."
+        "entries; the routing memos in routing/base.py, keyed by layout "
+        "class, port and path shape).  Suppressions without a reason are "
+        "themselves flagged."
     )
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:

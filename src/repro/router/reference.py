@@ -99,9 +99,6 @@ class ReferenceRouter(Router):
                         plan = self._plan_for(port, vc, packet)
                     if isinstance(plan, EjectionRequest):
                         slot = plan.slot
-                        if slot < 0:
-                            slot = 2 * (plan.node - self.nodes[0]) + plan.msg_class
-                            plan.slot = slot
                         ejection = self.ejection_ports[slot]
                         if not ejection.idle_at(now):
                             if ejection.busy_until < reject_until:

@@ -195,8 +195,9 @@ class Router:
                 )
             )
         #: ejection ports, two per node, at flat slot ``2 * local_node +
-        #: msg_class`` (``MessageClass``: REQUEST=0, REPLY=1), the index an
-        #: ``EjectionRequest.slot`` caches.
+        #: msg_class`` (``MessageClass``: REQUEST=0, REPLY=1), the slot
+        #: ``RoutingAlgorithm.plan`` names in this router's
+        #: ``EjectionRequest``.
         self.ejection_ports: List[EjectionPort] = [
             EjectionPort(node, msg_class)
             for node in self.nodes
@@ -545,7 +546,6 @@ class Router:
         priority = 0
         routing_plan = self.routing.plan
         execute_grant = self._execute_grant
-        first_node = self.nodes[0] if self.nodes else 0
         router_id = self.router_id
         full_scan = range(self._n_in)
         #: per alloc-input constants, one list index + unpack per evaluation.
@@ -633,11 +633,6 @@ class Router:
                             packet.plan = plan
                         if type(plan) is EjectionRequest:
                             slot = plan.slot
-                            if slot < 0:
-                                # Router-unique: only the destination router
-                                # ever plans an ejection for this pair.
-                                slot = 2 * (plan.node - first_node) + plan.msg_class
-                                plan.slot = slot
                             ejection_busy = eject_busy[slot]
                             if ejection_busy > now:
                                 if ejection_busy < p_retry:

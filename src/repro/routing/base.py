@@ -40,20 +40,6 @@ from .route_table import _UNRESOLVED, RouteTable
 if TYPE_CHECKING:  # pragma: no cover
     from ..router.router import Router
 
-#: bound on the plan, verdict and hop memo dictionaries, each cleared
-#: wholesale when it reaches this many entries.  The first-level plan memo
-#: is keyed by route *shape* — (port layout class, out port, intended-path
-#: id, state) — so it grows with layout classes x ports x the shapes and
-#: states that leave them, not with routers or destination pairs; the hop
-#: memo by (layout class, port, verdict).  The constructions are pure (no
-#: RNG; randomness lives in the per-packet injection decisions), so a
-#: rebuilt entry is identical and the clear is invisible in results.  No
-#: run comes near the cap: a Dragonfly has one layout class, and at h=13
-#: the memos hold a few hundred entries (DESIGN.md §9(d)).  A plan miss
-#: stays cheap: two route-column reads plus two small dict hits (see
-#: ``_candidate_towards``), never a policy evaluation.
-_MEMO_CAP = 1 << 18
-
 #: span of the packed plan-memo state: message class (2), input type (None,
 #: local, global), input VC + 1 (16), phase_local (16), phase_global (16),
 #: phase_position (32), phase_global_taken (16).  The route shape is packed
@@ -83,8 +69,7 @@ class CandidateHop:
     #: identically, so the record holds offsets only; the allocator then
     #: evaluates a candidate with a single attribute load plus flat reads
     #: of its own router's slabs.  Filled by
-    #: RoutingAlgorithm._candidate_towards; hand-built candidates (tests)
-    #: keep the 3-field prefix form.
+    #: RoutingAlgorithm._candidate_towards.
     hot: tuple = ()
     #: grant-time fast-path flags: a *simple* hop updates only the packet's
     #: hop/phase counters, so the router inlines it; detour-affecting hops
@@ -98,7 +83,6 @@ class CandidateHop:
 
     def __post_init__(self) -> None:
         self.alone = [self]
-        self.hot = (self.out_port, self.vc_range.lo, self.vc_range.hi)
         self.is_global_hop = self.out_type == LinkType.GLOBAL
         self.simple_hop = not (self.reaches_intermediate or self.abandons_detour)
 
@@ -107,13 +91,9 @@ class CandidateHop:
 class EjectionRequest:
     """The packet has reached its destination router and awaits consumption."""
 
-    node: int
-    msg_class: MessageClass
     #: flat ejection-port slot on the destination router (``2 * local_node +
-    #: msg_class``), filled lazily by the first allocator evaluation.  Safe to
-    #: cache on this shared memoized object because only the (unique)
-    #: destination router of ``node`` ever plans an ejection for it.
-    slot: int = -1
+    #: msg_class``, ``Router.ejection_ports``).
+    slot: int
 
 
 Plan = Union[EjectionRequest, List[CandidateHop]]
@@ -171,7 +151,14 @@ class RoutingAlgorithm(ABC):
         #: every packet in the same situation) is memoized per ``(layout
         #: class, out port, verdict, flags)``: at most layout classes ×
         #: ports × verdict variety, again independent of network size.
+        #: Every memo is bounded by its key's parts, none of which is a
+        #: router or a (source, destination) pair, so none needs a cap; a
+        #: construction is pure (randomness lives in the per-packet
+        #: injection decisions), and the h=13 scale smoke test holds all
+        #: three below 1,000 entries (DESIGN.md §9(d)).
+        # devtools: unbounded-ok(keyed by path shapes, input buffer and phase state: no router or pair factor)
         self._verdict_memo: dict = {}
+        # devtools: unbounded-ok(keyed by layout class, port, VC range and 3 flags: no router factor)
         self._hop_memo: dict = {}
         #: first-level hit path: whole plans of the minimal branch keyed by
         #: route shape, ``(layout class of here, out port, intended-path id,
@@ -184,39 +171,44 @@ class RoutingAlgorithm(ABC):
         #: memo holds a route-table answer: a fault re-table that rebuilds
         #: a column gives new keys and leaves every entry true, so it
         #: flushes nothing.
+        # devtools: unbounded-ok(layout classes x ports + 1 x 255 interned path ids x the fixed state span: no router or pair factor)
         self._plan_memo: dict = {}
         #: miss-path work counters (RunRecord provenance; the hit paths
         #: carry no counter).
         self.plan_misses = 0
         self.verdict_builds = 0
         self.hop_builds = 0
-        # devtools: unbounded-ok(keyed by (dst router, msg class): at most 2n entries)
+        # devtools: unbounded-ok(keyed by ejection slot: 2 per node of the widest router)
         self._ejection_memo: dict = {}
         #: the plan memo's hit path reads the route columns directly (the
         #: table mutates this list in place, never replaces it).
         self._columns = self.route.columns
         #: packed-int memo keys: every component is a small bounded int, so
-        #: a key packs into one integer — int hashing is much cheaper than hashing a tuple.  The
-        #: bounds come from the wiring (ports per router), the route table
-        #: (interned ids are below ``_UNRESOLVED``) and the arrangement
-        #: (the widest port's VC count).  The column's no-port sentinel
-        #: (255, or -1 on wide routers) is one more port value, so a head
-        #: at a dead router keys its own entry and is planned ``[]`` on the
-        #: miss path.  Out-of-range phase state (never produced by the
-        #: canonical reference shapes) falls back to tuple plan keys, which
-        #: cannot collide with ints in the same dict.
+        #: a key packs into one integer — int hashing is much cheaper than
+        #: hashing a tuple.  The bounds come from the wiring (ports per
+        #: router), the route table (interned ids are below
+        #: ``_UNRESOLVED``) and the arrangement (the widest port's VC
+        #: count).  The column's no-port sentinel (255, or -1 on wide
+        #: routers) is one more port value, so a head at a dead router keys
+        #: its own entry and is planned ``[]`` on the miss path.  A plan key
+        #: whose state overflows its packed span — a head in input VC 15 or
+        #: above (a port with 16 or more VCs) or phase counters past their
+        #: fields — falls back to a tuple key, which cannot collide with the
+        #: ints in the same dict.
         self._key_ports = max(self.wiring.ports_per_router,
                               self.route.no_port) + 1
         self._key_vcs = max(arrangement.total_local, arrangement.total_global)
         #: hook elision: algorithms that keep the base-class no-op hooks
-        #: (e.g. MIN/VAL never divert in transit) skip the virtual call on
-        #: every plan computation.
-        self._has_injection_hook = (
-            type(self).decide_at_injection is not RoutingAlgorithm.decide_at_injection
-        )
+        #: skip the virtual call on every plan computation.  Only an
+        #: algorithm with a decision hook can mark a packet Valiant, so MIN
+        #: (no hook) skips the detour branch too.
         self._has_transit_hook = (
             type(self).maybe_divert_in_transit
             is not RoutingAlgorithm.maybe_divert_in_transit
+        )
+        self._decides = self._has_transit_hook or (
+            type(self).decide_at_injection
+            is not RoutingAlgorithm.decide_at_injection
         )
 
     # ------------------------------------------------------------------
@@ -266,47 +258,47 @@ class RoutingAlgorithm(ABC):
             dst_router = self.topology.router_of_node(packet.dst_node)
             packet.dst_router = dst_router
         if dst_router == here:
-            eject_key = (packet.dst_node, packet.msg_class)
-            ejection = self._ejection_memo.get(eject_key)
+            slot = 2 * (packet.dst_node - router.nodes[0]) + packet.msg_class
+            ejection = self._ejection_memo.get(slot)
             if ejection is None:
-                ejection = EjectionRequest(node=packet.dst_node, msg_class=packet.msg_class)
-                self._ejection_memo[eject_key] = ejection
+                ejection = self._ejection_memo[slot] = EjectionRequest(slot)
             return ejection
 
-        if not packet.route_decided:
-            if self._has_injection_hook:
+        if self._decides:
+            if not packet.route_decided:
                 self.decide_at_injection(router, packet)
-            packet.route_decided = True
-        if self._has_transit_hook:
-            self.maybe_divert_in_transit(router, packet)
-
-        if packet.route_kind == RouteKind.VALIANT and not packet.intermediate_reached:
-            if packet.intermediate_router == here:
-                # Landed on the intermediate without taking a hop (possible when
-                # the intermediate equals the source router's neighbourhood).
-                self._enter_second_phase(packet)
-
-        if packet.route_kind == RouteKind.VALIANT and not packet.intermediate_reached:
-            candidates: List[CandidateHop] = []
-            detour = self._candidate_towards(
-                router, packet, packet.intermediate_router, input_type, input_vc,
-                is_detour=True,
-            )
-            if detour is not None:
-                candidates.append(detour)
-                if detour.opportunistic:
+                packet.route_decided = True
+            if self._has_transit_hook:
+                self.maybe_divert_in_transit(router, packet)
+            if (packet.route_kind == RouteKind.VALIANT
+                    and not packet.intermediate_reached):
+                if packet.intermediate_router == here:
+                    # Landed on the intermediate without taking a hop
+                    # (possible when the intermediate equals the source
+                    # router's neighbourhood): on minimally from here.
+                    self._enter_second_phase(packet)
+                else:
+                    # Towards the intermediate, plus the safe minimal escape
+                    # when that hop is opportunistic (plans are shared and
+                    # never mutated).
+                    detour = self._candidate_towards(
+                        router, packet, packet.intermediate_router,
+                        input_type, input_vc, is_detour=True,
+                    )
+                    if detour is None:
+                        return _NO_PLAN
+                    if not detour.opportunistic:
+                        return detour.alone
                     escape = self._candidate_towards(
                         router, packet, dst_router, input_type, input_vc,
                         is_detour=False, abandons_detour=True,
                     )
-                    if escape is not None:
-                        candidates.append(escape)
-            return candidates
+                    return detour.alone if escape is None else [detour, escape]
 
         # Minimal continuation (MIN packets, and Valiant packets past their
         # intermediate — both take the same minimal path from here): the whole
         # plan is a pure function of the route shape and state, so memoize
-        # it.  MinimalRouting.plan computes the same key.
+        # it.
         col = self._columns[dst_router]
         if col is None:
             col = self.route.column(dst_router)
@@ -328,7 +320,7 @@ class RoutingAlgorithm(ABC):
             key = (key * 32 + phase_position) * 16 + phase_global_taken
             key += ((self._layout[here] * self._key_ports + port)
                     * _UNRESOLVED + seq_id) * _STATE_SPAN
-        else:  # pragma: no cover - beyond any canonical reference shape
+        else:  # state beyond the packed span, e.g. input VC 15
             key = (
                 self._layout[here], port, seq_id, packet.msg_class,
                 input_type, input_vc,
@@ -341,8 +333,6 @@ class RoutingAlgorithm(ABC):
                 router, packet, dst_router, input_type, input_vc, is_detour=False
             )
             cached = direct.alone if direct is not None else _NO_PLAN
-            if len(self._plan_memo) >= _MEMO_CAP:
-                self._plan_memo.clear()
             self._plan_memo[key] = cached
         return cached
 
@@ -402,8 +392,6 @@ class RoutingAlgorithm(ABC):
         if verdict is None:
             self.verdict_builds += 1
             verdict = self.policy.evaluate(HopContext(*key))
-            if len(self._verdict_memo) >= _MEMO_CAP:
-                self._verdict_memo.clear()
             self._verdict_memo[key] = verdict
         vc_range, kind = verdict
         if vc_range is None:
@@ -429,8 +417,6 @@ class RoutingAlgorithm(ABC):
                 abandons_detour=abandons_detour,
             )
             candidate.hot = router.resolve_candidate(candidate)
-            if len(self._hop_memo) >= _MEMO_CAP:
-                self._hop_memo.clear()
             self._hop_memo[hop_key] = candidate
         return candidate
 

@@ -8,12 +8,13 @@ verdict)`` (DESIGN.md §6).  The guarantees locked here:
 * **differential** — a plan served through the memos equals one assembled by
   calling ``policy.evaluate(HopContext(...))`` directly on an independent
   table, for generated positions, inputs and phase states, on a pristine
-  network and after a link-down re-table of a memo warmed before it;
+  network and after a link-down re-table of a memo warmed before it, and
+  through the tuple-key fallback of a head in input VC 15;
+* **ejection** — a head at its destination router is planned the ejection
+  port of its node and message class;
 * **scale invariance** — the verdict memo's population does not depend on
   the network size, and none of the three memos grows with the destinations
   touched;
-* **one key** — ``MinimalRouting.plan`` and the minimal branch of
-  ``RoutingAlgorithm.plan`` serve each other's memo entries;
 * **layout invariance** — every router of a port layout class resolves a
   candidate to the same record and is served the same plan objects, and no
   memo key holds a router id;
@@ -31,19 +32,18 @@ import functools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import RoutingConfig, SimulationConfig
 from repro.core.arrangement import VcArrangement
-from repro.core.link_types import LinkType
+from repro.core.link_types import LinkType, MessageClass
 from repro.core.vc_policy import HopContext, HopKind
 from repro.experiments.runner import TINY
 from repro.experiments.topologies import minimal_feasible_arrangement
 from repro.faults import FaultSchedule, LinkDown, LinkUp
 from repro.packet import Packet, RouteKind
-from repro.routing.base import CandidateHop, RoutingAlgorithm
-from repro.routing.minimal import MinimalRouting
+from repro.routing.base import CandidateHop, EjectionRequest
 from repro.routing.route_table import RouteTable
 from repro.session import Session
 from repro.simulation import Simulation
@@ -57,13 +57,19 @@ NETWORKS = {
 }
 
 
+#: 16 local VCs: a head in input VC 15 overflows the packed plan key's
+#: input-VC field, so its plan is memoized under a tuple key.
+WIDE = VcArrangement.single_class(16, 8)
+
+
 @functools.lru_cache(maxsize=None)
-def _simulation(network: str, policy: str, algorithm: str) -> Simulation:
+def _simulation(network: str, policy: str, algorithm: str,
+                wide: bool = False) -> Simulation:
     """One shared simulation per combination: later examples hit its memos."""
     config = SimulationConfig(
         network=NETWORKS[network],
         routing=RoutingConfig(algorithm=algorithm, vc_policy=policy),
-        arrangement=minimal_feasible_arrangement(
+        arrangement=WIDE if wide else minimal_feasible_arrangement(
             NETWORKS[network], algorithm, policy
         ),
     )
@@ -179,15 +185,32 @@ def _assert_plans(sim: Simulation, table: RouteTable, here: int,
 
 
 @settings(max_examples=300, deadline=None)
-@given(**_PLAN_INPUTS)
+@given(wide_vc=st.none() | st.integers(-1, 15), **_PLAN_INPUTS)
+@example(network="dragonfly-h2", policy="flexvc", algorithm="val",
+         routers=[0, 1, 2], valiant=True, reached=True,
+         input_type=LinkType.LOCAL, input_vc=0, phase=(1, 0, 1, 0),
+         wide_vc=15)
 def test_memoized_plan_equals_direct_evaluation(
     network, policy, algorithm, routers, valiant, reached, input_type,
-    input_vc, phase,
+    input_vc, phase, wide_vc,
 ):
-    sim = _simulation(network, policy, algorithm)
+    # ``wide_vc``: ask from that input VC of the WIDE arrangement instead.
+    if wide_vc is not None:
+        input_vc = wide_vc
+    sim = _simulation(network, policy, algorithm, wide_vc is not None)
     here, packet = _example(sim, routers, valiant, reached, phase)
     _assert_plans(sim, _reference_table(network), here, packet, input_type,
                   input_vc)
+    minimal = algorithm == "min" or not valiant or reached
+    if input_vc == 15 and minimal:
+        column = sim.route_table.column(packet.dst_router)
+        fallback_key = (
+            sim.topology.wiring().layout[here], column.ports[here],
+            column.seq_id(here), packet.msg_class, input_type, input_vc,
+            packet.phase_local, packet.phase_global, packet.phase_position,
+            packet.phase_global_taken,
+        )
+        assert fallback_key in sim.routing._plan_memo
 
 
 @settings(max_examples=100, deadline=None)
@@ -218,36 +241,18 @@ def test_memo_warmed_before_a_link_down_answers_for_the_new_table(
         sim.route_table.set_fault_state(frozenset(), frozenset())
 
 
-@pytest.mark.parametrize("algorithm", ["min", "val"])
-def test_min_copy_and_base_branch_compute_one_key(algorithm):
-    # A MIN packet, or a Valiant one past its intermediate: both take the
-    # minimal continuation, which MinimalRouting.plan specialises.
-    sim = _simulation.__wrapped__("dragonfly-h2", "flexvc", algorithm)
-    routing = sim.routing
-    n = sim.topology.num_routers
-    copies = (RoutingAlgorithm.plan, MinimalRouting.plan)
-    for dst in range(1, n):
-        for input_type, input_vc in ((None, -1), (LinkType.LOCAL, 1),
-                                     (LinkType.GLOBAL, 0)):
-            packets = [
-                Packet(0, 0, 8, dst_router=dst, route_decided=True,
-                       route_kind=RouteKind.VALIANT, intermediate_router=0,
-                       intermediate_reached=True, phase_local=2,
-                       phase_global=1, phase_position=1,
-                       phase_global_taken=1)
-                if algorithm == "val"
-                else Packet(0, 0, 8, dst_router=dst, route_decided=True)
-                for _ in copies
-            ]
-            first, second = copies if dst % 2 else copies[::-1]
-            router = sim.routers[dst // 2]
-            if router.router_id == dst:
-                continue
-            plan = first(routing, router, packets[0], input_type, input_vc)
-            misses = routing.plan_misses
-            assert second(routing, router, packets[1], input_type,
-                          input_vc) is plan
-            assert routing.plan_misses == misses
+@pytest.mark.parametrize("network", sorted(NETWORKS))
+def test_ejection_plan_names_its_port(network):
+    # The plan is complete when planned: no allocator fills in the slot.
+    sim = _simulation(network, "flexvc", "min")
+    for router in sim.routers:
+        for node in sim.topology.nodes_of_router(router.router_id):
+            for msg_class in MessageClass:
+                packet = Packet(0, node, 8, msg_class=msg_class)
+                plan = sim.routing.plan(router, packet, None, -1)
+                assert type(plan) is EjectionRequest
+                port = router.ejection_ports[plan.slot]
+                assert (port.node, port.msg_class) == (node, msg_class)
 
 
 def _uniform_min_stats(network: str) -> dict:

@@ -419,11 +419,13 @@ def test_system_scale_constructs_within_budget(algorithm):
     # reads a sliver of the n^2 pairs, so an eager fill cannot come back
     # unnoticed.
     assert stats["pairs_resolved"] < 0.01 * result["routers"] ** 2
-    # The plan and hop memos are keyed by port layout class, not router:
-    # a few hundred entries at most, where a router id in a key makes
-    # hundreds of thousands.
+    # No routing memo has a cap: each is bounded by its key's parts.  The
+    # plan and hop memos are keyed by port layout class, not router, and
+    # the verdict memo by path shapes and state: a few hundred entries at
+    # most, where a router id in a key makes hundreds of thousands.
     routing = result["routing"]
     assert routing["plan_memo_size"] < 1000, routing
+    assert routing["verdict_memo_size"] < 1000, routing
     assert routing["hop_memo_size"] < 1000, routing
 
     peak_bytes = result["peak_bytes"]
